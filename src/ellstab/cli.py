@@ -7,7 +7,8 @@ numbers are encoded as [re, im] pairs; matrices are row-major with
 self-describing basis labels.
 
 Exit codes: 0 all checks within tolerance, 1 check failure, 2 usage error,
-3 numeric singularity that survived the configured retries.
+3 numeric singularity or exceeded enumeration budget (no retry is made).
+``--workers`` is read by ``shuffle-check`` only.
 """
 
 from __future__ import annotations

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-TOL_MACHINE = 2.2e-16
-
 #: name of the formal sign variable (value -1, fixed log i*pi)
 SIGN_VAR = "sgn"
 
@@ -212,6 +210,9 @@ def qpoch2_inf(z: complex, q1: complex, q2: complex,
 
     With ``skip_origin`` the (m,n) = (0,0) factor is omitted; this is the
     standard regularization of ratios of double Pochhammers at z = 1.
+
+    A direct product over the truncated lattice, kept as the independent
+    oracle for the series kernel behind ``scalars.qpoch2_ratio``.
     """
     if abs(q1) >= 1 or abs(q2) >= 1:
         raise SingularityError("double Pochhammer needs |q1|, |q2| < 1")
@@ -237,7 +238,11 @@ def qpoch2_inf(z: complex, q1: complex, q2: complex,
 
 def qpoch3_inf(z: complex, a: complex, b: complex, c: complex,
                cutoff: float = 1e-18) -> complex:
-    """Triple Pochhammer (z; a, b, c)_inf over the full octant lattice."""
+    """Triple Pochhammer (z; a, b, c)_inf over the full octant lattice.
+
+    A direct product, kept as the independent oracle for the series kernel
+    behind ``scalars.gamma3v``; it is slow and loses digits for moduli near 1.
+    """
     for q in (a, b, c):
         if abs(q) >= 1:
             raise SingularityError("triple Pochhammer needs |a|, |b|, |c| < 1")
@@ -266,7 +271,11 @@ def qpoch3_inf(z: complex, a: complex, b: complex, c: complex,
 
 def gamma3(z: complex, a: complex, b: complex, c: complex,
            cutoff: float = 1e-18) -> complex:
-    """Triple Gamma factor Gamma(z; a,b,c) = (z;a,b,c)_inf (abc/z;a,b,c)_inf."""
+    """Triple Gamma factor Gamma(z; a,b,c) = (z;a,b,c)_inf (abc/z;a,b,c)_inf.
+
+    Built on the direct product ``qpoch3_inf``: the test oracle for
+    ``scalars.gamma3v``, which the library itself uses.
+    """
     if z == 0:
         raise SingularityError("triple Gamma rejects z = 0")
     return qpoch3_inf(z, a, b, c, cutoff) * qpoch3_inf(a * b * c / z, a, b, c, cutoff)

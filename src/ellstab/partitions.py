@@ -269,7 +269,8 @@ def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
     """All fixed points with box-content profile v and framing vector w.
 
     Deterministic order: slot by slot in the chamber order, partitions in
-    lexicographic order of their row tuples.
+    lexicographic order of their row tuples.  Raises ``BudgetError`` when
+    there are more than ``budget`` of them.
     """
     total = sum(v)
     slot_colors = [k for k in range(n_colors) for _ in range(w[k])]
@@ -284,10 +285,10 @@ def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
         return cands
 
     def rec(idx, remaining, acc):
-        if len(results) > budget:
-            raise MemoryError("fixed point enumeration exceeded budget")
         if idx == len(slot_colors):
             if all(r == 0 for r in remaining):
+                if len(results) == budget:
+                    raise BudgetError(f"more than {budget} fixed points")
                 results.append(make_fixed_point([lam.rows for lam in acc], w,
                                                 n_colors, u_names))
             return

@@ -9,6 +9,8 @@ sides of every identity share one branch choice.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,37 +27,54 @@ def eta_pairing(k: int, l: int, n: int) -> Fraction:
     return Fraction(i * (n - j), n)
 
 
-def _np_qpoch3(z: complex, a: complex, b: complex, c: complex,
-               cutoff: float = 1e-18) -> complex:
-    """(z; a, b, c)_inf with the lattice truncated at |z a^m b^n c^k| < cutoff."""
-    for q in (a, b, c):
-        if abs(q) >= 1:
-            raise SingularityError("triple Pochhammer needs moduli < 1")
-    az = max(abs(z), cutoff)
+def _qpoch(zs, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
+    """prod over z in ``zs`` of (z; q_1, ..., q_k)_inf, for k = len(qs) >= 1.
 
-    def axis(q):
-        m = max(2, int(np.ceil(np.log(cutoff / az) / np.log(abs(q)))) + 1)
-        return q ** np.arange(m)
+    Split: (x; q_j..q_k) = (x; q_j+1..q_k) (x q_j; q_j..q_k) peels the lattice
+    along q_1, then q_2, ... while |x| > 1/2; a point peeled along every axis
+    is one direct factor (1 - x).  Sum: the sub-octant (x; q_j..q_k) left at
+    each |x| <= 1/2 is exp(-sum_r x^r / (r prod_i (1 - q_i^r))), cut at the
+    first R where the tail bound 2 |x|^R prod_i 1/(1 - |q_i|) drops below
+    ``cutoff``.
+    """
+    if any(abs(q) >= 1 for q in qs):
+        raise SingularityError("Pochhammer moduli must lie inside the unit disc")
+    # bound[j] = 2 prod_{i>=j} 1/(1 - |q_i|)
+    # coef[j, r-1] = 1/(r prod_{i>=j} (1 - q_i^r)), enough terms for |x| = 1/2
+    bound = 2.0 / np.cumprod([1.0 - abs(q) for q in qs[::-1]])[::-1]
+    n_max = _n_terms(0.5, bound[0], cutoff)
+    q_pow = np.vander(np.array(qs, dtype=complex), n_max + 1, increasing=True)[:, 1:]
+    suffix = np.cumprod((1.0 - q_pow)[::-1], axis=0)[::-1]
+    coef = 1.0 / (np.arange(1, n_max + 1) * suffix)
+    log = 0.0 + 0.0j
+    direct = list(zs)
+    for j, q in enumerate(qs):
+        leaves, peeled = [], []
+        for x in direct:
+            while abs(x) > 0.5:
+                peeled.append(x)
+                x *= q
+            if x != 0:
+                leaves.append(x)
+        if leaves:
+            n = _n_terms(max(map(abs, leaves)), bound[j], cutoff)
+            powers = np.vander(np.array(leaves, dtype=complex), n + 1, increasing=True)
+            log -= complex(np.sum(powers[:, 1:] @ coef[j, :n]))
+        direct = peeled
+    return cmath.exp(log) * math.prod(1.0 - x for x in direct)
 
-    pa, pb, pc = axis(a), axis(b), axis(c)
-    bc = np.outer(pb, pc).ravel()
-    bc = bc[np.abs(bc) * az >= cutoff * min(1.0, abs(a))]
-    res = 1.0 + 0.0j
-    for wa in pa:
-        w = wa * bc
-        w = w[np.abs(w) * az >= cutoff]
-        if w.size == 0 and abs(wa) * az < cutoff:
-            break
-        res *= np.prod(1.0 - z * w) if w.size else 1.0
-    return complex(res)
+
+def _n_terms(xmax: float, bound: float, cutoff: float) -> int:
+    """Smallest R >= 1 with bound * xmax^R < cutoff, for 0 < xmax <= 1/2."""
+    return max(1, math.ceil(math.log(cutoff / bound) / math.log(xmax)))
 
 
 def gamma3v(z: complex, a: complex, b: complex, c: complex,
             cutoff: float = 1e-18) -> complex:
-    """Triple Gamma factor Gamma(z; a, b, c), vectorized evaluation."""
+    """Triple Gamma factor Gamma(z; a, b, c) = (z; a,b,c)_inf (abc/z; a,b,c)_inf."""
     if z == 0:
         raise SingularityError("triple Gamma rejects z = 0")
-    return _np_qpoch3(z, a, b, c, cutoff) * _np_qpoch3(a * b * c / z, a, b, c, cutoff)
+    return _qpoch((z, a * b * c / z), (a, b, c), cutoff)
 
 
 def qpoch2_ratio(z: complex, q_num: complex, q_den: complex, q2: complex,
@@ -63,18 +82,16 @@ def qpoch2_ratio(z: complex, q_num: complex, q_den: complex, q2: complex,
     """(z; q_num, q2)_inf / (z; q_den, q2)_inf with z = 1 regularized.
 
     With ``at_one`` the common vanishing (0,0) factor of numerator and
-    denominator is dropped.
+    denominator is dropped: (z; q1, q2)_inf without its origin factor is
+    (z q1; q1, q2)_inf (z q2; q2)_inf.
     """
     def dpoch(q1):
-        m1 = max(2, int(np.ceil(np.log(cutoff) / np.log(abs(q1)))) + 1)
-        m2 = max(2, int(np.ceil(np.log(cutoff) / np.log(abs(q2)))) + 1)
-        w = np.outer(q1 ** np.arange(m1), q2 ** np.arange(m2)).ravel()
-        w = w[np.abs(w) * max(abs(z), 1.0) >= cutoff]
         if at_one:
-            w = w[w != 1.0 + 0.0j]
-        return np.prod(1.0 - z * w)
+            return (_qpoch((z * q1,), (q1, q2), cutoff)
+                    * _qpoch((z * q2,), (q2,), cutoff))
+        return _qpoch((z,), (q1, q2), cutoff)
 
-    return complex(dpoch(q_num) / dpoch(q_den))
+    return dpoch(q_num) / dpoch(q_den)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,12 @@ def test_tree_budget_guard():
         spanning_trees(ColoredPartition((5, 5, 5), 0, 3))
 
 
+def test_fixed_point_budget_guard():
+    assert len(fixed_points((1, 1, 1), (1, 0, 0), 3, budget=3)) == 3
+    with pytest.raises(BudgetError):
+        fixed_points((1, 1, 1), (1, 0, 0), 3, budget=2)
+
+
 def test_index_degrees_goldens():
     def degs(rows, n=3):
         fp = make_fixed_point([rows], tuple(1 if i == 0 else 0 for i in range(n)), n)

@@ -4,11 +4,12 @@ import cmath
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from ellstab.core import Monomial
+from ellstab.core import Monomial, SingularityError, qpoch2_inf
 from ellstab.rmatrix import FramingGroup
 from ellstab.sampling import sample_param_point
-from ellstab.scalars import (chi_exchange, eta_pairing, gamma3v, mu_exchange,
+from ellstab.scalars import (_qpoch, chi_exchange, eta_pairing, gamma3v, mu_exchange,
                              mu_exchange_scalar, mu_star_exchange,
                              mu_vacuum_ope, qpoch2_ratio, rho_plus, rho_ratio,
                              rll_scalar_residual)
@@ -42,6 +43,35 @@ def test_gamma3v_stable_under_truncation_tightening():
     v1 = gamma3v(z, a, b, c, cutoff=1e-18)
     v2 = gamma3v(z, a, b, c, cutoff=1e-24)
     assert abs(v1 - v2) < 1e-9 * abs(v1)
+
+
+@pytest.mark.parametrize("zmod", [0.3, 1.0, 6.0])
+def test_qpoch_kernel_q_difference_near_unit_moduli(zmod):
+    # (a z; a, b, c) (z; b, c) = (z; a, b, c) at the moduli t1^N, t2^N, t1 t2
+    # of |t| = 0.88, where a direct product needs some 10^5 lattice factors.
+    t1, t2 = 0.88 * cmath.exp(0.7j), 0.88 * cmath.exp(-1.9j)
+    a, b, c = t1 ** N, t2 ** N, t1 * t2
+    z = zmod * cmath.exp(0.4j)
+    lhs = _qpoch((a * z,), (a, b, c)) * _qpoch((z,), (b, c))
+    rhs = _qpoch((z,), (a, b, c))
+    assert abs(lhs - rhs) < 1e-13 * abs(rhs)
+
+
+def test_qpoch2_ratio_at_one_matches_direct_product():
+    p, h, big2 = PP0.p, PP0.hbar, PP0.t2 ** N
+    want = (qpoch2_inf(1.0, p, big2, skip_origin=True)
+            / qpoch2_inf(1.0, h, big2, skip_origin=True))
+    got = qpoch2_ratio(1.0 + 0.0j, p, h, big2, at_one=True)
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_kernels_reject_moduli_outside_the_unit_disc():
+    with pytest.raises(SingularityError):
+        gamma3v(0.7 + 0.1j, 0.2, 1.0, 0.3)
+    with pytest.raises(SingularityError):
+        gamma3v(0.7 + 0.1j, 0.2, 0.3, 1.2j)
+    with pytest.raises(SingularityError):
+        qpoch2_ratio(0.5 + 0.0j, 0.2, 0.3, 1.0)
 
 
 def test_mu_reciprocal_branch_rule():
