@@ -8,7 +8,7 @@ self-describing basis labels.
 
 Exit codes: 0 all checks within tolerance, 1 check failure, 2 usage error,
 3 numeric singularity or exceeded enumeration budget (no retry is made).
-``--workers`` is read by ``shuffle-check`` only.
+``shuffle-check`` alone takes ``--workers``, its process-pool size.
 """
 
 from __future__ import annotations
@@ -372,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("ELLSTAB_WORKERS", "1")))
 
     p = sub.add_parser("fixed-points", help="enumerate torus fixed points")
     common(p)
@@ -406,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxes", required=True, help="sizes, e.g. 1,1")
     p.add_argument("--color2", type=int, default=0)
     p.add_argument("--assignments", type=int, default=5)
+    p.add_argument("--workers", type=int,
+                   default=int(os.environ.get("ELLSTAB_WORKERS", "1")))
     p.set_defaults(func=cmd_shuffle_check)
 
     p = sub.add_parser("rmatrix", help="dynamical R-matrix block")

@@ -9,10 +9,12 @@ chosen once per variable.  Two algebraically equal products of half powers then
 materialize to the identical complex number.  A formal sign variable ``sgn``
 (value -1, log = i*pi) makes expressions like (-h^(1/2) u)^eta single valued.
 
-The q-series primitives (truncated infinite/finite q-Pochhammer symbols, odd
-theta functions for a nome p or the shifted nome p* = p/(t1*t2), double and
-triple Pochhammer products, the triple Gamma function) live here as well,
-memoised per parameter point.
+The value-level q-series primitives live here as well: truncated infinite and
+finite q-Pochhammer symbols and odd theta functions for a nome p or the
+shifted nome p* = p/(t1*t2).  Only the infinite Pochhammer symbol is memoised,
+per parameter point (``ParamPoint.qpoch_inf``, which the thetas use).  The
+direct double and triple Pochhammer products and the triple Gamma function
+here are the test oracles of the series kernel in ``scalars``.
 """
 
 from __future__ import annotations

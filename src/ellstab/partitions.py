@@ -268,34 +268,38 @@ def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
                  budget: int = 200000) -> list[FixedPoint]:
     """All fixed points with box-content profile v and framing vector w.
 
+    Slots are color-major, named ``u_names`` in order (default ``u{k}_{j}``).
     Deterministic order: slot by slot in the chamber order, partitions in
     lexicographic order of their row tuples.  Raises ``BudgetError`` when
     there are more than ``budget`` of them.
     """
-    total = sum(v)
-    slot_colors = [k for k in range(n_colors) for _ in range(w[k])]
+    slots = []
+    for k in range(n_colors):
+        for j in range(1, w[k] + 1):
+            name = u_names[len(slots)] if u_names else f"u{k}_{j}"
+            slots.append(FramingSlot(k, name, j))
+    return _enumerate_fixed_points(v, slots, n_colors, budget)
+
+
+def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
+                           n_colors: int,
+                           budget: int = 200000) -> list[FixedPoint]:
+    """All fixed points with box-content profile v over the given slots.
+
+    The slots keep their order; the enumeration is that of ``fixed_points``.
+    """
     results: list[FixedPoint] = []
 
-    def candidates(color, max_size):
-        cands = []
-        for rows in partitions_upto(max_size):
-            lam = ColoredPartition(rows, color, n_colors)
-            cands.append(lam)
-        cands.sort(key=lambda lam: lam.rows)
-        return cands
-
     def rec(idx, remaining, acc):
-        if idx == len(slot_colors):
-            if all(r == 0 for r in remaining):
+        if idx == len(slots):
+            if not any(remaining):
                 if len(results) == budget:
                     raise BudgetError(f"more than {budget} fixed points")
-                results.append(make_fixed_point([lam.rows for lam in acc], w,
-                                                n_colors, u_names))
+                results.append(FixedPoint(tuple(zip(slots, acc)), n_colors))
             return
-        rem_total = sum(remaining)
-        for lam in candidates(slot_colors[idx], rem_total):
-            prof = lam.profile()
-            nxt = [r - q for r, q in zip(remaining, prof)]
+        for rows in sorted(partitions_upto(sum(remaining))):
+            lam = ColoredPartition(rows, slots[idx].color, n_colors)
+            nxt = [r - q for r, q in zip(remaining, lam.profile())]
             if any(r < 0 for r in nxt):
                 continue
             rec(idx + 1, nxt, acc + [lam])

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HBAR, Monomial, ParamPoint, SingularityError
+from .core import HBAR, Monomial, ParamPoint
 from .envelopes import (Envelope, EnvelopeSpec, default_kahler, kahler_args,
-                        restrict, restriction_values)
-from .partitions import FixedPoint, fixed_points, make_fixed_point
+                        restrict)
+from .partitions import FixedPoint, FramingSlot, _enumerate_fixed_points
 
 
 @dataclass
@@ -33,56 +33,14 @@ class FramingGroup:
 
 
 def basis_fixed_points(v, groups: list[FramingGroup], n_colors: int) -> list[FixedPoint]:
-    """Fixed points of the concatenated framing, deterministic order."""
-    w_total = [0] * n_colors
-    names = []
-    for g in groups:
-        for k in range(n_colors):
-            w_total[k] += g.w[k]
-        names.extend(g.u_names())
-    # fixed_points enumerates color-major slots; rebuild in group-major order
-    out = []
-    group_sizes = [sum(g.w) for g in groups]
+    """Fixed points of the concatenated framing, group-major slots.
 
-    def slot_colors(g: FramingGroup):
-        return [k for k in range(n_colors) for _ in range(g.w[k])]
-
-    colors = [c for g in groups for c in slot_colors(g)]
-    total = sum(v)
-
-    def rec(idx, remaining, acc):
-        if idx == len(colors):
-            if all(r == 0 for r in remaining):
-                out.append(tuple(acc))
-            return
-        from .partitions import ColoredPartition, partitions_upto
-        cands = sorted(partitions_upto(sum(remaining)))
-        for rows in cands:
-            lam = ColoredPartition(rows, colors[idx], n_colors)
-            nxt = [r - q for r, q in zip(remaining, lam.profile())]
-            if any(r < 0 for r in nxt):
-                continue
-            rec(idx + 1, nxt, acc + [rows])
-
-    rec(0, list(v), [])
-    fps = []
-    for rows_tuple in out:
-        from .partitions import ColoredPartition, FramingSlot
-        slots = []
-        i = 0
-        for g in groups:
-            for k in range(n_colors):
-                for j in range(1, g.w[k] + 1):
-                    slots.append((FramingSlot(k, f"{g.prefix}{k}_{j}", j),
-                                  ColoredPartition(rows_tuple[i], k, n_colors)))
-                    i += 1
-        fps.append(FixedPoint(tuple(slots), n_colors))
-    return fps
-
-
-def swap_pair(fp: FixedPoint, n_first: int) -> FixedPoint:
-    """Exchange the first n_first framing slots with the rest."""
-    return FixedPoint(fp.slots[n_first:] + fp.slots[:n_first], fp.n_colors)
+    Within a group the slots are color-major, named ``{prefix}{k}_{j}``;
+    the enumeration order is that of ``fixed_points``.
+    """
+    slots = [FramingSlot(k, f"{g.prefix}{k}_{j}", j) for g in groups
+             for k in range(n_colors) for j in range(1, g.w[k] + 1)]
+    return _enumerate_fixed_points(v, slots, n_colors)
 
 
 @dataclass
@@ -128,6 +86,17 @@ def _index_of(fp: FixedPoint, basis: list[FixedPoint]) -> int:
     raise KeyError(f"fixed point {key} not in basis")
 
 
+def _swap_permutation(basis: list[FixedPoint], basis_bar: list[FixedPoint],
+                      n_first: int) -> np.ndarray:
+    """P with P[j, i] = 1 where basis_bar[j] is basis[i] with its first
+    n_first slots moved to the end."""
+    p = np.zeros((len(basis), len(basis)))
+    for i, fp in enumerate(basis):
+        swapped = FixedPoint(fp.slots[n_first:] + fp.slots[:n_first], fp.n_colors)
+        p[_index_of(swapped, basis_bar), i] = 1.0
+    return p
+
+
 def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
                     n_colors: int, variant: str = "plain", star: bool = False,
                     kahler=None, cond_cap: float = 1e8,
@@ -142,23 +111,15 @@ def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
     basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
     m_c = restriction_matrix(basis, pp, variant, star, kahler, tree_filter)
     m_cbar = restriction_matrix(basis_bar, pp, variant, star, kahler, tree_filter)
-    n1 = sum(g1.w)
-    perm = [_index_of(swap_pair(fp, n1), basis_bar) for fp in basis]
-    p = np.zeros((len(basis), len(basis)))
-    for i, j in enumerate(perm):
-        p[j, i] = 1.0
+    p = _swap_permutation(basis, basis_bar, sum(g1.w))
     m_swapped = p.T @ m_cbar.matrix @ p
     bare = np.linalg.solve(m_c.matrix, m_swapped)
     return basis, bare, (m_c.cond, m_cbar.cond)
 
 
-def fp_weight(fp: FixedPoint) -> tuple[int, ...]:
-    return fp.weight()
-
-
 def weight_block_residual(basis: list[FixedPoint], mat: np.ndarray) -> float:
     """Largest entry violating per-residue weight conservation."""
-    weights = [fp_weight(fp) for fp in basis]
+    weights = [fp.weight() for fp in basis]
     worst = 0.0
     for i in range(len(basis)):
         for j in range(len(basis)):
@@ -176,12 +137,11 @@ def transition_r(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
     basis, bare, conds = bare_transition(v, g1, g2, pp, n_colors, variant, star,
                                          kahler, tree_filter=tree_filter)
     scalar = mu_exchange_scalar(g1, g2, pp) if include_scalar else 1.0 + 0.0j
-    weights = [fp_weight(fp) for fp in basis]
+    weights = [fp.weight() for fp in basis]
     return TransitionResult(basis, bare, scalar, conds, weights)
 
 
 def inverted_kahler(n_colors: int):
-    from .envelopes import kahler_args
     return kahler_args({i: Monomial.var(f"z{i}") ** -1 for i in range(n_colors)})
 
 
@@ -201,7 +161,7 @@ def transition_r_star(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
                                          kahler=inverted_kahler(n_colors),
                                          tree_filter=tree_filter)
     scalar = mu_star_exchange_scalar(g1, g2, pp) if include_scalar else 1.0 + 0.0j
-    weights = [fp_weight(fp) for fp in basis]
+    weights = [fp.weight() for fp in basis]
     return TransitionResult(basis, bare.T.copy(), scalar, conds, weights)
 
 
@@ -222,11 +182,7 @@ def composition_residual(v, g1, g2, pp, n_colors, variant="plain", star=False,
                                     kahler, tree_filter=tree_filter)
     basis_bar, b21, _ = bare_transition(v, g2, g1, pp, n_colors, variant, star,
                                         kahler, tree_filter=tree_filter)
-    n1 = sum(g1.w)
-    perm = [_index_of(swap_pair(fp, n1), basis_bar) for fp in basis]
-    p = np.zeros((len(basis), len(basis)))
-    for i, j in enumerate(perm):
-        p[j, i] = 1.0
+    p = _swap_permutation(basis, basis_bar, sum(g1.w))
     prod = (p.T @ b21 @ p) @ b12
     return float(np.max(np.abs(prod - np.eye(len(basis)))))
 
@@ -275,21 +231,6 @@ def profiles(m: int, n: int):
             yield (first,) + rest
 
 
-def _pair_r_blocks(g1, g2, pp, n_colors, total, kahler, include_scalar=True,
-                   variant="plain", star=False):
-    """R-matrices of a pair for every profile with at most ``total`` boxes."""
-    blocks = {}
-    for m in range(total + 1):
-        for v in profiles(m, n_colors):
-            try:
-                res = transition_r(v, g1, g2, pp, n_colors, kahler,
-                                   include_scalar, variant, star)
-            except SingularityError:
-                raise
-            blocks[v] = res
-    return blocks
-
-
 def r_action_on_triple(space: TripleSpace, slot_pair: tuple[int, int],
                        pp: ParamPoint, kahler_shift_slot: int | None,
                        include_scalar=True, variant="plain", star=False) -> np.ndarray:
@@ -301,7 +242,6 @@ def r_action_on_triple(space: TripleSpace, slot_pair: tuple[int, int],
     """
     n = space.n_colors
     i1, i2 = slot_pair
-    spectator = ({0, 1, 2} - {i1, i2}).pop()
     g1, g2 = space.groups[i1], space.groups[i2]
     dim = len(space.basis)
     out = np.zeros((dim, dim), dtype=complex)
@@ -309,7 +249,6 @@ def r_action_on_triple(space: TripleSpace, slot_pair: tuple[int, int],
     cache: dict[tuple, TransitionResult] = {}
     for col, trip in enumerate(space.basis):
         a1, a2 = trip[i1], trip[i2]
-        spec_fp = trip[spectator]
         v_pair = tuple(x + y for x, y in zip(a1.v, a2.v))
         if kahler_shift_slot is None:
             shift = (0,) * n
@@ -337,8 +276,7 @@ def r_action_on_triple(space: TripleSpace, slot_pair: tuple[int, int],
 
 def _split_pair(fp: FixedPoint, g1: FramingGroup, n: int):
     n1 = sum(g1.w)
-    from .partitions import FixedPoint as FP
-    return FP(fp.slots[:n1], n), FP(fp.slots[n1:], n)
+    return FixedPoint(fp.slots[:n1], n), FixedPoint(fp.slots[n1:], n)
 
 
 def _index_of_pair(a1: FixedPoint, a2: FixedPoint, basis: list[FixedPoint]) -> int:
@@ -376,19 +314,13 @@ def triple_restriction_matrix(trip_basis, order, pp, n_colors,
     ``order`` permutes the factor positions of every triple before
     concatenation; the basis enumeration stays that of ``trip_basis``.
     """
-    from .envelopes import Envelope, EnvelopeSpec, restrict as _restrict
     fps = []
     for trip in trip_basis:
         slots = ()
         for i in order:
             slots = slots + trip[i].slots
         fps.append(FixedPoint(slots, n_colors))
-    m = np.zeros((len(fps), len(fps)), dtype=complex)
-    for b, beta in enumerate(fps):
-        env = Envelope(EnvelopeSpec(beta, variant))
-        for g, gamma in enumerate(fps):
-            m[g, b] = _restrict(env, gamma, pp)
-    return m
+    return restriction_matrix(fps, pp, variant).matrix
 
 
 def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
@@ -420,8 +352,7 @@ def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
         shift = tuple(-x for x in trip[2].weight())
         key = (v_pair, shift)
         if key not in cache:
-            from .envelopes import kahler_args as _ka
-            kah = _ka({i: Monomial.var(f"z{i}") * HBAR ** shift[i] for i in range(n)})
+            kah = kahler_args({i: Monomial.var(f"z{i}") * HBAR ** shift[i] for i in range(n)})
             b, bare, _ = bare_transition(v_pair, g1, g2, pp, n, kahler=kah)
             cache[key] = (b, bare)
         basis2, bare2 = cache[key]

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (HBAR, GradedValue, Monomial, ParamPoint, SingularityError)
+from .core import HBAR, Monomial, ParamPoint, SingularityError
 from .envelopes import Envelope, EnvelopeSpec, chern_slots, restrict
 from .partitions import Box, FixedPoint
 
@@ -40,56 +40,42 @@ def _is_p_power(mono: Monomial):
     return None
 
 
-def qpoch_fin_mono(base: Monomial, s: int, pp: ParamPoint) -> tuple[complex, int]:
-    """Finite Pochhammer (base; p)_s of an exact monomial base.
+def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
+               offset: int = 0) -> tuple[complex, int]:
+    """Pochhammer (base p^offset; p)_length of an exact monomial base.
 
-    Returns (product over non-vanishing factors, zero count): identically
-    vanishing factors are counted symbolically (+1 per vanishing factor for
-    s >= 0, -1 per vanishing factor of the reciprocal product for s < 0) so
-    that ratios of such symbols can cancel exactly.
+    Returns (product over the non-vanishing factors, zero count).  Factor n
+    is 1 - base p^(offset+n); it vanishes identically exactly when base is
+    p^e with e + offset + n = 0, and each such factor adds 1 to the count.
+    ``length=None`` is the infinite product, truncated once a factor's
+    argument drops below 1e-18 (after at least ``pp.min_terms`` factors); a
+    negative length is the reciprocal (base p^(offset+length); p)_(-length),
+    so its vanishing factors count -1 and ratios of such symbols cancel
+    exactly.
     """
-    if s >= 0:
-        res = 1.0 + 0.0j
-        zeros = 0
-        for nn in range(s):
-            m = base * P ** nn
-            if m.is_one():
-                zeros += 1
-            else:
-                res *= 1.0 - pp.materialize(m)
-        return res, zeros
-    den = 1.0 + 0.0j
-    zeros = 0
-    for nn in range(-s):
-        m = base * P ** (s + nn)
-        if m.is_one():
-            zeros -= 1
-        else:
-            den *= 1.0 - pp.materialize(m)
-    return 1.0 / den, zeros
-
-
-def _inf_prod(base: Monomial, offset: int, pp: ParamPoint,
-              max_terms: int = 6000) -> tuple[complex, int]:
-    """(base p^offset; p)_inf with structural zeros removed and counted.
-
-    Returns (product over the non-vanishing factors, number of identically
-    vanishing factors).  A factor vanishes identically exactly when the
-    argument monomial base p^(offset+n) is 1.
-    """
+    if length is not None and length < 0:
+        val, zeros = qpoch_mono(base, -length, pp, offset + length)
+        return 1.0 / val, -zeros
     e = _is_p_power(base)
-    zero_count = 1 if (e is not None and e + offset <= 0) else 0
+    skip = -1 if e is None else -(e + offset)
+    zeros = 1 if skip >= 0 and (length is None or skip < length) else 0
     p = pp.p
     zb = pp.materialize(base)
     res = 1.0 + 0.0j
     nn = 0
-    while nn < max_terms:
-        if e is None or e + offset + nn != 0:
+    while nn < (6000 if length is None else length):
+        if nn != skip:
             res *= 1.0 - zb * p ** (offset + nn)
         nn += 1
-        if nn >= pp.min_terms and abs(zb * p ** (offset + nn)) < 1e-18:
+        if (length is None and nn >= pp.min_terms
+                and abs(zb * p ** (offset + nn)) < 1e-18):
             break
-    return res, zero_count
+    return res, zeros
+
+
+def qpoch_fin_mono(base: Monomial, s: int, pp: ParamPoint) -> tuple[complex, int]:
+    """Finite Pochhammer (base; p)_s of an exact monomial base (see qpoch_mono)."""
+    return qpoch_mono(base, s, pp)
 
 
 class _RatioAccumulator:
@@ -101,12 +87,12 @@ class _RatioAccumulator:
         self.zeros = 0
 
     def times(self, base: Monomial, offset: int = 0):
-        v, z = _inf_prod(base, offset, self.pp)
+        v, z = qpoch_mono(base, None, self.pp, offset)
         self.value *= v
         self.zeros += z
 
     def divide(self, base: Monomial, offset: int = 0):
-        v, z = _inf_prod(base, offset, self.pp)
+        v, z = qpoch_mono(base, None, self.pp, offset)
         self.value /= v
         self.zeros -= z
 
@@ -174,41 +160,28 @@ def normalization_factor(mu: FixedPoint, pp: ParamPoint,
     numerator and denominator positions are dropped pairwise (they cancel in
     every ratio this normalization enters).
     """
-    from .core import qpoch_inf
     from .scalars import mu_vacuum_ope
-    n = mu.n_colors
     prefix = mu.slots[0][0].u_var.rstrip("0123456789_")
     for slot, _ in mu.slots:
         if slot.u_var.rstrip("0123456789_") != prefix:
             raise ValueError("normalization needs one framing name prefix")
     out = mu_vacuum_ope(mu.w, pp, prefix=prefix)
     boxes, framing, arrow, gauge = _factor_bases(mu, framed)
-    p, h = pp.p, pp.hbar
     sqh = pp.materialize(SQRT_HBAR)
     pinv_h = P / HBAR
 
-    def inf_skip_one(mono):
-        e = _is_p_power(mono)
-        res = 1.0 + 0.0j
-        z = pp.materialize(mono)
-        nn = 0
-        while nn < 6000:
-            if e is None or e + nn != 0:
-                res *= 1.0 - z * p ** nn
-            nn += 1
-            if nn >= pp.min_terms and abs(z) * abs(p) ** nn < 1e-18:
-                break
-        return res
+    def ratio(num: Monomial, den: Monomial) -> complex:
+        return qpoch_mono(num, None, pp)[0] / qpoch_mono(den, None, pp)[0]
 
     for ia, base in framing:
         out *= pp.materialize(boxes[ia][1])
-        out *= inf_skip_one(P / base) / inf_skip_one(HBAR / base)
+        out *= ratio(P / base, HBAR / base)
     for ia, ib, base in arrow:
         out /= pp.materialize(boxes[ia][1])
-        out *= inf_skip_one(pinv_h * base) / inf_skip_one(base)
+        out *= ratio(pinv_h * base, base)
     for ia, ib, base in gauge:
         out *= pp.materialize(boxes[ia][1] * boxes[ib][1]) / sqh
-        out *= inf_skip_one(HBAR * base) / inf_skip_one(P * base)
+        out *= ratio(HBAR * base, P * base)
     return out
 
 
@@ -309,7 +282,6 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     multiplies the exact quasi-periodicity multipliers of the envelope
     factor.
     """
-    n = mu.n_colors
     boxes, framing, arrow, gauge = _factor_bases(mu, framed)
     p = pp.p
     pinv_h = P / HBAR

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ellstab.core import ParamPoint
+from ellstab.partitions import fixed_points
 from ellstab.rmatrix import (FramingGroup, bare_transition, basis_fixed_points,
                              composition_residual,
                              leading_pair_factorization_residual, profiles,
@@ -25,6 +26,14 @@ PP = sample_param_point(21, N, framing_counts={"ua": [1, 0, 0],
 def test_one_box_basis_is_two_dimensional():
     basis = basis_fixed_points((1, 0, 0), [G1, G2], N)
     assert [b.partitions() for b in basis] == [((), (1,)), ((1,), ())]
+
+
+def test_single_group_basis_is_fixed_points_with_its_names():
+    g = FramingGroup((1, 1, 0), "g")
+    for m in range(4):
+        for v in profiles(m, N):
+            assert basis_fixed_points(v, [g], N) == fixed_points(
+                v, g.w, N, u_names=g.u_names())
 
 
 def test_trivial_profile_gives_identity():

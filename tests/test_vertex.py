@@ -12,7 +12,7 @@ from ellstab.scalars import mu_vacuum_ope
 from ellstab.vertex import (BetheSolution, _degree_vectors, bethe_residuals,
                             bethe_solve, jackson_term_ratio,
                             jordan_bethe_residuals, normalization_factor,
-                            vertex_series)
+                            qpoch_mono, vertex_series)
 
 N = 3
 W = (1, 0, 0)
@@ -24,6 +24,54 @@ def test_degree_vectors_cover_the_simplex():
     assert len(vecs) == len(set(vecs)) == 10
     assert all(sum(v) <= 2 for v in vecs)
     assert list(_degree_vectors(0, 3)) == [()]
+
+
+def _direct_qpoch(z, length, skip=None):
+    """(z; p)_length as a plain product, leaving out factor ``skip``;
+    ``length=None`` is a 200-factor truncation of the infinite product."""
+    p = PP.p
+    if length is not None and length < 0:
+        return 1.0 / _direct_qpoch(z * p ** length, -length)
+    return np.prod([1.0 - z * p ** n
+                    for n in range(200 if length is None else length)
+                    if n != skip])
+
+
+def test_qpoch_mono_generic_base_is_the_direct_product():
+    base = Monomial.var("t1") * Monomial.var("u0_1") ** -1
+    z = PP.materialize(base)
+    for offset in (0, 2):
+        for length in (-3, -2, -1, 0, 1, 2, 3, None):
+            val, zeros = qpoch_mono(base, length, PP, offset)
+            want = _direct_qpoch(z * PP.p ** offset, length)
+            assert zeros == 0
+            assert abs(val - want) < 1e-14 * abs(want)
+
+
+def test_qpoch_mono_counts_and_skips_the_vanishing_factor():
+    base = Monomial.var("p", -2)  # factor n = 2 is 1 - p^0
+    for length, zeros in ((0, 0), (2, 0), (3, 1), (5, 1), (None, 1)):
+        val, got = qpoch_mono(base, length, PP)
+        want = _direct_qpoch(PP.p ** -2, length, skip=2)
+        assert got == zeros
+        assert abs(val - want) < 1e-14 * abs(want)
+    # the reciprocal product counts the vanishing factor with sign -1
+    val, got = qpoch_mono(base, -2, PP, offset=4)
+    assert got == -1
+    assert abs(val - 1 / (1 - PP.p)) < 1e-15
+    assert qpoch_mono(base, None, PP, offset=3)[1] == 0
+
+
+def test_qpoch_mono_cocycle():
+    """(b; p)_(m+n) = (b; p)_m (b p^m; p)_n for all integers m, n."""
+    for base in (Monomial.var("t2") * Monomial.var("z1"), Monomial.var("p", -2)):
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                v_mn, z_mn = qpoch_mono(base, m + n, PP)
+                v_m, z_m = qpoch_mono(base, m, PP)
+                v_n, z_n = qpoch_mono(base, n, PP, offset=m)
+                assert z_mn == z_m + z_n
+                assert abs(v_mn - v_m * v_n) < 1e-13 * abs(v_mn)
 
 
 def test_normalization_of_empty_cycle_is_vacuum_scalar():
