@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import cmath
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import (HBAR, Monomial, ParamPoint, SingularityError,
-                   theta_modular_residual)
+from .core import Monomial, SingularityError, theta_modular_residual
 from .envelopes import (Envelope, EnvelopeSpec, chern_slots,
                         factorization_residual, restrict, shuffle_residual)
-from .fock import (lowering_coefficient, phi_eigenvalue, phi_weight_exponent,
-                   raising_coefficient)
+from .fock import lowering_coefficient, raising_coefficient
 from .partitions import (ColoredPartition, fixed_points, k_eigen_sum_ok,
                          make_fixed_point, partitions_upto, weight_identity_ok)
 from .rmatrix import (FramingGroup, bare_transition, composition_residual,
@@ -126,8 +124,10 @@ def criterion_factorization(seed: int = 0) -> CriterionResult:
                            f"{cases} assignments")
 
 
-def criterion_shuffle(seed: int = 0, max_total: int = 4) -> CriterionResult:
-    """Shuffle product of envelopes, all normalizations, N in {3, 4}."""
+def criterion_shuffle(seed: int = 0) -> CriterionResult:
+    """Shuffle product of envelopes, all normalizations, N in {3, 4}, up to
+    four boxes in all."""
+    max_total = 4
     t0 = time.time()
     worst = 0.0
     checks = 0
@@ -203,7 +203,7 @@ def criterion_transition(seed: int = 0) -> CriterionResult:
                 if not basis:
                     continue
                 worst = max(worst, composition_residual(v, g1, g2, pp, n))
-                b, bare, conds = bare_transition(v, g1, g2, pp, n)
+                b, bare, _ = bare_transition(v, g1, g2, pp, n)
                 worst = max(worst, weight_block_residual(b, bare))
     return CriterionResult(6, "transition composition / weight blocks",
                            worst < 1e-8, worst, 1e-8, time.time() - t0)

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
 from .core import BudgetError, Monomial, SingularityError
-from .envelopes import (Envelope, EnvelopeSpec, restrict, restriction_values,
-                        shuffle_residual)
+from .envelopes import Envelope, EnvelopeSpec, restrict, shuffle_residual
 from .fock import (lowering_coefficient, phi_eigenvalue, raising_coefficient)
 from .partitions import (ColoredPartition, addable_removable, fixed_points,
                          make_fixed_point)
@@ -33,7 +31,7 @@ from .rmatrix import (FramingGroup, composition_residual, transition_r,
 from .sampling import random_assignment, sample_param_point
 from .scalars import (chi_exchange, mu_exchange, mu_star_exchange, rho_plus,
                       rll_scalar_residual)
-from .vertex import bethe_residuals, bethe_solve, vertex_series
+from .vertex import bethe_solve, vertex_series
 from . import acceptance as acc
 
 
@@ -92,17 +90,15 @@ def cmd_fixed_points(args) -> int:
     return 0
 
 
-def _fp_from_args(args, w, u_prefix="u"):
-    rows = _partition_list(args.fp)
-    names = [f"{u_prefix}{k}_{j}" for k in range(args.N)
-             for j in range(1, w[k] + 1)]
-    return make_fixed_point(rows, w, args.N, u_names=names)
+def _fp_from_args(args, w, text):
+    """The fixed point of JSON rows ``text``, framing variables u{k}_{j}."""
+    return make_fixed_point(_partition_list(text), w, args.N)
 
 
 def cmd_stab(args) -> int:
     t0 = time.time()
     w = _ints(args.w)
-    fp = _fp_from_args(args, w)
+    fp = _fp_from_args(args, w, args.fp)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
     env = Envelope(EnvelopeSpec(fp, args.variant, args.star))
     rng = np.random.default_rng(args.seed)
@@ -131,10 +127,8 @@ def cmd_stab(args) -> int:
 def cmd_restrict(args) -> int:
     t0 = time.time()
     w = _ints(args.w)
-    fp = _fp_from_args(args, w)
-    mu = make_fixed_point(_partition_list(args.mu), w, args.N,
-                          u_names=[f"u{k}_{j}" for k in range(args.N)
-                                   for j in range(1, w[k] + 1)])
+    fp = _fp_from_args(args, w, args.fp)
+    mu = _fp_from_args(args, w, args.mu)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
     env = Envelope(EnvelopeSpec(fp, args.variant, args.star))
     val = restrict(env, mu, pp, framed=not args.unframed)
@@ -204,8 +198,7 @@ def cmd_rmatrix(args) -> int:
     v = _ints(args.v)
     res = (transition_r_star if args.star else transition_r)(
         v, g1, g2, pp, n, include_scalar=not args.bare)
-    comp = composition_residual(v, g1, g2, pp, n, star=args.star,
-                                kahler=None)
+    comp = composition_residual(v, g1, g2, pp, n, star=args.star)
     wres = weight_block_residual(res.basis, res.bare)
     doc = _base_doc(args, pp, t0)
     doc["results"] = {
@@ -367,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "varieties: identities, R-matrices, vertex functions")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, framing=True):
+    def common(p):
         p.add_argument("--N", type=int, default=3)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
@@ -404,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxes", required=True, help="sizes, e.g. 1,1")
     p.add_argument("--color2", type=int, default=0)
     p.add_argument("--assignments", type=int, default=5)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("ELLSTAB_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_shuffle_check)
 
     p = sub.add_parser("rmatrix", help="dynamical R-matrix block")

@@ -167,8 +167,9 @@ GV_ONE = GradedValue(Monomial.one(), 1.0 + 0.0j)
 # q-Pochhammer symbols and theta functions
 # ---------------------------------------------------------------------------
 
-def qpoch_inf(z: complex, q: complex, min_terms: int = 20, max_terms: int = 6000) -> complex:
-    """(z; q)_inf = prod_{n>=0} (1 - z q^n), truncated adaptively.
+def qpoch_inf(z: complex, q: complex, min_terms: int = 20) -> complex:
+    """(z; q)_inf = prod_{n>=0} (1 - z q^n), truncated adaptively (at most
+    6000 factors).
 
     Raises for |q| >= 1 where the product does not converge.
     """
@@ -177,7 +178,7 @@ def qpoch_inf(z: complex, q: complex, min_terms: int = 20, max_terms: int = 6000
     res = 1.0 + 0.0j
     zq = complex(z)
     n = 0
-    while n < max_terms:
+    while n < 6000:
         res *= 1.0 - zq
         zq *= q
         n += 1

@@ -10,6 +10,7 @@ variables and materializes each permutation term through fixed logarithms.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (GV_ONE, HBAR, BudgetError, GradedValue, Monomial, ParamPoint,
+from .core import (HBAR, BudgetError, GradedValue, Monomial, ParamPoint,
                    SingularityError)
 from .partitions import (Box, FixedPoint, box_slot_vars, chern_slots,
                          index_degrees, lambda_trees, phi_weight, rho_less)
@@ -37,7 +38,6 @@ class EnvelopeSpec:
     variant: str = "hat"
     star: bool = False
     kahler: tuple[tuple[int, Monomial], ...] | None = None
-    tree_filter: object = None
 
     def kahler_map(self) -> dict[int, Monomial]:
         if self.kahler is None:
@@ -63,11 +63,11 @@ class ThetaProduct:
     def mul_den(self, mono: Monomial):
         self.den.append(mono)
 
-    def mul_ratio(self, num: Monomial, den: Monomial, minus: bool = True):
+    def mul_ratio(self, num: Monomial, den: Monomial):
+        """theta(num) / theta(den) with a minus sign."""
         self.num.append(num)
         self.den.append(den)
-        if minus:
-            self.sign += 1
+        self.sign += 1
 
     def eval(self, pp: ParamPoint, star: bool) -> GradedValue:
         gv = GradedValue(Monomial.one(), (-1.0) ** (self.sign % 2))
@@ -222,8 +222,7 @@ class TreeTupleWeight:
     phi_args: list[tuple[Monomial, Monomial]]
 
 
-def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial],
-                 tree_filter=None) -> list[TreeTupleWeight]:
+def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial]) -> list[TreeTupleWeight]:
     """All tree-tuple weights of a fixed point, compiled to phi arguments."""
     n = fp.n_colors
     xvar = box_slot_vars(fp)
@@ -235,7 +234,7 @@ def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial],
         if lam.size == 0:
             per_slot.append([None])
             continue
-        choices = lambda_trees(lam, tree_filter)
+        choices = lambda_trees(lam)
         if not choices:
             raise ValueError(f"no admissible tree for partition {lam.rows}")
         per_slot.append([(rank, t) for t in choices])
@@ -305,7 +304,7 @@ class Envelope:
         self.nvars = {i: [f"x{i}_{j}" for j in range(1, len(bs) + 1)]
                       for i, bs in self.slots.items()}
         self.sprod = s_factor_product(fp, spec.variant)
-        self.trees = tree_weights(fp, spec.kahler_map(), spec.tree_filter)
+        self.trees = tree_weights(fp, spec.kahler_map())
         hbar_mono = HBAR
         self._terms = []
         for tw in self.trees:
@@ -389,13 +388,10 @@ class Envelope:
         return total
 
     def eval(self, pp: ParamPoint, values: dict[str, complex],
-             logs: dict[str, complex] | None = None, sym: bool = True) -> complex:
+             logs: dict[str, complex] | None = None) -> complex:
         """Symmetrized value at an assignment of the Chern-root variables."""
-        import cmath
         if logs is None:
             logs = {k: cmath.log(v) for k, v in values.items()}
-        if not sym:
-            return self._term(pp.extended(values, logs))
         total = 0.0 + 0.0j
         names = self.nvars
         for combo in itertools.product(*self._perms):
@@ -453,7 +449,6 @@ def restrict(env: Envelope, mu: FixedPoint, pp: ParamPoint,
 def factorization_residual(fp: FixedPoint, pp: ParamPoint, which: str,
                            values: dict[str, complex]) -> float:
     """Pointwise check of S = (-1)^eps K S_normalized at one assignment."""
-    import cmath
     logs = {k: cmath.log(v) for k, v in values.items()}
     ppx = pp.extended(values, logs)
     plain = s_factor_product(fp, "plain").eval(ppx, False).materialize(ppx)
@@ -523,7 +518,7 @@ def _cross_prefactor(fpa: FixedPoint, fpb: FixedPoint, variant: str) -> "CrossPr
                     prod.mul_num(HBAR * vb[b] / va[a])
                     prod.mul_den(va[a] / vb[b])
     if variant in ("plain", "hat"):
-        for rank, (slot, _) in enumerate(fpa.slots):
+        for slot, _ in fpa.slots:
             u = Monomial.var(slot.u_var)
             for b in fpb.boxes():
                 if b.content % n != slot.color % n:
@@ -533,7 +528,7 @@ def _cross_prefactor(fpa: FixedPoint, fpb: FixedPoint, variant: str) -> "CrossPr
                 else:
                     prod.mul_ratio(HBAR * u / vb[b], vb[b] / u)
     if variant in ("plain", "tilde"):
-        for rank, (slot, _) in enumerate(fpb.slots):
+        for slot, _ in fpb.slots:
             u = Monomial.var(slot.u_var)
             for a in fpa.boxes():
                 if a.content % n != slot.color % n:
@@ -547,8 +542,7 @@ def _cross_prefactor(fpa: FixedPoint, fpb: FixedPoint, variant: str) -> "CrossPr
 
 def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
                      variant: str = "hat", star: bool = False,
-                     n_assignments: int = 5, rng=None,
-                     tree_filter=None) -> float:
+                     n_assignments: int = 5, rng=None) -> float:
     """Max relative deviation between a concatenated envelope and its shuffle
     product over random Chern-root assignments."""
     from .sampling import random_assignment
@@ -556,21 +550,17 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
         rng = np.random.default_rng(0)
     n = fpa.n_colors
     big = concat_fixed_points(fpa, fpb)
-    env_big = Envelope(EnvelopeSpec(big, variant, star, tree_filter=tree_filter))
+    env_big = Envelope(EnvelopeSpec(big, variant, star))
     za, zb = shuffle_kahler_shifts(n, fpa.v, fpa.w, fpb.v, fpb.w)
-    env_a = Envelope(EnvelopeSpec(fpa, variant, star, kahler_args(za),
-                                  tree_filter=tree_filter))
-    env_b = Envelope(EnvelopeSpec(fpb, variant, star, kahler_args(zb),
-                                  tree_filter=tree_filter))
+    env_a = Envelope(EnvelopeSpec(fpa, variant, star, kahler_args(za)))
+    env_b = Envelope(EnvelopeSpec(fpb, variant, star, kahler_args(zb)))
     pref = _cross_prefactor(fpa, fpb, variant)
 
     slots_big = chern_slots(big)
     slots_a = chern_slots(fpa)
-    slots_b = chern_slots(fpb)
     worst = 0.0
     for _ in range(n_assignments):
         values = random_assignment(rng, env_big.x_names())
-        import cmath
         logs = {k: cmath.log(v) for k, v in values.items()}
         lhs = env_big.eval(pp, values, logs)
 

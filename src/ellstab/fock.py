@@ -19,10 +19,10 @@ from .partitions import ColoredPartition, addable_removable
 SQRT_HBAR = HBAR ** Fraction(1, 2)
 
 
-def box_weight(cell: tuple[int, int], u_var: str = "u") -> Monomial:
+def box_weight(cell: tuple[int, int]) -> Monomial:
     """u_X = t1^(-y) t2^(-x) u for the cell X = (x, y)."""
     x, y = cell
-    return Monomial({u_var: Fraction(1), "t1": Fraction(-y), "t2": Fraction(-x)})
+    return Monomial({"u": Fraction(1), "t1": Fraction(-y), "t2": Fraction(-x)})
 
 
 def _content_key(lam: ColoredPartition, cell) -> tuple[int, int]:
@@ -31,7 +31,7 @@ def _content_key(lam: ColoredPartition, cell) -> tuple[int, int]:
 
 
 def phi_eigenvalue(lam: ColoredPartition, residue: int, z: Monomial,
-                   pp: ParamPoint, u_var: str = "u") -> GradedValue:
+                   pp: ParamPoint) -> GradedValue:
     """Eigenvalue of the residue-j Cartan current on the basis vector of lam.
 
     Product over removable boxes of theta(u_R/z)/theta(h u_R/z) and addable
@@ -41,10 +41,10 @@ def phi_eigenvalue(lam: ColoredPartition, residue: int, z: Monomial,
     add, rem = addable_removable(lam, residue)
     gv = GV_ONE
     for cell in rem:
-        ur = box_weight(cell, u_var)
+        ur = box_weight(cell)
         gv = gv * (pp.theta(ur / z) / pp.theta(HBAR * ur / z))
     for cell in add:
-        ua = box_weight(cell, u_var)
+        ua = box_weight(cell)
         gv = gv * (pp.theta(HBAR ** 2 * ua / z) / pp.theta(HBAR * ua / z))
     return gv
 
@@ -56,7 +56,7 @@ def phi_weight_exponent(lam: ColoredPartition, residue: int) -> Fraction:
 
 
 def raising_coefficient(lam: ColoredPartition, cell, pp: ParamPoint,
-                        form: int = 1, u_var: str = "u") -> GradedValue:
+                        form: int = 1) -> GradedValue:
     """Matrix coefficient of adding the box ``cell`` (which must be addable).
 
     ``form=1`` uses the addable set of lam, ``form=2`` the addable set of
@@ -67,32 +67,32 @@ def raising_coefficient(lam: ColoredPartition, cell, pp: ParamPoint,
     add, rem = addable_removable(lam, residue)
     if cell not in add:
         raise ValueError(f"{cell} is not an addable box of residue {residue}")
-    ux = box_weight(cell, u_var)
+    ux = box_weight(cell)
     key_x = _content_key(lam, cell)
     gv = GV_ONE
     for r in rem:
         if _content_key(lam, r) < key_x:
-            ur = box_weight(r, u_var)
+            ur = box_weight(r)
             gv = gv * (pp.theta(HBAR * ux / ur) / pp.theta(ux / ur))
     add_set = add if form == 1 else addable_removable(lam.add_cell(*cell), residue)[0]
     for a in add_set:
         if a == cell:
             continue
         if _content_key(lam, a) < key_x:
-            ua = box_weight(a, u_var)
+            ua = box_weight(a)
             gv = gv * (pp.theta(ux / (HBAR * ua)) / pp.theta(ux / ua))
     return gv
 
 
 def lowering_coefficient(lam: ColoredPartition, cell, pp: ParamPoint,
-                         form: int = 1, u_var: str = "u") -> GradedValue:
+                         form: int = 1) -> GradedValue:
     """Matrix coefficient of removing the box ``cell`` (which must be removable)."""
     n = lam.n_colors
     residue = lam.content(*cell) % n
     add, rem = addable_removable(lam, residue)
     if cell not in rem:
         raise ValueError(f"{cell} is not a removable box of residue {residue}")
-    ux = box_weight(cell, u_var)
+    ux = box_weight(cell)
     key_x = _content_key(lam, cell)
     gv = GV_ONE
     rem_set = rem if form == 1 else addable_removable(lam.remove_cell(*cell), residue)[1]
@@ -100,11 +100,11 @@ def lowering_coefficient(lam: ColoredPartition, cell, pp: ParamPoint,
         if r == cell:
             continue
         if _content_key(lam, r) > key_x:
-            ur = box_weight(r, u_var)
+            ur = box_weight(r)
             gv = gv * (pp.theta(ur / (HBAR * ux)) / pp.theta(ur / ux))
     for a in add:
         if _content_key(lam, a) > key_x:
-            ua = box_weight(a, u_var)
+            ua = box_weight(a)
             gv = gv * (pp.theta(HBAR * ua / ux) / pp.theta(ua / ux))
     return gv
 
@@ -120,8 +120,7 @@ class VectorAction:
 
 
 def vector_action(which: str, residue: int, m: int, k: int,
-                  pp: ParamPoint, z: Monomial | None = None,
-                  u_var: str = "u") -> VectorAction:
+                  pp: ParamPoint, z: Monomial | None = None) -> VectorAction:
     """Single-line module action: ``which`` in {'phi', 'x+', 'x-'}.
 
     The Cartan case needs the spectral monomial z and returns the closed
@@ -129,7 +128,7 @@ def vector_action(which: str, residue: int, m: int, k: int,
     ladder constant.
     """
     n = pp.n_colors
-    u = Monomial.var(u_var)
+    u = Monomial.var("u")
     t1 = Monomial.var("t1")
     point = u * t1 ** (-m)
     from .scalars import vacuum_c_constants

@@ -548,15 +548,7 @@ def no_lshape_filter(tree: LambdaTree, lam: ColoredPartition) -> bool:
     return True
 
 
-def all_trees_filter(tree: LambdaTree, lam: ColoredPartition) -> bool:
-    return True
-
-
-#: pluggable tree-set predicate used by the envelope formulas
-TREE_FILTER = no_lshape_filter
-
-
-def lambda_trees(lam: ColoredPartition, tree_filter=None) -> list[LambdaTree]:
-    """Admissible rooted trees of a partition under the active filter."""
-    pred = tree_filter if tree_filter is not None else TREE_FILTER
-    return [t for t in spanning_trees(lam) if pred(t, lam)]
+def lambda_trees(lam: ColoredPartition) -> list[LambdaTree]:
+    """Admissible rooted trees of a partition: the spanning trees that
+    ``no_lshape_filter`` keeps."""
+    return [t for t in spanning_trees(lam) if no_lshape_filter(t, lam)]

@@ -4,13 +4,14 @@ The R-matrix on a pair of framing groups is the transition matrix between the
 stable bases of the two opposite chamber orders, times the vacuum exchange
 scalar.  Everything is organized per total box-content profile; entries
 conserve the per-residue weight of basis tuples, which the checks verify
-rather than assume.
+rather than assume.  Envelopes are always plain-normalized and built from
+the L-shape-free tree set.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .core import HBAR, Monomial, ParamPoint
 from .envelopes import (Envelope, EnvelopeSpec, default_kahler, kahler_args,
                         restrict)
 from .partitions import FixedPoint, FramingSlot, _enumerate_fixed_points
+from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
 
 @dataclass
@@ -43,6 +45,16 @@ def basis_fixed_points(v, groups: list[FramingGroup], n_colors: int) -> list[Fix
     return _enumerate_fixed_points(v, slots, n_colors)
 
 
+def _key(slots) -> tuple:
+    """Index key of a slot sequence: its partitions and framing names."""
+    return (tuple(lam.rows for _, lam in slots),
+            tuple(s.u_var for s, _ in slots))
+
+
+def _index(basis: list[FixedPoint]) -> dict[tuple, int]:
+    return {_key(fp.slots): i for i, fp in enumerate(basis)}
+
+
 @dataclass
 class RestrictionMatrix:
     basis: list[FixedPoint]
@@ -51,14 +63,13 @@ class RestrictionMatrix:
 
 
 def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
-                       variant: str = "plain", star: bool = False,
-                       kahler=None, tree_filter=None) -> RestrictionMatrix:
+                       star: bool = False, kahler=None) -> RestrictionMatrix:
     """Matrix of envelope restrictions: M[gamma, beta] = Stab(beta)|_gamma."""
     n = len(basis)
     mat = np.zeros((n, n), dtype=complex)
     kah = kahler if kahler is not None else kahler_args(default_kahler(basis[0].n_colors))
     for b, beta in enumerate(basis):
-        env = Envelope(EnvelopeSpec(beta, variant, star, kah, tree_filter))
+        env = Envelope(EnvelopeSpec(beta, "plain", star, kah))
         for g, gamma in enumerate(basis):
             mat[g, b] = restrict(env, gamma, pp)
     cond = float(np.linalg.cond(mat))
@@ -78,42 +89,42 @@ class TransitionResult:
         return self.scalar * self.bare
 
 
-def _index_of(fp: FixedPoint, basis: list[FixedPoint]) -> int:
-    key = (fp.partitions(), tuple(s.u_var for s, _ in fp.slots))
-    for i, c in enumerate(basis):
-        if (c.partitions(), tuple(s.u_var for s, _ in c.slots)) == key:
-            return i
-    raise KeyError(f"fixed point {key} not in basis")
-
-
 def _swap_permutation(basis: list[FixedPoint], basis_bar: list[FixedPoint],
                       n_first: int) -> np.ndarray:
     """P with P[j, i] = 1 where basis_bar[j] is basis[i] with its first
     n_first slots moved to the end."""
     p = np.zeros((len(basis), len(basis)))
+    index_bar = _index(basis_bar)
     for i, fp in enumerate(basis):
-        swapped = FixedPoint(fp.slots[n_first:] + fp.slots[:n_first], fp.n_colors)
-        p[_index_of(swapped, basis_bar), i] = 1.0
+        p[index_bar[_key(fp.slots[n_first:] + fp.slots[:n_first])], i] = 1.0
     return p
 
 
-def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                    n_colors: int, variant: str = "plain", star: bool = False,
-                    kahler=None, cond_cap: float = 1e8,
-                    tree_filter=None):
-    """Solve the two-chamber change of stable bases on one profile block.
-
-    Returns (basis, matrix B) with B[beta, alpha] the coefficient of basis
-    element beta in the opposite-chamber envelope of swapped alpha, i.e. the
-    bare transition in the convention  M_C B = (P^T M_Cbar P).
-    """
+def _chamber_matrices(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
+                      n_colors: int, star: bool = False, kahler=None):
+    """(basis, M_C, M_Cbar, P) of the chamber orders C = (g1, g2) and
+    Cbar = (g2, g1): the two restriction matrices and the swap
+    ``_swap_permutation`` from the basis of C to that of Cbar.  The swap
+    from Cbar back to C is P.T."""
     basis = basis_fixed_points(v, [g1, g2], n_colors)
     basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
-    m_c = restriction_matrix(basis, pp, variant, star, kahler, tree_filter)
-    m_cbar = restriction_matrix(basis_bar, pp, variant, star, kahler, tree_filter)
-    p = _swap_permutation(basis, basis_bar, sum(g1.w))
-    m_swapped = p.T @ m_cbar.matrix @ p
-    bare = np.linalg.solve(m_c.matrix, m_swapped)
+    m_c = restriction_matrix(basis, pp, star, kahler)
+    m_cbar = restriction_matrix(basis_bar, pp, star, kahler)
+    return basis, m_c, m_cbar, _swap_permutation(basis, basis_bar, sum(g1.w))
+
+
+def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
+                    n_colors: int, star: bool = False, kahler=None):
+    """Solve the two-chamber change of stable bases on one profile block.
+
+    Returns (basis, matrix B, condition numbers) with B[beta, alpha] the
+    coefficient of basis element beta in the opposite-chamber envelope of
+    swapped alpha, i.e. the bare transition in the convention
+    M_C B = (P^T M_Cbar P).
+    """
+    basis, m_c, m_cbar, p = _chamber_matrices(v, g1, g2, pp, n_colors, star,
+                                              kahler)
+    bare = np.linalg.solve(m_c.matrix, p.T @ m_cbar.matrix @ p)
     return basis, bare, (m_c.cond, m_cbar.cond)
 
 
@@ -129,13 +140,10 @@ def weight_block_residual(basis: list[FixedPoint], mat: np.ndarray) -> float:
 
 
 def transition_r(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                 n_colors: int, kahler=None, include_scalar: bool = True,
-                 variant: str = "plain", star: bool = False,
-                 tree_filter=None) -> TransitionResult:
+                 n_colors: int, kahler=None,
+                 include_scalar: bool = True) -> TransitionResult:
     """The dynamical R-matrix block on a total profile v."""
-    from .scalars import mu_exchange_scalar
-    basis, bare, conds = bare_transition(v, g1, g2, pp, n_colors, variant, star,
-                                         kahler, tree_filter=tree_filter)
+    basis, bare, conds = bare_transition(v, g1, g2, pp, n_colors, kahler=kahler)
     scalar = mu_exchange_scalar(g1, g2, pp) if include_scalar else 1.0 + 0.0j
     weights = [fp.weight() for fp in basis]
     return TransitionResult(basis, bare, scalar, conds, weights)
@@ -146,8 +154,7 @@ def inverted_kahler(n_colors: int):
 
 
 def transition_r_star(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                      n_colors: int, include_scalar: bool = True,
-                      tree_filter=None) -> TransitionResult:
+                      n_colors: int, include_scalar: bool = True) -> TransitionResult:
     """The starred R-matrix block: transpose of the shifted-nome transition at
     inverted Kahler arguments.
 
@@ -155,11 +162,8 @@ def transition_r_star(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
     Kahler variables inverted; the transpose relation turns it into the
     matrix at straight Kahler arguments.
     """
-    from .scalars import mu_star_exchange_scalar
-    basis, bare, conds = bare_transition(v, g1, g2, pp, n_colors,
-                                         variant="plain", star=True,
-                                         kahler=inverted_kahler(n_colors),
-                                         tree_filter=tree_filter)
+    basis, bare, conds = bare_transition(v, g1, g2, pp, n_colors, star=True,
+                                         kahler=inverted_kahler(n_colors))
     scalar = mu_star_exchange_scalar(g1, g2, pp) if include_scalar else 1.0 + 0.0j
     weights = [fp.weight() for fp in basis]
     return TransitionResult(basis, bare.T.copy(), scalar, conds, weights)
@@ -167,59 +171,48 @@ def transition_r_star(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
 
 def transpose_relation_residual(v, g1, g2, pp, n_colors) -> float:
     """|| transpose of bR*(z^-1) - bR*(z) ||, both computed independently."""
-    _, bare_inv, _ = bare_transition(v, g1, g2, pp, n_colors, variant="plain",
-                                     star=True, kahler=inverted_kahler(n_colors))
-    _, bare_straight, _ = bare_transition(v, g1, g2, pp, n_colors,
-                                          variant="plain", star=True)
+    _, bare_inv, _ = bare_transition(v, g1, g2, pp, n_colors, star=True,
+                                     kahler=inverted_kahler(n_colors))
+    _, bare_straight, _ = bare_transition(v, g1, g2, pp, n_colors, star=True)
     scale = max(float(np.max(np.abs(bare_straight))), 1.0)
     return float(np.max(np.abs(bare_inv.T - bare_straight)) / scale)
 
 
-def composition_residual(v, g1, g2, pp, n_colors, variant="plain", star=False,
-                         kahler=None, tree_filter=None) -> float:
-    """|| B(C -> Cbar) B(Cbar -> C) - 1 ||_max."""
-    basis, b12, _ = bare_transition(v, g1, g2, pp, n_colors, variant, star,
-                                    kahler, tree_filter=tree_filter)
-    basis_bar, b21, _ = bare_transition(v, g2, g1, pp, n_colors, variant, star,
-                                        kahler, tree_filter=tree_filter)
-    p = _swap_permutation(basis, basis_bar, sum(g1.w))
+def composition_residual(v, g1, g2, pp, n_colors, star=False,
+                         kahler=None) -> float:
+    """|| B(C -> Cbar) B(Cbar -> C) - 1 ||_max.
+
+    Both transitions are solved from the same two restriction matrices: the
+    reversed order swaps the roles of M_C and M_Cbar and its swap is P.T.
+    """
+    basis, m_c, m_cbar, p = _chamber_matrices(v, g1, g2, pp, n_colors, star,
+                                              kahler)
+    b12 = np.linalg.solve(m_c.matrix, p.T @ m_cbar.matrix @ p)
+    b21 = np.linalg.solve(m_cbar.matrix, p @ m_c.matrix @ p.T)
     prod = (p.T @ b21 @ p) @ b12
     return float(np.max(np.abs(prod - np.eye(len(basis)))))
+
+
+def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
+    """Deviation of R from invariance under z_i -> z_i hbar^(total weight_i)."""
+    base = transition_r(v, g1, g2, pp, n_colors, include_scalar=False)
+    n = n_colors
+    out = 0.0
+    weights = sorted(set(base.weights))
+    for wt in weights:
+        idx = [i for i, w in enumerate(base.weights) if w == wt]
+        kah = {i: Monomial.var(f"z{i}") * HBAR ** wt[i] for i in range(n)}
+        shifted = transition_r(v, g1, g2, pp, n_colors, kahler_args(kah),
+                               include_scalar=False)
+        blk = base.bare[np.ix_(idx, idx)]
+        blk2 = shifted.bare[np.ix_(idx, idx)]
+        out = max(out, float(np.max(np.abs(blk - blk2)) / max(np.max(np.abs(blk)), 1.0)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Triple tensor space and the dynamical Yang-Baxter equation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TripleSpace:
-    """Direct sum over all profile splits of a triple of framing groups."""
-
-    groups: tuple[FramingGroup, FramingGroup, FramingGroup]
-    n_colors: int
-    total_boxes: int
-    basis: list[tuple] = field(default_factory=list)
-
-    def __post_init__(self):
-        n = self.n_colors
-        singles: list[list[FixedPoint]] = []
-        for g in self.groups:
-            pts = []
-            for m in range(self.total_boxes + 1):
-                for v in profiles(m, n):
-                    pts.extend(basis_fixed_points(v, [g], n))
-            singles.append(pts)
-        for a, b, c in itertools.product(*singles):
-            if a.size + b.size + c.size == self.total_boxes:
-                self.basis.append((a, b, c))
-
-    def index(self, trip) -> int:
-        key = tuple((t.partitions()) for t in trip)
-        for i, b in enumerate(self.basis):
-            if tuple(t.partitions() for t in b) == key:
-                return i
-        raise KeyError(key)
-
 
 def profiles(m: int, n: int):
     """All content profiles v with |v| = m."""
@@ -231,75 +224,68 @@ def profiles(m: int, n: int):
             yield (first,) + rest
 
 
-def r_action_on_triple(space: TripleSpace, slot_pair: tuple[int, int],
-                       pp: ParamPoint, kahler_shift_slot: int | None,
-                       include_scalar=True, variant="plain", star=False) -> np.ndarray:
-    """Matrix of R acting on two slots of the triple space.
+def triple_basis(groups, n_colors: int, total_boxes: int) -> list[tuple]:
+    """Direct sum over all profile splits of a triple of framing groups: the
+    triples of single-group fixed points with ``total_boxes`` boxes in all."""
+    singles = [[fp for m in range(total_boxes + 1)
+                for v in profiles(m, n_colors)
+                for fp in basis_fixed_points(v, [g], n_colors)]
+               for g in groups]
+    return [t for t in itertools.product(*singles)
+            if sum(fp.size for fp in t) == total_boxes]
 
-    ``kahler_shift_slot`` names the spectator slot whose per-residue weight
-    shifts the Kahler arguments z_i -> z_i hbar^{wt_i}; None leaves them
-    unshifted.
+
+def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
+                       pp: ParamPoint, shift_of) -> np.ndarray:
+    """Matrix of the bare pair transition acting on two slots of a triple basis.
+
+    The column of a triple ``trip`` takes the transition of its pair profile
+    at the Kahler arguments z_i -> z_i hbar^(e_i), e = ``shift_of(trip)``.
+    Every triple the transition reaches must be in ``basis``.
     """
-    n = space.n_colors
     i1, i2 = slot_pair
-    g1, g2 = space.groups[i1], space.groups[i2]
-    dim = len(space.basis)
-    out = np.zeros((dim, dim), dtype=complex)
-
-    cache: dict[tuple, TransitionResult] = {}
-    for col, trip in enumerate(space.basis):
+    g1, g2 = groups[i1], groups[i2]
+    n1 = sum(g1.w)
+    index = {_key(sum((fp.slots for fp in trip), ())): i
+             for i, trip in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    cache: dict[tuple, tuple] = {}
+    for col, trip in enumerate(basis):
         a1, a2 = trip[i1], trip[i2]
+        n = a1.n_colors
         v_pair = tuple(x + y for x, y in zip(a1.v, a2.v))
-        if kahler_shift_slot is None:
-            shift = (0,) * n
-        else:
-            shift = trip[kahler_shift_slot].weight()
+        shift = shift_of(trip)
         key = (v_pair, shift)
         if key not in cache:
             kah = {i: Monomial.var(f"z{i}") * HBAR ** shift[i] for i in range(n)}
-            cache[key] = transition_r(v_pair, g1, g2, pp, n, kahler_args(kah),
-                                      include_scalar, variant, star)
-        res = cache[key]
-        col_idx = _index_of_pair(a1, a2, res.basis)
-        for row_idx in range(len(res.basis)):
-            coeff = res.full[row_idx, col_idx]
+            pair_basis, bare, _ = bare_transition(v_pair, g1, g2, pp, n,
+                                                  kahler=kahler_args(kah))
+            cache[key] = pair_basis, bare, _index(pair_basis)
+        pair_basis, bare, pair_index = cache[key]
+        col_pair = pair_index[_key(a1.slots + a2.slots)]
+        for row_pair, b in enumerate(pair_basis):
+            coeff = bare[row_pair, col_pair]
             if coeff == 0:
                 continue
-            b = res.basis[row_idx]
-            b1, b2 = _split_pair(b, space.groups[i1], n)
-            newtrip = list(trip)
-            newtrip[i1] = b1
-            newtrip[i2] = b2
-            out[space.index(tuple(newtrip)), col] += coeff
+            parts = [fp.slots for fp in trip]
+            parts[i1], parts[i2] = b.slots[:n1], b.slots[n1:]
+            out[index[_key(sum(parts, ()))], col] += coeff
     return out
 
 
-def _split_pair(fp: FixedPoint, g1: FramingGroup, n: int):
-    n1 = sum(g1.w)
-    return FixedPoint(fp.slots[:n1], n), FixedPoint(fp.slots[n1:], n)
-
-
-def _index_of_pair(a1: FixedPoint, a2: FixedPoint, basis: list[FixedPoint]) -> int:
-    key = (a1.partitions() + a2.partitions())
-    for i, b in enumerate(basis):
-        if b.partitions() == key:
-            return i
-    raise KeyError(key)
-
-
 def ybe_residual(groups: tuple[FramingGroup, FramingGroup, FramingGroup],
-                 pp: ParamPoint, n_colors: int, total_boxes: int,
-                 include_scalar: bool = False, variant: str = "plain",
-                 star: bool = False) -> float:
+                 pp: ParamPoint, n_colors: int, total_boxes: int) -> float:
     """Max-norm residual of the dynamical Yang-Baxter equation.
 
     R12(z h^(3)) R13(z) R23(z h^(1))  =  R23(z) R13(z h^(2)) R12(z).
     """
-    space = TripleSpace(groups, n_colors, total_boxes)
+    basis = triple_basis(groups, n_colors, total_boxes)
+    unshifted = (0,) * n_colors
 
     def act(pair, shift_slot):
-        return r_action_on_triple(space, pair, pp, shift_slot, include_scalar,
-                                  variant, star)
+        def shift_of(trip):
+            return unshifted if shift_slot is None else trip[shift_slot].weight()
+        return r_action_on_triple(basis, groups, pair, pp, shift_of)
 
     lhs = act((0, 1), 2) @ act((0, 2), None) @ act((1, 2), 0)
     rhs = act((1, 2), None) @ act((0, 2), 1) @ act((0, 1), None)
@@ -307,20 +293,15 @@ def ybe_residual(groups: tuple[FramingGroup, FramingGroup, FramingGroup],
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def triple_restriction_matrix(trip_basis, order, pp, n_colors,
-                              variant="plain"):
+def triple_restriction_matrix(trip_basis, order, pp, n_colors):
     """Restriction matrix of the concatenated three-factor envelopes.
 
     ``order`` permutes the factor positions of every triple before
     concatenation; the basis enumeration stays that of ``trip_basis``.
     """
-    fps = []
-    for trip in trip_basis:
-        slots = ()
-        for i in order:
-            slots = slots + trip[i].slots
-        fps.append(FixedPoint(slots, n_colors))
-    return restriction_matrix(fps, pp, variant).matrix
+    fps = [FixedPoint(sum((trip[i].slots for i in order), ()), n_colors)
+           for trip in trip_basis]
+    return restriction_matrix(fps, pp).matrix
 
 
 def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
@@ -330,8 +311,7 @@ def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
     This is the exact dynamical-shift statement behind the Yang-Baxter
     relation; it holds for arbitrary framing colors.
     """
-    space = TripleSpace(tuple(groups), n_colors, sum(vtot))
-    trip_basis = [t for t in space.basis
+    trip_basis = [t for t in triple_basis(groups, n_colors, sum(vtot))
                   if tuple(a + b + c for a, b, c in
                            zip(t[0].v, t[1].v, t[2].v)) == vtot]
     if not trip_basis:
@@ -339,49 +319,8 @@ def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
     m0 = triple_restriction_matrix(trip_basis, (0, 1, 2), pp, n_colors)
     m1 = triple_restriction_matrix(trip_basis, (1, 0, 2), pp, n_colors)
     honest = np.linalg.solve(m0, m1)
-    n = n_colors
-    g1, g2 = groups[0], groups[1]
-    dim = len(trip_basis)
-    assembled = np.zeros((dim, dim), dtype=complex)
-    cache = {}
-    keys = [tuple(x.partitions() for x in t) for t in trip_basis]
-    index = {k: i for i, k in enumerate(keys)}
-    for col, trip in enumerate(trip_basis):
-        a1, a2 = trip[0], trip[1]
-        v_pair = tuple(x + y for x, y in zip(a1.v, a2.v))
-        shift = tuple(-x for x in trip[2].weight())
-        key = (v_pair, shift)
-        if key not in cache:
-            kah = kahler_args({i: Monomial.var(f"z{i}") * HBAR ** shift[i] for i in range(n)})
-            b, bare, _ = bare_transition(v_pair, g1, g2, pp, n, kahler=kah)
-            cache[key] = (b, bare)
-        basis2, bare2 = cache[key]
-        ci = _index_of_pair(a1, a2, basis2)
-        for ri in range(len(basis2)):
-            c = bare2[ri, ci]
-            if c == 0:
-                continue
-            b1, b2 = _split_pair(basis2[ri], g1, n)
-            assembled[index[tuple(x.partitions() for x in (b1, b2, trip[2]))],
-                      col] += c
+    assembled = r_action_on_triple(
+        trip_basis, groups, (0, 1), pp,
+        lambda trip: tuple(-x for x in trip[2].weight()))
     scale = max(float(np.max(np.abs(honest))), 1.0)
     return float(np.max(np.abs(honest - assembled)) / scale)
-
-
-def shift_invariance_residual(v, g1, g2, pp, n_colors, variant="plain",
-                              star=False) -> float:
-    """Deviation of R from invariance under z_i -> z_i hbar^(total weight_i)."""
-    base = transition_r(v, g1, g2, pp, n_colors, include_scalar=False,
-                        variant=variant, star=star)
-    n = n_colors
-    out = 0.0
-    weights = sorted(set(base.weights))
-    for wt in weights:
-        idx = [i for i, w in enumerate(base.weights) if w == wt]
-        kah = {i: Monomial.var(f"z{i}") * HBAR ** wt[i] for i in range(n)}
-        shifted = transition_r(v, g1, g2, pp, n_colors, kahler_args(kah),
-                               include_scalar=False, variant=variant, star=star)
-        blk = base.bare[np.ix_(idx, idx)]
-        blk2 = shifted.bare[np.ix_(idx, idx)]
-        out = max(out, float(np.max(np.abs(blk - blk2)) / max(np.max(np.abs(blk)), 1.0)))
-    return out

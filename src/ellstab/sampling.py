@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def sample_param_point(seed: int, n_colors: int,
     return ParamPoint(n_colors, values, tol=tol, seed=seed)
 
 
-def random_assignment(rng: np.random.Generator, names: list[str],
-                      annuli: Annuli | None = None) -> dict[str, complex]:
+def random_assignment(rng: np.random.Generator, names: list[str]) -> dict[str, complex]:
     """Random generic complex values for a list of variables (Chern roots)."""
-    ann = annuli or Annuli()
+    ann = Annuli()
     return {name: _draw(rng, ann.chern, ann.phase_margin) for name in names}

@@ -107,21 +107,18 @@ class _RatioAccumulator:
         return self.value
 
 
-def _mu_monomials(mu: FixedPoint, framed: bool):
-    """Canonical box list with slot names and exact weight monomials."""
+def _mu_monomials(mu: FixedPoint):
+    """Canonical box list with slot names and exact unframed weight monomials."""
     n = mu.n_colors
     out: list[tuple[Box, Monomial, str]] = []
     for i in range(n):
         for j, box in enumerate(chern_slots(mu)[i], start=1):
-            slot, _ = mu.slots[box.owner]
             mono = Monomial({"t1": Fraction(1 - box.y), "t2": Fraction(1 - box.x)})
-            if framed:
-                mono = mono * Monomial.var(slot.u_var)
             out.append((box, mono, f"x{i}_{j}"))
     return out
 
 
-def _factor_bases(mu: FixedPoint, framed: bool):
+def _factor_bases(mu: FixedPoint):
     """The monomial bases and degree assignments of all integrand factors.
 
     Returns (boxes, framing, arrow, gauge): framing entries are
@@ -130,7 +127,7 @@ def _factor_bases(mu: FixedPoint, framed: bool):
     (a_index, b_index, phi_a/phi_b) over ordered distinct same-residue pairs.
     """
     n = mu.n_colors
-    boxes = _mu_monomials(mu, framed)
+    boxes = _mu_monomials(mu)
     t2 = Monomial.var("t2")
     framing = []
     for rank, (slot, _) in enumerate(mu.slots):
@@ -151,8 +148,7 @@ def _factor_bases(mu: FixedPoint, framed: bool):
     return boxes, framing, arrow, gauge
 
 
-def normalization_factor(mu: FixedPoint, pp: ParamPoint,
-                         framed: bool = False) -> complex:
+def normalization_factor(mu: FixedPoint, pp: ParamPoint) -> complex:
     """Restriction of the cycle integrand without the envelope factor.
 
     The vacuum OPE scalar times the framing, arrow and gauge infinite-product
@@ -166,7 +162,7 @@ def normalization_factor(mu: FixedPoint, pp: ParamPoint,
         if slot.u_var.rstrip("0123456789_") != prefix:
             raise ValueError("normalization needs one framing name prefix")
     out = mu_vacuum_ope(mu.w, pp, prefix=prefix)
-    boxes, framing, arrow, gauge = _factor_bases(mu, framed)
+    boxes, framing, arrow, gauge = _factor_bases(mu)
     sqh = pp.materialize(SQRT_HBAR)
     pinv_h = P / HBAR
 
@@ -213,8 +209,7 @@ def _degree_vectors(n_boxes: int, cap: int):
 
 
 def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
-                  pp: ParamPoint, framed: bool = False,
-                  kahler_exponent_override=None,
+                  pp: ParamPoint,
                   uncorrected_prefactor: bool = False) -> VertexSeries:
     """The degree-truncated vertex series paired between two fixed points.
 
@@ -222,47 +217,41 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
     the exact quasi-periodicity multiplier of the envelope at that slot; its
     Kahler part is always z_k, and the residual hbar power vanishes for
     single-box profiles.  ``uncorrected_prefactor`` forces the bare
-    (h^{w_k} p^{...} z_k) base for exploration, and
-    ``kahler_exponent_override(k, v, w)`` substitutes the integer p-exponent.
+    (h^{w_k} p^{...} z_k) base for exploration.
     """
     n = mu.n_colors
     env = Envelope(EnvelopeSpec(lam, "hat"))
-    stab0 = restrict(env, mu, pp, framed=framed)
-    boxes, framing, arrow, gauge = _factor_bases(mu, framed)
+    stab0 = restrict(env, mu, pp, framed=False)
+    boxes, framing, arrow, gauge = _factor_bases(mu)
     v, w = mu.v, mu.w
     p, h = pp.p, pp.hbar
     qp = env.qp_unit_factors()
     pref: list[complex] = []
     for box, _, name in boxes:
         k = box.content % n
-        expo = (kahler_exponent_override(k, v, w) if kahler_exponent_override
-                else 2 - 2 * v[k] + v[(k + 1) % n] - 2 * w[k])
-        base = h ** w[k] * p ** expo
+        base = h ** w[k] * p ** (2 - 2 * v[k] + v[(k + 1) % n] - 2 * w[k])
         if uncorrected_prefactor:
             pref.append(base * pp.values[f"z{k}"])
         else:
             pref.append(base / pp.materialize(qp[name]))
     pinv_h = P / HBAR
+    # (numerator base, denominator base, i, j): the ratio of Pochhammer
+    # symbols of length d[i], or d[i] - d[j] when j is set
+    ratios = ([(base, pinv_h * base, ia, None) for ia, base in framing]
+              + [(base, pinv_h * base, ib, ia) for ia, ib, base in arrow]
+              + [(P * base, HBAR * base, ia, ib) for ia, ib, base in gauge])
     coeffs: dict[tuple[int, ...], complex] = {}
     for d in _degree_vectors(len(boxes), degree_cap):
         term = 1.0 + 0.0j
         zeros = 0
         for da, pr in zip(d, pref):
             term *= pr ** (-da)
-
-        def times_ratio(num_base, den_base, s):
-            nonlocal term, zeros
-            vn, zn = qpoch_fin_mono(num_base, s, pp)
-            vd, zd = qpoch_fin_mono(den_base, s, pp)
+        for num, den, i, j in ratios:
+            s = d[i] if j is None else d[i] - d[j]
+            vn, zn = qpoch_fin_mono(num, s, pp)
+            vd, zd = qpoch_fin_mono(den, s, pp)
             term *= vn / vd
             zeros += zn - zd
-
-        for ia, base in framing:
-            times_ratio(base, pinv_h * base, d[ia])
-        for ia, ib, base in arrow:
-            times_ratio(base, pinv_h * base, d[ib] - d[ia])
-        for ia, ib, base in gauge:
-            times_ratio(P * base, HBAR * base, d[ia] - d[ib])
         if zeros > 0:
             coeffs[d] = 0.0 + 0.0j
         elif zeros < 0:
@@ -273,8 +262,7 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
 
 
 def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
-                       pp: ParamPoint, qp_factors: dict[str, Monomial],
-                       framed: bool = False) -> complex:
+                       pp: ParamPoint, qp_factors: dict[str, Monomial]) -> complex:
     """Independent oracle for coefficient(d)/coefficient(0).
 
     Evaluates the integrand factors at the shifted points x_a = phi_a p^(d_a)
@@ -282,7 +270,7 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     multiplies the exact quasi-periodicity multipliers of the envelope
     factor.
     """
-    boxes, framing, arrow, gauge = _factor_bases(mu, framed)
+    boxes, framing, arrow, gauge = _factor_bases(mu)
     p = pp.p
     pinv_h = P / HBAR
 
@@ -318,7 +306,7 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 def bethe_residuals(xvals: dict[int, list[complex]], pp: ParamPoint,
-                    w: tuple[int, ...], prefix: str = "u") -> np.ndarray:
+                    w: tuple[int, ...]) -> np.ndarray:
     """Residuals of the saddle-point equations, one per unknown root."""
     n = pp.n_colors
     t1, t2, h = pp.t1, pp.t2, pp.hbar
@@ -329,7 +317,7 @@ def bethe_residuals(xvals: dict[int, list[complex]], pp: ParamPoint,
             x = xvals[k][i]
             lhs = 1.0 + 0.0j
             for j in range(1, w[k] + 1):
-                u = pp.values[f"{prefix}{k}_{j}"]
+                u = pp.values[f"u{k}_{j}"]
                 lhs *= (1 - u / x) / (1 - h * u / x)
             for xl in xvals.get((k + 1) % n, []):
                 lhs *= (1 - xl / (t1 * x)) / (1 - t2 * xl / x)
@@ -370,7 +358,7 @@ class BetheSolution:
 
 
 def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
-                seed: int = 0, prefix: str = "u", max_restarts: int = 12,
+                seed: int = 0, max_restarts: int = 12,
                 max_iter: int = 80, tol: float = 1e-12) -> BetheSolution:
     """Damped Newton on the saddle-point system from randomized starts.
 
@@ -394,7 +382,7 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
         return xv
 
     def fun(vec):
-        return bethe_residuals(unpack(vec), pp, w, prefix)
+        return bethe_residuals(unpack(vec), pp, w)
 
     best = None
     total_it = 0

@@ -1,0 +1,40 @@
+"""Static checks of the package source."""
+
+import ast
+from pathlib import Path
+
+import ellstab
+
+SRC = Path(ellstab.__file__).parent
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items())
+            if name not in read]
+
+
+def test_unused_imports_detected():
+    tree = ast.parse("import os\nfrom a import b, c\nprint(c)\n")
+    assert unused_imports(tree) == ["b (line 2)", "os (line 1)"]
+
+
+def test_no_unused_module_level_imports():
+    """``__init__.py`` is exempt: its imports are the package's exports."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        names = unused_imports(ast.parse(path.read_text()))
+        if names:
+            found[path.name] = names
+    assert found == {}

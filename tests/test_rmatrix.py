@@ -5,8 +5,8 @@ import pytest
 
 from ellstab.core import ParamPoint
 from ellstab.partitions import fixed_points
-from ellstab.rmatrix import (FramingGroup, bare_transition, basis_fixed_points,
-                             composition_residual,
+from ellstab.rmatrix import (FramingGroup, _swap_permutation, bare_transition,
+                             basis_fixed_points, composition_residual,
                              leading_pair_factorization_residual, profiles,
                              restriction_matrix, shift_invariance_residual,
                              transition_r, transition_r_star,
@@ -51,6 +51,55 @@ def test_composition_and_weight_blocks():
             basis, bare, conds = bare_transition(v, G1, G2, PP, N)
             assert weight_block_residual(basis, bare) < 1e-10
             assert all(c < 1e8 for c in conds)
+
+
+#: framings of the two groups: colors (0,0) and (0,1), and a two-slot first
+#: group, whose swap is not its own inverse
+PAIRS = [((1, 0, 0), (1, 0, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 1, 0), (1, 0, 0))]
+
+
+def _pair(w1, w2):
+    g1, g2 = FramingGroup(w1, "ua"), FramingGroup(w2, "ub")
+    pp = sample_param_point(21, N, framing_counts={"ua": list(w1),
+                                                   "ub": list(w2)})
+    return g1, g2, pp
+
+
+@pytest.mark.parametrize("w1,w2", PAIRS)
+def test_reversed_swap_is_the_transpose(w1, w2):
+    g1, g2, _ = _pair(w1, w2)
+    for m in range(4):
+        for v in profiles(m, N):
+            basis = basis_fixed_points(v, [g1, g2], N)
+            if not basis:
+                continue
+            basis_bar = basis_fixed_points(v, [g2, g1], N)
+            n1 = sum(g1.w)
+            forward = _swap_permutation(basis, basis_bar, n1)
+            assert (forward.sum(axis=0) == 1).all()
+            assert (forward.sum(axis=1) == 1).all()
+            for j, i in zip(*np.nonzero(forward)):
+                slots = basis[i].slots
+                assert basis_bar[j].slots == slots[n1:] + slots[:n1]
+            assert (_swap_permutation(basis_bar, basis, sum(g2.w))
+                    == forward.T).all()
+
+
+@pytest.mark.parametrize("w1,w2", PAIRS)
+def test_composition_equals_the_two_transitions(w1, w2):
+    """One pair of restriction matrices gives, bit for bit, the residual of
+    the two independently solved transitions."""
+    g1, g2, pp = _pair(w1, w2)
+    for m in (1, 2):
+        for v in profiles(m, N):
+            if not basis_fixed_points(v, [g1, g2], N):
+                continue
+            basis, b12, _ = bare_transition(v, g1, g2, pp, N)
+            basis_bar, b21, _ = bare_transition(v, g2, g1, pp, N)
+            p = _swap_permutation(basis, basis_bar, sum(g1.w))
+            prod = (p.T @ b21 @ p) @ b12
+            expected = float(np.max(np.abs(prod - np.eye(len(basis)))))
+            assert composition_residual(v, g1, g2, pp, N) == expected
 
 
 def test_scale_invariance():
@@ -100,6 +149,25 @@ def test_leading_pair_factorization_mixed_colors():
                                                    "uc": [1, 0, 0]})
     r = leading_pair_factorization_residual((G1, g2, G3), pp, N, (1, 1, 0))
     assert r < 1e-10
+
+
+PP31 = sample_param_point(31, N, framing_counts={"ua": [1, 0, 0],
+                                                 "ub": [1, 0, 0],
+                                                 "uc": [1, 0, 0]})
+
+
+@pytest.mark.parametrize("vtot", [(1, 1, 1), (3, 0, 0)])
+def test_leading_pair_factorization_three_color_zero_framings(vtot):
+    assert leading_pair_factorization_residual((G1, G2, G3), PP31, N, vtot) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("vtot", [(2, 0, 0), (2, 1, 0), (2, 0, 1)])
+def test_leading_pair_factorization_spectator_shift(vtot):
+    """The pair transition at z hbar^(-wt(spectator)) is not the honest
+    swap on these profiles: the residual is 0.39 at (2,1,0), 0.49 at
+    (2,0,1) and 2.3 at (2,0,0)."""
+    assert leading_pair_factorization_residual((G1, G2, G3), PP31, N, vtot) < 1e-12
 
 
 def test_mixed_framing_ybe_deviation_is_reported_not_asserted():
