@@ -14,9 +14,11 @@ Exit codes: 0 all checks within tolerance, 1 check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,10 +26,11 @@ from .core import BudgetError, Monomial, SingularityError
 from .envelopes import Envelope, EnvelopeSpec, restrict, shuffle_residual
 from .fock import (lowering_coefficient, phi_eigenvalue, raising_coefficient)
 from .partitions import (ColoredPartition, addable_removable, fixed_points,
-                         make_fixed_point)
-from .rmatrix import (FramingGroup, composition_residual, transition_r,
-                      transition_r_star, transpose_relation_residual,
-                      weight_block_residual, ybe_residual)
+                         make_fixed_point, partitions_upto)
+from .rmatrix import (FramingGroup, composition_residual, inverted_kahler,
+                      transition_r, transition_r_star,
+                      transpose_relation_residual, weight_block_residual,
+                      ybe_residual)
 from .sampling import random_assignment, sample_param_point
 from .scalars import (chi_exchange, mu_exchange, mu_star_exchange, rho_plus,
                       rll_scalar_residual)
@@ -157,7 +160,6 @@ def cmd_shuffle_check(args) -> int:
     t0 = time.time()
     n = args.N
     sizes = _ints(args.boxes)
-    from .partitions import partitions_upto
     tasks = []
     for rows1 in partitions_upto(sizes[0]):
         if sum(rows1) != sizes[0]:
@@ -169,7 +171,6 @@ def cmd_shuffle_check(args) -> int:
                 tasks.append((n, args.seed, args.color2, rows1, rows2,
                               variant, args.assignments))
     if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             residuals = list(pool.map(_shuffle_case, tasks))
     else:
@@ -198,7 +199,8 @@ def cmd_rmatrix(args) -> int:
     v = _ints(args.v)
     res = (transition_r_star if args.star else transition_r)(
         v, g1, g2, pp, n, include_scalar=not args.bare)
-    comp = composition_residual(v, g1, g2, pp, n, star=args.star)
+    comp = composition_residual(v, g1, g2, pp, n, star=args.star,
+                                kahler=inverted_kahler(n) if args.star else None)
     wres = weight_block_residual(res.basis, res.bare)
     doc = _base_doc(args, pp, t0)
     doc["results"] = {
@@ -316,7 +318,6 @@ def cmd_scalars(args) -> int:
     n = args.N
     rng = np.random.default_rng(args.seed)
     pp0 = sample_param_point(args.seed, n)
-    import cmath
     worst = 0.0
     samples = []
     for _ in range(args.points):

@@ -428,7 +428,7 @@ class ParamPoint:
         return num / den
 
 
-def theta_modular_residual(x_value: complex, pp: ParamPoint, nmax: int = 30) -> float:
+def theta_modular_residual(x_value: complex, pp: ParamPoint) -> float:
     """Conjugate-modulus check for the odd theta function.
 
     Compares theta(X) = -X^(-1/2) theta_p(X) against its series on the
@@ -448,6 +448,6 @@ def theta_modular_residual(x_value: complex, pp: ParamPoint, nmax: int = 30) -> 
     rhs = (-cmath.exp(-1j * math.pi / 4) * cmath.sqrt(tau) * p ** -0.125
            / qpoch_inf(p, p, pp.min_terms)
            * cmath.exp(-logx ** 2 / (2 * logp))
-           * vartheta1(logx / logp, tau, nmax))
+           * vartheta1(logx / logp, tau))
     denom = max(abs(lhs), 1.0) if abs(lhs) < 1e-8 else abs(lhs)
     return abs(lhs - rhs) / denom

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,8 +21,10 @@ import numpy as np
 
 from .core import (HBAR, BudgetError, GradedValue, Monomial, ParamPoint,
                    SingularityError)
-from .partitions import (Box, FixedPoint, box_slot_vars, chern_slots,
-                         index_degrees, lambda_trees, phi_weight, rho_less)
+from .partitions import (Box, FixedPoint, QuiverPairs, box_slot_vars,
+                         chern_slots, index_degrees, lambda_trees, phi_weight,
+                         quiver_pairs, rho_less)
+from .sampling import random_assignment
 
 VARIANTS = ("plain", "hat", "tilde")
 
@@ -51,17 +54,16 @@ def kahler_args(mapping: dict[int, Monomial]) -> tuple[tuple[int, Monomial], ...
 
 @dataclass
 class ThetaProduct:
-    """Product of odd theta factors with an overall sign, all graded."""
+    """Product of odd theta factors with an overall sign, all graded.
+
+    ``inv`` holds the contracted pairs theta(m) / theta(1/m), each the exact
+    closed ratio GradedValue(1/m, -m_value).
+    """
 
     num: list[Monomial] = field(default_factory=list)
     den: list[Monomial] = field(default_factory=list)
     sign: int = 0
-
-    def mul_num(self, mono: Monomial):
-        self.num.append(mono)
-
-    def mul_den(self, mono: Monomial):
-        self.den.append(mono)
+    inv: list[Monomial] = field(default_factory=list)
 
     def mul_ratio(self, num: Monomial, den: Monomial):
         """theta(num) / theta(den) with a minus sign."""
@@ -78,6 +80,8 @@ class ThetaProduct:
             if th.coeff == 0:
                 raise SingularityError(f"theta pole in denominator at {m}")
             gv = gv / th
+        for m in self.inv:
+            gv = gv * GradedValue(m ** -1, -pp.materialize(m))
         return gv
 
     def mono_total(self) -> Monomial:
@@ -86,6 +90,8 @@ class ThetaProduct:
             total = total * m ** Fraction(-1, 2)
         for m in self.den:
             total = total * m ** Fraction(1, 2)
+        for m in self.inv:
+            total = total / m
         return total
 
 
@@ -102,116 +108,85 @@ def _rho_le_root(fp: FixedPoint, box: Box, rank: int) -> bool:
     return not rho_less(anchor, 0, box)
 
 
-def s_factor_product(fp: FixedPoint, variant: str) -> ThetaProduct:
-    """The unsymmetrized S-product of the requested normalization."""
+def _x_monos(fp: FixedPoint) -> dict[Box, Monomial]:
+    return {b: Monomial.var(name) for b, name in box_slot_vars(fp).items()}
+
+
+def _s_product(fp: FixedPoint, variant: str, pairs: QuiverPairs,
+               x: dict[Box, Monomial]) -> ThetaProduct:
+    """The S-product factors of some quiver pairs of a fixed point.
+
+    Plain: theta(t1 x_a/x_b) per arrow pair with rho_a + 1 < rho_b, else
+    theta(t2 x_b/x_a); theta(x_a/u) per framing pair at or below the slot's
+    root, else theta(hbar u/x_a); 1/(theta(x_a/x_b) theta(hbar x_a/x_b)) per
+    gauge pair with rho_a < rho_b.  Hat and tilde divide each arrow factor
+    by its partner (the other argument above), keep only the framing factors
+    above the root (hat) or at or below it (tilde), each divided by its
+    partner, and turn one gauge denominator into the numerator theta(x_b/x_a)
+    (hat) or theta(hbar x_b/x_a) (tilde).  ``x`` maps each box to its root.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    n = fp.n_colors
-    boxes = fp.boxes()
-    xvar = box_slot_vars(fp)
-    x = {b: Monomial.var(xvar[b]) for b in boxes}
-    t1 = Monomial.var("t1")
-    t2 = Monomial.var("t2")
+    t1, t2 = Monomial.var("t1"), Monomial.var("t2")
+    plain = variant == "plain"
     prod = ThetaProduct()
-
-    for a in boxes:
-        for b in boxes:
-            if a is b or (b.content - a.content - 1) % n != 0:
-                continue
-            if rho_less(a, 1, b):
-                if variant == "plain":
-                    prod.mul_num(t1 * x[a] / x[b])
-                else:
-                    prod.mul_ratio(t1 * x[a] / x[b], t2 * x[b] / x[a])
-            else:
-                if variant == "plain":
-                    prod.mul_num(t2 * x[b] / x[a])
-                else:
-                    prod.mul_ratio(t2 * x[b] / x[a], t1 * x[a] / x[b])
-
-    for rank in range(len(fp.slots)):
-        slot, _ = fp.slots[rank]
+    for a, b in pairs.arrow:
+        below = rho_less(a, 1, b)
+        m = t1 * x[a] / x[b] if below else t2 * x[b] / x[a]
+        if plain:
+            prod.num.append(m)
+        else:
+            prod.mul_ratio(m, t2 * x[b] / x[a] if below else t1 * x[a] / x[b])
+    for rank, a in pairs.framing:
+        le = _rho_le_root(fp, a, rank)
         u = _u_mono(fp, rank)
-        for a in boxes:
-            if a.content % n != slot.color % n:
-                continue
-            le = _rho_le_root(fp, a, rank)
-            if variant == "plain":
-                prod.mul_num(x[a] / u if le else HBAR * u / x[a])
-            elif variant == "hat":
-                if not le:
-                    prod.mul_ratio(HBAR * u / x[a], x[a] / u)
-            else:  # tilde
-                if le:
-                    prod.mul_ratio(x[a] / u, HBAR * u / x[a])
-
-    for a in boxes:
-        for b in boxes:
-            if a is b or (b.content - a.content) % n != 0:
-                continue
-            if not rho_less(a, 0, b):
-                continue
-            if variant == "plain":
-                prod.mul_den(x[a] / x[b])
-                prod.mul_den(HBAR * x[a] / x[b])
-            elif variant == "hat":
-                prod.mul_num(x[b] / x[a])
-                prod.mul_den(HBAR * x[a] / x[b])
-            else:
-                prod.mul_num(HBAR * x[b] / x[a])
-                prod.mul_den(x[a] / x[b])
+        if plain:
+            prod.num.append(x[a] / u if le else HBAR * u / x[a])
+        elif le and variant == "tilde":
+            prod.mul_ratio(x[a] / u, HBAR * u / x[a])
+        elif not le and variant == "hat":
+            prod.mul_ratio(HBAR * u / x[a], x[a] / u)
+    for a, b in pairs.gauge:
+        if not rho_less(a, 0, b):
+            continue
+        if plain:
+            prod.den += [x[a] / x[b], HBAR * x[a] / x[b]]
+        elif variant == "hat":
+            prod.num.append(x[b] / x[a])
+            prod.den.append(HBAR * x[a] / x[b])
+        else:
+            prod.num.append(HBAR * x[b] / x[a])
+            prod.den.append(x[a] / x[b])
     return prod
+
+
+def s_factor_product(fp: FixedPoint, variant: str) -> ThetaProduct:
+    """The unsymmetrized S-product of the requested normalization."""
+    return _s_product(fp, variant, quiver_pairs(fp), _x_monos(fp))
 
 
 def normalization_kernel(fp: FixedPoint, which: str) -> ThetaProduct:
     """The K-factor relating the plain S-product to its hat/tilde form."""
-    n = fp.n_colors
-    boxes = fp.boxes()
-    xvar = box_slot_vars(fp)
-    x = {b: Monomial.var(xvar[b]) for b in boxes}
+    x = _x_monos(fp)
     t1, t2 = Monomial.var("t1"), Monomial.var("t2")
+    pairs = quiver_pairs(fp)
     prod = ThetaProduct()
-    for a in boxes:
-        for b in boxes:
-            if a is b or (b.content - a.content - 1) % n != 0:
-                continue
-            if rho_less(a, 1, b):
-                prod.mul_num(t2 * x[b] / x[a])
-            else:
-                prod.mul_num(t1 * x[a] / x[b])
-    for rank in range(len(fp.slots)):
-        slot, _ = fp.slots[rank]
+    for a, b in pairs.arrow:
+        prod.num.append(t2 * x[b] / x[a] if rho_less(a, 1, b) else t1 * x[a] / x[b])
+    for rank, a in pairs.framing:
         u = _u_mono(fp, rank)
-        for a in boxes:
-            if a.content % n != slot.color % n:
-                continue
-            prod.mul_num(x[a] / u if which == "I" else HBAR * u / x[a])
-    for a in boxes:
-        for b in boxes:
-            if a is b or (b.content - a.content) % n != 0:
-                continue
-            prod.mul_den(x[a] / x[b] if which == "I" else HBAR * x[a] / x[b])
+        prod.num.append(x[a] / u if which == "I" else HBAR * u / x[a])
+    for a, b in pairs.gauge:
+        prod.den.append(x[a] / x[b] if which == "I" else HBAR * x[a] / x[b])
     return prod
 
 
 def normalization_parity(fp: FixedPoint, which: str) -> int:
     """Parity exponent in S = (-1)^eps K S-normalized."""
-    n = fp.n_colors
-    boxes = fp.boxes()
-    eps = 0
-    for a in boxes:
-        for b in boxes:
-            if a is not b and (b.content - a.content - 1) % n == 0:
-                eps += 1
-    for rank in range(len(fp.slots)):
-        slot, _ = fp.slots[rank]
-        for a in boxes:
-            if a.content % n != slot.color % n:
-                continue
-            le = _rho_le_root(fp, a, rank)
-            if (which == "I" and not le) or (which == "II" and le):
-                eps += 1
-    return eps % 2
+    pairs = quiver_pairs(fp)
+    flipped = sum(1 for rank, a in pairs.framing
+                  if _rho_le_root(fp, a, rank) == (which == "II"))
+    return (len(pairs.arrow) + flipped) % 2
 
 
 @dataclass
@@ -269,15 +244,14 @@ def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial]) -> list[TreeTupleW
     return out
 
 
-def _cancel(num: list[Monomial], den: list[Monomial]):
+def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct:
     """Cancel matching theta arguments between numerator and denominator.
 
     Identical factors cancel exactly (theta(m)/theta(m) = 1) and a numerator
     m against a denominator 1/m contracts to the exact closed ratio
-    theta(m)/theta(1/m) = GradedValue(1/m, -m_value).  Both removals make the
-    removable zero-over-zero combinations at restriction points evaluable.
+    theta(m)/theta(1/m), kept in ``inv``.  Both removals make the removable
+    zero-over-zero combinations at restriction points evaluable.
     """
-    from collections import Counter
     cn, cd = Counter(num), Counter(den)
     common = cn & cd
     cn, cd = cn - common, cd - common
@@ -288,13 +262,13 @@ def _cancel(num: list[Monomial], den: list[Monomial]):
             cn[m] -= 1
             cd[minv] -= 1
             inv_pairs.append(m)
-    return (sorted(cn.elements(), key=repr),
-            sorted(cd.elements(), key=repr),
-            inv_pairs)
+    return ThetaProduct(sorted(cn.elements(), key=repr),
+                        sorted(cd.elements(), key=repr), sign, inv_pairs)
 
 
 class Envelope:
-    """A compiled stable envelope; evaluate on Chern-root value assignments."""
+    """A compiled stable envelope, one ``ThetaProduct`` term per admissible
+    tree tuple; evaluate on Chern-root value assignments."""
 
     def __init__(self, spec: EnvelopeSpec, sym_budget: int = 40320):
         self.spec = spec
@@ -303,24 +277,14 @@ class Envelope:
         self.slots = chern_slots(fp)
         self.nvars = {i: [f"x{i}_{j}" for j in range(1, len(bs) + 1)]
                       for i, bs in self.slots.items()}
-        self.sprod = s_factor_product(fp, spec.variant)
-        self.trees = tree_weights(fp, spec.kahler_map())
-        hbar_mono = HBAR
-        self._terms = []
-        for tw in self.trees:
-            num = list(self.sprod.num)
-            den = list(self.sprod.den)
+        sprod = s_factor_product(fp, spec.variant)
+        self._terms: list[ThetaProduct] = []
+        for tw in tree_weights(fp, spec.kahler_map()):
+            num, den = list(sprod.num), list(sprod.den)
             for xm, ym in tw.phi_args:
-                num.append(xm * ym)
-                num.append(hbar_mono)
-                den.append(xm)
-                den.append(ym)
-            num, den, inv = _cancel(num, den)
-            coeff = (-1.0) ** ((self.sprod.sign + tw.kappa) % 2)
-            self._terms.append((num, den, inv, coeff))
-        if not self.trees:
-            num, den, inv = _cancel(list(self.sprod.num), list(self.sprod.den))
-            self._terms.append((num, den, inv, (-1.0) ** (self.sprod.sign % 2)))
+                num += [xm * ym, HBAR]
+                den += [xm, ym]
+            self._terms.append(_cancel(num, den, sprod.sign + tw.kappa))
         size = 1
         for i, names in self.nvars.items():
             size *= math.factorial(len(names))
@@ -347,13 +311,13 @@ class Envelope:
         out: dict[str, Monomial] = {}
         for name in self.x_names():
             factor = None
-            for num, den, inv, _ in self._terms:
+            for term in self._terms:
                 m_tot = Monomial.one()
-                for m in num:
+                for m in term.num:
                     k = m.get(name)
                     if k:
                         m_tot = m_tot * m ** (-k)
-                for m in den:
+                for m in term.den:
                     k = m.get(name)
                     if k:
                         m_tot = m_tot * m ** k
@@ -372,19 +336,8 @@ class Envelope:
     def _term(self, pp: ParamPoint) -> complex:
         star = self.spec.star
         total = 0.0 + 0.0j
-        for num, den, inv, coeff in self._terms:
-            gv = GradedValue(Monomial.one(), coeff)
-            for m in num:
-                gv = gv * pp.theta(m, star)
-            for m in den:
-                th = pp.theta(m, star)
-                if th.coeff == 0:
-                    raise SingularityError(f"theta pole in denominator at {m}")
-                gv = gv / th
-            for m in inv:
-                # theta(m)/theta(1/m) contracted: equals -materialize(m) times 1/m
-                gv = gv * GradedValue(m ** -1, -pp.materialize(m))
-            total += gv.materialize(pp)
+        for term in self._terms:
+            total += term.eval(pp, star).materialize(pp)
         return total
 
     def eval(self, pp: ParamPoint, values: dict[str, complex],
@@ -486,58 +439,22 @@ def shuffle_kahler_shifts(n: int, va, wa, vb, wb):
     return za, zb
 
 
-def _cross_prefactor(fpa: FixedPoint, fpb: FixedPoint, variant: str) -> "CrossPrefactor":
-    n = fpa.n_colors
-    xa = box_slot_vars(fpa)
-    xb = box_slot_vars(fpb)
-    t1, t2 = Monomial.var("t1"), Monomial.var("t2")
-    prod = ThetaProduct()
-    va = {b: Monomial.var("A_" + xa[b]) for b in fpa.boxes()}
-    vb = {b: Monomial.var("B_" + xb[b]) for b in fpb.boxes()}
-    for a in fpa.boxes():
-        for b in fpb.boxes():
-            ca, cb = a.content % n, b.content % n
-            if (ca + 1 - cb) % n == 0:
-                if variant == "plain":
-                    prod.mul_num(t1 * va[a] / vb[b])
-                else:
-                    prod.mul_ratio(t1 * va[a] / vb[b], t2 * vb[b] / va[a])
-            if (cb + 1 - ca) % n == 0:
-                if variant == "plain":
-                    prod.mul_num(t2 * va[a] / vb[b])
-                else:
-                    prod.mul_ratio(t2 * va[a] / vb[b], t1 * vb[b] / va[a])
-            if ca == cb:
-                if variant == "plain":
-                    prod.mul_den(va[a] / vb[b])
-                    prod.mul_den(HBAR * va[a] / vb[b])
-                elif variant == "hat":
-                    prod.mul_num(vb[b] / va[a])
-                    prod.mul_den(HBAR * va[a] / vb[b])
-                else:
-                    prod.mul_num(HBAR * vb[b] / va[a])
-                    prod.mul_den(va[a] / vb[b])
-    if variant in ("plain", "hat"):
-        for slot, _ in fpa.slots:
-            u = Monomial.var(slot.u_var)
-            for b in fpb.boxes():
-                if b.content % n != slot.color % n:
-                    continue
-                if variant == "plain":
-                    prod.mul_num(HBAR * u / vb[b])
-                else:
-                    prod.mul_ratio(HBAR * u / vb[b], vb[b] / u)
-    if variant in ("plain", "tilde"):
-        for slot, _ in fpb.slots:
-            u = Monomial.var(slot.u_var)
-            for a in fpa.boxes():
-                if a.content % n != slot.color % n:
-                    continue
-                if variant == "plain":
-                    prod.mul_num(va[a] / u)
-                else:
-                    prod.mul_ratio(va[a] / u, HBAR * u / va[a])
-    return prod
+def _cross_prefactor(fpa: FixedPoint, fpb: FixedPoint, variant: str) -> ThetaProduct:
+    """The S-product factors of the concatenated fixed point whose pair joins
+    a slot or box of ``fpa`` to one of ``fpb``, in the variables ``A_x..``
+    of ``fpa`` and ``B_x..`` of ``fpb``."""
+    big = concat_fixed_points(fpa, fpb)
+    xa, xb = box_slot_vars(fpa), box_slot_vars(fpb)
+    names = ([f"A_{xa[b]}" for b in fpa.boxes()]
+             + [f"B_{xb[b]}" for b in fpb.boxes()])
+    x = {b: Monomial.var(name) for b, name in zip(big.boxes(), names)}
+    ka = len(fpa.slots)
+    pairs = quiver_pairs(big)
+    cross = QuiverPairs(
+        [(r, b) for r, b in pairs.framing if (r < ka) != (b.owner < ka)],
+        [(a, b) for a, b in pairs.arrow if (a.owner < ka) != (b.owner < ka)],
+        [(a, b) for a, b in pairs.gauge if (a.owner < ka) != (b.owner < ka)])
+    return _s_product(big, variant, cross, x)
 
 
 def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
@@ -545,7 +462,6 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
                      n_assignments: int = 5, rng=None) -> float:
     """Max relative deviation between a concatenated envelope and its shuffle
     product over random Chern-root assignments."""
-    from .sampling import random_assignment
     if rng is None:
         rng = np.random.default_rng(0)
     n = fpa.n_colors
@@ -556,8 +472,10 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
     env_b = Envelope(EnvelopeSpec(fpb, variant, star, kahler_args(zb)))
     pref = _cross_prefactor(fpa, fpb, variant)
 
-    slots_big = chern_slots(big)
-    slots_a = chern_slots(fpa)
+    slots_big, slots_a = chern_slots(big), chern_slots(fpa)
+    picks_per_color = [list(itertools.combinations(range(len(slots_big[i])),
+                                                   len(slots_a[i])))
+                       for i in range(n)]
     worst = 0.0
     for _ in range(n_assignments):
         values = random_assignment(rng, env_big.x_names())
@@ -565,37 +483,22 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
         lhs = env_big.eval(pp, values, logs)
 
         rhs = 0.0 + 0.0j
-        choices_per_color = []
-        for i in range(n):
-            tot = len(slots_big[i])
-            na = len(slots_a[i])
-            choices_per_color.append(list(itertools.combinations(range(tot), na)))
-        for picks in itertools.product(*choices_per_color):
-            va: dict[str, complex] = {}
-            la: dict[str, complex] = {}
-            vbv: dict[str, complex] = {}
-            lb: dict[str, complex] = {}
-            prevals: dict[str, complex] = {}
-            prelogs: dict[str, complex] = {}
+        for picks in itertools.product(*picks_per_color):
+            # values and logs of the roots of each factor, renumbered per
+            # color, and under the A_/B_ names of the cross factor
+            split = {"A": ({}, {}), "B": ({}, {})}
+            cross_vals, cross_logs = {}, {}
             for i in range(n):
-                chosen = set(picks[i])
-                ja = jb = 0
+                count = {"A": 0, "B": 0}
                 for idx in range(len(slots_big[i])):
-                    src = f"x{i}_{idx + 1}"
-                    if idx in chosen:
-                        ja += 1
-                        va[f"x{i}_{ja}"] = values[src]
-                        la[f"x{i}_{ja}"] = logs[src]
-                        prevals[f"A_x{i}_{ja}"] = values[src]
-                        prelogs[f"A_x{i}_{ja}"] = logs[src]
-                    else:
-                        jb += 1
-                        vbv[f"x{i}_{jb}"] = values[src]
-                        lb[f"x{i}_{jb}"] = logs[src]
-                        prevals[f"B_x{i}_{jb}"] = values[src]
-                        prelogs[f"B_x{i}_{jb}"] = logs[src]
-            ppx = pp.extended(prevals, prelogs)
+                    side = "A" if idx in picks[i] else "B"
+                    count[side] += 1
+                    src, dst = f"x{i}_{idx + 1}", f"x{i}_{count[side]}"
+                    split[side][0][dst] = cross_vals[f"{side}_{dst}"] = values[src]
+                    split[side][1][dst] = cross_logs[f"{side}_{dst}"] = logs[src]
+            (va, la), (vb, lb) = split["A"], split["B"]
+            ppx = pp.extended(cross_vals, cross_logs)
             pf = pref.eval(ppx, star).materialize(ppx)
-            rhs += pf * env_a.eval(pp, va, la) * env_b.eval(pp, vbv, lb)
+            rhs += pf * env_a.eval(pp, va, la) * env_b.eval(pp, vb, lb)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .core import GV_ONE, HBAR, GradedValue, Monomial, ParamPoint
 from .partitions import ColoredPartition, addable_removable
+from .scalars import vacuum_c_constants
 
 SQRT_HBAR = HBAR ** Fraction(1, 2)
 
@@ -131,7 +132,6 @@ def vector_action(which: str, residue: int, m: int, k: int,
     u = Monomial.var("u")
     t1 = Monomial.var("t1")
     point = u * t1 ** (-m)
-    from .scalars import vacuum_c_constants
     c_plus, c_minus = vacuum_c_constants(pp)
     if which == "phi":
         if z is None:

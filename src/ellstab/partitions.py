@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import BudgetError, Monomial
 
@@ -352,14 +353,41 @@ def phi_weight(fp: FixedPoint, box: Box) -> Monomial:
 
 
 # ---------------------------------------------------------------------------
-# Index degrees from the polarization
+# Quiver pairs and index degrees from the polarization
 # ---------------------------------------------------------------------------
 
-def _first_nonzero(pairs):
-    for _, e in sorted(pairs.items()):
-        if e:
-            return e
-    return 0
+class QuiverPairs(NamedTuple):
+    """The framing, arrow and gauge box pairs of a fixed point."""
+
+    framing: list[tuple[int, Box]]
+    arrow: list[tuple[Box, Box]]
+    gauge: list[tuple[Box, Box]]
+
+
+def quiver_pairs(fp: FixedPoint, boxes: list[Box] | None = None) -> QuiverPairs:
+    """The box pairs behind the summands of the half tangent space.
+
+    Framing: (slot rank, box) with the box residue equal to the slot color
+    (W (x) V*).  Arrow: ordered distinct boxes (a, b) with content(b) =
+    content(a) + 1 mod N (V_(i+1) (x) V_i*).  Gauge: ordered distinct boxes
+    (a, b) of equal residue (V (x) V*).  ``boxes`` (default ``fp.boxes()``)
+    sets the order: framing pairs run slot by slot, the others first box outer.
+    """
+    n = fp.n_colors
+    if boxes is None:
+        boxes = fp.boxes()
+    framing = [(rank, b) for rank, (slot, _) in enumerate(fp.slots)
+               for b in boxes if (b.content - slot.color) % n == 0]
+    arrow, gauge = [], []
+    for a in boxes:
+        for b in boxes:
+            if a is b:
+                continue
+            if (b.content - a.content - 1) % n == 0:
+                arrow.append((a, b))
+            if (b.content - a.content) % n == 0:
+                gauge.append((a, b))
+    return QuiverPairs(framing, arrow, gauge)
 
 
 def index_degrees(fp: FixedPoint) -> dict[Box, int]:
@@ -374,50 +402,29 @@ def index_degrees(fp: FixedPoint) -> dict[Box, int]:
     normalization under which the shuffle-product Kahler shifts come out as
     z' -> z * hbar^(w''_i - v''_i + v''_{i+1}) and z'' -> z * hbar^(v'_i - v'_{i-1}).
     """
-    n = fp.n_colors
     boxes = fp.boxes()
+    pairs = quiver_pairs(fp, boxes)
     d: dict[Box, int] = {b: 0 for b in boxes}
 
-    def classify(uexps: dict[int, int], kappa: int) -> int:
-        """+1 large, -1 small, 0 zero."""
-        lead = _first_nonzero(uexps)
-        if lead:
-            return 1 if lead > 0 else -1
-        if kappa:
-            return 1 if kappa > 0 else -1
-        return 0
+    def small(hi: int, lo: int, kappa: int) -> bool:
+        """u_hi / u_lo kappa^k is small: the earlier slot's exponent
+        decides, kappa only between equal slots."""
+        return ((hi < lo) - (hi > lo) or kappa) < 0
 
-    def add_term(uexps, kappa, sign, xexp):
-        if classify(uexps, kappa) == -1:
-            for box, e in xexp.items():
-                d[box] -= sign * e
-
-    # framing terms u_{(k,j)} / x_b over boxes of matching residue
-    for rank, (slot, _) in enumerate(fp.slots):
-        for b in boxes:
-            if b.content % n != slot.color % n:
-                continue
-            uexps = {} if rank == b.owner else {rank: 1, b.owner: -1}
-            add_term(uexps, b.x - b.y, +1, {b: -1})
-
-    # arrow terms t1^{-1} x_b / x_a with content(b) = content(a) + 1 mod N
-    for b in boxes:
-        for a in boxes:
-            if a is b or (b.content - a.content - 1) % n != 0:
-                continue
-            uexps = {} if a.owner == b.owner else {b.owner: 1, a.owner: -1}
-            kappa = (a.x - a.y) - (b.x - b.y) + 1
-            add_term(uexps, kappa, +1, {b: 1, a: -1})
-
-    # gauge terms -x_b / x_a over distinct boxes of equal residue
-    for b in boxes:
-        for a in boxes:
-            if a is b or (b.content - a.content) % n != 0:
-                continue
-            uexps = {} if a.owner == b.owner else {b.owner: 1, a.owner: -1}
-            kappa = (a.x - a.y) - (b.x - b.y)
-            add_term(uexps, kappa, -1, {b: 1, a: -1})
-
+    # framing terms u_{(k,j)} / x_b
+    for rank, b in pairs.framing:
+        if small(rank, b.owner, b.x - b.y):
+            d[b] += 1
+    # arrow terms t1^{-1} x_b / x_a
+    for a, b in pairs.arrow:
+        if small(b.owner, a.owner, (a.x - a.y) - (b.x - b.y) + 1):
+            d[b] -= 1
+            d[a] += 1
+    # gauge terms -x_b / x_a
+    for a, b in pairs.gauge:
+        if small(b.owner, a.owner, (a.x - a.y) - (b.x - b.y)):
+            d[b] += 1
+            d[a] -= 1
     return d
 
 

@@ -42,8 +42,7 @@ def _draw(rng: np.random.Generator, band: tuple[float, float], margin: float) ->
 def sample_param_point(seed: int, n_colors: int,
                        framing_counts: dict[str, list[int]] | None = None,
                        extra_vars: list[str] | None = None,
-                       annuli: Annuli | None = None,
-                       tol: float = 1e-8) -> ParamPoint:
+                       annuli: Annuli | None = None) -> ParamPoint:
     """Draw a generic parameter point, reproducibly from ``seed``.
 
     ``framing_counts`` maps a framing group prefix (e.g. ``"u"``) to a vector
@@ -83,7 +82,7 @@ def sample_param_point(seed: int, n_colors: int,
     for name in extra_vars or []:
         values[name] = _draw(rng, ann.chern, ann.phase_margin)
 
-    return ParamPoint(n_colors, values, tol=tol, seed=seed)
+    return ParamPoint(n_colors, values, seed=seed)
 
 
 def random_assignment(rng: np.random.Generator, names: list[str]) -> dict[str, complex]:

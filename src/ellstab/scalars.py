@@ -78,7 +78,7 @@ def gamma3v(z: complex, a: complex, b: complex, c: complex,
 
 
 def qpoch2_ratio(z: complex, q_num: complex, q_den: complex, q2: complex,
-                 at_one: bool = False, cutoff: float = 1e-18) -> complex:
+                 at_one: bool = False) -> complex:
     """(z; q_num, q2)_inf / (z; q_den, q2)_inf with z = 1 regularized.
 
     With ``at_one`` the common vanishing (0,0) factor of numerator and
@@ -87,9 +87,8 @@ def qpoch2_ratio(z: complex, q_num: complex, q_den: complex, q2: complex,
     """
     def dpoch(q1):
         if at_one:
-            return (_qpoch((z * q1,), (q1, q2), cutoff)
-                    * _qpoch((z * q2,), (q2,), cutoff))
-        return _qpoch((z,), (q1, q2), cutoff)
+            return _qpoch((z * q1,), (q1, q2)) * _qpoch((z * q2,), (q2,))
+        return _qpoch((z,), (q1, q2))
 
     return dpoch(q_num) / dpoch(q_den)
 

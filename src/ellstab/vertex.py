@@ -23,8 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import HBAR, Monomial, ParamPoint, SingularityError
-from .envelopes import Envelope, EnvelopeSpec, chern_slots, restrict
-from .partitions import Box, FixedPoint
+from .envelopes import (Envelope, EnvelopeSpec, chern_slots, restrict,
+                        restriction_values)
+from .partitions import Box, FixedPoint, fixed_points, quiver_pairs
+from .scalars import mu_vacuum_ope
 
 SQRT_HBAR = HBAR ** Fraction(1, 2)
 P = Monomial.var("p")
@@ -121,30 +123,20 @@ def _mu_monomials(mu: FixedPoint):
 def _factor_bases(mu: FixedPoint):
     """The monomial bases and degree assignments of all integrand factors.
 
-    Returns (boxes, framing, arrow, gauge): framing entries are
-    (box_index, base = phi/u); arrow entries (a_index, b_index, t2 phi_b/phi_a)
-    over ordered pairs with content(b) = content(a)+1 mod N; gauge entries
-    (a_index, b_index, phi_a/phi_b) over ordered distinct same-residue pairs.
+    Returns (boxes, framing, arrow, gauge) over the quiver pairs of ``mu``
+    in the canonical box order: framing entries are (box_index, base =
+    phi/u); arrow entries (a_index, b_index, t2 phi_b/phi_a); gauge entries
+    (a_index, b_index, phi_a/phi_b).
     """
-    n = mu.n_colors
     boxes = _mu_monomials(mu)
+    index = {box: i for i, (box, _, _) in enumerate(boxes)}
+    phi = {box: mono for box, mono, _ in boxes}
+    pairs = quiver_pairs(mu, list(index))
     t2 = Monomial.var("t2")
-    framing = []
-    for rank, (slot, _) in enumerate(mu.slots):
-        u = Monomial.var(slot.u_var)
-        for ia, (box, mono, _) in enumerate(boxes):
-            if box.content % n == slot.color % n:
-                framing.append((ia, mono / u))
-    arrow = []
-    gauge = []
-    for ia, (ba, ma, _) in enumerate(boxes):
-        for ib, (bb, mb, _) in enumerate(boxes):
-            if ia == ib:
-                continue
-            if (bb.content - ba.content - 1) % n == 0:
-                arrow.append((ia, ib, t2 * mb / ma))
-            if (bb.content - ba.content) % n == 0:
-                gauge.append((ia, ib, ma / mb))
+    framing = [(index[b], phi[b] / Monomial.var(mu.slots[rank][0].u_var))
+               for rank, b in pairs.framing]
+    arrow = [(index[a], index[b], t2 * phi[b] / phi[a]) for a, b in pairs.arrow]
+    gauge = [(index[a], index[b], phi[a] / phi[b]) for a, b in pairs.gauge]
     return boxes, framing, arrow, gauge
 
 
@@ -156,7 +148,6 @@ def normalization_factor(mu: FixedPoint, pp: ParamPoint) -> complex:
     numerator and denominator positions are dropped pairwise (they cancel in
     every ratio this normalization enters).
     """
-    from .scalars import mu_vacuum_ope
     prefix = mu.slots[0][0].u_var.rstrip("0123456789_")
     for slot, _ in mu.slots:
         if slot.u_var.rstrip("0123456789_") != prefix:
@@ -357,17 +348,18 @@ class BetheSolution:
     converged: bool
 
 
+#: Newton restarts, iterations per start, and the residual that converges
+BETHE_RESTARTS, BETHE_ITERATIONS, BETHE_TOL = 12, 80, 1e-12
+
+
 def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
-                seed: int = 0, max_restarts: int = 12,
-                max_iter: int = 80, tol: float = 1e-12) -> BetheSolution:
+                seed: int = 0) -> BetheSolution:
     """Damped Newton on the saddle-point system from randomized starts.
 
     Starting points sit near the canonical weights of a fixed point of the
     same profile, jittered multiplicatively.
     """
     n = pp.n_colors
-    from .partitions import fixed_points
-    from .envelopes import restriction_values
     rng = np.random.default_rng(seed)
     anchors = fixed_points(v, w, n, u_names=None)
     slots = [(k, i) for k in range(n) for i in range(v[k])]
@@ -386,7 +378,7 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
 
     best = None
     total_it = 0
-    for attempt in range(max_restarts):
+    for attempt in range(BETHE_RESTARTS):
         if anchors:
             anchor = anchors[attempt % len(anchors)]
             vals, _ = restriction_values(anchor, pp, framed=False)
@@ -399,11 +391,11 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
         else:
             x0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         x = x0
-        for it in range(max_iter):
+        for it in range(BETHE_ITERATIONS):
             total_it += 1
             f = fun(x)
             r = float(np.max(np.abs(f)))
-            if r < tol:
+            if r < BETHE_TOL:
                 return BetheSolution(unpack(x), r, total_it, True)
             jac = np.zeros((size, size), dtype=complex)
             hstep = 1e-7
@@ -427,5 +419,5 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
         f = fun(x)
         r = float(np.max(np.abs(f)))
         if best is None or r < best.residual:
-            best = BetheSolution(unpack(x), r, total_it, r < tol)
+            best = BetheSolution(unpack(x), r, total_it, r < BETHE_TOL)
     return best

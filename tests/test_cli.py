@@ -5,6 +5,8 @@ import json
 import pytest
 
 from ellstab.cli import main
+from ellstab.rmatrix import FramingGroup, composition_residual, inverted_kahler
+from ellstab.sampling import sample_param_point
 
 
 def run(capsys, argv):
@@ -45,6 +47,21 @@ def test_rmatrix_command(capsys):
     assert len(doc["results"]["matrix"]) == 2
     assert doc["residuals"]["composition"] < 1e-8
     assert doc["residuals"]["weight_blocks"] < 1e-10
+
+
+def test_rmatrix_star_composition_checks_the_starred_matrix(capsys):
+    """With --star the matrix sits at inverted Kahler arguments, and so must
+    the composition residual printed beside it."""
+    code, doc = run(capsys, ["rmatrix", "--N", "3", "--v", "1,0,0",
+                             "--w1", "1,0,0", "--w2", "1,0,0", "--star",
+                             "--seed", "0"])
+    assert code == 0
+    g1, g2 = FramingGroup((1, 0, 0), "ua"), FramingGroup((1, 0, 0), "ub")
+    pp = sample_param_point(0, 3, framing_counts={"ua": [1, 0, 0],
+                                                  "ub": [1, 0, 0]})
+    want = composition_residual((1, 0, 0), g1, g2, pp, 3, star=True,
+                                kahler=inverted_kahler(3))
+    assert doc["residuals"]["composition"] == want
 
 
 def test_ybe_command(capsys):

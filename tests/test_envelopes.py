@@ -1,17 +1,20 @@
 """Stable envelopes: closed forms, factorization, restriction, shuffle."""
 
-import cmath
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ellstab.core import HBAR, BudgetError, Monomial, SingularityError
-from ellstab.envelopes import (Envelope, EnvelopeSpec, factorization_residual,
+from ellstab.envelopes import (Envelope, EnvelopeSpec, _cross_prefactor,
+                               concat_fixed_points, factorization_residual,
                                restrict, restriction_values, s_factor_product,
                                shuffle_residual, tree_weights, default_kahler)
-from ellstab.partitions import (chern_slots, fixed_points, index_degrees,
-                                make_fixed_point)
+from ellstab.partitions import (box_slot_vars, chern_slots, fixed_points,
+                                index_degrees, make_fixed_point,
+                                partitions_upto)
 from ellstab.sampling import random_assignment, sample_param_point
 
 N = 3
@@ -95,6 +98,46 @@ def test_factorization_through_kernels():
             vals = random_assignment(RNG, env.x_names())
             assert factorization_residual(fp, pp, "I", vals) < 1e-10
             assert factorization_residual(fp, pp, "II", vals) < 1e-10
+
+
+def _arguments(prod, names):
+    """Numerator and denominator theta arguments, variables renamed."""
+    def rename(monos):
+        return Counter(Monomial({names.get(k, k): e for k, e in m.exps.items()})
+                       for m in monos)
+    return rename(prod.num), rename(prod.den)
+
+
+def test_concatenated_s_product_factors_through_the_cross_prefactor():
+    """S(fpa ++ fpb) is S(fpa) S(fpb) times the shuffle cross factor, as
+    multisets of theta arguments, with the signs adding.  Four boxes in the
+    first slot give it a same-residue (gauge) pair of its own at N = 3."""
+    for n in (3, 4):
+        wa = tuple(int(i == 0) for i in range(n))
+        for ra, rb, color in itertools.product(partitions_upto(4),
+                                               partitions_upto(3), range(n)):
+            wb = tuple(int(i == color) for i in range(n))
+            fpa = make_fixed_point([ra], wa, n, u_names=["ua0_1"])
+            fpb = make_fixed_point([rb], wb, n, u_names=[f"ub{color}_1"])
+            big = concat_fixed_points(fpa, fpb)
+            xa, xb, xbig = box_slot_vars(fpa), box_slot_vars(fpb), box_slot_vars(big)
+            own = ([f"A_{xa[b]}" for b in fpa.boxes()]
+                   + [f"B_{xb[b]}" for b in fpb.boxes()])
+            to_big = {xbig[c]: name for c, name in zip(big.boxes(), own)}
+            to_a = {v: f"A_{v}" for v in xa.values()}
+            to_b = {v: f"B_{v}" for v in xb.values()}
+            for variant in ("plain", "hat", "tilde"):
+                whole = s_factor_product(big, variant)
+                sa = s_factor_product(fpa, variant)
+                sb = s_factor_product(fpb, variant)
+                cross = _cross_prefactor(fpa, fpb, variant)
+                num_a, den_a = _arguments(sa, to_a)
+                num_b, den_b = _arguments(sb, to_b)
+                num_c, den_c = _arguments(cross, {})
+                case = (n, ra, rb, color, variant)
+                assert _arguments(whole, to_big) == (num_a + num_b + num_c,
+                                                     den_a + den_b + den_c), case
+                assert whole.sign == sa.sign + sb.sign + cross.sign, case
 
 
 def test_restriction_diagonal_nonzero_and_triangular():

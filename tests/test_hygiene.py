@@ -38,3 +38,27 @@ def test_no_unused_module_level_imports():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+def function_imports(tree: ast.Module) -> list[str]:
+    """``import`` statements inside a function body, with their lines."""
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_function_imports_detected():
+    tree = ast.parse("import os\ndef f():\n    from a import b\n    return b\n")
+    assert function_imports(tree) == ["from a import b (line 3)"]
+
+
+def test_no_imports_inside_functions():
+    """Every import sits at module level, where its dependency is visible."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = function_imports(ast.parse(path.read_text()))
+        if names:
+            found[path.name] = names
+    assert found == {}
