@@ -77,13 +77,13 @@ def _base_doc(args, pp, t0) -> dict:
         "seed": args.seed,
         "tol": args.tol,
         "param_point": _param_json(pp),
-        "timings": {"seconds": round(time.time() - t0, 6)},
+        "timings": {"seconds": round(time.perf_counter() - t0, 6)},
         "residuals": {},
     }
 
 
 def cmd_fixed_points(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     w, v = _ints(args.w), _ints(args.v)
     pts = fixed_points(v, w, args.N)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
@@ -99,7 +99,7 @@ def _fp_from_args(args, w, text):
 
 
 def cmd_stab(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     w = _ints(args.w)
     fp = _fp_from_args(args, w, args.fp)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
@@ -128,7 +128,7 @@ def cmd_stab(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     w = _ints(args.w)
     fp = _fp_from_args(args, w, args.fp)
     mu = _fp_from_args(args, w, args.mu)
@@ -157,7 +157,7 @@ def _shuffle_case(task):
 
 
 def cmd_shuffle_check(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = args.N
     sizes = _ints(args.boxes)
     tasks = []
@@ -190,7 +190,7 @@ def cmd_shuffle_check(args) -> int:
 
 
 def cmd_rmatrix(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = args.N
     g1 = FramingGroup(_ints(args.w1), "ua")
     g2 = FramingGroup(_ints(args.w2), "ub")
@@ -221,7 +221,7 @@ def cmd_rmatrix(args) -> int:
 
 
 def cmd_ybe(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = args.N
     colors = _ints(args.colors)
     groups = tuple(FramingGroup(tuple(1 if i == c else 0 for i in range(n)),
@@ -237,7 +237,7 @@ def cmd_ybe(args) -> int:
 
 
 def cmd_fock(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = args.N
     rows = tuple(json.loads(args.partition))
     lam = ColoredPartition(rows, args.k, n)
@@ -268,7 +268,7 @@ def cmd_fock(args) -> int:
 
 
 def cmd_vertex(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = args.N
     w, v = _ints(args.w), _ints(args.v)
     pp = sample_param_point(args.seed, n, framing_counts={"u": list(w)})
@@ -297,7 +297,7 @@ def cmd_vertex(args) -> int:
 
 
 def cmd_bethe(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = args.N
     w, v = _ints(args.w), _ints(args.v)
     pp = sample_param_point(args.seed, n, framing_counts={"u": list(w)})
@@ -314,7 +314,7 @@ def cmd_bethe(args) -> int:
 
 
 def cmd_scalars(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = args.N
     rng = np.random.default_rng(args.seed)
     pp0 = sample_param_point(args.seed, n)
@@ -341,7 +341,7 @@ def cmd_scalars(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = acc.run_all(args.seed, verbose=not args.out)
     pp = sample_param_point(args.seed, 3)
     doc = _base_doc(args, pp, t0)

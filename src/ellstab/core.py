@@ -8,6 +8,9 @@ base variables, and exponentials are taken only through a *fixed* logarithm
 chosen once per variable.  Two algebraically equal products of half powers then
 materialize to the identical complex number.  A formal sign variable ``sgn``
 (value -1, log = i*pi) makes expressions like (-h^(1/2) u)^eta single valued.
+The odd theta of a monomial m is graded by m^(-1/2); a monomial keeps that
+half power in a slot once computed (``Monomial.inv_sqrt``), so a compiled
+theta argument evaluated at many points pays the exact arithmetic once.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
@@ -52,7 +55,7 @@ class Monomial:
     the empty monomial is the unit.
     """
 
-    __slots__ = ("_exps", "_hash")
+    __slots__ = ("_exps", "_hash", "_inv_sqrt")
 
     def __init__(self, exps: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -67,6 +70,16 @@ class Monomial:
                 del d[name]
         self._exps = d
         self._hash = None
+        self._inv_sqrt = None
+
+    @staticmethod
+    def _of(d: dict[str, Fraction]) -> "Monomial":
+        """The monomial that owns the exponent dict ``d`` (no zero entries)."""
+        m = Monomial.__new__(Monomial)
+        m._exps = d
+        m._hash = None
+        m._inv_sqrt = None
+        return m
 
     @classmethod
     def var(cls, name: str, exp=1) -> "Monomial":
@@ -92,25 +105,38 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         d = dict(self._exps)
         for name, e in other._exps.items():
-            s = d.get(name, Fraction(0)) + e
-            if s:
+            if name not in d:
+                d[name] = e
+            elif s := d[name] + e:
                 d[name] = s
-            elif name in d:
+            else:
                 del d[name]
-        m = Monomial.__new__(Monomial)
-        m._exps = d
-        m._hash = None
-        return m
+        return Monomial._of(d)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        return self * (other ** -1)
+        d = dict(self._exps)
+        for name, e in other._exps.items():
+            if name not in d:
+                d[name] = -e
+            elif s := d[name] - e:
+                d[name] = s
+            else:
+                del d[name]
+        return Monomial._of(d)
 
     def __pow__(self, e) -> "Monomial":
         e = _as_fraction(e)
-        m = Monomial.__new__(Monomial)
-        m._exps = {} if e == 0 else {k: v * e for k, v in self._exps.items()}
-        m._hash = None
-        return m
+        return Monomial._of({} if e == 0 else {k: v * e for k, v in self._exps.items()})
+
+    def inv_sqrt(self) -> "Monomial":
+        """self^(-1/2), the grading of the odd theta of this argument.
+
+        Computed on first use and kept in a slot: a monomial is immutable,
+        and a compiled theta argument is evaluated at many points.
+        """
+        if self._inv_sqrt is None:
+            self._inv_sqrt = self ** Fraction(-1, 2)
+        return self._inv_sqrt
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._exps == other._exps
@@ -417,7 +443,7 @@ class ParamPoint:
     def theta(self, mono: Monomial, star: bool = False) -> GradedValue:
         """Odd theta of a monomial argument: coeff -theta_p(z), mono z^(-1/2)."""
         z = self.materialize(mono)
-        return GradedValue(mono ** Fraction(-1, 2), -self.theta_p_val(z, star))
+        return GradedValue(mono.inv_sqrt(), -self.theta_p_val(z, star))
 
     def phi(self, x: Monomial, y: Monomial, star: bool = False) -> GradedValue:
         """phi(x, y) = theta(xy) theta(hbar) / (theta(x) theta(y))."""

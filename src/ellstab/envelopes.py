@@ -4,8 +4,13 @@ An envelope attached to a fixed point is the per-color symmetrization of a
 product of theta factors (the chamber-ordered S-product in its plain, hatted
 or tilde normalization) times a sum of tree weights, one admissible rooted
 tree per framing slot.  The compiled structure keeps every theta argument as
-an exact monomial; evaluation assigns complex values to the Chern-root
-variables and materializes each permutation term through fixed logarithms.
+an exact monomial, and is lowered once (``LoweredSum``): the distinct theta
+arguments of all terms, and per term a sign, index lists into them and the
+exact prefactor monomial.  Evaluation assigns complex values to the
+Chern-root variables of one extended parameter point, overwrites them per
+permutation of the roots, takes each distinct theta once per permutation
+through fixed logarithms and combines the terms by index in floating point;
+exact monomial arithmetic stays at compile time.
 """
 
 from __future__ import annotations
@@ -15,12 +20,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .core import (HBAR, BudgetError, GradedValue, Monomial, ParamPoint,
-                   SingularityError)
+from .core import HBAR, BudgetError, Monomial, ParamPoint, SingularityError
 from .partitions import (Box, FixedPoint, QuiverPairs, box_slot_vars,
                          chern_slots, index_degrees, lambda_trees, phi_weight,
                          quiver_pairs, rho_less)
@@ -71,27 +74,58 @@ class ThetaProduct:
         self.den.append(den)
         self.sign += 1
 
-    def eval(self, pp: ParamPoint, star: bool) -> GradedValue:
-        gv = GradedValue(Monomial.one(), (-1.0) ** (self.sign % 2))
-        for m in self.num:
-            gv = gv * pp.theta(m, star)
-        for m in self.den:
-            th = pp.theta(m, star)
-            if th.coeff == 0:
-                raise SingularityError(f"theta pole in denominator at {m}")
-            gv = gv / th
-        for m in self.inv:
-            gv = gv * GradedValue(m ** -1, -pp.materialize(m))
-        return gv
+    def eval(self, pp: ParamPoint, star: bool) -> complex:
+        """The value at a point: the one-term case of ``LoweredSum.eval``."""
+        return LoweredSum([self]).eval(pp, star)
 
     def mono_total(self) -> Monomial:
+        """The exact prefactor: prod num^(-1/2) den^(1/2) / inv."""
         total = Monomial.one()
         for m in self.num:
-            total = total * m ** Fraction(-1, 2)
+            total = total * m.inv_sqrt()
         for m in self.den:
-            total = total * m ** Fraction(1, 2)
+            total = total / m.inv_sqrt()
         for m in self.inv:
             total = total / m
+        return total
+
+
+class LoweredSum:
+    """A sum of theta products lowered once for repeated evaluation.
+
+    It keeps the distinct theta arguments of all its terms in ``args`` and,
+    per term, the sign as +-1.0, index lists into ``args`` of the numerator
+    and the denominator, the ``inv`` monomials and the exact prefactor
+    (``ThetaProduct.mono_total``).  ``eval`` takes each distinct theta once
+    and multiplies each term out in its own factor order, so the value is bit
+    for bit that of multiplying graded values factor by factor, with no exact
+    monomial arithmetic at evaluation time.
+    """
+
+    def __init__(self, products: list[ThetaProduct]):
+        index: dict[Monomial, int] = {}
+        self.terms = [((-1.0) ** (prod.sign % 2),
+                       [index.setdefault(m, len(index)) for m in prod.num],
+                       [index.setdefault(m, len(index)) for m in prod.den],
+                       prod.inv, prod.mono_total())
+                      for prod in products]
+        self.args = list(index)
+
+    def eval(self, pp: ParamPoint, star: bool) -> complex:
+        theta = pp.theta
+        th = [theta(m, star).coeff for m in self.args]
+        total = 0.0 + 0.0j
+        for sign, num, den, inv, pref in self.terms:
+            c = sign
+            for k in num:
+                c = c * th[k]
+            for k in den:
+                if th[k] == 0:
+                    raise SingularityError(f"theta pole in denominator at {self.args[k]}")
+                c = c / th[k]
+            for m in inv:
+                c = c * -pp.materialize(m)
+            total += c * pp.materialize(pref)
         return total
 
 
@@ -268,7 +302,8 @@ def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct
 
 class Envelope:
     """A compiled stable envelope, one ``ThetaProduct`` term per admissible
-    tree tuple; evaluate on Chern-root value assignments."""
+    tree tuple, lowered once into a ``LoweredSum``; evaluate on Chern-root
+    value assignments."""
 
     def __init__(self, spec: EnvelopeSpec, sym_budget: int = 40320):
         self.spec = spec
@@ -290,7 +325,10 @@ class Envelope:
             size *= math.factorial(len(names))
         if size > sym_budget:
             raise BudgetError(f"symmetrization over {size} permutations exceeds budget")
-        self._perms = [list(itertools.permutations(range(len(self.nvars[i]))))
+        self._lowered = LoweredSum(self._terms)
+        # per color, the permutations of its roots as positions in x_names()
+        pos = {name: k for k, name in enumerate(self.x_names())}
+        self._perms = [list(itertools.permutations([pos[name] for name in self.nvars[i]]))
                        for i in range(fp.n_colors)]
 
     def x_names(self) -> list[str]:
@@ -334,27 +372,31 @@ class Envelope:
         return out
 
     def _term(self, pp: ParamPoint) -> complex:
-        star = self.spec.star
-        total = 0.0 + 0.0j
-        for term in self._terms:
-            total += term.eval(pp, star).materialize(pp)
-        return total
+        """The unsymmetrized envelope at the point's Chern-root values."""
+        return self._lowered.eval(pp, self.spec.star)
 
     def eval(self, pp: ParamPoint, values: dict[str, complex],
              logs: dict[str, complex] | None = None) -> complex:
-        """Symmetrized value at an assignment of the Chern-root variables."""
+        """Symmetrized value at an assignment of the Chern-root variables.
+
+        One extended point carries the assignment; each permutation of the
+        roots overwrites its Chern-root values and logs in place.
+        """
         if logs is None:
             logs = {k: cmath.log(v) for k, v in values.items()}
+        ppx = pp.extended(values, logs)
+        vals, lgs = ppx.values, ppx.logs
+        names = self.x_names()
+        vals0 = [vals[name] for name in names]
+        logs0 = [lgs[name] for name in names]
+        per_color = [self.nvars[i] for i in range(self.fp.n_colors)]
         total = 0.0 + 0.0j
-        names = self.nvars
         for combo in itertools.product(*self._perms):
-            vperm: dict[str, complex] = dict(values)
-            lperm: dict[str, complex] = dict(logs)
-            for i, perm in enumerate(combo):
-                for j, pj in enumerate(perm):
-                    vperm[names[i][j]] = values[names[i][pj]]
-                    lperm[names[i][j]] = logs[names[i][pj]]
-            total += self._term(pp.extended(vperm, lperm))
+            for dests, perm in zip(per_color, combo):
+                for name, src in zip(dests, perm):
+                    vals[name] = vals0[src]
+                    lgs[name] = logs0[src]
+            total += self._term(ppx)
         return total
 
 
@@ -404,10 +446,10 @@ def factorization_residual(fp: FixedPoint, pp: ParamPoint, which: str,
     """Pointwise check of S = (-1)^eps K S_normalized at one assignment."""
     logs = {k: cmath.log(v) for k, v in values.items()}
     ppx = pp.extended(values, logs)
-    plain = s_factor_product(fp, "plain").eval(ppx, False).materialize(ppx)
+    plain = s_factor_product(fp, "plain").eval(ppx, False)
     variant = "hat" if which == "I" else "tilde"
-    normalized = s_factor_product(fp, variant).eval(ppx, False).materialize(ppx)
-    kernel = normalization_kernel(fp, which).eval(ppx, False).materialize(ppx)
+    normalized = s_factor_product(fp, variant).eval(ppx, False)
+    kernel = normalization_kernel(fp, which).eval(ppx, False)
     eps = normalization_parity(fp, which)
     rhs = (-1.0) ** eps * kernel * normalized
     return abs(plain - rhs) / max(abs(plain), abs(rhs))
@@ -470,7 +512,7 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
     za, zb = shuffle_kahler_shifts(n, fpa.v, fpa.w, fpb.v, fpb.w)
     env_a = Envelope(EnvelopeSpec(fpa, variant, star, kahler_args(za)))
     env_b = Envelope(EnvelopeSpec(fpb, variant, star, kahler_args(zb)))
-    pref = _cross_prefactor(fpa, fpb, variant)
+    pref = LoweredSum([_cross_prefactor(fpa, fpb, variant)])
 
     slots_big, slots_a = chern_slots(big), chern_slots(fpa)
     picks_per_color = [list(itertools.combinations(range(len(slots_big[i])),
@@ -498,7 +540,7 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
                     split[side][1][dst] = cross_logs[f"{side}_{dst}"] = logs[src]
             (va, la), (vb, lb) = split["A"], split["B"]
             ppx = pp.extended(cross_vals, cross_logs)
-            pf = pref.eval(ppx, star).materialize(ppx)
+            pf = pref.eval(ppx, star)
             rhs += pf * env_a.eval(pp, va, la) * env_b.eval(pp, vb, lb)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import HBAR, Monomial, ParamPoint
 from .envelopes import (Envelope, EnvelopeSpec, default_kahler, kahler_args,
-                        restrict)
+                        restriction_values)
 from .partitions import FixedPoint, FramingSlot, _enumerate_fixed_points
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
@@ -64,14 +64,24 @@ class RestrictionMatrix:
 
 def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
                        star: bool = False, kahler=None) -> RestrictionMatrix:
-    """Matrix of envelope restrictions: M[gamma, beta] = Stab(beta)|_gamma."""
+    """Matrix of envelope restrictions: M[gamma, beta] = Stab(beta)|_gamma.
+
+    The Chern-root values of each restriction point are computed once per
+    matrix.  An empty basis (a profile without fixed points) gives an empty
+    matrix of condition number 1.
+    """
     n = len(basis)
     mat = np.zeros((n, n), dtype=complex)
+    if not basis:
+        return RestrictionMatrix(basis, mat, 1.0)
+    if any(fp.v != basis[0].v or fp.w != basis[0].w for fp in basis):
+        raise ValueError("restriction points must share the (v, w) class")
     kah = kahler if kahler is not None else kahler_args(default_kahler(basis[0].n_colors))
+    points = [restriction_values(gamma, pp) for gamma in basis]
     for b, beta in enumerate(basis):
         env = Envelope(EnvelopeSpec(beta, "plain", star, kah))
-        for g, gamma in enumerate(basis):
-            mat[g, b] = restrict(env, gamma, pp)
+        for g, (values, logs) in enumerate(points):
+            mat[g, b] = env.eval(pp, values, logs)
     cond = float(np.linalg.cond(mat))
     return RestrictionMatrix(basis, mat, cond)
 
@@ -174,8 +184,8 @@ def transpose_relation_residual(v, g1, g2, pp, n_colors) -> float:
     _, bare_inv, _ = bare_transition(v, g1, g2, pp, n_colors, star=True,
                                      kahler=inverted_kahler(n_colors))
     _, bare_straight, _ = bare_transition(v, g1, g2, pp, n_colors, star=True)
-    scale = max(float(np.max(np.abs(bare_straight))), 1.0)
-    return float(np.max(np.abs(bare_inv.T - bare_straight)) / scale)
+    scale = max(float(np.max(np.abs(bare_straight), initial=0.0)), 1.0)
+    return float(np.max(np.abs(bare_inv.T - bare_straight), initial=0.0) / scale)
 
 
 def composition_residual(v, g1, g2, pp, n_colors, star=False,
@@ -190,7 +200,7 @@ def composition_residual(v, g1, g2, pp, n_colors, star=False,
     b12 = np.linalg.solve(m_c.matrix, p.T @ m_cbar.matrix @ p)
     b21 = np.linalg.solve(m_cbar.matrix, p @ m_c.matrix @ p.T)
     prod = (p.T @ b21 @ p) @ b12
-    return float(np.max(np.abs(prod - np.eye(len(basis)))))
+    return float(np.max(np.abs(prod - np.eye(len(basis))), initial=0.0))
 
 
 def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
@@ -306,7 +316,9 @@ def triple_restriction_matrix(trip_basis, order, pp, n_colors):
 
 def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
     """Check that swapping the two leading factors of a triple chamber is the
-    pair transition at Kahler arguments z_i hbar^(-wt_i(spectator)).
+    pair transition at Kahler arguments z_i hbar^(w_i - v_i + v_{i+1}), with
+    w the framing and v the profile of the trailing spectator: the
+    first-factor shift of ``envelopes.shuffle_kahler_shifts``.
 
     This is the exact dynamical-shift statement behind the Yang-Baxter
     relation; it holds for arbitrary framing colors.
@@ -319,8 +331,12 @@ def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
     m0 = triple_restriction_matrix(trip_basis, (0, 1, 2), pp, n_colors)
     m1 = triple_restriction_matrix(trip_basis, (1, 0, 2), pp, n_colors)
     honest = np.linalg.solve(m0, m1)
-    assembled = r_action_on_triple(
-        trip_basis, groups, (0, 1), pp,
-        lambda trip: tuple(-x for x in trip[2].weight()))
+    w = groups[2].w
+
+    def spectator_shift(trip):
+        v = trip[2].v
+        return tuple(w[i] - v[i] + v[(i + 1) % n_colors] for i in range(n_colors))
+
+    assembled = r_action_on_triple(trip_basis, groups, (0, 1), pp, spectator_shift)
     scale = max(float(np.max(np.abs(honest))), 1.0)
     return float(np.max(np.abs(honest - assembled)) / scale)

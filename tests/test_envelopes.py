@@ -7,14 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstab.core import HBAR, BudgetError, Monomial, SingularityError
-from ellstab.envelopes import (Envelope, EnvelopeSpec, _cross_prefactor,
+from ellstab.core import (HBAR, BudgetError, GradedValue, Monomial,
+                         SingularityError)
+from ellstab.envelopes import (Envelope, EnvelopeSpec, ThetaProduct,
+                               _cancel, _cross_prefactor,
                                concat_fixed_points, factorization_residual,
                                restrict, restriction_values, s_factor_product,
                                shuffle_residual, tree_weights, default_kahler)
 from ellstab.partitions import (box_slot_vars, chern_slots, fixed_points,
                                 index_degrees, make_fixed_point,
                                 partitions_upto)
+from ellstab.rmatrix import profiles
 from ellstab.sampling import random_assignment, sample_param_point
 
 N = 3
@@ -230,3 +233,88 @@ def test_restriction_requires_same_class():
     env = Envelope(EnvelopeSpec(fp1, "plain"))
     with pytest.raises(ValueError):
         restrict(env, fp2, PP)
+
+
+def _graded_product(prod, pp, star):
+    """A theta product multiplied out factor by factor as graded values, the
+    formula the lowered evaluation replaces."""
+    gv = GradedValue(Monomial.one(), (-1.0) ** (prod.sign % 2))
+    for m in prod.num:
+        gv = gv * pp.theta(m, star)
+    for m in prod.den:
+        gv = gv / pp.theta(m, star)
+    for m in prod.inv:
+        gv = gv * GradedValue(m ** -1, -pp.materialize(m))
+    return gv.materialize(pp)
+
+
+def _reference_eval(env, pp, values):
+    """Symmetrization with one extended point per permutation of the roots."""
+    names = env.nvars
+    total = 0.0 + 0.0j
+    for combo in itertools.product(*[itertools.permutations(range(len(names[i])))
+                                     for i in range(env.fp.n_colors)]):
+        vperm = dict(values)
+        for i, perm in enumerate(combo):
+            for j, pj in enumerate(perm):
+                vperm[names[i][j]] = values[names[i][pj]]
+        ppx = pp.extended(vperm)
+        for term in env._terms:
+            total += _graded_product(term, ppx, env.spec.star)
+    return total
+
+
+@pytest.mark.parametrize("w", [(1, 0, 0), (1, 1, 0), (2, 0, 0)])
+def test_lowered_eval_matches_graded_products(w):
+    """Every fixed point of at most three boxes, every variant, both nomes."""
+    pp = sample_param_point(15, N, framing_counts={"u": list(w)})
+    rng = np.random.default_rng(6)
+    for total in range(4):
+        for v in profiles(total, N):
+            for fp in fixed_points(v, w, N):
+                for variant, star in itertools.product(("plain", "hat", "tilde"),
+                                                       (False, True)):
+                    env = Envelope(EnvelopeSpec(fp, variant, star))
+                    values = random_assignment(rng, env.x_names())
+                    got = env.eval(pp, values)
+                    want = _reference_eval(env, pp, values)
+                    case = (fp.partitions(), variant, star)
+                    assert abs(got - want) <= 1e-14 * abs(want), case
+
+
+def test_lowered_contracted_pair():
+    """A numerator m against a denominator 1/m evaluates through ``inv``."""
+    w, y = Monomial.var("w"), Monomial.var("y")
+    prod = _cancel([HBAR * w / y, w, y], [y / (HBAR * w), HBAR, y], 1)
+    assert prod.inv == [HBAR * w / y] and prod.num == [w] and prod.den == [HBAR]
+    pp = PP.extended({"w": 0.3 + 0.4j, "y": 1.1 - 0.2j})
+    for star in (False, True):
+        want = _graded_product(prod, pp, star)
+        assert abs(prod.eval(pp, star) - want) <= 1e-14 * abs(want)
+
+
+def test_denominator_theta_zero_raises():
+    """Equal roots of one color put a gauge denominator theta at its zero."""
+    fp = make_fixed_point([(1,), (1,)], (2, 0, 0), N)
+    pp = sample_param_point(14, N, framing_counts={"u": [2, 0, 0]})
+    env = Envelope(EnvelopeSpec(fp, "plain"))
+    x = 0.8 + 0.3j
+    with pytest.raises(SingularityError):
+        env.eval(pp, {"x0_1": x, "x0_2": x})
+    with pytest.raises(SingularityError):
+        ThetaProduct([], [Monomial.var("w")]).eval(PP.extended({"w": 1.0}), False)
+
+
+def test_eval_does_no_monomial_arithmetic(monkeypatch):
+    fp = make_fixed_point([(2, 1), (1,)], (1, 1, 0), N)
+    pp = sample_param_point(16, N, framing_counts={"u": [1, 1, 0]})
+    env = Envelope(EnvelopeSpec(fp, "hat"))
+    values = random_assignment(RNG, env.x_names())
+    want = env.eval(pp, values)
+
+    def forbidden(*args):
+        raise AssertionError("Monomial arithmetic inside Envelope.eval")
+
+    monkeypatch.setattr(Monomial, "__mul__", forbidden)
+    monkeypatch.setattr(Monomial, "__truediv__", forbidden)
+    assert env.eval(pp, values) == want

@@ -161,13 +161,24 @@ def test_leading_pair_factorization_three_color_zero_framings(vtot):
     assert leading_pair_factorization_residual((G1, G2, G3), PP31, N, vtot) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 @pytest.mark.parametrize("vtot", [(2, 0, 0), (2, 1, 0), (2, 0, 1)])
 def test_leading_pair_factorization_spectator_shift(vtot):
-    """The pair transition at z hbar^(-wt(spectator)) is not the honest
-    swap on these profiles: the residual is 0.39 at (2,1,0), 0.49 at
-    (2,0,1) and 2.3 at (2,0,0)."""
+    """Profiles where the spectator's shuffle shift w_i - v_i + v_{i+1}
+    differs from -wt(spectator), which gives residuals of 0.39 at (2,1,0),
+    0.49 at (2,0,1) and 2.3 at (2,0,0)."""
     assert leading_pair_factorization_residual((G1, G2, G3), PP31, N, vtot) < 1e-12
+
+
+def test_leading_pair_factorization_mixed_color_sweep():
+    """Every profile of one to three boxes with a color-1 middle framing."""
+    g2 = FramingGroup((0, 1, 0), "ub")
+    pp = sample_param_point(88, N, framing_counts={"ua": [1, 0, 0],
+                                                   "ub": [0, 1, 0],
+                                                   "uc": [1, 0, 0]})
+    for total in (1, 2, 3):
+        for vtot in profiles(total, N):
+            r = leading_pair_factorization_residual((G1, g2, G3), pp, N, vtot)
+            assert r < 1e-12, vtot
 
 
 def test_mixed_framing_ybe_deviation_is_reported_not_asserted():
@@ -206,3 +217,17 @@ def test_restriction_matrix_budget_guard():
     with pytest.raises(BudgetError):
         fps = basis_fixed_points((6, 5, 5), [G1], N)
         restriction_matrix(fps, PP)
+
+
+@pytest.mark.parametrize("v,w2", [((0, 1, 0), (1, 0, 0)), ((2, 0, 0), (0, 1, 0))])
+def test_empty_profile_block(v, w2):
+    """A profile without fixed points gives empty matrices and zero residuals."""
+    g2 = FramingGroup(w2, "ub")
+    assert basis_fixed_points(v, [G1, g2], N) == []
+    rm = restriction_matrix([], PP)
+    assert rm.matrix.shape == (0, 0) and rm.cond == 1.0
+    basis, bare, _ = bare_transition(v, G1, g2, PP, N)
+    assert basis == [] and bare.shape == (0, 0)
+    assert composition_residual(v, G1, g2, PP, N) == 0.0
+    assert shift_invariance_residual(v, G1, g2, PP, N) == 0.0
+    assert transpose_relation_residual(v, G1, g2, PP, N) == 0.0
