@@ -9,7 +9,7 @@ closed-form exchange scalars.
 """
 
 from .core import (HBAR, GradedValue, Monomial, ParamPoint, SingularityError,
-                   BudgetError, gamma3, qpoch_fin, qpoch_inf,
+                   BudgetError, qpoch_fin, qpoch_inf,
                    theta_modular_residual, theta_p, vartheta1)
 from .envelopes import (Envelope, EnvelopeSpec, default_kahler,
                         factorization_residual, kahler_args, restrict,

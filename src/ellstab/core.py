@@ -8,25 +8,27 @@ base variables, and exponentials are taken only through a *fixed* logarithm
 chosen once per variable.  Two algebraically equal products of half powers then
 materialize to the identical complex number.  A formal sign variable ``sgn``
 (value -1, log = i*pi) makes expressions like (-h^(1/2) u)^eta single valued.
-The odd theta of a monomial m is graded by m^(-1/2); a monomial keeps that
+An integral exponent is stored as an ``int``, and a ``Fraction`` only where
+one is needed (a half power, an eta pairing's 1/n), so integral exponent
+arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2); a monomial keeps that
 half power in a slot once computed (``Monomial.inv_sqrt``), so a compiled
 theta argument evaluated at many points pays the exact arithmetic once.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
-shifted nome p* = p/(t1*t2).  Only the infinite Pochhammer symbol is memoised,
-per parameter point (``ParamPoint.qpoch_inf``, which the thetas use).  The
-direct double and triple Pochhammer products and the triple Gamma function
-here are the test oracles of the series kernel in ``scalars``.
+shifted nome p* = p/(t1*t2).  Only infinite Pochhammer symbols are memoised,
+per parameter point: by value in ``ParamPoint.qpoch_inf``, which the thetas
+use, and over exact monomial bases in ``ParamPoint.qpoch_mono_memo``, which
+``vertex.qpoch_mono`` fills.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 #: name of the formal sign variable (value -1, fixed log i*pi)
 SIGN_VAR = "sgn"
@@ -40,30 +42,43 @@ class BudgetError(RuntimeError):
     """A symmetrization or enumeration exceeded its configured budget."""
 
 
-def _as_fraction(e) -> Fraction:
-    if isinstance(e, Fraction):
+def _exponent(e):
+    """An exact exponent: an ``int`` when integral, else a ``Fraction``."""
+    if type(e) is int:
         return e
+    if isinstance(e, Fraction):
+        return e.numerator if e.denominator == 1 else e
     if isinstance(e, int):
-        return Fraction(e)
+        return int(e)
     raise TypeError(f"exponent must be int or Fraction, got {type(e)!r}")
+
+
+def _half(e):
+    """e/2 as an exponent."""
+    if type(e) is int:
+        return e // 2 if e % 2 == 0 else Fraction(e, 2)
+    return _exponent(e / 2)
 
 
 class Monomial:
     """A product of named variables with exact rational exponents.
 
     Immutable and hashable; multiplication adds exponent vectors exactly and
-    the empty monomial is the unit.
+    the empty monomial is the unit.  An integral exponent is stored as an
+    ``int`` and only a true fraction as a ``Fraction``: the two are equal,
+    hash alike and convert to the same float and string, so the choice never
+    changes a value, only what the exact arithmetic costs.
     """
 
     __slots__ = ("_exps", "_hash", "_inv_sqrt")
 
     def __init__(self, exps: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
-        d: dict[str, Fraction] = {}
+        d: dict[str, int | Fraction] = {}
         for name, e in items:
-            e = _as_fraction(e)
+            e = _exponent(e)
             if name in d:
-                e = d[name] + e
+                e = _exponent(d[name] + e)
             if e:
                 d[name] = e
             elif name in d:
@@ -73,8 +88,9 @@ class Monomial:
         self._inv_sqrt = None
 
     @staticmethod
-    def _of(d: dict[str, Fraction]) -> "Monomial":
-        """The monomial that owns the exponent dict ``d`` (no zero entries)."""
+    def _of(d: dict[str, int | Fraction]) -> "Monomial":
+        """The monomial that owns the exponent dict ``d`` (normalized
+        exponents, no zero entries)."""
         m = Monomial.__new__(Monomial)
         m._exps = d
         m._hash = None
@@ -83,18 +99,19 @@ class Monomial:
 
     @classmethod
     def var(cls, name: str, exp=1) -> "Monomial":
-        return cls({name: _as_fraction(exp)})
+        e = _exponent(exp)
+        return cls._of({name: e} if e else {})
 
     @classmethod
     def one(cls) -> "Monomial":
-        return cls()
+        return cls._of({})
 
     @property
-    def exps(self) -> dict[str, Fraction]:
+    def exps(self) -> dict[str, int | Fraction]:
         return dict(self._exps)
 
-    def get(self, name: str) -> Fraction:
-        return self._exps.get(name, Fraction(0))
+    def get(self, name: str) -> int | Fraction:
+        return self._exps.get(name, 0)
 
     def items(self):
         return sorted(self._exps.items())
@@ -108,7 +125,7 @@ class Monomial:
             if name not in d:
                 d[name] = e
             elif s := d[name] + e:
-                d[name] = s
+                d[name] = s if type(s) is int else _exponent(s)
             else:
                 del d[name]
         return Monomial._of(d)
@@ -119,14 +136,32 @@ class Monomial:
             if name not in d:
                 d[name] = -e
             elif s := d[name] - e:
-                d[name] = s
+                d[name] = s if type(s) is int else _exponent(s)
             else:
                 del d[name]
         return Monomial._of(d)
 
+    @staticmethod
+    def product(factors: Iterable[tuple["Monomial", int]]) -> "Monomial":
+        """prod m^k over the (m, k) pairs with integer k, summed into one
+        exponent dict: the exponents and the variable order of the chained
+        product ``m1 ** k1 * m2 ** k2 * ...``."""
+        d: dict[str, int | Fraction] = {}
+        for m, k in factors:
+            for name, e in m._exps.items():
+                s = d.get(name, 0) + k * e
+                if type(s) is not int:
+                    s = _exponent(s)
+                if s:
+                    d[name] = s
+                elif name in d:
+                    del d[name]
+        return Monomial._of(d)
+
     def __pow__(self, e) -> "Monomial":
-        e = _as_fraction(e)
-        return Monomial._of({} if e == 0 else {k: v * e for k, v in self._exps.items()})
+        e = _exponent(e)
+        return Monomial._of({} if e == 0 else
+                            {k: _exponent(v * e) for k, v in self._exps.items()})
 
     def inv_sqrt(self) -> "Monomial":
         """self^(-1/2), the grading of the odd theta of this argument.
@@ -135,7 +170,7 @@ class Monomial:
         and a compiled theta argument is evaluated at many points.
         """
         if self._inv_sqrt is None:
-            self._inv_sqrt = self ** Fraction(-1, 2)
+            self._inv_sqrt = Monomial._of({k: _half(-v) for k, v in self._exps.items()})
         return self._inv_sqrt
 
     def __eq__(self, other) -> bool:
@@ -152,9 +187,9 @@ class Monomial:
         return "*".join(f"{k}^{v}" for k, v in self.items())
 
 
-HBAR = Monomial({"t1": Fraction(1), "t2": Fraction(1)})
+HBAR = Monomial({"t1": 1, "t2": 1})
 P = Monomial.var("p")
-PSTAR = Monomial({"p": Fraction(1), "t1": Fraction(-1), "t2": Fraction(-1)})
+PSTAR = Monomial({"p": 1, "t1": -1, "t2": -1})
 
 
 @dataclass(frozen=True)
@@ -233,83 +268,6 @@ def qpoch_fin(z: complex, q: complex, d: int) -> complex:
     return 1.0 / den
 
 
-def qpoch2_inf(z: complex, q1: complex, q2: complex,
-               cutoff: float = 1e-18, skip_origin: bool = False) -> complex:
-    """Double Pochhammer (z; q1, q2)_inf = prod_{m,n>=0} (1 - z q1^m q2^n).
-
-    With ``skip_origin`` the (m,n) = (0,0) factor is omitted; this is the
-    standard regularization of ratios of double Pochhammers at z = 1.
-
-    A direct product over the truncated lattice, kept as the independent
-    oracle for the series kernel behind ``scalars.qpoch2_ratio``.
-    """
-    if abs(q1) >= 1 or abs(q2) >= 1:
-        raise SingularityError("double Pochhammer needs |q1|, |q2| < 1")
-    res = 1.0 + 0.0j
-    w1 = 1.0 + 0.0j
-    m = 0
-    while abs(z) * abs(w1) >= cutoff or m < 2:
-        w = w1
-        n = 0
-        while abs(z) * abs(w) >= cutoff or n < 2:
-            if not (skip_origin and m == 0 and n == 0):
-                res *= 1.0 - z * w
-            w *= q2
-            n += 1
-            if n > 20000:
-                break
-        w1 *= q1
-        m += 1
-        if m > 20000:
-            break
-    return res
-
-
-def qpoch3_inf(z: complex, a: complex, b: complex, c: complex,
-               cutoff: float = 1e-18) -> complex:
-    """Triple Pochhammer (z; a, b, c)_inf over the full octant lattice.
-
-    A direct product, kept as the independent oracle for the series kernel
-    behind ``scalars.gamma3v``; it is slow and loses digits for moduli near 1.
-    """
-    for q in (a, b, c):
-        if abs(q) >= 1:
-            raise SingularityError("triple Pochhammer needs |a|, |b|, |c| < 1")
-    res = 1.0 + 0.0j
-    wa = 1.0 + 0.0j
-    m1 = 0
-    az = abs(z)
-    while az * abs(wa) >= cutoff or m1 < 2:
-        wb = wa
-        m2 = 0
-        while az * abs(wb) >= cutoff or m2 < 2:
-            wc = wb
-            m3 = 0
-            while az * abs(wc) >= cutoff or m3 < 2:
-                res *= 1.0 - z * wc
-                wc *= c
-                m3 += 1
-            wb *= b
-            m2 += 1
-        wa *= a
-        m1 += 1
-        if m1 > 20000:
-            break
-    return res
-
-
-def gamma3(z: complex, a: complex, b: complex, c: complex,
-           cutoff: float = 1e-18) -> complex:
-    """Triple Gamma factor Gamma(z; a,b,c) = (z;a,b,c)_inf (abc/z;a,b,c)_inf.
-
-    Built on the direct product ``qpoch3_inf``: the test oracle for
-    ``scalars.gamma3v``, which the library itself uses.
-    """
-    if z == 0:
-        raise SingularityError("triple Gamma rejects z = 0")
-    return qpoch3_inf(z, a, b, c, cutoff) * qpoch3_inf(a * b * c / z, a, b, c, cutoff)
-
-
 def theta_p(z: complex, p: complex, min_terms: int = 20) -> complex:
     """Even theta block theta_p(z) = (z; p)_inf (p/z; p)_inf."""
     if z == 0:
@@ -337,7 +295,9 @@ class ParamPoint:
     inserted automatically.  Further variables (framing weights, Kahler
     parameters, Chern roots) are added as needed, either at construction or
     through :meth:`extended`.  All q-Pochhammer evaluations are memoised by
-    value in a table shared between a point and its extensions.
+    value in a table shared between a point and its extensions;
+    ``qpoch_mono_memo`` is the table of ``vertex.qpoch_mono``, shared the
+    same way.
     """
 
     def __init__(self, n_colors: int, values: Mapping[str, complex],
@@ -358,6 +318,7 @@ class ParamPoint:
         self.values: dict[str, complex] = {k: complex(v) for k, v in vals.items()}
         self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
+        self.qpoch_mono_memo: dict[tuple, complex] = {}
         if "p" in self.values and abs(self.values["p"]) >= 1:
             raise ValueError("|p| must be < 1")
         if all(k in self.values for k in ("p", "t1", "t2")):
@@ -410,6 +371,7 @@ class ParamPoint:
         pp.values = {k: complex(v) for k, v in vals.items()}
         pp.logs = {k: complex(v) for k, v in lgs.items()}
         pp._qpoch_memo = self._qpoch_memo
+        pp.qpoch_mono_memo = self.qpoch_mono_memo
         return pp
 
     def materialize(self, mono: Monomial) -> complex:

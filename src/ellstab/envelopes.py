@@ -4,9 +4,11 @@ An envelope attached to a fixed point is the per-color symmetrization of a
 product of theta factors (the chamber-ordered S-product in its plain, hatted
 or tilde normalization) times a sum of tree weights, one admissible rooted
 tree per framing slot.  The compiled structure keeps every theta argument as
-an exact monomial, and is lowered once (``LoweredSum``): the distinct theta
-arguments of all terms, and per term a sign, index lists into them and the
-exact prefactor monomial.  Evaluation assigns complex values to the
+an exact monomial, and is lowered once, at its first evaluation
+(``LoweredSum``): the distinct theta arguments of all terms, and per term a
+sign, index lists into them and the exact prefactor monomial.  An envelope
+that is only asked for exact data, such as its quasi-periodicity factors,
+is never lowered.  Evaluation assigns complex values to the
 Chern-root variables of one extended parameter point, overwrites them per
 permutation of the roots, takes each distinct theta once per permutation
 through fixed logarithms and combines the terms by index in floating point;
@@ -79,12 +81,14 @@ class ThetaProduct:
         return LoweredSum([self]).eval(pp, star)
 
     def mono_total(self) -> Monomial:
-        """The exact prefactor: prod num^(-1/2) den^(1/2) / inv."""
-        total = Monomial.one()
-        for m in self.num:
-            total = total * m.inv_sqrt()
-        for m in self.den:
-            total = total / m.inv_sqrt()
+        """The exact prefactor: prod num^(-1/2) den^(1/2) / inv.
+
+        The half power is taken once, of prod num / den: the result has the
+        exponents and the variable order of the chained product of half
+        powers, so it materializes to the same float.
+        """
+        total = Monomial.product([(m, 1) for m in self.num]
+                                 + [(m, -1) for m in self.den]).inv_sqrt()
         for m in self.inv:
             total = total / m
         return total
@@ -302,8 +306,8 @@ def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct
 
 class Envelope:
     """A compiled stable envelope, one ``ThetaProduct`` term per admissible
-    tree tuple, lowered once into a ``LoweredSum``; evaluate on Chern-root
-    value assignments."""
+    tree tuple, lowered into a ``LoweredSum`` at its first evaluation;
+    evaluate on Chern-root value assignments."""
 
     def __init__(self, spec: EnvelopeSpec, sym_budget: int = 40320):
         self.spec = spec
@@ -325,7 +329,7 @@ class Envelope:
             size *= math.factorial(len(names))
         if size > sym_budget:
             raise BudgetError(f"symmetrization over {size} permutations exceeds budget")
-        self._lowered = LoweredSum(self._terms)
+        self._lowered: LoweredSum | None = None
         # per color, the permutations of its roots as positions in x_names()
         pos = {name: k for k, name in enumerate(self.x_names())}
         self._perms = [list(itertools.permutations([pos[name] for name in self.nvars[i]]))
@@ -372,7 +376,13 @@ class Envelope:
         return out
 
     def _term(self, pp: ParamPoint) -> complex:
-        """The unsymmetrized envelope at the point's Chern-root values."""
+        """The unsymmetrized envelope at the point's Chern-root values.
+
+        The first call lowers the terms: an envelope compiled only for its
+        exact data (``qp_unit_factors``) never pays for the lowering.
+        """
+        if self._lowered is None:
+            self._lowered = LoweredSum(self._terms)
         return self._lowered.eval(pp, self.spec.star)
 
     def eval(self, pp: ParamPoint, values: dict[str, complex],

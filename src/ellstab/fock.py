@@ -23,7 +23,7 @@ SQRT_HBAR = HBAR ** Fraction(1, 2)
 def box_weight(cell: tuple[int, int]) -> Monomial:
     """u_X = t1^(-y) t2^(-x) u for the cell X = (x, y)."""
     x, y = cell
-    return Monomial({"u": Fraction(1), "t1": Fraction(-y), "t2": Fraction(-x)})
+    return Monomial({"u": 1, "t1": -y, "t2": -x})
 
 
 def _content_key(lam: ColoredPartition, cell) -> tuple[int, int]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -348,8 +347,7 @@ def phi_weight(fp: FixedPoint, box: Box) -> Monomial:
     restriction points.
     """
     slot, _ = fp.slots[box.owner]
-    return Monomial({slot.u_var: Fraction(1), "t1": Fraction(1 - box.y),
-                     "t2": Fraction(1 - box.x)})
+    return Monomial({slot.u_var: 1, "t1": 1 - box.y, "t2": 1 - box.x})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ quasi-periodicity multipliers for the envelope factor.
 Every factor base is carried as an exact monomial so that the structural
 coincidences of restriction points (arrow ratios landing exactly on 1) give
 exact zeros in the finite products and exactly matched vanishing factors in
-the infinite ones.
+the infinite ones.  The infinite products over monomial bases recur across
+the degree vectors of one pair and across the pairs at one point, so they
+are memoised per parameter point (``ParamPoint.qpoch_mono_memo``, shared
+with its extensions); no memo outlives its point.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
     argument drops below 1e-18 (after at least ``pp.min_terms`` factors); a
     negative length is the reciprocal (base p^(offset+length); p)_(-length),
     so its vanishing factors count -1 and ratios of such symbols cancel
-    exactly.
+    exactly.  The infinite product is memoised per parameter point in
+    ``pp.qpoch_mono_memo``, keyed by the materialized base, p, the offset and
+    the skipped factor.
     """
     if length is not None and length < 0:
         val, zeros = qpoch_mono(base, -length, pp, offset + length)
@@ -63,6 +68,11 @@ def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
     zeros = 1 if skip >= 0 and (length is None or skip < length) else 0
     p = pp.p
     zb = pp.materialize(base)
+    if length is None:
+        key = (zb, p, offset, skip)
+        res = pp.qpoch_mono_memo.get(key)
+        if res is not None:
+            return res, zeros
     res = 1.0 + 0.0j
     nn = 0
     while nn < (6000 if length is None else length):
@@ -72,6 +82,8 @@ def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
         if (length is None and nn >= pp.min_terms
                 and abs(zb * p ** (offset + nn)) < 1e-18):
             break
+    if length is None:
+        pp.qpoch_mono_memo[key] = res
     return res, zeros
 
 
@@ -113,9 +125,10 @@ def _mu_monomials(mu: FixedPoint):
     """Canonical box list with slot names and exact unframed weight monomials."""
     n = mu.n_colors
     out: list[tuple[Box, Monomial, str]] = []
+    slots = chern_slots(mu)
     for i in range(n):
-        for j, box in enumerate(chern_slots(mu)[i], start=1):
-            mono = Monomial({"t1": Fraction(1 - box.y), "t2": Fraction(1 - box.x)})
+        for j, box in enumerate(slots[i], start=1):
+            mono = Monomial({"t1": 1 - box.y, "t2": 1 - box.x})
             out.append((box, mono, f"x{i}_{j}"))
     return out
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from ellstab.core import (HBAR, GradedValue, Monomial, ParamPoint,
-                          SingularityError, gamma3, qpoch_fin, qpoch_inf,
+                          SingularityError, qpoch_fin, qpoch_inf,
                           theta_modular_residual, theta_p)
 from ellstab.sampling import sample_param_point
+from qseries_oracles import gamma3, qpoch2_inf
 
 PP = sample_param_point(1, 3)
 P = PP.p
@@ -21,6 +22,65 @@ def test_monomial_algebra():
     assert (m ** Fraction(1, 2)).get("b") == 1
     assert Monomial.one() * m == m
     assert hash(m) == hash(Monomial({"a": 1, "b": 2}))
+
+
+def _integral_fractions(m):
+    """Exponents of ``m`` stored as a Fraction although they are integers."""
+    return {k: e for k, e in m._exps.items()
+            if isinstance(e, Fraction) and e.denominator == 1}
+
+
+def test_integral_exponents_are_stored_as_ints():
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    a = Monomial({"a": half, "b": Fraction(4, 2), "c": Fraction(-3)})
+    b = Monomial([("a", half), ("b", 1), ("a", three_halves)])
+    assert a._exps == {"a": half, "b": 2, "c": -3}
+    assert b._exps == {"a": 2, "b": 1}
+    results = {
+        "init": [a, b, Monomial.var("t1", Fraction(2))],
+        "mul": [a * Monomial.var("a", three_halves),
+                Monomial.var("a", half) * Monomial.var("a", half)],
+        "div": [a / Monomial.var("a", Fraction(-3, 2)),
+                Monomial.var("a", three_halves) / Monomial.var("a", half)],
+        "pow": [a ** 2, Monomial.var("a", three_halves) ** Fraction(2, 3),
+                Monomial.var("a", 4) ** half],
+        "inv_sqrt": [Monomial({"a": 4, "b": -2}).inv_sqrt(),
+                     Monomial.var("a", Fraction(4, 3)).inv_sqrt()],
+        "product": [Monomial.product([(Monomial.var("a", half), 2),
+                                      (Monomial.var("a", three_halves), 1)])],
+    }
+    for op, monos in results.items():
+        for m in monos:
+            assert not _integral_fractions(m), (op, m)
+    assert results["mul"][0]._exps == {"a": 2, "b": 2, "c": -3}
+    assert results["pow"][1]._exps == {"a": 1}
+    assert results["inv_sqrt"][0]._exps == {"a": -2, "b": 1}
+    assert results["inv_sqrt"][1]._exps == {"a": Fraction(-2, 3)}
+    assert results["product"][0]._exps == {"a": Fraction(5, 2)}
+
+
+def test_int_and_fraction_exponents_agree_bitwise():
+    a = Monomial({"t1": Fraction(2)})
+    b = Monomial.var("t1", 2)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert PP.materialize(a) == PP.materialize(b)
+    # a stored int and a stored Fraction of the same value hash and print alike
+    c = Monomial._of({"t1": Fraction(2), "t2": Fraction(-1, 2)})
+    d = Monomial({"t1": 2, "t2": Fraction(-1, 2)})
+    assert c == d and hash(c) == hash(d) and repr(c) == repr(d)
+    assert PP.materialize(c) == PP.materialize(d)
+
+
+def test_monomial_product_is_the_chained_product():
+    """Exponents and variable order, which ``materialize`` sums in."""
+    x, y = Monomial.var("x"), Monomial.var("y")
+    factors = [(x * y, 1), (HBAR / y, 1), (x, -1), (y * x, 3)]
+    chained = Monomial.one()
+    for m, k in factors:
+        chained = chained * m ** k
+    got = Monomial.product(factors)
+    assert list(got._exps.items()) == list(chained._exps.items())
+    assert list(got._exps) == ["t1", "t2", "y", "x"]
 
 
 def test_qpoch_inf_zero_argument():
@@ -140,7 +200,6 @@ def test_gamma3_rejects_zero():
 
 
 def test_double_pochhammer_telescoping():
-    from ellstab.core import qpoch2_inf
     z, p, t = 0.4 + 0.1j, 0.1, 0.3
     lhs = qpoch2_inf(z, p, t) / qpoch2_inf(z * t, p, t)
     assert abs(lhs - qpoch_inf(z, p)) < 1e-12 * abs(lhs)

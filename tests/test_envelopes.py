@@ -9,8 +9,8 @@ import pytest
 
 from ellstab.core import (HBAR, BudgetError, GradedValue, Monomial,
                          SingularityError)
-from ellstab.envelopes import (Envelope, EnvelopeSpec, ThetaProduct,
-                               _cancel, _cross_prefactor,
+from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
+                               ThetaProduct, _cancel, _cross_prefactor,
                                concat_fixed_points, factorization_residual,
                                restrict, restriction_values, s_factor_product,
                                shuffle_residual, tree_weights, default_kahler)
@@ -318,3 +318,46 @@ def test_eval_does_no_monomial_arithmetic(monkeypatch):
     monkeypatch.setattr(Monomial, "__mul__", forbidden)
     monkeypatch.setattr(Monomial, "__truediv__", forbidden)
     assert env.eval(pp, values) == want
+
+
+def _chained_prefactor(prod):
+    """prod num^(-1/2) den^(1/2) / inv, one graded factor at a time."""
+    total = Monomial.one()
+    for m in prod.num:
+        total = total * m ** Fraction(-1, 2)
+    for m in prod.den:
+        total = total / m ** Fraction(-1, 2)
+    for m in prod.inv:
+        total = total / m
+    return total
+
+
+@pytest.mark.parametrize("w", [(1, 0, 0), (1, 1, 0), (2, 0, 0)])
+def test_mono_total_is_the_chained_half_power_product(w):
+    """Same exponents in the same variable order, so the same float."""
+    pp = sample_param_point(17, N, framing_counts={"u": list(w)})
+    rng = np.random.default_rng(7)
+    for total in range(4):
+        for v in profiles(total, N):
+            for fp in fixed_points(v, w, N):
+                for variant in ("plain", "hat", "tilde"):
+                    env = Envelope(EnvelopeSpec(fp, variant))
+                    ppx = pp.extended(random_assignment(rng, env.x_names()))
+                    for prod in [s_factor_product(fp, variant)] + env._terms:
+                        got, want = prod.mono_total(), _chained_prefactor(prod)
+                        case = (fp.partitions(), variant)
+                        assert list(got._exps.items()) == list(want._exps.items()), case
+                        assert ppx.materialize(got) == ppx.materialize(want), case
+
+
+def test_envelope_lowers_at_its_first_evaluation():
+    fp = make_fixed_point([(2, 1), (1,)], (1, 1, 0), N)
+    pp = sample_param_point(16, N, framing_counts={"u": [1, 1, 0]})
+    lazy = Envelope(EnvelopeSpec(fp, "hat"))
+    lazy.qp_unit_factors()
+    assert lazy._lowered is None
+    eager = Envelope(EnvelopeSpec(fp, "hat"))
+    eager._lowered = LoweredSum(eager._terms)
+    values = random_assignment(np.random.default_rng(8), lazy.x_names())
+    assert lazy.eval(pp, values) == eager.eval(pp, values)
+    assert lazy._lowered is not None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ellstab.core import Monomial, SingularityError
+from ellstab.core import Monomial, ParamPoint, SingularityError
 from ellstab.envelopes import Envelope, EnvelopeSpec, restrict
 from ellstab.partitions import fixed_points, make_fixed_point
 from ellstab.rmatrix import profiles
@@ -72,6 +72,47 @@ def test_qpoch_mono_cocycle():
                 v_n, z_n = qpoch_mono(base, n, PP, offset=m)
                 assert z_mn == z_m + z_n
                 assert abs(v_mn - v_m * v_n) < 1e-13 * abs(v_mn)
+
+
+def _fresh_point():
+    return ParamPoint(PP.n_colors, PP.values, PP.logs, min_terms=PP.min_terms)
+
+
+def test_qpoch_mono_memo_repeats_bitwise():
+    pp = _fresh_point()
+    assert pp.qpoch_mono_memo == {}
+    base = Monomial.var("t1") * Monomial.var("u0_1") ** -1
+    for offset in (0, 2):
+        first = qpoch_mono(base, None, pp, offset)
+        size = len(pp.qpoch_mono_memo)
+        assert qpoch_mono(base, None, pp, offset) == first
+        assert len(pp.qpoch_mono_memo) == size
+    assert len(pp.qpoch_mono_memo) == 2
+    # finite products are not memoised
+    qpoch_mono(base, 3, pp)
+    assert len(pp.qpoch_mono_memo) == 2
+
+
+def test_qpoch_mono_memo_is_shared_with_extensions_only():
+    pp = _fresh_point()
+    ext = pp.extended({"w": 0.3 + 0.4j})
+    assert ext.qpoch_mono_memo is pp.qpoch_mono_memo
+    first = qpoch_mono(Monomial.var("w"), None, ext)
+    assert len(pp.qpoch_mono_memo) == 1
+    assert _fresh_point().qpoch_mono_memo == {}
+    assert qpoch_mono(Monomial.var("w"), None, ext.extended({"y": 2.0})) == first
+
+
+def test_qpoch_mono_memo_hit_counts_the_structural_zero():
+    pp = _fresh_point()
+    base = Monomial.var("p", -2)  # factor n = 2 is 1 - p^0
+    first = qpoch_mono(base, None, pp)
+    assert first[1] == 1
+    assert qpoch_mono(base, None, pp) == first
+    # the same base past its zero (offset 3) is another product with no zero
+    assert qpoch_mono(base, None, pp, offset=3)[1] == 0
+    assert qpoch_mono(base, None, pp)[1] == 1
+    assert len(pp.qpoch_mono_memo) == 2
 
 
 def test_normalization_of_empty_cycle_is_vacuum_scalar():
