@@ -55,6 +55,22 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
+def _vec(args, name: str) -> tuple[int, ...]:
+    """The dimension vector of option ``--name``: one entry per color."""
+    vec = _ints(getattr(args, name))
+    if len(vec) != args.N:
+        raise ValueError(f"--{name} has {len(vec)} entries, --N is {args.N}")
+    return vec
+
+
+def _pick(basis: list, index: int, name: str):
+    """The fixed point at position ``index`` of ``basis`` (option ``--name``)."""
+    if not 0 <= index < len(basis):
+        raise ValueError(f"--{name} {index} is not an index into the "
+                         f"{len(basis)} fixed points")
+    return basis[index]
+
+
 def _partition_list(text: str):
     rows = json.loads(text)
     if rows and isinstance(rows[0], int):
@@ -84,7 +100,7 @@ def _base_doc(args, pp, t0) -> dict:
 
 def cmd_fixed_points(args) -> int:
     t0 = time.perf_counter()
-    w, v = _ints(args.w), _ints(args.v)
+    w, v = _vec(args, "w"), _vec(args, "v")
     pts = fixed_points(v, w, args.N)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
     doc = _base_doc(args, pp, t0)
@@ -100,7 +116,7 @@ def _fp_from_args(args, w, text):
 
 def cmd_stab(args) -> int:
     t0 = time.perf_counter()
-    w = _ints(args.w)
+    w = _vec(args, "w")
     fp = _fp_from_args(args, w, args.fp)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
     env = Envelope(EnvelopeSpec(fp, args.variant, args.star))
@@ -129,7 +145,7 @@ def cmd_stab(args) -> int:
 
 def cmd_restrict(args) -> int:
     t0 = time.perf_counter()
-    w = _ints(args.w)
+    w = _vec(args, "w")
     fp = _fp_from_args(args, w, args.fp)
     mu = _fp_from_args(args, w, args.mu)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
@@ -192,11 +208,11 @@ def cmd_shuffle_check(args) -> int:
 def cmd_rmatrix(args) -> int:
     t0 = time.perf_counter()
     n = args.N
-    g1 = FramingGroup(_ints(args.w1), "ua")
-    g2 = FramingGroup(_ints(args.w2), "ub")
+    g1 = FramingGroup(_vec(args, "w1"), "ua")
+    g2 = FramingGroup(_vec(args, "w2"), "ub")
     pp = sample_param_point(args.seed, n, framing_counts={"ua": list(g1.w),
                                                           "ub": list(g2.w)})
-    v = _ints(args.v)
+    v = _vec(args, "v")
     res = (transition_r_star if args.star else transition_r)(
         v, g1, g2, pp, n, include_scalar=not args.bare)
     comp = composition_residual(v, g1, g2, pp, n, star=args.star,
@@ -270,11 +286,11 @@ def cmd_fock(args) -> int:
 def cmd_vertex(args) -> int:
     t0 = time.perf_counter()
     n = args.N
-    w, v = _ints(args.w), _ints(args.v)
+    w, v = _vec(args, "w"), _vec(args, "v")
     pp = sample_param_point(args.seed, n, framing_counts={"u": list(w)})
     basis = fixed_points(v, w, n)
-    lam = basis[args.lam] if args.lam is not None else basis[0]
-    mu = basis[args.mu] if args.mu is not None else lam
+    lam = _pick(basis, args.lam, "lam")
+    mu = lam if args.mu is None else _pick(basis, args.mu, "mu")
     try:
         series = vertex_series(lam, mu, args.D, pp)
     except SingularityError as exc:
@@ -299,7 +315,7 @@ def cmd_vertex(args) -> int:
 def cmd_bethe(args) -> int:
     t0 = time.perf_counter()
     n = args.N
-    w, v = _ints(args.w), _ints(args.v)
+    w, v = _vec(args, "w"), _vec(args, "v")
     pp = sample_param_point(args.seed, n, framing_counts={"u": list(w)})
     sol = bethe_solve(v, w, pp, seed=args.seed)
     doc = _base_doc(args, pp, t0)
@@ -428,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--D", type=int, default=2)
-    p.add_argument("--lam", type=int, default=None,
+    p.add_argument("--lam", type=int, default=0,
                    help="index of the envelope label in the fixed-point list")
     p.add_argument("--mu", type=int, default=None,
                    help="index of the cycle label in the fixed-point list")

@@ -17,9 +17,8 @@ theta argument evaluated at many points pays the exact arithmetic once.
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
 shifted nome p* = p/(t1*t2).  Only infinite Pochhammer symbols are memoised,
-per parameter point: by value in ``ParamPoint.qpoch_inf``, which the thetas
-use, and over exact monomial bases in ``ParamPoint.qpoch_mono_memo``, which
-``vertex.qpoch_mono`` fills.
+by value and per parameter point (``ParamPoint.qpoch_inf``), for the thetas
+and for ``vertex.qpoch_mono`` alike.
 """
 
 from __future__ import annotations
@@ -113,6 +112,15 @@ class Monomial:
     def get(self, name: str) -> int | Fraction:
         return self._exps.get(name, 0)
 
+    def power_of(self, name: str) -> int | None:
+        """e if the monomial is name^e with an integer e (0 for the unit),
+        else None: a monomial in any other variable is no power of ``name``."""
+        d = self._exps
+        if not d:
+            return 0
+        e = d.get(name) if len(d) == 1 else None
+        return e if type(e) is int else None
+
     def items(self):
         return sorted(self._exps.items())
 
@@ -188,8 +196,8 @@ class Monomial:
 
 
 HBAR = Monomial({"t1": 1, "t2": 1})
+SQRT_HBAR = HBAR ** Fraction(1, 2)
 P = Monomial.var("p")
-PSTAR = Monomial({"p": 1, "t1": -1, "t2": -1})
 
 
 @dataclass(frozen=True)
@@ -294,10 +302,9 @@ class ParamPoint:
     Required variables are ``p``, ``t1``, ``t2``; the sign variable ``sgn`` is
     inserted automatically.  Further variables (framing weights, Kahler
     parameters, Chern roots) are added as needed, either at construction or
-    through :meth:`extended`.  All q-Pochhammer evaluations are memoised by
-    value in a table shared between a point and its extensions;
-    ``qpoch_mono_memo`` is the table of ``vertex.qpoch_mono``, shared the
-    same way.
+    through :meth:`extended`.  Infinite q-Pochhammer values are memoised
+    (:meth:`qpoch_inf`) in one table shared between a point and its
+    extensions.
     """
 
     def __init__(self, n_colors: int, values: Mapping[str, complex],
@@ -318,7 +325,6 @@ class ParamPoint:
         self.values: dict[str, complex] = {k: complex(v) for k, v in vals.items()}
         self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
-        self.qpoch_mono_memo: dict[tuple, complex] = {}
         if "p" in self.values and abs(self.values["p"]) >= 1:
             raise ValueError("|p| must be < 1")
         if all(k in self.values for k in ("p", "t1", "t2")):
@@ -371,7 +377,6 @@ class ParamPoint:
         pp.values = {k: complex(v) for k, v in vals.items()}
         pp.logs = {k: complex(v) for k, v in lgs.items()}
         pp._qpoch_memo = self._qpoch_memo
-        pp.qpoch_mono_memo = self.qpoch_mono_memo
         return pp
 
     def materialize(self, mono: Monomial) -> complex:

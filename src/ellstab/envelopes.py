@@ -33,6 +33,9 @@ from .sampling import random_assignment
 
 VARIANTS = ("plain", "hat", "tilde")
 
+#: most permutations of the Chern roots an envelope may be symmetrized over
+SYM_BUDGET = 40320
+
 
 def default_kahler(n_colors: int) -> dict[int, Monomial]:
     return {i: Monomial.var(f"z{i}") for i in range(n_colors)}
@@ -59,16 +62,11 @@ def kahler_args(mapping: dict[int, Monomial]) -> tuple[tuple[int, Monomial], ...
 
 @dataclass
 class ThetaProduct:
-    """Product of odd theta factors with an overall sign, all graded.
-
-    ``inv`` holds the contracted pairs theta(m) / theta(1/m), each the exact
-    closed ratio GradedValue(1/m, -m_value).
-    """
+    """Product of odd theta factors with an overall sign, all graded."""
 
     num: list[Monomial] = field(default_factory=list)
     den: list[Monomial] = field(default_factory=list)
     sign: int = 0
-    inv: list[Monomial] = field(default_factory=list)
 
     def mul_ratio(self, num: Monomial, den: Monomial):
         """theta(num) / theta(den) with a minus sign."""
@@ -81,17 +79,14 @@ class ThetaProduct:
         return LoweredSum([self]).eval(pp, star)
 
     def mono_total(self) -> Monomial:
-        """The exact prefactor: prod num^(-1/2) den^(1/2) / inv.
+        """The exact prefactor: prod num^(-1/2) den^(1/2).
 
         The half power is taken once, of prod num / den: the result has the
         exponents and the variable order of the chained product of half
         powers, so it materializes to the same float.
         """
-        total = Monomial.product([(m, 1) for m in self.num]
-                                 + [(m, -1) for m in self.den]).inv_sqrt()
-        for m in self.inv:
-            total = total / m
-        return total
+        return Monomial.product([(m, 1) for m in self.num]
+                                + [(m, -1) for m in self.den]).inv_sqrt()
 
 
 class LoweredSum:
@@ -99,7 +94,7 @@ class LoweredSum:
 
     It keeps the distinct theta arguments of all its terms in ``args`` and,
     per term, the sign as +-1.0, index lists into ``args`` of the numerator
-    and the denominator, the ``inv`` monomials and the exact prefactor
+    and the denominator, and the exact prefactor
     (``ThetaProduct.mono_total``).  ``eval`` takes each distinct theta once
     and multiplies each term out in its own factor order, so the value is bit
     for bit that of multiplying graded values factor by factor, with no exact
@@ -111,7 +106,7 @@ class LoweredSum:
         self.terms = [((-1.0) ** (prod.sign % 2),
                        [index.setdefault(m, len(index)) for m in prod.num],
                        [index.setdefault(m, len(index)) for m in prod.den],
-                       prod.inv, prod.mono_total())
+                       prod.mono_total())
                       for prod in products]
         self.args = list(index)
 
@@ -119,7 +114,7 @@ class LoweredSum:
         theta = pp.theta
         th = [theta(m, star).coeff for m in self.args]
         total = 0.0 + 0.0j
-        for sign, num, den, inv, pref in self.terms:
+        for sign, num, den, pref in self.terms:
             c = sign
             for k in num:
                 c = c * th[k]
@@ -127,8 +122,6 @@ class LoweredSum:
                 if th[k] == 0:
                     raise SingularityError(f"theta pole in denominator at {self.args[k]}")
                 c = c / th[k]
-            for m in inv:
-                c = c * -pp.materialize(m)
             total += c * pp.materialize(pref)
         return total
 
@@ -285,23 +278,14 @@ def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial]) -> list[TreeTupleW
 def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct:
     """Cancel matching theta arguments between numerator and denominator.
 
-    Identical factors cancel exactly (theta(m)/theta(m) = 1) and a numerator
-    m against a denominator 1/m contracts to the exact closed ratio
-    theta(m)/theta(1/m), kept in ``inv``.  Both removals make the removable
-    zero-over-zero combinations at restriction points evaluable.
+    Identical factors cancel exactly (theta(m)/theta(m) = 1), which makes the
+    removable zero-over-zero combinations at restriction points evaluable.
+    No compiled envelope term has a numerator m against a denominator 1/m.
     """
     cn, cd = Counter(num), Counter(den)
     common = cn & cd
-    cn, cd = cn - common, cd - common
-    inv_pairs: list[Monomial] = []
-    for m in sorted(cn, key=repr):
-        minv = m ** -1
-        while cn[m] and cd[minv]:
-            cn[m] -= 1
-            cd[minv] -= 1
-            inv_pairs.append(m)
-    return ThetaProduct(sorted(cn.elements(), key=repr),
-                        sorted(cd.elements(), key=repr), sign, inv_pairs)
+    return ThetaProduct(sorted((cn - common).elements(), key=repr),
+                        sorted((cd - common).elements(), key=repr), sign)
 
 
 class Envelope:
@@ -309,13 +293,16 @@ class Envelope:
     tree tuple, lowered into a ``LoweredSum`` at its first evaluation;
     evaluate on Chern-root value assignments."""
 
-    def __init__(self, spec: EnvelopeSpec, sym_budget: int = 40320):
+    def __init__(self, spec: EnvelopeSpec):
         self.spec = spec
         fp = spec.fp
         self.fp = fp
         self.slots = chern_slots(fp)
         self.nvars = {i: [f"x{i}_{j}" for j in range(1, len(bs) + 1)]
                       for i, bs in self.slots.items()}
+        size = math.prod(math.factorial(len(names)) for names in self.nvars.values())
+        if size > SYM_BUDGET:
+            raise BudgetError(f"symmetrization over {size} permutations exceeds budget")
         sprod = s_factor_product(fp, spec.variant)
         self._terms: list[ThetaProduct] = []
         for tw in tree_weights(fp, spec.kahler_map()):
@@ -324,11 +311,6 @@ class Envelope:
                 num += [xm * ym, HBAR]
                 den += [xm, ym]
             self._terms.append(_cancel(num, den, sprod.sign + tw.kappa))
-        size = 1
-        for i, names in self.nvars.items():
-            size *= math.factorial(len(names))
-        if size > sym_budget:
-            raise BudgetError(f"symmetrization over {size} permutations exceeds budget")
         self._lowered: LoweredSum | None = None
         # per color, the permutations of its roots as positions in x_names()
         pos = {name: k for k, name in enumerate(self.x_names())}

@@ -17,8 +17,6 @@ from .core import GV_ONE, HBAR, GradedValue, Monomial, ParamPoint
 from .partitions import ColoredPartition, addable_removable
 from .scalars import vacuum_c_constants
 
-SQRT_HBAR = HBAR ** Fraction(1, 2)
-
 
 def box_weight(cell: tuple[int, int]) -> Monomial:
     """u_X = t1^(-y) t2^(-x) u for the cell X = (x, y)."""

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (HBAR, Monomial, ParamPoint, SingularityError, qpoch_inf)
+from .core import SQRT_HBAR, Monomial, ParamPoint, SingularityError, qpoch_inf
 
-SQRT_HBAR = HBAR ** Fraction(1, 2)
 MINUS = Monomial.var("sgn")
 
 

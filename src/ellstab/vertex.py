@@ -11,38 +11,26 @@ quasi-periodicity multipliers for the envelope factor.
 Every factor base is carried as an exact monomial so that the structural
 coincidences of restriction points (arrow ratios landing exactly on 1) give
 exact zeros in the finite products and exactly matched vanishing factors in
-the infinite ones.  The infinite products over monomial bases recur across
-the degree vectors of one pair and across the pairs at one point, so they
-are memoised per parameter point (``ParamPoint.qpoch_mono_memo``, shared
-with its extensions); no memo outlives its point.
+the infinite ones.  That zero bookkeeping is all ``qpoch_mono`` adds: its
+values come from ``core.qpoch_fin`` and the point's memoised
+``ParamPoint.qpoch_inf``, so the infinite products that recur across the
+degree vectors of one pair and across the pairs at one point are computed
+once per point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .core import HBAR, Monomial, ParamPoint, SingularityError
+from .core import (HBAR, P, SQRT_HBAR, Monomial, ParamPoint, SingularityError,
+                   qpoch_fin)
 from .envelopes import (Envelope, EnvelopeSpec, chern_slots, restrict,
                         restriction_values)
 from .partitions import Box, FixedPoint, fixed_points, quiver_pairs
 from .scalars import mu_vacuum_ope
-
-SQRT_HBAR = HBAR ** Fraction(1, 2)
-P = Monomial.var("p")
-
-
-def _is_p_power(mono: Monomial):
-    """Exponent e if the monomial equals p^e for integer e, else None."""
-    exps = mono.exps
-    if not exps:
-        return 0
-    if set(exps) == {"p"} and exps["p"].denominator == 1:
-        return int(exps["p"])
-    return None
 
 
 def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
@@ -52,39 +40,27 @@ def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
     Returns (product over the non-vanishing factors, zero count).  Factor n
     is 1 - base p^(offset+n); it vanishes identically exactly when base is
     p^e with e + offset + n = 0, and each such factor adds 1 to the count.
-    ``length=None`` is the infinite product, truncated once a factor's
-    argument drops below 1e-18 (after at least ``pp.min_terms`` factors); a
-    negative length is the reciprocal (base p^(offset+length); p)_(-length),
-    so its vanishing factors count -1 and ratios of such symbols cancel
-    exactly.  The infinite product is memoised per parameter point in
-    ``pp.qpoch_mono_memo``, keyed by the materialized base, p, the offset and
-    the skipped factor.
+    ``length=None`` is the infinite product; a negative length is the
+    reciprocal (base p^(offset+length); p)_(-length), so its vanishing
+    factors count -1 and ratios of such symbols cancel exactly.  The values
+    are ``core.qpoch_fin`` and the point's memoised ``ParamPoint.qpoch_inf``
+    of z = base p^offset; past a vanishing factor n = skip the factors are
+    1 - p^k, k >= 1, so the product is (z; p)_skip times (p; p)_inf, or
+    (p; p)_(length-skip-1) for a finite length.
     """
     if length is not None and length < 0:
         val, zeros = qpoch_mono(base, -length, pp, offset + length)
         return 1.0 / val, -zeros
-    e = _is_p_power(base)
-    skip = -1 if e is None else -(e + offset)
-    zeros = 1 if skip >= 0 and (length is None or skip < length) else 0
     p = pp.p
-    zb = pp.materialize(base)
-    if length is None:
-        key = (zb, p, offset, skip)
-        res = pp.qpoch_mono_memo.get(key)
-        if res is not None:
-            return res, zeros
-    res = 1.0 + 0.0j
-    nn = 0
-    while nn < (6000 if length is None else length):
-        if nn != skip:
-            res *= 1.0 - zb * p ** (offset + nn)
-        nn += 1
-        if (length is None and nn >= pp.min_terms
-                and abs(zb * p ** (offset + nn)) < 1e-18):
-            break
-    if length is None:
-        pp.qpoch_mono_memo[key] = res
-    return res, zeros
+    z = pp.materialize(base) * p ** offset
+    e = base.power_of("p")
+    skip = -1 if e is None else -(e + offset)
+    if skip < 0 or (length is not None and skip >= length):
+        return (pp.qpoch_inf(z, p) if length is None
+                else qpoch_fin(z, p, length)), 0
+    rest = (pp.qpoch_inf(p, p) if length is None
+            else qpoch_fin(p, p, length - skip - 1))
+    return qpoch_fin(z, p, skip) * rest, 1
 
 
 def qpoch_fin_mono(base: Monomial, s: int, pp: ParamPoint) -> tuple[complex, int]:
@@ -213,15 +189,13 @@ def _degree_vectors(n_boxes: int, cap: int):
 
 
 def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
-                  pp: ParamPoint,
-                  uncorrected_prefactor: bool = False) -> VertexSeries:
+                  pp: ParamPoint) -> VertexSeries:
     """The degree-truncated vertex series paired between two fixed points.
 
     The per-box prefactor base is h^{w_k} p^{2-2v_k+v_{k+1}-2w_k} divided by
     the exact quasi-periodicity multiplier of the envelope at that slot; its
     Kahler part is always z_k, and the residual hbar power vanishes for
-    single-box profiles.  ``uncorrected_prefactor`` forces the bare
-    (h^{w_k} p^{...} z_k) base for exploration.
+    single-box profiles.
     """
     n = mu.n_colors
     env = Envelope(EnvelopeSpec(lam, "hat"))
@@ -234,10 +208,7 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
     for box, _, name in boxes:
         k = box.content % n
         base = h ** w[k] * p ** (2 - 2 * v[k] + v[(k + 1) % n] - 2 * w[k])
-        if uncorrected_prefactor:
-            pref.append(base * pp.values[f"z{k}"])
-        else:
-            pref.append(base / pp.materialize(qp[name]))
+        pref.append(base / pp.materialize(qp[name]))
     pinv_h = P / HBAR
     # (numerator base, denominator base, i, j): the ratio of Pochhammer
     # symbols of length d[i], or d[i] - d[j] when j is set

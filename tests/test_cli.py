@@ -104,6 +104,26 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["vertex", "--w", "1,0,0", "--v", "0,1,0"], "0 fixed points"),
+    (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--lam", "5"], "--lam 5"),
+    (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--lam", "-1"], "--lam -1"),
+    (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--mu", "3"], "--mu 3"),
+    (["fixed-points", "--N", "3", "--w", "1,0", "--v", "1,0,0"], "--w has 2"),
+    (["bethe", "--w", "1,0,0", "--v", "1,1"], "--v has 2"),
+    (["rmatrix", "--v", "1,0,0", "--w1", "1,0,0", "--w2", "1,0,0,0"],
+     "--w2 has 4"),
+    (["stab", "--N", "4", "--w", "1,0,0", "--fp", "[[1]]"], "--N is 4"),
+])
+def test_bad_option_values_are_usage_errors(capsys, argv, message):
+    """A vector whose length is not --N, or a fixed-point index outside the
+    basis, is a usage error with a message, not a failed check."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_singularity_exit_code(capsys):
     # the divergent off-diagonal normalization surfaces as exit code 3
     code = main(["vertex", "--N", "3", "--w", "1,0,0", "--v", "1,1,1",

@@ -9,8 +9,9 @@ import pytest
 
 from ellstab.core import (HBAR, BudgetError, GradedValue, Monomial,
                          SingularityError)
-from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
-                               ThetaProduct, _cancel, _cross_prefactor,
+from ellstab import envelopes
+from ellstab.envelopes import (SYM_BUDGET, Envelope, EnvelopeSpec, LoweredSum,
+                               ThetaProduct, _cross_prefactor,
                                concat_fixed_points, factorization_residual,
                                restrict, restriction_values, s_factor_product,
                                shuffle_residual, tree_weights, default_kahler)
@@ -221,10 +222,19 @@ def test_shuffle_at_shifted_nome():
     assert r < 1e-8
 
 
-def test_symmetrization_budget_guard():
-    fp = make_fixed_point([(6, 5, 4, 1)], (1, 0, 0), N)
-    with pytest.raises(BudgetError):
-        Envelope(EnvelopeSpec(fp, "hat"), sym_budget=1000)
+def test_symmetrization_budget_guard(monkeypatch):
+    """Three slots of at most 5 boxes, 5! 5! 3! = 86400 permutations: the
+    envelope fails on its budget before it enumerates a tree."""
+    fp = make_fixed_point([(3, 2), (3, 2), (2, 1)], (3, 0, 0), N)
+    assert max(lam.size for _, lam in fp.slots) <= 14
+
+    def forbidden(*args):
+        raise AssertionError("tree weights built past the symmetrization budget")
+
+    monkeypatch.setattr(envelopes, "tree_weights", forbidden)
+    with pytest.raises(BudgetError, match="86400 permutations"):
+        Envelope(EnvelopeSpec(fp, "hat"))
+    assert SYM_BUDGET < 86400
 
 
 def test_restriction_requires_same_class():
@@ -243,8 +253,6 @@ def _graded_product(prod, pp, star):
         gv = gv * pp.theta(m, star)
     for m in prod.den:
         gv = gv / pp.theta(m, star)
-    for m in prod.inv:
-        gv = gv * GradedValue(m ** -1, -pp.materialize(m))
     return gv.materialize(pp)
 
 
@@ -282,15 +290,18 @@ def test_lowered_eval_matches_graded_products(w):
                     assert abs(got - want) <= 1e-14 * abs(want), case
 
 
-def test_lowered_contracted_pair():
-    """A numerator m against a denominator 1/m evaluates through ``inv``."""
-    w, y = Monomial.var("w"), Monomial.var("y")
-    prod = _cancel([HBAR * w / y, w, y], [y / (HBAR * w), HBAR, y], 1)
-    assert prod.inv == [HBAR * w / y] and prod.num == [w] and prod.den == [HBAR]
-    pp = PP.extended({"w": 0.3 + 0.4j, "y": 1.1 - 0.2j})
-    for star in (False, True):
-        want = _graded_product(prod, pp, star)
-        assert abs(prod.eval(pp, star) - want) <= 1e-14 * abs(want)
+@pytest.mark.parametrize("w", [(1, 0, 0), (1, 1, 0), (2, 0, 0)])
+def test_no_term_pairs_a_theta_with_its_inverse(w):
+    """No compiled term up to three boxes has a numerator m with 1/m in its
+    denominator, so ``_cancel`` only needs to cancel equal arguments."""
+    for total in range(4):
+        for v in profiles(total, N):
+            for fp in fixed_points(v, w, N):
+                for variant in ("plain", "hat", "tilde"):
+                    for term in Envelope(EnvelopeSpec(fp, variant))._terms:
+                        den = set(term.den)
+                        assert not [m for m in term.num if m ** -1 in den], \
+                            (fp.partitions(), variant)
 
 
 def test_denominator_theta_zero_raises():
@@ -321,14 +332,12 @@ def test_eval_does_no_monomial_arithmetic(monkeypatch):
 
 
 def _chained_prefactor(prod):
-    """prod num^(-1/2) den^(1/2) / inv, one graded factor at a time."""
+    """prod num^(-1/2) den^(1/2), one graded factor at a time."""
     total = Monomial.one()
     for m in prod.num:
         total = total * m ** Fraction(-1, 2)
     for m in prod.den:
         total = total / m ** Fraction(-1, 2)
-    for m in prod.inv:
-        total = total / m
     return total
 
 

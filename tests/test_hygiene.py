@@ -62,3 +62,28 @@ def test_no_imports_inside_functions():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+def module_constants(tree: ast.Module) -> list[str]:
+    """UPPER_CASE names assigned at module level, tuple targets included."""
+    targets = [t for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets]
+    targets += [node.target for node in tree.body
+                if isinstance(node, ast.AnnAssign)]
+    return sorted(n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name) and n.id.isupper())
+
+
+def test_module_constants_detected():
+    tree = ast.parse("A = 1\nB, C = 2, 3\nD: int = 4\nlower = 5\n"
+                     "def f():\n    E = 6\n")
+    assert module_constants(tree) == ["A", "B", "C", "D"]
+
+
+def test_each_constant_defined_once():
+    """A constant lives in one module; the others import it from there."""
+    where: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in module_constants(ast.parse(path.read_text())):
+            where.setdefault(name, []).append(path.name)
+    assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ellstab.core import Monomial, ParamPoint, SingularityError
+from ellstab.core import HBAR, Monomial, ParamPoint, SingularityError
 from ellstab.envelopes import Envelope, EnvelopeSpec, restrict
 from ellstab.partitions import fixed_points, make_fixed_point
 from ellstab.rmatrix import profiles
@@ -79,27 +79,28 @@ def _fresh_point():
 
 
 def test_qpoch_mono_memo_repeats_bitwise():
+    """Infinite products go through the point's one value memo."""
     pp = _fresh_point()
-    assert pp.qpoch_mono_memo == {}
+    assert pp._qpoch_memo == {}
     base = Monomial.var("t1") * Monomial.var("u0_1") ** -1
     for offset in (0, 2):
         first = qpoch_mono(base, None, pp, offset)
-        size = len(pp.qpoch_mono_memo)
+        size = len(pp._qpoch_memo)
         assert qpoch_mono(base, None, pp, offset) == first
-        assert len(pp.qpoch_mono_memo) == size
-    assert len(pp.qpoch_mono_memo) == 2
+        assert len(pp._qpoch_memo) == size
+    assert len(pp._qpoch_memo) == 2
     # finite products are not memoised
     qpoch_mono(base, 3, pp)
-    assert len(pp.qpoch_mono_memo) == 2
+    assert len(pp._qpoch_memo) == 2
 
 
 def test_qpoch_mono_memo_is_shared_with_extensions_only():
     pp = _fresh_point()
     ext = pp.extended({"w": 0.3 + 0.4j})
-    assert ext.qpoch_mono_memo is pp.qpoch_mono_memo
+    assert ext._qpoch_memo is pp._qpoch_memo
     first = qpoch_mono(Monomial.var("w"), None, ext)
-    assert len(pp.qpoch_mono_memo) == 1
-    assert _fresh_point().qpoch_mono_memo == {}
+    assert len(pp._qpoch_memo) == 1
+    assert _fresh_point()._qpoch_memo == {}
     assert qpoch_mono(Monomial.var("w"), None, ext.extended({"y": 2.0})) == first
 
 
@@ -108,11 +109,13 @@ def test_qpoch_mono_memo_hit_counts_the_structural_zero():
     base = Monomial.var("p", -2)  # factor n = 2 is 1 - p^0
     first = qpoch_mono(base, None, pp)
     assert first[1] == 1
+    # past the vanishing factor the product is (p; p)_inf, from the memo
+    assert list(pp._qpoch_memo) == [(pp.p, pp.p)]
     assert qpoch_mono(base, None, pp) == first
+    assert len(pp._qpoch_memo) == 1
     # the same base past its zero (offset 3) is another product with no zero
     assert qpoch_mono(base, None, pp, offset=3)[1] == 0
     assert qpoch_mono(base, None, pp)[1] == 1
-    assert len(pp.qpoch_mono_memo) == 2
 
 
 def test_normalization_of_empty_cycle_is_vacuum_scalar():
@@ -162,19 +165,20 @@ def test_degree_zero_law_and_oracle():
                                                              1e-10 * scale)
 
 
-def test_uncorrected_prefactor_differs_only_by_exact_hbar_powers():
-    lam = make_fixed_point([(2,)], W, N)
-    s1 = vertex_series(lam, lam, 2, PP)
-    s2 = vertex_series(lam, lam, 2, PP, uncorrected_prefactor=True)
-    h = PP.hbar
-    for d, c in s1.coefficients.items():
-        c2 = s2.coefficients[d]
-        if c == 0:
-            assert c2 == 0
-            continue
-        ratio = c2 / c
-        k = round(np.log(abs(ratio)) / np.log(abs(h)))
-        assert abs(ratio - h ** k) < 1e-8 * abs(ratio)
+@pytest.mark.parametrize("w", [(1, 0, 0), (1, 1, 0), (2, 0, 0)])
+def test_quasi_periodicity_factor_is_z_inverse_times_an_hbar_power(w):
+    """Every slot's multiplier times its z_k is hbar^e for an integer e, so
+    the vertex prefactor's Kahler part is exactly z_k."""
+    for total in range(1, 4):
+        for v in profiles(total, N):
+            for lam in fixed_points(v, w, N):
+                qp = Envelope(EnvelopeSpec(lam, "hat")).qp_unit_factors()
+                for name, factor in qp.items():
+                    k = int(name[1:name.index("_")])
+                    e = factor.get("t1")
+                    assert type(e) is int
+                    assert factor * Monomial.var(f"z{k}") == HBAR ** e, \
+                        (lam.partitions(), name, factor)
 
 
 def test_off_diagonal_divergent_pairs_raise():
