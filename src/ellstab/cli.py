@@ -63,6 +63,22 @@ def _vec(args, name: str) -> tuple[int, ...]:
     return vec
 
 
+def _list(args, name: str, count: int) -> tuple[int, ...]:
+    """The ``count`` integers of option ``--name``."""
+    vals = _ints(getattr(args, name))
+    if len(vals) != count:
+        raise ValueError(f"--{name} has {len(vals)} entries, expected {count}")
+    return vals
+
+
+def _colors(args, name: str, colors: tuple[int, ...]) -> tuple[int, ...]:
+    """``colors`` (option ``--name``), each checked to lie in 0..N-1."""
+    for c in colors:
+        if not 0 <= c < args.N:
+            raise ValueError(f"--{name} {c} is not a color in 0..{args.N - 1}")
+    return colors
+
+
 def _pick(basis: list, index: int, name: str):
     """The fixed point at position ``index`` of ``basis`` (option ``--name``)."""
     if not 0 <= index < len(basis):
@@ -175,7 +191,8 @@ def _shuffle_case(task):
 def cmd_shuffle_check(args) -> int:
     t0 = time.perf_counter()
     n = args.N
-    sizes = _ints(args.boxes)
+    sizes = _list(args, "boxes", 2)
+    _colors(args, "color2", (args.color2,))
     tasks = []
     for rows1 in partitions_upto(sizes[0]):
         if sum(rows1) != sizes[0]:
@@ -239,7 +256,7 @@ def cmd_rmatrix(args) -> int:
 def cmd_ybe(args) -> int:
     t0 = time.perf_counter()
     n = args.N
-    colors = _ints(args.colors)
+    colors = _colors(args, "colors", _list(args, "colors", 3))
     groups = tuple(FramingGroup(tuple(1 if i == c else 0 for i in range(n)),
                                 p) for c, p in zip(colors, ("ua", "ub", "uc")))
     pp = sample_param_point(args.seed, n,

@@ -5,6 +5,13 @@ All kernels are ratios of triple Gamma factors over the moduli
 (t1^N, t2^N, hbar) or (t1^N, t2^N, p/p*), with rational-power prefactors
 (u/v)^eta handled through the exact-exponent monomial mechanism so that both
 sides of every identity share one branch choice.
+
+A kernel hands all the arguments that share one moduli tuple to a single
+series call: ``gamma3v`` takes a numerator and a denominator list of triple
+Gamma arguments, ``qpoch2_ratio`` a list of double-Pochhammer arguments, and
+both evaluate the whole ratio with one coefficient table in ``_qpoch``.  So
+mu and mu* take two calls (one per nome), chi and rho^+ one, and the vacuum
+OPE factor four, whatever its framing.
 """
 
 from __future__ import annotations
@@ -26,15 +33,17 @@ def eta_pairing(k: int, l: int, n: int) -> Fraction:
     return Fraction(i * (n - j), n)
 
 
-def _qpoch(zs, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
-    """prod over z in ``zs`` of (z; q_1, ..., q_k)_inf, for k = len(qs) >= 1.
+def _qpoch(num, den, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
+    """prod over z in ``num`` of (z; q_1, ..., q_k)_inf divided by the same
+    product over ``den``, for k = len(qs) >= 1.
 
     Split: (x; q_j..q_k) = (x; q_j+1..q_k) (x q_j; q_j..q_k) peels the lattice
     along q_1, then q_2, ... while |x| > 1/2; a point peeled along every axis
     is one direct factor (1 - x).  Sum: the sub-octant (x; q_j..q_k) left at
     each |x| <= 1/2 is exp(-sum_r x^r / (r prod_i (1 - q_i^r))), cut at the
     first R where the tail bound 2 |x|^R prod_i 1/(1 - |q_i|) drops below
-    ``cutoff``.
+    ``cutoff``.  Both lists share one coefficient table and one peel pass;
+    each lattice level sums its leaves' logs weighted +1 (num) or -1 (den).
     """
     if any(abs(q) >= 1 for q in qs):
         raise SingularityError("Pochhammer moduli must lie inside the unit disc")
@@ -46,21 +55,23 @@ def _qpoch(zs, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
     suffix = np.cumprod((1.0 - q_pow)[::-1], axis=0)[::-1]
     coef = 1.0 / (np.arange(1, n_max + 1) * suffix)
     log = 0.0 + 0.0j
-    direct = list(zs)
+    direct = [(x, 1.0) for x in num] + [(x, -1.0) for x in den]
     for j, q in enumerate(qs):
-        leaves, peeled = [], []
-        for x in direct:
+        leaves, signs, peeled = [], [], []
+        for x, sign in direct:
             while abs(x) > 0.5:
-                peeled.append(x)
+                peeled.append((x, sign))
                 x *= q
             if x != 0:
                 leaves.append(x)
+                signs.append(sign)
         if leaves:
             n = _n_terms(max(map(abs, leaves)), bound[j], cutoff)
             powers = np.vander(np.array(leaves, dtype=complex), n + 1, increasing=True)
-            log -= complex(np.sum(powers[:, 1:] @ coef[j, :n]))
+            log -= complex(np.array(signs) @ (powers[:, 1:] @ coef[j, :n]))
         direct = peeled
-    return cmath.exp(log) * math.prod(1.0 - x for x in direct)
+    return (cmath.exp(log) * math.prod(1.0 - x for x, sign in direct if sign > 0)
+            / math.prod(1.0 - x for x, sign in direct if sign < 0))
 
 
 def _n_terms(xmax: float, bound: float, cutoff: float) -> int:
@@ -68,28 +79,34 @@ def _n_terms(xmax: float, bound: float, cutoff: float) -> int:
     return max(1, math.ceil(math.log(cutoff / bound) / math.log(xmax)))
 
 
-def gamma3v(z: complex, a: complex, b: complex, c: complex,
+def gamma3v(num, den, a: complex, b: complex, c: complex,
             cutoff: float = 1e-18) -> complex:
-    """Triple Gamma factor Gamma(z; a, b, c) = (z; a,b,c)_inf (abc/z; a,b,c)_inf."""
-    if z == 0:
-        raise SingularityError("triple Gamma rejects z = 0")
-    return _qpoch((z, a * b * c / z), (a, b, c), cutoff)
+    """prod over z in ``num`` of Gamma(z; a, b, c) divided by the same product
+    over ``den``, where Gamma(z; a, b, c) = (z; a,b,c)_inf (abc/z; a,b,c)_inf.
 
-
-def qpoch2_ratio(z: complex, q_num: complex, q_den: complex, q2: complex,
-                 at_one: bool = False) -> complex:
-    """(z; q_num, q2)_inf / (z; q_den, q2)_inf with z = 1 regularized.
-
-    With ``at_one`` the common vanishing (0,0) factor of numerator and
-    denominator is dropped: (z; q1, q2)_inf without its origin factor is
-    (z q1; q1, q2)_inf (z q2; q2)_inf.
+    One series evaluation for the whole ratio: callers pass every argument
+    that shares the moduli (a, b, c) in one call.
     """
-    def dpoch(q1):
-        if at_one:
-            return _qpoch((z * q1,), (q1, q2)) * _qpoch((z * q2,), (q2,))
-        return _qpoch((z,), (q1, q2))
+    if any(z == 0 for z in (*num, *den)):
+        raise SingularityError("triple Gamma rejects z = 0")
+    abc = a * b * c
+    return _qpoch([y for z in num for y in (z, abc / z)],
+                  [y for z in den for y in (z, abc / z)], (a, b, c), cutoff)
 
-    return dpoch(q_num) / dpoch(q_den)
+
+def qpoch2_ratio(zs, q_num: complex, q_den: complex, q2: complex,
+                 at_one=()) -> complex:
+    """prod over z in ``zs`` of (z; q_num, q2)_inf / (z; q_den, q2)_inf, times
+    the same ratio regularized at each z in ``at_one``.
+
+    The regularization drops the common vanishing (0,0) factor of numerator
+    and denominator: (z; q1, q2)_inf without its origin factor is
+    (z q1; q1, q2)_inf (z q2; q2)_inf, and the (z q2; q2)_inf factor is the
+    same on both sides, so it cancels as well.
+    """
+    num = [*zs, *(z * q_num for z in at_one)]
+    den = [*zs, *(z * q_den for z in at_one)]
+    return _qpoch(num, (), (q_num, q2)) / _qpoch(den, (), (q_den, q2))
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +119,15 @@ def mu_vacuum_ope(framing_w: tuple[int, ...], pp: ParamPoint,
 
     Product over color pairs k <= l and all framing index pairs; the self
     pair evaluates the double-Pochhammer ratio at argument 1 with its common
-    vanishing factor removed.
+    vanishing factor removed.  The arguments of all pairs are collected into
+    one series call per moduli tuple (p or hbar, with t1^N or t2^N).
     """
     n = pp.n_colors
     t1, t2 = pp.t1, pp.t2
     big1, big2 = t1 ** n, t2 ** n
     hbar, p = pp.hbar, pp.p
-    out = 1.0 + 0.0j
+    pref = 1.0 + 0.0j
+    zs1, zs2, ones = [], [], []
     for k in range(n):
         for l in range(k, n):
             eta = eta_pairing(k, l, n)
@@ -116,15 +135,13 @@ def mu_vacuum_ope(framing_w: tuple[int, ...], pp: ParamPoint,
                 for j in range(1, framing_w[l] + 1):
                     uk = Monomial.var(f"{prefix}{k}_{i}")
                     ul = Monomial.var(f"{prefix}{l}_{j}")
-                    pref = pp.materialize((MINUS * SQRT_HBAR * uk) ** eta)
+                    pref *= pp.materialize((MINUS * SQRT_HBAR * uk) ** eta)
                     ratio = pp.materialize(ul / uk)
-                    self_pair = (k == l and i == j)
-                    z1 = big1 * t1 ** (k - l) * ratio
+                    zs1.append(big1 * t1 ** (k - l) * ratio)
                     z2 = t2 ** (l - k) * ratio
-                    out *= pref
-                    out *= qpoch2_ratio(z1, p, hbar, big1)
-                    out *= qpoch2_ratio(z2, p, hbar, big2, at_one=self_pair)
-    return out
+                    (ones if k == l and i == j else zs2).append(z2)
+    return (pref * qpoch2_ratio(zs1, p, hbar, big1)
+            * qpoch2_ratio(zs2, p, hbar, big2, at_one=ones))
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +158,10 @@ def mu_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
     zv = pp.materialize(z)
     pref = pp.materialize(z ** (-eta_pairing(k, l, n)))
     d = k - l  # <= 0 here
-
-    def block(h):
-        num = (gamma3v(t2 ** (-d) * zv, big1, big2, h)
-               * gamma3v(big1 * t1 ** d * zv, big1, big2, h))
-        den = (gamma3v(big1 * t2 ** (-d) * zv, big1, big2, h)
-               * gamma3v(big1 * big2 * t1 ** d * zv, big1, big2, h))
-        return num / den
-
-    return pref * block(pp.hbar) / block(pp.p)
+    num = (t2 ** (-d) * zv, big1 * t1 ** d * zv)
+    den = (big1 * t2 ** (-d) * zv, big1 * big2 * t1 ** d * zv)
+    return (pref * gamma3v(num, den, big1, big2, pp.hbar)
+            / gamma3v(num, den, big1, big2, pp.p))
 
 
 def mu_star_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
@@ -165,11 +177,9 @@ def mu_star_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
     h = pp.hbar
 
     def block(shift, nome):
-        num = (gamma3v(shift * big2 * t1 ** (-d) * zv, big1, big2, nome)
-               * gamma3v(shift * big1 * big2 * t2 ** d * zv, big1, big2, nome))
-        den = (gamma3v(shift * t1 ** (-d) * zv, big1, big2, nome)
-               * gamma3v(shift * big2 * t2 ** d * zv, big1, big2, nome))
-        return num / den
+        num = (shift * big2 * t1 ** (-d) * zv, shift * big1 * big2 * t2 ** d * zv)
+        den = (shift * t1 ** (-d) * zv, shift * big2 * t2 ** d * zv)
+        return gamma3v(num, den, big1, big2, nome)
 
     return pref * block(h, h) * block(1.0, pp.pstar)
 
@@ -179,22 +189,18 @@ def chi_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
     n = pp.n_colors
     t1, t2 = pp.t1, pp.t2
     big1, big2 = t1 ** n, t2 ** n
-    h = pp.hbar
     zv = pp.materialize(z)
     sq = pp.materialize(SQRT_HBAR)
     pref = pp.materialize(z ** (-eta_pairing(k, l, n)))
     d = (k % n) - (l % n)
     if d <= 0:
-        num = (gamma3v(sq * big2 * t2 ** d * zv, big1, big2, h)
-               * gamma3v(sq * t1 ** (-d) * zv, big1, big2, h))
-        den = (gamma3v(sq * big2 * t1 ** (-d) * zv, big1, big2, h)
-               * gamma3v(sq * big1 * big2 * t2 ** d * zv, big1, big2, h))
+        num = (big2 * t2 ** d, t1 ** (-d))
+        den = (big2 * t1 ** (-d), big1 * big2 * t2 ** d)
     else:
-        num = (gamma3v(sq * t2 ** d * zv, big1, big2, h)
-               * gamma3v(sq * big1 * t1 ** (-d) * zv, big1, big2, h))
-        den = (gamma3v(sq * big1 * big2 * t1 ** (-d) * zv, big1, big2, h)
-               * gamma3v(sq * big1 * t2 ** d * zv, big1, big2, h))
-    return pref * num / den
+        num = (t2 ** d, big1 * t1 ** (-d))
+        den = (big1 * big2 * t1 ** (-d), big1 * t2 ** d)
+    return pref * gamma3v([sq * x * zv for x in num], [sq * x * zv for x in den],
+                          big1, big2, pp.hbar)
 
 
 def rho_plus(pp: ParamPoint, z: Monomial, star: bool = False) -> complex:
@@ -203,7 +209,7 @@ def rho_plus(pp: ParamPoint, z: Monomial, star: bool = False) -> complex:
     big1, big2 = pp.t1 ** n, pp.t2 ** n
     zv = pp.materialize(z)
     nome = pp.pstar if star else pp.p
-    return gamma3v(1.0 / zv, big1, big2, nome) / gamma3v(zv, big1, big2, nome)
+    return gamma3v((1.0 / zv,), (zv,), big1, big2, nome)
 
 
 def rho_ratio(pp: ParamPoint, z: Monomial) -> complex:

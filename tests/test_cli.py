@@ -114,10 +114,19 @@ def test_usage_error_exit_code():
     (["rmatrix", "--v", "1,0,0", "--w1", "1,0,0", "--w2", "1,0,0,0"],
      "--w2 has 4"),
     (["stab", "--N", "4", "--w", "1,0,0", "--fp", "[[1]]"], "--N is 4"),
+    (["shuffle-check", "--boxes", "1"], "--boxes has 1"),
+    (["shuffle-check", "--boxes", "1,1,1"], "--boxes has 3"),
+    (["shuffle-check", "--boxes", "1,1", "--color2", "3"], "--color2 3"),
+    (["shuffle-check", "--boxes", "1,1", "--color2", "-1"], "--color2 -1"),
+    (["ybe", "--colors", "0,0"], "--colors has 2"),
+    (["ybe", "--colors", "0,0,0,1"], "--colors has 4"),
+    (["ybe", "--colors", "0,0,-1"], "--colors -1"),
+    (["ybe", "--colors", "0,3,0"], "--colors 3"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
-    """A vector whose length is not --N, or a fixed-point index outside the
-    basis, is a usage error with a message, not a failed check."""
+    """A vector of the wrong length, a color outside 0..N-1 or a fixed-point
+    index outside the basis is a usage error with a message, not a failed
+    check."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstab.core import Monomial, SingularityError
+from ellstab import scalars
+from ellstab.core import SQRT_HBAR, Monomial, SingularityError
 from ellstab.rmatrix import FramingGroup
-from ellstab.sampling import sample_param_point
-from ellstab.scalars import (_qpoch, chi_exchange, eta_pairing, gamma3v, mu_exchange,
-                             mu_exchange_scalar, mu_star_exchange,
+from ellstab.sampling import Annuli, sample_param_point
+from ellstab.scalars import (MINUS, _qpoch, chi_exchange, eta_pairing, gamma3v,
+                             mu_exchange, mu_exchange_scalar, mu_star_exchange,
                              mu_vacuum_ope, qpoch2_ratio, rho_plus, rho_ratio,
                              rll_scalar_residual)
 from qseries_oracles import gamma3, qpoch2_inf
@@ -33,15 +34,15 @@ def test_eta_values_and_symmetry():
 def test_gamma3v_matches_scalar_reference():
     a, b, c = 0.2 + 0.05j, 0.3 - 0.1j, 0.15 + 0.12j
     z = 0.7 + 0.3j
-    assert abs(gamma3v(z, a, b, c) - gamma3(z, a, b, c)) \
+    assert abs(gamma3v([z], [], a, b, c) - gamma3(z, a, b, c)) \
         < 1e-12 * abs(gamma3(z, a, b, c))
 
 
 def test_gamma3v_stable_under_truncation_tightening():
     a, b, c = 0.25, 0.3 + 0.1j, 0.2 - 0.05j
     z = 0.9 + 0.2j
-    v1 = gamma3v(z, a, b, c, cutoff=1e-18)
-    v2 = gamma3v(z, a, b, c, cutoff=1e-24)
+    v1 = gamma3v([z], [], a, b, c, cutoff=1e-18)
+    v2 = gamma3v([z], [], a, b, c, cutoff=1e-24)
     assert abs(v1 - v2) < 1e-9 * abs(v1)
 
 
@@ -52,26 +53,45 @@ def test_qpoch_kernel_q_difference_near_unit_moduli(zmod):
     t1, t2 = 0.88 * cmath.exp(0.7j), 0.88 * cmath.exp(-1.9j)
     a, b, c = t1 ** N, t2 ** N, t1 * t2
     z = zmod * cmath.exp(0.4j)
-    lhs = _qpoch((a * z,), (a, b, c)) * _qpoch((z,), (b, c))
-    rhs = _qpoch((z,), (a, b, c))
+    lhs = _qpoch((a * z,), (), (a, b, c)) * _qpoch((z,), (), (b, c))
+    rhs = _qpoch((z,), (), (a, b, c))
     assert abs(lhs - rhs) < 1e-13 * abs(rhs)
+
+
+@pytest.mark.parametrize("tmod", [0.45, 0.7, 0.88])
+@pytest.mark.parametrize("zmod", [0.3, 1.0, 6.0])
+def test_batched_gamma3v_is_the_ratio_of_single_calls(tmod, zmod):
+    t1, t2 = tmod * cmath.exp(0.7j), tmod * cmath.exp(-1.9j)
+    qs = (t1 ** N, t2 ** N, t1 * t2)
+    z = zmod * cmath.exp(0.4j)
+    num = [z, 0.7 * z * cmath.exp(1.1j), 1.3 * z * cmath.exp(-2.0j)]
+    den = [0.8 * z * cmath.exp(-0.5j), 1.2 * z * cmath.exp(2.6j)]
+    want = (np.prod([gamma3v([x], [], *qs) for x in num])
+            / np.prod([gamma3v([x], [], *qs) for x in den]))
+    assert abs(gamma3v(num, den, *qs) - want) < 1e-14 * abs(want)
+    assert abs(gamma3v(num[:1], num[:1], *qs) - 1) < 1e-14
+    assert gamma3v([], [], *qs) == 1
 
 
 def test_qpoch2_ratio_at_one_matches_direct_product():
     p, h, big2 = PP0.p, PP0.hbar, PP0.t2 ** N
     want = (qpoch2_inf(1.0, p, big2, skip_origin=True)
             / qpoch2_inf(1.0, h, big2, skip_origin=True))
-    got = qpoch2_ratio(1.0 + 0.0j, p, h, big2, at_one=True)
+    got = qpoch2_ratio((), p, h, big2, at_one=(1.0 + 0.0j,))
     assert abs(got - want) < 1e-12 * abs(want)
 
 
 def test_kernels_reject_moduli_outside_the_unit_disc():
     with pytest.raises(SingularityError):
-        gamma3v(0.7 + 0.1j, 0.2, 1.0, 0.3)
+        gamma3v([0.7 + 0.1j], [], 0.2, 1.0, 0.3)
     with pytest.raises(SingularityError):
-        gamma3v(0.7 + 0.1j, 0.2, 0.3, 1.2j)
+        gamma3v([0.7 + 0.1j], [], 0.2, 0.3, 1.2j)
     with pytest.raises(SingularityError):
-        qpoch2_ratio(0.5 + 0.0j, 0.2, 0.3, 1.0)
+        qpoch2_ratio([0.5 + 0.0j], 0.2, 0.3, 1.0)
+    with pytest.raises(SingularityError):
+        gamma3v([0.7 + 0.1j, 0.0], [], 0.2, 0.3, 0.1j)
+    with pytest.raises(SingularityError):
+        gamma3v([0.7 + 0.1j], [0.0], 0.2, 0.3, 0.1j)
 
 
 def test_mu_reciprocal_branch_rule():
@@ -124,7 +144,7 @@ def test_vacuum_ope_single_weight_is_finite():
 
 def test_vacuum_ope_regularized_ratio_at_one():
     p, h, t2 = PP0.p, PP0.hbar, PP0.t2
-    v = qpoch2_ratio(1.0 + 0.0j, p, h, t2 ** N, at_one=True)
+    v = qpoch2_ratio((), p, h, t2 ** N, at_one=(1.0 + 0.0j,))
     assert np.isfinite(abs(v)) and abs(v) > 0
 
 
@@ -135,3 +155,121 @@ def test_exchange_scalar_of_groups():
                                                    "ub": list(g2.w)})
     val = mu_exchange_scalar(g1, g2, pp)
     assert np.isfinite(abs(val)) and abs(val) > 0
+
+
+# ---------------------------------------------------------------------------
+# Each kernel against its formula in single oracle factors, at |t| <= 1/2
+# where the direct lattice products of the oracles converge fast
+# ---------------------------------------------------------------------------
+
+PPS = sample_param_point(2, N, framing_counts={"u": [2, 1, 0]},
+                         annuli=Annuli(t=(0.4, 0.5)))
+PPS_U = PPS.extended({"x": 0.83 + 0.41j})
+ZX = Monomial.var("x")
+
+
+def _close(got, want):
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+def _g(x, nome):
+    return gamma3(x, PPS.t1 ** N, PPS.t2 ** N, nome)
+
+
+@pytest.mark.parametrize("k, l", [(0, 0), (0, 2), (1, 2), (2, 1), (2, 0)])
+def test_mu_exchange_matches_its_gamma3_formula(k, l):
+    pp, b1, b2 = PPS_U, PPS_U.t1 ** N, PPS_U.t2 ** N
+    t1, t2, h, p = pp.t1, pp.t2, pp.hbar, pp.p
+    eta = eta_pairing(k, l, N)
+    if k <= l:
+        d, zv, pref = k - l, pp.materialize(ZX), pp.materialize(ZX ** -eta)
+    else:  # reciprocal rule: 1 / mu(1/z)_{lk}
+        d, zv, pref = l - k, 1 / pp.materialize(ZX), pp.materialize(ZX ** eta)
+    want = (pref
+            * _g(t2 ** -d * zv, h) * _g(b1 * t1 ** d * zv, h)
+            / (_g(b1 * t2 ** -d * zv, h) * _g(b1 * b2 * t1 ** d * zv, h))
+            / (_g(t2 ** -d * zv, p) * _g(b1 * t1 ** d * zv, p))
+            * (_g(b1 * t2 ** -d * zv, p) * _g(b1 * b2 * t1 ** d * zv, p)))
+    _close(mu_exchange(pp, ZX, k, l), want if k <= l else 1 / want)
+
+
+@pytest.mark.parametrize("k, l", [(0, 0), (0, 2), (1, 2)])
+def test_mu_star_exchange_matches_its_gamma3_formula(k, l):
+    pp, b1, b2 = PPS_U, PPS_U.t1 ** N, PPS_U.t2 ** N
+    t1, t2, h, ps = pp.t1, pp.t2, pp.hbar, pp.pstar
+    zv, d = pp.materialize(ZX), k - l
+    want = (pp.materialize(ZX ** eta_pairing(k, l, N))
+            * _g(h * b2 * t1 ** -d * zv, h) * _g(h * b1 * b2 * t2 ** d * zv, h)
+            / (_g(h * t1 ** -d * zv, h) * _g(h * b2 * t2 ** d * zv, h))
+            * _g(b2 * t1 ** -d * zv, ps) * _g(b1 * b2 * t2 ** d * zv, ps)
+            / (_g(t1 ** -d * zv, ps) * _g(b2 * t2 ** d * zv, ps)))
+    _close(mu_star_exchange(pp, ZX, k, l), want)
+
+
+@pytest.mark.parametrize("k, l", [(0, 0), (0, 2), (2, 1), (2, 0)])
+def test_chi_exchange_matches_its_gamma3_formula(k, l):
+    pp, b1, b2 = PPS_U, PPS_U.t1 ** N, PPS_U.t2 ** N
+    t1, t2, h = pp.t1, pp.t2, pp.hbar
+    x, d = pp.materialize(SQRT_HBAR) * pp.materialize(ZX), k - l
+    if d <= 0:
+        ratio = (_g(b2 * t2 ** d * x, h) * _g(t1 ** -d * x, h)
+                 / (_g(b2 * t1 ** -d * x, h) * _g(b1 * b2 * t2 ** d * x, h)))
+    else:
+        ratio = (_g(t2 ** d * x, h) * _g(b1 * t1 ** -d * x, h)
+                 / (_g(b1 * b2 * t1 ** -d * x, h) * _g(b1 * t2 ** d * x, h)))
+    want = pp.materialize(ZX ** -eta_pairing(k, l, N)) * ratio
+    _close(chi_exchange(pp, ZX, k, l), want)
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_rho_plus_matches_its_gamma3_formula(star):
+    zv = PPS_U.materialize(ZX)
+    nome = PPS_U.pstar if star else PPS_U.p
+    _close(rho_plus(PPS_U, ZX, star), _g(1 / zv, nome) / _g(zv, nome))
+
+
+def _pq(z, q2, skip_origin=False):
+    """(z; p, q2)_inf / (z; hbar, q2)_inf by the direct-product oracle."""
+    return (qpoch2_inf(z, PPS.p, q2, skip_origin=skip_origin)
+            / qpoch2_inf(z, PPS.hbar, q2, skip_origin=skip_origin))
+
+
+def test_mu_vacuum_ope_matches_its_qpoch2_formula():
+    pp, b1, b2, t1, t2 = PPS, PPS.t1 ** N, PPS.t2 ** N, PPS.t1, PPS.t2
+    at_one = _pq(b1, b1) * _pq(1.0, b2, skip_origin=True)
+    # w = (1, 1, 0): self pairs of colors 0 and 1, and the pair (0, 1)
+    # with eta_00 = eta_01 = 0 and eta_11 = 2/3
+    r = pp.materialize(Monomial.var("u1_1") / Monomial.var("u0_1"))
+    want = (pp.materialize((MINUS * SQRT_HBAR * Monomial.var("u1_1"))
+                           ** Fraction(2, 3))
+            * at_one ** 2 * _pq(b1 * r / t1, b1) * _pq(t2 * r, b2))
+    _close(mu_vacuum_ope((1, 1, 0), pp), want)
+    # w = (2, 0, 0): two self pairs and the pairs (1, 2) and (2, 1), eta = 0
+    r = pp.materialize(Monomial.var("u0_2") / Monomial.var("u0_1"))
+    want = (at_one ** 2 * _pq(b1 * r, b1) * _pq(r, b2)
+            * _pq(b1 / r, b1) * _pq(1 / r, b2))
+    _close(mu_vacuum_ope((2, 0, 0), pp), want)
+
+
+def test_one_series_evaluation_per_moduli_tuple(monkeypatch):
+    """Each kernel evaluates its triple Gamma ratios with one series call per
+    moduli tuple: two for mu and mu* (two nomes), one for chi and rho^+, and
+    four for the vacuum OPE (two nomes times two second moduli)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _qpoch(*args, **kwargs)
+
+    monkeypatch.setattr(scalars, "_qpoch", counted)
+    cases = [(2, lambda: mu_exchange(PP, ZU, 0, 1)),
+             (2, lambda: mu_exchange(PP, ZU, 2, 1)),
+             (2, lambda: mu_star_exchange(PP, ZU, 0, 2)),
+             (1, lambda: chi_exchange(PP, ZU, 1, 0)),
+             (1, lambda: rho_plus(PP, ZU, star=True)),
+             (4, lambda: mu_vacuum_ope((1, 1, 0), PPS)),
+             (4, lambda: mu_vacuum_ope((2, 0, 0), PPS))]
+    for want, kernel in cases:
+        calls.clear()
+        kernel()
+        assert len(calls) == want
