@@ -27,7 +27,7 @@ from .envelopes import Envelope, EnvelopeSpec, restrict, shuffle_residual
 from .fock import (lowering_coefficient, phi_eigenvalue, raising_coefficient)
 from .partitions import (ColoredPartition, addable_removable, fixed_points,
                          make_fixed_point, partitions_upto)
-from .rmatrix import (FramingGroup, composition_residual, inverted_kahler,
+from .rmatrix import (ChamberMatrices, FramingGroup, inverted_kahler,
                       transition_r, transition_r_star,
                       transpose_relation_residual, weight_block_residual,
                       ybe_residual)
@@ -230,10 +230,13 @@ def cmd_rmatrix(args) -> int:
     pp = sample_param_point(args.seed, n, framing_counts={"ua": list(g1.w),
                                                           "ub": list(g2.w)})
     v = _vec(args, "v")
+    # the matrix, its composition and (with --star) the transpose relation
+    # are solved from the same restriction matrices, each built once
+    ch = ChamberMatrices.build(v, g1, g2, pp, n, star=args.star,
+                               kahler=inverted_kahler(n) if args.star else None)
     res = (transition_r_star if args.star else transition_r)(
-        v, g1, g2, pp, n, include_scalar=not args.bare)
-    comp = composition_residual(v, g1, g2, pp, n, star=args.star,
-                                kahler=inverted_kahler(n) if args.star else None)
+        v, g1, g2, pp, n, include_scalar=not args.bare, chambers=ch)
+    comp = ch.composition()
     wres = weight_block_residual(res.basis, res.bare)
     doc = _base_doc(args, pp, t0)
     doc["results"] = {
@@ -247,7 +250,7 @@ def cmd_rmatrix(args) -> int:
     doc["residuals"]["weight_blocks"] = wres
     if args.star:
         doc["residuals"]["transpose_relation"] = transpose_relation_residual(
-            v, g1, g2, pp, n)
+            v, g1, g2, pp, n, inverted=ch)
     worst = max(comp, wres)
     _emit(doc, args)
     return 0 if worst < args.tol else 1

@@ -10,9 +10,12 @@ materialize to the identical complex number.  A formal sign variable ``sgn``
 (value -1, log = i*pi) makes expressions like (-h^(1/2) u)^eta single valued.
 An integral exponent is stored as an ``int``, and a ``Fraction`` only where
 one is needed (a half power, an eta pairing's 1/n), so integral exponent
-arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2); a monomial keeps that
-half power in a slot once computed (``Monomial.inv_sqrt``), so a compiled
-theta argument evaluated at many points pays the exact arithmetic once.
+arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2).
+A monomial keeps that half power (``Monomial.inv_sqrt``) in a slot, and its
+float exponent pairs (``Monomial.float_items``) once asked for them, so a
+compiled theta argument evaluated at many points pays the exact arithmetic
+and the float conversions once, while a monomial materialized once pays for
+no table.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
@@ -26,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 #: name of the formal sign variable (value -1, fixed log i*pi)
@@ -69,7 +71,7 @@ class Monomial:
     changes a value, only what the exact arithmetic costs.
     """
 
-    __slots__ = ("_exps", "_hash", "_inv_sqrt")
+    __slots__ = ("_exps", "_hash", "_inv_sqrt", "_floats")
 
     def __init__(self, exps: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -85,6 +87,7 @@ class Monomial:
         self._exps = d
         self._hash = None
         self._inv_sqrt = None
+        self._floats = None
 
     @staticmethod
     def _of(d: dict[str, int | Fraction]) -> "Monomial":
@@ -94,6 +97,7 @@ class Monomial:
         m._exps = d
         m._hash = None
         m._inv_sqrt = None
+        m._floats = None
         return m
 
     @classmethod
@@ -181,6 +185,16 @@ class Monomial:
             self._inv_sqrt = Monomial._of({k: _half(-v) for k, v in self._exps.items()})
         return self._inv_sqrt
 
+    def float_items(self) -> tuple[tuple[str, float], ...]:
+        """(name, float exponent) pairs in the order of the exponent dict,
+        the order in which ``ParamPoint.log_of`` sums them; computed on
+        first use and kept in a slot, like ``inv_sqrt``.  A monomial that
+        never asks for them is materialized from its exact exponents."""
+        if self._floats is None:
+            d = self._exps
+            self._floats = tuple(zip(d, map(float, d.values())))
+        return self._floats
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._exps == other._exps
 
@@ -200,17 +214,40 @@ SQRT_HBAR = HBAR ** Fraction(1, 2)
 P = Monomial.var("p")
 
 
-@dataclass(frozen=True)
 class GradedValue:
     """A monomial prefactor times a plain complex coefficient.
 
     Products multiply coefficients and add monomial exponents exactly;
     addition is allowed only for equal monomials (otherwise materialize
-    first).
+    first).  A value made with ``half_of`` instead of ``mono`` (the value
+    of a theta, ``ParamPoint.theta``) has the prefactor half_of^(-1/2),
+    taken when ``mono`` is first read: a caller that reads only the
+    coefficient never takes the half power.
     """
 
-    mono: Monomial
-    coeff: complex
+    __slots__ = ("coeff", "_mono", "_half_of")
+
+    def __init__(self, mono: Monomial | None, coeff: complex,
+                 half_of: Monomial | None = None):
+        self._mono = mono
+        self._half_of = half_of
+        self.coeff = coeff
+
+    @property
+    def mono(self) -> Monomial:
+        if self._mono is None:
+            self._mono = self._half_of.inv_sqrt()
+        return self._mono
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GradedValue) and self.mono == other.mono
+                and self.coeff == other.coeff)
+
+    def __hash__(self) -> int:
+        return hash((self.mono, self.coeff))
+
+    def __repr__(self) -> str:
+        return f"GradedValue(mono={self.mono!r}, coeff={self.coeff!r})"
 
     def __mul__(self, other: "GradedValue") -> "GradedValue":
         return GradedValue(self.mono * other.mono, self.coeff * other.coeff)
@@ -327,9 +364,15 @@ class ParamPoint:
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
         if "p" in self.values and abs(self.values["p"]) >= 1:
             raise ValueError("|p| must be < 1")
-        if all(k in self.values for k in ("p", "t1", "t2")):
-            if abs(self.pstar) >= 1:
-                raise ValueError("|p/(t1 t2)| must be < 1 for the shifted nome")
+        self._set_nomes()
+        if self._nomes is not None and abs(self.pstar) >= 1:
+            raise ValueError("|p/(t1 t2)| must be < 1 for the shifted nome")
+
+    def _set_nomes(self):
+        """Keep (p, p*) of the current values, for ``nome``."""
+        v = self.values
+        self._nomes = ((v["p"], v["p"] / (v["t1"] * v["t2"]))
+                       if all(k in v for k in ("p", "t1", "t2")) else None)
 
     # -- derived parameters -------------------------------------------------
 
@@ -354,7 +397,9 @@ class ParamPoint:
         return self.p / self.hbar
 
     def nome(self, star: bool = False) -> complex:
-        return self.pstar if star else self.p
+        """p, or the shifted nome p* with ``star``; taken from the values
+        when the point was made."""
+        return self._nomes[star]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -377,19 +422,24 @@ class ParamPoint:
         pp.values = {k: complex(v) for k, v in vals.items()}
         pp.logs = {k: complex(v) for k, v in lgs.items()}
         pp._qpoch_memo = self._qpoch_memo
+        pp._set_nomes()
         return pp
 
     def materialize(self, mono: Monomial) -> complex:
+        """The value of a monomial through the fixed logs of the point: its
+        exponents, the float pairs ``Monomial.float_items`` where the
+        monomial keeps them, times the logs."""
         s = 0.0 + 0.0j
         logs = self.logs
-        for name, e in mono._exps.items():
+        for name, e in mono._floats or mono._exps.items():
             s += float(e) * logs[name]
         return cmath.exp(s)
 
     def log_of(self, mono: Monomial) -> complex:
         s = 0.0 + 0.0j
-        for name, e in mono._exps.items():
-            s += float(e) * self.logs[name]
+        logs = self.logs
+        for name, e in mono._floats or mono._exps.items():
+            s += float(e) * logs[name]
         return s
 
     def qpoch_inf(self, z: complex, q: complex) -> complex:
@@ -410,7 +460,7 @@ class ParamPoint:
     def theta(self, mono: Monomial, star: bool = False) -> GradedValue:
         """Odd theta of a monomial argument: coeff -theta_p(z), mono z^(-1/2)."""
         z = self.materialize(mono)
-        return GradedValue(mono.inv_sqrt(), -self.theta_p_val(z, star))
+        return GradedValue(None, -self.theta_p_val(z, star), half_of=mono)
 
     def phi(self, x: Monomial, y: Monomial, star: bool = False) -> GradedValue:
         """phi(x, y) = theta(xy) theta(hbar) / (theta(x) theta(y))."""

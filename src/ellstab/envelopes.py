@@ -3,16 +3,22 @@
 An envelope attached to a fixed point is the per-color symmetrization of a
 product of theta factors (the chamber-ordered S-product in its plain, hatted
 or tilde normalization) times a sum of tree weights, one admissible rooted
-tree per framing slot.  The compiled structure keeps every theta argument as
-an exact monomial, and is lowered once, at its first evaluation
-(``LoweredSum``): the distinct theta arguments of all terms, and per term a
-sign, index lists into them and the exact prefactor monomial.  An envelope
-that is only asked for exact data, such as its quasi-periodicity factors,
-is never lowered.  Evaluation assigns complex values to the
-Chern-root variables of one extended parameter point, overwrites them per
-permutation of the roots, takes each distinct theta once per permutation
-through fixed logarithms and combines the terms by index in floating point;
-exact monomial arithmetic stays at compile time.
+tree per framing slot.  A compile takes the boxes, Chern slots, quiver pairs
+and index degrees of the fixed point once, and sorts the factors of every
+term in ``repr`` order, keying each distinct factor once.  The compiled
+structure keeps every theta argument as an exact monomial, and is lowered
+once, at its first evaluation (``LoweredSum``): the distinct theta arguments
+of all terms, and per term a sign, index lists into them and the exact
+prefactor monomial.  An envelope that is only asked for exact data, such as
+its quasi-periodicity factors, is never lowered.  Evaluation assigns complex
+values to the Chern-root variables of one extended parameter point,
+overwrites them per permutation of the roots, takes each distinct theta once
+per permutation through fixed logarithms (reading only its coefficient, so
+no half power is formed) and combines the terms by index in floating point;
+exact monomial arithmetic stays at compile time.  The envelopes of one basis
+restricted to one point share a ``ThetaTable``: a theta argument that
+several columns of a restriction matrix carry is taken once per permutation,
+and once per matrix if it has no Chern root.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import cmath
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +105,8 @@ class LoweredSum:
     (``ThetaProduct.mono_total``).  ``eval`` takes each distinct theta once
     and multiplies each term out in its own factor order, so the value is bit
     for bit that of multiplying graded values factor by factor, with no exact
-    monomial arithmetic at evaluation time.
+    monomial arithmetic at evaluation time.  Every argument and prefactor
+    keeps its float exponents (``Monomial.float_items``).
     """
 
     def __init__(self, products: list[ThetaProduct]):
@@ -109,10 +117,39 @@ class LoweredSum:
                        prod.mono_total())
                       for prod in products]
         self.args = list(index)
+        for m in self.args + [pref for *_, pref in self.terms]:
+            m.float_items()
+        self._keyed: tuple[frozenset, list] | None = None
 
-    def eval(self, pp: ParamPoint, star: bool) -> complex:
+    def _table_keys(self, chern_roots: frozenset) -> list[tuple[Monomial, tuple, bool]]:
+        """Per argument: the argument, its ``ThetaTable`` key (the ordered
+        exponent items) and whether it is free of ``chern_roots``.  Built at
+        the first evaluation with a table, and again for a table of another
+        root set."""
+        if self._keyed is None or self._keyed[0] != chern_roots:
+            self._keyed = chern_roots, [(m, tuple(m._exps.items()),
+                                         chern_roots.isdisjoint(m._exps))
+                                        for m in self.args]
+        return self._keyed[1]
+
+    def eval(self, pp: ParamPoint, star: bool, thetas: ThetaTable | None = None,
+             perm: int = 0) -> complex:
+        """The value at a point.  With ``thetas``, the table of the point's
+        Chern-root assignment, and ``perm``, the index of the permutation of
+        the roots the point carries, a theta is read from the table or taken
+        and written to it."""
         theta = pp.theta
-        th = [theta(m, star).coeff for m in self.args]
+        if thetas is None:
+            th = [theta(m, star).coeff for m in self.args]
+        else:
+            free, bound = thetas.perm(perm)
+            th = []
+            for m, key, is_free in self._table_keys(thetas.chern_roots):
+                known = free if is_free else bound
+                c = known.get(key)
+                if c is None:
+                    c = known[key] = theta(m, star).coeff
+                th.append(c)
         total = 0.0 + 0.0j
         for sign, num, den, pref in self.terms:
             c = sign
@@ -124,6 +161,39 @@ class LoweredSum:
                 c = c / th[k]
             total += c * pp.materialize(pref)
         return total
+
+
+class ThetaTable:
+    """Theta values shared by the envelopes of one basis at one restriction
+    point.
+
+    ``restriction_matrix`` makes one table per restriction point (one
+    assignment of the Chern roots) and passes it to every column's
+    ``Envelope.eval``; the envelopes of a basis share their Chern roots and
+    so enumerate the same permutations of them.  An argument is keyed by its
+    ordered exponent items, not by monomial equality: equal monomials whose
+    exponents run in another order materialize to different last bits, so
+    they are kept apart.  An argument with a Chern root is taken once per
+    permutation of the roots; a Chern-root-free one once for all the tables
+    that share ``free`` (the points of one matrix, at one parameter point
+    and nome).  Each column still multiplies out its own terms in its own
+    order, so every value is bit for bit that of evaluating the envelope
+    alone.  A table lives as long as the matrix it serves.
+
+    ``chern_roots`` names the Chern roots the point assigns; an argument
+    free of them is shared through ``free``.
+    """
+
+    def __init__(self, chern_roots: Iterable[str], free: dict | None = None):
+        self.chern_roots = frozenset(chern_roots)
+        self.free: dict[tuple, complex] = {} if free is None else free
+        self._bound: list[dict[tuple, complex]] = []
+
+    def perm(self, k: int) -> tuple[dict, dict]:
+        """The (Chern-root-free, Chern-root) value dicts of permutation k."""
+        while len(self._bound) <= k:
+            self._bound.append({})
+        return self.free, self._bound[k]
 
 
 def _u_mono(fp: FixedPoint, rank: int) -> Monomial:
@@ -139,8 +209,8 @@ def _rho_le_root(fp: FixedPoint, box: Box, rank: int) -> bool:
     return not rho_less(anchor, 0, box)
 
 
-def _x_monos(fp: FixedPoint) -> dict[Box, Monomial]:
-    return {b: Monomial.var(name) for b, name in box_slot_vars(fp).items()}
+def _x_monos(xvar: dict[Box, str]) -> dict[Box, Monomial]:
+    return {b: Monomial.var(name) for b, name in xvar.items()}
 
 
 def _s_product(fp: FixedPoint, variant: str, pairs: QuiverPairs,
@@ -181,7 +251,8 @@ def _s_product(fp: FixedPoint, variant: str, pairs: QuiverPairs,
         if not rho_less(a, 0, b):
             continue
         if plain:
-            prod.den += [x[a] / x[b], HBAR * x[a] / x[b]]
+            ratio = x[a] / x[b]
+            prod.den += [ratio, HBAR * ratio]
         elif variant == "hat":
             prod.num.append(x[b] / x[a])
             prod.den.append(HBAR * x[a] / x[b])
@@ -193,12 +264,12 @@ def _s_product(fp: FixedPoint, variant: str, pairs: QuiverPairs,
 
 def s_factor_product(fp: FixedPoint, variant: str) -> ThetaProduct:
     """The unsymmetrized S-product of the requested normalization."""
-    return _s_product(fp, variant, quiver_pairs(fp), _x_monos(fp))
+    return _s_product(fp, variant, quiver_pairs(fp), _x_monos(box_slot_vars(fp)))
 
 
 def normalization_kernel(fp: FixedPoint, which: str) -> ThetaProduct:
     """The K-factor relating the plain S-product to its hat/tilde form."""
-    x = _x_monos(fp)
+    x = _x_monos(box_slot_vars(fp))
     t1, t2 = Monomial.var("t1"), Monomial.var("t2")
     pairs = quiver_pairs(fp)
     prod = ThetaProduct()
@@ -228,51 +299,59 @@ class TreeTupleWeight:
     phi_args: list[tuple[Monomial, Monomial]]
 
 
-def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial]) -> list[TreeTupleWeight]:
-    """All tree-tuple weights of a fixed point, compiled to phi arguments."""
+def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial],
+                 boxes: list[Box] | None = None,
+                 x: dict[Box, Monomial] | None = None,
+                 degrees: dict[Box, int] | None = None) -> list[TreeTupleWeight]:
+    """All tree-tuple weights of a fixed point, compiled to phi arguments.
+
+    ``boxes`` is ``fp.boxes()``, ``x`` maps each box to its Chern root and
+    ``degrees`` is ``index_degrees(fp)``; each is computed if not given.  The
+    phi arguments of one tree of one slot are built once and shared by every
+    tuple that holds the tree.
+    """
     n = fp.n_colors
-    xvar = box_slot_vars(fp)
-    degrees = index_degrees(fp)
-    box_at = {(b.owner, b.x, b.y): b for b in fp.boxes()}
+    if boxes is None:
+        boxes = fp.boxes()
+    if x is None:
+        x = _x_monos(box_slot_vars(fp))
+    if degrees is None:
+        degrees = index_degrees(fp, boxes)
+    # per (slot rank, cell): the Chern root of its box, its restriction
+    # weight, its Kahler argument and hbar to its index degree
+    cell = {(b.owner, b.x, b.y): (x[b], phi_weight(fp, b),
+                                  kahler[b.content % n], HBAR ** degrees[b])
+            for b in boxes}
+
+    def subtree_mono(rank, tree, root) -> Monomial:
+        acc = Monomial.one()
+        for cx, cy in tree.subtree[root]:
+            _, _, kah, hdeg = cell[(rank, cx, cy)]
+            acc = acc * kah * hdeg
+        return acc
+
+    def slot_phi_args(rank, tree) -> list[tuple[Monomial, Monomial]]:
+        u = _u_mono(fp, rank)
+        phi_args = [(cell[(rank, 1, 1)][0] / u, subtree_mono(rank, tree, (1, 1)))]
+        for par_cell, child_cell in tree.edges():
+            x_par, w_par, _, _ = cell[(rank,) + par_cell]
+            x_child, w_child, _, _ = cell[(rank,) + child_cell]
+            arg = x_child * w_par / (x_par * w_child)
+            phi_args.append((arg, subtree_mono(rank, tree, child_cell)))
+        return phi_args
 
     per_slot: list[list] = []
     for rank, (slot, lam) in enumerate(fp.slots):
         if lam.size == 0:
-            per_slot.append([None])
             continue
         choices = lambda_trees(lam)
         if not choices:
             raise ValueError(f"no admissible tree for partition {lam.rows}")
-        per_slot.append([(rank, t) for t in choices])
+        per_slot.append([(t.kappa, slot_phi_args(rank, t)) for t in choices])
 
-    def subtree_mono(rank, tree, cell) -> Monomial:
-        acc = Monomial.one()
-        for cx, cy in tree.subtree[cell]:
-            b = box_at[(rank, cx, cy)]
-            acc = acc * kahler[b.content % n] * HBAR ** degrees[b]
-        return acc
-
-    out = []
-    for combo in itertools.product(*per_slot):
-        kappa = 0
-        phi_args: list[tuple[Monomial, Monomial]] = []
-        for entry in combo:
-            if entry is None:
-                continue
-            rank, tree = entry
-            kappa += tree.kappa
-            u = _u_mono(fp, rank)
-            root = box_at[(rank, 1, 1)]
-            xr = Monomial.var(xvar[root])
-            phi_args.append((xr / u, subtree_mono(rank, tree, (1, 1))))
-            for par_cell, child_cell in tree.edges():
-                par = box_at[(rank,) + par_cell]
-                child = box_at[(rank,) + child_cell]
-                arg = (Monomial.var(xvar[child]) * phi_weight(fp, par)
-                       / (Monomial.var(xvar[par]) * phi_weight(fp, child)))
-                phi_args.append((arg, subtree_mono(rank, tree, child_cell)))
-        out.append(TreeTupleWeight(kappa, phi_args))
-    return out
+    return [TreeTupleWeight(sum(kappa for kappa, _ in combo),
+                            [arg for _, args in combo for arg in args])
+            for combo in itertools.product(*per_slot)]
 
 
 def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct:
@@ -281,11 +360,20 @@ def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct
     Identical factors cancel exactly (theta(m)/theta(m) = 1), which makes the
     removable zero-over-zero combinations at restriction points evaluable.
     No compiled envelope term has a numerator m against a denominator 1/m.
+    Equal arguments are counted together and kept as their first occurrence;
+    the factors left are sorted by ``repr``.
     """
     cn, cd = Counter(num), Counter(den)
-    common = cn & cd
-    return ThetaProduct(sorted((cn - common).elements(), key=repr),
-                        sorted((cd - common).elements(), key=repr), sign)
+    return ThetaProduct(_left_sorted(cn, cd), _left_sorted(cd, cn), sign)
+
+
+def _left_sorted(counts: Counter, other: Counter) -> list[Monomial]:
+    """The arguments of ``counts`` that ``other`` does not cancel, each as
+    often as it is left, sorted by ``repr``: each distinct argument is keyed
+    once."""
+    left = {m: c - other.get(m, 0) for m, c in counts.items()}
+    return [m for m in sorted([m for m, c in left.items() if c > 0], key=repr)
+            for _ in range(left[m])]
 
 
 class Envelope:
@@ -297,15 +385,19 @@ class Envelope:
         self.spec = spec
         fp = spec.fp
         self.fp = fp
-        self.slots = chern_slots(fp)
+        boxes = fp.boxes()
+        self.slots = chern_slots(fp, boxes)
         self.nvars = {i: [f"x{i}_{j}" for j in range(1, len(bs) + 1)]
                       for i, bs in self.slots.items()}
         size = math.prod(math.factorial(len(names)) for names in self.nvars.values())
         if size > SYM_BUDGET:
             raise BudgetError(f"symmetrization over {size} permutations exceeds budget")
-        sprod = s_factor_product(fp, spec.variant)
+        x = _x_monos(box_slot_vars(fp, self.slots))
+        pairs = quiver_pairs(fp, boxes)
+        sprod = _s_product(fp, spec.variant, pairs, x)
+        degrees = index_degrees(fp, boxes, pairs)
         self._terms: list[ThetaProduct] = []
-        for tw in tree_weights(fp, spec.kahler_map()):
+        for tw in tree_weights(fp, spec.kahler_map(), boxes, x, degrees):
             num, den = list(sprod.num), list(sprod.den)
             for xm, ym in tw.phi_args:
                 num += [xm * ym, HBAR]
@@ -357,22 +449,27 @@ class Envelope:
             out[name] = factor
         return out
 
-    def _term(self, pp: ParamPoint) -> complex:
+    def _term(self, pp: ParamPoint, thetas: ThetaTable | None = None,
+              perm: int = 0) -> complex:
         """The unsymmetrized envelope at the point's Chern-root values.
 
         The first call lowers the terms: an envelope compiled only for its
         exact data (``qp_unit_factors``) never pays for the lowering.
+        ``thetas`` and ``perm`` are passed on to ``LoweredSum.eval``.
         """
         if self._lowered is None:
             self._lowered = LoweredSum(self._terms)
-        return self._lowered.eval(pp, self.spec.star)
+        return self._lowered.eval(pp, self.spec.star, thetas, perm)
 
     def eval(self, pp: ParamPoint, values: dict[str, complex],
-             logs: dict[str, complex] | None = None) -> complex:
+             logs: dict[str, complex] | None = None,
+             thetas: ThetaTable | None = None) -> complex:
         """Symmetrized value at an assignment of the Chern-root variables.
 
         One extended point carries the assignment; each permutation of the
-        roots overwrites its Chern-root values and logs in place.
+        roots overwrites its Chern-root values and logs in place.  With
+        ``thetas``, the table of this assignment, a theta that another
+        envelope already took there is read from the table.
         """
         if logs is None:
             logs = {k: cmath.log(v) for k, v in values.items()}
@@ -383,12 +480,12 @@ class Envelope:
         logs0 = [lgs[name] for name in names]
         per_color = [self.nvars[i] for i in range(self.fp.n_colors)]
         total = 0.0 + 0.0j
-        for combo in itertools.product(*self._perms):
+        for k, combo in enumerate(itertools.product(*self._perms)):
             for dests, perm in zip(per_color, combo):
                 for name, src in zip(dests, perm):
                     vals[name] = vals0[src]
                     lgs[name] = logs0[src]
-            total += self._term(ppx)
+            total += self._term(ppx, thetas, k)
         return total
 
 

@@ -312,15 +312,15 @@ def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
 # Chern root slots and tautological weights
 # ---------------------------------------------------------------------------
 
-def chern_slots(fp: FixedPoint) -> dict[int, list[Box]]:
+def chern_slots(fp: FixedPoint, boxes: list[Box] | None = None) -> dict[int, list[Box]]:
     """Boxes per content residue, each list in the canonical order.
 
     The j-th box of residue i is matched with the Chern root variable
-    ``x{i}_{j}``.
+    ``x{i}_{j}``.  ``boxes`` is ``fp.boxes()``, computed if not given.
     """
     n = fp.n_colors
     out: dict[int, list[Box]] = {i: [] for i in range(n)}
-    for box in fp.boxes():
+    for box in fp.boxes() if boxes is None else boxes:
         out[box.content % n].append(box)
     for i in range(n):
         out[i].sort(key=Box.key)
@@ -331,8 +331,12 @@ def chern_var(color: int, index: int) -> str:
     return f"x{color}_{index}"
 
 
-def box_slot_vars(fp: FixedPoint) -> dict[Box, str]:
-    slots = chern_slots(fp)
+def box_slot_vars(fp: FixedPoint,
+                  slots: dict[int, list[Box]] | None = None) -> dict[Box, str]:
+    """The Chern root variable of each box; ``slots`` is ``chern_slots(fp)``,
+    computed if not given."""
+    if slots is None:
+        slots = chern_slots(fp)
     out = {}
     for i, boxes in slots.items():
         for j, box in enumerate(boxes, start=1):
@@ -374,21 +378,23 @@ def quiver_pairs(fp: FixedPoint, boxes: list[Box] | None = None) -> QuiverPairs:
     n = fp.n_colors
     if boxes is None:
         boxes = fp.boxes()
+    residues = [(b, b.content % n) for b in boxes]
     framing = [(rank, b) for rank, (slot, _) in enumerate(fp.slots)
-               for b in boxes if (b.content - slot.color) % n == 0]
+               for b, r in residues if r == slot.color % n]
     arrow, gauge = [], []
-    for a in boxes:
-        for b in boxes:
+    for a, ra in residues:
+        for b, rb in residues:
             if a is b:
                 continue
-            if (b.content - a.content - 1) % n == 0:
+            if rb == (ra + 1) % n:
                 arrow.append((a, b))
-            if (b.content - a.content) % n == 0:
+            if rb == ra:
                 gauge.append((a, b))
     return QuiverPairs(framing, arrow, gauge)
 
 
-def index_degrees(fp: FixedPoint) -> dict[Box, int]:
+def index_degrees(fp: FixedPoint, boxes: list[Box] | None = None,
+                  pairs: QuiverPairs | None = None) -> dict[Box, int]:
     """Integer degree of each Chern root in the determinant of the index class.
 
     The half tangent bundle W (x) V* + t1^{-1} V_{+1} (x) V* - V (x) V* is
@@ -399,9 +405,13 @@ def index_degrees(fp: FixedPoint) -> dict[Box, int]:
     degree is minus the signed count of small summands, which is exactly the
     normalization under which the shuffle-product Kahler shifts come out as
     z' -> z * hbar^(w''_i - v''_i + v''_{i+1}) and z'' -> z * hbar^(v'_i - v'_{i-1}).
+    ``boxes`` is ``fp.boxes()`` and ``pairs`` is ``quiver_pairs(fp, boxes)``,
+    each computed if not given.
     """
-    boxes = fp.boxes()
-    pairs = quiver_pairs(fp, boxes)
+    if boxes is None:
+        boxes = fp.boxes()
+    if pairs is None:
+        pairs = quiver_pairs(fp, boxes)
     d: dict[Box, int] = {b: 0 for b in boxes}
 
     def small(hi: int, lo: int, kappa: int) -> bool:

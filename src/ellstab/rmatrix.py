@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HBAR, Monomial, ParamPoint
-from .envelopes import (Envelope, EnvelopeSpec, default_kahler, kahler_args,
-                        restriction_values)
+from .envelopes import (Envelope, EnvelopeSpec, ThetaTable, default_kahler,
+                        kahler_args, restriction_values)
 from .partitions import FixedPoint, FramingSlot, _enumerate_fixed_points
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
@@ -67,8 +67,11 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     """Matrix of envelope restrictions: M[gamma, beta] = Stab(beta)|_gamma.
 
     The Chern-root values of each restriction point are computed once per
-    matrix.  An empty basis (a profile without fixed points) gives an empty
-    matrix of condition number 1.
+    matrix, and so is one ``ThetaTable`` per point, which the columns share:
+    a theta argument that several envelopes carry is taken once per point
+    and permutation, and once per matrix if it has no Chern root.  An empty
+    basis (a profile without fixed points) gives an empty matrix of
+    condition number 1.
     """
     n = len(basis)
     mat = np.zeros((n, n), dtype=complex)
@@ -78,10 +81,14 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
         raise ValueError("restriction points must share the (v, w) class")
     kah = kahler if kahler is not None else kahler_args(default_kahler(basis[0].n_colors))
     points = [restriction_values(gamma, pp) for gamma in basis]
+    # every point assigns the same Chern roots, those of the (v, w) class
+    roots = frozenset(points[0][0])
+    free: dict = {}
+    tables = [ThetaTable(roots, free) for _ in basis]
     for b, beta in enumerate(basis):
         env = Envelope(EnvelopeSpec(beta, "plain", star, kah))
         for g, (values, logs) in enumerate(points):
-            mat[g, b] = env.eval(pp, values, logs)
+            mat[g, b] = env.eval(pp, values, logs, tables[g])
     cond = float(np.linalg.cond(mat))
     return RestrictionMatrix(basis, mat, cond)
 
@@ -110,17 +117,62 @@ def _swap_permutation(basis: list[FixedPoint], basis_bar: list[FixedPoint],
     return p
 
 
-def _chamber_matrices(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                      n_colors: int, star: bool = False, kahler=None):
-    """(basis, M_C, M_Cbar, P) of the chamber orders C = (g1, g2) and
-    Cbar = (g2, g1): the two restriction matrices and the swap
-    ``_swap_permutation`` from the basis of C to that of Cbar.  The swap
-    from Cbar back to C is P.T."""
-    basis = basis_fixed_points(v, [g1, g2], n_colors)
-    basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
-    m_c = restriction_matrix(basis, pp, star, kahler)
-    m_cbar = restriction_matrix(basis_bar, pp, star, kahler)
-    return basis, m_c, m_cbar, _swap_permutation(basis, basis_bar, sum(g1.w))
+@dataclass
+class ChamberMatrices:
+    """The restriction matrices M_C and M_Cbar of the chamber orders
+    C = (g1, g2) and Cbar = (g2, g1) on one profile, their bases and the
+    swap P = ``_swap_permutation`` from the basis of C to that of Cbar (the
+    swap from Cbar back to C is P.T).  Every transition, composition and
+    transpose check of one profile, nome and Kahler argument is solved from
+    one of these, so a caller that needs several builds the matrices once;
+    ``at`` rebuilds the matrices on the same bases."""
+
+    basis: list[FixedPoint]
+    basis_bar: list[FixedPoint]
+    p: np.ndarray
+    m_c: RestrictionMatrix
+    m_cbar: RestrictionMatrix
+
+    @classmethod
+    def build(cls, v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
+              n_colors: int, star: bool = False, kahler=None) -> "ChamberMatrices":
+        basis = basis_fixed_points(v, [g1, g2], n_colors)
+        basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
+        return cls(basis, basis_bar, _swap_permutation(basis, basis_bar, sum(g1.w)),
+                   restriction_matrix(basis, pp, star, kahler),
+                   restriction_matrix(basis_bar, pp, star, kahler))
+
+    def at(self, pp: ParamPoint, star: bool = False, kahler=None) -> "ChamberMatrices":
+        """The matrices of the same bases at another nome or Kahler argument."""
+        return ChamberMatrices(self.basis, self.basis_bar, self.p,
+                               restriction_matrix(self.basis, pp, star, kahler),
+                               restriction_matrix(self.basis_bar, pp, star, kahler))
+
+    @property
+    def conds(self) -> tuple[float, float]:
+        return (self.m_c.cond, self.m_cbar.cond)
+
+    def bare(self) -> np.ndarray:
+        """The bare transition B with M_C B = P^T M_Cbar P."""
+        return np.linalg.solve(self.m_c.matrix, self.p.T @ self.m_cbar.matrix @ self.p)
+
+    def composition(self) -> float:
+        """|| B(C -> Cbar) B(Cbar -> C) - 1 ||_max.
+
+        The reversed order swaps the roles of M_C and M_Cbar and its swap is
+        P.T.
+        """
+        b21 = np.linalg.solve(self.m_cbar.matrix, self.p @ self.m_c.matrix @ self.p.T)
+        prod = (self.p.T @ b21 @ self.p) @ self.bare()
+        return float(np.max(np.abs(prod - np.eye(len(self.basis))), initial=0.0))
+
+    def transition(self, scalar: complex, transpose: bool = False) -> TransitionResult:
+        """The transition block with its exchange scalar; ``transpose`` takes
+        the transpose of the bare part (the R* convention)."""
+        bare = self.bare()
+        weights = [fp.weight() for fp in self.basis]
+        return TransitionResult(self.basis, bare.T.copy() if transpose else bare,
+                                scalar, self.conds, weights)
 
 
 def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
@@ -132,10 +184,8 @@ def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
     swapped alpha, i.e. the bare transition in the convention
     M_C B = (P^T M_Cbar P).
     """
-    basis, m_c, m_cbar, p = _chamber_matrices(v, g1, g2, pp, n_colors, star,
-                                              kahler)
-    bare = np.linalg.solve(m_c.matrix, p.T @ m_cbar.matrix @ p)
-    return basis, bare, (m_c.cond, m_cbar.cond)
+    ch = ChamberMatrices.build(v, g1, g2, pp, n_colors, star, kahler)
+    return ch.basis, ch.bare(), ch.conds
 
 
 def weight_block_residual(basis: list[FixedPoint], mat: np.ndarray) -> float:
@@ -150,13 +200,17 @@ def weight_block_residual(basis: list[FixedPoint], mat: np.ndarray) -> float:
 
 
 def transition_r(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                 n_colors: int, kahler=None,
-                 include_scalar: bool = True) -> TransitionResult:
-    """The dynamical R-matrix block on a total profile v."""
-    basis, bare, conds = bare_transition(v, g1, g2, pp, n_colors, kahler=kahler)
-    scalar = mu_exchange_scalar(g1, g2, pp) if include_scalar else 1.0 + 0.0j
-    weights = [fp.weight() for fp in basis]
-    return TransitionResult(basis, bare, scalar, conds, weights)
+                 n_colors: int, kahler=None, include_scalar: bool = True,
+                 chambers: ChamberMatrices | None = None) -> TransitionResult:
+    """The dynamical R-matrix block on a total profile v.
+
+    ``chambers``, if given, are the ``ChamberMatrices`` of these arguments,
+    built by the caller to solve more from them.
+    """
+    if chambers is None:
+        chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors, kahler=kahler)
+    return chambers.transition(mu_exchange_scalar(g1, g2, pp) if include_scalar
+                               else 1.0 + 0.0j)
 
 
 def inverted_kahler(n_colors: int):
@@ -164,58 +218,59 @@ def inverted_kahler(n_colors: int):
 
 
 def transition_r_star(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                      n_colors: int, include_scalar: bool = True) -> TransitionResult:
+                      n_colors: int, include_scalar: bool = True,
+                      chambers: ChamberMatrices | None = None) -> TransitionResult:
     """The starred R-matrix block: transpose of the shifted-nome transition at
     inverted Kahler arguments.
 
     The bare part is computed from envelopes at the shifted nome with the
     Kahler variables inverted; the transpose relation turns it into the
-    matrix at straight Kahler arguments.
+    matrix at straight Kahler arguments.  ``chambers``, if given, are those
+    starred ``ChamberMatrices`` at ``inverted_kahler``.
     """
-    basis, bare, conds = bare_transition(v, g1, g2, pp, n_colors, star=True,
+    if chambers is None:
+        chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors, star=True,
                                          kahler=inverted_kahler(n_colors))
-    scalar = mu_star_exchange_scalar(g1, g2, pp) if include_scalar else 1.0 + 0.0j
-    weights = [fp.weight() for fp in basis]
-    return TransitionResult(basis, bare.T.copy(), scalar, conds, weights)
+    return chambers.transition(mu_star_exchange_scalar(g1, g2, pp) if include_scalar
+                               else 1.0 + 0.0j, transpose=True)
 
 
-def transpose_relation_residual(v, g1, g2, pp, n_colors) -> float:
-    """|| transpose of bR*(z^-1) - bR*(z) ||, both computed independently."""
-    _, bare_inv, _ = bare_transition(v, g1, g2, pp, n_colors, star=True,
-                                     kahler=inverted_kahler(n_colors))
-    _, bare_straight, _ = bare_transition(v, g1, g2, pp, n_colors, star=True)
+def transpose_relation_residual(v, g1, g2, pp, n_colors,
+                                inverted: ChamberMatrices | None = None) -> float:
+    """|| transpose of bR*(z^-1) - bR*(z) ||, both solved from their own
+    restriction matrices.  ``inverted``, if given, are the starred
+    ``ChamberMatrices`` at ``inverted_kahler``; the straight ones are built
+    on their bases."""
+    if inverted is None:
+        inverted = ChamberMatrices.build(v, g1, g2, pp, n_colors, star=True,
+                                         kahler=inverted_kahler(n_colors))
+    bare_inv = inverted.bare()
+    bare_straight = inverted.at(pp, star=True).bare()
     scale = max(float(np.max(np.abs(bare_straight), initial=0.0)), 1.0)
     return float(np.max(np.abs(bare_inv.T - bare_straight), initial=0.0) / scale)
 
 
 def composition_residual(v, g1, g2, pp, n_colors, star=False,
                          kahler=None) -> float:
-    """|| B(C -> Cbar) B(Cbar -> C) - 1 ||_max.
-
-    Both transitions are solved from the same two restriction matrices: the
-    reversed order swaps the roles of M_C and M_Cbar and its swap is P.T.
-    """
-    basis, m_c, m_cbar, p = _chamber_matrices(v, g1, g2, pp, n_colors, star,
-                                              kahler)
-    b12 = np.linalg.solve(m_c.matrix, p.T @ m_cbar.matrix @ p)
-    b21 = np.linalg.solve(m_cbar.matrix, p @ m_c.matrix @ p.T)
-    prod = (p.T @ b21 @ p) @ b12
-    return float(np.max(np.abs(prod - np.eye(len(basis))), initial=0.0))
+    """|| B(C -> Cbar) B(Cbar -> C) - 1 ||_max (``ChamberMatrices.composition``)."""
+    return ChamberMatrices.build(v, g1, g2, pp, n_colors, star, kahler).composition()
 
 
 def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
-    """Deviation of R from invariance under z_i -> z_i hbar^(total weight_i)."""
-    base = transition_r(v, g1, g2, pp, n_colors, include_scalar=False)
-    n = n_colors
+    """Deviation of R from invariance under z_i -> z_i hbar^(total weight_i).
+
+    The chamber bases are enumerated once for all the Kahler shifts.
+    """
+    chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors)
+    base = chambers.bare()
+    weights = [fp.weight() for fp in chambers.basis]
     out = 0.0
-    weights = sorted(set(base.weights))
-    for wt in weights:
-        idx = [i for i, w in enumerate(base.weights) if w == wt]
-        kah = {i: Monomial.var(f"z{i}") * HBAR ** wt[i] for i in range(n)}
-        shifted = transition_r(v, g1, g2, pp, n_colors, kahler_args(kah),
-                               include_scalar=False)
-        blk = base.bare[np.ix_(idx, idx)]
-        blk2 = shifted.bare[np.ix_(idx, idx)]
+    for wt in sorted(set(weights)):
+        idx = [i for i, w in enumerate(weights) if w == wt]
+        kah = {i: Monomial.var(f"z{i}") * HBAR ** wt[i] for i in range(n_colors)}
+        shifted = chambers.at(pp, kahler=kahler_args(kah)).bare()
+        blk = base[np.ix_(idx, idx)]
+        blk2 = shifted[np.ix_(idx, idx)]
         out = max(out, float(np.max(np.abs(blk - blk2)) / max(np.max(np.abs(blk)), 1.0)))
     return out
 
@@ -259,19 +314,28 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
     index = {_key(sum((fp.slots for fp in trip), ())): i
              for i, trip in enumerate(basis)}
     out = np.zeros((len(basis), len(basis)), dtype=complex)
-    cache: dict[tuple, tuple] = {}
+    # per pair profile the chamber matrices of its first shift, whose bases
+    # the other shifts reuse, and its basis index; per (profile, shift) the
+    # transition
+    chambers: dict[tuple, tuple[ChamberMatrices, dict]] = {}
+    bares: dict[tuple, np.ndarray] = {}
     for col, trip in enumerate(basis):
         a1, a2 = trip[i1], trip[i2]
         n = a1.n_colors
         v_pair = tuple(x + y for x, y in zip(a1.v, a2.v))
         shift = shift_of(trip)
         key = (v_pair, shift)
-        if key not in cache:
-            kah = {i: Monomial.var(f"z{i}") * HBAR ** shift[i] for i in range(n)}
-            pair_basis, bare, _ = bare_transition(v_pair, g1, g2, pp, n,
-                                                  kahler=kahler_args(kah))
-            cache[key] = pair_basis, bare, _index(pair_basis)
-        pair_basis, bare, pair_index = cache[key]
+        if key not in bares:
+            kah = kahler_args({i: Monomial.var(f"z{i}") * HBAR ** shift[i]
+                               for i in range(n)})
+            if v_pair in chambers:
+                ch = chambers[v_pair][0].at(pp, kahler=kah)
+            else:
+                ch = ChamberMatrices.build(v_pair, g1, g2, pp, n, kahler=kah)
+                chambers[v_pair] = ch, _index(ch.basis)
+            bares[key] = ch.bare()
+        bare = bares[key]
+        pair_basis, pair_index = chambers[v_pair][0].basis, chambers[v_pair][1]
         col_pair = pair_index[_key(a1.slots + a2.slots)]
         for row_pair, b in enumerate(pair_basis):
             coeff = bare[row_pair, col_pair]

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from ellstab import rmatrix
 from ellstab.cli import main
-from ellstab.rmatrix import FramingGroup, composition_residual, inverted_kahler
+from ellstab.rmatrix import (FramingGroup, composition_residual, inverted_kahler,
+                             transition_r, transition_r_star,
+                             transpose_relation_residual)
 from ellstab.sampling import sample_param_point
 
 
@@ -62,6 +65,41 @@ def test_rmatrix_star_composition_checks_the_starred_matrix(capsys):
     want = composition_residual((1, 0, 0), g1, g2, pp, 3, star=True,
                                 kahler=inverted_kahler(3))
     assert doc["residuals"]["composition"] == want
+
+
+@pytest.mark.parametrize("star, builds", [(False, 2), (True, 4)])
+def test_rmatrix_builds_each_restriction_matrix_once(capsys, monkeypatch,
+                                                     star, builds):
+    """The printed matrix, its composition and (with --star) the transpose
+    relation come from the distinct restriction matrices of the call, each
+    built once, and equal the library's independent calls bit for bit."""
+    calls = []
+    build = rmatrix.restriction_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rmatrix, "restriction_matrix", counted)
+    argv = ["rmatrix", "--N", "3", "--v", "1,1,0", "--w1", "1,0,0",
+            "--w2", "0,1,0", "--seed", "4"]
+    code, doc = run(capsys, argv + (["--star"] if star else []))
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == builds
+    g1, g2 = FramingGroup((1, 0, 0), "ua"), FramingGroup((0, 1, 0), "ub")
+    pp = sample_param_point(4, 3, framing_counts={"ua": [1, 0, 0],
+                                                  "ub": [0, 1, 0]})
+    v = (1, 1, 0)
+    kahler = inverted_kahler(3) if star else None
+    res = (transition_r_star if star else transition_r)(v, g1, g2, pp, 3)
+    assert doc["results"]["matrix"] == [[[z.real, z.imag] for z in row]
+                                        for row in res.full]
+    assert doc["residuals"]["composition"] == composition_residual(
+        v, g1, g2, pp, 3, star=star, kahler=kahler)
+    if star:
+        assert doc["residuals"]["transpose_relation"] == (
+            transpose_relation_residual(v, g1, g2, pp, 3))
 
 
 def test_ybe_command(capsys):

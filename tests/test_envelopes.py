@@ -1,5 +1,6 @@
 """Stable envelopes: closed forms, factorization, restriction, shuffle."""
 
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -14,9 +15,10 @@ from ellstab.envelopes import (SYM_BUDGET, Envelope, EnvelopeSpec, LoweredSum,
                                ThetaProduct, _cross_prefactor,
                                concat_fixed_points, factorization_residual,
                                restrict, restriction_values, s_factor_product,
-                               shuffle_residual, tree_weights, default_kahler)
-from ellstab.partitions import (box_slot_vars, chern_slots, fixed_points,
-                                index_degrees, make_fixed_point,
+                               shuffle_residual, tree_weights, default_kahler,
+                               kahler_args)
+from ellstab.partitions import (FixedPoint, box_slot_vars, chern_slots,
+                                fixed_points, index_degrees, make_fixed_point,
                                 partitions_upto)
 from ellstab.rmatrix import profiles
 from ellstab.sampling import random_assignment, sample_param_point
@@ -370,3 +372,64 @@ def test_envelope_lowers_at_its_first_evaluation():
     values = random_assignment(np.random.default_rng(8), lazy.x_names())
     assert lazy.eval(pp, values) == eager.eval(pp, values)
     assert lazy._lowered is not None
+
+
+#: sha256 digests of the compiled terms of ``_compile_corpus``, recorded
+#: before the compile took each fixed point's geometry once and sorted by
+#: precomputed keys: the ``repr`` of every ``_terms`` list, and the exponent
+#: items of every factor in dict order (the order ``materialize`` sums them)
+COMPILED_TERMS_SHA256 = {
+    "repr": "907a14790e6a3522183b28dc9b8de0d4e78d90563cbd8abe5ab5ebd20ba96edc",
+    "items": "a945e7788d44a6f163995dff7a64613931ad5b4b12c2d987d6b8cde5546c3945",
+}
+
+
+def _compile_corpus():
+    """Every fixed point of at most 4 boxes at w = (1,1,0) and (2,0,0), each
+    variant, at default and hbar-shifted Kahler arguments."""
+    shifted = kahler_args({i: Monomial.var(f"z{i}") * HBAR ** s
+                           for i, s in enumerate((1, -1, 2))})
+    for w in ((1, 1, 0), (2, 0, 0)):
+        for total in range(5):
+            for v in profiles(total, N):
+                for fp in fixed_points(v, w, N):
+                    for variant in ("plain", "hat", "tilde"):
+                        for kahler in (None, shifted):
+                            yield EnvelopeSpec(fp, variant, False, kahler)
+
+
+def test_compiled_terms_match_recorded_digest():
+    """The compile keeps every term's factors, their order and each factor's
+    exponent order."""
+    by_repr, by_items = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for spec in _compile_corpus():
+        terms = Envelope(spec)._terms
+        by_repr.update(repr(terms).encode())
+        by_items.update(repr([([list(m._exps.items()) for m in t.num],
+                               [list(m._exps.items()) for m in t.den], t.sign)
+                              for t in terms]).encode())
+        count += 1
+    assert count == 456
+    assert {"repr": by_repr.hexdigest(),
+            "items": by_items.hexdigest()} == COMPILED_TERMS_SHA256
+
+
+def test_compile_takes_the_geometry_once(monkeypatch):
+    """One compile enumerates the boxes, Chern slots, quiver pairs and index
+    degrees of its fixed point once each."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FixedPoint, "boxes", counted("boxes", FixedPoint.boxes))
+    for name in ("chern_slots", "box_slot_vars", "quiver_pairs", "index_degrees"):
+        monkeypatch.setattr(envelopes, name, counted(name, getattr(envelopes, name)))
+    fp = make_fixed_point([(2, 1), (1,)], (2, 0, 0), N)
+    Envelope(EnvelopeSpec(fp, "hat"))
+    assert calls == dict.fromkeys(("boxes", "chern_slots", "box_slot_vars",
+                                   "quiver_pairs", "index_degrees"), 1)

@@ -87,3 +87,53 @@ def test_each_constant_defined_once():
         for name in module_constants(ast.parse(path.read_text())):
             where.setdefault(name, []).append(path.name)
     assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
+
+
+#: the one memo allowed to live as long as the process: partitions of n are
+#: pure combinatorics, the same for every parameter point and caller
+PROCESS_MEMOS_ALLOWED = {"partitions.py:_partitions_of"}
+
+_MEMO_NAMES = {"cache", "lru_cache"}
+
+
+def process_memos(tree: ast.Module) -> list[str]:
+    """Functions that ``functools.cache`` or ``lru_cache`` decorate, by name,
+    and any other use of the two, by line."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names if alias.name in _MEMO_NAMES}
+
+    def is_memo(expr) -> bool:
+        if isinstance(expr, ast.Name):
+            return expr.id in imported
+        return (isinstance(expr, ast.Attribute) and expr.attr in _MEMO_NAMES
+                and isinstance(expr.value, ast.Name) and expr.value.id == "functools")
+
+    found, decorators = [], set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in fn.decorator_list:
+                if is_memo(dec.func if isinstance(dec, ast.Call) else dec):
+                    found.append(fn.name)
+                    decorators.add(id(dec))
+    found += [f"line {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and id(node) not in decorators
+              and is_memo(node.func)]
+    return found
+
+
+def test_process_memos_detected():
+    tree = ast.parse("import functools\nfrom functools import lru_cache as lc\n"
+                     "@functools.cache\ndef a(): pass\n"
+                     "@lc(maxsize=None)\ndef b(): pass\n"
+                     "@functools.wraps(a)\ndef c(): pass\n"
+                     "d = functools.lru_cache()(c)\n")
+    assert process_memos(tree) == ["a", "b", "line 9"]
+
+
+def test_no_process_wide_memos():
+    """A memo that outlives its call would let a benchmark time warm caches
+    that a one-shot command never gets; reuse stays scoped to one call."""
+    found = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+             for name in process_memos(ast.parse(path.read_text()))}
+    assert found <= PROCESS_MEMOS_ALLOWED

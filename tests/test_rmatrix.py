@@ -1,12 +1,19 @@
 """Transition matrices, R-matrix properties, Yang-Baxter."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ellstab.core import ParamPoint
+from ellstab.core import ParamPoint, SingularityError
+from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
+                               ThetaTable, default_kahler, kahler_args,
+                               restriction_values)
 from ellstab.partitions import fixed_points
 from ellstab.rmatrix import (FramingGroup, _swap_permutation, bare_transition,
                              basis_fixed_points, composition_residual,
+                             inverted_kahler,
                              leading_pair_factorization_residual, profiles,
                              restriction_matrix, shift_invariance_residual,
                              transition_r, transition_r_star,
@@ -231,3 +238,137 @@ def test_empty_profile_block(v, w2):
     assert composition_residual(v, G1, g2, PP, N) == 0.0
     assert shift_invariance_residual(v, G1, g2, PP, N) == 0.0
     assert transpose_relation_residual(v, G1, g2, PP, N) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# basis-wide theta tables of restriction_matrix
+# ---------------------------------------------------------------------------
+
+def _unit_pair(colors):
+    g1 = FramingGroup(tuple(int(i == colors[0]) for i in range(N)), "ua")
+    g2 = FramingGroup(tuple(int(i == colors[1]) for i in range(N)), "ub")
+    return g1, g2
+
+
+def _fresh(pp):
+    """The same point with an empty q-Pochhammer memo."""
+    return ParamPoint(pp.n_colors, pp.values, pp.logs, tol=pp.tol,
+                      min_terms=pp.min_terms, seed=pp.seed)
+
+
+def _entrywise(basis, pp, star, kahler):
+    """M[gamma, beta] from one independently compiled envelope per column,
+    each evaluated on its own, without a theta table."""
+    kah = kahler if kahler is not None else kahler_args(default_kahler(N))
+    pp = _fresh(pp)
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for b, beta in enumerate(basis):
+        env = Envelope(EnvelopeSpec(beta, "plain", star, kah))
+        for g, gamma in enumerate(basis):
+            mat[g, b] = env.eval(pp, *restriction_values(gamma, pp))
+    return mat
+
+
+def _outcome(build):
+    """The matrix bytes, or the exception a build raised."""
+    try:
+        return build().tobytes()
+    except SingularityError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("colors", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("star", [False, True])
+@pytest.mark.parametrize("inverted", [False, True])
+def test_restriction_matrix_is_bitwise_entrywise(seed, colors, star, inverted):
+    """The shared theta tables leave every entry bit for bit as one envelope
+    evaluated alone gives it: every 1-3-box profile with two framings."""
+    g1, g2 = _unit_pair(colors)
+    pp = sample_param_point(seed, N, framing_counts={"ua": list(g1.w),
+                                                     "ub": list(g2.w)})
+    kahler = inverted_kahler(N) if inverted else None
+    for total in (1, 2, 3):
+        for v in profiles(total, N):
+            basis = basis_fixed_points(v, [g1, g2], N)
+            if not basis:
+                continue
+            got = _outcome(lambda: restriction_matrix(basis, _fresh(pp), star,
+                                                      kahler).matrix)
+            want = _outcome(lambda: _entrywise(basis, pp, star, kahler))
+            assert got == want, (v, [fp.partitions() for fp in basis])
+
+
+def test_theta_table_keeps_variable_orders_apart():
+    """Two columns of this basis carry the Chern-root-free argument
+    z0 hbar z2 with its exponents in different orders; the two orders
+    materialize to different last bits, so a table keyed by monomial
+    equality would move an entry."""
+    g1, g2 = _unit_pair((0, 0))
+    pp = sample_param_point(1, N, framing_counts={"ua": [1, 0, 0],
+                                                  "ub": [1, 0, 0]})
+    basis = basis_fixed_points((2, 0, 1), [g1, g2], N)
+    lowered = [LoweredSum(env._terms)
+               for env in (Envelope(EnvelopeSpec(fp, "plain")) for fp in basis)]
+    reordered = [(m, m2) for m in lowered[0].args for m2 in lowered[1].args
+                 if m == m2 and list(m._exps) != list(m2._exps)]
+    assert len(reordered) == 1
+    m, m2 = reordered[0]
+    assert pp.theta(m).coeff != pp.theta(m2).coeff
+    got = restriction_matrix(basis, _fresh(pp)).matrix
+    assert got.tobytes() == _entrywise(basis, pp, False, None).tobytes()
+
+
+@pytest.mark.parametrize("colors,v", [((0, 0), (1, 1, 1)), ((0, 0), (2, 0, 1)),
+                                      ((0, 1), (1, 1, 1))])
+def test_theta_table_takes_each_theta_once(monkeypatch, colors, v):
+    """``ParamPoint.theta`` runs once per distinct argument (by its ordered
+    exponents) and assignment of the Chern roots it holds, fewer times than
+    the columns ask for a theta."""
+    g1, g2 = _unit_pair(colors)
+    pp = sample_param_point(3, N, framing_counts={"ua": list(g1.w),
+                                                  "ub": list(g2.w)})
+    basis = basis_fixed_points(v, [g1, g2], N)
+    roots = Envelope(EnvelopeSpec(basis[0], "plain")).x_names()
+    calls = Counter()
+    theta = ParamPoint.theta
+
+    def counted(self, mono, star=False):
+        held = [x for x in roots if x in mono._exps]
+        calls[(tuple(mono._exps.items()),
+               tuple(self.values[x] for x in roots) if held else None)] += 1
+        return theta(self, mono, star)
+
+    monkeypatch.setattr(ParamPoint, "theta", counted)
+    restriction_matrix(basis, pp)
+    assert calls and max(calls.values()) == 1
+    asked = 0
+    for fp in basis:
+        env = Envelope(EnvelopeSpec(fp, "plain"))
+        perms = math.prod(math.factorial(len(env.nvars[i])) for i in range(N))
+        asked += len(basis) * perms * len(LoweredSum(env._terms).args)
+    assert sum(calls.values()) < asked
+
+
+def test_theta_table_splits_by_its_own_chern_roots():
+    """A table shares an argument across permutations only if it holds none
+    of the table's Chern roots, and a lowered sum that meets a table of
+    another root set keys its arguments again."""
+    g1, g2 = _unit_pair((0, 0))
+    pp = sample_param_point(2, N, framing_counts={"ua": [1, 0, 0],
+                                                  "ub": [1, 0, 0]})
+    basis = basis_fixed_points((2, 0, 1), [g1, g2], N)
+    env = Envelope(EnvelopeSpec(basis[0], "plain"))
+    values, logs = restriction_values(basis[1], pp)
+    table = ThetaTable(values)
+    want = env.eval(pp, values, logs)
+    assert env.eval(pp, values, logs, table) == want
+    roots = set(values)
+    assert table.free and all(roots.isdisjoint(dict(key)) for key in table.free)
+    bound = [key for k in range(len(table._bound)) for key in table.perm(k)[1]]
+    assert bound and all(not roots.isdisjoint(dict(key)) for key in bound)
+    # a table that names no Chern roots takes every argument as free
+    rootless = ThetaTable(())
+    env._term(pp.extended(values, logs), rootless)
+    assert len(rootless.free) == len(env._lowered.args)
+    assert env.eval(pp, values, logs, ThetaTable(values)) == want
