@@ -56,10 +56,13 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _vec(args, name: str) -> tuple[int, ...]:
-    """The dimension vector of option ``--name``: one entry per color."""
+    """The dimension vector of option ``--name``: one non-negative entry per
+    color."""
     vec = _ints(getattr(args, name))
     if len(vec) != args.N:
         raise ValueError(f"--{name} has {len(vec)} entries, --N is {args.N}")
+    if any(e < 0 for e in vec):
+        raise ValueError(f"--{name} {getattr(args, name)} has a negative entry")
     return vec
 
 
@@ -307,6 +310,8 @@ def cmd_vertex(args) -> int:
     t0 = time.perf_counter()
     n = args.N
     w, v = _vec(args, "w"), _vec(args, "v")
+    if args.D < 0:
+        raise ValueError(f"--D {args.D} is negative")
     pp = sample_param_point(args.seed, n, framing_counts={"u": list(w)})
     basis = fixed_points(v, w, n)
     lam = _pick(basis, args.lam, "lam")
@@ -336,6 +341,8 @@ def cmd_bethe(args) -> int:
     t0 = time.perf_counter()
     n = args.N
     w, v = _vec(args, "w"), _vec(args, "v")
+    if not fixed_points(v, w, n):
+        raise ValueError(f"--v {args.v} has 0 fixed points at --w {args.w}")
     pp = sample_param_point(args.seed, n, framing_counts={"u": list(w)})
     sol = bethe_solve(v, w, pp, seed=args.seed)
     doc = _base_doc(args, pp, t0)

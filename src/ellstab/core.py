@@ -21,7 +21,7 @@ The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
 shifted nome p* = p/(t1*t2).  Only infinite Pochhammer symbols are memoised,
 by value and per parameter point (``ParamPoint.qpoch_inf``), for the thetas
-and for ``vertex.qpoch_mono`` alike.
+and for the vertex layer's Pochhammer symbols alike.
 """
 
 from __future__ import annotations
@@ -339,9 +339,16 @@ class ParamPoint:
     Required variables are ``p``, ``t1``, ``t2``; the sign variable ``sgn`` is
     inserted automatically.  Further variables (framing weights, Kahler
     parameters, Chern roots) are added as needed, either at construction or
-    through :meth:`extended`.  Infinite q-Pochhammer values are memoised
-    (:meth:`qpoch_inf`) in one table shared between a point and its
-    extensions.
+    through :meth:`extended`.
+
+    A point keeps two memos.  Infinite q-Pochhammer values
+    (:meth:`qpoch_inf`) live in one table shared between a point and its
+    extensions: it is keyed by the values themselves, so an extension that
+    overrides a variable only adds keys.  The vertex tables
+    (``vertex.vertex_table``, one per fixed point) are not shared: they hold
+    bases materialized through the point's logs, which an extension may
+    override, so every extension starts with none.  A new point starts with
+    both memos empty.
     """
 
     def __init__(self, n_colors: int, values: Mapping[str, complex],
@@ -362,6 +369,7 @@ class ParamPoint:
         self.values: dict[str, complex] = {k: complex(v) for k, v in vals.items()}
         self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
+        self._vertex_tables: dict = {}
         if "p" in self.values and abs(self.values["p"]) >= 1:
             raise ValueError("|p| must be < 1")
         self._set_nomes()
@@ -405,7 +413,8 @@ class ParamPoint:
 
     def extended(self, values: Mapping[str, complex],
                  logs: Mapping[str, complex] | None = None) -> "ParamPoint":
-        """A new point with extra variables, sharing the memo table."""
+        """A new point with extra variables, sharing the q-Pochhammer memo
+        but no vertex table."""
         vals = dict(self.values)
         vals.update(values)
         lgs = dict(self.logs)
@@ -422,6 +431,7 @@ class ParamPoint:
         pp.values = {k: complex(v) for k, v in vals.items()}
         pp.logs = {k: complex(v) for k, v in lgs.items()}
         pp._qpoch_memo = self._qpoch_memo
+        pp._vertex_tables = {}
         pp._set_nomes()
         return pp
 

@@ -424,25 +424,22 @@ class Envelope:
         Raises if the factor differs between compiled terms or retains Chern
         variables.
         """
+        names = self.x_names()
+        per_term = []
+        for term in self._terms:
+            parts: dict[str, list[tuple[Monomial, int]]] = {name: [] for name in names}
+            for m, sign in itertools.chain(((m, -1) for m in term.num),
+                                           ((m, 1) for m in term.den)):
+                for name, k in m._exps.items():
+                    if name in parts:
+                        parts[name].append((m, sign * k))
+            per_term.append({name: Monomial.product(parts[name]) for name in names})
         out: dict[str, Monomial] = {}
-        for name in self.x_names():
-            factor = None
-            for term in self._terms:
-                m_tot = Monomial.one()
-                for m in term.num:
-                    k = m.get(name)
-                    if k:
-                        m_tot = m_tot * m ** (-k)
-                for m in term.den:
-                    k = m.get(name)
-                    if k:
-                        m_tot = m_tot * m ** k
-                if factor is None:
-                    factor = m_tot
-                elif factor != m_tot:
-                    raise ValueError("quasi-periodicity factor is not uniform "
-                                     "across tree terms")
-            assert factor is not None
+        for name in names:
+            factor = per_term[0][name]
+            if any(t[name] != factor for t in per_term[1:]):
+                raise ValueError("quasi-periodicity factor is not uniform "
+                                 "across tree terms")
             if any(v.startswith("x") for v in factor.exps):
                 raise ValueError("quasi-periodicity factor retains Chern roots; "
                                  "only ratio-normalized variants have one")

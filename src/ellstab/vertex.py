@@ -8,20 +8,29 @@ An independent per-term oracle recomputes every coefficient directly from the
 expectation-value integrand at the shifted points x = phi p^d, using only the
 quasi-periodicity multipliers for the envelope factor.
 
-Every factor base is carried as an exact monomial so that the structural
+Every factor base is built as an exact monomial so that the structural
 coincidences of restriction points (arrow ratios landing exactly on 1) give
 exact zeros in the finite products and exactly matched vanishing factors in
-the infinite ones.  That zero bookkeeping is all ``qpoch_mono`` adds: its
-values come from ``core.qpoch_fin`` and the point's memoised
-``ParamPoint.qpoch_inf``, so the infinite products that recur across the
-degree vectors of one pair and across the pairs at one point are computed
-once per point.
+the infinite ones.  A base is used *lowered*: its value at the point and its
+exponent when it is a pure power of p (``LoweredBase``), and the zero
+bookkeeping of ``qpoch_low`` needs nothing else.  Its values come from
+``core.qpoch_fin`` and the point's memoised ``ParamPoint.qpoch_inf``, so the
+infinite products that recur across the degree vectors of one pair and
+across the pairs at one point are computed once per point.
+
+The factor bases of a fixed point, lowered, form its ``VertexTable``.  A
+parameter point builds the table of a fixed point once, at the first series,
+oracle or normalization that asks for it (``vertex_table``), and every later
+call at that point reads it.  The Bethe equations of a profile are compiled
+the same way, once per ``bethe_solve``, into a ``BetheSystem`` that its
+Newton iterations evaluate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +42,22 @@ from .partitions import Box, FixedPoint, fixed_points, quiver_pairs
 from .scalars import mu_vacuum_ope
 
 
-def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
-               offset: int = 0) -> tuple[complex, int]:
-    """Pochhammer (base p^offset; p)_length of an exact monomial base.
+class LoweredBase(NamedTuple):
+    """A monomial Pochhammer base at one point: its value, and e when the
+    base is p^e with an integer e (None for any other base)."""
+
+    value: complex
+    p_exp: int | None
+
+
+def lower(base: Monomial, pp: ParamPoint) -> LoweredBase:
+    """``base`` lowered at ``pp``."""
+    return LoweredBase(pp.materialize(base), base.power_of("p"))
+
+
+def qpoch_low(base: LoweredBase, length: int | None, pp: ParamPoint,
+              offset: int = 0) -> tuple[complex, int]:
+    """Pochhammer (base p^offset; p)_length of a lowered base.
 
     Returns (product over the non-vanishing factors, zero count).  Factor n
     is 1 - base p^(offset+n); it vanishes identically exactly when base is
@@ -49,11 +71,11 @@ def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
     (p; p)_(length-skip-1) for a finite length.
     """
     if length is not None and length < 0:
-        val, zeros = qpoch_mono(base, -length, pp, offset + length)
+        val, zeros = qpoch_low(base, -length, pp, offset + length)
         return 1.0 / val, -zeros
     p = pp.p
-    z = pp.materialize(base) * p ** offset
-    e = base.power_of("p")
+    value, e = base
+    z = value * p ** offset
     skip = -1 if e is None else -(e + offset)
     if skip < 0 or (length is not None and skip >= length):
         return (pp.qpoch_inf(z, p) if length is None
@@ -63,9 +85,21 @@ def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
     return qpoch_fin(z, p, skip) * rest, 1
 
 
-def qpoch_fin_mono(base: Monomial, s: int, pp: ParamPoint) -> tuple[complex, int]:
-    """Finite Pochhammer (base; p)_s of an exact monomial base (see qpoch_mono)."""
-    return qpoch_mono(base, s, pp)
+def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
+               offset: int = 0) -> tuple[complex, int]:
+    """Pochhammer (base p^offset; p)_length of an exact monomial base: the
+    base lowered at the point, then ``qpoch_low``."""
+    return qpoch_low(lower(base, pp), length, pp, offset)
+
+
+def qpoch_fin_mono(base: LoweredBase, s: int, pp: ParamPoint) -> tuple[complex, int]:
+    """Finite Pochhammer (base; p)_s of a lowered base (see ``qpoch_low``).
+
+    The series calls this once per factor of each coefficient, so that the
+    benchmark's tracer (``perfbench/bench_trace.py``) counts the finite
+    products a series takes as ``vertex.qpoch_fin_calls``.
+    """
+    return qpoch_low(base, s, pp)
 
 
 class _RatioAccumulator:
@@ -76,13 +110,13 @@ class _RatioAccumulator:
         self.value = 1.0 + 0.0j
         self.zeros = 0
 
-    def times(self, base: Monomial, offset: int = 0):
-        v, z = qpoch_mono(base, None, self.pp, offset)
+    def times(self, base: LoweredBase, offset: int = 0):
+        v, z = qpoch_low(base, None, self.pp, offset)
         self.value *= v
         self.zeros += z
 
-    def divide(self, base: Monomial, offset: int = 0):
-        v, z = qpoch_mono(base, None, self.pp, offset)
+    def divide(self, base: LoweredBase, offset: int = 0):
+        v, z = qpoch_low(base, None, self.pp, offset)
         self.value /= v
         self.zeros -= z
 
@@ -129,6 +163,45 @@ def _factor_bases(mu: FixedPoint):
     return boxes, framing, arrow, gauge
 
 
+class VertexTable:
+    """The integrand factors of one fixed point, lowered at one point.
+
+    ``boxes`` is the canonical box list of ``_factor_bases``.  Each of
+    ``framing`` (a, A, B), ``arrow`` (a, b, A, B) and ``gauge`` (a, b, A, B)
+    holds per factor the box indices and the two bases of its infinite
+    ratio (A; p)_inf / (B; p)_inf, the form in which the oracle and
+    ``normalization_factor`` take it.  ``series`` holds per factor the
+    (numerator, denominator, i, j) of the series' finite ratio, of length
+    d[i], or d[i] - d[j] when j is set.
+    """
+
+    __slots__ = ("boxes", "framing", "arrow", "gauge", "series")
+
+    def __init__(self, mu: FixedPoint, pp: ParamPoint):
+        boxes, framing, arrow, gauge = _factor_bases(mu)
+        pinv_h = P / HBAR
+        self.boxes = boxes
+        self.framing = [(ia, lower(P / base, pp), lower(HBAR / base, pp))
+                        for ia, base in framing]
+        self.arrow = [(ia, ib, lower(pinv_h * base, pp), lower(base, pp))
+                      for ia, ib, base in arrow]
+        self.gauge = [(ia, ib, lower(HBAR * base, pp), lower(P * base, pp))
+                      for ia, ib, base in gauge]
+        self.series = ([(lower(base, pp), lower(pinv_h * base, pp), ia, None)
+                        for ia, base in framing]
+                       + [(b, a, ib, ia) for ia, ib, a, b in self.arrow]
+                       + [(b, a, ia, ib) for ia, ib, a, b in self.gauge])
+
+
+def vertex_table(mu: FixedPoint, pp: ParamPoint) -> VertexTable:
+    """The table of ``mu`` at ``pp``, built at the first call per point."""
+    tables = pp._vertex_tables
+    table = tables.get(mu)
+    if table is None:
+        table = tables[mu] = VertexTable(mu, pp)
+    return table
+
+
 def normalization_factor(mu: FixedPoint, pp: ParamPoint) -> complex:
     """Restriction of the cycle integrand without the envelope factor.
 
@@ -142,22 +215,22 @@ def normalization_factor(mu: FixedPoint, pp: ParamPoint) -> complex:
         if slot.u_var.rstrip("0123456789_") != prefix:
             raise ValueError("normalization needs one framing name prefix")
     out = mu_vacuum_ope(mu.w, pp, prefix=prefix)
-    boxes, framing, arrow, gauge = _factor_bases(mu)
+    table = vertex_table(mu, pp)
+    boxes = table.boxes
     sqh = pp.materialize(SQRT_HBAR)
-    pinv_h = P / HBAR
 
-    def ratio(num: Monomial, den: Monomial) -> complex:
-        return qpoch_mono(num, None, pp)[0] / qpoch_mono(den, None, pp)[0]
+    def ratio(num: LoweredBase, den: LoweredBase) -> complex:
+        return qpoch_low(num, None, pp)[0] / qpoch_low(den, None, pp)[0]
 
-    for ia, base in framing:
+    for ia, a, b in table.framing:
         out *= pp.materialize(boxes[ia][1])
-        out *= ratio(P / base, HBAR / base)
-    for ia, ib, base in arrow:
+        out *= ratio(a, b)
+    for ia, ib, a, b in table.arrow:
         out /= pp.materialize(boxes[ia][1])
-        out *= ratio(pinv_h * base, base)
-    for ia, ib, base in gauge:
+        out *= ratio(a, b)
+    for ia, ib, a, b in table.gauge:
         out *= pp.materialize(boxes[ia][1] * boxes[ib][1]) / sqh
-        out *= ratio(HBAR * base, P * base)
+        out *= ratio(a, b)
     return out
 
 
@@ -197,31 +270,27 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
     Kahler part is always z_k, and the residual hbar power vanishes for
     single-box profiles.
     """
+    if degree_cap < 0:
+        raise ValueError(f"degree cap {degree_cap} is negative")
     n = mu.n_colors
     env = Envelope(EnvelopeSpec(lam, "hat"))
     stab0 = restrict(env, mu, pp, framed=False)
-    boxes, framing, arrow, gauge = _factor_bases(mu)
+    table = vertex_table(mu, pp)
     v, w = mu.v, mu.w
     p, h = pp.p, pp.hbar
     qp = env.qp_unit_factors()
     pref: list[complex] = []
-    for box, _, name in boxes:
+    for box, _, name in table.boxes:
         k = box.content % n
         base = h ** w[k] * p ** (2 - 2 * v[k] + v[(k + 1) % n] - 2 * w[k])
         pref.append(base / pp.materialize(qp[name]))
-    pinv_h = P / HBAR
-    # (numerator base, denominator base, i, j): the ratio of Pochhammer
-    # symbols of length d[i], or d[i] - d[j] when j is set
-    ratios = ([(base, pinv_h * base, ia, None) for ia, base in framing]
-              + [(base, pinv_h * base, ib, ia) for ia, ib, base in arrow]
-              + [(P * base, HBAR * base, ia, ib) for ia, ib, base in gauge])
     coeffs: dict[tuple[int, ...], complex] = {}
-    for d in _degree_vectors(len(boxes), degree_cap):
+    for d in _degree_vectors(len(table.boxes), degree_cap):
         term = 1.0 + 0.0j
         zeros = 0
         for da, pr in zip(d, pref):
             term *= pr ** (-da)
-        for num, den, i, j in ratios:
+        for num, den, i, j in table.series:
             s = d[i] if j is None else d[i] - d[j]
             vn, zn = qpoch_fin_mono(num, s, pp)
             vd, zd = qpoch_fin_mono(den, s, pp)
@@ -245,34 +314,33 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     multiplies the exact quasi-periodicity multipliers of the envelope
     factor.
     """
-    boxes, framing, arrow, gauge = _factor_bases(mu)
+    table = vertex_table(mu, pp)
     p = pp.p
-    pinv_h = P / HBAR
 
     acc = _RatioAccumulator(pp)
-    for (box, _, name), da in zip(boxes, degrees):
+    for (box, _, name), da in zip(table.boxes, degrees):
         acc.times_scalar(pp.materialize(qp_factors[name]) ** da)
-    for ia, base in framing:
+    for ia, a, b in table.framing:
         da = degrees[ia]
         acc.times_scalar(p ** da)  # the x_a prefactor of the framing factor
-        acc.times(P / base, -da)
-        acc.divide(P / base, 0)
-        acc.divide(HBAR / base, -da)
-        acc.times(HBAR / base, 0)
-    for ia, ib, base in arrow:
+        acc.times(a, -da)
+        acc.divide(a, 0)
+        acc.divide(b, -da)
+        acc.times(b, 0)
+    for ia, ib, a, b in table.arrow:
         s = degrees[ib] - degrees[ia]
         acc.times_scalar(p ** (-degrees[ia]))  # the x_a^{-1} prefactor
-        acc.times(pinv_h * base, s)
-        acc.divide(pinv_h * base, 0)
-        acc.divide(base, s)
-        acc.times(base, 0)
-    for ia, ib, base in gauge:
+        acc.times(a, s)
+        acc.divide(a, 0)
+        acc.divide(b, s)
+        acc.times(b, 0)
+    for ia, ib, a, b in table.gauge:
         s = degrees[ia] - degrees[ib]
         acc.times_scalar(p ** (degrees[ia] + degrees[ib]))  # the x_a x_b prefactor
-        acc.times(HBAR * base, s)
-        acc.divide(HBAR * base, 0)
-        acc.divide(P * base, s)
-        acc.times(P * base, 0)
+        acc.times(a, s)
+        acc.divide(a, 0)
+        acc.divide(b, s)
+        acc.times(b, 0)
     return acc.result()
 
 
@@ -280,30 +348,75 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
 # Bethe equations
 # ---------------------------------------------------------------------------
 
+class BetheSystem:
+    """The saddle-point equations of one profile at one point, compiled.
+
+    Unknowns are the roots x_(k,i), color-major in the order of
+    ``bethe_residuals``.  Per root the system keeps the framing values u and
+    h u of its color, the right-hand side z_k h^(v_k - 1) and the positions
+    of its neighbours on colors k+1 and k-1 and of the other roots of color
+    k.  Calling it on a root vector returns the residuals with the same
+    operations, in the same order, as the formula of ``bethe_residuals``,
+    so they agree bit for bit whatever the scalar type of the roots.
+    """
+
+    def __init__(self, v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint):
+        n = pp.n_colors
+        self.t1, self.t2, self.h = pp.t1, pp.t2, pp.hbar
+        h = self.h
+        start = [sum(v[:k]) for k in range(n)]
+        color = [list(range(start[k], start[k] + v[k])) for k in range(n)]
+        self.rows = []
+        for k in range(n):
+            if not v[k]:
+                continue
+            us = [(u, h * u) for u in (pp.values[f"u{k}_{j}"]
+                                       for j in range(1, w[k] + 1))]
+            rhs = pp.values[f"z{k}"] * h ** (v[k] - 1)
+            for a in color[k]:
+                self.rows.append((us, color[(k + 1) % n], color[(k - 1) % n],
+                                  [b for b in color[k] if b != a], rhs))
+
+    def __call__(self, vec) -> np.ndarray:
+        t1, t2, h = self.t1, self.t2, self.h
+        xs = list(vec)
+        t1x = [t1 * x for x in xs]
+        t2x = [t2 * x for x in xs]
+        hx = [h * x for x in xs]
+        out = []
+        for a, (us, nxt, prv, same, rhs) in enumerate(self.rows):
+            x = xs[a]
+            lhs = 1.0 + 0.0j
+            for u, hu in us:
+                lhs *= (1 - u / x) / (1 - hu / x)
+            for b in nxt:
+                lhs *= (1 - xs[b] / t1x[a]) / (1 - t2x[b] / x)
+            for b in prv:
+                lhs *= (1 - t2x[a] / xs[b]) / (1 - x / t1x[b])
+            for b in same:
+                lhs *= (1 - hx[b] / x) / (1 - xs[b] / hx[a])
+            out.append(lhs - rhs)
+        return np.array(out, dtype=complex)
+
+
 def bethe_residuals(xvals: dict[int, list[complex]], pp: ParamPoint,
                     w: tuple[int, ...]) -> np.ndarray:
-    """Residuals of the saddle-point equations, one per unknown root."""
+    """Residuals of the saddle-point equations, one per unknown root.
+
+    The equation of root x of color k is
+
+        prod_u (1 - u/x)/(1 - h u/x)
+          * prod_(x' of color k+1) (1 - x'/(t1 x))/(1 - t2 x'/x)
+          * prod_(x' of color k-1) (1 - t2 x/x')/(1 - x/(t1 x'))
+          * prod_(x' != x of color k) (1 - h x'/x)/(1 - x'/(h x))
+          = z_k h^(v_k - 1),
+
+    u over the framing values of color k; the residual is the left side
+    minus the right.  ``xvals`` maps a color to its roots.
+    """
     n = pp.n_colors
-    t1, t2, h = pp.t1, pp.t2, pp.hbar
-    out = []
-    for k in range(n):
-        vk = len(xvals.get(k, []))
-        for i in range(vk):
-            x = xvals[k][i]
-            lhs = 1.0 + 0.0j
-            for j in range(1, w[k] + 1):
-                u = pp.values[f"u{k}_{j}"]
-                lhs *= (1 - u / x) / (1 - h * u / x)
-            for xl in xvals.get((k + 1) % n, []):
-                lhs *= (1 - xl / (t1 * x)) / (1 - t2 * xl / x)
-            for xm in xvals.get((k - 1) % n, []):
-                lhs *= (1 - t2 * x / xm) / (1 - x / (t1 * xm))
-            for nn, xn in enumerate(xvals[k]):
-                if nn == i:
-                    continue
-                lhs *= (1 - h * xn / x) / (1 - xn / (h * x))
-            out.append(lhs - pp.values[f"z{k}"] * h ** (vk - 1))
-    return np.array(out, dtype=complex)
+    v = tuple(len(xvals.get(k, [])) for k in range(n))
+    return BetheSystem(v, w, pp)([x for k in range(n) for x in xvals.get(k, [])])
 
 
 def jordan_bethe_residuals(xvals: list[complex], uvals: list[complex],
@@ -341,7 +454,8 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
     """Damped Newton on the saddle-point system from randomized starts.
 
     Starting points sit near the canonical weights of a fixed point of the
-    same profile, jittered multiplicatively.
+    same profile, jittered multiplicatively.  The system is compiled once
+    (``BetheSystem``); the Jacobian is a central difference of it.
     """
     n = pp.n_colors
     rng = np.random.default_rng(seed)
@@ -357,8 +471,7 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
             xv[k].append(val)
         return xv
 
-    def fun(vec):
-        return bethe_residuals(unpack(vec), pp, w)
+    fun = BetheSystem(v, w, pp)
 
     best = None
     total_it = 0

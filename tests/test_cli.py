@@ -160,11 +160,19 @@ def test_usage_error_exit_code():
     (["ybe", "--colors", "0,0,0,1"], "--colors has 4"),
     (["ybe", "--colors", "0,0,-1"], "--colors -1"),
     (["ybe", "--colors", "0,3,0"], "--colors 3"),
+    (["bethe", "--w", "1,0,0", "--v", "1,-1,0"], "--v 1,-1,0 has a negative"),
+    (["bethe", "--w=-1,0,0", "--v", "0,0,0"], "--w -1,0,0 has a negative"),
+    (["bethe", "--w", "0,0,0", "--v", "1,0,0"], "--v 1,0,0 has 0 fixed points"),
+    (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--D", "-1"], "--D -1"),
+    (["fixed-points", "--w", "1,0,0", "--v", "0,-2,0"], "--v 0,-2,0"),
+    (["rmatrix", "--v", "1,0,0", "--w1", "1,0,0", "--w2", "0,-1,0"],
+     "--w2 0,-1,0"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
-    """A vector of the wrong length, a color outside 0..N-1 or a fixed-point
-    index outside the basis is a usage error with a message, not a failed
-    check."""
+    """A vector of the wrong length or with a negative entry, a color outside
+    0..N-1, a fixed-point index outside the basis, a negative degree cap or
+    a profile without fixed points is a usage error with a message, not a
+    failed check."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -361,6 +361,51 @@ def test_mono_total_is_the_chained_half_power_product(w):
                         assert ppx.materialize(got) == ppx.materialize(want), case
 
 
+def _chained_qp_unit_factors(env: Envelope) -> dict[str, Monomial]:
+    """The quasi-periodicity factors as a chain of Monomial powers and
+    products, name by name and term by term, each the first term's: the
+    reference for ``Envelope.qp_unit_factors``."""
+    out = {}
+    for name in env.x_names():
+        factor = None
+        for term in env._terms:
+            m_tot = Monomial.one()
+            for m in term.num:
+                k = m.get(name)
+                if k:
+                    m_tot = m_tot * m ** (-k)
+            for m in term.den:
+                k = m.get(name)
+                if k:
+                    m_tot = m_tot * m ** k
+            if factor is None:
+                factor = m_tot
+            assert factor == m_tot
+        out[name] = factor
+    return out
+
+
+@pytest.mark.parametrize("w", [(1, 0, 0), (1, 1, 0), (2, 0, 0)])
+def test_qp_unit_factors_is_the_chained_product(w):
+    """One pass per term gives the exponents, the variable order and the
+    slot order of the chained product, for every hat envelope of 1-4 boxes."""
+    for total in range(1, 5):
+        for v in profiles(total, N):
+            for fp in fixed_points(v, w, N):
+                env = Envelope(EnvelopeSpec(fp, "hat"))
+                got, want = env.qp_unit_factors(), _chained_qp_unit_factors(env)
+                assert list(got) == list(want), fp.partitions()
+                for name in want:
+                    assert list(got[name]._exps.items()) == \
+                        list(want[name]._exps.items()), (fp.partitions(), name)
+
+
+def test_plain_qp_unit_factors_retain_chern_roots():
+    fp = make_fixed_point([(2, 1)], (1, 0, 0), N)
+    with pytest.raises(ValueError, match="retains Chern roots"):
+        Envelope(EnvelopeSpec(fp, "plain")).qp_unit_factors()
+
+
 def test_envelope_lowers_at_its_first_evaluation():
     fp = make_fixed_point([(2, 1), (1,)], (1, 1, 0), N)
     pp = sample_param_point(16, N, framing_counts={"u": [1, 1, 0]})

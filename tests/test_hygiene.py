@@ -102,12 +102,15 @@ def process_memos(tree: ast.Module) -> list[str]:
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "functools"
                 for alias in node.names if alias.name in _MEMO_NAMES}
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
 
     def is_memo(expr) -> bool:
         if isinstance(expr, ast.Name):
             return expr.id in imported
         return (isinstance(expr, ast.Attribute) and expr.attr in _MEMO_NAMES
-                and isinstance(expr.value, ast.Name) and expr.value.id == "functools")
+                and isinstance(expr.value, ast.Name) and expr.value.id in modules)
 
     found, decorators = [], set()
     for fn in ast.walk(tree):
@@ -129,11 +132,16 @@ def test_process_memos_detected():
                      "@functools.wraps(a)\ndef c(): pass\n"
                      "d = functools.lru_cache()(c)\n")
     assert process_memos(tree) == ["a", "b", "line 9"]
+    tree = ast.parse("import functools as ft\n@ft.lru_cache\ndef a(): pass\n"
+                     "@functools.cache\ndef b(): pass\n")
+    assert process_memos(tree) == ["a"]
 
 
 def test_no_process_wide_memos():
     """A memo that outlives its call would let a benchmark time warm caches
-    that a one-shot command never gets; reuse stays scoped to one call."""
+    that a one-shot command never gets.  Reuse stays scoped to one call, or
+    to one ``ParamPoint`` (its q-Pochhammer memo and vertex tables), which
+    the benchmark renews for every check."""
     found = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
              for name in process_memos(ast.parse(path.read_text()))}
     assert found <= PROCESS_MEMOS_ALLOWED

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from ellstab.core import HBAR, Monomial, ParamPoint, SingularityError
+from ellstab import vertex
+from ellstab.core import (HBAR, P, SQRT_HBAR, Monomial, ParamPoint,
+                          SingularityError)
 from ellstab.envelopes import Envelope, EnvelopeSpec, restrict
 from ellstab.partitions import fixed_points, make_fixed_point
 from ellstab.rmatrix import profiles
 from ellstab.sampling import sample_param_point
 from ellstab.scalars import mu_vacuum_ope
-from ellstab.vertex import (BetheSolution, _degree_vectors, bethe_residuals,
-                            bethe_solve, jackson_term_ratio,
-                            jordan_bethe_residuals, normalization_factor,
-                            qpoch_mono, vertex_series)
+from ellstab.vertex import (BetheSolution, BetheSystem, _degree_vectors,
+                            _factor_bases, bethe_residuals, bethe_solve,
+                            jackson_term_ratio, jordan_bethe_residuals,
+                            normalization_factor, qpoch_mono, vertex_series)
 
 N = 3
 W = (1, 0, 0)
@@ -223,3 +225,261 @@ def test_jordan_variant_contract():
     assert res.shape == (1,)
     assert np.max(np.abs(res)) < 1e-12
     assert jordan_bethe_residuals([], uvals, z, PP).shape == (0,)
+
+
+def test_negative_degree_cap_is_rejected():
+    fp = make_fixed_point([(1,)], W, N)
+    with pytest.raises(ValueError, match="degree cap -1"):
+        vertex_series(fp, fp, -1, PP)
+
+
+# ---------------------------------------------------------------------------
+# Monomial-path references: every base built and lowered at each use
+# ---------------------------------------------------------------------------
+
+def _reference_series(lam, mu, degree_cap, pp):
+    """The series with each factor's Pochhammer taken of its monomial."""
+    n = mu.n_colors
+    env = Envelope(EnvelopeSpec(lam, "hat"))
+    stab0 = restrict(env, mu, pp, framed=False)
+    boxes, framing, arrow, gauge = _factor_bases(mu)
+    v, w = mu.v, mu.w
+    p, h = pp.p, pp.hbar
+    qp = env.qp_unit_factors()
+    pref = []
+    for box, _, name in boxes:
+        k = box.content % n
+        base = h ** w[k] * p ** (2 - 2 * v[k] + v[(k + 1) % n] - 2 * w[k])
+        pref.append(base / pp.materialize(qp[name]))
+    pinv_h = P / HBAR
+    ratios = ([(base, pinv_h * base, ia, None) for ia, base in framing]
+              + [(base, pinv_h * base, ib, ia) for ia, ib, base in arrow]
+              + [(P * base, HBAR * base, ia, ib) for ia, ib, base in gauge])
+    coeffs = {}
+    for d in _degree_vectors(len(boxes), degree_cap):
+        term, zeros = 1.0 + 0.0j, 0
+        for da, pr in zip(d, pref):
+            term *= pr ** (-da)
+        for num, den, i, j in ratios:
+            s = d[i] if j is None else d[i] - d[j]
+            vn, zn = qpoch_mono(num, s, pp)
+            vd, zd = qpoch_mono(den, s, pp)
+            term *= vn / vd
+            zeros += zn - zd
+        if zeros < 0:
+            raise SingularityError("structural pole")
+        coeffs[d] = 0.0 + 0.0j if zeros > 0 else term * stab0
+    return stab0, coeffs
+
+
+def _reference_term_ratio(mu, degrees, pp, qp):
+    """The Jackson oracle with each infinite product taken of its monomial."""
+    boxes, framing, arrow, gauge = _factor_bases(mu)
+    p = pp.p
+    pinv_h = P / HBAR
+    out = [1.0 + 0.0j, 0]
+
+    def times(base, offset):
+        v, z = qpoch_mono(base, None, pp, offset)
+        out[0] *= v
+        out[1] += z
+
+    def divide(base, offset):
+        v, z = qpoch_mono(base, None, pp, offset)
+        out[0] /= v
+        out[1] -= z
+
+    def ratio(c, a, b, s):
+        out[0] *= c
+        times(a, s)
+        divide(a, 0)
+        divide(b, s)
+        times(b, 0)
+
+    for (_, _, name), da in zip(boxes, degrees):
+        out[0] *= pp.materialize(qp[name]) ** da
+    for ia, base in framing:
+        ratio(p ** degrees[ia], P / base, HBAR / base, -degrees[ia])
+    for ia, ib, base in arrow:
+        ratio(p ** (-degrees[ia]), pinv_h * base, base, degrees[ib] - degrees[ia])
+    for ia, ib, base in gauge:
+        ratio(p ** (degrees[ia] + degrees[ib]), HBAR * base, P * base,
+              degrees[ia] - degrees[ib])
+    if out[1] < 0:
+        raise SingularityError("structural pole")
+    return 0.0 + 0.0j if out[1] > 0 else out[0]
+
+
+def _reference_normalization(mu, pp):
+    out = mu_vacuum_ope(mu.w, pp)
+    boxes, framing, arrow, gauge = _factor_bases(mu)
+    sqh = pp.materialize(SQRT_HBAR)
+    pinv_h = P / HBAR
+
+    def ratio(num, den):
+        return qpoch_mono(num, None, pp)[0] / qpoch_mono(den, None, pp)[0]
+
+    for ia, base in framing:
+        out *= pp.materialize(boxes[ia][1])
+        out *= ratio(P / base, HBAR / base)
+    for ia, ib, base in arrow:
+        out /= pp.materialize(boxes[ia][1])
+        out *= ratio(pinv_h * base, base)
+    for ia, ib, base in gauge:
+        out *= pp.materialize(boxes[ia][1] * boxes[ib][1]) / sqh
+        out *= ratio(HBAR * base, P * base)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularityError:
+        return "SingularityError"
+
+
+@pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0)])
+def test_table_path_is_bitwise_the_monomial_path(w):
+    """Series, oracle and normalization read the lowered bases of one table
+    per fixed point and give the bits of the path that lowers each monomial
+    where it is used."""
+    pp = sample_param_point(23, N, framing_counts={"u": list(w)})
+    pairs = 0
+    for total in (1, 2, 3):
+        for v in profiles(total, N):
+            basis = fixed_points(v, w, N)
+            for mu in basis:
+                assert normalization_factor(mu, pp) == _reference_normalization(mu, pp)
+                for lam in basis:
+                    got = _outcome(vertex_series, lam, mu, 3, pp)
+                    want = _outcome(_reference_series, lam, mu, 3, pp)
+                    if want == "SingularityError":
+                        assert got == want
+                        continue
+                    pairs += 1
+                    assert (got.envelope_at_mu, got.coefficients) == want
+                    qp = Envelope(EnvelopeSpec(lam, "hat")).qp_unit_factors()
+                    for d in got.coefficients:
+                        assert (_outcome(jackson_term_ratio, mu, d, pp, qp)
+                                == _outcome(_reference_term_ratio, mu, d, pp, qp))
+    assert pairs > 10
+
+
+def test_a_point_builds_each_table_once(monkeypatch):
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return _factor_bases(mu)
+
+    monkeypatch.setattr(vertex, "_factor_bases", counted)
+    w = (1, 1, 0)
+    pp = sample_param_point(29, N, framing_counts={"u": list(w)})
+    basis = fixed_points((1, 1, 0), w, N)
+    for _ in range(2):
+        for mu in basis:
+            normalization_factor(mu, pp)
+            for lam in basis:
+                qp = Envelope(EnvelopeSpec(lam, "hat")).qp_unit_factors()
+                try:
+                    series = vertex_series(lam, mu, 2, pp)
+                except SingularityError:
+                    continue
+                for d in series.coefficients:
+                    jackson_term_ratio(mu, d, pp, qp)
+    assert sorted(map(basis.index, calls)) == list(range(len(basis)))
+    # a new point, or an extension, builds its own
+    fresh = ParamPoint(pp.n_colors, pp.values, pp.logs, min_terms=pp.min_terms)
+    normalization_factor(basis[0], fresh)
+    normalization_factor(basis[0], pp.extended({"y": 2.0}))
+    assert len(calls) == len(basis) + 2
+
+
+def test_an_extension_that_overrides_u_does_not_see_the_table():
+    w = (1, 1, 0)
+    pp = sample_param_point(31, N, framing_counts={"u": list(w)})
+    mu = fixed_points((1, 1, 0), w, N)[0]
+    before = normalization_factor(mu, pp)
+    assert mu in pp._vertex_tables
+    u = 0.7 - 0.2j
+    ext = pp.extended({"u0_1": u})
+    assert ext._vertex_tables == {}
+    assert ext._qpoch_memo is pp._qpoch_memo
+    values = dict(pp.values, u0_1=u)
+    logs = {k: c for k, c in pp.logs.items() if k != "u0_1"}
+    new = ParamPoint(pp.n_colors, values, logs, min_terms=pp.min_terms)
+    got = normalization_factor(mu, ext)
+    assert got == normalization_factor(mu, new) != before
+    assert normalization_factor(mu, pp) == before
+
+
+def _reference_bethe_residuals(xvals, pp, w):
+    """The saddle-point residuals straight from their formula."""
+    n = pp.n_colors
+    t1, t2, h = pp.t1, pp.t2, pp.hbar
+    out = []
+    for k in range(n):
+        vk = len(xvals.get(k, []))
+        for i in range(vk):
+            x = xvals[k][i]
+            lhs = 1.0 + 0.0j
+            for j in range(1, w[k] + 1):
+                u = pp.values[f"u{k}_{j}"]
+                lhs *= (1 - u / x) / (1 - h * u / x)
+            for xl in xvals.get((k + 1) % n, []):
+                lhs *= (1 - xl / (t1 * x)) / (1 - t2 * xl / x)
+            for xm in xvals.get((k - 1) % n, []):
+                lhs *= (1 - t2 * x / xm) / (1 - x / (t1 * xm))
+            for nn, xn in enumerate(xvals[k]):
+                if nn != i:
+                    lhs *= (1 - h * xn / x) / (1 - xn / (h * x))
+            out.append(lhs - pp.values[f"z{k}"] * h ** (vk - 1))
+    return np.array(out, dtype=complex)
+
+
+@pytest.mark.parametrize("v, w", [((1, 1, 1), (1, 1, 0)), ((2, 1, 1), (2, 0, 0)),
+                                  ((2, 2, 2), (1, 1, 0)), ((1, 0, 2), (1, 0, 1))])
+def test_bethe_system_is_bitwise_the_residual_formula(v, w):
+    pp = sample_param_point(37, N, framing_counts={"u": list(w)})
+    system = BetheSystem(v, w, pp)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        vec = rng.standard_normal(sum(v)) + 1j * rng.standard_normal(sum(v))
+        xvals, pos = {}, 0
+        for k in range(N):
+            xvals[k] = list(vec[pos:pos + v[k]])
+            pos += v[k]
+        got = system(vec)
+        assert got.tobytes() == bethe_residuals(xvals, pp, w).tobytes()
+        assert got.tobytes() == _reference_bethe_residuals(xvals, pp, w).tobytes()
+        # Python complex roots take the same operations
+        plain = {k: [complex(x) for x in xs] for k, xs in xvals.items()}
+        assert (bethe_residuals(plain, pp, w).tobytes()
+                == _reference_bethe_residuals(plain, pp, w).tobytes())
+
+
+#: (iterations, roots) of bethe_solve at three solver seeds, recorded before
+#: the system was compiled once per solve
+BETHE_PINNED = {
+    ((1, 1, 1), (1, 1, 0), 7): [
+        (24, "{0: [(1.1743971989918636-0.12426943176575453j)], 1: [(-0.5933522971116449+0.02902360661732855j)], 2: [(-0.25862936959189453+1.250485987418822j)]}"),
+        (30, "{0: [(1.1743971989917654-0.12426943176583045j)], 1: [(-0.5933522971116474+0.02902360661732295j)], 2: [(-0.25862936959174887+1.2504859874187018j)]}"),
+        (71, "{0: [(-4.108038786168702-0.8209529677142785j)], 1: [(-0.6010986775748305-0.05376628172149361j)], 2: [(1.8124341724675714-6.0359596624930205j)]}"),
+    ],
+    ((2, 1, 1), (2, 0, 0), 11): [
+        (19, "{0: [(-0.5100125588158523-0.8112656477468166j), (-2.579247403632249-1.5506754260439697j)], 1: [(-0.6427910958903029-0.9930355498825615j)], 2: [(-1.4528728870579195-0.7828311957015505j)]}"),
+        (120, "{0: [(-0.47877248277324563-0.818454408601127j), (-1.4943173897979039-2.631881965651325j)], 1: [(-1.165353283412474-0.2874533638685204j)], 2: [(0.34519093158910535-1.6325156350474856j)]}"),
+        (155, "{0: [(-0.2581393564565789-2.125790013635525j), (0.28842072183798606+0.5483852847219783j)], 1: [(-0.6993483427054874+0.3411506415687075j)], 2: [(-0.6352056341355299+0.46178614305601634j)]}"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BETHE_PINNED))
+def test_bethe_solve_matches_pinned_roots(case):
+    v, w, point_seed = case
+    pp = sample_param_point(point_seed, N, framing_counts={"u": list(w)})
+    for seed, want in enumerate(BETHE_PINNED[case]):
+        sol = bethe_solve(v, w, pp, seed=seed)
+        roots = {k: [complex(x) for x in xs] for k, xs in sol.roots.items()}
+        assert sol.converged
+        assert (sol.iterations, repr(roots)) == want
