@@ -12,8 +12,8 @@ from .core import (HBAR, GradedValue, Monomial, ParamPoint, SingularityError,
                    BudgetError, qpoch_fin, qpoch_inf,
                    theta_modular_residual, theta_p, vartheta1)
 from .envelopes import (Envelope, EnvelopeSpec, default_kahler,
-                        factorization_residual, kahler_args, restrict,
-                        restriction_values, shuffle_residual)
+                        factorization_residual, kahler_args, kahler_point,
+                        restrict, restriction_values, shuffle_residual)
 from .fock import (box_weight, k_eigenvalue_exponent, lowering_coefficient,
                    phi_eigenvalue, phi_weight_exponent, raising_coefficient,
                    vector_action)

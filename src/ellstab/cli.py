@@ -237,6 +237,9 @@ def cmd_rmatrix(args) -> int:
     # are solved from the same restriction matrices, each built once
     ch = ChamberMatrices.build(v, g1, g2, pp, n, star=args.star,
                                kahler=inverted_kahler(n) if args.star else None)
+    if not ch.basis:
+        raise ValueError(f"--v {args.v} has 0 fixed points at --w1 {args.w1} "
+                         f"--w2 {args.w2}")
     res = (transition_r_star if args.star else transition_r)(
         v, g1, g2, pp, n, include_scalar=not args.bare, chambers=ch)
     comp = ch.composition()
@@ -263,6 +266,8 @@ def cmd_ybe(args) -> int:
     t0 = time.perf_counter()
     n = args.N
     colors = _colors(args, "colors", _list(args, "colors", 3))
+    if args.boxes < 0:
+        raise ValueError(f"--boxes {args.boxes} is negative")
     groups = tuple(FramingGroup(tuple(1 if i == c else 0 for i in range(n)),
                                 p) for c, p in zip(colors, ("ua", "ub", "uc")))
     pp = sample_param_point(args.seed, n,

@@ -18,7 +18,14 @@ no half power is formed) and combines the terms by index in floating point;
 exact monomial arithmetic stays at compile time.  The envelopes of one basis
 restricted to one point share a ``ThetaTable``: a theta argument that
 several columns of a restriction matrix carry is taken once per permutation,
-and once per matrix if it has no Chern root.
+and once per matrix if it has no Chern root, and the first column's extended
+point serves the others.
+
+A Kahler argument is a point value, not part of what is compiled.  Every
+envelope is compiled with the plain Kahler variables z_i; the argument
+z_i -> k_i (a monomial per color, such as z_i hbar^s or 1/z_i) is applied by
+evaluating at ``kahler_point(pp, k)``, where z_i takes the value and the log
+of k_i.  So one compiled envelope serves every Kahler argument of a call.
 """
 
 from __future__ import annotations
@@ -50,21 +57,34 @@ def default_kahler(n_colors: int) -> dict[int, Monomial]:
 
 @dataclass(frozen=True)
 class EnvelopeSpec:
-    """What to build: fixed point, normalization variant, nome, Kahler args."""
+    """What to build: fixed point, normalization variant and nome.
+
+    No Kahler argument: the compile always uses the plain z_i, and a Kahler
+    argument is applied at evaluation, through ``kahler_point``.
+    """
 
     fp: FixedPoint
     variant: str = "hat"
     star: bool = False
-    kahler: tuple[tuple[int, Monomial], ...] | None = None
-
-    def kahler_map(self) -> dict[int, Monomial]:
-        if self.kahler is None:
-            return default_kahler(self.fp.n_colors)
-        return dict(self.kahler)
 
 
 def kahler_args(mapping: dict[int, Monomial]) -> tuple[tuple[int, Monomial], ...]:
     return tuple(sorted(mapping.items()))
+
+
+def kahler_point(pp: ParamPoint, kahler) -> ParamPoint:
+    """The point at which an envelope takes the Kahler argument ``kahler``.
+
+    ``kahler`` maps each color i to a monomial k_i (a mapping, or the pairs
+    of ``kahler_args``); the point is ``pp`` extended with
+    log z_i = ``pp.log_of(k_i)`` and z_i its exponential, the value
+    ``pp.materialize(k_i)``.  ``None`` is the plain argument, ``pp`` itself.
+    This is the one way a Kahler argument is applied.
+    """
+    if kahler is None:
+        return pp
+    logs = {f"z{i}": pp.log_of(m) for i, m in dict(kahler).items()}
+    return pp.extended({name: cmath.exp(lg) for name, lg in logs.items()}, logs)
 
 
 @dataclass
@@ -181,13 +201,16 @@ class ThetaTable:
     alone.  A table lives as long as the matrix it serves.
 
     ``chern_roots`` names the Chern roots the point assigns; an argument
-    free of them is shared through ``free``.
+    free of them is shared through ``free``.  ``point`` is the extended
+    parameter point of the assignment, made by the first ``Envelope.eval``
+    with the table and reused by the others.
     """
 
     def __init__(self, chern_roots: Iterable[str], free: dict | None = None):
         self.chern_roots = frozenset(chern_roots)
         self.free: dict[tuple, complex] = {} if free is None else free
         self._bound: list[dict[tuple, complex]] = []
+        self.point: ParamPoint | None = None
 
     def perm(self, k: int) -> tuple[dict, dict]:
         """The (Chern-root-free, Chern-root) value dicts of permutation k."""
@@ -397,7 +420,7 @@ class Envelope:
         sprod = _s_product(fp, spec.variant, pairs, x)
         degrees = index_degrees(fp, boxes, pairs)
         self._terms: list[ThetaProduct] = []
-        for tw in tree_weights(fp, spec.kahler_map(), boxes, x, degrees):
+        for tw in tree_weights(fp, default_kahler(fp.n_colors), boxes, x, degrees):
             num, den = list(sprod.num), list(sprod.den)
             for xm, ym in tw.phi_args:
                 num += [xm * ym, HBAR]
@@ -465,16 +488,23 @@ class Envelope:
 
         One extended point carries the assignment; each permutation of the
         roots overwrites its Chern-root values and logs in place.  With
-        ``thetas``, the table of this assignment, a theta that another
-        envelope already took there is read from the table.
+        ``thetas``, the table of this assignment at ``pp``, a theta that
+        another envelope already took there is read from the table, and so
+        is the extended point: the first envelope evaluated with the table
+        makes it.  The base values come from ``values`` and ``logs``, since
+        the previous envelope leaves the point at its last permutation.
         """
         if logs is None:
             logs = {k: cmath.log(v) for k, v in values.items()}
-        ppx = pp.extended(values, logs)
+        ppx = None if thetas is None else thetas.point
+        if ppx is None:
+            ppx = pp.extended(values, logs)
+            if thetas is not None:
+                thetas.point = ppx
         vals, lgs = ppx.values, ppx.logs
         names = self.x_names()
-        vals0 = [vals[name] for name in names]
-        logs0 = [lgs[name] for name in names]
+        vals0 = [complex(values[name]) for name in names]
+        logs0 = [complex(logs[name]) for name in names]
         per_color = [self.nvars[i] for i in range(self.fp.n_colors)]
         total = 0.0 + 0.0j
         for k, combo in enumerate(itertools.product(*self._perms)):
@@ -589,15 +619,20 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
                      variant: str = "hat", star: bool = False,
                      n_assignments: int = 5, rng=None) -> float:
     """Max relative deviation between a concatenated envelope and its shuffle
-    product over random Chern-root assignments."""
+    product over random Chern-root assignments.
+
+    The two factors are evaluated at their Kahler arguments
+    (``shuffle_kahler_shifts``) as two shifted points.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     n = fpa.n_colors
     big = concat_fixed_points(fpa, fpb)
     env_big = Envelope(EnvelopeSpec(big, variant, star))
     za, zb = shuffle_kahler_shifts(n, fpa.v, fpa.w, fpb.v, fpb.w)
-    env_a = Envelope(EnvelopeSpec(fpa, variant, star, kahler_args(za)))
-    env_b = Envelope(EnvelopeSpec(fpb, variant, star, kahler_args(zb)))
+    env_a = Envelope(EnvelopeSpec(fpa, variant, star))
+    env_b = Envelope(EnvelopeSpec(fpb, variant, star))
+    pp_a, pp_b = kahler_point(pp, za), kahler_point(pp, zb)
     pref = LoweredSum([_cross_prefactor(fpa, fpb, variant)])
 
     slots_big, slots_a = chern_slots(big), chern_slots(fpa)
@@ -627,6 +662,6 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
             (va, la), (vb, lb) = split["A"], split["B"]
             ppx = pp.extended(cross_vals, cross_logs)
             pf = pref.eval(ppx, star)
-            rhs += pf * env_a.eval(pp, va, la) * env_b.eval(pp, vb, lb)
+            rhs += pf * env_a.eval(pp_a, va, la) * env_b.eval(pp_b, vb, lb)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst

@@ -287,24 +287,35 @@ def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
     """All fixed points with box-content profile v over the given slots.
 
     The slots keep their order; the enumeration is that of ``fixed_points``.
+    The candidates of a slot color, (size, partition, profile) for every
+    partition of at most |v| boxes in sorted row order, are built once per
+    call; a recursion node keeps those that fit in the boxes left.
     """
+    rows_sorted = sorted(partitions_upto(sum(v)))
+    candidates: dict[int, list] = {}
+    for slot in slots:
+        if slot.color not in candidates:
+            lams = [ColoredPartition(rows, slot.color, n_colors) for rows in rows_sorted]
+            candidates[slot.color] = [(lam.size, lam, lam.profile()) for lam in lams]
+    per_slot = [candidates[slot.color] for slot in slots]
     results: list[FixedPoint] = []
 
-    def rec(idx, remaining, acc):
+    def rec(idx, remaining, left, acc):
         if idx == len(slots):
             if not any(remaining):
                 if len(results) == budget:
                     raise BudgetError(f"more than {budget} fixed points")
                 results.append(FixedPoint(tuple(zip(slots, acc)), n_colors))
             return
-        for rows in sorted(partitions_upto(sum(remaining))):
-            lam = ColoredPartition(rows, slots[idx].color, n_colors)
-            nxt = [r - q for r, q in zip(remaining, lam.profile())]
+        for size, lam, profile in per_slot[idx]:
+            if size > left:
+                continue
+            nxt = [r - q for r, q in zip(remaining, profile)]
             if any(r < 0 for r in nxt):
                 continue
-            rec(idx + 1, nxt, acc + [lam])
+            rec(idx + 1, nxt, left - size, acc + [lam])
 
-    rec(0, list(v), [])
+    rec(0, list(v), sum(v), [])
     return results
 
 

@@ -6,18 +6,25 @@ scalar.  Everything is organized per total box-content profile; entries
 conserve the per-residue weight of basis tuples, which the checks verify
 rather than assume.  Envelopes are always plain-normalized and built from
 the L-shape-free tree set.
+
+A Kahler argument (the dynamical shift z_i -> z_i hbar^(e_i) of the
+Yang-Baxter check, or the inverted z_i -> 1/z_i of R*) is a point value
+(``envelopes.kahler_point``), so the envelopes of a basis are compiled once
+per call, whatever arguments the call takes them at: a caller hands one dict
+of compiled envelopes, keyed by (fixed point, star), to all its restriction
+matrices.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import HBAR, Monomial, ParamPoint
-from .envelopes import (Envelope, EnvelopeSpec, ThetaTable, default_kahler,
-                        kahler_args, restriction_values)
+from .envelopes import (Envelope, EnvelopeSpec, ThetaTable, kahler_args,
+                        kahler_point, restriction_values)
 from .partitions import FixedPoint, FramingSlot, _enumerate_fixed_points
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
@@ -63,15 +70,21 @@ class RestrictionMatrix:
 
 
 def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
-                       star: bool = False, kahler=None) -> RestrictionMatrix:
+                       star: bool = False, kahler=None, *,
+                       envelopes: dict | None = None) -> RestrictionMatrix:
     """Matrix of envelope restrictions: M[gamma, beta] = Stab(beta)|_gamma.
 
-    The Chern-root values of each restriction point are computed once per
+    The envelopes are evaluated at ``kahler_point(pp, kahler)``.  The
+    Chern-root values of each restriction point are computed once per
     matrix, and so is one ``ThetaTable`` per point, which the columns share:
     a theta argument that several envelopes carry is taken once per point
-    and permutation, and once per matrix if it has no Chern root.  An empty
-    basis (a profile without fixed points) gives an empty matrix of
-    condition number 1.
+    and permutation, and once per matrix if it has no Chern root.
+    ``envelopes``, if given, holds the plain envelopes compiled so far,
+    keyed by (fixed point, star); a column takes its envelope from there
+    and adds the ones it compiles, so a caller that passes one dict to
+    several matrices compiles each envelope once.  An empty basis (a
+    profile without fixed points) gives an empty matrix of condition
+    number 1.
     """
     n = len(basis)
     mat = np.zeros((n, n), dtype=complex)
@@ -79,16 +92,19 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
         return RestrictionMatrix(basis, mat, 1.0)
     if any(fp.v != basis[0].v or fp.w != basis[0].w for fp in basis):
         raise ValueError("restriction points must share the (v, w) class")
-    kah = kahler if kahler is not None else kahler_args(default_kahler(basis[0].n_colors))
+    compiled = {} if envelopes is None else envelopes
+    ppk = kahler_point(pp, kahler)
     points = [restriction_values(gamma, pp) for gamma in basis]
     # every point assigns the same Chern roots, those of the (v, w) class
     roots = frozenset(points[0][0])
     free: dict = {}
     tables = [ThetaTable(roots, free) for _ in basis]
     for b, beta in enumerate(basis):
-        env = Envelope(EnvelopeSpec(beta, "plain", star, kah))
+        env = compiled.get((beta, star))
+        if env is None:
+            env = compiled[beta, star] = Envelope(EnvelopeSpec(beta, "plain", star))
         for g, (values, logs) in enumerate(points):
-            mat[g, b] = env.eval(pp, values, logs, tables[g])
+            mat[g, b] = env.eval(ppk, values, logs, tables[g])
     cond = float(np.linalg.cond(mat))
     return RestrictionMatrix(basis, mat, cond)
 
@@ -125,28 +141,37 @@ class ChamberMatrices:
     swap from Cbar back to C is P.T).  Every transition, composition and
     transpose check of one profile, nome and Kahler argument is solved from
     one of these, so a caller that needs several builds the matrices once;
-    ``at`` rebuilds the matrices on the same bases."""
+    ``at`` rebuilds the matrices on the same bases.  ``envelopes`` holds the
+    compiled envelopes of both bases (``restriction_matrix``), which ``at``
+    shares: each is compiled once, at any nome or Kahler argument."""
 
     basis: list[FixedPoint]
     basis_bar: list[FixedPoint]
     p: np.ndarray
     m_c: RestrictionMatrix
     m_cbar: RestrictionMatrix
+    envelopes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
               n_colors: int, star: bool = False, kahler=None) -> "ChamberMatrices":
         basis = basis_fixed_points(v, [g1, g2], n_colors)
         basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
+        envelopes: dict = {}
         return cls(basis, basis_bar, _swap_permutation(basis, basis_bar, sum(g1.w)),
-                   restriction_matrix(basis, pp, star, kahler),
-                   restriction_matrix(basis_bar, pp, star, kahler))
+                   restriction_matrix(basis, pp, star, kahler, envelopes=envelopes),
+                   restriction_matrix(basis_bar, pp, star, kahler, envelopes=envelopes),
+                   envelopes)
 
     def at(self, pp: ParamPoint, star: bool = False, kahler=None) -> "ChamberMatrices":
         """The matrices of the same bases at another nome or Kahler argument."""
+        envs = self.envelopes
         return ChamberMatrices(self.basis, self.basis_bar, self.p,
-                               restriction_matrix(self.basis, pp, star, kahler),
-                               restriction_matrix(self.basis_bar, pp, star, kahler))
+                               restriction_matrix(self.basis, pp, star, kahler,
+                                                  envelopes=envs),
+                               restriction_matrix(self.basis_bar, pp, star, kahler,
+                                                  envelopes=envs),
+                               envs)
 
     @property
     def conds(self) -> tuple[float, float]:
@@ -259,7 +284,8 @@ def composition_residual(v, g1, g2, pp, n_colors, star=False,
 def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
     """Deviation of R from invariance under z_i -> z_i hbar^(total weight_i).
 
-    The chamber bases are enumerated once for all the Kahler shifts.
+    The chamber bases are enumerated, and their envelopes compiled, once for
+    all the Kahler shifts.
     """
     chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors)
     base = chambers.bare()
@@ -301,12 +327,20 @@ def triple_basis(groups, n_colors: int, total_boxes: int) -> list[tuple]:
 
 
 def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
-                       pp: ParamPoint, shift_of) -> np.ndarray:
+                       pp: ParamPoint, shift_of, *,
+                       chambers: dict | None = None) -> np.ndarray:
     """Matrix of the bare pair transition acting on two slots of a triple basis.
 
     The column of a triple ``trip`` takes the transition of its pair profile
     at the Kahler arguments z_i -> z_i hbar^(e_i), e = ``shift_of(trip)``.
     Every triple the transition reaches must be in ``basis``.
+
+    ``chambers`` maps (slot pair, pair profile) to the ``ChamberMatrices``
+    first built there, whose bases and compiled envelopes every later shift
+    reuses, and to the index of its basis.  A caller that applies several
+    pair transitions at one point passes one dict to all of them, so each
+    envelope of a pair basis is compiled once; without it the dict lives
+    for this call.
     """
     i1, i2 = slot_pair
     g1, g2 = groups[i1], groups[i2]
@@ -314,10 +348,9 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
     index = {_key(sum((fp.slots for fp in trip), ())): i
              for i, trip in enumerate(basis)}
     out = np.zeros((len(basis), len(basis)), dtype=complex)
-    # per pair profile the chamber matrices of its first shift, whose bases
-    # the other shifts reuse, and its basis index; per (profile, shift) the
-    # transition
-    chambers: dict[tuple, tuple[ChamberMatrices, dict]] = {}
+    if chambers is None:
+        chambers = {}
+    # per (profile, shift) the transition
     bares: dict[tuple, np.ndarray] = {}
     for col, trip in enumerate(basis):
         a1, a2 = trip[i1], trip[i2]
@@ -325,19 +358,20 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
         v_pair = tuple(x + y for x, y in zip(a1.v, a2.v))
         shift = shift_of(trip)
         key = (v_pair, shift)
+        pair_key = (slot_pair, v_pair)
         if key not in bares:
             kah = kahler_args({i: Monomial.var(f"z{i}") * HBAR ** shift[i]
                                for i in range(n)})
-            if v_pair in chambers:
-                ch = chambers[v_pair][0].at(pp, kahler=kah)
+            if pair_key in chambers:
+                ch = chambers[pair_key][0].at(pp, kahler=kah)
             else:
                 ch = ChamberMatrices.build(v_pair, g1, g2, pp, n, kahler=kah)
-                chambers[v_pair] = ch, _index(ch.basis)
+                chambers[pair_key] = ch, _index(ch.basis)
             bares[key] = ch.bare()
         bare = bares[key]
-        pair_basis, pair_index = chambers[v_pair][0].basis, chambers[v_pair][1]
+        first, pair_index = chambers[pair_key]
         col_pair = pair_index[_key(a1.slots + a2.slots)]
-        for row_pair, b in enumerate(pair_basis):
+        for row_pair, b in enumerate(first.basis):
             coeff = bare[row_pair, col_pair]
             if coeff == 0:
                 continue
@@ -352,14 +386,22 @@ def ybe_residual(groups: tuple[FramingGroup, FramingGroup, FramingGroup],
     """Max-norm residual of the dynamical Yang-Baxter equation.
 
     R12(z h^(3)) R13(z) R23(z h^(1))  =  R23(z) R13(z h^(2)) R12(z).
+
+    The six pair transitions share one dict of chamber matrices, so each
+    envelope of each slot pair's bases is compiled once.  Raises
+    ``ValueError`` for a negative ``total_boxes``.
     """
+    if total_boxes < 0:
+        raise ValueError(f"total_boxes {total_boxes} is negative")
     basis = triple_basis(groups, n_colors, total_boxes)
     unshifted = (0,) * n_colors
+    chambers: dict = {}
 
     def act(pair, shift_slot):
         def shift_of(trip):
             return unshifted if shift_slot is None else trip[shift_slot].weight()
-        return r_action_on_triple(basis, groups, pair, pp, shift_of)
+        return r_action_on_triple(basis, groups, pair, pp, shift_of,
+                                  chambers=chambers)
 
     lhs = act((0, 1), 2) @ act((0, 2), None) @ act((1, 2), 0)
     rhs = act((1, 2), None) @ act((0, 2), 1) @ act((0, 1), None)

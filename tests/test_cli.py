@@ -167,6 +167,9 @@ def test_usage_error_exit_code():
     (["fixed-points", "--w", "1,0,0", "--v", "0,-2,0"], "--v 0,-2,0"),
     (["rmatrix", "--v", "1,0,0", "--w1", "1,0,0", "--w2", "0,-1,0"],
      "--w2 0,-1,0"),
+    (["ybe", "--boxes", "-1"], "--boxes -1"),
+    (["rmatrix", "--w1", "0,0,0", "--w2", "0,0,0", "--v", "1,0,0"],
+     "--v 1,0,0 has 0 fixed points"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
     """A vector of the wrong length or with a negative entry, a color outside

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ellstab.core import BudgetError
-from ellstab.partitions import (Box, ColoredPartition, addable_removable,
-                                box_order_cmp, chern_slots, fixed_points,
-                                index_degrees, k_eigen_sum_ok, lambda_trees,
-                                make_fixed_point, partitions_upto, rho_less,
-                                spanning_trees, weight_identity_ok)
+from ellstab.partitions import (Box, ColoredPartition, FixedPoint,
+                                FramingSlot, _enumerate_fixed_points,
+                                addable_removable, box_order_cmp, chern_slots,
+                                fixed_points, index_degrees, k_eigen_sum_ok,
+                                lambda_trees, make_fixed_point,
+                                partitions_upto, rho_less, spanning_trees,
+                                weight_identity_ok)
 
 
 def random_partition(rng, max_size, n_colors):
@@ -129,6 +131,60 @@ def test_fixed_points_examples():
     assert fixed_points((0, 0, 0), (1, 0, 0), 3)[0].partitions() == ((),)
     big = fixed_points((6, 5, 5), (1, 0, 0), 3)
     assert ((6, 5, 4, 1),) in [p.partitions() for p in big]
+
+
+def _recursive_fixed_points(v, slots, n_colors):
+    """The enumerator as it was before it built its candidates once per
+    call: every recursion node sorts the partitions that fit in the boxes
+    left and builds each with its profile."""
+    results = []
+
+    def rec(idx, remaining, acc):
+        if idx == len(slots):
+            if not any(remaining):
+                results.append(FixedPoint(tuple(zip(slots, acc)), n_colors))
+            return
+        for rows in sorted(partitions_upto(sum(remaining))):
+            lam = ColoredPartition(rows, slots[idx].color, n_colors)
+            nxt = [r - q for r, q in zip(remaining, lam.profile())]
+            if any(r < 0 for r in nxt):
+                continue
+            rec(idx + 1, nxt, acc + [lam])
+
+    rec(0, list(v), [])
+    return results
+
+
+def _slots(*groups):
+    """Group-major slots of framing vectors with name prefixes, color-major
+    within a group."""
+    return [FramingSlot(k, f"{prefix}{k}_{j}", j) for w, prefix in groups
+            for k in range(len(w)) for j in range(1, w[k] + 1)]
+
+
+def test_one_pass_enumerator_matches_the_recursion():
+    """Every profile of at most 5 boxes, at six framings and two two-group
+    bases: the same fixed points, in the same order."""
+    n = 3
+    framings = [_slots((w, "u")) for w in ((1, 0, 0), (1, 1, 0), (2, 0, 0),
+                                            (1, 1, 1), (2, 1, 0), (3, 0, 0))]
+    framings += [_slots(((1, 0, 0), "ua"), ((0, 1, 0), "ub")),
+                 _slots(((1, 1, 0), "ua"), ((1, 0, 0), "ub"))]
+    compared = nonempty = 0
+    for slots in framings:
+        for total in range(6):
+            for v in itertools.product(range(total + 1), repeat=n):
+                if sum(v) != total:
+                    continue
+                got = _enumerate_fixed_points(v, slots, n)
+                assert repr(got) == repr(_recursive_fixed_points(v, slots, n)), v
+                compared += 1
+                nonempty += bool(got)
+    assert (compared, nonempty) == (8 * 56, 160)
+    # a profile with a negative entry has no fixed point, with or without slots
+    for slots in ([], framings[0]):
+        assert _enumerate_fixed_points((1, -1, 0), slots, n) == \
+            _recursive_fixed_points((1, -1, 0), slots, n) == []
 
 
 def test_chern_slot_variable_assignment():

@@ -6,10 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ellstab.core import ParamPoint, SingularityError
+from ellstab.core import HBAR, Monomial, ParamPoint, SingularityError
 from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
-                               ThetaTable, default_kahler, kahler_args,
-                               restriction_values)
+                               ThetaTable, _cancel, default_kahler,
+                               kahler_args, kahler_point, restriction_values,
+                               s_factor_product, tree_weights)
 from ellstab.partitions import fixed_points
 from ellstab.rmatrix import (FramingGroup, _swap_permutation, bare_transition,
                              basis_fixed_points, composition_residual,
@@ -258,14 +259,14 @@ def _fresh(pp):
 
 def _entrywise(basis, pp, star, kahler):
     """M[gamma, beta] from one independently compiled envelope per column,
-    each evaluated on its own, without a theta table."""
-    kah = kahler if kahler is not None else kahler_args(default_kahler(N))
+    each evaluated on its own at the Kahler point, without a theta table."""
     pp = _fresh(pp)
+    ppk = kahler_point(pp, kahler)
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
     for b, beta in enumerate(basis):
-        env = Envelope(EnvelopeSpec(beta, "plain", star, kah))
+        env = Envelope(EnvelopeSpec(beta, "plain", star))
         for g, gamma in enumerate(basis):
-            mat[g, b] = env.eval(pp, *restriction_values(gamma, pp))
+            mat[g, b] = env.eval(ppk, *restriction_values(gamma, pp))
     return mat
 
 
@@ -372,3 +373,175 @@ def test_theta_table_splits_by_its_own_chern_roots():
     env._term(pp.extended(values, logs), rootless)
     assert len(rootless.free) == len(env._lowered.args)
     assert env.eval(pp, values, logs, ThetaTable(values)) == want
+
+
+# ---------------------------------------------------------------------------
+# Kahler arguments as point values
+# ---------------------------------------------------------------------------
+
+def _compile_time_kahler(fp, star, kahler):
+    """The plain envelope of ``fp`` with the Kahler argument compiled into
+    its terms, the way envelopes took it before it became a point value: the
+    S-product times the phi factors of ``tree_weights(fp, kahler)``, per tree
+    tuple, through ``_cancel``.  Its ``LoweredSum`` is made at its first
+    evaluation."""
+    env = Envelope(EnvelopeSpec(fp, "plain", star))
+    sprod = s_factor_product(fp, "plain")
+    terms = []
+    for tw in tree_weights(fp, dict(kahler)):
+        num, den = list(sprod.num), list(sprod.den)
+        for xm, ym in tw.phi_args:
+            num += [xm * ym, HBAR]
+            den += [xm, ym]
+        terms.append(_cancel(num, den, sprod.sign + tw.kappa))
+    env._terms = terms
+    return env
+
+
+def _compile_time_matrix(basis, pp, star, kahler):
+    """The restriction matrix of ``_compile_time_kahler`` envelopes at the
+    plain point, entry by entry."""
+    pp = _fresh(pp)
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for b, beta in enumerate(basis):
+        env = _compile_time_kahler(beta, star, kahler)
+        for g, gamma in enumerate(basis):
+            mat[g, b] = env.eval(pp, *restriction_values(gamma, pp))
+    return mat
+
+
+def _profile_bases(colors):
+    """(profile, basis) of every 1-3-box profile of two unit framings."""
+    g1, g2 = _unit_pair(colors)
+    for total in (1, 2, 3):
+        for v in profiles(total, N):
+            basis = basis_fixed_points(v, [g1, g2], N)
+            if basis:
+                yield v, basis
+
+
+def test_compile_time_oracle_assembles_the_plain_compile():
+    """At the plain Kahler argument the oracle's terms are the compile's."""
+    for _, basis in _profile_bases((0, 1)):
+        for fp in basis:
+            want = Envelope(EnvelopeSpec(fp, "plain"))._terms
+            got = _compile_time_kahler(fp, False, default_kahler(N))._terms
+            assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("colors", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("star", [False, True])
+def test_inverted_kahler_point_is_bitwise_the_compiled_argument(seed, colors, star):
+    """z_i -> 1/z_i as a point value (negated logs, exact) gives the matrix
+    of the argument compiled into the terms bit for bit: every 1-3-box
+    profile with two framings."""
+    g1, g2 = _unit_pair(colors)
+    pp = sample_param_point(seed, N, framing_counts={"ua": list(g1.w),
+                                                     "ub": list(g2.w)})
+    kahler = inverted_kahler(N)
+    for v, basis in _profile_bases(colors):
+        got = _outcome(lambda: restriction_matrix(basis, _fresh(pp), star,
+                                                  kahler).matrix)
+        want = _outcome(lambda: _compile_time_matrix(basis, pp, star, kahler))
+        assert got == want, v
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("colors", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("shift", [(1, -1, 2), (0, 2, -1), (-2, 1, 1)])
+def test_hbar_shifted_kahler_point_matches_the_compiled_argument(seed, colors, shift):
+    """z_i -> z_i hbar^(s_i) as a point value sums the same logs in another
+    order, so an entry may move in its last bits: within 1e-13 of the
+    largest entry of the matrix compiled with the argument."""
+    g1, g2 = _unit_pair(colors)
+    pp = sample_param_point(seed, N, framing_counts={"ua": list(g1.w),
+                                                     "ub": list(g2.w)})
+    kahler = kahler_args({i: Monomial.var(f"z{i}") * HBAR ** s
+                          for i, s in enumerate(shift)})
+    for v, basis in _profile_bases(colors):
+        want = _compile_time_matrix(basis, pp, False, kahler)
+        got = restriction_matrix(basis, _fresh(pp), False, kahler).matrix
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, v
+
+
+def test_kahler_point_takes_the_value_and_log_of_each_argument():
+    kahler = {i: Monomial.var(f"z{i}") ** -1 * HBAR for i in range(N)}
+    ppk = kahler_point(PP, kahler)
+    assert kahler_point(PP, None) is PP
+    for i, m in kahler.items():
+        assert ppk.logs[f"z{i}"] == PP.log_of(m)
+        assert ppk.values[f"z{i}"] == PP.materialize(m)
+    assert kahler_point(PP, kahler_args(kahler)).logs == ppk.logs
+
+
+def _count_compiles(monkeypatch) -> Counter:
+    """Counts of ``Envelope.__init__`` calls by (fixed point, star)."""
+    calls = Counter()
+    init = Envelope.__init__
+
+    def counted(self, spec):
+        calls[spec.fp, spec.star] += 1
+        init(self, spec)
+
+    monkeypatch.setattr(Envelope, "__init__", counted)
+    return calls
+
+
+def test_ybe_compiles_each_envelope_once(monkeypatch):
+    """The six pair transitions of a 2-box check compile each fixed point of
+    each slot pair's two chamber bases once (the slot pair is in the
+    framing names of the fixed point)."""
+    calls = _count_compiles(monkeypatch)
+    ybe_residual((G1, G2, G3), PP, N, 2)
+    assert calls and max(calls.values()) == 1
+    want = set()
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        ga, gb = (G1, G2, G3)[a], (G1, G2, G3)[b]
+        for total in range(3):
+            for v in profiles(total, N):
+                for order in ([ga, gb], [gb, ga]):
+                    want |= {(fp, False) for fp in basis_fixed_points(v, order, N)}
+    assert set(calls) == want
+
+
+@pytest.mark.parametrize("v", [(2, 0, 0), (1, 1, 0), (1, 0, 1)])
+def test_shift_and_transpose_checks_compile_each_envelope_once(monkeypatch, v):
+    """Every Kahler shift of ``shift_invariance_residual`` and both sides of
+    ``transpose_relation_residual`` reuse the compiled envelopes of the two
+    chamber bases."""
+    calls = _count_compiles(monkeypatch)
+    bases = basis_fixed_points(v, [G1, G2], N) + basis_fixed_points(v, [G2, G1], N)
+    shift_invariance_residual(v, G1, G2, PP, N)
+    assert calls == Counter({(fp, False): 1 for fp in bases})
+    calls.clear()
+    transpose_relation_residual(v, G1, G2, PP, N)
+    assert calls == Counter({(fp, True): 1 for fp in bases})
+
+
+def test_restriction_matrix_extends_the_point_once_per_restriction_point(monkeypatch):
+    """The columns share the extended point of each restriction point; a
+    Kahler argument adds one extension for the whole matrix."""
+    g1, g2 = _unit_pair((0, 0))
+    pp = sample_param_point(5, N, framing_counts={"ua": [1, 0, 0],
+                                                  "ub": [1, 0, 0]})
+    basis = basis_fixed_points((1, 1, 1), [g1, g2], N)
+    calls = []
+    extended = ParamPoint.extended
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return extended(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParamPoint, "extended", counted)
+    restriction_matrix(basis, pp)
+    assert len(calls) == len(basis) > 1
+    calls.clear()
+    restriction_matrix(basis, pp, False, inverted_kahler(N))
+    assert len(calls) == len(basis) + 1
+
+
+def test_ybe_rejects_a_negative_box_count():
+    with pytest.raises(ValueError, match="negative"):
+        ybe_residual((G1, G2, G3), PP, N, -1)
