@@ -18,8 +18,9 @@ from .core import Monomial, SingularityError, theta_modular_residual
 from .envelopes import (Envelope, EnvelopeSpec, chern_slots,
                         factorization_residual, restrict, shuffle_residual)
 from .fock import lowering_coefficient, raising_coefficient
-from .partitions import (ColoredPartition, fixed_points, k_eigen_sum_ok,
-                         make_fixed_point, partitions_upto, weight_identity_ok)
+from .partitions import (ColoredPartition, box_slot_vars, fixed_points,
+                         k_eigen_sum_ok, make_fixed_point, partitions_upto,
+                         weight_identity_ok)
 from .rmatrix import (FramingGroup, bare_transition, composition_residual,
                       profiles, weight_block_residual, ybe_residual)
 from .sampling import random_assignment, sample_param_point
@@ -112,8 +113,7 @@ def criterion_factorization(seed: int = 0) -> CriterionResult:
     for w in [(1, 0, 0), (1, 1, 0)]:
         pp = sample_param_point(seed + 1, n, framing_counts={"u": list(w)})
         for fp in _small_fixed_points(n, 3, w):
-            env = Envelope(EnvelopeSpec(fp, "plain"))
-            names = env.x_names()
+            names = list(box_slot_vars(fp).values())
             for _ in range(5):
                 values = random_assignment(rng, names)
                 worst = max(worst, factorization_residual(fp, pp, "I", values))

@@ -1,14 +1,16 @@
 """Batch command-line front end.
 
 Every command samples a reproducible parameter point from its seed, runs one
-computation, and emits a single JSON document (stdout or --out) holding the
-seed, the parameter point, the results, residuals and timings.  Complex
+computation and returns ``(point, results, residuals, exit code)``.  ``main``
+times the call and builds and emits the one JSON document (stdout or --out):
+command, seed, tol, param_point, timings, results and residuals.  Complex
 numbers are encoded as [re, im] pairs; matrices are row-major with
 self-describing basis labels.
 
-Exit codes: 0 all checks within tolerance, 1 check failure, 2 usage error,
-3 numeric singularity or exceeded enumeration budget (no retry is made).
-``shuffle-check`` alone takes ``--workers``, its process-pool size.
+Exit codes: 0 all checks within tolerance, 1 check failure, 2 usage error
+(an option value that is out of range or malformed, such as JSON rows that
+are not lists of non-negative integers, or a count below 1), 3 numeric
+singularity or exceeded enumeration budget (no retry is made).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import cmath
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -41,14 +42,6 @@ from . import acceptance as acc
 def _c(z) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def _matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_c(v) for v in row] for row in m]
-
-
-def _param_json(pp) -> dict:
-    return {name: _c(v) for name, v in sorted(pp.values.items())}
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -90,58 +83,50 @@ def _pick(basis: list, index: int, name: str):
     return basis[index]
 
 
-def _partition_list(text: str):
-    rows = json.loads(text)
-    if rows and isinstance(rows[0], int):
-        rows = [rows]
-    return [tuple(r) for r in rows]
+def _count(args, name: str) -> int:
+    """Option ``--name``, a count of at least 1."""
+    count = getattr(args, name)
+    if count < 1:
+        raise ValueError(f"--{name} {count} is below 1")
+    return count
 
 
-def _emit(doc: dict, args) -> None:
-    blob = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(blob + "\n")
-    else:
-        print(blob)
+def _partition(name: str, text: str, rows) -> tuple[int, ...]:
+    """``rows``, read from option ``--name`` ``text``, as one partition."""
+    if not isinstance(rows, list) or any(type(r) is not int or r < 0
+                                         for r in rows):
+        raise ValueError(f"--{name} {text} is not JSON rows of non-negative "
+                         f"integers")
+    return tuple(rows)
 
 
-def _base_doc(args, pp, t0) -> dict:
-    return {
-        "command": args.command,
-        "seed": args.seed,
-        "tol": args.tol,
-        "param_point": _param_json(pp),
-        "timings": {"seconds": round(time.perf_counter() - t0, 6)},
-        "residuals": {},
-    }
+def _fixed_point(args, name: str, w: tuple[int, ...]):
+    """The fixed point of option ``--name``: JSON rows per framing slot (one
+    slot's rows may stand alone), framing variables u{k}_{j}."""
+    text = getattr(args, name)
+    slots = json.loads(text)
+    if not isinstance(slots, list) or (slots and isinstance(slots[0], int)):
+        slots = [slots]
+    return make_fixed_point([_partition(name, text, s) for s in slots], w,
+                            args.N)
 
 
-def cmd_fixed_points(args) -> int:
-    t0 = time.perf_counter()
+def cmd_fixed_points(args):
     w, v = _vec(args, "w"), _vec(args, "v")
     pts = fixed_points(v, w, args.N)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {"count": len(pts), "labels": [p.label() for p in pts]}
-    _emit(doc, args)
-    return 0
+    return pp, {"count": len(pts), "labels": [p.label() for p in pts]}, {}, 0
 
 
-def _fp_from_args(args, w, text):
-    """The fixed point of JSON rows ``text``, framing variables u{k}_{j}."""
-    return make_fixed_point(_partition_list(text), w, args.N)
-
-
-def cmd_stab(args) -> int:
-    t0 = time.perf_counter()
+def cmd_stab(args):
     w = _vec(args, "w")
-    fp = _fp_from_args(args, w, args.fp)
+    fp = _fixed_point(args, "fp", w)
+    assignments = _count(args, "assignments")
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
     env = Envelope(EnvelopeSpec(fp, args.variant, args.star))
     rng = np.random.default_rng(args.seed)
     values_list, results, sym_resid = [], [], 0.0
-    for _ in range(args.assignments):
+    for _ in range(assignments):
         values = random_assignment(rng, env.x_names())
         val = env.eval(pp, values)
         # symmetry diagnostic: swap two same-color roots if possible
@@ -154,79 +139,56 @@ def cmd_stab(args) -> int:
         sym_resid = max(sym_resid, abs(val - val2) / max(abs(val), 1e-300))
         values_list.append({k: _c(v) for k, v in values.items()})
         results.append(_c(val))
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {"fixed_point": fp.label(), "variant": args.variant,
-                      "values": results, "assignments": values_list}
-    doc["residuals"]["symmetry"] = sym_resid
-    _emit(doc, args)
-    return 0 if sym_resid < args.tol else 1
+    return (pp, {"fixed_point": fp.label(), "variant": args.variant,
+                 "values": results, "assignments": values_list},
+            {"symmetry": sym_resid}, 0 if sym_resid < args.tol else 1)
 
 
-def cmd_restrict(args) -> int:
-    t0 = time.perf_counter()
+def cmd_restrict(args):
     w = _vec(args, "w")
-    fp = _fp_from_args(args, w, args.fp)
-    mu = _fp_from_args(args, w, args.mu)
+    fp = _fixed_point(args, "fp", w)
+    mu = _fixed_point(args, "mu", w)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
     env = Envelope(EnvelopeSpec(fp, args.variant, args.star))
     val = restrict(env, mu, pp, framed=not args.unframed)
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {"fixed_point": fp.label(), "at": mu.label(),
-                      "value": _c(val)}
-    _emit(doc, args)
-    return 0
+    return (pp, {"fixed_point": fp.label(), "at": mu.label(),
+                 "value": _c(val)}, {}, 0)
 
 
-def _shuffle_case(task):
-    """One shuffle check; module-level so a process pool can run it."""
-    (n, seed, color2, rows1, rows2, variant, assignments) = task
-    wa = tuple(1 if i == 0 else 0 for i in range(n))
-    wb = tuple(1 if i == color2 else 0 for i in range(n))
-    pp = sample_param_point(seed, n, framing_counts={"ua": list(wa),
-                                                     "ub": list(wb)})
-    fpa = make_fixed_point([rows1], wa, n, u_names=["ua0_1"])
-    fpb = make_fixed_point([rows2], wb, n, u_names=[f"ub{color2}_1"])
-    rng = np.random.default_rng(seed + 13 * len(rows1) + 29 * len(rows2))
-    return shuffle_residual(fpa, fpb, pp, variant, n_assignments=assignments,
-                            rng=rng)
-
-
-def cmd_shuffle_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_shuffle_check(args):
     n = args.N
     sizes = _list(args, "boxes", 2)
+    if min(sizes) < 0:
+        raise ValueError(f"--boxes {args.boxes} has a negative entry")
     _colors(args, "color2", (args.color2,))
-    tasks = []
-    for rows1 in partitions_upto(sizes[0]):
-        if sum(rows1) != sizes[0]:
-            continue
-        for rows2 in partitions_upto(sizes[1]):
-            if sum(rows2) != sizes[1]:
-                continue
-            for variant in ("plain", "hat", "tilde"):
-                tasks.append((n, args.seed, args.color2, rows1, rows2,
-                              variant, args.assignments))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            residuals = list(pool.map(_shuffle_case, tasks))
-    else:
-        residuals = [_shuffle_case(t) for t in tasks]
-    checks = [{"first": list(t[3]), "second": list(t[4]), "variant": t[5],
-               "residual": r} for t, r in zip(tasks, residuals)]
-    worst = max(residuals) if residuals else 0.0
+    assignments = _count(args, "assignments")
     wa = tuple(1 if i == 0 else 0 for i in range(n))
     wb = tuple(1 if i == args.color2 else 0 for i in range(n))
     pp = sample_param_point(args.seed, n, framing_counts={"ua": list(wa),
                                                           "ub": list(wb)})
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {"checks": checks}
-    doc["residuals"]["worst"] = worst
-    _emit(doc, args)
-    return 0 if worst < args.tol else 1
+    checks = []
+    for rows1 in partitions_upto(sizes[0]):
+        if sum(rows1) != sizes[0]:
+            continue
+        fpa = make_fixed_point([rows1], wa, n, u_names=["ua0_1"])
+        for rows2 in partitions_upto(sizes[1]):
+            if sum(rows2) != sizes[1]:
+                continue
+            fpb = make_fixed_point([rows2], wb, n,
+                                   u_names=[f"ub{args.color2}_1"])
+            for variant in ("plain", "hat", "tilde"):
+                rng = np.random.default_rng(args.seed + 13 * len(rows1)
+                                            + 29 * len(rows2))
+                r = shuffle_residual(fpa, fpb, pp, variant,
+                                     n_assignments=assignments, rng=rng)
+                checks.append({"first": list(rows1), "second": list(rows2),
+                               "variant": variant, "residual": r})
+    worst = max(c["residual"] for c in checks)
+    return (pp, {"checks": checks}, {"worst": worst},
+            0 if worst < args.tol else 1)
 
 
-def cmd_rmatrix(args) -> int:
-    t0 = time.perf_counter()
+def cmd_rmatrix(args):
     n = args.N
     g1 = FramingGroup(_vec(args, "w1"), "ua")
     g2 = FramingGroup(_vec(args, "w2"), "ub")
@@ -242,28 +204,24 @@ def cmd_rmatrix(args) -> int:
                          f"--w2 {args.w2}")
     res = (transition_r_star if args.star else transition_r)(
         v, g1, g2, pp, n, include_scalar=not args.bare, chambers=ch)
-    comp = ch.composition()
-    wres = weight_block_residual(res.basis, res.bare)
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {
+    residuals = {"composition": ch.composition(),
+                 "weight_blocks": weight_block_residual(res.basis, res.bare)}
+    if args.star:
+        residuals["transpose_relation"] = transpose_relation_residual(
+            v, g1, g2, pp, n, inverted=ch)
+    results = {
         "basis": [b.label() for b in res.basis],
         "weights": [list(wt) for wt in res.weights],
         "scalar": _c(res.scalar),
-        "matrix": _matrix(res.full if not args.bare else res.bare),
+        "matrix": [[_c(z) for z in row]
+                   for row in (res.bare if args.bare else res.full)],
         "condition_numbers": list(res.cond),
     }
-    doc["residuals"]["composition"] = comp
-    doc["residuals"]["weight_blocks"] = wres
-    if args.star:
-        doc["residuals"]["transpose_relation"] = transpose_relation_residual(
-            v, g1, g2, pp, n, inverted=ch)
-    worst = max(comp, wres)
-    _emit(doc, args)
-    return 0 if worst < args.tol else 1
+    worst = max(residuals["composition"], residuals["weight_blocks"])
+    return pp, results, residuals, 0 if worst < args.tol else 1
 
 
-def cmd_ybe(args) -> int:
-    t0 = time.perf_counter()
+def cmd_ybe(args):
     n = args.N
     colors = _colors(args, "colors", _list(args, "colors", 3))
     if args.boxes < 0:
@@ -273,17 +231,14 @@ def cmd_ybe(args) -> int:
     pp = sample_param_point(args.seed, n,
                             framing_counts={g.prefix: list(g.w) for g in groups})
     r = ybe_residual(groups, pp, n, args.boxes)
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {"colors": list(colors), "boxes": args.boxes}
-    doc["residuals"]["ybe"] = r
-    _emit(doc, args)
-    return 0 if r < args.tol else 1
+    return (pp, {"colors": list(colors), "boxes": args.boxes}, {"ybe": r},
+            0 if r < args.tol else 1)
 
 
-def cmd_fock(args) -> int:
-    t0 = time.perf_counter()
+def cmd_fock(args):
     n = args.N
-    rows = tuple(json.loads(args.partition))
+    rows = _partition("partition", args.partition, json.loads(args.partition))
+    _colors(args, "k", (args.k,))
     lam = ColoredPartition(rows, args.k, n)
     pp = sample_param_point(args.seed, n, extra_vars=["u", "zarg"])
     z = Monomial.var("zarg")
@@ -293,26 +248,19 @@ def cmd_fock(args) -> int:
     worst = 0.0
     for j in range(n):
         add, rem = addable_removable(lam, j)
-        for cell in add:
-            a1 = raising_coefficient(lam, cell, pp, form=1).materialize(pp)
-            a2 = raising_coefficient(lam, cell, pp, form=2).materialize(pp)
-            worst = max(worst, abs(a1 - a2) / max(abs(a1), 1e-300))
-            ladders["raise"][str(list(cell))] = _c(a1)
-        for cell in rem:
-            b1 = lowering_coefficient(lam, cell, pp, form=1).materialize(pp)
-            b2 = lowering_coefficient(lam, cell, pp, form=2).materialize(pp)
-            worst = max(worst, abs(b1 - b2) / max(abs(b1), 1e-300))
-            ladders["lower"][str(list(cell))] = _c(b1)
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {"partition": list(rows), "color": args.k,
-                      "cartan_eigenvalues": eigen, "ladders": ladders}
-    doc["residuals"]["dual_forms"] = worst
-    _emit(doc, args)
-    return 0 if worst < args.tol else 1
+        for kind, coefficient, cells in (("raise", raising_coefficient, add),
+                                         ("lower", lowering_coefficient, rem)):
+            for cell in cells:
+                c1 = coefficient(lam, cell, pp, form=1).materialize(pp)
+                c2 = coefficient(lam, cell, pp, form=2).materialize(pp)
+                worst = max(worst, abs(c1 - c2) / max(abs(c1), 1e-300))
+                ladders[kind][str(list(cell))] = _c(c1)
+    return (pp, {"partition": list(rows), "color": args.k,
+                 "cartan_eigenvalues": eigen, "ladders": ladders},
+            {"dual_forms": worst}, 0 if worst < args.tol else 1)
 
 
-def cmd_vertex(args) -> int:
-    t0 = time.perf_counter()
+def cmd_vertex(args):
     n = args.N
     w, v = _vec(args, "w"), _vec(args, "v")
     if args.D < 0:
@@ -324,51 +272,42 @@ def cmd_vertex(args) -> int:
     try:
         series = vertex_series(lam, mu, args.D, pp)
     except SingularityError as exc:
-        doc = _base_doc(args, pp, t0)
-        doc["results"] = {"error": str(exc)}
-        _emit(doc, args)
-        return 3
+        return pp, {"error": str(exc)}, {}, 3
     d0 = tuple([0] * sum(v))
     law = abs(series.coefficients[d0] - series.envelope_at_mu)
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {
+    results = {
         "lam": lam.label(), "mu": mu.label(), "degree_cap": args.D,
         "envelope_at_mu": _c(series.envelope_at_mu),
         "coefficients": {",".join(map(str, d)): _c(c)
                          for d, c in sorted(series.coefficients.items())},
     }
-    doc["residuals"]["degree_zero_law"] = law
-    _emit(doc, args)
-    return 0 if law < args.tol * max(1.0, abs(series.envelope_at_mu)) else 1
+    return (pp, results, {"degree_zero_law": law},
+            0 if law < args.tol * max(1.0, abs(series.envelope_at_mu)) else 1)
 
 
-def cmd_bethe(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bethe(args):
     n = args.N
     w, v = _vec(args, "w"), _vec(args, "v")
     if not fixed_points(v, w, n):
         raise ValueError(f"--v {args.v} has 0 fixed points at --w {args.w}")
     pp = sample_param_point(args.seed, n, framing_counts={"u": list(w)})
     sol = bethe_solve(v, w, pp, seed=args.seed)
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {
+    results = {
         "roots": {str(k): [_c(x) for x in xs] for k, xs in sol.roots.items()},
         "iterations": sol.iterations,
         "converged": sol.converged,
     }
-    doc["residuals"]["bethe"] = sol.residual
-    _emit(doc, args)
-    return 0 if sol.converged else 1
+    return pp, results, {"bethe": sol.residual}, 0 if sol.converged else 1
 
 
-def cmd_scalars(args) -> int:
-    t0 = time.perf_counter()
+def cmd_scalars(args):
     n = args.N
+    points = _count(args, "points")
     rng = np.random.default_rng(args.seed)
     pp0 = sample_param_point(args.seed, n)
     worst = 0.0
     samples = []
-    for _ in range(args.points):
+    for _ in range(points):
         uval = (0.55 + 0.8 * rng.random()) * cmath.exp(2j * np.pi * rng.random())
         pp = pp0.extended({"u": uval})
         z = Monomial.var("u")
@@ -381,25 +320,19 @@ def cmd_scalars(args) -> int:
         row["rll_residual"] = rll
         worst = max(worst, rll)
         samples.append(row)
-    doc = _base_doc(args, pp0, t0)
-    doc["results"] = {"samples": samples}
-    doc["residuals"]["rll_worst"] = worst
-    _emit(doc, args)
-    return 0 if worst < args.tol else 1
+    return (pp0, {"samples": samples}, {"rll_worst": worst},
+            0 if worst < args.tol else 1)
 
 
-def cmd_acceptance(args) -> int:
-    t0 = time.perf_counter()
+def cmd_acceptance(args):
     results = acc.run_all(args.seed, verbose=not args.out)
     pp = sample_param_point(args.seed, 3)
-    doc = _base_doc(args, pp, t0)
-    doc["results"] = {"criteria": [{
+    failures = sum(0 if r.passed else 1 for r in results)
+    return (pp, {"criteria": [{
         "number": r.number, "name": r.name, "passed": r.passed,
         "worst": r.worst, "limit": r.limit, "seconds": round(r.seconds, 3),
-        "detail": r.detail} for r in results]}
-    doc["residuals"]["failures"] = sum(0 if r.passed else 1 for r in results)
-    _emit(doc, args)
-    return 0 if all(r.passed for r in results) else 1
+        "detail": r.detail} for r in results]},
+        {"failures": failures}, 0 if failures == 0 else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,29 +342,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "varieties: identities, R-matrices, vertex functions")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--N", type=int, default=3)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", type=str, default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("fixed-points", help="enumerate torus fixed points")
-    common(p)
+    p = command("fixed-points", cmd_fixed_points,
+                "enumerate torus fixed points")
     p.add_argument("--w", required=True)
     p.add_argument("--v", required=True)
-    p.set_defaults(func=cmd_fixed_points)
 
-    p = sub.add_parser("stab", help="evaluate a stable envelope")
-    common(p)
+    p = command("stab", cmd_stab, "evaluate a stable envelope")
     p.add_argument("--w", required=True)
     p.add_argument("--fp", required=True, help="JSON rows per framing slot")
     p.add_argument("--variant", choices=("plain", "hat", "tilde"), default="hat")
     p.add_argument("--star", action="store_true")
     p.add_argument("--assignments", type=int, default=3)
-    p.set_defaults(func=cmd_stab)
 
-    p = sub.add_parser("restrict", help="restrict an envelope to a fixed point")
-    common(p)
+    p = command("restrict", cmd_restrict,
+                "restrict an envelope to a fixed point")
     p.add_argument("--w", required=True)
     p.add_argument("--fp", required=True)
     p.add_argument("--mu", required=True)
@@ -439,40 +372,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--star", action="store_true")
     p.add_argument("--unframed", action="store_true",
                    help="use bare t-weights in the restriction values")
-    p.set_defaults(func=cmd_restrict)
 
-    p = sub.add_parser("shuffle-check", help="shuffle product residuals")
-    common(p)
+    p = command("shuffle-check", cmd_shuffle_check,
+                "shuffle product residuals")
     p.add_argument("--boxes", required=True, help="sizes, e.g. 1,1")
     p.add_argument("--color2", type=int, default=0)
     p.add_argument("--assignments", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_shuffle_check)
 
-    p = sub.add_parser("rmatrix", help="dynamical R-matrix block")
-    common(p)
+    p = command("rmatrix", cmd_rmatrix, "dynamical R-matrix block")
     p.add_argument("--v", required=True)
     p.add_argument("--w1", required=True)
     p.add_argument("--w2", required=True)
     p.add_argument("--star", action="store_true")
     p.add_argument("--bare", action="store_true",
                    help="omit the vacuum exchange scalar")
-    p.set_defaults(func=cmd_rmatrix)
 
-    p = sub.add_parser("ybe", help="dynamical Yang-Baxter residual")
-    common(p)
+    p = command("ybe", cmd_ybe, "dynamical Yang-Baxter residual")
     p.add_argument("--colors", default="0,0,0")
     p.add_argument("--boxes", type=int, default=1)
-    p.set_defaults(func=cmd_ybe)
 
-    p = sub.add_parser("fock", help="Fock representation coefficients")
-    common(p)
+    p = command("fock", cmd_fock, "Fock representation coefficients")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--partition", required=True, help="JSON rows, e.g. [2,1]")
-    p.set_defaults(func=cmd_fock)
 
-    p = sub.add_parser("vertex", help="vertex-function series")
-    common(p)
+    p = command("vertex", cmd_vertex, "vertex-function series")
     p.add_argument("--w", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--D", type=int, default=2)
@@ -480,22 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index of the envelope label in the fixed-point list")
     p.add_argument("--mu", type=int, default=None,
                    help="index of the cycle label in the fixed-point list")
-    p.set_defaults(func=cmd_vertex)
 
-    p = sub.add_parser("bethe", help="solve the saddle-point equations")
-    common(p)
+    p = command("bethe", cmd_bethe, "solve the saddle-point equations")
     p.add_argument("--w", required=True)
     p.add_argument("--v", required=True)
-    p.set_defaults(func=cmd_bethe)
 
-    p = sub.add_parser("scalars", help="exchange scalars and their identity")
-    common(p)
+    p = command("scalars", cmd_scalars, "exchange scalars and their identity")
     p.add_argument("--points", type=int, default=20)
-    p.set_defaults(func=cmd_scalars)
 
-    p = sub.add_parser("acceptance", help="run the full acceptance suite")
-    common(p)
-    p.set_defaults(func=cmd_acceptance)
+    command("acceptance", cmd_acceptance, "run the full acceptance suite")
     return ap
 
 
@@ -505,15 +421,32 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        pp, results, residuals, code = args.func(args)
     except (SingularityError, BudgetError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc)}),
               file=sys.stderr)
         return 3
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    doc = {
+        "command": args.command,
+        "seed": args.seed,
+        "tol": args.tol,
+        "param_point": {k: _c(z) for k, z in sorted(pp.values.items())},
+        "timings": {"seconds": round(time.perf_counter() - t0, 6)},
+        "results": results,
+        "residuals": residuals,
+    }
+    blob = json.dumps(doc, indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(blob + "\n")
+    else:
+        print(blob)
+    return code
 
 
 if __name__ == "__main__":

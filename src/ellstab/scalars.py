@@ -26,6 +26,9 @@ from .core import SQRT_HBAR, Monomial, ParamPoint, SingularityError, qpoch_inf
 
 MINUS = Monomial.var("sgn")
 
+# tail bound at which ``_qpoch`` cuts each log series
+SERIES_CUTOFF = 1e-18
+
 
 def eta_pairing(k: int, l: int, n: int) -> Fraction:
     """eta_{kl} = min(k,l) (N - max(k,l)) / N for 0 <= k, l <= N-1."""
@@ -33,7 +36,7 @@ def eta_pairing(k: int, l: int, n: int) -> Fraction:
     return Fraction(i * (n - j), n)
 
 
-def _qpoch(num, den, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
+def _qpoch(num, den, qs: tuple[complex, ...]) -> complex:
     """prod over z in ``num`` of (z; q_1, ..., q_k)_inf divided by the same
     product over ``den``, for k = len(qs) >= 1.
 
@@ -42,15 +45,16 @@ def _qpoch(num, den, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
     is one direct factor (1 - x).  Sum: the sub-octant (x; q_j..q_k) left at
     each |x| <= 1/2 is exp(-sum_r x^r / (r prod_i (1 - q_i^r))), cut at the
     first R where the tail bound 2 |x|^R prod_i 1/(1 - |q_i|) drops below
-    ``cutoff``.  Both lists share one coefficient table and one peel pass;
-    each lattice level sums its leaves' logs weighted +1 (num) or -1 (den).
+    ``SERIES_CUTOFF``.  Both lists share one coefficient table and one peel
+    pass; each lattice level sums its leaves' logs weighted +1 (num) or -1
+    (den).
     """
     if any(abs(q) >= 1 for q in qs):
         raise SingularityError("Pochhammer moduli must lie inside the unit disc")
     # bound[j] = 2 prod_{i>=j} 1/(1 - |q_i|)
     # coef[j, r-1] = 1/(r prod_{i>=j} (1 - q_i^r)), enough terms for |x| = 1/2
     bound = 2.0 / np.cumprod([1.0 - abs(q) for q in qs[::-1]])[::-1]
-    n_max = _n_terms(0.5, bound[0], cutoff)
+    n_max = _n_terms(0.5, bound[0])
     q_pow = np.vander(np.array(qs, dtype=complex), n_max + 1, increasing=True)[:, 1:]
     suffix = np.cumprod((1.0 - q_pow)[::-1], axis=0)[::-1]
     coef = 1.0 / (np.arange(1, n_max + 1) * suffix)
@@ -66,7 +70,7 @@ def _qpoch(num, den, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
                 leaves.append(x)
                 signs.append(sign)
         if leaves:
-            n = _n_terms(max(map(abs, leaves)), bound[j], cutoff)
+            n = _n_terms(max(map(abs, leaves)), bound[j])
             powers = np.vander(np.array(leaves, dtype=complex), n + 1, increasing=True)
             log -= complex(np.array(signs) @ (powers[:, 1:] @ coef[j, :n]))
         direct = peeled
@@ -74,13 +78,13 @@ def _qpoch(num, den, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
             / math.prod(1.0 - x for x, sign in direct if sign < 0))
 
 
-def _n_terms(xmax: float, bound: float, cutoff: float) -> int:
-    """Smallest R >= 1 with bound * xmax^R < cutoff, for 0 < xmax <= 1/2."""
-    return max(1, math.ceil(math.log(cutoff / bound) / math.log(xmax)))
+def _n_terms(xmax: float, bound: float) -> int:
+    """Smallest R >= 1 with bound * xmax^R < SERIES_CUTOFF, for
+    0 < xmax <= 1/2."""
+    return max(1, math.ceil(math.log(SERIES_CUTOFF / bound) / math.log(xmax)))
 
 
-def gamma3v(num, den, a: complex, b: complex, c: complex,
-            cutoff: float = 1e-18) -> complex:
+def gamma3v(num, den, a: complex, b: complex, c: complex) -> complex:
     """prod over z in ``num`` of Gamma(z; a, b, c) divided by the same product
     over ``den``, where Gamma(z; a, b, c) = (z; a,b,c)_inf (abc/z; a,b,c)_inf.
 
@@ -91,7 +95,7 @@ def gamma3v(num, den, a: complex, b: complex, c: complex,
         raise SingularityError("triple Gamma rejects z = 0")
     abc = a * b * c
     return _qpoch([y for z in num for y in (z, abc / z)],
-                  [y for z in den for y in (z, abc / z)], (a, b, c), cutoff)
+                  [y for z in den for y in (z, abc / z)], (a, b, c))
 
 
 def qpoch2_ratio(zs, q_num: complex, q_den: complex, q2: complex,

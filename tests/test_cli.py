@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ellstab import rmatrix
+from ellstab import acceptance, rmatrix
 from ellstab.cli import main
 from ellstab.rmatrix import (FramingGroup, composition_residual, inverted_kahler,
                              transition_r, transition_r_star,
@@ -138,6 +138,39 @@ def test_results_deterministic_apart_from_timings(capsys):
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
 
 
+DOC_KEYS = {"command", "seed", "tol", "param_point", "timings", "results",
+            "residuals"}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["fixed-points", "--w", "1,0,0", "--v", "1,0,0"], 0),
+    (["stab", "--w", "1,0,0", "--fp", "[[2,1]]", "--assignments", "1"], 0),
+    (["restrict", "--w", "1,0,0", "--fp", "[[2,1]]", "--mu", "[[3]]"], 0),
+    (["shuffle-check", "--boxes", "1,0", "--assignments", "1"], 0),
+    (["rmatrix", "--v", "1,0,0", "--w1", "1,0,0", "--w2", "1,0,0"], 0),
+    (["ybe", "--boxes", "1"], 0),
+    (["fock", "--partition", "[1]"], 0),
+    (["vertex", "--w", "1,0,0", "--v", "1,0,0", "--D", "1"], 0),
+    (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--D", "1", "--lam", "1",
+      "--mu", "2"], 3),
+    (["bethe", "--w", "1,0,0", "--v", "1,0,0"], 0),
+    (["scalars", "--points", "1"], 0),
+    (["acceptance"], 0),
+], ids=lambda a: a[0] if isinstance(a, list) else str(a))
+def test_every_command_emits_one_document(tmp_path, monkeypatch, argv, want):
+    """Each command's document, written to --out, has exactly the keys main
+    builds, including the singular vertex pair's error document (exit 3).
+    The acceptance command runs its first criterion only."""
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        acceptance.ALL_CRITERIA[:1])
+    out = tmp_path / "doc.json"
+    assert main(argv + ["--out", str(out)]) == want
+    doc = json.loads(out.read_text())
+    assert set(doc) == DOC_KEYS
+    assert doc["command"] == argv[0]
+    assert doc["timings"]["seconds"] >= 0
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
@@ -170,12 +203,32 @@ def test_usage_error_exit_code():
     (["ybe", "--boxes", "-1"], "--boxes -1"),
     (["rmatrix", "--w1", "0,0,0", "--w2", "0,0,0", "--v", "1,0,0"],
      "--v 1,0,0 has 0 fixed points"),
+    (["fock", "--partition", "5"], "--partition 5 is not JSON rows"),
+    (["fock", "--partition", "[[2,1]]"],
+     "--partition [[2,1]] is not JSON rows"),
+    (["stab", "--w", "1,0,0", "--fp", "3"], "--fp 3 is not JSON rows"),
+    (["stab", "--w", "1,0,0", "--fp", '[["a"]]'],
+     '--fp [["a"]] is not JSON rows'),
+    (["stab", "--w", "1,0,0", "--fp", "[[2,-1]]"],
+     "--fp [[2,-1]] is not JSON rows"),
+    (["restrict", "--w", "1,0,0", "--fp", "[[1]]", "--mu", "[1.0]"],
+     "--mu [1.0] is not JSON rows"),
+    (["stab", "--w", "1,0,0", "--fp", "[[1]]", "--assignments", "0"],
+     "--assignments 0 is below 1"),
+    (["shuffle-check", "--boxes", "1,1", "--assignments", "0"],
+     "--assignments 0 is below 1"),
+    (["scalars", "--points", "0"], "--points 0 is below 1"),
+    (["fock", "--N", "3", "--k", "5", "--partition", "[1]"], "--k 5"),
+    (["fock", "--k=-1", "--partition", "[1]"], "--k -1"),
+    (["shuffle-check", "--boxes=-1,1"], "--boxes -1,1 has a negative"),
+    (["shuffle-check", "--boxes", "1,1", "--workers", "2"], "--workers"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
     """A vector of the wrong length or with a negative entry, a color outside
-    0..N-1, a fixed-point index outside the basis, a negative degree cap or
-    a profile without fixed points is a usage error with a message, not a
-    failed check."""
+    0..N-1, a fixed-point index outside the basis, a negative degree cap, a
+    profile without fixed points, JSON rows that are not lists of
+    non-negative integers, a count below 1 or an unknown option is a usage
+    error with a message, not a failed check."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
