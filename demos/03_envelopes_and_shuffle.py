@@ -38,8 +38,8 @@ print(np.array_str(np.abs(mat), precision=3, suppress_small=True))
 # factors with hbar-shifted Kahler arguments, at random Chern assignments.
 ppab = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                  "ub": [0, 1, 0]})
-fpa = make_fixed_point([(2,)], (1, 0, 0), N, u_names=["ua0_1"])
-fpb = make_fixed_point([(1, 1)], (0, 1, 0), N, u_names=["ub1_1"])
+fpa = make_fixed_point([(2,)], (1, 0, 0), N, prefix="ua")
+fpb = make_fixed_point([(1, 1)], (0, 1, 0), N, prefix="ub")
 for variant in ("plain", "hat", "tilde"):
     r = shuffle_residual(fpa, fpb, ppab, variant, n_assignments=3,
                          rng=np.random.default_rng(7))

@@ -17,12 +17,12 @@ from .envelopes import (Envelope, EnvelopeSpec, default_kahler,
 from .fock import (box_weight, k_eigenvalue_exponent, lowering_coefficient,
                    phi_eigenvalue, phi_weight_exponent, raising_coefficient,
                    vector_action)
-from .partitions import (Box, ColoredPartition, FixedPoint, LambdaTree,
-                         addable_removable, box_order_cmp, chern_slots,
+from .partitions import (Box, ColoredPartition, FixedPoint, FramingGroup,
+                         LambdaTree, addable_removable, box_order_cmp, chern_slots,
                          fixed_points, index_degrees, k_eigen_sum_ok,
                          lambda_trees, make_fixed_point, phi_weight, rho_less,
                          spanning_trees, weight_identity_ok)
-from .rmatrix import (FramingGroup, TransitionResult, bare_transition,
+from .rmatrix import (TransitionResult, bare_transition,
                       composition_residual, leading_pair_factorization_residual,
                       restriction_matrix, shift_invariance_residual,
                       transition_r, transition_r_star,

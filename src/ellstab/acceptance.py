@@ -8,6 +8,7 @@ and by the command-line runner.
 from __future__ import annotations
 
 import cmath
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,12 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Monomial, SingularityError, theta_modular_residual
-from .envelopes import (Envelope, EnvelopeSpec, chern_slots,
-                        factorization_residual, restrict, shuffle_residual)
+from .envelopes import (Envelope, EnvelopeSpec, factorization_residual,
+                        restrict, shuffle_residual)
 from .fock import lowering_coefficient, raising_coefficient
 from .partitions import (ColoredPartition, box_slot_vars, fixed_points,
-                         k_eigen_sum_ok, make_fixed_point, partitions_upto,
-                         weight_identity_ok)
+                         k_eigen_sum_ok, kahler_var, make_fixed_point,
+                         partitions_upto, weight_identity_ok)
 from .rmatrix import (FramingGroup, bare_transition, composition_residual,
                       profiles, weight_block_residual, ybe_residual)
 from .sampling import random_assignment, sample_param_point
@@ -148,10 +149,8 @@ def criterion_shuffle(seed: int = 0) -> CriterionResult:
                             for rows2 in partitions_upto(s2):
                                 if sum(rows2) != s2 or (s1 == 0 and s2 == 0):
                                     continue
-                                fpa = make_fixed_point([rows1], wa, n,
-                                                       u_names=["ua0_1"])
-                                fpb = make_fixed_point([rows2], wb, n,
-                                                       u_names=[f"ub{k2}_1"])
+                                fpa = make_fixed_point([rows1], wa, n, "ua")
+                                fpb = make_fixed_point([rows2], wb, n, "ub")
                                 for variant in ("plain", "hat", "tilde"):
                                     r = shuffle_residual(fpa, fpb, pp, variant,
                                                          n_assignments=2, rng=rng)
@@ -195,8 +194,8 @@ def criterion_transition(seed: int = 0) -> CriterionResult:
     for colors in [(0, 0), (0, 1)]:
         g1 = FramingGroup(tuple(1 if i == colors[0] else 0 for i in range(n)), "ua")
         g2 = FramingGroup(tuple(1 if i == colors[1] else 0 for i in range(n)), "ub")
-        pp = sample_param_point(seed + 17, n, framing_counts={"ua": list(g1.w),
-                                                              "ub": list(g2.w)})
+        pp = sample_param_point(seed + 17, n,
+                                framing_counts={g.prefix: list(g.w) for g in (g1, g2)})
         for total in (1, 2):
             for v in profiles(total, n):
                 worst = max(worst, composition_residual(v, g1, g2, pp, n))
@@ -209,22 +208,14 @@ def criterion_transition(seed: int = 0) -> CriterionResult:
 def criterion_ybe(seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
     n = 3
+    groups = tuple(FramingGroup((1, 0, 0), prefix) for prefix in ("ua", "ub", "uc"))
+    counts = {g.prefix: list(g.w) for g in groups}
     worst1 = 0.0
     for s in range(seed, seed + 5):
-        g1 = FramingGroup((1, 0, 0), "ua")
-        g2 = FramingGroup((1, 0, 0), "ub")
-        g3 = FramingGroup((1, 0, 0), "uc")
-        pp = sample_param_point(s + 31, n, framing_counts={"ua": list(g1.w),
-                                                           "ub": list(g2.w),
-                                                           "uc": list(g3.w)})
-        worst1 = max(worst1, ybe_residual((g1, g2, g3), pp, n, 1))
-    g1 = FramingGroup((1, 0, 0), "ua")
-    g2 = FramingGroup((1, 0, 0), "ub")
-    g3 = FramingGroup((1, 0, 0), "uc")
-    pp = sample_param_point(seed + 57, n, framing_counts={"ua": list(g1.w),
-                                                          "ub": list(g2.w),
-                                                          "uc": list(g3.w)})
-    worst2 = ybe_residual((g1, g2, g3), pp, n, 2)
+        pp = sample_param_point(s + 31, n, framing_counts=counts)
+        worst1 = max(worst1, ybe_residual(groups, pp, n, 1))
+    pp = sample_param_point(seed + 57, n, framing_counts=counts)
+    worst2 = ybe_residual(groups, pp, n, 2)
     passed = worst1 < 1e-7 and worst2 < 1e-6
     return CriterionResult(7, "dynamical Yang-Baxter", passed,
                            max(worst1, worst2), 1e-6, time.perf_counter() - t0,
@@ -249,13 +240,12 @@ def criterion_vertex(seed: int = 0) -> CriterionResult:
             for lam in basis:
                 env = Envelope(EnvelopeSpec(lam, "hat"))
                 qp = env.qp_unit_factors()
-                for name, mono in qp.items():
-                    color = int(name[1:].split("_")[0])
-                    if mono.get(f"z{color}") != -1:
-                        return CriterionResult(8, "vertex series / oracle / QP",
-                                               False, 1.0, 1e-8,
-                                               time.perf_counter() - t0,
-                                               "Kahler part of QP factor wrong")
+                if any(qp[name].get(kahler_var(color)) != -1
+                       for color, names in env.nvars.items() for name in names):
+                    return CriterionResult(8, "vertex series / oracle / QP",
+                                           False, 1.0, 1e-8,
+                                           time.perf_counter() - t0,
+                                           "Kahler part of QP factor wrong")
                 for mu in basis:
                     try:
                         series = vertex_series(lam, mu, 3, pp)
@@ -283,11 +273,10 @@ def criterion_vertex(seed: int = 0) -> CriterionResult:
                     for _ in range(2):
                         shifts = {}
                         pred = 1.0 + 0.0j
-                        for i, boxes in chern_slots(mu).items():
-                            for j in range(1, len(boxes) + 1):
-                                s = int(rng.integers(-2, 3))
-                                shifts[f"x{i}_{j}"] = s
-                                pred *= pp.materialize(qp[f"x{i}_{j}"]) ** s
+                        for name in box_slot_vars(mu).values():
+                            s = int(rng.integers(-2, 3))
+                            shifts[name] = s
+                            pred *= pp.materialize(qp[name]) ** s
                         try:
                             sh = restrict(env, mu, pp, p_shifts=shifts,
                                           framed=False)
@@ -372,5 +361,5 @@ def run_all(seed: int = 0, verbose: bool = True) -> list[CriterionResult]:
         res = fn(seed)
         results.append(res)
         if verbose:
-            print(res.line(), flush=True)
+            print(res.line(), file=sys.stderr, flush=True)
     return results

@@ -20,6 +20,7 @@ import cmath
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -100,15 +101,26 @@ def _partition(name: str, text: str, rows) -> tuple[int, ...]:
     return tuple(rows)
 
 
+@contextmanager
+def _option(name: str, text: str):
+    """Re-raise a ``ValueError`` of the block naming option ``--name text``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"--{name} {text}: {exc}") from exc
+
+
 def _fixed_point(args, name: str, w: tuple[int, ...]):
     """The fixed point of option ``--name``: JSON rows per framing slot (one
-    slot's rows may stand alone), framing variables u{k}_{j}."""
+    slot's rows may stand alone), on the slots of ``FramingGroup(w)``."""
     text = getattr(args, name)
-    slots = json.loads(text)
+    with _option(name, text):
+        slots = json.loads(text)
     if not isinstance(slots, list) or (slots and isinstance(slots[0], int)):
         slots = [slots]
-    return make_fixed_point([_partition(name, text, s) for s in slots], w,
-                            args.N)
+    rows = [_partition(name, text, s) for s in slots]
+    with _option(name, text):
+        return make_fixed_point(rows, w, args.N)
 
 
 def cmd_fixed_points(args):
@@ -170,12 +182,11 @@ def cmd_shuffle_check(args):
     for rows1 in partitions_upto(sizes[0]):
         if sum(rows1) != sizes[0]:
             continue
-        fpa = make_fixed_point([rows1], wa, n, u_names=["ua0_1"])
+        fpa = make_fixed_point([rows1], wa, n, "ua")
         for rows2 in partitions_upto(sizes[1]):
             if sum(rows2) != sizes[1]:
                 continue
-            fpb = make_fixed_point([rows2], wb, n,
-                                   u_names=[f"ub{args.color2}_1"])
+            fpb = make_fixed_point([rows2], wb, n, "ub")
             for variant in ("plain", "hat", "tilde"):
                 rng = np.random.default_rng(args.seed + 13 * len(rows1)
                                             + 29 * len(rows2))
@@ -237,9 +248,12 @@ def cmd_ybe(args):
 
 def cmd_fock(args):
     n = args.N
-    rows = _partition("partition", args.partition, json.loads(args.partition))
+    with _option("partition", args.partition):
+        rows = json.loads(args.partition)
+    rows = _partition("partition", args.partition, rows)
     _colors(args, "k", (args.k,))
-    lam = ColoredPartition(rows, args.k, n)
+    with _option("partition", args.partition):
+        lam = ColoredPartition(rows, args.k, n)
     pp = sample_param_point(args.seed, n, extra_vars=["u", "zarg"])
     z = Monomial.var("zarg")
     eigen = {j: _c(phi_eigenvalue(lam, j, z, pp).materialize(pp))

@@ -41,8 +41,8 @@ import numpy as np
 
 from .core import HBAR, BudgetError, Monomial, ParamPoint, SingularityError
 from .partitions import (Box, FixedPoint, QuiverPairs, box_slot_vars,
-                         chern_slots, index_degrees, lambda_trees, phi_weight,
-                         quiver_pairs, rho_less)
+                         chern_slots, chern_var, index_degrees, kahler_var,
+                         lambda_trees, phi_weight, quiver_pairs, rho_less)
 from .sampling import random_assignment
 
 VARIANTS = ("plain", "hat", "tilde")
@@ -52,7 +52,7 @@ SYM_BUDGET = 40320
 
 
 def default_kahler(n_colors: int) -> dict[int, Monomial]:
-    return {i: Monomial.var(f"z{i}") for i in range(n_colors)}
+    return {i: Monomial.var(kahler_var(i)) for i in range(n_colors)}
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,13 @@ def kahler_args(mapping: dict[int, Monomial]) -> tuple[tuple[int, Monomial], ...
     return tuple(sorted(mapping.items()))
 
 
+def shifted_kahler(shift) -> tuple[tuple[int, Monomial], ...]:
+    """The Kahler argument z_i -> z_i hbar^(shift_i), one color per entry,
+    as ``kahler_args`` pairs."""
+    return kahler_args({i: Monomial.var(kahler_var(i)) * HBAR ** s
+                        for i, s in enumerate(shift)})
+
+
 def kahler_point(pp: ParamPoint, kahler) -> ParamPoint:
     """The point at which an envelope takes the Kahler argument ``kahler``.
 
@@ -83,7 +90,7 @@ def kahler_point(pp: ParamPoint, kahler) -> ParamPoint:
     """
     if kahler is None:
         return pp
-    logs = {f"z{i}": pp.log_of(m) for i, m in dict(kahler).items()}
+    logs = {kahler_var(i): pp.log_of(m) for i, m in dict(kahler).items()}
     return pp.extended({name: cmath.exp(lg) for name, lg in logs.items()}, logs)
 
 
@@ -220,8 +227,7 @@ class ThetaTable:
 
 
 def _u_mono(fp: FixedPoint, rank: int) -> Monomial:
-    slot, _ = fp.slots[rank]
-    return Monomial.var(slot.u_var)
+    return Monomial.var(fp.slots[rank][0].u_var)
 
 
 def _rho_le_root(fp: FixedPoint, box: Box, rank: int) -> bool:
@@ -410,12 +416,12 @@ class Envelope:
         self.fp = fp
         boxes = fp.boxes()
         self.slots = chern_slots(fp, boxes)
-        self.nvars = {i: [f"x{i}_{j}" for j in range(1, len(bs) + 1)]
-                      for i, bs in self.slots.items()}
+        xvar = box_slot_vars(fp, self.slots)
+        self.nvars = {i: [xvar[b] for b in bs] for i, bs in self.slots.items()}
         size = math.prod(math.factorial(len(names)) for names in self.nvars.values())
         if size > SYM_BUDGET:
             raise BudgetError(f"symmetrization over {size} permutations exceeds budget")
-        x = _x_monos(box_slot_vars(fp, self.slots))
+        x = _x_monos(xvar)
         pairs = quiver_pairs(fp, boxes)
         sprod = _s_product(fp, spec.variant, pairs, x)
         degrees = index_degrees(fp, boxes, pairs)
@@ -522,20 +528,15 @@ def restriction_values(fp_rester: FixedPoint, pp: ParamPoint,
     """Chern-root values (and logs) of the canonical assignment of a fixed point.
 
     ``p_shifts`` multiplies the slot value by p^d for quasi-periodicity checks,
-    keyed by variable name.  With ``framed`` the tautological weight carries
-    the framing coordinate u of the slot (needed to separate equal boxes of
-    distinct framing slots); without it the bare t1^(1-y) t2^(1-x) weight is
-    used, the convention of the vertex-function normalization.
+    keyed by variable name.  ``framed`` is that of ``phi_weight``: with it
+    the weight carries the framing coordinate u of the slot.
     """
     values: dict[str, complex] = {}
     logs: dict[str, complex] = {}
     for i, boxes in chern_slots(fp_rester).items():
         for j, box in enumerate(boxes, start=1):
-            name = f"x{i}_{j}"
-            mono = phi_weight(fp_rester, box)
-            if not framed:
-                slot, _ = fp_rester.slots[box.owner]
-                mono = mono / Monomial.var(slot.u_var)
+            name = chern_var(i, j)
+            mono = phi_weight(fp_rester, box, framed)
             if p_shifts and name in p_shifts and p_shifts[name]:
                 mono = mono * Monomial.var("p") ** p_shifts[name]
             values[name] = pp.materialize(mono)
@@ -590,11 +591,8 @@ def shuffle_kahler_shifts(n: int, va, wa, vb, wb):
     First factor: z_i * hbar^(w''_i - v''_i + v''_{i+1}); second factor:
     z_i * hbar^(v'_i - v'_{i-1}).
     """
-    za = {i: Monomial.var(f"z{i}") * HBAR ** (wb[i] - vb[i] + vb[(i + 1) % n])
-          for i in range(n)}
-    zb = {i: Monomial.var(f"z{i}") * HBAR ** (va[i] - va[(i - 1) % n])
-          for i in range(n)}
-    return za, zb
+    return (shifted_kahler([wb[i] - vb[i] + vb[(i + 1) % n] for i in range(n)]),
+            shifted_kahler([va[i] - va[(i - 1) % n] for i in range(n)]))
 
 
 def _cross_prefactor(fpa: FixedPoint, fpb: FixedPoint, variant: str) -> ThetaProduct:
@@ -656,7 +654,7 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
                 for idx in range(len(slots_big[i])):
                     side = "A" if idx in picks[i] else "B"
                     count[side] += 1
-                    src, dst = f"x{i}_{idx + 1}", f"x{i}_{count[side]}"
+                    src, dst = chern_var(i, idx + 1), chern_var(i, count[side])
                     split[side][0][dst] = cross_vals[f"{side}_{dst}"] = values[src]
                     split[side][1][dst] = cross_logs[f"{side}_{dst}"] = logs[src]
             (va, la), (vb, lb) = split["A"], split["B"]

@@ -11,7 +11,7 @@ epsilon times hook" ordering without any floating epsilon.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -163,11 +163,45 @@ def rho_less(a: Box, shift: int, b: Box) -> bool:
     return ka < kb
 
 
+# ---------------------------------------------------------------------------
+# Variable names: framing weights, Chern roots and Kahler parameters
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class FramingSlot:
+    """A framing weight: color, 1-based index within the color and group
+    prefix.  Its name ``u_var`` is formatted once: compiles read it per box."""
+
     color: int
-    u_var: str
-    index: int  # 1-based index among slots of the same color
+    index: int
+    prefix: str
+    u_var: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "u_var", f"{self.prefix}{self.color}_{self.index}")
+
+
+@dataclass
+class FramingGroup:
+    """One tensor factor: a framing vector with named weight variables."""
+
+    w: tuple[int, ...]
+    prefix: str = "u"
+
+    def slots(self) -> list[FramingSlot]:
+        """The framing slots, color-major: the one maker of ``FramingSlot``s."""
+        return [FramingSlot(k, j, self.prefix) for k, wk in enumerate(self.w)
+                for j in range(1, wk + 1)]
+
+
+def chern_var(color: int, index: int) -> str:
+    """The Chern root variable of the index-th box of a residue."""
+    return f"x{color}_{index}"
+
+
+def kahler_var(color: int) -> str:
+    """The Kahler parameter of a color."""
+    return f"z{color}"
 
 
 @dataclass(frozen=True)
@@ -223,21 +257,14 @@ class FixedPoint:
 
 
 def make_fixed_point(partition_rows, w: tuple[int, ...], n_colors: int,
-                     u_names: list[str] | None = None) -> FixedPoint:
-    """Build a fixed point from a list of row tuples in chamber order."""
-    slots = []
-    rank = 0
-    names = []
-    for k, wk in enumerate(w):
-        for j in range(1, wk + 1):
-            names.append((k, j, u_names[rank] if u_names else f"u{k}_{j}"))
-            rank += 1
-    if len(partition_rows) != len(names):
+                     prefix: str = FramingGroup.prefix) -> FixedPoint:
+    """Build a fixed point from a list of row tuples in chamber order, one
+    per slot of ``FramingGroup(w, prefix)``."""
+    slots = FramingGroup(w, prefix).slots()
+    if len(partition_rows) != len(slots):
         raise ValueError("one partition per framing slot is required")
-    out = []
-    for (k, j, name), rows in zip(names, partition_rows):
-        out.append((FramingSlot(k, name, j), ColoredPartition(tuple(rows), k, n_colors)))
-    return FixedPoint(tuple(out), n_colors)
+    return FixedPoint(tuple((slot, ColoredPartition(tuple(rows), slot.color, n_colors))
+                            for slot, rows in zip(slots, partition_rows)), n_colors)
 
 
 @lru_cache(maxsize=None)
@@ -264,21 +291,15 @@ def partitions_upto(nmax: int):
 
 
 def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
-                 u_names: list[str] | None = None,
                  budget: int = 200000) -> list[FixedPoint]:
     """All fixed points with box-content profile v and framing vector w.
 
-    Slots are color-major, named ``u_names`` in order (default ``u{k}_{j}``).
-    Deterministic order: slot by slot in the chamber order, partitions in
-    lexicographic order of their row tuples.  Raises ``BudgetError`` when
-    there are more than ``budget`` of them.
+    Slots are those of ``FramingGroup(w)``, color-major.  Deterministic
+    order: slot by slot in the chamber order, partitions in lexicographic
+    order of their row tuples.  Raises ``BudgetError`` when there are more
+    than ``budget`` of them.
     """
-    slots = []
-    for k in range(n_colors):
-        for j in range(1, w[k] + 1):
-            name = u_names[len(slots)] if u_names else f"u{k}_{j}"
-            slots.append(FramingSlot(k, name, j))
-    return _enumerate_fixed_points(v, slots, n_colors, budget)
+    return _enumerate_fixed_points(v, FramingGroup(w).slots(), n_colors, budget)
 
 
 def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
@@ -338,10 +359,6 @@ def chern_slots(fp: FixedPoint, boxes: list[Box] | None = None) -> dict[int, lis
     return out
 
 
-def chern_var(color: int, index: int) -> str:
-    return f"x{color}_{index}"
-
-
 def box_slot_vars(fp: FixedPoint,
                   slots: dict[int, list[Box]] | None = None) -> dict[Box, str]:
     """The Chern root variable of each box; ``slots`` is ``chern_slots(fp)``,
@@ -355,14 +372,17 @@ def box_slot_vars(fp: FixedPoint,
     return out
 
 
-def phi_weight(fp: FixedPoint, box: Box) -> Monomial:
+def phi_weight(fp: FixedPoint, box: Box, framed: bool = True) -> Monomial:
     """Restriction weight of the Chern root at a box: u * t1^(1-y) * t2^(1-x).
 
-    The framing factor is included so that distinct slots stay separated at
-    restriction points.
+    The framing factor u of the box's slot keeps distinct slots separated at
+    restriction points; without ``framed`` the weight is the bare
+    t1^(1-y) t2^(1-x), the convention of the vertex-function normalization.
     """
-    slot, _ = fp.slots[box.owner]
-    return Monomial({slot.u_var: 1, "t1": 1 - box.y, "t2": 1 - box.x})
+    if framed:
+        slot, _ = fp.slots[box.owner]
+        return Monomial({slot.u_var: 1, "t1": 1 - box.y, "t2": 1 - box.x})
+    return Monomial({"t1": 1 - box.y, "t2": 1 - box.x})
 
 
 # ---------------------------------------------------------------------------

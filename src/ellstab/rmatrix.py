@@ -22,34 +22,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HBAR, Monomial, ParamPoint
+from .core import Monomial, ParamPoint
 from .envelopes import (Envelope, EnvelopeSpec, ThetaTable, kahler_args,
-                        kahler_point, restriction_values)
-from .partitions import FixedPoint, FramingSlot, _enumerate_fixed_points
+                        kahler_point, restriction_values, shifted_kahler)
+from .partitions import (FixedPoint, FramingGroup, _enumerate_fixed_points,
+                         kahler_var)
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
-
-
-@dataclass
-class FramingGroup:
-    """One tensor factor: a framing vector with named weight variables."""
-
-    w: tuple[int, ...]
-    prefix: str
-
-    def u_names(self) -> list[str]:
-        return [f"{self.prefix}{k}_{j}" for k in range(len(self.w))
-                for j in range(1, self.w[k] + 1)]
 
 
 def basis_fixed_points(v, groups: list[FramingGroup], n_colors: int) -> list[FixedPoint]:
     """Fixed points of the concatenated framing, group-major slots.
 
-    Within a group the slots are color-major, named ``{prefix}{k}_{j}``;
-    the enumeration order is that of ``fixed_points``.
+    Within a group the slots are those of ``FramingGroup.slots``; the
+    enumeration order is that of ``fixed_points``.
     """
-    slots = [FramingSlot(k, f"{g.prefix}{k}_{j}", j) for g in groups
-             for k in range(n_colors) for j in range(1, g.w[k] + 1)]
-    return _enumerate_fixed_points(v, slots, n_colors)
+    return _enumerate_fixed_points(v, [s for g in groups for s in g.slots()],
+                                   n_colors)
 
 
 def _key(slots) -> tuple:
@@ -201,7 +189,7 @@ class ChamberMatrices:
 
 
 def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                    n_colors: int, star: bool = False, kahler=None):
+                    n_colors: int):
     """Solve the two-chamber change of stable bases on one profile block.
 
     Returns (basis, matrix B, condition numbers) with B[beta, alpha] the
@@ -209,7 +197,7 @@ def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
     swapped alpha, i.e. the bare transition in the convention
     M_C B = (P^T M_Cbar P).
     """
-    ch = ChamberMatrices.build(v, g1, g2, pp, n_colors, star, kahler)
+    ch = ChamberMatrices.build(v, g1, g2, pp, n_colors)
     return ch.basis, ch.bare(), ch.conds
 
 
@@ -225,7 +213,7 @@ def weight_block_residual(basis: list[FixedPoint], mat: np.ndarray) -> float:
 
 
 def transition_r(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                 n_colors: int, kahler=None, include_scalar: bool = True,
+                 n_colors: int, include_scalar: bool = True,
                  chambers: ChamberMatrices | None = None) -> TransitionResult:
     """The dynamical R-matrix block on a total profile v.
 
@@ -233,13 +221,13 @@ def transition_r(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
     built by the caller to solve more from them.
     """
     if chambers is None:
-        chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors, kahler=kahler)
+        chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors)
     return chambers.transition(mu_exchange_scalar(g1, g2, pp) if include_scalar
                                else 1.0 + 0.0j)
 
 
 def inverted_kahler(n_colors: int):
-    return kahler_args({i: Monomial.var(f"z{i}") ** -1 for i in range(n_colors)})
+    return kahler_args({i: Monomial.var(kahler_var(i)) ** -1 for i in range(n_colors)})
 
 
 def transition_r_star(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
@@ -293,8 +281,7 @@ def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
     out = 0.0
     for wt in sorted(set(weights)):
         idx = [i for i, w in enumerate(weights) if w == wt]
-        kah = {i: Monomial.var(f"z{i}") * HBAR ** wt[i] for i in range(n_colors)}
-        shifted = chambers.at(pp, kahler=kahler_args(kah)).bare()
+        shifted = chambers.at(pp, kahler=shifted_kahler(wt)).bare()
         blk = base[np.ix_(idx, idx)]
         blk2 = shifted[np.ix_(idx, idx)]
         out = max(out, float(np.max(np.abs(blk - blk2)) / max(np.max(np.abs(blk)), 1.0)))
@@ -360,8 +347,7 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
         key = (v_pair, shift)
         pair_key = (slot_pair, v_pair)
         if key not in bares:
-            kah = kahler_args({i: Monomial.var(f"z{i}") * HBAR ** shift[i]
-                               for i in range(n)})
+            kah = shifted_kahler(shift)
             if pair_key in chambers:
                 ch = chambers[pair_key][0].at(pp, kahler=kah)
             else:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParamPoint
+from .partitions import FramingGroup, kahler_var
 
 
 @dataclass
@@ -46,9 +47,10 @@ def sample_param_point(seed: int, n_colors: int,
     """Draw a generic parameter point, reproducibly from ``seed``.
 
     ``framing_counts`` maps a framing group prefix (e.g. ``"u"``) to a vector
-    w over colors; variables ``u{k}_{j}`` get strictly decreasing moduli in
-    chamber order within each group.  Kahler variables ``z0..z{N-1}`` are
-    always included, ``extra_vars`` are drawn from the Chern annulus.
+    w over colors; the slots of ``FramingGroup(w, prefix)`` get strictly
+    decreasing moduli in chamber order within each group.  The Kahler
+    variables of all N colors are always included, ``extra_vars`` are drawn
+    from the Chern annulus.
     """
     ann = annuli or Annuli()
     rng = np.random.default_rng(seed)
@@ -69,15 +71,14 @@ def sample_param_point(seed: int, n_colors: int,
     values.update(p=p, t1=t1, t2=t2)
 
     for i in range(n_colors):
-        values[f"z{i}"] = _draw(rng, ann.kahler, ann.phase_margin)
+        values[kahler_var(i)] = _draw(rng, ann.kahler, ann.phase_margin)
 
     for prefix, w in (framing_counts or {}).items():
         mod = ann.framing_top
-        for k, wk in enumerate(w):
-            for j in range(1, wk + 1):
-                phase = rng.uniform(ann.phase_margin, 2 * math.pi - ann.phase_margin)
-                values[f"{prefix}{k}_{j}"] = mod * cmath.exp(1j * phase)
-                mod *= rng.uniform(*ann.framing_ratio)
+        for slot in FramingGroup(tuple(w), prefix).slots():
+            phase = rng.uniform(ann.phase_margin, 2 * math.pi - ann.phase_margin)
+            values[slot.u_var] = mod * cmath.exp(1j * phase)
+            mod *= rng.uniform(*ann.framing_ratio)
 
     for name in extra_vars or []:
         values[name] = _draw(rng, ann.chern, ann.phase_margin)

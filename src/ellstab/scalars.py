@@ -17,12 +17,14 @@ OPE factor four, whatever its framing.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .core import SQRT_HBAR, Monomial, ParamPoint, SingularityError, qpoch_inf
+from .partitions import FramingGroup
 
 MINUS = Monomial.var("sgn")
 
@@ -117,33 +119,39 @@ def qpoch2_ratio(zs, q_num: complex, q_den: complex, q2: complex,
 # Vacuum OPE scalar
 # ---------------------------------------------------------------------------
 
+def _slot_pairs(g1: FramingGroup, g2: FramingGroup) -> list[tuple]:
+    """The pairs of a slot (k, i) of g1 and a slot (l, j) of g2, in (k, l, i, j)
+    order: the stable sort of the color-major pairs by their colors."""
+    return sorted(itertools.product(g1.slots(), g2.slots()),
+                  key=lambda pair: (pair[0].color, pair[1].color))
+
+
 def mu_vacuum_ope(framing_w: tuple[int, ...], pp: ParamPoint,
-                  prefix: str = "u") -> complex:
+                  prefix: str = FramingGroup.prefix) -> complex:
     """Normal-ordering scalar of the ordered product of vacuum intertwiners.
 
-    Product over color pairs k <= l and all framing index pairs; the self
-    pair evaluates the double-Pochhammer ratio at argument 1 with its common
-    vanishing factor removed.  The arguments of all pairs are collected into
-    one series call per moduli tuple (p or hbar, with t1^N or t2^N).
+    Product over color pairs k <= l and all framing index pairs of
+    ``FramingGroup(framing_w, prefix)``; the self pair evaluates the
+    double-Pochhammer ratio at argument 1 with its common vanishing factor
+    removed.  The arguments of all pairs are collected into one series call
+    per moduli tuple (p or hbar, with t1^N or t2^N).
     """
     n = pp.n_colors
     t1, t2 = pp.t1, pp.t2
     big1, big2 = t1 ** n, t2 ** n
     hbar, p = pp.hbar, pp.p
+    group = FramingGroup(framing_w, prefix)
     pref = 1.0 + 0.0j
     zs1, zs2, ones = [], [], []
-    for k in range(n):
-        for l in range(k, n):
-            eta = eta_pairing(k, l, n)
-            for i in range(1, framing_w[k] + 1):
-                for j in range(1, framing_w[l] + 1):
-                    uk = Monomial.var(f"{prefix}{k}_{i}")
-                    ul = Monomial.var(f"{prefix}{l}_{j}")
-                    pref *= pp.materialize((MINUS * SQRT_HBAR * uk) ** eta)
-                    ratio = pp.materialize(ul / uk)
-                    zs1.append(big1 * t1 ** (k - l) * ratio)
-                    z2 = t2 ** (l - k) * ratio
-                    (ones if k == l and i == j else zs2).append(z2)
+    for sk, sl in _slot_pairs(group, group):
+        k, l = sk.color, sl.color
+        if k > l:
+            continue
+        uk, ul = Monomial.var(sk.u_var), Monomial.var(sl.u_var)
+        pref *= pp.materialize((MINUS * SQRT_HBAR * uk) ** eta_pairing(k, l, n))
+        ratio = pp.materialize(ul / uk)
+        zs1.append(big1 * t1 ** (k - l) * ratio)
+        (ones if sk == sl else zs2).append(t2 ** (l - k) * ratio)
     return (pref * qpoch2_ratio(zs1, p, hbar, big1)
             * qpoch2_ratio(zs2, p, hbar, big2, at_one=ones))
 
@@ -233,32 +241,24 @@ def rll_scalar_residual(pp: ParamPoint, z: Monomial, k: int) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
+def _exchange_product(kernel, g1, g2, pp: ParamPoint, star: bool) -> complex:
+    """prod of kernel(pp, z, k, l) over the slots (k, i) of g1 and (l, j) of
+    g2, in (k, l, i, j) order, with z = u2/u1, or u1/u2 with ``star``."""
+    out = 1.0 + 0.0j
+    for s1, s2 in _slot_pairs(g1, g2):
+        u1, u2 = Monomial.var(s1.u_var), Monomial.var(s2.u_var)
+        out *= kernel(pp, u1 / u2 if star else u2 / u1, s1.color, s2.color)
+    return out
+
+
 def mu_exchange_scalar(g1, g2, pp: ParamPoint) -> complex:
     """The vacuum exchange scalar of two framing groups, mu(u1/u2)."""
-    n = pp.n_colors
-    out = 1.0 + 0.0j
-    for k in range(n):
-        for l in range(n):
-            for i in range(1, g1.w[k] + 1):
-                for j in range(1, g2.w[l] + 1):
-                    z = (Monomial.var(f"{g2.prefix}{l}_{j}")
-                         / Monomial.var(f"{g1.prefix}{k}_{i}"))
-                    out *= mu_exchange(pp, z, k, l)
-    return out
+    return _exchange_product(mu_exchange, g1, g2, pp, star=False)
 
 
 def mu_star_exchange_scalar(g1, g2, pp: ParamPoint) -> complex:
     """The vacuum exchange scalar of the dual intertwiners, mu*(u1/u2)."""
-    n = pp.n_colors
-    out = 1.0 + 0.0j
-    for k in range(n):
-        for l in range(n):
-            for i in range(1, g1.w[k] + 1):
-                for j in range(1, g2.w[l] + 1):
-                    z = (Monomial.var(f"{g1.prefix}{k}_{i}")
-                         / Monomial.var(f"{g2.prefix}{l}_{j}"))
-                    out *= mu_star_exchange(pp, z, k, l)
-    return out
+    return _exchange_product(mu_star_exchange, g1, g2, pp, star=True)
 
 
 def vacuum_c_constants(pp: ParamPoint) -> tuple[complex, complex]:

@@ -36,9 +36,9 @@ import numpy as np
 
 from .core import (HBAR, P, SQRT_HBAR, Monomial, ParamPoint, SingularityError,
                    qpoch_fin)
-from .envelopes import (Envelope, EnvelopeSpec, chern_slots, restrict,
-                        restriction_values)
-from .partitions import Box, FixedPoint, fixed_points, quiver_pairs
+from .envelopes import Envelope, EnvelopeSpec, restrict, restriction_values
+from .partitions import (FixedPoint, FramingGroup, box_slot_vars, chern_var,
+                         fixed_points, kahler_var, phi_weight, quiver_pairs)
 from .scalars import mu_vacuum_ope
 
 
@@ -131,30 +131,20 @@ class _RatioAccumulator:
         return self.value
 
 
-def _mu_monomials(mu: FixedPoint):
-    """Canonical box list with slot names and exact unframed weight monomials."""
-    n = mu.n_colors
-    out: list[tuple[Box, Monomial, str]] = []
-    slots = chern_slots(mu)
-    for i in range(n):
-        for j, box in enumerate(slots[i], start=1):
-            mono = Monomial({"t1": 1 - box.y, "t2": 1 - box.x})
-            out.append((box, mono, f"x{i}_{j}"))
-    return out
-
-
 def _factor_bases(mu: FixedPoint):
     """The monomial bases and degree assignments of all integrand factors.
 
     Returns (boxes, framing, arrow, gauge) over the quiver pairs of ``mu``
-    in the canonical box order: framing entries are (box_index, base =
-    phi/u); arrow entries (a_index, b_index, t2 phi_b/phi_a); gauge entries
-    (a_index, b_index, phi_a/phi_b).
+    in the canonical box order: boxes are (box, unframed weight phi, Chern
+    root name); framing entries are (box_index, base = phi/u); arrow entries
+    (a_index, b_index, t2 phi_b/phi_a); gauge entries (a_index, b_index,
+    phi_a/phi_b).
     """
-    boxes = _mu_monomials(mu)
-    index = {box: i for i, (box, _, _) in enumerate(boxes)}
-    phi = {box: mono for box, mono, _ in boxes}
-    pairs = quiver_pairs(mu, list(index))
+    names = box_slot_vars(mu)
+    phi = {box: phi_weight(mu, box, framed=False) for box in names}
+    boxes = [(box, phi[box], name) for box, name in names.items()]
+    index = {box: i for i, box in enumerate(names)}
+    pairs = quiver_pairs(mu, list(names))
     t2 = Monomial.var("t2")
     framing = [(index[b], phi[b] / Monomial.var(mu.slots[rank][0].u_var))
                for rank, b in pairs.framing]
@@ -210,11 +200,10 @@ def normalization_factor(mu: FixedPoint, pp: ParamPoint) -> complex:
     numerator and denominator positions are dropped pairwise (they cancel in
     every ratio this normalization enters).
     """
-    prefix = mu.slots[0][0].u_var.rstrip("0123456789_")
-    for slot, _ in mu.slots:
-        if slot.u_var.rstrip("0123456789_") != prefix:
-            raise ValueError("normalization needs one framing name prefix")
-    out = mu_vacuum_ope(mu.w, pp, prefix=prefix)
+    prefixes = {slot.prefix for slot, _ in mu.slots}
+    if len(prefixes) > 1:
+        raise ValueError("normalization needs one framing name prefix")
+    out = mu_vacuum_ope(mu.w, pp, *prefixes)  # the default prefix without slots
     table = vertex_table(mu, pp)
     boxes = table.boxes
     sqh = pp.materialize(SQRT_HBAR)
@@ -366,13 +355,14 @@ class BetheSystem:
         h = self.h
         start = [sum(v[:k]) for k in range(n)]
         color = [list(range(start[k], start[k] + v[k])) for k in range(n)]
+        framing = FramingGroup(w).slots()
         self.rows = []
         for k in range(n):
             if not v[k]:
                 continue
-            us = [(u, h * u) for u in (pp.values[f"u{k}_{j}"]
-                                       for j in range(1, w[k] + 1))]
-            rhs = pp.values[f"z{k}"] * h ** (v[k] - 1)
+            us = [(u, h * u) for u in (pp.values[s.u_var] for s in framing
+                                       if s.color == k)]
+            rhs = pp.values[kahler_var(k)] * h ** (v[k] - 1)
             for a in color[k]:
                 self.rows.append((us, color[(k + 1) % n], color[(k - 1) % n],
                                   [b for b in color[k] if b != a], rhs))
@@ -459,7 +449,7 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
     """
     n = pp.n_colors
     rng = np.random.default_rng(seed)
-    anchors = fixed_points(v, w, n, u_names=None)
+    anchors = fixed_points(v, w, n)
     slots = [(k, i) for k in range(n) for i in range(v[k])]
     size = len(slots)
     if size == 0:
@@ -481,7 +471,7 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
             vals, _ = restriction_values(anchor, pp, framed=False)
             x0 = []
             for k, i in slots:
-                base = vals[f"x{k}_{i + 1}"]
+                base = vals[chern_var(k, i + 1)]
                 jit = 1.0 + 0.35 * (rng.standard_normal() + 1j * rng.standard_normal())
                 x0.append(base * jit)
             x0 = np.array(x0, dtype=complex)

@@ -171,6 +171,17 @@ def test_every_command_emits_one_document(tmp_path, monkeypatch, argv, want):
     assert doc["timings"]["seconds"] >= 0
 
 
+def test_acceptance_without_out_prints_one_document(capsys, monkeypatch):
+    """Without --out the criterion lines go to stderr and stdout is the one
+    document.  The acceptance command runs its first criterion only."""
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        acceptance.ALL_CRITERIA[:1])
+    assert main(["acceptance"]) == 0
+    captured = capsys.readouterr()
+    assert set(json.loads(captured.out)) == DOC_KEYS
+    assert "[PASS] criterion  1" in captured.err
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
@@ -222,6 +233,11 @@ def test_usage_error_exit_code():
     (["fock", "--k=-1", "--partition", "[1]"], "--k -1"),
     (["shuffle-check", "--boxes=-1,1"], "--boxes -1,1 has a negative"),
     (["shuffle-check", "--boxes", "1,1", "--workers", "2"], "--workers"),
+    (["stab", "--w", "1,0,0", "--fp", "[[1,2]]"],
+     "--fp [[1,2]]: rows must be weakly decreasing"),
+    (["stab", "--w", "1,0,0", "--fp", "[]"],
+     "--fp []: one partition per framing slot"),
+    (["fock", "--partition", "[2,"], "--partition [2,: Expecting value"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
     """A vector of the wrong length or with a negative entry, a color outside

@@ -122,8 +122,8 @@ def test_concatenated_s_product_factors_through_the_cross_prefactor():
         for ra, rb, color in itertools.product(partitions_upto(4),
                                                partitions_upto(3), range(n)):
             wb = tuple(int(i == color) for i in range(n))
-            fpa = make_fixed_point([ra], wa, n, u_names=["ua0_1"])
-            fpb = make_fixed_point([rb], wb, n, u_names=[f"ub{color}_1"])
+            fpa = make_fixed_point([ra], wa, n, prefix="ua")
+            fpb = make_fixed_point([rb], wb, n, prefix="ub")
             big = concat_fixed_points(fpa, fpb)
             xa, xb, xbig = box_slot_vars(fpa), box_slot_vars(fpb), box_slot_vars(big)
             own = ([f"A_{xa[b]}" for b in fpa.boxes()]
@@ -195,8 +195,8 @@ def test_framed_restriction_separates_framings():
 def test_shuffle_trivial_second_factor():
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [1, 0, 0]})
-    fpa = make_fixed_point([(2, 2)], (1, 0, 0), N, u_names=["ua0_1"])
-    fpb = make_fixed_point([()], (1, 0, 0), N, u_names=["ub0_1"])
+    fpa = make_fixed_point([(2, 2)], (1, 0, 0), N, prefix="ua")
+    fpb = make_fixed_point([()], (1, 0, 0), N, prefix="ub")
     r = shuffle_residual(fpa, fpb, pp, "hat", n_assignments=2,
                          rng=np.random.default_rng(3))
     assert r < 1e-10
@@ -205,8 +205,8 @@ def test_shuffle_trivial_second_factor():
 def test_shuffle_one_box_each_all_variants():
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [1, 0, 0]})
-    fpa = make_fixed_point([(1,)], (1, 0, 0), N, u_names=["ua0_1"])
-    fpb = make_fixed_point([(1,)], (1, 0, 0), N, u_names=["ub0_1"])
+    fpa = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ua")
+    fpb = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ub")
     for variant in ("plain", "hat", "tilde"):
         r = shuffle_residual(fpa, fpb, pp, variant, n_assignments=3,
                              rng=np.random.default_rng(4))
@@ -216,8 +216,8 @@ def test_shuffle_one_box_each_all_variants():
 def test_shuffle_at_shifted_nome():
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [0, 1, 0]})
-    fpa = make_fixed_point([(2, 1)], (1, 0, 0), N, u_names=["ua0_1"])
-    fpb = make_fixed_point([(1,)], (0, 1, 0), N, u_names=["ub1_1"])
+    fpa = make_fixed_point([(2, 1)], (1, 0, 0), N, prefix="ua")
+    fpb = make_fixed_point([(1,)], (0, 1, 0), N, prefix="ub")
     r = shuffle_residual(fpa, fpb, pp, "tilde", star=True, n_assignments=2,
                          rng=np.random.default_rng(5))
     assert r < 1e-8

@@ -1,6 +1,7 @@
 """Static checks of the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import ellstab
@@ -145,3 +146,44 @@ def test_no_process_wide_memos():
     found = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
              for name in process_memos(ast.parse(path.read_text()))}
     assert found <= PROCESS_MEMOS_ALLOWED
+
+
+#: f-string shapes that spell a variable name, each formatted value read as
+#: ``{}``: a Chern root x{i}_{j} (or a framing weight with a written prefix,
+#: u{k}_{j}), a Kahler parameter z{i} and a framing weight {prefix}{k}_{j}
+_VARIABLE_NAME = re.compile(r"\b[a-z]+\{\}_\{\}|\bz\{\}|\{\}\{\}_\{\}")
+
+
+def variable_name_fstrings(tree: ast.Module) -> list[str]:
+    """f-strings shaped like a u, x or z variable name, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            shape = "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                            for v in node.values)
+            if _VARIABLE_NAME.search(shape):
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+def test_variable_name_fstrings_detected():
+    tree = ast.parse('a = f"x{i}_{j}"\nb = f"z{k + 1}"\nc = f"{p}{k}_{j}"\n'
+                     'd = f"--{name} {text}: {exc}"\ne = f"A_{v}"\n'
+                     'f = f"size{n}"\ng = f"x{i}"\nh = f"ua{k}_{j}"\n')
+    assert variable_name_fstrings(tree) == [
+        "f'x{i}_{j}' (line 1)", "f'z{k + 1}' (line 2)", "f'{p}{k}_{j}' (line 3)",
+        "f'ua{k}_{j}' (line 8)"]
+
+
+def test_variable_names_are_spelled_only_in_partitions():
+    """Framing weights (``FramingSlot.u_var``), Chern roots (``chern_var``)
+    and Kahler parameters (``kahler_var``) are named in ``partitions``; every
+    other module asks it."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "partitions.py":
+            continue
+        names = variable_name_fstrings(ast.parse(path.read_text()))
+        if names:
+            found[path.name] = names
+    assert found == {}

@@ -7,7 +7,7 @@ import pytest
 
 from ellstab.core import BudgetError
 from ellstab.partitions import (Box, ColoredPartition, FixedPoint,
-                                FramingSlot, _enumerate_fixed_points,
+                                FramingGroup, _enumerate_fixed_points,
                                 addable_removable, box_order_cmp, chern_slots,
                                 fixed_points, index_degrees, k_eigen_sum_ok,
                                 lambda_trees, make_fixed_point,
@@ -158,8 +158,7 @@ def _recursive_fixed_points(v, slots, n_colors):
 def _slots(*groups):
     """Group-major slots of framing vectors with name prefixes, color-major
     within a group."""
-    return [FramingSlot(k, f"{prefix}{k}_{j}", j) for w, prefix in groups
-            for k in range(len(w)) for j in range(1, w[k] + 1)]
+    return [s for w, prefix in groups for s in FramingGroup(w, prefix).slots()]
 
 
 def test_one_pass_enumerator_matches_the_recursion():

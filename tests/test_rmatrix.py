@@ -10,8 +10,8 @@ from ellstab.core import HBAR, Monomial, ParamPoint, SingularityError
 from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
                                ThetaTable, _cancel, default_kahler,
                                kahler_args, kahler_point, restriction_values,
-                               s_factor_product, tree_weights)
-from ellstab.partitions import fixed_points
+                               s_factor_product, shifted_kahler, tree_weights)
+from ellstab.partitions import fixed_points, make_fixed_point
 from ellstab.rmatrix import (FramingGroup, _swap_permutation, bare_transition,
                              basis_fixed_points, composition_residual,
                              inverted_kahler,
@@ -37,11 +37,15 @@ def test_one_box_basis_is_two_dimensional():
 
 
 def test_single_group_basis_is_fixed_points_with_its_names():
-    g = FramingGroup((1, 1, 0), "g")
-    for m in range(4):
-        for v in profiles(m, N):
-            assert basis_fixed_points(v, [g], N) == fixed_points(
-                v, g.w, N, u_names=g.u_names())
+    for prefix in ("u", "g"):
+        g = FramingGroup((1, 1, 0), prefix)
+        for m in range(4):
+            for v in profiles(m, N):
+                assert basis_fixed_points(v, [g], N) == [
+                    make_fixed_point(fp.partitions(), g.w, N, prefix)
+                    for fp in fixed_points(v, g.w, N)]
+    assert basis_fixed_points((1, 0, 0), [FramingGroup((1, 1, 0))], N) == \
+        fixed_points((1, 0, 0), (1, 1, 0), N)
 
 
 def test_trivial_profile_gives_identity():
@@ -457,8 +461,7 @@ def test_hbar_shifted_kahler_point_matches_the_compiled_argument(seed, colors, s
     g1, g2 = _unit_pair(colors)
     pp = sample_param_point(seed, N, framing_counts={"ua": list(g1.w),
                                                      "ub": list(g2.w)})
-    kahler = kahler_args({i: Monomial.var(f"z{i}") * HBAR ** s
-                          for i, s in enumerate(shift)})
+    kahler = shifted_kahler(shift)
     for v, basis in _profile_bases(colors):
         want = _compile_time_matrix(basis, pp, False, kahler)
         got = restriction_matrix(basis, _fresh(pp), False, kahler).matrix

@@ -7,8 +7,8 @@ from ellstab import vertex
 from ellstab.core import (HBAR, P, SQRT_HBAR, Monomial, ParamPoint,
                           SingularityError)
 from ellstab.envelopes import Envelope, EnvelopeSpec, restrict
-from ellstab.partitions import fixed_points, make_fixed_point
-from ellstab.rmatrix import profiles
+from ellstab.partitions import FramingGroup, fixed_points, make_fixed_point
+from ellstab.rmatrix import basis_fixed_points, profiles
 from ellstab.sampling import sample_param_point
 from ellstab.scalars import mu_vacuum_ope
 from ellstab.vertex import (BetheSolution, BetheSystem, _degree_vectors,
@@ -136,6 +136,20 @@ def test_normalization_single_box_hand_expansion():
     want = mu_vacuum_ope(W, PP) * phi \
         * qpoch_inf(p * u / phi, p) / qpoch_inf(h * u / phi, p)
     assert abs(val - want) < 1e-12 * abs(want)
+
+
+def test_normalization_reads_the_framing_prefix_of_the_slots():
+    """One group's prefix, whatever it is, names the framing weights of the
+    vacuum scalar; slots of two groups have no one prefix."""
+    ppa = sample_param_point(41, N, framing_counts={"ua": list(W)})
+    assert normalization_factor(make_fixed_point([(2, 1)], W, N, "ua"), ppa) \
+        == normalization_factor(make_fixed_point([(2, 1)], W, N), PP)
+    groups = [FramingGroup(W, "ua"), FramingGroup(W, "ub")]
+    pp = sample_param_point(41, N, framing_counts={g.prefix: list(W)
+                                                   for g in groups})
+    for fp in basis_fixed_points((1, 0, 0), groups, N):
+        with pytest.raises(ValueError, match="one framing name prefix"):
+            normalization_factor(fp, pp)
 
 
 def test_normalization_depends_only_on_cycle():
