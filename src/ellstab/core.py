@@ -12,10 +12,10 @@ An integral exponent is stored as an ``int``, and a ``Fraction`` only where
 one is needed (a half power, an eta pairing's 1/n), so integral exponent
 arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2).
 A monomial keeps that half power (``Monomial.inv_sqrt``) in a slot, and its
-float exponent pairs (``Monomial.float_items``) once asked for them, so a
-compiled theta argument evaluated at many points pays the exact arithmetic
-and the float conversions once, while a monomial materialized once pays for
-no table.
+float exponent pairs (``Monomial.float_items``) and its ``repr`` (the sort
+key of a compile) once asked for them, so a compiled theta argument
+evaluated at many points pays the exact arithmetic and the float conversions
+once, while a monomial materialized once pays for no table.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
@@ -71,7 +71,7 @@ class Monomial:
     changes a value, only what the exact arithmetic costs.
     """
 
-    __slots__ = ("_exps", "_hash", "_inv_sqrt", "_floats")
+    __slots__ = ("_exps", "_hash", "_inv_sqrt", "_floats", "_repr")
 
     def __init__(self, exps: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -88,6 +88,7 @@ class Monomial:
         self._hash = None
         self._inv_sqrt = None
         self._floats = None
+        self._repr = None
 
     @staticmethod
     def _of(d: dict[str, int | Fraction]) -> "Monomial":
@@ -98,11 +99,12 @@ class Monomial:
         m._hash = None
         m._inv_sqrt = None
         m._floats = None
+        m._repr = None
         return m
 
     @classmethod
     def var(cls, name: str, exp=1) -> "Monomial":
-        e = _exponent(exp)
+        e = exp if type(exp) is int else _exponent(exp)
         return cls._of({name: e} if e else {})
 
     @classmethod
@@ -204,9 +206,15 @@ class Monomial:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self._exps:
-            return "1"
-        return "*".join(f"{k}^{v}" for k, v in self.items())
+        """name^exponent factors in name order, "1" for the unit; formed on
+        first use and kept in a slot, like ``inv_sqrt``: a compile sorts its
+        theta arguments by it."""
+        r = self._repr
+        if r is not None:
+            return r
+        d = self._exps
+        r = self._repr = "*".join([f"{k}^{d[k]}" for k in sorted(d)]) or "1"
+        return r
 
 
 HBAR = Monomial({"t1": 1, "t2": 1})

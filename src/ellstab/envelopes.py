@@ -4,13 +4,15 @@ An envelope attached to a fixed point is the per-color symmetrization of a
 product of theta factors (the chamber-ordered S-product in its plain, hatted
 or tilde normalization) times a sum of tree weights, one admissible rooted
 tree per framing slot.  A compile takes the boxes, Chern slots, quiver pairs
-and index degrees of the fixed point once, and sorts the factors of every
-term in ``repr`` order, keying each distinct factor once.  The compiled
-structure keeps every theta argument as an exact monomial, and is lowered
-once, at its first evaluation (``LoweredSum``): the distinct theta arguments
-of all terms, and per term a sign, index lists into them and the exact
-prefactor monomial.  An envelope that is only asked for exact data, such as
-its quasi-periodicity factors, is never lowered.  Evaluation assigns complex
+and index degrees of the fixed point once, builds each theta argument as one
+exponent dict, counts the S-product's arguments once for all its terms, and
+sorts the factors of every term in ``repr`` order, each argument's ``repr``
+formed once.  The compiled structure keeps every theta argument as an exact
+monomial, and is lowered once, at its first evaluation (``LoweredSum``): the
+distinct theta arguments of all terms, and per term a sign, index lists into
+them and the exact prefactor monomial.  An envelope that is only asked for
+exact data, such as its quasi-periodicity factors, is never lowered, nor
+does it list the permutations of its roots.  Evaluation assigns complex
 values to the Chern-root variables of one extended parameter point,
 overwrites them per permutation of the roots, takes each distinct theta once
 per permutation through fixed logarithms (reading only its coefficient, so
@@ -33,16 +35,16 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import HBAR, BudgetError, Monomial, ParamPoint, SingularityError
-from .partitions import (Box, FixedPoint, QuiverPairs, box_slot_vars,
-                         chern_slots, chern_var, index_degrees, kahler_var,
-                         lambda_trees, phi_weight, quiver_pairs, rho_less)
+from .partitions import (Box, FixedPoint, LambdaTree, QuiverPairs,
+                         box_slot_vars, chern_slots, chern_var, index_degrees,
+                         kahler_var, lambda_trees, phi_weight, quiver_pairs,
+                         rho_less)
 from .sampling import random_assignment
 
 VARIANTS = ("plain", "hat", "tilde")
@@ -101,12 +103,6 @@ class ThetaProduct:
     num: list[Monomial] = field(default_factory=list)
     den: list[Monomial] = field(default_factory=list)
     sign: int = 0
-
-    def mul_ratio(self, num: Monomial, den: Monomial):
-        """theta(num) / theta(den) with a minus sign."""
-        self.num.append(num)
-        self.den.append(den)
-        self.sign += 1
 
     def eval(self, pp: ParamPoint, star: bool) -> complex:
         """The value at a point: the one-term case of ``LoweredSum.eval``."""
@@ -226,24 +222,35 @@ class ThetaTable:
         return self.free, self._bound[k]
 
 
-def _u_mono(fp: FixedPoint, rank: int) -> Monomial:
-    return Monomial.var(fp.slots[rank][0].u_var)
+def _rho_le_root(box: Box, rank: int) -> bool:
+    """rho_box <= rho of the (1,1) anchor of the given framing slot: the
+    earlier slot decides, else (content, -hook) against the anchor's
+    (color, 0), which only the anchor itself ties."""
+    if box.owner != rank:
+        return box.owner < rank
+    # the anchor's color is the box's, so its content is the box's color
+    return ((box.x, box.y) == (1, 1)
+            or (box.content, -box.hook) < (box.owner_color, 0))
 
 
-def _rho_le_root(fp: FixedPoint, box: Box, rank: int) -> bool:
-    """rho_box <= rho of the (1,1) anchor of the given framing slot."""
-    anchor = fp.root_anchor(rank)
-    if box.owner == anchor.owner and (box.x, box.y) == (1, 1):
-        return True
-    return not rho_less(anchor, 0, box)
+def _ratio(a: str, b: str) -> Monomial:
+    """a / b of two distinct variables."""
+    return Monomial._of({a: 1, b: -1})
 
 
-def _x_monos(xvar: dict[Box, str]) -> dict[Box, Monomial]:
-    return {b: Monomial.var(name) for b, name in xvar.items()}
+def _t_ratio(t: str, a: str, b: str) -> Monomial:
+    """t a / b, t one of t1, t2: the exponents and their order of the
+    chained ``t * a / b``."""
+    return Monomial._of({t: 1, a: 1, b: -1})
+
+
+def _hbar_ratio(a: str, b: str) -> Monomial:
+    """hbar a / b, in the order of the chained ``HBAR * a / b``."""
+    return Monomial._of({"t1": 1, "t2": 1, a: 1, b: -1})
 
 
 def _s_product(fp: FixedPoint, variant: str, pairs: QuiverPairs,
-               x: dict[Box, Monomial]) -> ThetaProduct:
+               x: dict[Box, str]) -> ThetaProduct:
     """The S-product factors of some quiver pairs of a fixed point.
 
     Plain: theta(t1 x_a/x_b) per arrow pair with rho_a + 1 < rho_b, else
@@ -253,62 +260,70 @@ def _s_product(fp: FixedPoint, variant: str, pairs: QuiverPairs,
     by its partner (the other argument above), keep only the framing factors
     above the root (hat) or at or below it (tilde), each divided by its
     partner, and turn one gauge denominator into the numerator theta(x_b/x_a)
-    (hat) or theta(hbar x_b/x_a) (tilde).  ``x`` maps each box to its root.
+    (hat) or theta(hbar x_b/x_a) (tilde).  ``x`` maps each box to the name
+    of its root.  Each argument is one exponent dict, in the variable order
+    of its chained product.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    t1, t2 = Monomial.var("t1"), Monomial.var("t2")
     plain = variant == "plain"
     prod = ThetaProduct()
+    num, den = prod.num, prod.den
     for a, b in pairs.arrow:
+        xa, xb = x[a], x[b]
         below = rho_less(a, 1, b)
-        m = t1 * x[a] / x[b] if below else t2 * x[b] / x[a]
-        if plain:
-            prod.num.append(m)
-        else:
-            prod.mul_ratio(m, t2 * x[b] / x[a] if below else t1 * x[a] / x[b])
+        num.append(_t_ratio("t1", xa, xb) if below else _t_ratio("t2", xb, xa))
+        if not plain:
+            den.append(_t_ratio("t2", xb, xa) if below else _t_ratio("t1", xa, xb))
     for rank, a in pairs.framing:
-        le = _rho_le_root(fp, a, rank)
-        u = _u_mono(fp, rank)
+        le = _rho_le_root(a, rank)
         if plain:
-            prod.num.append(x[a] / u if le else HBAR * u / x[a])
+            u = fp.slots[rank][0].u_var
+            num.append(_ratio(x[a], u) if le else _hbar_ratio(u, x[a]))
         elif le and variant == "tilde":
-            prod.mul_ratio(x[a] / u, HBAR * u / x[a])
+            u = fp.slots[rank][0].u_var
+            num.append(_ratio(x[a], u))
+            den.append(_hbar_ratio(u, x[a]))
         elif not le and variant == "hat":
-            prod.mul_ratio(HBAR * u / x[a], x[a] / u)
+            u = fp.slots[rank][0].u_var
+            num.append(_hbar_ratio(u, x[a]))
+            den.append(_ratio(x[a], u))
+    # each arrow and framing ratio so far carries a minus sign
+    prod.sign = len(den)
     for a, b in pairs.gauge:
         if not rho_less(a, 0, b):
             continue
+        xa, xb = x[a], x[b]
         if plain:
-            ratio = x[a] / x[b]
-            prod.den += [ratio, HBAR * ratio]
+            den += [_ratio(xa, xb), _hbar_ratio(xa, xb)]
         elif variant == "hat":
-            prod.num.append(x[b] / x[a])
-            prod.den.append(HBAR * x[a] / x[b])
+            num.append(_ratio(xb, xa))
+            den.append(_hbar_ratio(xa, xb))
         else:
-            prod.num.append(HBAR * x[b] / x[a])
-            prod.den.append(x[a] / x[b])
+            num.append(_hbar_ratio(xb, xa))
+            den.append(_ratio(xa, xb))
     return prod
 
 
 def s_factor_product(fp: FixedPoint, variant: str) -> ThetaProduct:
     """The unsymmetrized S-product of the requested normalization."""
-    return _s_product(fp, variant, quiver_pairs(fp), _x_monos(box_slot_vars(fp)))
+    return _s_product(fp, variant, quiver_pairs(fp), box_slot_vars(fp))
 
 
 def normalization_kernel(fp: FixedPoint, which: str) -> ThetaProduct:
     """The K-factor relating the plain S-product to its hat/tilde form."""
-    x = _x_monos(box_slot_vars(fp))
-    t1, t2 = Monomial.var("t1"), Monomial.var("t2")
+    x = box_slot_vars(fp)
     pairs = quiver_pairs(fp)
     prod = ThetaProduct()
     for a, b in pairs.arrow:
-        prod.num.append(t2 * x[b] / x[a] if rho_less(a, 1, b) else t1 * x[a] / x[b])
+        prod.num.append(_t_ratio("t2", x[b], x[a]) if rho_less(a, 1, b)
+                        else _t_ratio("t1", x[a], x[b]))
     for rank, a in pairs.framing:
-        u = _u_mono(fp, rank)
-        prod.num.append(x[a] / u if which == "I" else HBAR * u / x[a])
+        u = fp.slots[rank][0].u_var
+        prod.num.append(_ratio(x[a], u) if which == "I" else _hbar_ratio(u, x[a]))
     for a, b in pairs.gauge:
-        prod.den.append(x[a] / x[b] if which == "I" else HBAR * x[a] / x[b])
+        prod.den.append(_ratio(x[a], x[b]) if which == "I"
+                        else _hbar_ratio(x[a], x[b]))
     return prod
 
 
@@ -316,7 +331,7 @@ def normalization_parity(fp: FixedPoint, which: str) -> int:
     """Parity exponent in S = (-1)^eps K S-normalized."""
     pairs = quiver_pairs(fp)
     flipped = sum(1 for rank, a in pairs.framing
-                  if _rho_le_root(fp, a, rank) == (which == "II"))
+                  if _rho_le_root(a, rank) == (which == "II"))
     return (len(pairs.arrow) + flipped) % 2
 
 
@@ -328,59 +343,99 @@ class TreeTupleWeight:
     phi_args: list[tuple[Monomial, Monomial]]
 
 
+def _edge_arg(x_child: str, w_par: Monomial, x_par: str,
+              w_child: Monomial) -> Monomial:
+    """x_child w_par / (x_par w_child) for Chern roots x_child != x_par that
+    neither weight carries, and weights with integer exponents: one exponent
+    dict, in the variable order of that chained product."""
+    d = {x_child: 1}
+    d.update(w_par._exps)
+    d[x_par] = -1
+    for name, e in w_child._exps.items():
+        if s := d.get(name, 0) - e:
+            d[name] = s
+        else:
+            del d[name]
+    return Monomial._of(d)
+
+
+def _tree_phi_args(cell: dict, tree: LambdaTree,
+                   root_arg: Monomial) -> list[tuple[Monomial, Monomial]]:
+    """The phi arguments of one tree of a slot whose cells are ``cell``
+    (see ``tree_weights``): x_root/u against the Kahler-and-hbar product over
+    the whole tree, then per edge x_child phi_par / (x_par phi_child) against
+    the product over the child's subtree."""
+    subtree = tree.subtree
+    phi_args = [(root_arg,
+                 Monomial.product([f for c in subtree[1, 1] for f in cell[c][2]]))]
+    for par, child in tree.edges():
+        x_par, w_par, _ = cell[par]
+        x_child, w_child, _ = cell[child]
+        phi_args.append((_edge_arg(x_child, w_par, x_par, w_child),
+                         Monomial.product([f for c in subtree[child] for f in cell[c][2]])))
+    return phi_args
+
+
 def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial],
                  boxes: list[Box] | None = None,
-                 x: dict[Box, Monomial] | None = None,
+                 xvar: dict[Box, str] | None = None,
                  degrees: dict[Box, int] | None = None) -> list[TreeTupleWeight]:
     """All tree-tuple weights of a fixed point, compiled to phi arguments.
 
-    ``boxes`` is ``fp.boxes()``, ``x`` maps each box to its Chern root and
-    ``degrees`` is ``index_degrees(fp)``; each is computed if not given.  The
-    phi arguments of one tree of one slot are built once and shared by every
-    tuple that holds the tree.
+    ``kahler`` maps every color to its Kahler argument (``default_kahler``
+    for the plain z_i).  ``boxes`` is ``fp.boxes()``, ``xvar`` is
+    ``box_slot_vars(fp)`` and ``degrees`` is ``index_degrees(fp)``; each is
+    computed if not given.  The phi arguments of one tree of one slot are
+    built once and shared by every tuple that holds the tree.  Each argument
+    is built as one exponent dict, with the exponents and the variable order
+    of its chained product.
     """
     n = fp.n_colors
     if boxes is None:
         boxes = fp.boxes()
-    if x is None:
-        x = _x_monos(box_slot_vars(fp))
+    if xvar is None:
+        xvar = box_slot_vars(fp)
     if degrees is None:
         degrees = index_degrees(fp, boxes)
-    # per (slot rank, cell): the Chern root of its box, its restriction
-    # weight, its Kahler argument and hbar to its index degree
-    cell = {(b.owner, b.x, b.y): (x[b], phi_weight(fp, b),
-                                  kahler[b.content % n], HBAR ** degrees[b])
-            for b in boxes}
-
-    def subtree_mono(rank, tree, root) -> Monomial:
-        acc = Monomial.one()
-        for cx, cy in tree.subtree[root]:
-            _, _, kah, hdeg = cell[(rank, cx, cy)]
-            acc = acc * kah * hdeg
-        return acc
-
-    def slot_phi_args(rank, tree) -> list[tuple[Monomial, Monomial]]:
-        u = _u_mono(fp, rank)
-        phi_args = [(cell[(rank, 1, 1)][0] / u, subtree_mono(rank, tree, (1, 1)))]
-        for par_cell, child_cell in tree.edges():
-            x_par, w_par, _, _ = cell[(rank,) + par_cell]
-            x_child, w_child, _, _ = cell[(rank,) + child_cell]
-            arg = x_child * w_par / (x_par * w_child)
-            phi_args.append((arg, subtree_mono(rank, tree, child_cell)))
-        return phi_args
-
+    # per slot, per cell: the Chern root of its box, its restriction weight,
+    # and its Kahler argument and hbar to its index degree, the factors of a
+    # subtree product (hbar^0 left out: it changes no exponent)
+    kah = [(kahler[i], 1) for i in range(n)]
+    cells: list[dict] = [{} for _ in fp.slots]
+    for b in boxes:
+        k, d = kah[b.content % n], degrees[b]
+        cells[b.owner][b.x, b.y] = (xvar[b], phi_weight(fp, b),
+                                    (k, (HBAR, d)) if d else (k,))
     per_slot: list[list] = []
-    for rank, (slot, lam) in enumerate(fp.slots):
-        if lam.size == 0:
+    for (slot, lam), cell in zip(fp.slots, cells):
+        if not cell:
             continue
         choices = lambda_trees(lam)
         if not choices:
             raise ValueError(f"no admissible tree for partition {lam.rows}")
-        per_slot.append([(t.kappa, slot_phi_args(rank, t)) for t in choices])
+        root_arg = _ratio(cell[1, 1][0], slot.u_var)
+        per_slot.append([(t.kappa, _tree_phi_args(cell, t, root_arg)) for t in choices])
 
     return [TreeTupleWeight(sum(kappa for kappa, _ in combo),
                             [arg for _, args in combo for arg in args])
             for combo in itertools.product(*per_slot)]
+
+
+def _tally(args: Iterable[Monomial], into: tuple[dict, dict] | None = None
+           ) -> tuple[dict[str, Monomial], dict[str, int]]:
+    """Theta arguments counted by ``repr``, which names an argument up to
+    the order of its exponent dict: (the first occurrence of each, how often
+    each occurs).  ``into``, if given, is a tally of earlier arguments that
+    a copy of is extended."""
+    first, count = ({}, {}) if into is None else (dict(into[0]), dict(into[1]))
+    for m in args:
+        key = repr(m)
+        if key in count:
+            count[key] += 1
+        else:
+            count[key] = 1
+            first[key] = m
+    return first, count
 
 
 def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct:
@@ -392,17 +447,22 @@ def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct
     Equal arguments are counted together and kept as their first occurrence;
     the factors left are sorted by ``repr``.
     """
-    cn, cd = Counter(num), Counter(den)
-    return ThetaProduct(_left_sorted(cn, cd), _left_sorted(cd, cn), sign)
+    tn, td = _tally(num), _tally(den)
+    return ThetaProduct(_left_sorted(tn, td[1]), _left_sorted(td, tn[1]), sign)
 
 
-def _left_sorted(counts: Counter, other: Counter) -> list[Monomial]:
-    """The arguments of ``counts`` that ``other`` does not cancel, each as
-    often as it is left, sorted by ``repr``: each distinct argument is keyed
-    once."""
-    left = {m: c - other.get(m, 0) for m, c in counts.items()}
-    return [m for m in sorted([m for m, c in left.items() if c > 0], key=repr)
-            for _ in range(left[m])]
+def _left_sorted(tally: tuple[dict, dict], other: dict[str, int]) -> list[Monomial]:
+    """The arguments of ``tally`` that the counts ``other`` do not cancel,
+    each as often as it is left, in ``repr`` order."""
+    first, count = tally
+    left = []
+    for key in sorted(count):
+        c = count[key] - other.get(key, 0)
+        if c == 1:
+            left.append(first[key])
+        elif c > 1:
+            left += [first[key]] * c
+    return left
 
 
 class Envelope:
@@ -418,25 +478,26 @@ class Envelope:
         self.slots = chern_slots(fp, boxes)
         xvar = box_slot_vars(fp, self.slots)
         self.nvars = {i: [xvar[b] for b in bs] for i, bs in self.slots.items()}
-        size = math.prod(math.factorial(len(names)) for names in self.nvars.values())
+        size = math.prod(map(math.factorial, map(len, self.nvars.values())))
         if size > SYM_BUDGET:
             raise BudgetError(f"symmetrization over {size} permutations exceeds budget")
-        x = _x_monos(xvar)
         pairs = quiver_pairs(fp, boxes)
-        sprod = _s_product(fp, spec.variant, pairs, x)
+        sprod = _s_product(fp, spec.variant, pairs, xvar)
         degrees = index_degrees(fp, boxes, pairs)
+        # the S-product's arguments, counted once for every tree term
+        s_num, s_den = _tally(sprod.num), _tally(sprod.den)
         self._terms: list[ThetaProduct] = []
-        for tw in tree_weights(fp, default_kahler(fp.n_colors), boxes, x, degrees):
-            num, den = list(sprod.num), list(sprod.den)
+        for tw in tree_weights(fp, default_kahler(fp.n_colors), boxes, xvar, degrees):
+            phi_num, phi_den = [], []
             for xm, ym in tw.phi_args:
-                num += [xm * ym, HBAR]
-                den += [xm, ym]
-            self._terms.append(_cancel(num, den, sprod.sign + tw.kappa))
+                phi_num += (xm * ym, HBAR)
+                phi_den += (xm, ym)
+            tn, td = _tally(phi_num, s_num), _tally(phi_den, s_den)
+            self._terms.append(ThetaProduct(_left_sorted(tn, td[1]),
+                                            _left_sorted(td, tn[1]),
+                                            sprod.sign + tw.kappa))
         self._lowered: LoweredSum | None = None
-        # per color, the permutations of its roots as positions in x_names()
-        pos = {name: k for k, name in enumerate(self.x_names())}
-        self._perms = [list(itertools.permutations([pos[name] for name in self.nvars[i]]))
-                       for i in range(fp.n_colors)]
+        self._perms: list[list[tuple[int, ...]]] | None = None
 
     def x_names(self) -> list[str]:
         return [name for i in range(self.fp.n_colors) for name in self.nvars[i]]
@@ -509,6 +570,11 @@ class Envelope:
                 thetas.point = ppx
         vals, lgs = ppx.values, ppx.logs
         names = self.x_names()
+        if self._perms is None:
+            # per color, the permutations of its roots as positions in names
+            pos = {name: k for k, name in enumerate(names)}
+            self._perms = [list(itertools.permutations([pos[name] for name in self.nvars[i]]))
+                           for i in range(self.fp.n_colors)]
         vals0 = [complex(values[name]) for name in names]
         logs0 = [complex(logs[name]) for name in names]
         per_color = [self.nvars[i] for i in range(self.fp.n_colors)]
@@ -603,7 +669,7 @@ def _cross_prefactor(fpa: FixedPoint, fpb: FixedPoint, variant: str) -> ThetaPro
     xa, xb = box_slot_vars(fpa), box_slot_vars(fpb)
     names = ([f"A_{xa[b]}" for b in fpa.boxes()]
              + [f"B_{xb[b]}" for b in fpb.boxes()])
-    x = {b: Monomial.var(name) for b, name in zip(big.boxes(), names)}
+    x = dict(zip(big.boxes(), names))
     ka = len(fpa.slots)
     pairs = quiver_pairs(big)
     cross = QuiverPairs(

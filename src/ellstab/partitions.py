@@ -126,9 +126,11 @@ def k_eigen_sum_ok(lam: ColoredPartition) -> bool:
 # Boxes of a fixed point and the canonical order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Box:
-    """A cell of one slot's partition, with its chamber rank and color."""
+class Box(NamedTuple):
+    """A cell of one slot's partition, with its chamber rank and color.
+
+    A named tuple: a compile keys its per-box tables by boxes, and a tuple
+    hashes and compares without a Python call."""
 
     x: int
     y: int
@@ -235,11 +237,6 @@ class FixedPoint:
             for x, y in lam.cells():
                 out.append(Box(x, y, rank, slot.color))
         return out
-
-    def root_anchor(self, rank: int) -> Box:
-        """The (1, 1) comparison anchor of a slot (virtual if the slot is empty)."""
-        slot, _ = self.slots[rank]
-        return Box(1, 1, rank, slot.color)
 
     def weight(self) -> tuple[int, ...]:
         """Per-residue weight sum(|R_i| - |A_i|) over the slot partitions."""
@@ -379,10 +376,12 @@ def phi_weight(fp: FixedPoint, box: Box, framed: bool = True) -> Monomial:
     restriction points; without ``framed`` the weight is the bare
     t1^(1-y) t2^(1-x), the convention of the vertex-function normalization.
     """
-    if framed:
-        slot, _ = fp.slots[box.owner]
-        return Monomial({slot.u_var: 1, "t1": 1 - box.y, "t2": 1 - box.x})
-    return Monomial({"t1": 1 - box.y, "t2": 1 - box.x})
+    d = {fp.slots[box.owner][0].u_var: 1} if framed else {}
+    if box.y != 1:
+        d["t1"] = 1 - box.y
+    if box.x != 1:
+        d["t2"] = 1 - box.x
+    return Monomial._of(d)
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +408,16 @@ def quiver_pairs(fp: FixedPoint, boxes: list[Box] | None = None) -> QuiverPairs:
     n = fp.n_colors
     if boxes is None:
         boxes = fp.boxes()
-    residues = [(b, b.content % n) for b in boxes]
+    # the boxes of each residue, in box order
+    residues = [b.content % n for b in boxes]
+    of_residue: dict[int, list[Box]] = {}
+    for b, r in zip(boxes, residues):
+        of_residue.setdefault(r, []).append(b)
     framing = [(rank, b) for rank, (slot, _) in enumerate(fp.slots)
-               for b, r in residues if r == slot.color % n]
-    arrow, gauge = [], []
-    for a, ra in residues:
-        for b, rb in residues:
-            if a is b:
-                continue
-            if rb == (ra + 1) % n:
-                arrow.append((a, b))
-            if rb == ra:
-                gauge.append((a, b))
+               for b in of_residue.get(slot.color % n, ())]
+    arrow = [(a, b) for a, r in zip(boxes, residues)
+             for b in of_residue.get((r + 1) % n, ())]
+    gauge = [(a, b) for a, r in zip(boxes, residues) for b in of_residue[r] if b is not a]
     return QuiverPairs(framing, arrow, gauge)
 
 
@@ -492,57 +489,98 @@ class LambdaTree:
 
     def __init__(self, parent: dict[tuple[int, int], tuple[int, int]]):
         self.parent = parent
-        self.children: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        cells = set(parent) | {(1, 1)}
-        for c in cells:
-            self.children[c] = []
+        children: dict[tuple[int, int], list[tuple[int, int]]] = {(1, 1): []}
+        for child in parent:
+            children[child] = []
+        kappa = 0
         for child, par in parent.items():
-            self.children[par].append(child)
-        self.kappa = sum(1 for child, par in parent.items()
-                         if child[0] < par[0] or child[1] < par[1])
-        self.subtree = {}
-        order = self._postorder((1, 1))
-        for cell in order:
+            children[par].append(child)
+            if child[0] < par[0] or child[1] < par[1]:
+                kappa += 1
+        self.children = children
+        self.kappa = kappa
+        subtree: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for cell in self._postorder((1, 1)):
             acc = [cell]
-            for ch in self.children[cell]:
-                acc.extend(self.subtree[ch])
-            self.subtree[cell] = acc
+            for ch in children[cell]:
+                acc += subtree[ch]
+            subtree[cell] = acc
+        self.subtree = subtree
 
     def _postorder(self, root):
-        out, stack, seen = [], [root], set()
+        """Every cell after its children, the children of a cell last to
+        first: the reverse of the preorder that takes them first to last."""
+        children = self.children
+        out, stack = [], [root]
         while stack:
-            cell = stack[-1]
-            if cell in seen:
-                out.append(stack.pop())
-                continue
-            seen.add(cell)
-            stack.extend(self.children[cell])
+            cell = stack.pop()
+            out.append(cell)
+            stack.extend(reversed(children[cell]))
+        out.reverse()
         return out
 
     def edges(self):
         """(parent, child) pairs, deterministic order."""
-        return sorted((par, child) for child, par in self.parent.items())
+        return sorted([(par, child) for child, par in self.parent.items()])
+
+
+def _rooted_tree(cells: list[tuple[int, int]],
+                 edges: list[tuple[tuple[int, int], tuple[int, int]]]) -> LambdaTree:
+    """The spanning tree of ``cells`` with the given edges, oriented away
+    from the root (1, 1) by a breadth-first search over the edges in order."""
+    adj: dict[tuple[int, int], list[tuple[int, int]]] = {c: [] for c in cells}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    # the root holds a place in ``parent`` while the search runs
+    parent: dict[tuple[int, int], tuple[int, int]] = {(1, 1): (1, 1)}
+    frontier = [(1, 1)]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for nb in adj[c]:
+                if nb not in parent:
+                    parent[nb] = c
+                    nxt.append(nb)
+        frontier = nxt
+    del parent[1, 1]
+    return LambdaTree(parent)
 
 
 def spanning_trees(lam: ColoredPartition) -> list[LambdaTree]:
-    """All spanning trees of the box-adjacency graph, rooted at (1, 1)."""
-    cells = lam.cells()
-    if not cells:
+    """All spanning trees of the box-adjacency graph, rooted at (1, 1).
+
+    The graph of a partition without a 2 x 2 square (a hook) has one edge
+    fewer than cells, so it is its own only spanning tree; any other goes
+    through ``_enumerate_spanning_trees``."""
+    rows = lam.rows
+    if not rows:
         return []
-    if len(cells) > 14:
-        raise BudgetError(f"tree enumeration limited to 14 boxes, got {len(cells)}")
+    if lam.size > 14:
+        raise BudgetError(f"tree enumeration limited to 14 boxes, got {lam.size}")
+    if len(rows) < 2 or rows[1] < 2:
+        return [_rooted_tree(lam.cells(), _cell_edges(lam))]
+    return _enumerate_spanning_trees(lam)
+
+
+def _enumerate_spanning_trees(lam: ColoredPartition) -> list[LambdaTree]:
+    """The spanning trees of a nonempty partition's graph, searched over
+    every choice of cells - 1 of its edges in ``itertools.combinations``
+    order, each rooted by ``_rooted_tree``."""
+    cells = lam.cells()
     edges = _cell_edges(lam)
     need = len(cells) - 1
     trees = []
+    parent_of: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(c):
+        while parent_of[c] != c:
+            parent_of[c] = parent_of[parent_of[c]]
+            c = parent_of[c]
+        return c
+
     for combo in itertools.combinations(range(len(edges)), need):
         parent_of = {c: c for c in cells}
-
-        def find(c):
-            while parent_of[c] != c:
-                parent_of[c] = parent_of[parent_of[c]]
-                c = parent_of[c]
-            return c
-
         ok = True
         for ei in combo:
             a, b = edges[ei]
@@ -551,27 +589,8 @@ def spanning_trees(lam: ColoredPartition) -> list[LambdaTree]:
                 ok = False
                 break
             parent_of[ra] = rb
-        if not ok:
-            continue
-        # orient away from the root by BFS
-        adj: dict[tuple[int, int], list[tuple[int, int]]] = {c: [] for c in cells}
-        for ei in combo:
-            a, b = edges[ei]
-            adj[a].append(b)
-            adj[b].append(a)
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
-        frontier = [(1, 1)]
-        seen = {(1, 1)}
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for nb in adj[c]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        parent[nb] = c
-                        nxt.append(nb)
-            frontier = nxt
-        trees.append(LambdaTree(parent))
+        if ok:
+            trees.append(_rooted_tree(cells, [edges[ei] for ei in combo]))
     return trees
 
 
@@ -583,14 +602,20 @@ def no_lshape_filter(tree: LambdaTree, lam: ColoredPartition) -> bool:
     For the square {(x,y),(x,y+1),(x+1,y),(x+1,y+1)} the forbidden pair is
     {(x,y+1)-(x+1,y+1)} and {(x+1,y)-(x+1,y+1)}.
     """
-    edgeset = {frozenset((par, ch)) for par, ch in tree.edges()}
-    for x, y in lam.cells():
-        if not (lam.contains(x + 1, y) and lam.contains(x, y + 1) and lam.contains(x + 1, y + 1)):
-            continue
-        right_vertical = frozenset(((x, y + 1), (x + 1, y + 1)))
-        bottom = frozenset(((x + 1, y), (x + 1, y + 1)))
-        if right_vertical in edgeset and bottom in edgeset:
-            return False
+    parent = tree.parent
+
+    def joined(a, b) -> bool:
+        return parent.get(a) == b or parent.get(b) == a
+
+    rows = lam.rows
+    # the squares are those of the cells (x, y) whose diagonal neighbour
+    # (x + 1, y + 1) the partition holds: y < rows[x] (row x + 1); a hook
+    # has none
+    for x in range(1, len(rows)):
+        for y in range(1, rows[x]):
+            corner = (x + 1, y + 1)
+            if joined((x, y + 1), corner) and joined((x + 1, y), corner):
+                return False
     return True
 
 

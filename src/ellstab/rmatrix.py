@@ -59,7 +59,8 @@ class RestrictionMatrix:
 
 def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
                        star: bool = False, kahler=None, *,
-                       envelopes: dict | None = None) -> RestrictionMatrix:
+                       envelopes: dict | None = None,
+                       points: list[tuple] | None = None) -> RestrictionMatrix:
     """Matrix of envelope restrictions: M[gamma, beta] = Stab(beta)|_gamma.
 
     The envelopes are evaluated at ``kahler_point(pp, kahler)``.  The
@@ -67,6 +68,10 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     matrix, and so is one ``ThetaTable`` per point, which the columns share:
     a theta argument that several envelopes carry is taken once per point
     and permutation, and once per matrix if it has no Chern root.
+    ``points``, if given, are those values (``restriction_values`` of each
+    basis element at ``pp``, in basis order), kept by a caller that builds
+    several matrices of the basis at ``pp``; they do not depend on the
+    Kahler argument.
     ``envelopes``, if given, holds the plain envelopes compiled so far,
     keyed by (fixed point, star); a column takes its envelope from there
     and adds the ones it compiles, so a caller that passes one dict to
@@ -82,7 +87,8 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
         raise ValueError("restriction points must share the (v, w) class")
     compiled = {} if envelopes is None else envelopes
     ppk = kahler_point(pp, kahler)
-    points = [restriction_values(gamma, pp) for gamma in basis]
+    if points is None:
+        points = [restriction_values(gamma, pp) for gamma in basis]
     # every point assigns the same Chern roots, those of the (v, w) class
     roots = frozenset(points[0][0])
     free: dict = {}
@@ -131,13 +137,18 @@ class ChamberMatrices:
     one of these, so a caller that needs several builds the matrices once;
     ``at`` rebuilds the matrices on the same bases.  ``envelopes`` holds the
     compiled envelopes of both bases (``restriction_matrix``), which ``at``
-    shares: each is compiled once, at any nome or Kahler argument."""
+    shares: each is compiled once, at any nome or Kahler argument.
+    ``pp`` is the parameter point the matrices were built at and ``points``
+    the ``restriction_values`` of both bases there, which ``at`` reuses:
+    they depend on t1, t2 and the framing weights."""
 
     basis: list[FixedPoint]
     basis_bar: list[FixedPoint]
     p: np.ndarray
     m_c: RestrictionMatrix
     m_cbar: RestrictionMatrix
+    pp: ParamPoint = field(repr=False, compare=False)
+    points: tuple = field(repr=False, compare=False)
     envelopes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -145,21 +156,18 @@ class ChamberMatrices:
               n_colors: int, star: bool = False, kahler=None) -> "ChamberMatrices":
         basis = basis_fixed_points(v, [g1, g2], n_colors)
         basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
-        envelopes: dict = {}
+        points = tuple([restriction_values(gamma, pp) for gamma in b]
+                       for b in (basis, basis_bar))
         return cls(basis, basis_bar, _swap_permutation(basis, basis_bar, sum(g1.w)),
-                   restriction_matrix(basis, pp, star, kahler, envelopes=envelopes),
-                   restriction_matrix(basis_bar, pp, star, kahler, envelopes=envelopes),
-                   envelopes)
+                   None, None, pp, points).at(star, kahler)
 
-    def at(self, pp: ParamPoint, star: bool = False, kahler=None) -> "ChamberMatrices":
+    def at(self, star: bool = False, kahler=None) -> "ChamberMatrices":
         """The matrices of the same bases at another nome or Kahler argument."""
-        envs = self.envelopes
-        return ChamberMatrices(self.basis, self.basis_bar, self.p,
-                               restriction_matrix(self.basis, pp, star, kahler,
-                                                  envelopes=envs),
-                               restriction_matrix(self.basis_bar, pp, star, kahler,
-                                                  envelopes=envs),
-                               envs)
+        m_c, m_cbar = (restriction_matrix(basis, self.pp, star, kahler,
+                                          envelopes=self.envelopes, points=points)
+                       for basis, points in zip((self.basis, self.basis_bar), self.points))
+        return ChamberMatrices(self.basis, self.basis_bar, self.p, m_c, m_cbar,
+                               self.pp, self.points, self.envelopes)
 
     @property
     def conds(self) -> tuple[float, float]:
@@ -258,7 +266,7 @@ def transpose_relation_residual(v, g1, g2, pp, n_colors,
         inverted = ChamberMatrices.build(v, g1, g2, pp, n_colors, star=True,
                                          kahler=inverted_kahler(n_colors))
     bare_inv = inverted.bare()
-    bare_straight = inverted.at(pp, star=True).bare()
+    bare_straight = inverted.at(star=True).bare()
     scale = max(float(np.max(np.abs(bare_straight), initial=0.0)), 1.0)
     return float(np.max(np.abs(bare_inv.T - bare_straight), initial=0.0) / scale)
 
@@ -281,7 +289,7 @@ def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
     out = 0.0
     for wt in sorted(set(weights)):
         idx = [i for i, w in enumerate(weights) if w == wt]
-        shifted = chambers.at(pp, kahler=shifted_kahler(wt)).bare()
+        shifted = chambers.at(kahler=shifted_kahler(wt)).bare()
         blk = base[np.ix_(idx, idx)]
         blk2 = shifted[np.ix_(idx, idx)]
         out = max(out, float(np.max(np.abs(blk - blk2)) / max(np.max(np.abs(blk)), 1.0)))
@@ -349,7 +357,7 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
         if key not in bares:
             kah = shifted_kahler(shift)
             if pair_key in chambers:
-                ch = chambers[pair_key][0].at(pp, kahler=kah)
+                ch = chambers[pair_key][0].at(kahler=kah)
             else:
                 ch = ChamberMatrices.build(v_pair, g1, g2, pp, n, kahler=kah)
                 chambers[pair_key] = ch, _index(ch.basis)

@@ -85,13 +85,6 @@ def qpoch_low(base: LoweredBase, length: int | None, pp: ParamPoint,
     return qpoch_fin(z, p, skip) * rest, 1
 
 
-def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
-               offset: int = 0) -> tuple[complex, int]:
-    """Pochhammer (base p^offset; p)_length of an exact monomial base: the
-    base lowered at the point, then ``qpoch_low``."""
-    return qpoch_low(lower(base, pp), length, pp, offset)
-
-
 def qpoch_fin_mono(base: LoweredBase, s: int, pp: ParamPoint) -> tuple[complex, int]:
     """Finite Pochhammer (base; p)_s of a lowered base (see ``qpoch_low``).
 

@@ -3,10 +3,20 @@
 Plain lattice products of the double and triple Pochhammer symbols and the
 triple Gamma function.  They are slow and lose digits for moduli near 1, so
 the library never calls them; the tests check the series kernels of
-``ellstab.scalars`` against them.
+``ellstab.scalars`` against them.  ``qpoch_mono`` is the entry point of the
+vertex layer's ``qpoch_low`` for an exact monomial base, which only the tests
+call with one.
 """
 
-from ellstab.core import SingularityError
+from ellstab.core import Monomial, ParamPoint, SingularityError
+from ellstab.vertex import lower, qpoch_low
+
+
+def qpoch_mono(base: Monomial, length: int | None, pp: ParamPoint,
+               offset: int = 0) -> tuple[complex, int]:
+    """Pochhammer (base p^offset; p)_length of an exact monomial base: the
+    base lowered at the point, then ``vertex.qpoch_low``."""
+    return qpoch_low(lower(base, pp), length, pp, offset)
 
 
 def qpoch2_inf(z: complex, q1: complex, q2: complex,

@@ -16,10 +16,10 @@ from ellstab.envelopes import (SYM_BUDGET, Envelope, EnvelopeSpec, LoweredSum,
                                concat_fixed_points, factorization_residual,
                                restrict, restriction_values, s_factor_product,
                                shuffle_residual, tree_weights, default_kahler)
-from ellstab.partitions import (FixedPoint, box_slot_vars, chern_slots,
-                                fixed_points, index_degrees, make_fixed_point,
-                                partitions_upto)
-from ellstab.rmatrix import profiles
+from ellstab.partitions import (FixedPoint, FramingGroup, box_slot_vars,
+                                chern_slots, fixed_points, index_degrees,
+                                make_fixed_point, partitions_upto)
+from ellstab.rmatrix import basis_fixed_points, profiles
 from ellstab.sampling import random_assignment, sample_param_point
 
 N = 3
@@ -428,6 +428,15 @@ COMPILED_TERMS_SHA256 = {
     "items": "cf99136dd204535afd81e0e7ec47580aebd0442b04c17eb435347d620f7934c6",
 }
 
+#: the same two digests over ``_pair_compile_corpus``, the compiles of the
+#: R-matrix checks.  Recorded before the compile path was rewritten to skip
+#: the spanning-tree enumeration of tree-shaped partitions and to build each
+#: theta argument in one pass, so the rewrite is pinned to the old terms.
+PAIR_COMPILED_TERMS_SHA256 = {
+    "repr": "703e33c3234a128805921385bbba40022f9b71bbd1537967861d321322424bb5",
+    "items": "7dfe1f3c59c045328d8bbb69eee9030dfba7db44b452921d386519e4f5f30a81",
+}
+
 
 def _compile_corpus():
     """Every fixed point of at most 4 boxes at w = (1,1,0) and (2,0,0), each
@@ -440,21 +449,47 @@ def _compile_corpus():
                         yield EnvelopeSpec(fp, variant, False)
 
 
-def test_compiled_terms_match_recorded_digest():
-    """The compile keeps every term's factors, their order and each factor's
-    exponent order."""
+def _pair_compile_corpus():
+    """Every basis element of the two chamber orders of framing groups
+    ``ua``/``ub`` of colors (0,0) and (0,1), 1 to 4 boxes, each variant,
+    both nomes."""
+    for colors in ((0, 0), (0, 1)):
+        g1, g2 = (FramingGroup(tuple(int(i == c) for i in range(N)), prefix)
+                  for c, prefix in zip(colors, ("ua", "ub")))
+        for total in range(1, 5):
+            for v in profiles(total, N):
+                for groups in ([g1, g2], [g2, g1]):
+                    for fp in basis_fixed_points(v, groups, N):
+                        for variant, star in itertools.product(
+                                ("plain", "hat", "tilde"), (False, True)):
+                            yield EnvelopeSpec(fp, variant, star)
+
+
+def compiled_terms_digests(specs) -> tuple[dict[str, str], int]:
+    """The ``repr`` and exponent-items sha256 digests of the compiled terms
+    of ``specs``, and how many specs there were."""
     by_repr, by_items = hashlib.sha256(), hashlib.sha256()
     count = 0
-    for spec in _compile_corpus():
+    for spec in specs:
         terms = Envelope(spec)._terms
         by_repr.update(repr(terms).encode())
         by_items.update(repr([([list(m._exps.items()) for m in t.num],
                                [list(m._exps.items()) for m in t.den], t.sign)
                               for t in terms]).encode())
         count += 1
-    assert count == 228
-    assert {"repr": by_repr.hexdigest(),
-            "items": by_items.hexdigest()} == COMPILED_TERMS_SHA256
+    return {"repr": by_repr.hexdigest(), "items": by_items.hexdigest()}, count
+
+
+def test_compiled_terms_match_recorded_digest():
+    """The compile keeps every term's factors, their order and each factor's
+    exponent order."""
+    assert compiled_terms_digests(_compile_corpus()) == (COMPILED_TERMS_SHA256, 228)
+
+
+def test_pair_compiled_terms_match_recorded_digest():
+    """The same on the compiles of the R-matrix checks, at both nomes."""
+    assert compiled_terms_digests(_pair_compile_corpus()) == \
+        (PAIR_COMPILED_TERMS_SHA256, 888)
 
 
 def test_compile_takes_the_geometry_once(monkeypatch):
@@ -475,3 +510,11 @@ def test_compile_takes_the_geometry_once(monkeypatch):
     Envelope(EnvelopeSpec(fp, "hat"))
     assert calls == dict.fromkeys(("boxes", "chern_slots", "box_slot_vars",
                                    "quiver_pairs", "index_degrees"), 1)
+
+
+if __name__ == "__main__":
+    # Re-derive the recorded digests: PYTHONPATH=src python tests/test_envelopes.py
+    for name, corpus in (("COMPILED_TERMS_SHA256", _compile_corpus),
+                         ("PAIR_COMPILED_TERMS_SHA256", _pair_compile_corpus)):
+        digests, count = compiled_terms_digests(corpus())
+        print(f"{name} ({count} compiles): {digests}")

@@ -1,13 +1,16 @@
 """Colored partitions, orders, fixed points, trees and index degrees."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ellstab import partitions
 from ellstab.core import BudgetError
 from ellstab.partitions import (Box, ColoredPartition, FixedPoint,
-                                FramingGroup, _enumerate_fixed_points,
+                                FramingGroup, _cell_edges,
+                                _enumerate_fixed_points,
                                 addable_removable, box_order_cmp, chern_slots,
                                 fixed_points, index_degrees, k_eigen_sum_ok,
                                 lambda_trees, make_fixed_point,
@@ -224,6 +227,37 @@ def test_trees_are_spanning_and_acyclic():
                 assert steps <= len(cells)
             seen.add(cell)
         assert len(seen) == len(cells) - 1
+
+
+def _tree_data(tree):
+    return (list(tree.parent.items()), tree.kappa, list(tree.subtree.items()),
+            tree.edges())
+
+
+def test_hook_trees_are_those_of_the_general_enumeration(monkeypatch):
+    """A hook's one tree, built without enumerating edge choices, has the
+    parent map, kappa, subtree lists and edges of the tree the general
+    enumeration finds, each in the same order; a partition with a 2 x 2
+    square is still enumerated."""
+    enumerated = Counter()
+    enumerate_trees = partitions._enumerate_spanning_trees
+
+    def counted(lam):
+        enumerated[lam.rows] += 1
+        return enumerate_trees(lam)
+
+    monkeypatch.setattr(partitions, "_enumerate_spanning_trees", counted)
+    for rows in partitions_upto(6):
+        if not rows:
+            continue
+        lam = ColoredPartition(rows, 0, 3)
+        square = len(rows) > 1 and rows[1] > 1
+        # a hook, and only a hook, has one adjacency fewer than cells
+        assert (len(_cell_edges(lam)) == lam.size - 1) == (not square), rows
+        got = spanning_trees(lam)
+        assert enumerated[rows] == (1 if square else 0), rows
+        want = enumerate_trees(lam)
+        assert [_tree_data(t) for t in got] == [_tree_data(t) for t in want], rows
 
 
 def test_tree_budget_guard():

@@ -12,7 +12,9 @@ from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
                                kahler_args, kahler_point, restriction_values,
                                s_factor_product, shifted_kahler, tree_weights)
 from ellstab.partitions import fixed_points, make_fixed_point
-from ellstab.rmatrix import (FramingGroup, _swap_permutation, bare_transition,
+from ellstab import rmatrix
+from ellstab.rmatrix import (ChamberMatrices, FramingGroup, _swap_permutation,
+                             bare_transition,
                              basis_fixed_points, composition_residual,
                              inverted_kahler,
                              leading_pair_factorization_residual, profiles,
@@ -543,6 +545,36 @@ def test_restriction_matrix_extends_the_point_once_per_restriction_point(monkeyp
     calls.clear()
     restriction_matrix(basis, pp, False, inverted_kahler(N))
     assert len(calls) == len(basis) + 1
+
+
+def test_chamber_matrices_take_each_restriction_point_once(monkeypatch):
+    """``ChamberMatrices.at`` reuses the restriction points of both bases:
+    one ``restriction_values`` call per point over the build and every nome
+    and Kahler argument, and each matrix bit for bit that of a fresh
+    ``restriction_matrix``."""
+    g1, g2 = _unit_pair((0, 1))
+    pp = sample_param_point(6, N, framing_counts={"ua": list(g1.w),
+                                                  "ub": list(g2.w)})
+    calls = Counter()
+    values = rmatrix.restriction_values
+
+    def counted(gamma, point, *args, **kwargs):
+        calls[gamma, point] += 1
+        return values(gamma, point, *args, **kwargs)
+
+    monkeypatch.setattr(rmatrix, "restriction_values", counted)
+    args = [(False, None), (False, shifted_kahler((1, 0, -1))), (True, None),
+            (True, inverted_kahler(N))]
+    chambers = ChamberMatrices.build((1, 1, 1), g1, g2, pp, N)
+    built = [chambers] + [chambers.at(star, kahler) for star, kahler in args[1:]]
+    bases = chambers.basis + chambers.basis_bar
+    assert len(chambers.basis) > 1
+    assert calls == Counter({(fp, pp): 1 for fp in bases})
+    monkeypatch.undo()
+    for got, (star, kahler) in zip(built, args):
+        for mat, basis in ((got.m_c, chambers.basis), (got.m_cbar, chambers.basis_bar)):
+            want = restriction_matrix(basis, pp, star, kahler)
+            assert mat.matrix.tobytes() == want.matrix.tobytes(), (star, kahler)
 
 
 def test_ybe_rejects_a_negative_box_count():

@@ -14,7 +14,8 @@ from ellstab.scalars import mu_vacuum_ope
 from ellstab.vertex import (BetheSolution, BetheSystem, _degree_vectors,
                             _factor_bases, bethe_residuals, bethe_solve,
                             jackson_term_ratio, jordan_bethe_residuals,
-                            normalization_factor, qpoch_mono, vertex_series)
+                            normalization_factor, vertex_series)
+from qseries_oracles import qpoch_mono
 
 N = 3
 W = (1, 0, 0)
