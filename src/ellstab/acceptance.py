@@ -21,7 +21,7 @@ from .envelopes import (Envelope, EnvelopeSpec, factorization_residual,
 from .fock import lowering_coefficient, raising_coefficient
 from .partitions import (ColoredPartition, box_slot_vars, fixed_points,
                          k_eigen_sum_ok, kahler_var, make_fixed_point,
-                         partitions_upto, weight_identity_ok)
+                         partitions_of, weight_identity_ok)
 from .rmatrix import (FramingGroup, bare_transition, composition_residual,
                       profiles, weight_block_residual, ybe_residual)
 from .sampling import random_assignment, sample_param_point
@@ -132,22 +132,22 @@ def criterion_shuffle(seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
     worst = 0.0
     checks = 0
-    for n in (3, 4):
-        for seed in (seed, seed + 1, seed + 2):
-            rng = np.random.default_rng(seed + 100 * n)
+    # N = 4 takes seeds seed + 2 to seed + 4, so the two seed ranges share
+    # seed + 2; the criterion's recorded residuals come from these seeds
+    for n, first in ((3, seed), (4, seed + 2)):
+        for run_seed in (first, first + 1, first + 2):
+            rng = np.random.default_rng(run_seed + 100 * n)
             for k2 in range(n):
                 wa = tuple(1 if i == 0 else 0 for i in range(n))
                 wb = tuple(1 if i == k2 else 0 for i in range(n))
-                pp = sample_param_point(seed + 7 * k2 + 1000 * n, n,
+                pp = sample_param_point(run_seed + 7 * k2 + 1000 * n, n,
                                         framing_counts={"ua": list(wa),
                                                         "ub": list(wb)})
                 for s1 in range(max_total + 1):
-                    for rows1 in partitions_upto(s1):
-                        if sum(rows1) != s1:
-                            continue
+                    for rows1 in partitions_of(s1):
                         for s2 in range(max_total - s1 + 1):
-                            for rows2 in partitions_upto(s2):
-                                if sum(rows2) != s2 or (s1 == 0 and s2 == 0):
+                            for rows2 in partitions_of(s2):
+                                if s1 == 0 and s2 == 0:
                                     continue
                                 fpa = make_fixed_point([rows1], wa, n, "ua")
                                 fpb = make_fixed_point([rows2], wb, n, "ub")

@@ -28,7 +28,7 @@ from .core import BudgetError, Monomial, SingularityError
 from .envelopes import Envelope, EnvelopeSpec, restrict, shuffle_residual
 from .fock import (lowering_coefficient, phi_eigenvalue, raising_coefficient)
 from .partitions import (ColoredPartition, addable_removable, fixed_points,
-                         make_fixed_point, partitions_upto)
+                         make_fixed_point, partitions_of)
 from .rmatrix import (ChamberMatrices, FramingGroup, inverted_kahler,
                       transition_r, transition_r_star,
                       transpose_relation_residual, weight_block_residual,
@@ -179,13 +179,9 @@ def cmd_shuffle_check(args):
     pp = sample_param_point(args.seed, n, framing_counts={"ua": list(wa),
                                                           "ub": list(wb)})
     checks = []
-    for rows1 in partitions_upto(sizes[0]):
-        if sum(rows1) != sizes[0]:
-            continue
+    for rows1 in partitions_of(sizes[0]):
         fpa = make_fixed_point([rows1], wa, n, "ua")
-        for rows2 in partitions_upto(sizes[1]):
-            if sum(rows2) != sizes[1]:
-                continue
+        for rows2 in partitions_of(sizes[1]):
             fpb = make_fixed_point([rows2], wb, n, "ub")
             for variant in ("plain", "hat", "tilde"):
                 rng = np.random.default_rng(args.seed + 13 * len(rows1)

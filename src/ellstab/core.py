@@ -444,16 +444,13 @@ class ParamPoint:
         return pp
 
     def materialize(self, mono: Monomial) -> complex:
-        """The value of a monomial through the fixed logs of the point: its
-        exponents, the float pairs ``Monomial.float_items`` where the
-        monomial keeps them, times the logs."""
-        s = 0.0 + 0.0j
-        logs = self.logs
-        for name, e in mono._floats or mono._exps.items():
-            s += float(e) * logs[name]
-        return cmath.exp(s)
+        """The value of a monomial through the fixed logs of the point."""
+        return cmath.exp(self.log_of(mono))
 
     def log_of(self, mono: Monomial) -> complex:
+        """The log of a monomial's value at the point: its exponents, the
+        float pairs ``Monomial.float_items`` where the monomial keeps them,
+        times the fixed logs."""
         s = 0.0 + 0.0j
         logs = self.logs
         for name, e in mono._floats or mono._exps.items():

@@ -438,8 +438,9 @@ def _tally(args: Iterable[Monomial], into: tuple[dict, dict] | None = None
     return first, count
 
 
-def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct:
-    """Cancel matching theta arguments between numerator and denominator.
+def _cancel(tn: tuple[dict, dict], td: tuple[dict, dict], sign: int) -> ThetaProduct:
+    """Cancel matching theta arguments between the numerator and
+    denominator tallies ``tn`` and ``td`` (see ``_tally``).
 
     Identical factors cancel exactly (theta(m)/theta(m) = 1), which makes the
     removable zero-over-zero combinations at restriction points evaluable.
@@ -447,7 +448,6 @@ def _cancel(num: list[Monomial], den: list[Monomial], sign: int) -> ThetaProduct
     Equal arguments are counted together and kept as their first occurrence;
     the factors left are sorted by ``repr``.
     """
-    tn, td = _tally(num), _tally(den)
     return ThetaProduct(_left_sorted(tn, td[1]), _left_sorted(td, tn[1]), sign)
 
 
@@ -492,10 +492,8 @@ class Envelope:
             for xm, ym in tw.phi_args:
                 phi_num += (xm * ym, HBAR)
                 phi_den += (xm, ym)
-            tn, td = _tally(phi_num, s_num), _tally(phi_den, s_den)
-            self._terms.append(ThetaProduct(_left_sorted(tn, td[1]),
-                                            _left_sorted(td, tn[1]),
-                                            sprod.sign + tw.kappa))
+            self._terms.append(_cancel(_tally(phi_num, s_num), _tally(phi_den, s_den),
+                                       sprod.sign + tw.kappa))
         self._lowered: LoweredSum | None = None
         self._perms: list[list[tuple[int, ...]]] | None = None
 

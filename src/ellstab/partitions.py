@@ -11,6 +11,7 @@ epsilon times hook" ordering without any floating epsilon.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -265,7 +266,7 @@ def make_fixed_point(partition_rows, w: tuple[int, ...], n_colors: int,
 
 
 @lru_cache(maxsize=None)
-def _partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
+def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n, lexicographically decreasing."""
     if n == 0:
         return ((),)
@@ -284,7 +285,7 @@ def _partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
 
 def partitions_upto(nmax: int):
     for n in range(nmax + 1):
-        yield from _partitions_of(n)
+        yield from partitions_of(n)
 
 
 def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
@@ -525,9 +526,11 @@ class LambdaTree:
 
 
 def _rooted_tree(cells: list[tuple[int, int]],
-                 edges: list[tuple[tuple[int, int], tuple[int, int]]]) -> LambdaTree:
+                 edges: Iterable[tuple[tuple[int, int], tuple[int, int]]]
+                 ) -> LambdaTree | None:
     """The spanning tree of ``cells`` with the given edges, oriented away
-    from the root (1, 1) by a breadth-first search over the edges in order."""
+    from the root (1, 1) by a breadth-first search over the edges in order;
+    None when the edges do not reach every cell."""
     adj: dict[tuple[int, int], list[tuple[int, int]]] = {c: [] for c in cells}
     for a, b in edges:
         adj[a].append(b)
@@ -543,6 +546,8 @@ def _rooted_tree(cells: list[tuple[int, int]],
                     parent[nb] = c
                     nxt.append(nb)
         frontier = nxt
+    if len(parent) < len(cells):
+        return None
     del parent[1, 1]
     return LambdaTree(parent)
 
@@ -550,47 +555,21 @@ def _rooted_tree(cells: list[tuple[int, int]],
 def spanning_trees(lam: ColoredPartition) -> list[LambdaTree]:
     """All spanning trees of the box-adjacency graph, rooted at (1, 1).
 
-    The graph of a partition without a 2 x 2 square (a hook) has one edge
-    fewer than cells, so it is its own only spanning tree; any other goes
-    through ``_enumerate_spanning_trees``."""
-    rows = lam.rows
-    if not rows:
+    Every choice of cells - 1 edges, in ``itertools.combinations`` order,
+    is rooted by ``_rooted_tree``, which keeps it when it reaches every
+    cell: cells - 1 edges that connect the cells form a tree.  A hook (no
+    2 x 2 square) has cells - 1 edges, so its one choice is its one tree."""
+    if not lam.rows:
         return []
     if lam.size > 14:
         raise BudgetError(f"tree enumeration limited to 14 boxes, got {lam.size}")
-    if len(rows) < 2 or rows[1] < 2:
-        return [_rooted_tree(lam.cells(), _cell_edges(lam))]
-    return _enumerate_spanning_trees(lam)
-
-
-def _enumerate_spanning_trees(lam: ColoredPartition) -> list[LambdaTree]:
-    """The spanning trees of a nonempty partition's graph, searched over
-    every choice of cells - 1 of its edges in ``itertools.combinations``
-    order, each rooted by ``_rooted_tree``."""
     cells = lam.cells()
     edges = _cell_edges(lam)
-    need = len(cells) - 1
     trees = []
-    parent_of: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(c):
-        while parent_of[c] != c:
-            parent_of[c] = parent_of[parent_of[c]]
-            c = parent_of[c]
-        return c
-
-    for combo in itertools.combinations(range(len(edges)), need):
-        parent_of = {c: c for c in cells}
-        ok = True
-        for ei in combo:
-            a, b = edges[ei]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent_of[ra] = rb
-        if ok:
-            trees.append(_rooted_tree(cells, [edges[ei] for ei in combo]))
+    for combo in itertools.combinations(edges, len(cells) - 1):
+        tree = _rooted_tree(cells, combo)
+        if tree is not None:
+            trees.append(tree)
     return trees
 
 

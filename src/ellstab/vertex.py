@@ -16,7 +16,10 @@ exponent when it is a pure power of p (``LoweredBase``), and the zero
 bookkeeping of ``qpoch_low`` needs nothing else.  Its values come from
 ``core.qpoch_fin`` and the point's memoised ``ParamPoint.qpoch_inf``, so the
 infinite products that recur across the degree vectors of one pair and
-across the pairs at one point are computed once per point.
+across the pairs at one point are computed once per point.  The oracle takes
+each factor's ratio of four infinite products through one step
+(``_ratio_step``), and the series and the oracle turn a net zero count into
+a zero, the value or a structural pole in one place (``_net``).
 
 The factor bases of a fixed point, lowered, form its ``VertexTable``.  A
 parameter point builds the table of a fixed point once, at the first series,
@@ -95,33 +98,26 @@ def qpoch_fin_mono(base: LoweredBase, s: int, pp: ParamPoint) -> tuple[complex, 
     return qpoch_low(base, s, pp)
 
 
-class _RatioAccumulator:
-    """Product of infinite-Pochhammer pieces with exact zero bookkeeping."""
+def _ratio_step(value: complex, a: LoweredBase, b: LoweredBase, s: int,
+                pp: ParamPoint) -> tuple[complex, int]:
+    """``value`` times the infinite-product ratio of one integrand factor
+    shifted by s, (a p^s; p)_inf / (a; p)_inf / (b p^s; p)_inf * (b; p)_inf,
+    with its net zero count (see ``qpoch_low``)."""
+    v1, z1 = qpoch_low(a, None, pp, s)
+    v2, z2 = qpoch_low(a, None, pp, 0)
+    v3, z3 = qpoch_low(b, None, pp, s)
+    v4, z4 = qpoch_low(b, None, pp, 0)
+    return value * v1 / v2 / v3 * v4, z1 - z2 - z3 + z4
 
-    def __init__(self, pp: ParamPoint):
-        self.pp = pp
-        self.value = 1.0 + 0.0j
-        self.zeros = 0
 
-    def times(self, base: LoweredBase, offset: int = 0):
-        v, z = qpoch_low(base, None, self.pp, offset)
-        self.value *= v
-        self.zeros += z
-
-    def divide(self, base: LoweredBase, offset: int = 0):
-        v, z = qpoch_low(base, None, self.pp, offset)
-        self.value /= v
-        self.zeros -= z
-
-    def times_scalar(self, c: complex):
-        self.value *= c
-
-    def result(self) -> complex:
-        if self.zeros > 0:
-            return 0.0 + 0.0j
-        if self.zeros < 0:
-            raise SingularityError("net structural pole in a Pochhammer ratio")
-        return self.value
+def _net(value: complex, zeros: int, pole: str) -> complex:
+    """A product with its net zero count: 0 for a net zero, the value for
+    none, and a ``SingularityError`` saying ``pole`` for a net pole."""
+    if zeros > 0:
+        return 0.0 + 0.0j
+    if zeros < 0:
+        raise SingularityError(pole)
+    return value
 
 
 def _factor_bases(mu: FixedPoint):
@@ -189,9 +185,10 @@ def normalization_factor(mu: FixedPoint, pp: ParamPoint) -> complex:
     """Restriction of the cycle integrand without the envelope factor.
 
     The vacuum OPE scalar times the framing, arrow and gauge infinite-product
-    factors at the canonical weights; identically vanishing arrow factors in
-    numerator and denominator positions are dropped pairwise (they cancel in
-    every ratio this normalization enters).
+    factors at the canonical weights.  Every structurally vanishing factor
+    is dropped, in a numerator or a denominator, without balancing the two
+    sides: at w=(1,0,0) the fixed points (1,1) and (2,1) each drop one arrow
+    denominator and no numerator.
     """
     prefixes = {slot.prefix for slot, _ in mu.slots}
     if len(prefixes) > 1:
@@ -278,12 +275,8 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
             vd, zd = qpoch_fin_mono(den, s, pp)
             term *= vn / vd
             zeros += zn - zd
-        if zeros > 0:
-            coeffs[d] = 0.0 + 0.0j
-        elif zeros < 0:
-            raise SingularityError("vertex coefficient has a structural pole")
-        else:
-            coeffs[d] = term * stab0
+        coeffs[d] = _net(term * stab0, zeros,
+                         "vertex coefficient has a structural pole")
     return VertexSeries(lam, mu, degree_cap, stab0, coeffs)
 
 
@@ -299,31 +292,23 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     table = vertex_table(mu, pp)
     p = pp.p
 
-    acc = _RatioAccumulator(pp)
+    value, zeros = 1.0 + 0.0j, 0
     for (box, _, name), da in zip(table.boxes, degrees):
-        acc.times_scalar(pp.materialize(qp_factors[name]) ** da)
+        value *= pp.materialize(qp_factors[name]) ** da
     for ia, a, b in table.framing:
         da = degrees[ia]
-        acc.times_scalar(p ** da)  # the x_a prefactor of the framing factor
-        acc.times(a, -da)
-        acc.divide(a, 0)
-        acc.divide(b, -da)
-        acc.times(b, 0)
+        value *= p ** da  # the x_a prefactor of the framing factor
+        value, z = _ratio_step(value, a, b, -da, pp)
+        zeros += z
     for ia, ib, a, b in table.arrow:
-        s = degrees[ib] - degrees[ia]
-        acc.times_scalar(p ** (-degrees[ia]))  # the x_a^{-1} prefactor
-        acc.times(a, s)
-        acc.divide(a, 0)
-        acc.divide(b, s)
-        acc.times(b, 0)
+        value *= p ** (-degrees[ia])  # the x_a^{-1} prefactor
+        value, z = _ratio_step(value, a, b, degrees[ib] - degrees[ia], pp)
+        zeros += z
     for ia, ib, a, b in table.gauge:
-        s = degrees[ia] - degrees[ib]
-        acc.times_scalar(p ** (degrees[ia] + degrees[ib]))  # the x_a x_b prefactor
-        acc.times(a, s)
-        acc.divide(a, 0)
-        acc.divide(b, s)
-        acc.times(b, 0)
-    return acc.result()
+        value *= p ** (degrees[ia] + degrees[ib])  # the x_a x_b prefactor
+        value, z = _ratio_step(value, a, b, degrees[ia] - degrees[ib], pp)
+        zeros += z
+    return _net(value, zeros, "net structural pole in a Pochhammer ratio")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import ellstab
@@ -39,6 +40,39 @@ def test_no_unused_module_level_imports():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+def unread_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Private module-level functions and classes that no module reads,
+    by name or as an attribute, outside their own definition."""
+    def reads(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute))
+                       and isinstance(n.ctx, ast.Load))
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    return [f"{module}:{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and everywhere[node.name] == reads(node)[node.name]]
+
+
+def test_unread_private_definitions_detected():
+    trees = {"a.py": ast.parse("def _used(): pass\ndef _only_self(n):\n"
+                               "    return _only_self(n - 1)\n"
+                               "class _Unread: pass\ndef __dunder__(): pass\n"
+                               "def public(): pass\n"),
+             "b.py": ast.parse("import a\nx = a._used\n_unbound = 1\n")}
+    assert unread_private_definitions(trees) == ["a.py:_only_self", "a.py:_Unread"]
+
+
+def test_private_definitions_are_read_in_the_package():
+    """A private helper that only tests read is a second implementation
+    kept alive for them: every private module-level function and class is
+    read somewhere in the package."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_definitions(trees) == []
 
 
 def function_imports(tree: ast.Module) -> list[str]:
@@ -92,7 +126,7 @@ def test_each_constant_defined_once():
 
 #: the one memo allowed to live as long as the process: partitions of n are
 #: pure combinatorics, the same for every parameter point and caller
-PROCESS_MEMOS_ALLOWED = {"partitions.py:_partitions_of"}
+PROCESS_MEMOS_ALLOWED = {"partitions.py:partitions_of"}
 
 _MEMO_NAMES = {"cache", "lru_cache"}
 

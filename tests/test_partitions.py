@@ -1,7 +1,6 @@
 """Colored partitions, orders, fixed points, trees and index degrees."""
 
 import itertools
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -234,30 +233,56 @@ def _tree_data(tree):
             tree.edges())
 
 
-def test_hook_trees_are_those_of_the_general_enumeration(monkeypatch):
-    """A hook's one tree, built without enumerating edge choices, has the
-    parent map, kappa, subtree lists and edges of the tree the general
-    enumeration finds, each in the same order; a partition with a 2 x 2
-    square is still enumerated."""
-    enumerated = Counter()
-    enumerate_trees = partitions._enumerate_spanning_trees
+def _union_find_spanning_trees(lam):
+    """The enumeration as it was before one search both rooted a choice of
+    edges and decided whether it spans: a union-find rejects every choice
+    of cells - 1 edges, in ``itertools.combinations`` order, that closes a
+    cycle, and each choice left is rooted by ``_rooted_tree``."""
+    cells = lam.cells()
+    edges = _cell_edges(lam)
+    trees = []
+    parent_of = {}
 
-    def counted(lam):
-        enumerated[lam.rows] += 1
-        return enumerate_trees(lam)
+    def find(c):
+        while parent_of[c] != c:
+            parent_of[c] = parent_of[parent_of[c]]
+            c = parent_of[c]
+        return c
 
-    monkeypatch.setattr(partitions, "_enumerate_spanning_trees", counted)
-    for rows in partitions_upto(6):
-        if not rows:
-            continue
-        lam = ColoredPartition(rows, 0, 3)
-        square = len(rows) > 1 and rows[1] > 1
-        # a hook, and only a hook, has one adjacency fewer than cells
-        assert (len(_cell_edges(lam)) == lam.size - 1) == (not square), rows
-        got = spanning_trees(lam)
-        assert enumerated[rows] == (1 if square else 0), rows
-        want = enumerate_trees(lam)
-        assert [_tree_data(t) for t in got] == [_tree_data(t) for t in want], rows
+    for combo in itertools.combinations(range(len(edges)), len(cells) - 1):
+        parent_of = {c: c for c in cells}
+        ok = True
+        for ei in combo:
+            a, b = edges[ei]
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                ok = False
+                break
+            parent_of[ra] = rb
+        if ok:
+            trees.append(partitions._rooted_tree(cells, [edges[ei] for ei in combo]))
+    return trees
+
+
+def test_trees_are_those_of_the_union_find_enumeration():
+    """Every partition of 1-8 boxes: ``spanning_trees`` and ``lambda_trees``
+    give the parent maps, kappas, subtree lists and edges of the union-find
+    enumeration, each in the same order."""
+    compared = 0
+    for size in range(1, 9):
+        for rows in partitions.partitions_of(size):
+            lam = ColoredPartition(rows, 0, 3)
+            square = len(rows) > 1 and rows[1] > 1
+            # a hook, and only a hook, has one adjacency fewer than cells
+            assert (len(_cell_edges(lam)) == lam.size - 1) == (not square), rows
+            want = _union_find_spanning_trees(lam)
+            got = spanning_trees(lam)
+            assert [_tree_data(t) for t in got] == [_tree_data(t) for t in want], rows
+            admissible = [t for t in want if partitions.no_lshape_filter(t, lam)]
+            assert ([_tree_data(t) for t in lambda_trees(lam)]
+                    == [_tree_data(t) for t in admissible]), rows
+            compared += 1
+    assert compared == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22
 
 
 def test_tree_budget_guard():

@@ -8,7 +8,7 @@ import pytest
 
 from ellstab.core import HBAR, Monomial, ParamPoint, SingularityError
 from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
-                               ThetaTable, _cancel, default_kahler,
+                               ThetaTable, _cancel, _tally, default_kahler,
                                kahler_args, kahler_point, restriction_values,
                                s_factor_product, shifted_kahler, tree_weights)
 from ellstab.partitions import fixed_points, make_fixed_point
@@ -399,7 +399,7 @@ def _compile_time_kahler(fp, star, kahler):
         for xm, ym in tw.phi_args:
             num += [xm * ym, HBAR]
             den += [xm, ym]
-        terms.append(_cancel(num, den, sprod.sign + tw.kappa))
+        terms.append(_cancel(_tally(num), _tally(den), sprod.sign + tw.kappa))
     env._terms = terms
     return env
 

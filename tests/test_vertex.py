@@ -160,6 +160,26 @@ def test_normalization_depends_only_on_cycle():
     assert v1 == v2
 
 
+def test_normalization_drops_vanishing_factors_without_balancing():
+    """At w=(1,0,0), seed 1, the fixed points (1,1) and (2,1) each have one
+    structurally vanishing arrow denominator and no vanishing numerator:
+    ``normalization_factor`` drops it alone, with nothing on the other
+    side to pair it with."""
+    pp = sample_param_point(1, N, framing_counts={"u": list(W)})
+    for rows in ((1, 1), (2, 1)):
+        mu = make_fixed_point([rows], W, N)
+        table = vertex.vertex_table(mu, pp)
+        # (numerator, denominator) zero counts of each factor kind
+        dropped = {kind: tuple(sum(vertex.qpoch_low(row[side], None, pp)[1]
+                                   for row in getattr(table, kind))
+                               for side in (-2, -1))
+                   for kind in ("framing", "arrow", "gauge")}
+        assert dropped == {"framing": (0, 0), "arrow": (0, 1),
+                           "gauge": (0, 0)}, rows
+        value = normalization_factor(mu, pp)
+        assert value != 0 and np.isfinite(value), rows
+
+
 def test_degree_zero_law_and_oracle():
     for total in (1, 2, 3):
         for v in profiles(total, N):
