@@ -30,9 +30,7 @@ from .fock import (lowering_coefficient, phi_eigenvalue, raising_coefficient)
 from .partitions import (ColoredPartition, addable_removable, fixed_points,
                          make_fixed_point, partitions_of)
 from .rmatrix import (ChamberMatrices, FramingGroup, inverted_kahler,
-                      transition_r, transition_r_star,
-                      transpose_relation_residual, weight_block_residual,
-                      ybe_residual)
+                      weight_block_residual, ybe_residual)
 from .sampling import random_assignment, sample_param_point
 from .scalars import (chi_exchange, mu_exchange, mu_star_exchange, rho_plus,
                       rll_scalar_residual)
@@ -209,13 +207,11 @@ def cmd_rmatrix(args):
     if not ch.basis:
         raise ValueError(f"--v {args.v} has 0 fixed points at --w1 {args.w1} "
                          f"--w2 {args.w2}")
-    res = (transition_r_star if args.star else transition_r)(
-        v, g1, g2, pp, n, include_scalar=not args.bare, chambers=ch)
+    res = ch.transition(include_scalar=not args.bare)
     residuals = {"composition": ch.composition(),
                  "weight_blocks": weight_block_residual(res.basis, res.bare)}
     if args.star:
-        residuals["transpose_relation"] = transpose_relation_residual(
-            v, g1, g2, pp, n, inverted=ch)
+        residuals["transpose_relation"] = ch.transpose_relation()
     results = {
         "basis": [b.label() for b in res.basis],
         "weights": [list(wt) for wt in res.weights],

@@ -344,10 +344,10 @@ def vartheta1(v: complex, tau: complex, nmax: int = 30) -> complex:
 class ParamPoint:
     """Fixed generic complex values plus fixed logarithms for base variables.
 
-    Required variables are ``p``, ``t1``, ``t2``; the sign variable ``sgn`` is
-    inserted automatically.  Further variables (framing weights, Kahler
-    parameters, Chern roots) are added as needed, either at construction or
-    through :meth:`extended`.
+    Required variables are ``p``, ``t1``, ``t2`` (a point without one raises
+    ``ValueError``); the sign variable ``sgn`` is inserted automatically.
+    Further variables (framing weights, Kahler parameters, Chern roots) are
+    added as needed, either at construction or through :meth:`extended`.
 
     A point keeps two memos.  Infinite q-Pochhammer values
     (:meth:`qpoch_inf`) live in one table shared between a point and its
@@ -378,17 +378,14 @@ class ParamPoint:
         self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
         self._vertex_tables: dict = {}
-        if "p" in self.values and abs(self.values["p"]) >= 1:
-            raise ValueError("|p| must be < 1")
-        self._set_nomes()
-        if self._nomes is not None and abs(self.pstar) >= 1:
-            raise ValueError("|p/(t1 t2)| must be < 1 for the shifted nome")
-
-    def _set_nomes(self):
-        """Keep (p, p*) of the current values, for ``nome``."""
         v = self.values
-        self._nomes = ((v["p"], v["p"] / (v["t1"] * v["t2"]))
-                       if all(k in v for k in ("p", "t1", "t2")) else None)
+        if not {"p", "t1", "t2"} <= v.keys():
+            raise ValueError(f"a parameter point needs p, t1 and t2, got {sorted(v)}")
+        if abs(v["p"]) >= 1:
+            raise ValueError("|p| must be < 1")
+        self._nomes = (v["p"], v["p"] / (v["t1"] * v["t2"]))
+        if abs(self._nomes[1]) >= 1:
+            raise ValueError("|p/(t1 t2)| must be < 1 for the shifted nome")
 
     # -- derived parameters -------------------------------------------------
 
@@ -431,16 +428,8 @@ class ParamPoint:
         for name, v in values.items():
             if logs is None or name not in logs:
                 lgs[name] = cmath.log(v)
-        pp = ParamPoint.__new__(ParamPoint)
-        pp.n_colors = self.n_colors
-        pp.tol = self.tol
-        pp.min_terms = self.min_terms
-        pp.seed = self.seed
-        pp.values = {k: complex(v) for k, v in vals.items()}
-        pp.logs = {k: complex(v) for k, v in lgs.items()}
+        pp = ParamPoint(self.n_colors, vals, lgs, self.tol, self.min_terms, self.seed)
         pp._qpoch_memo = self._qpoch_memo
-        pp._vertex_tables = {}
-        pp._set_nomes()
         return pp
 
     def materialize(self, mono: Monomial) -> complex:

@@ -20,8 +20,8 @@ no half power is formed) and combines the terms by index in floating point;
 exact monomial arithmetic stays at compile time.  The envelopes of one basis
 restricted to one point share a ``ThetaTable``: a theta argument that
 several columns of a restriction matrix carry is taken once per permutation,
-and once per matrix if it has no Chern root, and the first column's extended
-point serves the others.
+and once per matrix if it has none of the Chern roots its lowered sum is made
+with, and the first column's extended point serves the others.
 
 A Kahler argument is a point value, not part of what is compiled.  Every
 envelope is compiled with the plain Kahler variables z_i; the argument
@@ -106,7 +106,7 @@ class ThetaProduct:
 
     def eval(self, pp: ParamPoint, star: bool) -> complex:
         """The value at a point: the one-term case of ``LoweredSum.eval``."""
-        return LoweredSum([self]).eval(pp, star)
+        return LoweredSum([self], ()).eval(pp, star)
 
     def mono_total(self) -> Monomial:
         """The exact prefactor: prod num^(-1/2) den^(1/2).
@@ -129,10 +129,15 @@ class LoweredSum:
     and multiplies each term out in its own factor order, so the value is bit
     for bit that of multiplying graded values factor by factor, with no exact
     monomial arithmetic at evaluation time.  Every argument and prefactor
-    keeps its float exponents (``Monomial.float_items``).
+    keeps its float exponents (``Monomial.float_items``).  ``chern_roots``
+    are the Chern roots the products are in (``Envelope.x_names``; none for
+    a product evaluated alone).  At its first evaluation with a table the sum
+    keys each argument once: its ``ThetaTable`` key (the ordered exponent
+    items) and whether it is free of the roots, and so shared through the
+    table's ``free`` dict.
     """
 
-    def __init__(self, products: list[ThetaProduct]):
+    def __init__(self, products: list[ThetaProduct], chern_roots: Iterable[str]):
         index: dict[Monomial, int] = {}
         self.terms = [((-1.0) ** (prod.sign % 2),
                        [index.setdefault(m, len(index)) for m in prod.num],
@@ -142,18 +147,8 @@ class LoweredSum:
         self.args = list(index)
         for m in self.args + [pref for *_, pref in self.terms]:
             m.float_items()
-        self._keyed: tuple[frozenset, list] | None = None
-
-    def _table_keys(self, chern_roots: frozenset) -> list[tuple[Monomial, tuple, bool]]:
-        """Per argument: the argument, its ``ThetaTable`` key (the ordered
-        exponent items) and whether it is free of ``chern_roots``.  Built at
-        the first evaluation with a table, and again for a table of another
-        root set."""
-        if self._keyed is None or self._keyed[0] != chern_roots:
-            self._keyed = chern_roots, [(m, tuple(m._exps.items()),
-                                         chern_roots.isdisjoint(m._exps))
-                                        for m in self.args]
-        return self._keyed[1]
+        self._roots = frozenset(chern_roots)
+        self._keys: list[tuple[Monomial, tuple, bool]] | None = None
 
     def eval(self, pp: ParamPoint, star: bool, thetas: ThetaTable | None = None,
              perm: int = 0) -> complex:
@@ -166,8 +161,11 @@ class LoweredSum:
             th = [theta(m, star).coeff for m in self.args]
         else:
             free, bound = thetas.perm(perm)
+            if self._keys is None:
+                self._keys = [(m, tuple(m._exps.items()), self._roots.isdisjoint(m._exps))
+                              for m in self.args]
             th = []
-            for m, key, is_free in self._table_keys(thetas.chern_roots):
+            for m, key, is_free in self._keys:
                 known = free if is_free else bound
                 c = known.get(key)
                 if c is None:
@@ -203,14 +201,13 @@ class ThetaTable:
     order, so every value is bit for bit that of evaluating the envelope
     alone.  A table lives as long as the matrix it serves.
 
-    ``chern_roots`` names the Chern roots the point assigns; an argument
-    free of them is shared through ``free``.  ``point`` is the extended
-    parameter point of the assignment, made by the first ``Envelope.eval``
-    with the table and reused by the others.
+    Each ``LoweredSum`` tells its Chern-root-free arguments from the others
+    by the roots of its envelope.  ``point`` is the extended parameter point
+    of the assignment, made by the first ``Envelope.eval`` with the table
+    and reused by the others.
     """
 
-    def __init__(self, chern_roots: Iterable[str], free: dict | None = None):
-        self.chern_roots = frozenset(chern_roots)
+    def __init__(self, free: dict | None = None):
         self.free: dict[tuple, complex] = {} if free is None else free
         self._bound: list[dict[tuple, complex]] = []
         self.point: ParamPoint | None = None
@@ -543,7 +540,7 @@ class Envelope:
         ``thetas`` and ``perm`` are passed on to ``LoweredSum.eval``.
         """
         if self._lowered is None:
-            self._lowered = LoweredSum(self._terms)
+            self._lowered = LoweredSum(self._terms, self.x_names())
         return self._lowered.eval(pp, self.spec.star, thetas, perm)
 
     def eval(self, pp: ParamPoint, values: dict[str, complex],
@@ -695,7 +692,7 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
     env_a = Envelope(EnvelopeSpec(fpa, variant, star))
     env_b = Envelope(EnvelopeSpec(fpb, variant, star))
     pp_a, pp_b = kahler_point(pp, za), kahler_point(pp, zb)
-    pref = LoweredSum([_cross_prefactor(fpa, fpb, variant)])
+    pref = LoweredSum([_cross_prefactor(fpa, fpb, variant)], ())
 
     slots_big, slots_a = chern_slots(big), chern_slots(fpa)
     picks_per_color = [list(itertools.combinations(range(len(slots_big[i])),

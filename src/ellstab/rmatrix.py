@@ -12,7 +12,9 @@ Yang-Baxter check, or the inverted z_i -> 1/z_i of R*) is a point value
 (``envelopes.kahler_point``), so the envelopes of a basis are compiled once
 per call, whatever arguments the call takes them at: a caller hands one dict
 of compiled envelopes, keyed by (fixed point, star), to all its restriction
-matrices.
+matrices.  One ``ChamberMatrices`` answers every R-matrix question of a call:
+the transition (R, or R* with its transposed bare part and mu*), the
+composition and the transpose relation.
 """
 
 from __future__ import annotations
@@ -89,10 +91,8 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     ppk = kahler_point(pp, kahler)
     if points is None:
         points = [restriction_values(gamma, pp) for gamma in basis]
-    # every point assigns the same Chern roots, those of the (v, w) class
-    roots = frozenset(points[0][0])
     free: dict = {}
-    tables = [ThetaTable(roots, free) for _ in basis]
+    tables = [ThetaTable(free) for _ in basis]
     for b, beta in enumerate(basis):
         env = compiled.get((beta, star))
         if env is None:
@@ -135,13 +135,16 @@ class ChamberMatrices:
     swap from Cbar back to C is P.T).  Every transition, composition and
     transpose check of one profile, nome and Kahler argument is solved from
     one of these, so a caller that needs several builds the matrices once;
-    ``at`` rebuilds the matrices on the same bases.  ``envelopes`` holds the
-    compiled envelopes of both bases (``restriction_matrix``), which ``at``
-    shares: each is compiled once, at any nome or Kahler argument.
+    ``at`` rebuilds the matrices on the same bases.  ``groups`` are
+    (g1, g2) and ``star`` the nome the matrices are at.  ``envelopes`` holds
+    the compiled envelopes of both bases (``restriction_matrix``), which
+    ``at`` shares: each is compiled once, at any nome or Kahler argument.
     ``pp`` is the parameter point the matrices were built at and ``points``
     the ``restriction_values`` of both bases there, which ``at`` reuses:
     they depend on t1, t2 and the framing weights."""
 
+    groups: tuple[FramingGroup, FramingGroup]
+    star: bool
     basis: list[FixedPoint]
     basis_bar: list[FixedPoint]
     p: np.ndarray
@@ -158,7 +161,8 @@ class ChamberMatrices:
         basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
         points = tuple([restriction_values(gamma, pp) for gamma in b]
                        for b in (basis, basis_bar))
-        return cls(basis, basis_bar, _swap_permutation(basis, basis_bar, sum(g1.w)),
+        return cls((g1, g2), star, basis, basis_bar,
+                   _swap_permutation(basis, basis_bar, sum(g1.w)),
                    None, None, pp, points).at(star, kahler)
 
     def at(self, star: bool = False, kahler=None) -> "ChamberMatrices":
@@ -166,8 +170,8 @@ class ChamberMatrices:
         m_c, m_cbar = (restriction_matrix(basis, self.pp, star, kahler,
                                           envelopes=self.envelopes, points=points)
                        for basis, points in zip((self.basis, self.basis_bar), self.points))
-        return ChamberMatrices(self.basis, self.basis_bar, self.p, m_c, m_cbar,
-                               self.pp, self.points, self.envelopes)
+        return ChamberMatrices(self.groups, star, self.basis, self.basis_bar, self.p,
+                               m_c, m_cbar, self.pp, self.points, self.envelopes)
 
     @property
     def conds(self) -> tuple[float, float]:
@@ -187,12 +191,26 @@ class ChamberMatrices:
         prod = (self.p.T @ b21 @ self.p) @ self.bare()
         return float(np.max(np.abs(prod - np.eye(len(self.basis))), initial=0.0))
 
-    def transition(self, scalar: complex, transpose: bool = False) -> TransitionResult:
-        """The transition block with its exchange scalar; ``transpose`` takes
-        the transpose of the bare part (the R* convention)."""
+    def transpose_relation(self) -> float:
+        """|| transpose of bR*(z^-1) - bR*(z) ||, for starred matrices at
+        ``inverted_kahler``: the bare transition of these against that of
+        the starred matrices at the straight Kahler arguments."""
+        bare_straight = self.at(star=True).bare()
+        scale = max(float(np.max(np.abs(bare_straight), initial=0.0)), 1.0)
+        return float(np.max(np.abs(self.bare().T - bare_straight), initial=0.0) / scale)
+
+    def transition(self, include_scalar: bool = True) -> TransitionResult:
+        """The transition block with its exchange scalar: mu, mu* for
+        starred matrices, or 1 without ``include_scalar``.  Starred matrices
+        are those at ``inverted_kahler`` and their bare part is transposed
+        (the R* convention): the transpose relation turns the shifted-nome
+        transition at inverted Kahler arguments into the matrix at the
+        straight ones."""
+        mu = mu_star_exchange_scalar if self.star else mu_exchange_scalar
+        scalar = mu(*self.groups, self.pp) if include_scalar else 1.0 + 0.0j
         bare = self.bare()
         weights = [fp.weight() for fp in self.basis]
-        return TransitionResult(self.basis, bare.T.copy() if transpose else bare,
+        return TransitionResult(self.basis, bare.T.copy() if self.star else bare,
                                 scalar, self.conds, weights)
 
 
@@ -221,17 +239,9 @@ def weight_block_residual(basis: list[FixedPoint], mat: np.ndarray) -> float:
 
 
 def transition_r(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                 n_colors: int, include_scalar: bool = True,
-                 chambers: ChamberMatrices | None = None) -> TransitionResult:
-    """The dynamical R-matrix block on a total profile v.
-
-    ``chambers``, if given, are the ``ChamberMatrices`` of these arguments,
-    built by the caller to solve more from them.
-    """
-    if chambers is None:
-        chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors)
-    return chambers.transition(mu_exchange_scalar(g1, g2, pp) if include_scalar
-                               else 1.0 + 0.0j)
+                 n_colors: int) -> TransitionResult:
+    """The dynamical R-matrix block on a total profile v."""
+    return ChamberMatrices.build(v, g1, g2, pp, n_colors).transition()
 
 
 def inverted_kahler(n_colors: int):
@@ -239,42 +249,22 @@ def inverted_kahler(n_colors: int):
 
 
 def transition_r_star(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
-                      n_colors: int, include_scalar: bool = True,
-                      chambers: ChamberMatrices | None = None) -> TransitionResult:
+                      n_colors: int) -> TransitionResult:
     """The starred R-matrix block: transpose of the shifted-nome transition at
-    inverted Kahler arguments.
-
-    The bare part is computed from envelopes at the shifted nome with the
-    Kahler variables inverted; the transpose relation turns it into the
-    matrix at straight Kahler arguments.  ``chambers``, if given, are those
-    starred ``ChamberMatrices`` at ``inverted_kahler``.
-    """
-    if chambers is None:
-        chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors, star=True,
-                                         kahler=inverted_kahler(n_colors))
-    return chambers.transition(mu_star_exchange_scalar(g1, g2, pp) if include_scalar
-                               else 1.0 + 0.0j, transpose=True)
+    inverted Kahler arguments (``ChamberMatrices.transition``)."""
+    return ChamberMatrices.build(v, g1, g2, pp, n_colors, star=True,
+                                 kahler=inverted_kahler(n_colors)).transition()
 
 
-def transpose_relation_residual(v, g1, g2, pp, n_colors,
-                                inverted: ChamberMatrices | None = None) -> float:
-    """|| transpose of bR*(z^-1) - bR*(z) ||, both solved from their own
-    restriction matrices.  ``inverted``, if given, are the starred
-    ``ChamberMatrices`` at ``inverted_kahler``; the straight ones are built
-    on their bases."""
-    if inverted is None:
-        inverted = ChamberMatrices.build(v, g1, g2, pp, n_colors, star=True,
-                                         kahler=inverted_kahler(n_colors))
-    bare_inv = inverted.bare()
-    bare_straight = inverted.at(star=True).bare()
-    scale = max(float(np.max(np.abs(bare_straight), initial=0.0)), 1.0)
-    return float(np.max(np.abs(bare_inv.T - bare_straight), initial=0.0) / scale)
+def transpose_relation_residual(v, g1, g2, pp, n_colors) -> float:
+    """``ChamberMatrices.transpose_relation`` of the starred matrices."""
+    return ChamberMatrices.build(v, g1, g2, pp, n_colors, star=True,
+                                 kahler=inverted_kahler(n_colors)).transpose_relation()
 
 
-def composition_residual(v, g1, g2, pp, n_colors, star=False,
-                         kahler=None) -> float:
+def composition_residual(v, g1, g2, pp, n_colors) -> float:
     """|| B(C -> Cbar) B(Cbar -> C) - 1 ||_max (``ChamberMatrices.composition``)."""
-    return ChamberMatrices.build(v, g1, g2, pp, n_colors, star, kahler).composition()
+    return ChamberMatrices.build(v, g1, g2, pp, n_colors).composition()
 
 
 def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:

@@ -221,9 +221,6 @@ class VertexSeries:
     envelope_at_mu: complex
     coefficients: dict[tuple[int, ...], complex]
 
-    def total(self) -> complex:
-        return sum(self.coefficients.values())
-
 
 def _degree_vectors(n_boxes: int, cap: int):
     if n_boxes == 0:

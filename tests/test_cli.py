@@ -6,7 +6,7 @@ import pytest
 
 from ellstab import acceptance, rmatrix
 from ellstab.cli import main
-from ellstab.rmatrix import (FramingGroup, composition_residual, inverted_kahler,
+from ellstab.rmatrix import (ChamberMatrices, FramingGroup, inverted_kahler,
                              transition_r, transition_r_star,
                              transpose_relation_residual)
 from ellstab.sampling import sample_param_point
@@ -62,8 +62,8 @@ def test_rmatrix_star_composition_checks_the_starred_matrix(capsys):
     g1, g2 = FramingGroup((1, 0, 0), "ua"), FramingGroup((1, 0, 0), "ub")
     pp = sample_param_point(0, 3, framing_counts={"ua": [1, 0, 0],
                                                   "ub": [1, 0, 0]})
-    want = composition_residual((1, 0, 0), g1, g2, pp, 3, star=True,
-                                kahler=inverted_kahler(3))
+    want = ChamberMatrices.build((1, 0, 0), g1, g2, pp, 3, star=True,
+                                 kahler=inverted_kahler(3)).composition()
     assert doc["residuals"]["composition"] == want
 
 
@@ -95,11 +95,28 @@ def test_rmatrix_builds_each_restriction_matrix_once(capsys, monkeypatch,
     res = (transition_r_star if star else transition_r)(v, g1, g2, pp, 3)
     assert doc["results"]["matrix"] == [[[z.real, z.imag] for z in row]
                                         for row in res.full]
-    assert doc["residuals"]["composition"] == composition_residual(
-        v, g1, g2, pp, 3, star=star, kahler=kahler)
+    assert doc["residuals"]["composition"] == ChamberMatrices.build(
+        v, g1, g2, pp, 3, star=star, kahler=kahler).composition()
     if star:
         assert doc["residuals"]["transpose_relation"] == (
             transpose_relation_residual(v, g1, g2, pp, 3))
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_rmatrix_bare_prints_the_bare_transition(capsys, star):
+    """With --bare the scalar is 1 and the matrix is the bare part of the
+    library's transition, bit for bit (transposed with --star)."""
+    argv = ["rmatrix", "--N", "3", "--v", "1,1,0", "--w1", "1,0,0",
+            "--w2", "0,1,0", "--seed", "4", "--bare"]
+    code, doc = run(capsys, argv + (["--star"] if star else []))
+    assert code == 0
+    g1, g2 = FramingGroup((1, 0, 0), "ua"), FramingGroup((0, 1, 0), "ub")
+    pp = sample_param_point(4, 3, framing_counts={"ua": [1, 0, 0],
+                                                  "ub": [0, 1, 0]})
+    res = (transition_r_star if star else transition_r)((1, 1, 0), g1, g2, pp, 3)
+    assert doc["results"]["scalar"] == [1.0, 0.0]
+    assert doc["results"]["matrix"] == [[[z.real, z.imag] for z in row]
+                                        for row in res.bare]
 
 
 def test_ybe_command(capsys):

@@ -226,3 +226,16 @@ def test_param_point_rejects_bad_nome():
     with pytest.raises(ValueError):
         # shifted nome outside the disc
         ParamPoint(3, {"p": 0.3 + 0j, "t1": 0.3, "t2": 0.4})
+    with pytest.raises(ValueError):
+        # an extension is checked like any point
+        PP.extended({"p": 1.2 + 0j})
+
+
+@pytest.mark.parametrize("name", ["p", "t1", "t2"])
+def test_param_point_requires_p_t1_t2(name):
+    """A point without p, t1 or t2 is refused when it is made, not at its
+    first theta."""
+    values = {"p": 0.1 + 0.05j, "t1": 0.8 + 0.3j, "t2": 1.1 - 0.2j}
+    del values[name]
+    with pytest.raises(ValueError, match="needs p, t1 and t2"):
+        ParamPoint(3, values)

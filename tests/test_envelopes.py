@@ -412,7 +412,7 @@ def test_envelope_lowers_at_its_first_evaluation():
     lazy.qp_unit_factors()
     assert lazy._lowered is None
     eager = Envelope(EnvelopeSpec(fp, "hat"))
-    eager._lowered = LoweredSum(eager._terms)
+    eager._lowered = LoweredSum(eager._terms, eager.x_names())
     values = random_assignment(np.random.default_rng(8), lazy.x_names())
     assert lazy.eval(pp, values) == eager.eval(pp, values)
     assert lazy._lowered is not None
