@@ -19,9 +19,10 @@ once, while a monomial materialized once pays for no table.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
-shifted nome p* = p/(t1*t2).  Only infinite Pochhammer symbols are memoised,
-by value and per parameter point (``ParamPoint.qpoch_inf``), for the thetas
-and for the vertex layer's Pochhammer symbols alike.
+shifted nome p* = p/(t1*t2).  Only infinite Pochhammer symbols are memoised
+here, by value and per parameter point (``ParamPoint.qpoch_inf``), for the
+thetas and for the vertex layer's Pochhammer symbols alike; the vertex layer
+keeps the products of its lowered bases in its own per-point tables.
 """
 
 from __future__ import annotations
@@ -353,10 +354,10 @@ class ParamPoint:
     (:meth:`qpoch_inf`) live in one table shared between a point and its
     extensions: it is keyed by the values themselves, so an extension that
     overrides a variable only adds keys.  The vertex tables
-    (``vertex.vertex_table``, one per fixed point) are not shared: they hold
-    bases materialized through the point's logs, which an extension may
-    override, so every extension starts with none.  A new point starts with
-    both memos empty.
+    (``vertex.vertex_table``, one per fixed point, each with the Pochhammer
+    products of its bases) are not shared: they hold bases materialized
+    through the point's logs, which an extension may override, so every
+    extension starts with none.  A new point starts with both memos empty.
     """
 
     def __init__(self, n_colors: int, values: Mapping[str, complex],

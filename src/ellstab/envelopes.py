@@ -135,6 +135,13 @@ class LoweredSum:
     keys each argument once: its ``ThetaTable`` key (the ordered exponent
     items) and whether it is free of the roots, and so shared through the
     table's ``free`` dict.
+
+    ``Envelope._term`` takes the denominator thetas of the first term before
+    it builds the sum, so that a structural theta pole raises without a
+    lowering (``_first_den_thetas``).  It takes each as the monomial
+    ``args`` keeps for it, the first equal one of that term, and hands the
+    values to the first ``eval`` as ``known``, which takes none of them
+    again.
     """
 
     def __init__(self, products: list[ThetaProduct], chern_roots: Iterable[str]):
@@ -151,13 +158,18 @@ class LoweredSum:
         self._keys: list[tuple[Monomial, tuple, bool]] | None = None
 
     def eval(self, pp: ParamPoint, star: bool, thetas: ThetaTable | None = None,
-             perm: int = 0) -> complex:
+             perm: int = 0, known: dict[int, complex] | None = None) -> complex:
         """The value at a point.  With ``thetas``, the table of the point's
         Chern-root assignment, and ``perm``, the index of the permutation of
         the roots the point carries, a theta is read from the table or taken
-        and written to it."""
+        and written to it.  ``known``, given only without a table, maps the
+        index in ``args`` of a theta already taken at ``pp`` to its
+        coefficient."""
         theta = pp.theta
-        if thetas is None:
+        if known:
+            th = [known[k] if k in known else theta(m, star).coeff
+                  for k, m in enumerate(self.args)]
+        elif thetas is None:
             th = [theta(m, star).coeff for m in self.args]
         else:
             free, bound = thetas.perm(perm)
@@ -166,10 +178,10 @@ class LoweredSum:
                               for m in self.args]
             th = []
             for m, key, is_free in self._keys:
-                known = free if is_free else bound
-                c = known.get(key)
+                memo = free if is_free else bound
+                c = memo.get(key)
                 if c is None:
-                    c = known[key] = theta(m, star).coeff
+                    c = memo[key] = theta(m, star).coeff
                 th.append(c)
         total = 0.0 + 0.0j
         for sign, num, den, pref in self.terms:
@@ -182,6 +194,25 @@ class LoweredSum:
                 c = c / th[k]
             total += c * pp.materialize(pref)
         return total
+
+
+def _first_den_thetas(term: ThetaProduct, pp: ParamPoint, star: bool) -> list[complex]:
+    """The theta coefficients of the denominator of ``term``, the first term
+    of a ``LoweredSum``, in order, as ``LoweredSum.eval`` takes them: each
+    argument as the first equal monomial of the term's numerator and
+    denominator, whose exponent order rounds its value.  Raises the
+    ``SingularityError`` of ``LoweredSum.eval`` at the first zero."""
+    first: dict[Monomial, Monomial] = {}
+    for m in itertools.chain(term.num, term.den):
+        first.setdefault(m, m)
+    out = []
+    for m in term.den:
+        m = first[m]
+        c = pp.theta(m, star).coeff
+        if c == 0:
+            raise SingularityError(f"theta pole in denominator at {m}")
+        out.append(c)
+    return out
 
 
 class ThetaTable:
@@ -538,10 +569,23 @@ class Envelope:
         The first call lowers the terms: an envelope compiled only for its
         exact data (``qp_unit_factors``) never pays for the lowering.
         ``thetas`` and ``perm`` are passed on to ``LoweredSum.eval``.
+
+        A first call without a table (``restrict``) takes the denominator
+        thetas of the first term before it lowers anything, and raises the
+        ``SingularityError`` of ``LoweredSum.eval`` at the first that is
+        zero: a restriction to a structural theta pole, which ``eval``
+        would meet in that term first, costs neither the lowering nor the
+        other thetas.  Otherwise the evaluation reads those thetas and does
+        not take them again.
         """
+        known = None
         if self._lowered is None:
+            if thetas is None:
+                known = _first_den_thetas(self._terms[0], pp, self.spec.star)
             self._lowered = LoweredSum(self._terms, self.x_names())
-        return self._lowered.eval(pp, self.spec.star, thetas, perm)
+            if known is not None:
+                known = dict(zip(self._lowered.terms[0][2], known))
+        return self._lowered.eval(pp, self.spec.star, thetas, perm, known)
 
     def eval(self, pp: ParamPoint, values: dict[str, complex],
              logs: dict[str, complex] | None = None,

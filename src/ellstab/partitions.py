@@ -552,6 +552,31 @@ def _rooted_tree(cells: list[tuple[int, int]],
     return LambdaTree(parent)
 
 
+def _trees(lam: ColoredPartition, admissible: bool) -> list[LambdaTree]:
+    """The spanning trees of ``spanning_trees``, in its order; with
+    ``admissible`` only those whose edges hold no mirrored-L pair
+    (``_mirrored_l_pairs``), a choice of edges that holds one being dropped
+    before it is rooted."""
+    if not lam.rows:
+        return []
+    if lam.size > 14:
+        raise BudgetError(f"tree enumeration limited to 14 boxes, got {lam.size}")
+    cells = lam.cells()
+    edges = _cell_edges(lam)
+    banned = ([(edges.index(a), edges.index(b)) for a, b in _mirrored_l_pairs(lam)]
+              if admissible else [])
+    trees = []
+    for combo in itertools.combinations(range(len(edges)), len(cells) - 1):
+        if banned:
+            chosen = set(combo)
+            if any(a in chosen and b in chosen for a, b in banned):
+                continue
+        tree = _rooted_tree(cells, [edges[k] for k in combo])
+        if tree is not None:
+            trees.append(tree)
+    return trees
+
+
 def spanning_trees(lam: ColoredPartition) -> list[LambdaTree]:
     """All spanning trees of the box-adjacency graph, rooted at (1, 1).
 
@@ -559,33 +584,14 @@ def spanning_trees(lam: ColoredPartition) -> list[LambdaTree]:
     is rooted by ``_rooted_tree``, which keeps it when it reaches every
     cell: cells - 1 edges that connect the cells form a tree.  A hook (no
     2 x 2 square) has cells - 1 edges, so its one choice is its one tree."""
-    if not lam.rows:
-        return []
-    if lam.size > 14:
-        raise BudgetError(f"tree enumeration limited to 14 boxes, got {lam.size}")
-    cells = lam.cells()
-    edges = _cell_edges(lam)
-    trees = []
-    for combo in itertools.combinations(edges, len(cells) - 1):
-        tree = _rooted_tree(cells, combo)
-        if tree is not None:
-            trees.append(tree)
-    return trees
+    return _trees(lam, admissible=False)
 
 
-def no_lshape_filter(tree: LambdaTree, lam: ColoredPartition) -> bool:
-    """Reject trees containing a mirrored-L pair of edges inside a full
-    2 x 2 square: the vertical edge of the right column together with the
-    bottom horizontal edge, both meeting at the square's lower-right cell.
-
-    For the square {(x,y),(x,y+1),(x+1,y),(x+1,y+1)} the forbidden pair is
-    {(x,y+1)-(x+1,y+1)} and {(x+1,y)-(x+1,y+1)}.
-    """
-    parent = tree.parent
-
-    def joined(a, b) -> bool:
-        return parent.get(a) == b or parent.get(b) == a
-
+def _mirrored_l_pairs(lam: ColoredPartition):
+    """The mirrored-L pairs of edges, in the orientation of ``_cell_edges``:
+    per full 2 x 2 square {(x,y),(x,y+1),(x+1,y),(x+1,y+1)}, the vertical
+    edge of its right column (x,y+1)-(x+1,y+1) and its bottom horizontal
+    edge (x+1,y)-(x+1,y+1), which meet at its lower-right cell."""
     rows = lam.rows
     # the squares are those of the cells (x, y) whose diagonal neighbour
     # (x + 1, y + 1) the partition holds: y < rows[x] (row x + 1); a hook
@@ -593,12 +599,23 @@ def no_lshape_filter(tree: LambdaTree, lam: ColoredPartition) -> bool:
     for x in range(1, len(rows)):
         for y in range(1, rows[x]):
             corner = (x + 1, y + 1)
-            if joined((x, y + 1), corner) and joined((x + 1, y), corner):
-                return False
-    return True
+            yield ((x, y + 1), corner), ((x + 1, y), corner)
+
+
+def no_lshape_filter(tree: LambdaTree, lam: ColoredPartition) -> bool:
+    """False when the tree holds both edges of a mirrored-L pair
+    (``_mirrored_l_pairs``) inside a full 2 x 2 square."""
+    parent = tree.parent
+
+    def joined(edge) -> bool:
+        a, b = edge
+        return parent.get(a) == b or parent.get(b) == a
+
+    return not any(joined(e) and joined(f) for e, f in _mirrored_l_pairs(lam))
 
 
 def lambda_trees(lam: ColoredPartition) -> list[LambdaTree]:
     """Admissible rooted trees of a partition: the spanning trees that
-    ``no_lshape_filter`` keeps."""
-    return [t for t in spanning_trees(lam) if no_lshape_filter(t, lam)]
+    ``no_lshape_filter`` keeps, in their order.  The rule is decided on
+    each choice of edges, before the choice is rooted."""
+    return _trees(lam, admissible=True)

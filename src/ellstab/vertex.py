@@ -24,9 +24,12 @@ a zero, the value or a structural pole in one place (``_net``).
 The factor bases of a fixed point, lowered, form its ``VertexTable``.  A
 parameter point builds the table of a fixed point once, at the first series,
 oracle or normalization that asks for it (``vertex_table``), and every later
-call at that point reads it.  The Bethe equations of a profile are compiled
-the same way, once per ``bethe_solve``, into a ``BetheSystem`` that its
-Newton iterations evaluate.
+call at that point reads it.  The table also keeps every Pochhammer product
+taken of its bases, keyed by value as (lowered base, length, offset)
+(``VertexTable.qpoch``): a product that recurs across the degree vectors of
+a series, its oracle terms and the normalization is taken once per table.
+The Bethe equations of a profile are compiled the same way, once per
+``bethe_solve``, into a ``BetheSystem`` that its Newton iterations evaluate.
 """
 
 from __future__ import annotations
@@ -91,22 +94,24 @@ def qpoch_low(base: LoweredBase, length: int | None, pp: ParamPoint,
 def qpoch_fin_mono(base: LoweredBase, s: int, pp: ParamPoint) -> tuple[complex, int]:
     """Finite Pochhammer (base; p)_s of a lowered base (see ``qpoch_low``).
 
-    The series calls this once per factor of each coefficient, so that the
-    benchmark's tracer (``perfbench/bench_trace.py``) counts the finite
-    products a series takes as ``vertex.qpoch_fin_calls``.
+    ``VertexTable.qpoch`` calls this once per distinct finite product per
+    table, so that the benchmark's tracer (``perfbench/bench_trace.py``)
+    counts the distinct finite products a series takes as
+    ``vertex.qpoch_fin_calls``.
     """
     return qpoch_low(base, s, pp)
 
 
 def _ratio_step(value: complex, a: LoweredBase, b: LoweredBase, s: int,
-                pp: ParamPoint) -> tuple[complex, int]:
+                table: VertexTable, pp: ParamPoint) -> tuple[complex, int]:
     """``value`` times the infinite-product ratio of one integrand factor
     shifted by s, (a p^s; p)_inf / (a; p)_inf / (b p^s; p)_inf * (b; p)_inf,
-    with its net zero count (see ``qpoch_low``)."""
-    v1, z1 = qpoch_low(a, None, pp, s)
-    v2, z2 = qpoch_low(a, None, pp, 0)
-    v3, z3 = qpoch_low(b, None, pp, s)
-    v4, z4 = qpoch_low(b, None, pp, 0)
+    with its net zero count (see ``qpoch_low``), each product read from
+    ``table``, the table at ``pp`` that holds a and b."""
+    v1, z1 = table.qpoch(a, None, pp, s)
+    v2, z2 = table.qpoch(a, None, pp)
+    v3, z3 = table.qpoch(b, None, pp, s)
+    v4, z4 = table.qpoch(b, None, pp)
     return value * v1 / v2 / v3 * v4, z1 - z2 - z3 + z4
 
 
@@ -152,11 +157,17 @@ class VertexTable:
     ``normalization_factor`` take it.  ``series`` holds per factor the
     (numerator, denominator, i, j) of the series' finite ratio, of length
     d[i], or d[i] - d[j] when j is set.
+
+    ``qpoch`` takes the Pochhammer products of these bases, each once per
+    table: the series, the oracle and ``normalization_factor`` read them
+    from it.
     """
 
-    __slots__ = ("boxes", "framing", "arrow", "gauge", "series")
+    __slots__ = ("boxes", "framing", "arrow", "gauge", "series", "_products")
 
     def __init__(self, mu: FixedPoint, pp: ParamPoint):
+        self._products: dict[tuple[LoweredBase, int | None, int],
+                             tuple[complex, int]] = {}
         boxes, framing, arrow, gauge = _factor_bases(mu)
         pinv_h = P / HBAR
         self.boxes = boxes
@@ -170,6 +181,19 @@ class VertexTable:
                         for ia, base in framing]
                        + [(b, a, ib, ia) for ia, ib, a, b in self.arrow]
                        + [(b, a, ia, ib) for ia, ib, a, b in self.gauge])
+
+    def qpoch(self, base: LoweredBase, length: int | None, pp: ParamPoint,
+              offset: int = 0) -> tuple[complex, int]:
+        """``qpoch_low(base, length, pp, offset)`` for a base of this table
+        at its point ``pp``, taken at the first call per (base, length,
+        offset); a finite product through ``qpoch_fin_mono``."""
+        key = (base, length, offset)
+        got = self._products.get(key)
+        if got is None:
+            got = self._products[key] = (
+                qpoch_low(base, length, pp, offset) if length is None or offset
+                else qpoch_fin_mono(base, length, pp))
+        return got
 
 
 def vertex_table(mu: FixedPoint, pp: ParamPoint) -> VertexTable:
@@ -199,7 +223,7 @@ def normalization_factor(mu: FixedPoint, pp: ParamPoint) -> complex:
     sqh = pp.materialize(SQRT_HBAR)
 
     def ratio(num: LoweredBase, den: LoweredBase) -> complex:
-        return qpoch_low(num, None, pp)[0] / qpoch_low(den, None, pp)[0]
+        return table.qpoch(num, None, pp)[0] / table.qpoch(den, None, pp)[0]
 
     for ia, a, b in table.framing:
         out *= pp.materialize(boxes[ia][1])
@@ -261,6 +285,7 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
         base = h ** w[k] * p ** (2 - 2 * v[k] + v[(k + 1) % n] - 2 * w[k])
         pref.append(base / pp.materialize(qp[name]))
     coeffs: dict[tuple[int, ...], complex] = {}
+    qpoch = table.qpoch
     for d in _degree_vectors(len(table.boxes), degree_cap):
         term = 1.0 + 0.0j
         zeros = 0
@@ -268,8 +293,8 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
             term *= pr ** (-da)
         for num, den, i, j in table.series:
             s = d[i] if j is None else d[i] - d[j]
-            vn, zn = qpoch_fin_mono(num, s, pp)
-            vd, zd = qpoch_fin_mono(den, s, pp)
+            vn, zn = qpoch(num, s, pp)
+            vd, zd = qpoch(den, s, pp)
             term *= vn / vd
             zeros += zn - zd
         coeffs[d] = _net(term * stab0, zeros,
@@ -287,6 +312,9 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     factor.
     """
     table = vertex_table(mu, pp)
+    if len(degrees) != len(table.boxes):
+        raise ValueError(f"{len(degrees)} degrees for a fixed point of box "
+                         f"count {len(table.boxes)}")
     p = pp.p
 
     value, zeros = 1.0 + 0.0j, 0
@@ -295,15 +323,17 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     for ia, a, b in table.framing:
         da = degrees[ia]
         value *= p ** da  # the x_a prefactor of the framing factor
-        value, z = _ratio_step(value, a, b, -da, pp)
+        value, z = _ratio_step(value, a, b, -da, table, pp)
         zeros += z
     for ia, ib, a, b in table.arrow:
         value *= p ** (-degrees[ia])  # the x_a^{-1} prefactor
-        value, z = _ratio_step(value, a, b, degrees[ib] - degrees[ia], pp)
+        value, z = _ratio_step(value, a, b, degrees[ib] - degrees[ia],
+                                table, pp)
         zeros += z
     for ia, ib, a, b in table.gauge:
         value *= p ** (degrees[ia] + degrees[ib])  # the x_a x_b prefactor
-        value, z = _ratio_step(value, a, b, degrees[ia] - degrees[ib], pp)
+        value, z = _ratio_step(value, a, b, degrees[ia] - degrees[ib],
+                                table, pp)
         zeros += z
     return _net(value, zeros, "net structural pole in a Pochhammer ratio")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from ellstab.core import (HBAR, BudgetError, GradedValue, Monomial,
-                         SingularityError)
+                         ParamPoint, SingularityError)
 from ellstab import envelopes
 from ellstab.envelopes import (SYM_BUDGET, Envelope, EnvelopeSpec, LoweredSum,
                                ThetaProduct, _cross_prefactor,
@@ -510,6 +511,62 @@ def test_compile_takes_the_geometry_once(monkeypatch):
     Envelope(EnvelopeSpec(fp, "hat"))
     assert calls == dict.fromkeys(("boxes", "chern_slots", "box_slot_vars",
                                    "quiver_pairs", "index_degrees"), 1)
+
+
+def _restrictions(w):
+    """Every (lambda, mu) pair of a fixed-point basis of 1-3 boxes at
+    framing ``w``, hat envelopes restricted at the unframed weights, the
+    restriction of ``vertex_series``."""
+    for total in (1, 2, 3):
+        for v in profiles(total, N):
+            basis = fixed_points(v, w, N)
+            for lam, mu in itertools.product(basis, basis):
+                yield EnvelopeSpec(lam, "hat"), mu
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except SingularityError as exc:
+        return f"SingularityError: {exc}"
+
+
+@pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0)])
+def test_restrict_decides_a_theta_pole_before_lowering(w, monkeypatch):
+    """A restriction whose first term has a zero theta in its denominator
+    raises the message of the evaluation without the early check and leaves
+    the envelope unlowered; any other gives that evaluation's bits and takes
+    each theta of each permutation once."""
+    pp = sample_param_point(1, N, framing_counts={"u": list(w)})
+    calls = Counter()
+    theta = ParamPoint.theta
+
+    def counted(self, m, star=False):
+        calls[0] += 1
+        return theta(self, m, star)
+
+    early = regular = 0
+    for spec, mu in _restrictions(w):
+        ref = Envelope(spec)
+        # lowered in advance, the evaluation makes no early check
+        ref._lowered = LoweredSum(ref._terms, ref.x_names())
+        want = _outcome(restrict, ref, mu, pp, framed=False)
+        env = Envelope(spec)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ParamPoint, "theta", counted)
+            got = _outcome(restrict, env, mu, pp, framed=False)
+        assert got == want
+        if env._lowered is None:
+            early += 1
+            assert got.startswith("SingularityError: theta pole in denominator at ")
+            assert calls[0] <= len(env._terms[0].den)
+        elif not isinstance(got, str):
+            regular += 1
+            perms = math.prod(map(math.factorial, map(len, env.nvars.values())))
+            assert calls[0] == perms * len(env._lowered.args)
+    assert early and regular
 
 
 if __name__ == "__main__":

@@ -212,6 +212,23 @@ def test_tree_enumeration_counts():
     assert all(t.kappa == 0 for t in admissible)
 
 
+def test_lambda_trees_root_only_the_admissible_choices(monkeypatch):
+    """The mirrored-L rule is decided on a choice of edges: the square
+    (2, 2) roots its 2 admissible trees, not its 4 spanning trees."""
+    rooted = []
+    original = partitions._rooted_tree
+
+    def counted(cells, edges):
+        rooted.append(edges)
+        return original(cells, edges)
+
+    monkeypatch.setattr(partitions, "_rooted_tree", counted)
+    sq = ColoredPartition((2, 2), 0, 3)
+    assert len(lambda_trees(sq)) == len(rooted) == 2
+    rooted.clear()
+    assert len(spanning_trees(sq)) == len(rooted) == 4
+
+
 def test_trees_are_spanning_and_acyclic():
     lam = ColoredPartition((3, 2), 0, 3)
     cells = set(lam.cells())

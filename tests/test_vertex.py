@@ -1,5 +1,8 @@
 """Vertex series, Jackson oracle, normalization and Bethe equations."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,8 @@ from ellstab.scalars import mu_vacuum_ope
 from ellstab.vertex import (BetheSolution, BetheSystem, _degree_vectors,
                             _factor_bases, bethe_residuals, bethe_solve,
                             jackson_term_ratio, jordan_bethe_residuals,
-                            normalization_factor, vertex_series)
+                            normalization_factor, qpoch_fin_mono,
+                            vertex_series)
 from qseries_oracles import qpoch_mono
 
 N = 3
@@ -400,6 +404,109 @@ def test_table_path_is_bitwise_the_monomial_path(w):
     assert pairs > 10
 
 
+#: sha256 of ``_vertex_path_lines``, recorded before a ``VertexTable`` kept
+#: its Pochhammer products and before a restriction was checked for a theta
+#: pole ahead of the lowering, so both are pinned to the old bits
+VERTEX_PATH_SHA256 = (
+    "85d34ac56e7bd07cd8f32ab99c53edf82c69d190df51309eb2d2c5ba870ae932", 5120)
+
+
+def _vertex_path_lines():
+    """One line per ``vertex_series`` and per ``jackson_term_ratio`` call:
+    every (lambda, mu) pair of the 1-3-box profiles at w = (1,1,0) and
+    (2,0,0), at the points of seeds 1 and 2 (one point per framing and
+    seed), degree cap 3 and the oracle at every degree vector of the cap;
+    the ``repr`` of the restriction and the coefficients, of the oracle
+    value, or of the exception raised."""
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except SingularityError as exc:
+            return exc
+
+    for w in ((1, 1, 0), (2, 0, 0)):
+        for seed in (1, 2):
+            pp = sample_param_point(seed, N, framing_counts={"u": list(w)})
+            for total in (1, 2, 3):
+                for v in profiles(total, N):
+                    basis = fixed_points(v, w, N)
+                    for a, lam in enumerate(basis):
+                        qp = Envelope(EnvelopeSpec(lam, "hat")).qp_unit_factors()
+                        for b, mu in enumerate(basis):
+                            head = f"{w} {seed} {v} {a}->{b}"
+                            got = outcome(vertex_series, lam, mu, 3, pp)
+                            if isinstance(got, vertex.VertexSeries):
+                                got = (got.envelope_at_mu, got.coefficients)
+                            yield f"{head} {got!r}"
+                            for d in _degree_vectors(total, 3):
+                                ratio = outcome(jackson_term_ratio, mu, d, pp, qp)
+                                yield f"{head} {d} {ratio!r}"
+
+
+def vertex_path_digest() -> tuple[str, int]:
+    """(sha256 of ``_vertex_path_lines``, how many lines)."""
+    h = hashlib.sha256()
+    count = 0
+    for line in _vertex_path_lines():
+        h.update(line.encode() + b"\n")
+        count += 1
+    return h.hexdigest(), count
+
+
+def test_vertex_path_matches_recorded_digest():
+    """Every series coefficient, restriction and oracle value of the corpus,
+    and every exception, bit for bit as recorded."""
+    assert vertex_path_digest() == VERTEX_PATH_SHA256
+
+
+def test_a_table_takes_each_finite_product_once(monkeypatch):
+    """A series-plus-oracle pass over every lambda takes each distinct
+    finite product (base, length) of a table once, through
+    ``qpoch_fin_mono``; a series that has a value takes all of them."""
+    taken = Counter()
+
+    def counted(base, s, pp):
+        taken[base, s] += 1
+        return qpoch_fin_mono(base, s, pp)
+
+    monkeypatch.setattr(vertex, "qpoch_fin_mono", counted)
+    checked = 0
+    for w in ((1, 1, 0), (2, 0, 0)):
+        pp = sample_param_point(1, N, framing_counts={"u": list(w)})
+        for v in ((2, 1, 0), (1, 1, 1), (2, 0, 0)):
+            basis = fixed_points(v, w, N)
+            for mu in basis:
+                taken.clear()
+                reached = False
+                for lam in basis:
+                    qp = Envelope(EnvelopeSpec(lam, "hat")).qp_unit_factors()
+                    try:
+                        series = vertex_series(lam, mu, 3, pp)
+                    except SingularityError:
+                        continue
+                    reached = True
+                    for d in series.coefficients:
+                        jackson_term_ratio(mu, d, pp, qp)
+                table = vertex.vertex_table(mu, pp)
+                want = {(base, d[i] if j is None else d[i] - d[j])
+                        for d in _degree_vectors(mu.size, 3)
+                        for num, den, i, j in table.series for base in (num, den)}
+                assert set(taken.values()) <= {1}
+                if reached:
+                    assert set(taken) == want
+                    checked += 1
+    assert checked > 5
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), ()])
+def test_oracle_rejects_a_degree_vector_of_another_length(degrees):
+    """A 1-box fixed point takes one degree; the message names both counts."""
+    mu = fixed_points((1, 0, 0), W, N)[0]
+    qp = Envelope(EnvelopeSpec(mu, "hat")).qp_unit_factors()
+    with pytest.raises(ValueError, match=f"{len(degrees)} degrees .* box count 1"):
+        jackson_term_ratio(mu, degrees, PP, qp)
+
+
 def test_a_point_builds_each_table_once(monkeypatch):
     calls = []
 
@@ -518,3 +625,8 @@ def test_bethe_solve_matches_pinned_roots(case):
         roots = {k: [complex(x) for x in xs] for k, xs in sol.roots.items()}
         assert sol.converged
         assert (sol.iterations, repr(roots)) == want
+
+
+if __name__ == "__main__":
+    # Re-derive the recorded digest: PYTHONPATH=src python tests/test_vertex.py
+    print(f"VERTEX_PATH_SHA256: {vertex_path_digest()}")
