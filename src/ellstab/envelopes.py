@@ -9,19 +9,24 @@ exponent dict, counts the S-product's arguments once for all its terms, and
 sorts the factors of every term in ``repr`` order, each argument's ``repr``
 formed once.  The compiled structure keeps every theta argument as an exact
 monomial, and is lowered once, at its first evaluation (``LoweredSum``): the
-distinct theta arguments of all terms, and per term a sign, index lists into
-them and the exact prefactor monomial.  An envelope that is only asked for
-exact data, such as its quasi-periodicity factors, is never lowered, nor
-does it list the permutations of its roots.  Evaluation assigns complex
-values to the Chern-root variables of one extended parameter point,
-overwrites them per permutation of the roots, takes each distinct theta once
-per permutation through fixed logarithms (reading only its coefficient, so
-no half power is formed) and combines the terms by index in floating point;
-exact monomial arithmetic stays at compile time.  The envelopes of one basis
-restricted to one point share a ``ThetaTable``: a theta argument that
-several columns of a restriction matrix carry is taken once per permutation,
-and once per matrix if it has none of the Chern roots its lowered sum is made
-with, and the first column's extended point serves the others.
+distinct theta arguments of all terms and per term a sign and index lists
+into them; the exact prefactor monomials only once that evaluation has found
+no structural theta pole.  An envelope that is only asked for exact data,
+such as its quasi-periodicity factors, is never lowered, nor does it list
+the permutations of its roots.  Evaluation assigns complex values to the
+Chern-root variables of one extended parameter point, overwrites them per
+permutation of the roots, takes each distinct theta through fixed logarithms
+(reading only its coefficient, so no half power is formed) and combines the
+terms by index in floating point; exact monomial arithmetic stays at compile
+time.
+
+Every theta is read through a ``ThetaTable``, the one path from an argument
+to its value: a theta with a Chern root is taken once per permutation, one
+without once per table.  The envelopes of one basis restricted to one point
+share a table, and the tables of one restriction matrix share their
+Chern-root-free thetas.  A lone restriction, a lone theta product and the
+cross factor of each term of the shuffle product, whose arguments change
+with every term, each evaluate through a fresh table.
 
 A Kahler argument is a point value, not part of what is compiled.  Every
 envelope is compiled with the plain Kahler variables z_i; the argument
@@ -105,8 +110,9 @@ class ThetaProduct:
     sign: int = 0
 
     def eval(self, pp: ParamPoint, star: bool) -> complex:
-        """The value at a point: the one-term case of ``LoweredSum.eval``."""
-        return LoweredSum([self], ()).eval(pp, star)
+        """The value at a point: the one-term case of ``LoweredSum.eval``,
+        through a table of its own."""
+        return LoweredSum([self], ()).eval(pp, star, ThetaTable())
 
     def mono_total(self) -> Monomial:
         """The exact prefactor: prod num^(-1/2) den^(1/2).
@@ -119,123 +125,23 @@ class ThetaProduct:
                                 + [(m, -1) for m in self.den]).inv_sqrt()
 
 
-class LoweredSum:
-    """A sum of theta products lowered once for repeated evaluation.
-
-    It keeps the distinct theta arguments of all its terms in ``args`` and,
-    per term, the sign as +-1.0, index lists into ``args`` of the numerator
-    and the denominator, and the exact prefactor
-    (``ThetaProduct.mono_total``).  ``eval`` takes each distinct theta once
-    and multiplies each term out in its own factor order, so the value is bit
-    for bit that of multiplying graded values factor by factor, with no exact
-    monomial arithmetic at evaluation time.  Every argument and prefactor
-    keeps its float exponents (``Monomial.float_items``).  ``chern_roots``
-    are the Chern roots the products are in (``Envelope.x_names``; none for
-    a product evaluated alone).  At its first evaluation with a table the sum
-    keys each argument once: its ``ThetaTable`` key (the ordered exponent
-    items) and whether it is free of the roots, and so shared through the
-    table's ``free`` dict.
-
-    ``Envelope._term`` takes the denominator thetas of the first term before
-    it builds the sum, so that a structural theta pole raises without a
-    lowering (``_first_den_thetas``).  It takes each as the monomial
-    ``args`` keeps for it, the first equal one of that term, and hands the
-    values to the first ``eval`` as ``known``, which takes none of them
-    again.
-    """
-
-    def __init__(self, products: list[ThetaProduct], chern_roots: Iterable[str]):
-        index: dict[Monomial, int] = {}
-        self.terms = [((-1.0) ** (prod.sign % 2),
-                       [index.setdefault(m, len(index)) for m in prod.num],
-                       [index.setdefault(m, len(index)) for m in prod.den],
-                       prod.mono_total())
-                      for prod in products]
-        self.args = list(index)
-        for m in self.args + [pref for *_, pref in self.terms]:
-            m.float_items()
-        self._roots = frozenset(chern_roots)
-        self._keys: list[tuple[Monomial, tuple, bool]] | None = None
-
-    def eval(self, pp: ParamPoint, star: bool, thetas: ThetaTable | None = None,
-             perm: int = 0, known: dict[int, complex] | None = None) -> complex:
-        """The value at a point.  With ``thetas``, the table of the point's
-        Chern-root assignment, and ``perm``, the index of the permutation of
-        the roots the point carries, a theta is read from the table or taken
-        and written to it.  ``known``, given only without a table, maps the
-        index in ``args`` of a theta already taken at ``pp`` to its
-        coefficient."""
-        theta = pp.theta
-        if known:
-            th = [known[k] if k in known else theta(m, star).coeff
-                  for k, m in enumerate(self.args)]
-        elif thetas is None:
-            th = [theta(m, star).coeff for m in self.args]
-        else:
-            free, bound = thetas.perm(perm)
-            if self._keys is None:
-                self._keys = [(m, tuple(m._exps.items()), self._roots.isdisjoint(m._exps))
-                              for m in self.args]
-            th = []
-            for m, key, is_free in self._keys:
-                memo = free if is_free else bound
-                c = memo.get(key)
-                if c is None:
-                    c = memo[key] = theta(m, star).coeff
-                th.append(c)
-        total = 0.0 + 0.0j
-        for sign, num, den, pref in self.terms:
-            c = sign
-            for k in num:
-                c = c * th[k]
-            for k in den:
-                if th[k] == 0:
-                    raise SingularityError(f"theta pole in denominator at {self.args[k]}")
-                c = c / th[k]
-            total += c * pp.materialize(pref)
-        return total
-
-
-def _first_den_thetas(term: ThetaProduct, pp: ParamPoint, star: bool) -> list[complex]:
-    """The theta coefficients of the denominator of ``term``, the first term
-    of a ``LoweredSum``, in order, as ``LoweredSum.eval`` takes them: each
-    argument as the first equal monomial of the term's numerator and
-    denominator, whose exponent order rounds its value.  Raises the
-    ``SingularityError`` of ``LoweredSum.eval`` at the first zero."""
-    first: dict[Monomial, Monomial] = {}
-    for m in itertools.chain(term.num, term.den):
-        first.setdefault(m, m)
-    out = []
-    for m in term.den:
-        m = first[m]
-        c = pp.theta(m, star).coeff
-        if c == 0:
-            raise SingularityError(f"theta pole in denominator at {m}")
-        out.append(c)
-    return out
-
-
 class ThetaTable:
-    """Theta values shared by the envelopes of one basis at one restriction
-    point.
+    """The theta values of one assignment of the Chern roots: the one way a
+    ``LoweredSum`` takes a theta.
 
-    ``restriction_matrix`` makes one table per restriction point (one
-    assignment of the Chern roots) and passes it to every column's
-    ``Envelope.eval``; the envelopes of a basis share their Chern roots and
-    so enumerate the same permutations of them.  An argument is keyed by its
-    ordered exponent items, not by monomial equality: equal monomials whose
-    exponents run in another order materialize to different last bits, so
-    they are kept apart.  An argument with a Chern root is taken once per
-    permutation of the roots; a Chern-root-free one once for all the tables
-    that share ``free`` (the points of one matrix, at one parameter point
-    and nome).  Each column still multiplies out its own terms in its own
-    order, so every value is bit for bit that of evaluating the envelope
-    alone.  A table lives as long as the matrix it serves.
-
-    Each ``LoweredSum`` tells its Chern-root-free arguments from the others
-    by the roots of its envelope.  ``point`` is the extended parameter point
-    of the assignment, made by the first ``Envelope.eval`` with the table
-    and reused by the others.
+    An argument is keyed by its exponents in dict order
+    (``Monomial.float_items``), not by monomial equality: equal monomials
+    whose exponents run in another order materialize to different last
+    bits.  One with a Chern root is taken once
+    per permutation of the roots (``perm``), one without once for all the
+    tables that share ``free``.  ``point`` is the extended parameter point
+    of the assignment, made by the first ``Envelope.eval`` with the table.
+    ``restriction_matrix`` hands one table per restriction point to every
+    column (the envelopes of a basis share their Chern roots), and the
+    tables of one matrix share ``free``.  ``Envelope.eval`` without a table
+    (``restrict``), ``ThetaProduct.eval`` and each cross factor of
+    ``shuffle_residual`` take a fresh one.  Each sum multiplies out its own
+    terms in its own order, so sharing a table changes no bit.
     """
 
     def __init__(self, free: dict | None = None):
@@ -248,6 +154,83 @@ class ThetaTable:
         while len(self._bound) <= k:
             self._bound.append({})
         return self.free, self._bound[k]
+
+
+class LoweredSum:
+    """A sum of theta products lowered once for repeated evaluation.
+
+    ``args`` are the distinct theta arguments of all terms, each as its
+    first occurrence (whose exponent order rounds its value); ``terms`` hold
+    per term the sign as +-1.0, index lists into ``args`` and, once lowered,
+    the exact prefactor (``ThetaProduct.mono_total``).  ``_keys`` give per
+    argument its index, its ``ThetaTable`` key and whether it is free of
+    ``chern_roots`` (``Envelope.x_names``, none for a lone product), the
+    first term's denominator first.  So ``eval`` takes those thetas before
+    any other and raises at the first zero, the pole the term loop would
+    meet first: a structural theta pole costs no other theta, and the
+    prefactors are lowered only past it.  Each term is multiplied out in
+    its own factor order, bit for bit the product of graded values, with no
+    exact monomial arithmetic once lowered.
+    """
+
+    def __init__(self, products: list[ThetaProduct], chern_roots: Iterable[str]):
+        index: dict[Monomial, int] = {}
+        self.terms = [((-1.0) ** (prod.sign % 2),
+                       [index.setdefault(m, len(index)) for m in prod.num],
+                       [index.setdefault(m, len(index)) for m in prod.den], None)
+                      for prod in products]
+        self.args = list(index)
+        roots = frozenset(chern_roots)
+        keys = [(k, m, m.float_items(), roots.isdisjoint(m._exps))
+                for k, m in enumerate(self.args)]
+        first = dict.fromkeys(self.terms[0][2])
+        self._keys = [keys[k] for k in first] + [key for key in keys if key[0] not in first]
+        self._n_first = len(first)
+        self._products: list[ThetaProduct] | None = products
+
+    def eval(self, pp: ParamPoint, star: bool, thetas: ThetaTable,
+             perm: int = 0) -> complex:
+        """The value at a point.  ``thetas`` is the table of the point's
+        Chern-root assignment and ``perm`` the index of the permutation of
+        the roots the point carries: a theta is read from the table, or
+        taken and written to it."""
+        theta = pp.theta
+        free, bound = thetas.perm(perm)
+        th: list = [None] * len(self.args)
+        for k, m, key, is_free in self._keys:
+            memo = free if is_free else bound
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = theta(m, star).coeff
+                if c == 0:
+                    self._first_pole(th, k)
+            th[k] = c
+        if self._products is not None:
+            self.terms = [(sign, num, den, prod.mono_total())
+                          for (sign, num, den, _), prod in zip(self.terms, self._products)]
+            for *_, pref in self.terms:
+                pref.float_items()
+            self._products = None
+        total = 0.0 + 0.0j
+        for sign, num, den, pref in self.terms:
+            c = sign
+            for k in num:
+                c = c * th[k]
+            for k in den:
+                if th[k] == 0:
+                    raise SingularityError(f"theta pole in denominator at {self.args[k]}")
+                c = c / th[k]
+            total += c * pp.materialize(pref)
+        return total
+
+    def _first_pole(self, th: list, k: int) -> None:
+        """Raise at the first zero theta of the first term's denominator,
+        the theta of ``args[k]`` just taken as zero: every one before it in
+        ``_keys`` is in ``th``.  A zero read from the table raises in the
+        term loop instead, with the same message."""
+        for k2, m, _, _ in self._keys[:self._n_first]:
+            if k2 == k or th[k2] == 0:
+                raise SingularityError(f"theta pole in denominator at {m}")
 
 
 def _rho_le_root(box: Box, rank: int) -> bool:
@@ -562,30 +545,14 @@ class Envelope:
             out[name] = factor
         return out
 
-    def _term(self, pp: ParamPoint, thetas: ThetaTable | None = None,
-              perm: int = 0) -> complex:
-        """The unsymmetrized envelope at the point's Chern-root values.
-
-        The first call lowers the terms: an envelope compiled only for its
-        exact data (``qp_unit_factors``) never pays for the lowering.
-        ``thetas`` and ``perm`` are passed on to ``LoweredSum.eval``.
-
-        A first call without a table (``restrict``) takes the denominator
-        thetas of the first term before it lowers anything, and raises the
-        ``SingularityError`` of ``LoweredSum.eval`` at the first that is
-        zero: a restriction to a structural theta pole, which ``eval``
-        would meet in that term first, costs neither the lowering nor the
-        other thetas.  Otherwise the evaluation reads those thetas and does
-        not take them again.
-        """
-        known = None
+    def _term(self, pp: ParamPoint, thetas: ThetaTable, perm: int) -> complex:
+        """The unsymmetrized envelope at the point's Chern-root values, its
+        thetas read through ``thetas`` at permutation ``perm``.  The first
+        call makes the ``LoweredSum``, so an envelope compiled only for its
+        exact data (``qp_unit_factors``) is never lowered."""
         if self._lowered is None:
-            if thetas is None:
-                known = _first_den_thetas(self._terms[0], pp, self.spec.star)
             self._lowered = LoweredSum(self._terms, self.x_names())
-            if known is not None:
-                known = dict(zip(self._lowered.terms[0][2], known))
-        return self._lowered.eval(pp, self.spec.star, thetas, perm, known)
+        return self._lowered.eval(pp, self.spec.star, thetas, perm)
 
     def eval(self, pp: ParamPoint, values: dict[str, complex],
              logs: dict[str, complex] | None = None,
@@ -593,20 +560,20 @@ class Envelope:
         """Symmetrized value at an assignment of the Chern-root variables.
 
         One extended point carries the assignment; each permutation of the
-        roots overwrites its Chern-root values and logs in place.  With
-        ``thetas``, the table of this assignment at ``pp``, a theta that
-        another envelope already took there is read from the table, and so
-        is the extended point: the first envelope evaluated with the table
-        makes it.  The base values come from ``values`` and ``logs``, since
-        the previous envelope leaves the point at its last permutation.
+        roots overwrites its Chern-root values and logs in place.
+        ``thetas`` is the table of this assignment at ``pp`` (a fresh one if
+        none is given), from which the envelope reads the thetas and the
+        extended point that another envelope already made.  The base values
+        come from ``values`` and ``logs``, since the previous envelope
+        leaves the point at its last permutation.
         """
         if logs is None:
             logs = {k: cmath.log(v) for k, v in values.items()}
-        ppx = None if thetas is None else thetas.point
+        if thetas is None:
+            thetas = ThetaTable()
+        ppx = thetas.point
         if ppx is None:
-            ppx = pp.extended(values, logs)
-            if thetas is not None:
-                thetas.point = ppx
+            ppx = thetas.point = pp.extended(values, logs)
         vals, lgs = ppx.values, ppx.logs
         names = self.x_names()
         if self._perms is None:
@@ -764,7 +731,7 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
                     split[side][1][dst] = cross_logs[f"{side}_{dst}"] = logs[src]
             (va, la), (vb, lb) = split["A"], split["B"]
             ppx = pp.extended(cross_vals, cross_logs)
-            pf = pref.eval(ppx, star)
+            pf = pref.eval(ppx, star, ThetaTable())
             rhs += pf * env_a.eval(pp_a, va, la) * env_b.eval(pp_b, vb, lb)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst

@@ -338,6 +338,22 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     return _net(value, zeros, "net structural pole in a Pochhammer ratio")
 
 
+def oracle_residual(series: VertexSeries, pp: ParamPoint,
+                    qp_factors: dict[str, Monomial]) -> float:
+    """Criterion 8's residual of one series: the degree-zero law, then each
+    coefficient against its Jackson oracle; ``qp_factors`` are those of the
+    series' envelope (``Envelope.qp_unit_factors``)."""
+    base = series.envelope_at_mu
+    scale = max(abs(c) for c in series.coefficients.values())
+    worst = (abs(series.coefficients[(0,) * series.mu.size] - base)
+             / max(abs(base), 1e-300))
+    for d, c in series.coefficients.items():
+        oracle = jackson_term_ratio(series.mu, d, pp, qp_factors) * base
+        worst = max(worst, abs(c - oracle)
+                    / max(abs(c), abs(oracle), 1e-12 * scale, 1e-300))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Bethe equations
 # ---------------------------------------------------------------------------

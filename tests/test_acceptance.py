@@ -19,3 +19,11 @@ def test_criterion(criterion):
     assert result.passed, result.line()
     assert result.seconds < BUDGETS[result.number], \
         f"criterion {result.number} exceeded its runtime budget"
+
+
+def test_vertex_criterion_counts_its_skips_by_reason():
+    """Criterion 8 says why it skips a pair: at seed 0 every skipped series
+    meets a theta pole of its restriction."""
+    detail = acceptance.criterion_vertex(0).detail
+    assert detail.startswith("8 pairs, 4 singular skipped "
+                             "(4 theta pole in denominator); "), detail

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -13,14 +12,16 @@ from ellstab.core import (HBAR, BudgetError, GradedValue, Monomial,
                          ParamPoint, SingularityError)
 from ellstab import envelopes
 from ellstab.envelopes import (SYM_BUDGET, Envelope, EnvelopeSpec, LoweredSum,
-                               ThetaProduct, _cross_prefactor,
+                               VARIANTS, ThetaProduct, _cross_prefactor,
                                concat_fixed_points, factorization_residual,
                                restrict, restriction_values, s_factor_product,
                                shuffle_residual, tree_weights, default_kahler)
 from ellstab.partitions import (FixedPoint, FramingGroup, box_slot_vars,
                                 chern_slots, fixed_points, index_degrees,
-                                make_fixed_point, partitions_upto)
-from ellstab.rmatrix import basis_fixed_points, profiles
+                                make_fixed_point, partitions_of,
+                                partitions_upto)
+from ellstab.rmatrix import (RestrictionMatrix, basis_fixed_points,
+                             inverted_kahler, profiles, restriction_matrix)
 from ellstab.sampling import random_assignment, sample_param_point
 
 N = 3
@@ -450,13 +451,19 @@ def _compile_corpus():
                         yield EnvelopeSpec(fp, variant, False)
 
 
+def _pair_groups(colors):
+    """The framing groups ``ua``/``ub`` of one framing slot each, of the
+    given colors."""
+    return tuple(FramingGroup(tuple(int(i == c) for i in range(N)), prefix)
+                 for c, prefix in zip(colors, ("ua", "ub")))
+
+
 def _pair_compile_corpus():
     """Every basis element of the two chamber orders of framing groups
     ``ua``/``ub`` of colors (0,0) and (0,1), 1 to 4 boxes, each variant,
     both nomes."""
     for colors in ((0, 0), (0, 1)):
-        g1, g2 = (FramingGroup(tuple(int(i == c) for i in range(N)), prefix)
-                  for c, prefix in zip(colors, ("ua", "ub")))
+        g1, g2 = _pair_groups(colors)
         for total in range(1, 5):
             for v in profiles(total, N):
                 for groups in ([g1, g2], [g2, g1]):
@@ -535,38 +542,126 @@ def _outcome(fn, *args, **kwargs):
 @pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0)])
 def test_restrict_decides_a_theta_pole_before_lowering(w, monkeypatch):
     """A restriction whose first term has a zero theta in its denominator
-    raises the message of the evaluation without the early check and leaves
-    the envelope unlowered; any other gives that evaluation's bits and takes
-    each theta of each permutation once."""
+    raises the message of the evaluation without the early check, takes no
+    other theta and leaves the prefactors unlowered; any other gives that
+    evaluation's bits and takes each theta once per distinct argument (by
+    its ordered exponents) and, if it holds a Chern root, permutation of the
+    roots (equal root values do not make two permutations one)."""
     pp = sample_param_point(1, N, framing_counts={"u": list(w)})
     calls = Counter()
-    theta = ParamPoint.theta
+    theta, term = ParamPoint.theta, Envelope._term
+    roots: set[str] = set()
+    perm = [0]
 
     def counted(self, m, star=False):
-        calls[0] += 1
+        held = not roots.isdisjoint(m._exps)
+        calls[(tuple(m._exps.items()), perm[0] if held else None)] += 1
         return theta(self, m, star)
+
+    def term_at(self, pp, thetas, k):
+        perm[0] = k
+        return term(self, pp, thetas, k)
 
     early = regular = 0
     for spec, mu in _restrictions(w):
         ref = Envelope(spec)
-        # lowered in advance, the evaluation makes no early check
+        # no first-term denominator to raise at: only the term loop raises
         ref._lowered = LoweredSum(ref._terms, ref.x_names())
+        ref._lowered._n_first = 0
         want = _outcome(restrict, ref, mu, pp, framed=False)
         env = Envelope(spec)
+        roots = set(env.x_names())
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ParamPoint, "theta", counted)
+            patch.setattr(Envelope, "_term", term_at)
             got = _outcome(restrict, env, mu, pp, framed=False)
         assert got == want
-        if env._lowered is None:
+        if env._lowered._products is not None:
             early += 1
             assert got.startswith("SingularityError: theta pole in denominator at ")
-            assert calls[0] <= len(env._terms[0].den)
+            assert sum(calls.values()) <= len(set(env._terms[0].den))
         elif not isinstance(got, str):
             regular += 1
-            perms = math.prod(map(math.factorial, map(len, env.nvars.values())))
-            assert calls[0] == perms * len(env._lowered.args)
+            assert max(calls.values()) == 1
     assert early and regular
+
+
+#: (sha256, lines) of ``_theta_path_lines``: the thetas of every restriction
+#: matrix, shuffle check and S-product factorization, down to the last bit.
+#: Recorded before the evaluations without a ``ThetaTable`` were routed
+#: through one, so that change is pinned to the old values.
+THETA_PATH_SHA256 = (
+    "4b23417fa32d9ce1b8ce9839e701fdbfac37216222872c8fe6364e09f3169e4b", 678)
+
+
+def _theta_path_lines():
+    """One line per evaluation: the bytes of every ``restriction_matrix`` of
+    both chamber orders of the groups of colors (0,0) and (0,1), 1-3 boxes,
+    plain and starred at ``inverted_kahler``, at the points of seeds 1 and
+    2; the ``repr`` of ``shuffle_residual`` of every split of at most two
+    boxes a factor at the same colors, each variant and nome; and that of
+    ``factorization_residual`` of every fixed point of at most 3 boxes at
+    w = (1,0,0), both kernels.  An exception stands as its ``repr``."""
+    def outcome(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except SingularityError as exc:
+            return exc
+
+    for colors in ((0, 0), (0, 1)):
+        groups = _pair_groups(colors)
+        for seed in (1, 2):
+            pp = sample_param_point(seed, N, framing_counts={g.prefix: list(g.w)
+                                                             for g in groups})
+            compiled: dict = {}
+            for total in (1, 2, 3):
+                for v in profiles(total, N):
+                    for order in (groups, groups[::-1]):
+                        basis = basis_fixed_points(v, list(order), N)
+                        for star, kahler in ((False, None), (True, inverted_kahler(N))):
+                            got = outcome(restriction_matrix, basis, pp, star, kahler,
+                                          envelopes=compiled)
+                            head = f"{colors} {seed} {v} {order[0].prefix} {star}"
+                            yield f"{head} {got.matrix.tobytes().hex()}" \
+                                if isinstance(got, RestrictionMatrix) else f"{head} {got!r}"
+            rng = np.random.default_rng(seed)
+            for s1, s2 in itertools.product(range(3), repeat=2):
+                for rows1, rows2 in itertools.product(partitions_of(s1), partitions_of(s2)):
+                    if s1 + s2 == 0:
+                        continue
+                    fpa, fpb = (make_fixed_point([rows], g.w, N, g.prefix)
+                                for rows, g in zip((rows1, rows2), groups))
+                    for variant, star in itertools.product(VARIANTS, (False, True)):
+                        got = outcome(shuffle_residual, fpa, fpb, pp, variant, star,
+                                      n_assignments=2, rng=rng)
+                        yield f"{colors} {seed} {rows1} {rows2} {variant} {star} {got!r}"
+    w = (1, 0, 0)
+    pp = sample_param_point(1, N, framing_counts={"u": list(w)})
+    rng = np.random.default_rng(1)
+    for total in range(4):
+        for v in profiles(total, N):
+            for fp in fixed_points(v, w, N):
+                values = random_assignment(rng, list(box_slot_vars(fp).values()))
+                for which in ("I", "II"):
+                    got = outcome(factorization_residual, fp, pp, which, values)
+                    yield f"{fp.slots} {which} {got!r}"
+
+
+def theta_path_digest() -> tuple[str, int]:
+    """(sha256 of ``_theta_path_lines``, how many lines)."""
+    h = hashlib.sha256()
+    count = 0
+    for line in _theta_path_lines():
+        h.update(line.encode() + b"\n")
+        count += 1
+    return h.hexdigest(), count
+
+
+def test_theta_paths_match_recorded_digest():
+    """Restriction matrices, shuffle checks and the S-product factorization
+    keep every bit of their thetas."""
+    assert theta_path_digest() == THETA_PATH_SHA256
 
 
 if __name__ == "__main__":
@@ -575,3 +670,4 @@ if __name__ == "__main__":
                          ("PAIR_COMPILED_TERMS_SHA256", _pair_compile_corpus)):
         digests, count = compiled_terms_digests(corpus())
         print(f"{name} ({count} compiles): {digests}")
+    print(f"THETA_PATH_SHA256: {theta_path_digest()}")
