@@ -34,7 +34,6 @@ from .scalars import (chi_exchange, eta_pairing, mu_exchange,
                       rho_plus, rho_ratio, rll_scalar_residual,
                       vacuum_c_constants)
 from .vertex import (BetheSolution, VertexSeries, bethe_residuals, bethe_solve,
-                     jackson_term_ratio, jordan_bethe_residuals,
-                     normalization_factor, vertex_series)
+                     jackson_term_ratio, normalization_factor, vertex_series)
 
 __version__ = "0.1.0"

@@ -20,11 +20,11 @@ from .core import Monomial, SingularityError, theta_modular_residual
 from .envelopes import (Envelope, EnvelopeSpec, factorization_residual,
                         restrict, shuffle_residual)
 from .fock import lowering_coefficient, raising_coefficient
-from .partitions import (ColoredPartition, box_slot_vars, fixed_points,
-                         k_eigen_sum_ok, kahler_var, make_fixed_point,
-                         partitions_of, weight_identity_ok)
-from .rmatrix import (FramingGroup, bare_transition, composition_residual,
-                      profiles, weight_block_residual, ybe_residual)
+from .partitions import (ColoredPartition, FramingGroup, box_slot_vars,
+                         fixed_points, k_eigen_sum_ok, kahler_var,
+                         make_fixed_point, partitions_of, profiles,
+                         weight_identity_ok)
+from .rmatrix import ChamberMatrices, weight_block_residual, ybe_residual
 from .sampling import random_assignment, sample_param_point
 from .scalars import rll_scalar_residual
 from .vertex import bethe_residuals, bethe_solve, oracle_residual, vertex_series
@@ -199,9 +199,9 @@ def criterion_transition(seed: int = 0) -> CriterionResult:
                                 framing_counts={g.prefix: list(g.w) for g in (g1, g2)})
         for total in (1, 2):
             for v in profiles(total, n):
-                worst = max(worst, composition_residual(v, g1, g2, pp, n))
-                b, bare, _ = bare_transition(v, g1, g2, pp, n)
-                worst = max(worst, weight_block_residual(b, bare))
+                ch = ChamberMatrices.build(v, g1, g2, pp, n)
+                worst = max(worst, ch.composition(),
+                            weight_block_residual(ch.basis, ch.bare()))
     return CriterionResult(6, "transition composition / weight blocks",
                            worst < 1e-8, worst, 1e-8, time.perf_counter() - t0)
 
@@ -292,14 +292,14 @@ def criterion_vertex(seed: int = 0) -> CriterionResult:
 def criterion_bethe(seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
     n = 3
-    pp = sample_param_point(seed + 5, n, framing_counts={"u": [1, 0, 0]})
-    z0 = pp.values["z0"]
-    u = pp.values["u0_1"]
+    w = (1, 0, 0)
+    pp = sample_param_point(seed + 5, n, framing_counts={"u": list(w)})
+    z0 = pp.values[kahler_var(0)]
+    u = pp.values[FramingGroup(w).slots()[0].u_var]
     h = pp.hbar
     x = u * (1 - h * z0) / (1 - z0)
-    closed = float(np.max(np.abs(bethe_residuals({0: [x], 1: [], 2: []},
-                                                 pp, (1, 0, 0)))))
-    sol = bethe_solve((1, 1, 1), (1, 0, 0), pp, seed=seed)
+    closed = float(np.max(np.abs(bethe_residuals({0: [x], 1: [], 2: []}, pp, w))))
+    sol = bethe_solve((1, 1, 1), w, pp, seed=seed)
     passed = closed < 1e-12 and sol.converged and sol.residual < 1e-10
     return CriterionResult(9, "Bethe closed form / Newton", passed,
                            max(closed, sol.residual), 1e-10, time.perf_counter() - t0,

@@ -387,27 +387,18 @@ def _tree_phi_args(cell: dict, tree: LambdaTree,
     return phi_args
 
 
-def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial],
-                 boxes: list[Box] | None = None,
-                 xvar: dict[Box, str] | None = None,
-                 degrees: dict[Box, int] | None = None) -> list[TreeTupleWeight]:
+def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial], boxes: list[Box],
+                 xvar: dict[Box, str], degrees: dict[Box, int]) -> list[TreeTupleWeight]:
     """All tree-tuple weights of a fixed point, compiled to phi arguments.
 
     ``kahler`` maps every color to its Kahler argument (``default_kahler``
     for the plain z_i).  ``boxes`` is ``fp.boxes()``, ``xvar`` is
-    ``box_slot_vars(fp)`` and ``degrees`` is ``index_degrees(fp)``; each is
-    computed if not given.  The phi arguments of one tree of one slot are
-    built once and shared by every tuple that holds the tree.  Each argument
-    is built as one exponent dict, with the exponents and the variable order
-    of its chained product.
+    ``box_slot_vars(fp)`` and ``degrees`` is ``index_degrees(fp)``.  The
+    phi arguments of one tree of one slot are built once and shared by every
+    tuple that holds the tree.  Each argument is built as one exponent dict,
+    with the exponents and the variable order of its chained product.
     """
     n = fp.n_colors
-    if boxes is None:
-        boxes = fp.boxes()
-    if xvar is None:
-        xvar = box_slot_vars(fp)
-    if degrees is None:
-        degrees = index_degrees(fp, boxes)
     # per slot, per cell: the Chern root of its box, its restriction weight,
     # and its Kahler argument and hbar to its index degree, the factors of a
     # subtree product (hbar^0 left out: it changes no exponent)
@@ -524,6 +515,7 @@ class Envelope:
         variables.
         """
         names = self.x_names()
+        roots = set(names)
         per_term = []
         for term in self._terms:
             parts: dict[str, list[tuple[Monomial, int]]] = {name: [] for name in names}
@@ -539,7 +531,7 @@ class Envelope:
             if any(t[name] != factor for t in per_term[1:]):
                 raise ValueError("quasi-periodicity factor is not uniform "
                                  "across tree terms")
-            if any(v.startswith("x") for v in factor.exps):
+            if not roots.isdisjoint(factor.exps):
                 raise ValueError("quasi-periodicity factor retains Chern roots; "
                                  "only ratio-normalized variants have one")
             out[name] = factor
@@ -657,32 +649,39 @@ def concat_fixed_points(fpa: FixedPoint, fpb: FixedPoint) -> FixedPoint:
     return FixedPoint(fpa.slots + fpb.slots, fpa.n_colors)
 
 
+def spectator_shift(w, v) -> tuple[int, ...]:
+    """The Kahler shift w_i - v_i + v_{i+1} that a trailing factor of
+    framing ``w`` and profile ``v`` puts on the factors before it: the
+    first-factor shift of the shuffle formula, and the spectator's of the
+    leading-pair factorization."""
+    n = len(v)
+    return tuple(w[i] - v[i] + v[(i + 1) % n] for i in range(n))
+
+
 def shuffle_kahler_shifts(n: int, va, wa, vb, wb):
     """Kahler arguments of the two factors inside the shuffle formula.
 
-    First factor: z_i * hbar^(w''_i - v''_i + v''_{i+1}); second factor:
-    z_i * hbar^(v'_i - v'_{i-1}).
+    First factor: z_i * hbar^(w''_i - v''_i + v''_{i+1})
+    (``spectator_shift``); second factor: z_i * hbar^(v'_i - v'_{i-1}).
     """
-    return (shifted_kahler([wb[i] - vb[i] + vb[(i + 1) % n] for i in range(n)]),
+    return (shifted_kahler(spectator_shift(wb, vb)),
             shifted_kahler([va[i] - va[(i - 1) % n] for i in range(n)]))
 
 
 def _cross_prefactor(fpa: FixedPoint, fpb: FixedPoint, variant: str) -> ThetaProduct:
     """The S-product factors of the concatenated fixed point whose pair joins
-    a slot or box of ``fpa`` to one of ``fpb``, in the variables ``A_x..``
-    of ``fpa`` and ``B_x..`` of ``fpb``."""
+    a slot or box of ``fpa`` to one of ``fpb``, in the concatenated point's
+    Chern roots (``box_slot_vars``).  The canonical order puts a slot's
+    boxes before the next slot's, so per color i the roots of ``fpa`` keep
+    their names and the j-th root of ``fpb`` is x_(i, v'_i + j)."""
     big = concat_fixed_points(fpa, fpb)
-    xa, xb = box_slot_vars(fpa), box_slot_vars(fpb)
-    names = ([f"A_{xa[b]}" for b in fpa.boxes()]
-             + [f"B_{xb[b]}" for b in fpb.boxes()])
-    x = dict(zip(big.boxes(), names))
     ka = len(fpa.slots)
     pairs = quiver_pairs(big)
     cross = QuiverPairs(
         [(r, b) for r, b in pairs.framing if (r < ka) != (b.owner < ka)],
         [(a, b) for a, b in pairs.arrow if (a.owner < ka) != (b.owner < ka)],
         [(a, b) for a, b in pairs.gauge if (a.owner < ka) != (b.owner < ka)])
-    return _s_product(big, variant, cross, x)
+    return _s_product(big, variant, cross, box_slot_vars(big))
 
 
 def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
@@ -705,10 +704,14 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
     pp_a, pp_b = kahler_point(pp, za), kahler_point(pp, zb)
     pref = LoweredSum([_cross_prefactor(fpa, fpb, variant)], ())
 
-    slots_big, slots_a = chern_slots(big), chern_slots(fpa)
-    picks_per_color = [list(itertools.combinations(range(len(slots_big[i])),
-                                                   len(slots_a[i])))
+    v_big, v_a, v_b = big.v, fpa.v, fpb.v
+    picks_per_color = [list(itertools.combinations(range(v_big[i]), v_a[i]))
                        for i in range(n)]
+    # the first factor's roots keep their names at the concatenated point
+    # (``_cross_prefactor``); the second's, there and in its own envelope
+    names_a = env_a.x_names()
+    names_b = [(chern_var(i, v_a[i] + j), chern_var(i, j))
+               for i in range(n) for j in range(1, v_b[i] + 1)]
     worst = 0.0
     for _ in range(n_assignments):
         values = random_assignment(rng, env_big.x_names())
@@ -717,19 +720,18 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
 
         rhs = 0.0 + 0.0j
         for picks in itertools.product(*picks_per_color):
-            # values and logs of the roots of each factor, renumbered per
-            # color, and under the A_/B_ names of the cross factor
-            split = {"A": ({}, {}), "B": ({}, {})}
+            # per color, the picked roots and then the others, written into
+            # the concatenated point's names in turn
             cross_vals, cross_logs = {}, {}
-            for i in range(n):
-                count = {"A": 0, "B": 0}
-                for idx in range(len(slots_big[i])):
-                    side = "A" if idx in picks[i] else "B"
-                    count[side] += 1
-                    src, dst = chern_var(i, idx + 1), chern_var(i, count[side])
-                    split[side][0][dst] = cross_vals[f"{side}_{dst}"] = values[src]
-                    split[side][1][dst] = cross_logs[f"{side}_{dst}"] = logs[src]
-            (va, la), (vb, lb) = split["A"], split["B"]
+            for i, picked in enumerate(picks):
+                rest = tuple(k for k in range(v_big[i]) if k not in picked)
+                for j, k in enumerate(picked + rest, start=1):
+                    src, dst = chern_var(i, k + 1), chern_var(i, j)
+                    cross_vals[dst], cross_logs[dst] = values[src], logs[src]
+            va = {name: cross_vals[name] for name in names_a}
+            la = {name: cross_logs[name] for name in names_a}
+            vb = {own: cross_vals[name] for name, own in names_b}
+            lb = {own: cross_logs[name] for name, own in names_b}
             ppx = pp.extended(cross_vals, cross_logs)
             pf = pref.eval(ppx, star, ThetaTable())
             rhs += pf * env_a.eval(pp_a, va, la) * env_b.eval(pp_b, vb, lb)

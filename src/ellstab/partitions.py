@@ -288,6 +288,24 @@ def partitions_upto(nmax: int):
         yield from partitions_of(n)
 
 
+def profiles(m: int, n: int):
+    """All n-part weak compositions of m (the content profiles v with
+    |v| = m, or the degree vectors of total m), lexicographically
+    increasing: each choice of n - 1 cut positions among m + n - 1 slots.
+    With no parts, m = 0 has the one empty composition and m > 0 none."""
+    if n == 0:
+        if m == 0:
+            yield ()
+        return
+    for cuts in itertools.combinations(range(m + n - 1), n - 1):
+        vec, prev = [], -1
+        for c in cuts:
+            vec.append(c - prev - 1)
+            prev = c
+        vec.append(m + n - 2 - prev)
+        yield tuple(vec)
+
+
 def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
                  budget: int = 200000) -> list[FixedPoint]:
     """All fixed points with box-content profile v and framing vector w.

@@ -26,9 +26,10 @@ import numpy as np
 
 from .core import Monomial, ParamPoint
 from .envelopes import (Envelope, EnvelopeSpec, ThetaTable, kahler_args,
-                        kahler_point, restriction_values, shifted_kahler)
+                        kahler_point, restriction_values, shifted_kahler,
+                        spectator_shift)
 from .partitions import (FixedPoint, FramingGroup, _enumerate_fixed_points,
-                         kahler_var)
+                         kahler_var, profiles)
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
 
@@ -290,16 +291,6 @@ def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
 # Triple tensor space and the dynamical Yang-Baxter equation
 # ---------------------------------------------------------------------------
 
-def profiles(m: int, n: int):
-    """All content profiles v with |v| = m."""
-    if n == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in profiles(m - first, n - 1):
-            yield (first,) + rest
-
-
 def triple_basis(groups, n_colors: int, total_boxes: int) -> list[tuple]:
     """Direct sum over all profile splits of a triple of framing groups: the
     triples of single-group fixed points with ``total_boxes`` boxes in all."""
@@ -407,8 +398,9 @@ def triple_restriction_matrix(trip_basis, order, pp, n_colors):
 def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
     """Check that swapping the two leading factors of a triple chamber is the
     pair transition at Kahler arguments z_i hbar^(w_i - v_i + v_{i+1}), with
-    w the framing and v the profile of the trailing spectator: the
-    first-factor shift of ``envelopes.shuffle_kahler_shifts``.
+    w the framing and v the profile of the trailing spectator
+    (``envelopes.spectator_shift``, the first-factor shift of the shuffle
+    formula).
 
     This is the exact dynamical-shift statement behind the Yang-Baxter
     relation; it holds for arbitrary framing colors.
@@ -421,12 +413,7 @@ def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
     m0 = triple_restriction_matrix(trip_basis, (0, 1, 2), pp, n_colors)
     m1 = triple_restriction_matrix(trip_basis, (1, 0, 2), pp, n_colors)
     honest = np.linalg.solve(m0, m1)
-    w = groups[2].w
-
-    def spectator_shift(trip):
-        v = trip[2].v
-        return tuple(w[i] - v[i] + v[(i + 1) % n_colors] for i in range(n_colors))
-
-    assembled = r_action_on_triple(trip_basis, groups, (0, 1), pp, spectator_shift)
+    assembled = r_action_on_triple(trip_basis, groups, (0, 1), pp,
+                                   lambda trip: spectator_shift(groups[2].w, trip[2].v))
     scale = max(float(np.max(np.abs(honest))), 1.0)
     return float(np.max(np.abs(honest - assembled)) / scale)

@@ -34,7 +34,6 @@ The Bethe equations of a profile are compiled the same way, once per
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,7 +43,8 @@ from .core import (HBAR, P, SQRT_HBAR, Monomial, ParamPoint, SingularityError,
                    qpoch_fin)
 from .envelopes import Envelope, EnvelopeSpec, restrict, restriction_values
 from .partitions import (FixedPoint, FramingGroup, box_slot_vars, chern_var,
-                         fixed_points, kahler_var, phi_weight, quiver_pairs)
+                         fixed_points, kahler_var, phi_weight, profiles,
+                         quiver_pairs)
 from .scalars import mu_vacuum_ope
 
 
@@ -247,18 +247,10 @@ class VertexSeries:
 
 
 def _degree_vectors(n_boxes: int, cap: int):
-    if n_boxes == 0:
-        yield ()
-        return
+    """The degree vectors of n_boxes entries of total at most ``cap``, by
+    total."""
     for total in range(cap + 1):
-        for cuts in itertools.combinations(range(total + n_boxes - 1), n_boxes - 1):
-            vec = []
-            prev = -1
-            for c in cuts:
-                vec.append(c - prev - 1)
-                prev = c
-            vec.append(total + n_boxes - 2 - prev if n_boxes > 1 else total)
-            yield tuple(vec)
+        yield from profiles(total, n_boxes)
 
 
 def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
@@ -428,24 +420,6 @@ def bethe_residuals(xvals: dict[int, list[complex]], pp: ParamPoint,
     n = pp.n_colors
     v = tuple(len(xvals.get(k, [])) for k in range(n))
     return BetheSystem(v, w, pp)([x for k in range(n) for x in xvals.get(k, [])])
-
-
-def jordan_bethe_residuals(xvals: list[complex], uvals: list[complex],
-                           z: complex, pp: ParamPoint) -> np.ndarray:
-    """Saddle-point residuals of the single-vertex (Jordan) quiver variant."""
-    t1, t2, h = pp.t1, pp.t2, pp.hbar
-    out = []
-    for a, x in enumerate(xvals):
-        lhs = 1.0 + 0.0j
-        for u in uvals:
-            lhs *= (1 - u / x) / (1 - h * u / x)
-        for b, y in enumerate(xvals):
-            if b == a:
-                continue
-            lhs *= ((x - y / h) * (x - t1 * y) * (x - t2 * y)
-                    / ((x - h * y) * (x - y / t1) * (x - y / t2)))
-        out.append(lhs - z)
-    return np.array(out, dtype=complex)
 
 
 @dataclass

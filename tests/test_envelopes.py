@@ -17,9 +17,9 @@ from ellstab.envelopes import (SYM_BUDGET, Envelope, EnvelopeSpec, LoweredSum,
                                restrict, restriction_values, s_factor_product,
                                shuffle_residual, tree_weights, default_kahler)
 from ellstab.partitions import (FixedPoint, FramingGroup, box_slot_vars,
-                                chern_slots, fixed_points, index_degrees,
-                                make_fixed_point, partitions_of,
-                                partitions_upto)
+                                chern_slots, chern_var, fixed_points,
+                                index_degrees, make_fixed_point,
+                                partitions_of, partitions_upto)
 from ellstab.rmatrix import (RestrictionMatrix, basis_fixed_points,
                              inverted_kahler, profiles, restriction_matrix)
 from ellstab.sampling import random_assignment, sample_param_point
@@ -50,8 +50,10 @@ def test_single_box_closed_form():
 
 def test_row_of_two_tree_weight_hand_expansion():
     fp = make_fixed_point([(2,)], (1, 0, 0), N)
-    d = {(b.x, b.y): v for b, v in index_degrees(fp).items()}
-    weights = tree_weights(fp, default_kahler(N))
+    boxes = fp.boxes()
+    degrees = index_degrees(fp, boxes)
+    d = {(b.x, b.y): v for b, v in degrees.items()}
+    weights = tree_weights(fp, default_kahler(N), boxes, box_slot_vars(fp), degrees)
     assert len(weights) == 1
     tw = weights[0]
     assert tw.kappa == 0
@@ -117,8 +119,13 @@ def _arguments(prod, names):
 
 def test_concatenated_s_product_factors_through_the_cross_prefactor():
     """S(fpa ++ fpb) is S(fpa) S(fpb) times the shuffle cross factor, as
-    multisets of theta arguments, with the signs adding.  Four boxes in the
-    first slot give it a same-residue (gauge) pair of its own at N = 3."""
+    multisets of theta arguments, with the signs adding.  Every product is
+    read in the concatenated point's roots, which the cross factor and the
+    whole product already speak: each factor's boxes are renamed to their
+    boxes there, which keeps the first factor's names and shifts the
+    second's x_(i,j) to x_(i, v'_i + j), the renaming of
+    ``shuffle_residual``.  Four boxes in the first slot give it a
+    same-residue (gauge) pair of its own at N = 3."""
     for n in (3, 4):
         wa = tuple(int(i == 0) for i in range(n))
         for ra, rb, color in itertools.product(partitions_upto(4),
@@ -128,11 +135,13 @@ def test_concatenated_s_product_factors_through_the_cross_prefactor():
             fpb = make_fixed_point([rb], wb, n, prefix="ub")
             big = concat_fixed_points(fpa, fpb)
             xa, xb, xbig = box_slot_vars(fpa), box_slot_vars(fpb), box_slot_vars(big)
-            own = ([f"A_{xa[b]}" for b in fpa.boxes()]
-                   + [f"B_{xb[b]}" for b in fpb.boxes()])
-            to_big = {xbig[c]: name for c, name in zip(big.boxes(), own)}
-            to_a = {v: f"A_{v}" for v in xa.values()}
-            to_b = {v: f"B_{v}" for v in xb.values()}
+            boxes_a, boxes_big = fpa.boxes(), big.boxes()
+            to_a = {xa[b]: xbig[c] for b, c in zip(boxes_a, boxes_big)}
+            to_b = {xb[b]: xbig[c]
+                    for b, c in zip(fpb.boxes(), boxes_big[len(boxes_a):])}
+            assert all(own == there for own, there in to_a.items())
+            assert to_b == {chern_var(i, j): chern_var(i, fpa.v[i] + j)
+                            for i in range(n) for j in range(1, fpb.v[i] + 1)}
             for variant in ("plain", "hat", "tilde"):
                 whole = s_factor_product(big, variant)
                 sa = s_factor_product(fpa, variant)
@@ -142,8 +151,8 @@ def test_concatenated_s_product_factors_through_the_cross_prefactor():
                 num_b, den_b = _arguments(sb, to_b)
                 num_c, den_c = _arguments(cross, {})
                 case = (n, ra, rb, color, variant)
-                assert _arguments(whole, to_big) == (num_a + num_b + num_c,
-                                                     den_a + den_b + den_c), case
+                assert _arguments(whole, {}) == (num_a + num_b + num_c,
+                                                 den_a + den_b + den_c), case
                 assert whole.sign == sa.sign + sb.sign + cross.sign, case
 
 

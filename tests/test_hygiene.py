@@ -221,3 +221,53 @@ def test_variable_names_are_spelled_only_in_partitions():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+#: a framing weight (with at most a one-letter prefix after the u), Chern root
+#: or Kahler parameter written out: u0_1, ua2_1, x1_2, z0
+_VARIABLE_LITERAL = re.compile(r"(u[a-z]?|x|z)\d+(_\d+)?")
+
+
+def variable_name_literals(tree: ast.Module) -> list[str]:
+    """String constants spelled like a u, x or z variable name, and
+    ``startswith`` calls that tell those names apart by their first letter,
+    with their lines, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and _VARIABLE_LITERAL.fullmatch(node.value)):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "startswith"):
+            prefixes = [c for arg in node.args
+                        for c in (arg.elts if isinstance(arg, ast.Tuple) else [arg])]
+            if any(isinstance(c, ast.Constant) and c.value in ("u", "x", "z")
+                   for c in prefixes):
+                found.append((node.lineno, ast.unparse(node)))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+def test_variable_name_literals_detected():
+    tree = ast.parse('a = d["z0"]\nb = d["u0_1"]\nc = "ua2_3"\ne = "x1_2"\n'
+                     'f = name.startswith("x")\ng = v.startswith(("t", "z"))\n'
+                     'h = "t1"\ni = "x"\nj = name.startswith("ellstab.")\n'
+                     'k = "zz1"\nl = "x1_"\nm = f"x{i}_{j}"\n')
+    assert variable_name_literals(tree) == [
+        "'z0' (line 1)", "'u0_1' (line 2)", "'ua2_3' (line 3)", "'x1_2' (line 4)",
+        "name.startswith('x') (line 5)", "v.startswith(('t', 'z')) (line 6)"]
+
+
+def test_variable_names_are_not_written_out():
+    """Outside ``partitions`` no module writes a variable name as a string
+    or tells a Chern root, framing weight or Kahler parameter by its first
+    letter: it asks ``partitions`` for the name (``chern_var``,
+    ``kahler_var``, ``FramingSlot.u_var``), or compares against the names
+    it holds."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "partitions.py":
+            continue
+        names = variable_name_literals(ast.parse(path.read_text()))
+        if names:
+            found[path.name] = names
+    assert found == {}

@@ -13,8 +13,8 @@ from ellstab.partitions import (Box, ColoredPartition, FixedPoint,
                                 addable_removable, box_order_cmp, chern_slots,
                                 fixed_points, index_degrees, k_eigen_sum_ok,
                                 lambda_trees, make_fixed_point,
-                                partitions_upto, rho_less, spanning_trees,
-                                weight_identity_ok)
+                                partitions_upto, profiles, rho_less,
+                                spanning_trees, weight_identity_ok)
 
 
 def random_partition(rng, max_size, n_colors):
@@ -186,6 +186,27 @@ def test_one_pass_enumerator_matches_the_recursion():
     for slots in ([], framings[0]):
         assert _enumerate_fixed_points((1, -1, 0), slots, n) == \
             _recursive_fixed_points((1, -1, 0), slots, n) == []
+
+
+def _recursive_profiles(m, n):
+    """The composition enumerator as it was before it took cut positions:
+    a first part, then the compositions of the rest into n - 1 parts."""
+    if n == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in _recursive_profiles(m - first, n - 1):
+            yield (first,) + rest
+
+
+def test_cut_position_profiles_match_the_recursion():
+    """The same compositions in the same order for 1-6 parts and totals
+    0-6; no part is one composition of 0 and none of more."""
+    for n in range(1, 7):
+        for m in range(7):
+            assert list(profiles(m, n)) == list(_recursive_profiles(m, n)), (m, n)
+    assert list(profiles(0, 0)) == [()]
+    assert list(profiles(2, 0)) == []
 
 
 def test_chern_slot_variable_assignment():

@@ -11,7 +11,8 @@ from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
                                ThetaTable, _cancel, _tally, default_kahler,
                                kahler_args, kahler_point, restriction_values,
                                s_factor_product, shifted_kahler, tree_weights)
-from ellstab.partitions import fixed_points, make_fixed_point
+from ellstab.partitions import (box_slot_vars, fixed_points, index_degrees,
+                                make_fixed_point)
 from ellstab import rmatrix
 from ellstab.rmatrix import (ChamberMatrices, FramingGroup, _swap_permutation,
                              bare_transition,
@@ -384,8 +385,10 @@ def _compile_time_kahler(fp, star, kahler):
     evaluation."""
     env = Envelope(EnvelopeSpec(fp, "plain", star))
     sprod = s_factor_product(fp, "plain")
+    boxes = fp.boxes()
     terms = []
-    for tw in tree_weights(fp, dict(kahler)):
+    for tw in tree_weights(fp, dict(kahler), boxes, box_slot_vars(fp),
+                           index_degrees(fp, boxes)):
         num, den = list(sprod.num), list(sprod.den)
         for xm, ym in tw.phi_args:
             num += [xm * ym, HBAR]

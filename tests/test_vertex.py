@@ -16,9 +16,8 @@ from ellstab.sampling import sample_param_point
 from ellstab.scalars import mu_vacuum_ope
 from ellstab.vertex import (BetheSolution, BetheSystem, _degree_vectors,
                             _factor_bases, bethe_residuals, bethe_solve,
-                            jackson_term_ratio, jordan_bethe_residuals,
-                            normalization_factor, qpoch_fin_mono,
-                            vertex_series)
+                            jackson_term_ratio, normalization_factor,
+                            qpoch_fin_mono, vertex_series)
 from qseries_oracles import qpoch_mono
 
 N = 3
@@ -254,18 +253,6 @@ def test_bethe_newton_converges_and_matches_closed_form():
     assert sol.converged and sol.residual < 1e-10
 
 
-def test_jordan_variant_contract():
-    uvals = [PP.values["u0_1"]]
-    z = PP.values["z0"]
-    h = PP.hbar
-    u = uvals[0]
-    x = u * (1 - h * z) / (1 - z)
-    res = jordan_bethe_residuals([x], uvals, z, PP)
-    assert res.shape == (1,)
-    assert np.max(np.abs(res)) < 1e-12
-    assert jordan_bethe_residuals([], uvals, z, PP).shape == (0,)
-
-
 def test_negative_degree_cap_is_rejected():
     fp = make_fixed_point([(1,)], W, N)
     with pytest.raises(ValueError, match="degree cap -1"):
@@ -496,6 +483,72 @@ def test_a_table_takes_each_finite_product_once(monkeypatch):
                     assert set(taken) == want
                     checked += 1
     assert checked > 5
+
+
+def _step_factors(mu, d, a):
+    """The integrand factors of ``mu`` that hold box ``a``, one triple
+    (k, m, m') each: under x_a -> p x_a at the degrees ``d`` the factor
+    changes by p^k (1 - m)/(1 - m'), with x_b = phi_b p^(d_b) and m, m'
+    exact monomials."""
+    boxes, framing, arrow, gauge = _factor_bases(mu)
+    x = [phi * P ** db for (_, phi, _), db in zip(boxes, d)]
+    t1, t2 = Monomial.var("t1"), Monomial.var("t2")
+    out = []
+    for ia, base in framing:
+        if ia == a:
+            u = boxes[a][1] / base
+            out.append((1, u / x[a], HBAR * u / (P * x[a])))
+    for ia, ib, _ in arrow:
+        if ia == a:
+            out.append((-1, x[ib] / (t1 * x[a]), t2 * x[ib] / (P * x[a])))
+        if ib == a:
+            out.append((0, t2 * x[a] / x[ia], P * x[a] / (t1 * x[ia])))
+    for ia, ib, _ in gauge:
+        if ia == a:
+            out.append((1, P * x[a] / x[ib], HBAR * x[a] / x[ib]))
+        if ib == a:
+            out.append((1, HBAR * x[ia] / (P * x[a]), x[ia] / x[a]))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_oracle_one_step_identity(seed):
+    """J(d + e_a) / J(d) of the Jackson oracle is the envelope's
+    quasi-periodicity factor of box a times one closed ratio per integrand
+    factor that holds a (``_step_factors``): every fixed point of 1-3 boxes
+    at three framings, every |d| <= 3 and box a.  A step is skipped at a
+    structural zero or pole: where a factor's monomial is exactly 1, where
+    either oracle value raises, or where J(d) = 0."""
+    checked = skipped = 0
+    for w in ((1, 0, 0), (1, 1, 0), (2, 0, 0)):
+        pp = sample_param_point(seed, N, framing_counts={"u": list(w)})
+        for total in (1, 2, 3):
+            for v in profiles(total, N):
+                for mu in fixed_points(v, w, N):
+                    qp = Envelope(EnvelopeSpec(mu, "hat")).qp_unit_factors()
+                    names = [name for _, _, name in _factor_bases(mu)[0]]
+                    for d in _degree_vectors(mu.size, 3):
+                        for a, name in enumerate(names):
+                            factors = _step_factors(mu, d, a)
+                            step = d[:a] + (d[a] + 1,) + d[a + 1:]
+                            try:
+                                before = jackson_term_ratio(mu, d, pp, qp)
+                                after = jackson_term_ratio(mu, step, pp, qp)
+                            except SingularityError:
+                                before = 0
+                            if before == 0 or any(m.is_one() or m2.is_one()
+                                                  for _, m, m2 in factors):
+                                skipped += 1
+                                continue
+                            want = pp.materialize(qp[name])
+                            for k, m, m2 in factors:
+                                want *= (pp.p ** k * (1 - pp.materialize(m))
+                                         / (1 - pp.materialize(m2)))
+                            got = after / before
+                            assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), \
+                                (w, mu.label(), d, a)
+                            checked += 1
+    assert checked > 500 and skipped > 1000
 
 
 @pytest.mark.parametrize("degrees", [(1, 1), ()])
