@@ -8,17 +8,23 @@ and index degrees of the fixed point once, builds each theta argument as one
 exponent dict, counts the S-product's arguments once for all its terms, and
 sorts the factors of every term in ``repr`` order, each argument's ``repr``
 formed once.  The compiled structure keeps every theta argument as an exact
-monomial, and is lowered once, at its first evaluation (``LoweredSum``): the
-distinct theta arguments of all terms and per term a sign and index lists
-into them; the exact prefactor monomials only once that evaluation has found
-no structural theta pole.  An envelope that is only asked for exact data,
-such as its quasi-periodicity factors, is never lowered, nor does it list
-the permutations of its roots.  Evaluation assigns complex values to the
+monomial, and is lowered once (``LoweredSum``), at the first evaluation that
+finds no structural theta pole: the distinct theta arguments of all terms,
+their table keys, per term a sign and index lists into them, and the exact
+prefactor monomials.  An envelope that is only asked for exact data, such as
+its quasi-periodicity factors, is never lowered, nor does it list the
+permutations of its roots.  Evaluation assigns complex values to the
 Chern-root variables of one extended parameter point, overwrites them per
-permutation of the roots, takes each distinct theta through fixed logarithms
-(reading only its coefficient, so no half power is formed) and combines the
-terms by index in floating point; exact monomial arithmetic stays at compile
-time.
+permutation of the roots, and decides the structural zeros and poles from
+the arguments' values before any q-series: a value of exactly 1.0 is a zero
+of its theta, and one in a fixed annulus around the unit circle provably is
+none (``theta_surely_nonzero``).  So an envelope whose first evaluation
+meets a pole in its first term's denominator raises before any other theta
+is taken, and a term with a unit numerator argument takes none of its
+numerator thetas.  Every other theta is taken
+through fixed logarithms (reading only its coefficient, so no half power is
+formed) and the terms are combined by index in floating point; exact
+monomial arithmetic stays at compile time.
 
 Every theta is read through a ``ThetaTable``, the one path from an argument
 to its value: a theta with a Chern root is taken once per permutation, one
@@ -156,37 +162,119 @@ class ThetaTable:
         return self.free, self._bound[k]
 
 
+#: the modulus m < 1 of the annulus |q|/m < |z| < m/|q| in which a theta
+#: argument of value z is provably no zero unless z = 1 (``LoweredSum``)
+ANNULUS_MODULUS = 0.9
+
+
+def theta_surely_nonzero(z: complex, abs_q: float) -> bool:
+    """Whether the theta of the value ``z`` at a nome of modulus ``abs_q``
+    is provably not 0 without its q-series: ``z`` lies in the annulus
+    |q|/m < |z| < m/|q| of ``ANNULUS_MODULUS`` m and its real part is not
+    1.0 (see ``LoweredSum``).  The annulus is empty for |q| >= m."""
+    az = abs(z)
+    m = ANNULUS_MODULUS
+    return abs_q < m * az and az * abs_q < m and z.real != 1.0
+
+
 class LoweredSum:
     """A sum of theta products lowered once for repeated evaluation.
 
+    Evaluation decides the structural zeros and poles from each argument's
+    value before any q-series.  A value of exactly 1.0 is a zero: the
+    series' first factor is 1 - 1.0.  A value z whose real part is not 1.0,
+    in the annulus |q|/m < |z| < m/|q| (``theta_surely_nonzero``, q the nome
+    the theta is taken at, m = ``ANNULUS_MODULUS``), is provably none: the
+    first factor 1 - z has a real part of modulus at least 2^-53 (the
+    distance from 1.0 to the nearest double below it; the difference is
+    exact near 1 and at least 1/2 elsewhere); the others are 1 - z q^n with
+    |z q^n| < m |q|^(n-1) < m^n for n >= 1 and 1 - (q/z) q^n with
+    |(q/z) q^n| < m^(n+1) for n >= 0, since the annulus is empty unless
+    |q| < m.  So the product has modulus at least 2^-53 (m; m)_inf^2, above
+    1e-28 for m = 0.9: far from any underflow, and the relative rounding of
+    a few thousand complex products cannot bring it to 0.
+
+    The first evaluation walks the first term's distinct denominator
+    arguments in order and raises at the first zero, the pole the term loop
+    would meet first; it runs the q-series there only for an argument
+    outside that annulus, so a structural pole costs no other theta and
+    leaves the sum unlowered.  The first point past it lowers the sum:
     ``args`` are the distinct theta arguments of all terms, each as its
     first occurrence (whose exponent order rounds its value); ``terms`` hold
-    per term the sign as +-1.0, index lists into ``args`` and, once lowered,
-    the exact prefactor (``ThetaProduct.mono_total``).  ``_keys`` give per
-    argument its index, its ``ThetaTable`` key and whether it is free of
-    ``chern_roots`` (``Envelope.x_names``, none for a lone product), the
-    first term's denominator first.  So ``eval`` takes those thetas before
-    any other and raises at the first zero, the pole the term loop would
-    meet first: a structural theta pole costs no other theta, and the
-    prefactors are lowered only past it.  Each term is multiplied out in
-    its own factor order, bit for bit the product of graded values, with no
-    exact monomial arithmetic once lowered.
+    per term the sign as +-1.0, index lists into ``args`` and the exact
+    prefactor (``ThetaProduct.mono_total``); ``_keys`` give per argument its
+    ``ThetaTable`` key and whether it is free of ``chern_roots``
+    (``Envelope.x_names``, none for a lone product).  Reading ``args``
+    lowers the sum too.
+
+    The term loop takes each term's denominator thetas first, in order, and
+    raises at the first zero, so every pole raises where and how it would if
+    every theta were taken first.  A term with a numerator argument of value
+    1.0, or with a zero theta already in the table, then takes none of its
+    numerator thetas and skips its prefactor.  Skipping it changes no bit:
+    its product is +-0, and adding +-0 leaves a total unchanged that never
+    holds -0.0 (the total starts at +0.0, and a sum is -0.0 only if both
+    addends are).  Every other term is multiplied out in its own factor
+    order, bit for bit the product of graded values, with no exact monomial
+    arithmetic once lowered.  A value materialized for a decision is
+    materialized again if its theta is taken: every q-series theta goes
+    through ``ParamPoint.theta``, which takes the monomial.
     """
 
     def __init__(self, products: list[ThetaProduct], chern_roots: Iterable[str]):
+        self._products = products
+        self._roots = frozenset(chern_roots)
+        # the first term's distinct denominator arguments, each as its first
+        # occurrence, so the pole exit reads the values the term loop would
+        first = products[0]
+        occurrence: dict[Monomial, Monomial] = {}
+        for m in first.num + first.den:
+            occurrence.setdefault(m, m)
+        self._first_den = [occurrence[m] for m in dict.fromkeys(first.den)]
+        self.terms: list | None = None
+        self._args: list[Monomial] = []
+        self._keys: list[tuple[tuple, bool]] = []
+
+    @property
+    def args(self) -> list[Monomial]:
+        if self.terms is None:
+            self._lower()
+        return self._args
+
+    def _lower(self) -> None:
+        """Index every term's arguments, key them and lower the prefactors."""
         index: dict[Monomial, int] = {}
-        self.terms = [((-1.0) ** (prod.sign % 2),
-                       [index.setdefault(m, len(index)) for m in prod.num],
-                       [index.setdefault(m, len(index)) for m in prod.den], None)
-                      for prod in products]
-        self.args = list(index)
-        roots = frozenset(chern_roots)
-        keys = [(k, m, m.float_items(), roots.isdisjoint(m._exps))
-                for k, m in enumerate(self.args)]
-        first = dict.fromkeys(self.terms[0][2])
-        self._keys = [keys[k] for k in first] + [key for key in keys if key[0] not in first]
-        self._n_first = len(first)
-        self._products: list[ThetaProduct] | None = products
+        terms = []
+        for prod in self._products:
+            num = [index.setdefault(m, len(index)) for m in prod.num]
+            den = [index.setdefault(m, len(index)) for m in prod.den]
+            pref = prod.mono_total()
+            pref.float_items()
+            terms.append(((-1.0) ** (prod.sign % 2), num, den, pref))
+        self._args = list(index)
+        roots = self._roots
+        self._keys = [(m.float_items(), roots.isdisjoint(m._exps)) for m in self._args]
+        self.terms = terms
+
+    def _pole_exit(self, pp: ParamPoint, star: bool, free: dict, bound: dict) -> None:
+        """Raise at the first zero theta of the first term's denominator,
+        decided from each argument's value; a theta is taken, through the
+        table dicts ``free`` and ``bound``, only for a value outside the
+        annulus."""
+        abs_q = abs(pp.nome(star))
+        for m in self._first_den:
+            z = pp.materialize(m)
+            if z != 1.0:
+                if theta_surely_nonzero(z, abs_q):
+                    continue
+                memo = free if self._roots.isdisjoint(m._exps) else bound
+                key = m.float_items()
+                c = memo.get(key)
+                if c is None:
+                    c = memo[key] = pp.theta(m, star).coeff
+                if c != 0:
+                    continue
+            raise SingularityError(f"theta pole in denominator at {m}")
 
     def eval(self, pp: ParamPoint, star: bool, thetas: ThetaTable,
              perm: int = 0) -> complex:
@@ -194,43 +282,44 @@ class LoweredSum:
         Chern-root assignment and ``perm`` the index of the permutation of
         the roots the point carries: a theta is read from the table, or
         taken and written to it."""
-        theta = pp.theta
         free, bound = thetas.perm(perm)
-        th: list = [None] * len(self.args)
-        for k, m, key, is_free in self._keys:
-            memo = free if is_free else bound
-            c = memo.get(key)
-            if c is None:
-                c = memo[key] = theta(m, star).coeff
-                if c == 0:
-                    self._first_pole(th, k)
-            th[k] = c
-        if self._products is not None:
-            self.terms = [(sign, num, den, prod.mono_total())
-                          for (sign, num, den, _), prod in zip(self.terms, self._products)]
-            for *_, pref in self.terms:
-                pref.float_items()
-            self._products = None
+        if self.terms is None:
+            self._pole_exit(pp, star, free, bound)
+            self._lower()
+        theta, materialize = pp.theta, pp.materialize
+        args, keys = self._args, self._keys
+        # per argument its theta if the table has it, 0.0 for a numerator
+        # argument of value 1.0, None until it is taken
+        th = [(free if is_free else bound).get(key) for key, is_free in keys]
         total = 0.0 + 0.0j
         for sign, num, den, pref in self.terms:
-            c = sign
-            for k in num:
-                c = c * th[k]
             for k in den:
-                if th[k] == 0:
-                    raise SingularityError(f"theta pole in denominator at {self.args[k]}")
-                c = c / th[k]
-            total += c * pp.materialize(pref)
+                c = th[k]
+                if c is None:
+                    key, is_free = keys[k]
+                    c = th[k] = (free if is_free else bound)[key] = theta(args[k], star).coeff
+                if c == 0:
+                    raise SingularityError(f"theta pole in denominator at {args[k]}")
+            for k in num:
+                c = th[k]
+                if c is None:
+                    if materialize(args[k]) == 1.0:
+                        th[k] = 0.0
+                        break
+                elif c == 0:
+                    break
+            else:
+                c = sign
+                for k in num:
+                    t = th[k]
+                    if t is None:
+                        key, is_free = keys[k]
+                        t = th[k] = (free if is_free else bound)[key] = theta(args[k], star).coeff
+                    c = c * t
+                for k in den:
+                    c = c / th[k]
+                total += c * materialize(pref)
         return total
-
-    def _first_pole(self, th: list, k: int) -> None:
-        """Raise at the first zero theta of the first term's denominator,
-        the theta of ``args[k]`` just taken as zero: every one before it in
-        ``_keys`` is in ``th``.  A zero read from the table raises in the
-        term loop instead, with the same message."""
-        for k2, m, _, _ in self._keys[:self._n_first]:
-            if k2 == k or th[k2] == 0:
-                raise SingularityError(f"theta pole in denominator at {m}")
 
 
 def _rho_le_root(box: Box, rank: int) -> bool:

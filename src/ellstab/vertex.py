@@ -440,7 +440,9 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
 
     Starting points sit near the canonical weights of a fixed point of the
     same profile, jittered multiplicatively.  The system is compiled once
-    (``BetheSystem``); the Jacobian is a central difference of it.
+    (``BetheSystem``); the Jacobian is a central difference of it.  The
+    residual of the point a line search accepts is the next iteration's:
+    the accepted point is not evaluated again.
     """
     n = pp.n_colors
     rng = np.random.default_rng(seed)
@@ -473,9 +475,9 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
         else:
             x0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         x = x0
+        f = fun(x)
         for it in range(BETHE_ITERATIONS):
             total_it += 1
-            f = fun(x)
             r = float(np.max(np.abs(f)))
             if r < BETHE_TOL:
                 return BetheSolution(unpack(x), r, total_it, True)
@@ -492,13 +494,13 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
             alpha = 1.0
             for _ in range(25):
                 xn = x - alpha * step
-                if np.max(np.abs(fun(xn))) < r:
-                    x = xn
+                fn = fun(xn)
+                if np.max(np.abs(fn)) < r:
+                    x, f = xn, fn
                     break
                 alpha /= 2
             else:
                 break
-        f = fun(x)
         r = float(np.max(np.abs(f)))
         if best is None or r < best.residual:
             best = BetheSolution(unpack(x), r, total_it, r < BETHE_TOL)

@@ -1,7 +1,9 @@
 """Stable envelopes: closed forms, factorization, restriction, shuffle."""
 
+import cmath
 import hashlib
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -11,11 +13,12 @@ import pytest
 from ellstab.core import (HBAR, BudgetError, GradedValue, Monomial,
                          ParamPoint, SingularityError)
 from ellstab import envelopes
-from ellstab.envelopes import (SYM_BUDGET, Envelope, EnvelopeSpec, LoweredSum,
-                               VARIANTS, ThetaProduct, _cross_prefactor,
+from ellstab.envelopes import (ANNULUS_MODULUS, SYM_BUDGET, Envelope, EnvelopeSpec,
+                               LoweredSum, VARIANTS, ThetaProduct, _cross_prefactor,
                                concat_fixed_points, factorization_residual,
                                restrict, restriction_values, s_factor_product,
-                               shuffle_residual, tree_weights, default_kahler)
+                               shuffle_residual, theta_surely_nonzero,
+                               tree_weights, default_kahler)
 from ellstab.partitions import (FixedPoint, FramingGroup, box_slot_vars,
                                 chern_slots, chern_var, fixed_points,
                                 index_degrees, make_fixed_point,
@@ -23,6 +26,7 @@ from ellstab.partitions import (FixedPoint, FramingGroup, box_slot_vars,
 from ellstab.rmatrix import (RestrictionMatrix, basis_fixed_points,
                              inverted_kahler, profiles, restriction_matrix)
 from ellstab.sampling import random_assignment, sample_param_point
+from reference_sum import ReferenceSum
 
 N = 3
 PP = sample_param_point(11, N, framing_counts={"u": [1, 0, 0]})
@@ -551,49 +555,129 @@ def _outcome(fn, *args, **kwargs):
 @pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0)])
 def test_restrict_decides_a_theta_pole_before_lowering(w, monkeypatch):
     """A restriction whose first term has a zero theta in its denominator
-    raises the message of the evaluation without the early check, takes no
-    other theta and leaves the prefactors unlowered; any other gives that
-    evaluation's bits and takes each theta once per distinct argument (by
-    its ordered exponents) and, if it holds a Chern root, permutation of the
-    roots (equal root values do not make two permutations one)."""
+    raises the message of the reference evaluation (every theta first,
+    ``ReferenceSum``), takes no theta but those of first-term denominator
+    arguments outside the annulus of ``theta_surely_nonzero``, keys no other
+    argument and leaves the sum unlowered; some such poles take no theta at
+    all.  Any other restriction gives the reference's bits and takes each
+    theta once per distinct argument (by its ordered exponents) and, if it
+    holds a Chern root, permutation of the roots (equal root values do not
+    make two permutations one)."""
     pp = sample_param_point(1, N, framing_counts={"u": list(w)})
     calls = Counter()
-    theta, term = ParamPoint.theta, Envelope._term
+    taken: list[tuple[Monomial, bool]] = []
+    keyed: list[Monomial] = []
+    theta, term, float_items = ParamPoint.theta, Envelope._term, Monomial.float_items
     roots: set[str] = set()
     perm = [0]
 
     def counted(self, m, star=False):
         held = not roots.isdisjoint(m._exps)
         calls[(tuple(m._exps.items()), perm[0] if held else None)] += 1
+        taken.append((m, theta_surely_nonzero(self.materialize(m), abs(self.nome(star)))))
         return theta(self, m, star)
 
     def term_at(self, pp, thetas, k):
         perm[0] = k
         return term(self, pp, thetas, k)
 
-    early = regular = 0
+    def keys(self):
+        keyed.append(self)
+        return float_items(self)
+
+    early = regular = unseen = 0
     for spec, mu in _restrictions(w):
         ref = Envelope(spec)
-        # no first-term denominator to raise at: only the term loop raises
-        ref._lowered = LoweredSum(ref._terms, ref.x_names())
-        ref._lowered._n_first = 0
+        ref._lowered = ReferenceSum(ref._terms, ref.x_names())
         want = _outcome(restrict, ref, mu, pp, framed=False)
         env = Envelope(spec)
         roots = set(env.x_names())
         calls.clear()
+        taken.clear()
+        keyed.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ParamPoint, "theta", counted)
             patch.setattr(Envelope, "_term", term_at)
+            patch.setattr(Monomial, "float_items", keys)
             got = _outcome(restrict, env, mu, pp, framed=False)
-        assert got == want
-        if env._lowered._products is not None:
+        assert repr(got) == repr(want)
+        if env._lowered.terms is None:
             early += 1
             assert got.startswith("SingularityError: theta pole in denominator at ")
-            assert sum(calls.values()) <= len(set(env._terms[0].den))
+            first_den = set(env._terms[0].den)
+            assert sum(calls.values()) <= len(first_den)
+            assert all(m in first_den and not inside for m, inside in taken)
+            assert all(m in first_den for m in keyed)
+            unseen += not taken
         elif not isinstance(got, str):
             regular += 1
             assert max(calls.values()) == 1
-    assert early and regular
+    assert early and regular and unseen
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0)])
+def test_restrictions_match_the_reference_evaluation(w, seed, monkeypatch):
+    """Every unframed restriction of a 1-3-box hat envelope gives the bits
+    or the exception message of the reference evaluation."""
+    pp = sample_param_point(seed, N, framing_counts={"u": list(w)})
+    poles = 0
+    for spec, mu in _restrictions(w):
+        got = _outcome(restrict, Envelope(spec), mu, pp, framed=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(envelopes, "LoweredSum", ReferenceSum)
+            want = _outcome(restrict, Envelope(spec), mu, pp, framed=False)
+        assert repr(got) == repr(want), (spec.fp.partitions(), mu.partitions())
+        poles += isinstance(got, str)
+    assert poles
+
+
+def _ulps_inside(r: float, toward: float, abs_q: float) -> float:
+    """The first double from ``r`` toward ``toward``, at most 64 steps on,
+    that as a value on the positive real axis lies in the annulus at
+    ``abs_q``."""
+    for _ in range(64):
+        if theta_surely_nonzero(complex(r, 0.0), abs_q):
+            return r
+        r = math.nextafter(r, toward)
+    raise AssertionError(f"no annulus within 64 ulps at |q| = {abs_q}")
+
+
+@pytest.mark.parametrize("abs_q", [0.01, 0.12, 0.5, 0.8, 0.89])
+def test_theta_zero_and_annulus_facts(abs_q):
+    """The two facts the zero-first evaluation rests on: the theta of
+    exactly 1.0 is 0, and the theta of a value in the annulus of
+    ``theta_surely_nonzero`` is never 0: 1 +- 1 ulp, values within a few
+    ulps of both edges, values with the real part 1 +- 1 ulp, and random
+    values, at nomes of several phases.  A real part of exactly 1.0 is left
+    out of the annulus: a subnormal imaginary part can round the theta to
+    0."""
+    rng = np.random.default_rng(7)
+    m = ANNULUS_MODULUS
+    lo, hi = abs_q / m, m / abs_q
+    for phase in (0.0, 1.3, math.pi, 4.4):
+        q = abs_q * cmath.exp(1j * phase)
+        pp = ParamPoint(N, {"p": q, "t1": 0.99, "t2": 0.99})
+        for one in (1.0, complex(1.0, -0.0)):
+            assert pp.theta_p_val(one) == 0
+        zs = [complex(math.nextafter(1.0, 2.0)), complex(math.nextafter(1.0, 0.0)),
+              complex(math.nextafter(1.0, 0.0), 1e-300), complex(math.nextafter(1.0, 2.0), -5e-324)]
+        for edge, toward in ((lo, math.inf), (hi, 0.0)):
+            r = _ulps_inside(edge, toward, abs_q)
+            for _ in range(3):
+                zs += [r * cmath.exp(1j * a) for a in rng.uniform(0, 2 * math.pi, 4)]
+                r = math.nextafter(r, toward)
+        zs += [math.exp(rng.uniform(math.log(lo), math.log(hi))) * cmath.exp(1j * a)
+               for a in rng.uniform(0, 2 * math.pi, 200)]
+        for z in zs:
+            if theta_surely_nonzero(z, abs_q):
+                assert pp.theta_p_val(z) != 0, (q, z)
+            else:
+                # only values rounded onto an edge by the phase fall out
+                assert not lo * 1.000001 < abs(z) < hi / 1.000001 or z.real == 1.0, (q, z)
+        assert not theta_surely_nonzero(complex(1.0, 5e-324), abs_q)
+    for big in (m, 0.95):
+        assert not any(theta_surely_nonzero(z, big) for z in (1j, complex(math.nextafter(1.0, 0.0)), 1.05))
 
 
 #: (sha256, lines) of ``_theta_path_lines``: the thetas of every restriction

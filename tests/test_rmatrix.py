@@ -13,7 +13,7 @@ from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
                                s_factor_product, shifted_kahler, tree_weights)
 from ellstab.partitions import (box_slot_vars, fixed_points, index_degrees,
                                 make_fixed_point)
-from ellstab import rmatrix
+from ellstab import envelopes, rmatrix
 from ellstab.rmatrix import (ChamberMatrices, FramingGroup, _swap_permutation,
                              bare_transition,
                              basis_fixed_points, composition_residual,
@@ -24,6 +24,7 @@ from ellstab.rmatrix import (ChamberMatrices, FramingGroup, _swap_permutation,
                              transpose_relation_residual,
                              weight_block_residual, ybe_residual)
 from ellstab.sampling import sample_param_point
+from reference_sum import ReferenceSum
 
 N = 3
 G1 = FramingGroup((1, 0, 0), "ua")
@@ -353,6 +354,69 @@ def test_theta_table_takes_each_theta_once(monkeypatch, colors, v):
         perms = math.prod(math.factorial(len(env.nvars[i])) for i in range(N))
         asked += len(basis) * perms * len(LoweredSum(env._terms, env.x_names()).args)
     assert sum(calls.values()) < asked
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("colors", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("star", [False, True])
+def test_restriction_matrix_matches_the_reference_evaluation(seed, colors, star,
+                                                            monkeypatch):
+    """Every restriction matrix of the 1-3-box profiles of two unit
+    framings, plain and starred, at the plain and the inverted Kahler
+    argument, gives the bits or the exception message of the reference
+    evaluation (every theta first, ``ReferenceSum``)."""
+    g1, g2 = _unit_pair(colors)
+    pp = sample_param_point(seed, N, framing_counts={"ua": list(g1.w),
+                                                     "ub": list(g2.w)})
+    for kahler in (None, inverted_kahler(N)):
+        for v, basis in _profile_bases(colors):
+            got = _outcome(lambda: restriction_matrix(basis, _fresh(pp), star,
+                                                      kahler).matrix)
+            with monkeypatch.context() as patch:
+                patch.setattr(envelopes, "LoweredSum", ReferenceSum)
+                want = _outcome(lambda: restriction_matrix(basis, _fresh(pp), star,
+                                                           kahler).matrix)
+            assert got == want, (v, kahler)
+
+
+def test_a_vanishing_term_takes_none_of_its_numerator_thetas(monkeypatch):
+    """In a restriction matrix, a term with a numerator argument of value
+    exactly 1.0 takes none of its numerator thetas: no evaluation takes the
+    theta of an argument that only such terms' numerators hold, and there
+    are such arguments.  The matrix keeps its bits."""
+    g1, g2 = _unit_pair((0, 0))
+    pp = sample_param_point(1, N, framing_counts={"ua": list(g1.w),
+                                                  "ub": list(g2.w)})
+    basis = basis_fixed_points((1, 1, 1), [g1, g2], N)
+    want = _entrywise(basis, pp, False, None)
+    theta, lowered_eval = ParamPoint.theta, LoweredSum.eval
+    taken: list = []
+    skipped = 0
+
+    def counted(self, m, star=False):
+        taken.append(m)
+        return theta(self, m, star)
+
+    def checked(self, pp, star, thetas, perm=0):
+        nonlocal skipped
+        taken.clear()
+        value = lowered_eval(self, pp, star, thetas, perm)
+        args = self.args
+        vanishing = [any(pp.materialize(args[k]) == 1.0 for k in num)
+                     for _, num, *_ in self.terms]
+        held = {args[k] for (_, num, den, *_), v in zip(self.terms, vanishing)
+                for k in (den if v else num + den)}
+        only = {args[k] for (_, num, *_), v in zip(self.terms, vanishing) if v
+                for k in num} - held
+        assert only.isdisjoint(taken)
+        skipped += len(only)
+        return value
+
+    monkeypatch.setattr(ParamPoint, "theta", counted)
+    monkeypatch.setattr(LoweredSum, "eval", checked)
+    got = restriction_matrix(basis, _fresh(pp)).matrix
+    assert skipped
+    assert got.tobytes() == want.tobytes()
 
 
 def test_theta_table_splits_by_its_own_chern_roots():

@@ -680,6 +680,28 @@ def test_bethe_solve_matches_pinned_roots(case):
         assert (sol.iterations, repr(roots)) == want
 
 
+def test_bethe_solve_evaluates_no_point_twice(monkeypatch):
+    """One pinned solve calls the system 326 times, each at a new point:
+    the residual of the point a line search accepts is the next
+    iteration's, not taken again (which would add one call per iteration
+    after the first, 349 in all)."""
+    case = ((1, 1, 1), (1, 1, 0), 7)
+    v, w, point_seed = case
+    pp = sample_param_point(point_seed, N, framing_counts={"u": list(w)})
+    points = []
+    call = BetheSystem.__call__
+
+    def counted(self, vec):
+        points.append(np.asarray(vec, dtype=complex).tobytes())
+        return call(self, vec)
+
+    monkeypatch.setattr(BetheSystem, "__call__", counted)
+    sol = bethe_solve(v, w, pp, seed=0)
+    roots = {k: [complex(x) for x in xs] for k, xs in sol.roots.items()}
+    assert (sol.iterations, repr(roots)) == BETHE_PINNED[case][0]
+    assert len(points) == 326 == len(set(points))
+
+
 if __name__ == "__main__":
     # Re-derive the recorded digest: PYTHONPATH=src python tests/test_vertex.py
     print(f"VERTEX_PATH_SHA256: {vertex_path_digest()}")
