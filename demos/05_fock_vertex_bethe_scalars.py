@@ -2,10 +2,9 @@
 
 import numpy as np
 
-from ellstab import (ColoredPartition, Envelope, EnvelopeSpec, Monomial,
-                     bethe_residuals, bethe_solve, fixed_points,
-                     jackson_term_ratio, lowering_coefficient, phi_eigenvalue,
-                     raising_coefficient, rll_scalar_residual,
+from ellstab import (ColoredPartition, Monomial, bethe_residuals, bethe_solve,
+                     fixed_points, jackson_term_ratio, lowering_coefficient,
+                     phi_eigenvalue, raising_coefficient, rll_scalar_residual,
                      sample_param_point, vertex_series)
 
 N = 3
@@ -27,13 +26,11 @@ ppv = sample_param_point(41, N, framing_counts={"u": [1, 0, 0]})
 basis = fixed_points((1, 1, 1), (1, 0, 0), N)
 lam_fp = basis[0]
 series = vertex_series(lam_fp, lam_fp, 3, ppv)
-env = Envelope(EnvelopeSpec(lam_fp, "hat"))
-qp = env.qp_unit_factors()
 print("\nvertex series of", lam_fp.partitions(), "- envelope restriction:",
       series.envelope_at_mu)
 worst = 0.0
 for d, c in series.coefficients.items():
-    oracle = jackson_term_ratio(lam_fp, d, ppv, qp) * series.envelope_at_mu
+    oracle = jackson_term_ratio(lam_fp, d, ppv, series.qp_factors) * series.envelope_at_mu
     worst = max(worst, abs(c - oracle) / max(abs(c), 1e-300))
 print("worst deviation from the Jackson-term oracle:", worst)
 

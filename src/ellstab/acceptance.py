@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Monomial, SingularityError, theta_modular_residual
-from .envelopes import (Envelope, EnvelopeSpec, factorization_residual,
+from .envelopes import (EnvelopeSpec, compiled, factorization_residual,
                         restrict, shuffle_residual)
 from .fock import lowering_coefficient, raising_coefficient
 from .partitions import (ColoredPartition, FramingGroup, box_slot_vars,
@@ -244,7 +244,7 @@ def criterion_vertex(seed: int = 0) -> CriterionResult:
         for v in profiles(total, n):
             basis = fixed_points(v, w, n)
             for lam in basis:
-                env = Envelope(EnvelopeSpec(lam, "hat"))
+                env = compiled(EnvelopeSpec(lam, "hat"), pp)
                 qp = env.qp_unit_factors()
                 if any(qp[name].get(kahler_var(color)) != -1
                        for color, names in env.nvars.items() for name in names):
@@ -259,7 +259,7 @@ def criterion_vertex(seed: int = 0) -> CriterionResult:
                         skipped[str(exc).split(" at ")[0]] += 1
                         continue
                     pairs += 1
-                    worst_series = max(worst_series, oracle_residual(series, pp, qp))
+                    worst_series = max(worst_series, oracle_residual(series, pp))
                     # quasi-periodicity for |d| <= 2 against the exact law
                     base = series.envelope_at_mu
                     if base == 0:

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .core import BudgetError, Monomial, SingularityError
-from .envelopes import Envelope, EnvelopeSpec, restrict, shuffle_residual
+from .envelopes import EnvelopeSpec, compiled, restrict, shuffle_residual
 from .fock import (lowering_coefficient, phi_eigenvalue, raising_coefficient)
 from .partitions import (ColoredPartition, addable_removable, fixed_points,
                          make_fixed_point, partitions_of)
@@ -133,7 +133,7 @@ def cmd_stab(args):
     fp = _fixed_point(args, "fp", w)
     assignments = _count(args, "assignments")
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
-    env = Envelope(EnvelopeSpec(fp, args.variant, args.star))
+    env = compiled(EnvelopeSpec(fp, args.variant, args.star), pp)
     rng = np.random.default_rng(args.seed)
     values_list, results, sym_resid = [], [], 0.0
     for _ in range(assignments):
@@ -159,7 +159,7 @@ def cmd_restrict(args):
     fp = _fixed_point(args, "fp", w)
     mu = _fixed_point(args, "mu", w)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
-    env = Envelope(EnvelopeSpec(fp, args.variant, args.star))
+    env = compiled(EnvelopeSpec(fp, args.variant, args.star), pp)
     val = restrict(env, mu, pp, framed=not args.unframed)
     return (pp, {"fixed_point": fp.label(), "at": mu.label(),
                  "value": _c(val)}, {}, 0)

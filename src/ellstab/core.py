@@ -350,14 +350,17 @@ class ParamPoint:
     Further variables (framing weights, Kahler parameters, Chern roots) are
     added as needed, either at construction or through :meth:`extended`.
 
-    A point keeps two memos.  Infinite q-Pochhammer values
+    A point keeps three memos.  Infinite q-Pochhammer values
     (:meth:`qpoch_inf`) live in one table shared between a point and its
     extensions: it is keyed by the values themselves, so an extension that
-    overrides a variable only adds keys.  The vertex tables
-    (``vertex.vertex_table``, one per fixed point, each with the Pochhammer
-    products of its bases) are not shared: they hold bases materialized
-    through the point's logs, which an extension may override, so every
-    extension starts with none.  A new point starts with both memos empty.
+    overrides a variable only adds keys.  The compiled envelopes
+    (``envelopes.compiled``, one per ``EnvelopeSpec``) are shared the same
+    way: they hold only exact data, the same at every point.  The vertex
+    tables (``vertex.vertex_table``, one per fixed point, each with the
+    Pochhammer products of its bases) are not shared: they hold bases
+    materialized through the point's logs, which an extension may override,
+    so every extension starts with none.  A new point starts with all three
+    memos empty.
     """
 
     def __init__(self, n_colors: int, values: Mapping[str, complex],
@@ -378,6 +381,7 @@ class ParamPoint:
         self.values: dict[str, complex] = {k: complex(v) for k, v in vals.items()}
         self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
+        self._envelopes: dict = {}
         self._vertex_tables: dict = {}
         v = self.values
         if not {"p", "t1", "t2"} <= v.keys():
@@ -420,7 +424,7 @@ class ParamPoint:
     def extended(self, values: Mapping[str, complex],
                  logs: Mapping[str, complex] | None = None) -> "ParamPoint":
         """A new point with extra variables, sharing the q-Pochhammer memo
-        but no vertex table."""
+        and the compiled envelopes but no vertex table."""
         vals = dict(self.values)
         vals.update(values)
         lgs = dict(self.logs)
@@ -430,7 +434,7 @@ class ParamPoint:
             if logs is None or name not in logs:
                 lgs[name] = cmath.log(v)
         pp = ParamPoint(self.n_colors, vals, lgs, self.tol, self.min_terms, self.seed)
-        pp._qpoch_memo = self._qpoch_memo
+        pp._qpoch_memo, pp._envelopes = self._qpoch_memo, self._envelopes
         return pp
 
     def materialize(self, mono: Monomial) -> complex:

@@ -38,7 +38,13 @@ A Kahler argument is a point value, not part of what is compiled.  Every
 envelope is compiled with the plain Kahler variables z_i; the argument
 z_i -> k_i (a monomial per color, such as z_i hbar^s or 1/z_i) is applied by
 evaluating at ``kahler_point(pp, k)``, where z_i takes the value and the log
-of k_i.  So one compiled envelope serves every Kahler argument of a call.
+of k_i.  So one compiled envelope serves every Kahler argument at a point.
+
+A parameter point owns its compiled envelopes: ``compiled(spec, pp)``, the
+one place that builds an ``Envelope``, compiles a spec at its first call for
+``pp`` or any extension of it (``kahler_point`` included) and returns that
+object after.  An envelope and its ``LoweredSum`` hold only exact data, the
+same at every point, so sharing one changes no bit.
 """
 
 from __future__ import annotations
@@ -675,6 +681,14 @@ class Envelope:
         return total
 
 
+def compiled(spec: EnvelopeSpec, pp: ParamPoint) -> Envelope:
+    """The envelope of ``spec``, compiled once per ``pp`` and its extensions."""
+    env = pp._envelopes.get(spec)
+    if env is None:
+        env = pp._envelopes[spec] = Envelope(spec)
+    return env
+
+
 def restriction_values(fp_rester: FixedPoint, pp: ParamPoint,
                        p_shifts: dict[str, int] | None = None,
                        framed: bool = True):
@@ -786,10 +800,9 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
         rng = np.random.default_rng(0)
     n = fpa.n_colors
     big = concat_fixed_points(fpa, fpb)
-    env_big = Envelope(EnvelopeSpec(big, variant, star))
+    env_big, env_a, env_b = (compiled(EnvelopeSpec(fp, variant, star), pp)
+                             for fp in (big, fpa, fpb))
     za, zb = shuffle_kahler_shifts(n, fpa.v, fpa.w, fpb.v, fpb.w)
-    env_a = Envelope(EnvelopeSpec(fpa, variant, star))
-    env_b = Envelope(EnvelopeSpec(fpb, variant, star))
     pp_a, pp_b = kahler_point(pp, za), kahler_point(pp, zb)
     pref = LoweredSum([_cross_prefactor(fpa, fpb, variant)], ())
 

@@ -10,9 +10,8 @@ the L-shape-free tree set.
 A Kahler argument (the dynamical shift z_i -> z_i hbar^(e_i) of the
 Yang-Baxter check, or the inverted z_i -> 1/z_i of R*) is a point value
 (``envelopes.kahler_point``), so the envelopes of a basis are compiled once
-per call, whatever arguments the call takes them at: a caller hands one dict
-of compiled envelopes, keyed by (fixed point, star), to all its restriction
-matrices.  One ``ChamberMatrices`` answers every R-matrix question of a call:
+per parameter point (``envelopes.compiled``), whatever arguments they are
+taken at.  One ``ChamberMatrices`` answers every R-matrix question of a call:
 the transition (R, or R* with its transposed bare part and mu*), the
 composition and the transpose relation.
 """
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Monomial, ParamPoint
-from .envelopes import (Envelope, EnvelopeSpec, ThetaTable, kahler_args,
+from .envelopes import (EnvelopeSpec, ThetaTable, compiled, kahler_args,
                         kahler_point, restriction_values, shifted_kahler,
                         spectator_shift)
 from .partitions import (FixedPoint, FramingGroup, _enumerate_fixed_points,
@@ -62,7 +61,6 @@ class RestrictionMatrix:
 
 def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
                        star: bool = False, kahler=None, *,
-                       envelopes: dict | None = None,
                        points: list[tuple] | None = None) -> RestrictionMatrix:
     """Matrix of envelope restrictions: M[gamma, beta] = Stab(beta)|_gamma.
 
@@ -74,13 +72,9 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     ``points``, if given, are those values (``restriction_values`` of each
     basis element at ``pp``, in basis order), kept by a caller that builds
     several matrices of the basis at ``pp``; they do not depend on the
-    Kahler argument.
-    ``envelopes``, if given, holds the plain envelopes compiled so far,
-    keyed by (fixed point, star); a column takes its envelope from there
-    and adds the ones it compiles, so a caller that passes one dict to
-    several matrices compiles each envelope once.  An empty basis (a
-    profile without fixed points) gives an empty matrix of condition
-    number 1.
+    Kahler argument.  Each column's plain envelope comes from
+    ``envelopes.compiled`` at ``pp``.  An empty basis (a profile without
+    fixed points) gives an empty matrix of condition number 1.
     """
     n = len(basis)
     mat = np.zeros((n, n), dtype=complex)
@@ -88,16 +82,13 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
         return RestrictionMatrix(basis, mat, 1.0)
     if any(fp.v != basis[0].v or fp.w != basis[0].w for fp in basis):
         raise ValueError("restriction points must share the (v, w) class")
-    compiled = {} if envelopes is None else envelopes
     ppk = kahler_point(pp, kahler)
     if points is None:
         points = [restriction_values(gamma, pp) for gamma in basis]
     free: dict = {}
     tables = [ThetaTable(free) for _ in basis]
     for b, beta in enumerate(basis):
-        env = compiled.get((beta, star))
-        if env is None:
-            env = compiled[beta, star] = Envelope(EnvelopeSpec(beta, "plain", star))
+        env = compiled(EnvelopeSpec(beta, "plain", star), pp)
         for g, (values, logs) in enumerate(points):
             mat[g, b] = env.eval(ppk, values, logs, tables[g])
     cond = float(np.linalg.cond(mat))
@@ -137,12 +128,11 @@ class ChamberMatrices:
     transpose check of one profile, nome and Kahler argument is solved from
     one of these, so a caller that needs several builds the matrices once;
     ``at`` rebuilds the matrices on the same bases.  ``groups`` are
-    (g1, g2) and ``star`` the nome the matrices are at.  ``envelopes`` holds
-    the compiled envelopes of both bases (``restriction_matrix``), which
-    ``at`` shares: each is compiled once, at any nome or Kahler argument.
-    ``pp`` is the parameter point the matrices were built at and ``points``
-    the ``restriction_values`` of both bases there, which ``at`` reuses:
-    they depend on t1, t2 and the framing weights."""
+    (g1, g2) and ``star`` the nome the matrices are at.  ``pp`` is the
+    parameter point the matrices were built at, which holds the compiled
+    envelopes of both bases, and ``points`` the ``restriction_values`` of
+    both bases there, which ``at`` reuses: they depend on t1, t2 and the
+    framing weights."""
 
     groups: tuple[FramingGroup, FramingGroup]
     star: bool
@@ -153,7 +143,6 @@ class ChamberMatrices:
     m_cbar: RestrictionMatrix
     pp: ParamPoint = field(repr=False, compare=False)
     points: tuple = field(repr=False, compare=False)
-    envelopes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
@@ -168,11 +157,10 @@ class ChamberMatrices:
 
     def at(self, star: bool = False, kahler=None) -> "ChamberMatrices":
         """The matrices of the same bases at another nome or Kahler argument."""
-        m_c, m_cbar = (restriction_matrix(basis, self.pp, star, kahler,
-                                          envelopes=self.envelopes, points=points)
+        m_c, m_cbar = (restriction_matrix(basis, self.pp, star, kahler, points=points)
                        for basis, points in zip((self.basis, self.basis_bar), self.points))
         return ChamberMatrices(self.groups, star, self.basis, self.basis_bar, self.p,
-                               m_c, m_cbar, self.pp, self.points, self.envelopes)
+                               m_c, m_cbar, self.pp, self.points)
 
     @property
     def conds(self) -> tuple[float, float]:
@@ -312,10 +300,10 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
     Every triple the transition reaches must be in ``basis``.
 
     ``chambers`` maps (slot pair, pair profile) to the ``ChamberMatrices``
-    first built there, whose bases and compiled envelopes every later shift
+    first built there, whose bases and restriction points every later shift
     reuses, and to the index of its basis.  A caller that applies several
     pair transitions at one point passes one dict to all of them, so each
-    envelope of a pair basis is compiled once; without it the dict lives
+    pair basis is enumerated and restricted once; without it the dict lives
     for this call.
     """
     i1, i2 = slot_pair
@@ -363,7 +351,7 @@ def ybe_residual(groups: tuple[FramingGroup, FramingGroup, FramingGroup],
     R12(z h^(3)) R13(z) R23(z h^(1))  =  R23(z) R13(z h^(2)) R12(z).
 
     The six pair transitions share one dict of chamber matrices, so each
-    envelope of each slot pair's bases is compiled once.  Raises
+    slot pair's bases are enumerated and restricted once.  Raises
     ``ValueError`` for a negative ``total_boxes``.
     """
     if total_boxes < 0:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import (HBAR, P, SQRT_HBAR, Monomial, ParamPoint, SingularityError,
                    qpoch_fin)
-from .envelopes import Envelope, EnvelopeSpec, restrict, restriction_values
+from .envelopes import EnvelopeSpec, compiled, restrict, restriction_values
 from .partitions import (FixedPoint, FramingGroup, box_slot_vars, chern_var,
                          fixed_points, kahler_var, phi_weight, profiles,
                          quiver_pairs)
@@ -244,6 +244,7 @@ class VertexSeries:
     degree_cap: int
     envelope_at_mu: complex
     coefficients: dict[tuple[int, ...], complex]
+    qp_factors: dict[str, Monomial]  # of lam's envelope, for the oracle
 
 
 def _degree_vectors(n_boxes: int, cap: int):
@@ -265,7 +266,7 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
     if degree_cap < 0:
         raise ValueError(f"degree cap {degree_cap} is negative")
     n = mu.n_colors
-    env = Envelope(EnvelopeSpec(lam, "hat"))
+    env = compiled(EnvelopeSpec(lam, "hat"), pp)
     stab0 = restrict(env, mu, pp, framed=False)
     table = vertex_table(mu, pp)
     v, w = mu.v, mu.w
@@ -291,7 +292,7 @@ def vertex_series(lam: FixedPoint, mu: FixedPoint, degree_cap: int,
             zeros += zn - zd
         coeffs[d] = _net(term * stab0, zeros,
                          "vertex coefficient has a structural pole")
-    return VertexSeries(lam, mu, degree_cap, stab0, coeffs)
+    return VertexSeries(lam, mu, degree_cap, stab0, coeffs, qp)
 
 
 def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
@@ -330,17 +331,16 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     return _net(value, zeros, "net structural pole in a Pochhammer ratio")
 
 
-def oracle_residual(series: VertexSeries, pp: ParamPoint,
-                    qp_factors: dict[str, Monomial]) -> float:
+def oracle_residual(series: VertexSeries, pp: ParamPoint) -> float:
     """Criterion 8's residual of one series: the degree-zero law, then each
-    coefficient against its Jackson oracle; ``qp_factors`` are those of the
-    series' envelope (``Envelope.qp_unit_factors``)."""
+    coefficient against its Jackson oracle, with the series' own
+    quasi-periodicity factors."""
     base = series.envelope_at_mu
     scale = max(abs(c) for c in series.coefficients.values())
     worst = (abs(series.coefficients[(0,) * series.mu.size] - base)
              / max(abs(base), 1e-300))
     for d, c in series.coefficients.items():
-        oracle = jackson_term_ratio(series.mu, d, pp, qp_factors) * base
+        oracle = jackson_term_ratio(series.mu, d, pp, series.qp_factors) * base
         worst = max(worst, abs(c - oracle)
                     / max(abs(c), abs(oracle), 1e-12 * scale, 1e-300))
     return worst

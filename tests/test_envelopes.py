@@ -15,10 +15,10 @@ from ellstab.core import (HBAR, BudgetError, GradedValue, Monomial,
 from ellstab import envelopes
 from ellstab.envelopes import (ANNULUS_MODULUS, SYM_BUDGET, Envelope, EnvelopeSpec,
                                LoweredSum, VARIANTS, ThetaProduct, _cross_prefactor,
-                               concat_fixed_points, factorization_residual,
-                               restrict, restriction_values, s_factor_product,
-                               shuffle_residual, theta_surely_nonzero,
-                               tree_weights, default_kahler)
+                               compiled, concat_fixed_points, factorization_residual,
+                               kahler_point, restrict, restriction_values,
+                               s_factor_product, shuffle_residual,
+                               theta_surely_nonzero, tree_weights, default_kahler)
 from ellstab.partitions import (FixedPoint, FramingGroup, box_slot_vars,
                                 chern_slots, chern_var, fixed_points,
                                 index_degrees, make_fixed_point,
@@ -236,6 +236,50 @@ def test_shuffle_at_shifted_nome():
     r = shuffle_residual(fpa, fpb, pp, "tilde", star=True, n_assignments=2,
                          rng=np.random.default_rng(5))
     assert r < 1e-8
+
+
+def _count_compiles(monkeypatch) -> Counter:
+    """Counts of ``Envelope.__init__`` calls by spec."""
+    calls = Counter()
+    init = Envelope.__init__
+
+    def counted(self, spec):
+        calls[spec] += 1
+        init(self, spec)
+
+    monkeypatch.setattr(Envelope, "__init__", counted)
+    return calls
+
+
+def test_a_point_family_shares_one_compiled_envelope(monkeypatch):
+    """``compiled`` returns one envelope per spec for a point, its extensions
+    and its Kahler points; a fresh copy of the point compiles again."""
+    calls = _count_compiles(monkeypatch)
+    pp = ParamPoint(PP.n_colors, PP.values, PP.logs, min_terms=PP.min_terms)
+    spec = EnvelopeSpec(make_fixed_point([(2, 1)], (1, 0, 0), N), "hat")
+    env = compiled(spec, pp)
+    assert compiled(spec, pp) is env
+    assert compiled(spec, pp.extended({"y": 2.0})) is env
+    assert compiled(spec, kahler_point(pp, inverted_kahler(N))) is env
+    assert calls == Counter({spec: 1})
+    copy = ParamPoint(pp.n_colors, pp.values, pp.logs, min_terms=pp.min_terms)
+    assert compiled(spec, copy) is not env
+    assert calls == Counter({spec: 2})
+
+
+def test_shuffle_checks_at_one_point_compile_a_shared_factor_once(monkeypatch):
+    """Two shuffle checks at one point whose first factor is the same compile
+    it once, and every other envelope once."""
+    calls = _count_compiles(monkeypatch)
+    pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
+                                                   "ub": [0, 1, 0]})
+    fpa = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ua")
+    seconds = [make_fixed_point([rows], (0, 1, 0), N, prefix="ub")
+               for rows in ((1,), (2,))]
+    for fpb in seconds:
+        shuffle_residual(fpa, fpb, pp, "hat", n_assignments=1)
+    want = [fpa] + seconds + [concat_fixed_points(fpa, fpb) for fpb in seconds]
+    assert calls == Counter({EnvelopeSpec(fp, "hat"): 1 for fp in want})
 
 
 def test_symmetrization_budget_guard(monkeypatch):
@@ -707,14 +751,12 @@ def _theta_path_lines():
         for seed in (1, 2):
             pp = sample_param_point(seed, N, framing_counts={g.prefix: list(g.w)
                                                              for g in groups})
-            compiled: dict = {}
             for total in (1, 2, 3):
                 for v in profiles(total, N):
                     for order in (groups, groups[::-1]):
                         basis = basis_fixed_points(v, list(order), N)
                         for star, kahler in ((False, None), (True, inverted_kahler(N))):
-                            got = outcome(restriction_matrix, basis, pp, star, kahler,
-                                          envelopes=compiled)
+                            got = outcome(restriction_matrix, basis, pp, star, kahler)
                             head = f"{colors} {seed} {v} {order[0].prefix} {star}"
                             yield f"{head} {got.matrix.tobytes().hex()}" \
                                 if isinstance(got, RestrictionMatrix) else f"{head} {got!r}"

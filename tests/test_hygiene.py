@@ -175,11 +175,49 @@ def test_process_memos_detected():
 def test_no_process_wide_memos():
     """A memo that outlives its call would let a benchmark time warm caches
     that a one-shot command never gets.  Reuse stays scoped to one call, or
-    to one ``ParamPoint`` (its q-Pochhammer memo and vertex tables), which
-    the benchmark renews for every check."""
+    to one ``ParamPoint`` (its q-Pochhammer memo, compiled envelopes and
+    vertex tables), which the benchmark renews for every check."""
     found = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
              for name in process_memos(ast.parse(path.read_text()))}
     assert found <= PROCESS_MEMOS_ALLOWED
+
+
+def envelope_builds(tree: ast.Module) -> list[str]:
+    """Calls of ``Envelope``, by name or as a module attribute, each named
+    by the innermost function that holds it (``<module>`` outside any), in
+    source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                fn = child.func
+                if ((isinstance(fn, ast.Name) and fn.id == "Envelope")
+                        or (isinstance(fn, ast.Attribute) and fn.attr == "Envelope")):
+                    found.append(where)
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else where)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_envelope_builds_detected():
+    tree = ast.parse("e = Envelope(s)\n"
+                     "def f(spec):\n    return envelopes.Envelope(spec)\n"
+                     "class C:\n    def g(self):\n"
+                     "        def h():\n            return [Envelope(x) for x in y]\n"
+                     "        return Envelope.__init__, EnvelopeSpec(z)\n")
+    assert envelope_builds(tree) == ["<module>", "f", "h"]
+
+
+def test_envelopes_are_built_only_by_the_accessor():
+    """A parameter point owns its compiled envelopes: every module takes
+    them from ``envelopes.compiled``, the one caller of ``Envelope``."""
+    found = [f"{path.name}:{where}" for path in sorted(SRC.glob("*.py"))
+             for where in envelope_builds(ast.parse(path.read_text()))]
+    assert found == ["envelopes.py:compiled"]
 
 
 #: f-string shapes that spell a variable name, each formatted value read as

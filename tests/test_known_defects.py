@@ -20,7 +20,6 @@ from typing import Callable
 
 import pytest
 
-from ellstab.envelopes import Envelope, EnvelopeSpec
 from ellstab.partitions import make_fixed_point
 from ellstab.rmatrix import (ChamberMatrices, FramingGroup,
                              transpose_relation_residual, ybe_residual)
@@ -53,8 +52,7 @@ def diagonal_vertex(seed: int, rows, w: tuple[int, ...]) -> float:
     degree 3."""
     mu = make_fixed_point(rows, w, N)
     pp = sample_param_point(seed, N, framing_counts={"u": list(w)})
-    qp = Envelope(EnvelopeSpec(mu, "hat")).qp_unit_factors()
-    return oracle_residual(vertex_series(mu, mu, 3, pp), pp, qp)
+    return oracle_residual(vertex_series(mu, mu, 3, pp), pp)
 
 
 def color0_composition(seed: int, v: tuple[int, ...]) -> float:

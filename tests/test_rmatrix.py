@@ -557,7 +557,7 @@ def test_ybe_compiles_each_envelope_once(monkeypatch):
     each slot pair's two chamber bases once (the slot pair is in the
     framing names of the fixed point)."""
     calls = _count_compiles(monkeypatch)
-    ybe_residual((G1, G2, G3), PP, N, 2)
+    ybe_residual((G1, G2, G3), _fresh(PP), N, 2)
     assert calls and max(calls.values()) == 1
     want = set()
     for a, b in ((0, 1), (0, 2), (1, 2)):
@@ -576,10 +576,10 @@ def test_shift_and_transpose_checks_compile_each_envelope_once(monkeypatch, v):
     chamber bases."""
     calls = _count_compiles(monkeypatch)
     bases = basis_fixed_points(v, [G1, G2], N) + basis_fixed_points(v, [G2, G1], N)
-    shift_invariance_residual(v, G1, G2, PP, N)
+    shift_invariance_residual(v, G1, G2, _fresh(PP), N)
     assert calls == Counter({(fp, False): 1 for fp in bases})
     calls.clear()
-    transpose_relation_residual(v, G1, G2, PP, N)
+    transpose_relation_residual(v, G1, G2, _fresh(PP), N)
     assert calls == Counter({(fp, True): 1 for fp in bases})
 
 

@@ -188,8 +188,6 @@ def test_degree_zero_law_and_oracle():
         for v in profiles(total, N):
             basis = fixed_points(v, W, N)
             for lam in basis:
-                env = Envelope(EnvelopeSpec(lam, "hat"))
-                qp = env.qp_unit_factors()
                 for mu in basis:
                     try:
                         series = vertex_series(lam, mu, 3, PP)
@@ -199,7 +197,7 @@ def test_degree_zero_law_and_oracle():
                     assert series.coefficients[d0] == series.envelope_at_mu
                     scale = max(abs(c) for c in series.coefficients.values())
                     for d, c in series.coefficients.items():
-                        oracle = jackson_term_ratio(mu, d, PP, qp) \
+                        oracle = jackson_term_ratio(mu, d, PP, series.qp_factors) \
                             * series.envelope_at_mu
                         assert abs(c - oracle) <= 1e-8 * max(abs(c), abs(oracle),
                                                              1e-10 * scale)
@@ -384,7 +382,7 @@ def test_table_path_is_bitwise_the_monomial_path(w):
                         continue
                     pairs += 1
                     assert (got.envelope_at_mu, got.coefficients) == want
-                    qp = Envelope(EnvelopeSpec(lam, "hat")).qp_unit_factors()
+                    qp = got.qp_factors
                     for d in got.coefficients:
                         assert (_outcome(jackson_term_ratio, mu, d, pp, qp)
                                 == _outcome(_reference_term_ratio, mu, d, pp, qp))
@@ -466,14 +464,13 @@ def test_a_table_takes_each_finite_product_once(monkeypatch):
                 taken.clear()
                 reached = False
                 for lam in basis:
-                    qp = Envelope(EnvelopeSpec(lam, "hat")).qp_unit_factors()
                     try:
                         series = vertex_series(lam, mu, 3, pp)
                     except SingularityError:
                         continue
                     reached = True
                     for d in series.coefficients:
-                        jackson_term_ratio(mu, d, pp, qp)
+                        jackson_term_ratio(mu, d, pp, series.qp_factors)
                 table = vertex.vertex_table(mu, pp)
                 want = {(base, d[i] if j is None else d[i] - d[j])
                         for d in _degree_vectors(mu.size, 3)
@@ -575,13 +572,12 @@ def test_a_point_builds_each_table_once(monkeypatch):
         for mu in basis:
             normalization_factor(mu, pp)
             for lam in basis:
-                qp = Envelope(EnvelopeSpec(lam, "hat")).qp_unit_factors()
                 try:
                     series = vertex_series(lam, mu, 2, pp)
                 except SingularityError:
                     continue
                 for d in series.coefficients:
-                    jackson_term_ratio(mu, d, pp, qp)
+                    jackson_term_ratio(mu, d, pp, series.qp_factors)
     assert sorted(map(basis.index, calls)) == list(range(len(basis)))
     # a new point, or an extension, builds its own
     fresh = ParamPoint(pp.n_colors, pp.values, pp.logs, min_terms=pp.min_terms)
