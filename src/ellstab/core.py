@@ -350,17 +350,18 @@ class ParamPoint:
     Further variables (framing weights, Kahler parameters, Chern roots) are
     added as needed, either at construction or through :meth:`extended`.
 
-    A point keeps three memos.  Infinite q-Pochhammer values
-    (:meth:`qpoch_inf`) live in one table shared between a point and its
-    extensions: it is keyed by the values themselves, so an extension that
-    overrides a variable only adds keys.  The compiled envelopes
-    (``envelopes.compiled``, one per ``EnvelopeSpec``) are shared the same
-    way: they hold only exact data, the same at every point.  The vertex
-    tables (``vertex.vertex_table``, one per fixed point, each with the
-    Pochhammer products of its bases) are not shared: they hold bases
-    materialized through the point's logs, which an extension may override,
-    so every extension starts with none.  A new point starts with all three
-    memos empty.
+    A point keeps five memos, each read through one accessor, and a new
+    point starts with all of them empty.  Three are shared between a point
+    and its extensions: the infinite q-Pochhammer values (:meth:`qpoch_inf`),
+    keyed by the values themselves, so an extension that overrides a
+    variable only adds keys; and the compiled envelopes
+    (``envelopes.compiled``, one per ``EnvelopeSpec``) and the chamber
+    bases (``rmatrix.ChamberMatrices.build``), which hold only exact data,
+    the same at every point.  Two are not shared, since they hold values
+    taken through the point's logs, which an extension may override: the
+    vertex tables (``vertex.vertex_table``, one per fixed point, with the
+    Pochhammer products of its bases) and the restriction points
+    (``rmatrix.restriction_point``, the Chern-root values of a fixed point).
     """
 
     def __init__(self, n_colors: int, values: Mapping[str, complex],
@@ -382,7 +383,9 @@ class ParamPoint:
         self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
         self._envelopes: dict = {}
+        self._chamber_bases: dict = {}
         self._vertex_tables: dict = {}
+        self._restriction_points: dict = {}
         v = self.values
         if not {"p", "t1", "t2"} <= v.keys():
             raise ValueError(f"a parameter point needs p, t1 and t2, got {sorted(v)}")
@@ -423,8 +426,8 @@ class ParamPoint:
 
     def extended(self, values: Mapping[str, complex],
                  logs: Mapping[str, complex] | None = None) -> "ParamPoint":
-        """A new point with extra variables, sharing the q-Pochhammer memo
-        and the compiled envelopes but no vertex table."""
+        """A new point with extra variables, sharing the memos that hold
+        no value taken through the logs."""
         vals = dict(self.values)
         vals.update(values)
         lgs = dict(self.logs)
@@ -434,7 +437,8 @@ class ParamPoint:
             if logs is None or name not in logs:
                 lgs[name] = cmath.log(v)
         pp = ParamPoint(self.n_colors, vals, lgs, self.tol, self.min_terms, self.seed)
-        pp._qpoch_memo, pp._envelopes = self._qpoch_memo, self._envelopes
+        pp._qpoch_memo, pp._envelopes, pp._chamber_bases = (
+            self._qpoch_memo, self._envelopes, self._chamber_bases)
         return pp
 
     def materialize(self, mono: Monomial) -> complex:

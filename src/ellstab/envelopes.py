@@ -794,8 +794,11 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
     product over random Chern-root assignments.
 
     The two factors are evaluated at their Kahler arguments
-    (``shuffle_kahler_shifts``) as two shifted points.
+    (``shuffle_kahler_shifts``) as two shifted points.  Raises
+    ``ValueError`` for fewer than one assignment.
     """
+    if n_assignments < 1:
+        raise ValueError(f"n_assignments {n_assignments} is below 1")
     if rng is None:
         rng = np.random.default_rng(0)
     n = fpa.n_colors

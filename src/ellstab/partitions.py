@@ -306,6 +306,16 @@ def profiles(m: int, n: int):
         yield tuple(vec)
 
 
+def check_dimension_vector(name: str, vec, n_colors: int) -> None:
+    """Raise ``ValueError`` unless ``vec`` has one non-negative entry per
+    color."""
+    if len(vec) != n_colors:
+        raise ValueError(f"{name} {tuple(vec)} has {len(vec)} entries "
+                         f"for {n_colors} colors")
+    if any(e < 0 for e in vec):
+        raise ValueError(f"{name} {tuple(vec)} has a negative entry")
+
+
 def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
                  budget: int = 200000) -> list[FixedPoint]:
     """All fixed points with box-content profile v and framing vector w.
@@ -313,8 +323,10 @@ def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
     Slots are those of ``FramingGroup(w)``, color-major.  Deterministic
     order: slot by slot in the chamber order, partitions in lexicographic
     order of their row tuples.  Raises ``BudgetError`` when there are more
-    than ``budget`` of them.
+    than ``budget`` of them, and ``ValueError`` unless v and w have one
+    non-negative entry per color.
     """
+    check_dimension_vector("framing", w, n_colors)
     return _enumerate_fixed_points(v, FramingGroup(w).slots(), n_colors, budget)
 
 
@@ -326,8 +338,10 @@ def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
     The slots keep their order; the enumeration is that of ``fixed_points``.
     The candidates of a slot color, (size, partition, profile) for every
     partition of at most |v| boxes in sorted row order, are built once per
-    call; a recursion node keeps those that fit in the boxes left.
+    call; a recursion node keeps those that fit in the boxes left.  Raises
+    ``ValueError`` unless v has one non-negative entry per color.
     """
+    check_dimension_vector("profile", v, n_colors)
     rows_sorted = sorted(partitions_upto(sum(v)))
     candidates: dict[int, list] = {}
     for slot in slots:

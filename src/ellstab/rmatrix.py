@@ -9,10 +9,12 @@ the L-shape-free tree set.
 
 A Kahler argument (the dynamical shift z_i -> z_i hbar^(e_i) of the
 Yang-Baxter check, or the inverted z_i -> 1/z_i of R*) is a point value
-(``envelopes.kahler_point``), so the envelopes of a basis are compiled once
-per parameter point (``envelopes.compiled``), whatever arguments they are
-taken at.  One ``ChamberMatrices`` answers every R-matrix question of a call:
-the transition (R, or R* with its transposed bare part and mu*), the
+(``envelopes.kahler_point``).  The parameter point owns what its matrices
+reuse: the compiled envelopes (``envelopes.compiled``), the chamber bases
+(``ChamberMatrices.build``) and the restriction points
+(``restriction_point``), so no caller passes a cache.  One
+``ChamberMatrices`` answers every R-matrix question of a call: the
+transition (R, or R* with its transposed bare part and mu*), the
 composition and the transpose relation.
 """
 
@@ -28,7 +30,7 @@ from .envelopes import (EnvelopeSpec, ThetaTable, compiled, kahler_args,
                         kahler_point, restriction_values, shifted_kahler,
                         spectator_shift)
 from .partitions import (FixedPoint, FramingGroup, _enumerate_fixed_points,
-                         kahler_var, profiles)
+                         check_dimension_vector, kahler_var, profiles)
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
 
@@ -36,8 +38,11 @@ def basis_fixed_points(v, groups: list[FramingGroup], n_colors: int) -> list[Fix
     """Fixed points of the concatenated framing, group-major slots.
 
     Within a group the slots are those of ``FramingGroup.slots``; the
-    enumeration order is that of ``fixed_points``.
+    enumeration order is that of ``fixed_points``.  Raises ``ValueError``
+    unless v and each group's framing have one non-negative entry per color.
     """
+    for g in groups:
+        check_dimension_vector("framing", g.w, n_colors)
     return _enumerate_fixed_points(v, [s for g in groups for s in g.slots()],
                                    n_colors)
 
@@ -59,20 +64,26 @@ class RestrictionMatrix:
     cond: float
 
 
+def restriction_point(gamma: FixedPoint, pp: ParamPoint) -> tuple[dict, dict]:
+    """``restriction_values(gamma, pp)``, taken once per point.  Extensions
+    keep their own: the values are taken through u, t1 and t2."""
+    points = pp._restriction_points
+    got = points.get(gamma)
+    if got is None:
+        got = points[gamma] = restriction_values(gamma, pp)
+    return got
+
+
 def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
-                       star: bool = False, kahler=None, *,
-                       points: list[tuple] | None = None) -> RestrictionMatrix:
+                       star: bool = False, kahler=None) -> RestrictionMatrix:
     """Matrix of envelope restrictions: M[gamma, beta] = Stab(beta)|_gamma.
 
-    The envelopes are evaluated at ``kahler_point(pp, kahler)``.  The
-    Chern-root values of each restriction point are computed once per
-    matrix, and so is one ``ThetaTable`` per point, which the columns share:
-    a theta argument that several envelopes carry is taken once per point
-    and permutation, and once per matrix if it has no Chern root.
-    ``points``, if given, are those values (``restriction_values`` of each
-    basis element at ``pp``, in basis order), kept by a caller that builds
-    several matrices of the basis at ``pp``; they do not depend on the
-    Kahler argument.  Each column's plain envelope comes from
+    The envelopes are evaluated at ``kahler_point(pp, kahler)``.  Each
+    restriction point (``restriction_point`` at ``pp``, whatever the Kahler
+    argument) is looked up once per matrix and gets one ``ThetaTable``,
+    which the columns share: a theta argument that several envelopes carry
+    is taken once per point and permutation, and once per matrix if it has
+    no Chern root.  Each column's plain envelope comes from
     ``envelopes.compiled`` at ``pp``.  An empty basis (a profile without
     fixed points) gives an empty matrix of condition number 1.
     """
@@ -83,8 +94,7 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     if any(fp.v != basis[0].v or fp.w != basis[0].w for fp in basis):
         raise ValueError("restriction points must share the (v, w) class")
     ppk = kahler_point(pp, kahler)
-    if points is None:
-        points = [restriction_values(gamma, pp) for gamma in basis]
+    points = [restriction_point(gamma, pp) for gamma in basis]
     free: dict = {}
     tables = [ThetaTable(free) for _ in basis]
     for b, beta in enumerate(basis):
@@ -126,13 +136,11 @@ class ChamberMatrices:
     swap P = ``_swap_permutation`` from the basis of C to that of Cbar (the
     swap from Cbar back to C is P.T).  Every transition, composition and
     transpose check of one profile, nome and Kahler argument is solved from
-    one of these, so a caller that needs several builds the matrices once;
-    ``at`` rebuilds the matrices on the same bases.  ``groups`` are
-    (g1, g2) and ``star`` the nome the matrices are at.  ``pp`` is the
-    parameter point the matrices were built at, which holds the compiled
-    envelopes of both bases, and ``points`` the ``restriction_values`` of
-    both bases there, which ``at`` reuses: they depend on t1, t2 and the
-    framing weights."""
+    one of these; ``at`` rebuilds the matrices on the same bases.
+    ``groups`` are (g1, g2), ``star`` the nome the matrices are at and
+    ``pp`` the parameter point they were built at, which holds the bases
+    (enumerated once per point and its extensions, by ``build``), the
+    compiled envelopes and the restriction points."""
 
     groups: tuple[FramingGroup, FramingGroup]
     star: bool
@@ -142,25 +150,25 @@ class ChamberMatrices:
     m_c: RestrictionMatrix
     m_cbar: RestrictionMatrix
     pp: ParamPoint = field(repr=False, compare=False)
-    points: tuple = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
               n_colors: int, star: bool = False, kahler=None) -> "ChamberMatrices":
-        basis = basis_fixed_points(v, [g1, g2], n_colors)
-        basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
-        points = tuple([restriction_values(gamma, pp) for gamma in b]
-                       for b in (basis, basis_bar))
-        return cls((g1, g2), star, basis, basis_bar,
-                   _swap_permutation(basis, basis_bar, sum(g1.w)),
-                   None, None, pp, points).at(star, kahler)
+        key = (tuple(v), g1.w, g1.prefix, g2.w, g2.prefix)
+        bases = pp._chamber_bases.get(key)
+        if bases is None:
+            basis = basis_fixed_points(v, [g1, g2], n_colors)
+            basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
+            bases = pp._chamber_bases[key] = (
+                basis, basis_bar, _swap_permutation(basis, basis_bar, sum(g1.w)))
+        return cls((g1, g2), star, *bases, None, None, pp).at(star, kahler)
 
     def at(self, star: bool = False, kahler=None) -> "ChamberMatrices":
         """The matrices of the same bases at another nome or Kahler argument."""
-        m_c, m_cbar = (restriction_matrix(basis, self.pp, star, kahler, points=points)
-                       for basis, points in zip((self.basis, self.basis_bar), self.points))
+        m_c, m_cbar = (restriction_matrix(basis, self.pp, star, kahler)
+                       for basis in (self.basis, self.basis_bar))
         return ChamberMatrices(self.groups, star, self.basis, self.basis_bar, self.p,
-                               m_c, m_cbar, self.pp, self.points)
+                               m_c, m_cbar, self.pp)
 
     @property
     def conds(self) -> tuple[float, float]:
@@ -259,8 +267,7 @@ def composition_residual(v, g1, g2, pp, n_colors) -> float:
 def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
     """Deviation of R from invariance under z_i -> z_i hbar^(total weight_i).
 
-    The chamber bases are enumerated, and their envelopes compiled, once for
-    all the Kahler shifts.
+    Every Kahler shift reuses the chamber bases and their envelopes.
     """
     chambers = ChamberMatrices.build(v, g1, g2, pp, n_colors)
     base = chambers.bare()
@@ -291,20 +298,14 @@ def triple_basis(groups, n_colors: int, total_boxes: int) -> list[tuple]:
 
 
 def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
-                       pp: ParamPoint, shift_of, *,
-                       chambers: dict | None = None) -> np.ndarray:
+                       pp: ParamPoint, shift_of) -> np.ndarray:
     """Matrix of the bare pair transition acting on two slots of a triple basis.
 
     The column of a triple ``trip`` takes the transition of its pair profile
-    at the Kahler arguments z_i -> z_i hbar^(e_i), e = ``shift_of(trip)``.
-    Every triple the transition reaches must be in ``basis``.
-
-    ``chambers`` maps (slot pair, pair profile) to the ``ChamberMatrices``
-    first built there, whose bases and restriction points every later shift
-    reuses, and to the index of its basis.  A caller that applies several
-    pair transitions at one point passes one dict to all of them, so each
-    pair basis is enumerated and restricted once; without it the dict lives
-    for this call.
+    at the Kahler arguments z_i -> z_i hbar^(e_i), e = ``shift_of(trip)``,
+    built once per (pair profile, shift) by ``ChamberMatrices.build``, which
+    takes the bases and restriction points from ``pp``.  Every triple the
+    transition reaches must be in ``basis``.
     """
     i1, i2 = slot_pair
     g1, g2 = groups[i1], groups[i2]
@@ -312,29 +313,19 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
     index = {_key(sum((fp.slots for fp in trip), ())): i
              for i, trip in enumerate(basis)}
     out = np.zeros((len(basis), len(basis)), dtype=complex)
-    if chambers is None:
-        chambers = {}
-    # per (profile, shift) the transition
-    bares: dict[tuple, np.ndarray] = {}
+    # per (profile, shift) the pair basis, its index and the transition
+    blocks: dict[tuple, tuple] = {}
     for col, trip in enumerate(basis):
         a1, a2 = trip[i1], trip[i2]
-        n = a1.n_colors
         v_pair = tuple(x + y for x, y in zip(a1.v, a2.v))
-        shift = shift_of(trip)
-        key = (v_pair, shift)
-        pair_key = (slot_pair, v_pair)
-        if key not in bares:
-            kah = shifted_kahler(shift)
-            if pair_key in chambers:
-                ch = chambers[pair_key][0].at(kahler=kah)
-            else:
-                ch = ChamberMatrices.build(v_pair, g1, g2, pp, n, kahler=kah)
-                chambers[pair_key] = ch, _index(ch.basis)
-            bares[key] = ch.bare()
-        bare = bares[key]
-        first, pair_index = chambers[pair_key]
+        key = (v_pair, shift_of(trip))
+        if key not in blocks:
+            ch = ChamberMatrices.build(v_pair, g1, g2, pp, a1.n_colors,
+                                       kahler=shifted_kahler(key[1]))
+            blocks[key] = ch.basis, _index(ch.basis), ch.bare()
+        pair_basis, pair_index, bare = blocks[key]
         col_pair = pair_index[_key(a1.slots + a2.slots)]
-        for row_pair, b in enumerate(first.basis):
+        for row_pair, b in enumerate(pair_basis):
             coeff = bare[row_pair, col_pair]
             if coeff == 0:
                 continue
@@ -350,21 +341,19 @@ def ybe_residual(groups: tuple[FramingGroup, FramingGroup, FramingGroup],
 
     R12(z h^(3)) R13(z) R23(z h^(1))  =  R23(z) R13(z h^(2)) R12(z).
 
-    The six pair transitions share one dict of chamber matrices, so each
-    slot pair's bases are enumerated and restricted once.  Raises
+    The six pair transitions take their chamber bases and restriction
+    points from ``pp``, so each is enumerated or restricted once.  Raises
     ``ValueError`` for a negative ``total_boxes``.
     """
     if total_boxes < 0:
         raise ValueError(f"total_boxes {total_boxes} is negative")
     basis = triple_basis(groups, n_colors, total_boxes)
     unshifted = (0,) * n_colors
-    chambers: dict = {}
 
     def act(pair, shift_slot):
         def shift_of(trip):
             return unshifted if shift_slot is None else trip[shift_slot].weight()
-        return r_action_on_triple(basis, groups, pair, pp, shift_of,
-                                  chambers=chambers)
+        return r_action_on_triple(basis, groups, pair, pp, shift_of)
 
     lhs = act((0, 1), 2) @ act((0, 2), None) @ act((1, 2), 0)
     rhs = act((1, 2), None) @ act((0, 2), 1) @ act((0, 1), None)

@@ -43,8 +43,8 @@ from .core import (HBAR, P, SQRT_HBAR, Monomial, ParamPoint, SingularityError,
                    qpoch_fin)
 from .envelopes import EnvelopeSpec, compiled, restrict, restriction_values
 from .partitions import (FixedPoint, FramingGroup, box_slot_vars, chern_var,
-                         fixed_points, kahler_var, phi_weight, profiles,
-                         quiver_pairs)
+                         check_dimension_vector, fixed_points, kahler_var,
+                         phi_weight, profiles, quiver_pairs)
 from .scalars import mu_vacuum_ope
 
 
@@ -360,10 +360,14 @@ class BetheSystem:
     k.  Calling it on a root vector returns the residuals with the same
     operations, in the same order, as the formula of ``bethe_residuals``,
     so they agree bit for bit whatever the scalar type of the roots.
+    Raises ``ValueError`` unless v and w have one non-negative entry per
+    color.
     """
 
     def __init__(self, v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint):
         n = pp.n_colors
+        check_dimension_vector("profile", v, n)
+        check_dimension_vector("framing", w, n)
         self.t1, self.t2, self.h = pp.t1, pp.t2, pp.hbar
         h = self.h
         start = [sum(v[:k]) for k in range(n)]
@@ -415,9 +419,13 @@ def bethe_residuals(xvals: dict[int, list[complex]], pp: ParamPoint,
           = z_k h^(v_k - 1),
 
     u over the framing values of color k; the residual is the left side
-    minus the right.  ``xvals`` maps a color to its roots.
+    minus the right.  ``xvals`` maps a color to its roots; a color outside
+    0..N-1, or a framing w without one entry per color, raises
+    ``ValueError``.
     """
     n = pp.n_colors
+    if unknown := sorted(set(xvals) - set(range(n))):
+        raise ValueError(f"roots of colors {unknown} outside 0..{n - 1}")
     v = tuple(len(xvals.get(k, [])) for k in range(n))
     return BetheSystem(v, w, pp)([x for k in range(n) for x in xvals.get(k, [])])
 

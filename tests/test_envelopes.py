@@ -228,6 +228,17 @@ def test_shuffle_one_box_each_all_variants():
         assert r < 1e-8, variant
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_shuffle_rejects_a_check_of_no_assignment(count):
+    """A residual over no assignment would pass having checked nothing."""
+    pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
+                                                   "ub": [1, 0, 0]})
+    fpa = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ua")
+    fpb = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ub")
+    with pytest.raises(ValueError, match="n_assignments"):
+        shuffle_residual(fpa, fpb, pp, n_assignments=count)
+
+
 def test_shuffle_at_shifted_nome():
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [0, 1, 0]})

@@ -175,8 +175,9 @@ def test_process_memos_detected():
 def test_no_process_wide_memos():
     """A memo that outlives its call would let a benchmark time warm caches
     that a one-shot command never gets.  Reuse stays scoped to one call, or
-    to one ``ParamPoint`` (its q-Pochhammer memo, compiled envelopes and
-    vertex tables), which the benchmark renews for every check."""
+    to one ``ParamPoint`` (its q-Pochhammer memo, compiled envelopes,
+    chamber bases, vertex tables and restriction points), which the
+    benchmark renews for every check."""
     found = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
              for name in process_memos(ast.parse(path.read_text()))}
     assert found <= PROCESS_MEMOS_ALLOWED
@@ -218,6 +219,77 @@ def test_envelopes_are_built_only_by_the_accessor():
     found = [f"{path.name}:{where}" for path in sorted(SRC.glob("*.py"))
              for where in envelope_builds(ast.parse(path.read_text()))]
     assert found == ["envelopes.py:compiled"]
+
+
+#: each memo of a ``ParamPoint`` and its one accessor
+MEMO_ACCESSORS = {
+    "_qpoch_memo": "core.py:ParamPoint.qpoch_inf",
+    "_envelopes": "envelopes.py:compiled",
+    "_chamber_bases": "rmatrix.py:ChamberMatrices.build",
+    "_vertex_tables": "vertex.py:vertex_table",
+    "_restriction_points": "rmatrix.py:restriction_point",
+}
+
+
+def point_memos(tree: ast.Module) -> list[str]:
+    """The attributes that ``ParamPoint.__init__`` starts as an empty dict."""
+    init = next(fn for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "ParamPoint"
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
+    return [t.attr for node in ast.walk(init)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Dict) and not node.value.keys
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Attribute)]
+
+
+def attribute_uses(tree: ast.Module, names) -> list[tuple[str, str]]:
+    """(attribute, where) for every use of an attribute in ``names``, where
+    is the dotted path of the classes and functions that hold it
+    (``<module>`` outside any), in source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((child.attr, ".".join(where) or "<module>"))
+            inner = (where + [child.name]
+                     if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                           ast.ClassDef)) else where)
+            visit(child, inner)
+
+    visit(tree, [])
+    return found
+
+
+def test_memo_uses_detected():
+    tree = ast.parse("class ParamPoint:\n    def __init__(self):\n"
+                     "        self._a = {}\n        self._b: dict = {}\n"
+                     "        self.c = {1: 2}\n        self.d = dict()\n"
+                     "def f(pp):\n    return pp._a.get(1)\n"
+                     "class C:\n    def g(self, pp):\n"
+                     "        def h():\n            return pp._b\n"
+                     "        return h, pp._c\n"
+                     "x = ParamPoint()._a\n")
+    assert point_memos(tree) == ["_a", "_b"]
+    assert attribute_uses(tree, {"_a", "_b"}) == [
+        ("_a", "ParamPoint.__init__"), ("_b", "ParamPoint.__init__"),
+        ("_a", "f"), ("_b", "C.g.h"), ("_a", "<module>")]
+
+
+def test_point_memos_are_used_only_by_their_accessors():
+    """A parameter point owns its memos: each is touched in the package only
+    where ``ParamPoint`` makes or shares it and by its one accessor, so no
+    caller reaches into a memo or threads a copy of it."""
+    core = ast.parse((SRC / "core.py").read_text())
+    assert sorted(point_memos(core)) == sorted(MEMO_ACCESSORS)
+    found = {(name, f"{path.name}:{where}") for path in sorted(SRC.glob("*.py"))
+             for name, where in attribute_uses(ast.parse(path.read_text()),
+                                               MEMO_ACCESSORS)}
+    allowed = {(name, f"core.py:ParamPoint.{method}") for name in MEMO_ACCESSORS
+               for method in ("__init__", "extended")}
+    assert found - allowed == set(MEMO_ACCESSORS.items())
 
 
 #: f-string shapes that spell a variable name, each formatted value read as

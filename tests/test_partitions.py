@@ -182,10 +182,29 @@ def test_one_pass_enumerator_matches_the_recursion():
                 compared += 1
                 nonempty += bool(got)
     assert (compared, nonempty) == (8 * 56, 160)
-    # a profile with a negative entry has no fixed point, with or without slots
+    # a profile with a negative entry is rejected, with or without slots
     for slots in ([], framings[0]):
-        assert _enumerate_fixed_points((1, -1, 0), slots, n) == \
-            _recursive_fixed_points((1, -1, 0), slots, n) == []
+        with pytest.raises(ValueError, match=r"profile \(1, -1, 0\) has a negative"):
+            _enumerate_fixed_points((1, -1, 0), slots, n)
+
+
+@pytest.mark.parametrize("v, w, match", [
+    ((1, 1), (1, 0, 0), r"profile \(1, 1\) has 2 entries for 3 colors"),
+    ((1, 0, 0), (1, 0, 0, 0), r"framing \(1, 0, 0, 0\) has 4 entries for 3 colors"),
+    ((-1, 2, 0), (1, 0, 0), r"profile \(-1, 2, 0\) has a negative entry"),
+    ((1, 0, 0), (1, -1, 0), r"framing \(1, -1, 0\) has a negative entry"),
+])
+def test_fixed_points_reject_a_vector_that_is_not_one_count_per_color(v, w, match):
+    """A profile or framing of the wrong length, or with a negative entry,
+    raises instead of enumerating the fixed points of another vector."""
+    with pytest.raises(ValueError, match=match):
+        fixed_points(v, w, 3)
+
+
+@pytest.mark.parametrize("v", [(1, 1), (1, 0, 0, 0)])
+def test_enumerator_rejects_a_profile_of_the_wrong_length(v):
+    with pytest.raises(ValueError, match=f"profile .* has {len(v)} entries"):
+        _enumerate_fixed_points(v, FramingGroup((1, 0, 0)).slots(), 3)
 
 
 def _recursive_profiles(m, n):

@@ -21,7 +21,7 @@ from ellstab.rmatrix import (ChamberMatrices, FramingGroup, _swap_permutation,
                              leading_pair_factorization_residual, profiles,
                              restriction_matrix, shift_invariance_residual,
                              transition_r, transition_r_star,
-                             transpose_relation_residual,
+                             transpose_relation_residual, triple_basis,
                              weight_block_residual, ybe_residual)
 from ellstab.sampling import sample_param_point
 from reference_sum import ReferenceSum
@@ -569,6 +569,73 @@ def test_ybe_compiles_each_envelope_once(monkeypatch):
     assert set(calls) == want
 
 
+def _count_calls(monkeypatch, name: str, key) -> Counter:
+    """Counts of the calls of ``rmatrix.<name>``, by ``key(*args)``."""
+    calls = Counter()
+    original = getattr(rmatrix, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rmatrix, name, counted)
+    return calls
+
+
+def test_ybe_enumerates_each_chamber_basis_and_restricts_each_point_once(monkeypatch):
+    """The six pair transitions of a 2-box check take their chamber bases and
+    restriction points from the point: each (groups, profile) basis is
+    enumerated once, and each of its fixed points restricted once there."""
+    groups = (G1, G2, G3)
+    pp = _fresh(PP)
+    restricted = _count_calls(monkeypatch, "restriction_values",
+                              lambda gamma, point, *args: (gamma, point))
+    enumerated = _count_calls(monkeypatch, "basis_fixed_points",
+                              lambda v, gs, n: (v, tuple((g.w, g.prefix) for g in gs)))
+    ybe_residual(groups, pp, N, 2)
+    monkeypatch.undo()
+    assert max(enumerated.values()) == 1
+    want = {(tuple(x + y for x, y in zip(t[a].v, t[b].v)), order)
+            for a, b in ((0, 1), (0, 2), (1, 2)) for order in ((a, b), (b, a))
+            for t in triple_basis(groups, N, 2)}
+    assert {key for key in enumerated if len(key[1]) == 2} == {
+        (v, tuple((groups[i].w, groups[i].prefix) for i in order)) for v, order in want}
+    points = {fp for v, order in want
+              for fp in basis_fixed_points(v, [groups[i] for i in order], N)}
+    assert restricted == Counter({(fp, pp): 1 for fp in points})
+
+
+def test_restriction_points_belong_to_the_point():
+    """``restriction_point`` takes the values once per point; an extension,
+    which may override u, t1 or t2, starts with none but shares the chamber
+    bases."""
+    pp = _fresh(PP)
+    gamma = basis_fixed_points((1, 1, 0), [G1, G2], N)[0]
+    got = rmatrix.restriction_point(gamma, pp)
+    assert rmatrix.restriction_point(gamma, pp) is got
+    assert got == restriction_values(gamma, pp)
+    ext = pp.extended({"ub0_1": 0.7 - 0.2j})
+    assert ext._restriction_points == {}
+    assert ext._chamber_bases is pp._chamber_bases
+    assert rmatrix.restriction_point(gamma, ext) != got
+
+
+def test_chamber_bases_built_at_a_point_serve_its_kahler_points(monkeypatch):
+    """A ``ChamberMatrices.build`` at ``kahler_point(pp, k)`` reuses the bases
+    and swap that a build at ``pp`` enumerated."""
+    pp = _fresh(PP)
+    enumerated = _count_calls(monkeypatch, "basis_fixed_points",
+                              lambda v, gs, n: (v, tuple((g.w, g.prefix) for g in gs)))
+    first = ChamberMatrices.build((1, 1, 0), G1, G2, pp, N)
+    assert sum(enumerated.values()) == 2
+    again = ChamberMatrices.build((1, 1, 0), G1, G2,
+                                  kahler_point(pp, shifted_kahler((1, 0, 0))), N,
+                                  star=True)
+    assert sum(enumerated.values()) == 2
+    assert again.basis is first.basis and again.basis_bar is first.basis_bar
+    assert again.p is first.p
+
+
 @pytest.mark.parametrize("v", [(2, 0, 0), (1, 1, 0), (1, 0, 1)])
 def test_shift_and_transpose_checks_compile_each_envelope_once(monkeypatch, v):
     """Every Kahler shift of ``shift_invariance_residual`` and both sides of
@@ -633,6 +700,12 @@ def test_chamber_matrices_take_each_restriction_point_once(monkeypatch):
         for mat, basis in ((got.m_c, chambers.basis), (got.m_cbar, chambers.basis_bar)):
             want = restriction_matrix(basis, pp, star, kahler)
             assert mat.matrix.tobytes() == want.matrix.tobytes(), (star, kahler)
+
+
+@pytest.mark.parametrize("w", [(1, 0), (1, 0, 0, 0), (1, -1, 0)])
+def test_basis_fixed_points_reject_a_framing_that_is_not_one_count_per_color(w):
+    with pytest.raises(ValueError, match="framing"):
+        basis_fixed_points((1, 0, 0), [G1, FramingGroup(w, "ub")], N)
 
 
 def test_ybe_rejects_a_negative_box_count():

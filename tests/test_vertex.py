@@ -236,6 +236,23 @@ def test_bethe_one_variable_closed_form():
     assert np.max(np.abs(res)) < 1e-12
 
 
+def test_bethe_rejects_roots_of_unknown_colors_and_vectors_of_the_wrong_length():
+    """Roots of a color outside 0..N-1 are not dropped, and a framing or
+    profile of the wrong length is not read as another: each raises, in
+    ``bethe_solve`` too."""
+    x = PP.values["u0_1"]
+    with pytest.raises(ValueError, match=r"colors \[5\] outside 0..2"):
+        bethe_residuals({0: [x], 5: [2.0]}, PP, W)
+    with pytest.raises(ValueError, match="framing"):
+        bethe_residuals({0: [x]}, PP, (1, 0))
+    with pytest.raises(ValueError, match="framing"):
+        BetheSystem((1, 0, 0), (1, 0, 0, 0), PP)
+    with pytest.raises(ValueError, match="profile"):
+        BetheSystem((1, 0, 0, 1), W, PP)
+    with pytest.raises(ValueError, match="framing"):
+        bethe_solve((1, 0, 0), (1, 0), PP)
+
+
 def test_bethe_trivial_profile():
     sol = bethe_solve((0, 0, 0), W, PP)
     assert sol.converged and sol.residual == 0.0
