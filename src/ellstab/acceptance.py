@@ -8,6 +8,7 @@ and by the command-line runner.
 from __future__ import annotations
 
 import cmath
+import functools
 import sys
 import time
 from collections import Counter
@@ -47,6 +48,28 @@ class CriterionResult:
                 f"({self.seconds:.1f}s) {self.detail}")
 
 
+#: the registered criteria, in definition order (which is their numbering)
+ALL_CRITERIA = []
+
+
+def criterion(number: int, name: str, limit: float):
+    """Register a check, which takes a seed and returns ``(worst, detail)``
+    and passes when worst < limit, or returns ``(worst, detail, passed)``;
+    the registered callable times it and builds its ``CriterionResult``."""
+    def register(check):
+        @functools.wraps(check)
+        def run(seed: int = 0) -> CriterionResult:
+            t0 = time.perf_counter()
+            worst, detail, *passed = check(seed)
+            return CriterionResult(number, name, passed[0] if passed else worst < limit,
+                                   worst, limit, time.perf_counter() - t0, detail)
+
+        ALL_CRITERIA.append(run)
+        return run
+
+    return register
+
+
 def _random_partition(rng, max_size, n_colors):
     size = int(rng.integers(0, max_size + 1))
     rows = []
@@ -60,9 +83,9 @@ def _random_partition(rng, max_size, n_colors):
     return ColoredPartition(tuple(sorted(rows, reverse=True)), k, n_colors)
 
 
-def criterion_weight_identity(seed: int = 0) -> CriterionResult:
+@criterion(1, "weight identity / eigenvalue sum", 0.5)
+def criterion_weight_identity(seed: int = 0):
     """Exact integer weight identity and central eigenvalue sum."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(1000):
@@ -70,13 +93,11 @@ def criterion_weight_identity(seed: int = 0) -> CriterionResult:
         lam = _random_partition(rng, 12, n)
         ok, _ = weight_identity_ok(lam)
         failures += (not ok) + (not k_eigen_sum_ok(lam))
-    return CriterionResult(1, "weight identity / eigenvalue sum",
-                           failures == 0, float(failures), 0.5,
-                           time.perf_counter() - t0, "1000 partitions")
+    return float(failures), "1000 partitions"
 
 
-def criterion_theta_laws(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion(2, "theta inversion / shift laws", 1e-10)
+def criterion_theta_laws(seed: int = 0):
     rng = np.random.default_rng(seed)
     pp = sample_param_point(seed, 3)
     worst = 0.0
@@ -93,8 +114,7 @@ def criterion_theta_laws(seed: int = 0) -> CriterionResult:
         worst = max(worst, abs(sh - law) / abs(law))
         worst = max(worst, abs(ppz.theta_p_val(pp.p / zv) - ppz.theta_p_val(zv))
                     / abs(ppz.theta_p_val(zv)))
-    return CriterionResult(2, "theta inversion / shift laws", worst < 1e-10,
-                           worst, 1e-10, time.perf_counter() - t0, "100 points")
+    return worst, "100 points"
 
 
 def _small_fixed_points(n, max_boxes, w):
@@ -105,9 +125,9 @@ def _small_fixed_points(n, max_boxes, w):
     return out
 
 
-def criterion_factorization(seed: int = 0) -> CriterionResult:
+@criterion(3, "S through K_I / K_II factorization", 1e-10)
+def criterion_factorization(seed: int = 0):
     """S = (-1)^eps K_I S-hat and S = (-1)^eps* K_II S-tilde pointwise."""
-    t0 = time.perf_counter()
     n = 3
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -121,16 +141,14 @@ def criterion_factorization(seed: int = 0) -> CriterionResult:
                 worst = max(worst, factorization_residual(fp, pp, "I", values))
                 worst = max(worst, factorization_residual(fp, pp, "II", values))
                 cases += 1
-    return CriterionResult(3, "S through K_I / K_II factorization",
-                           worst < 1e-10, worst, 1e-10, time.perf_counter() - t0,
-                           f"{cases} assignments")
+    return worst, f"{cases} assignments"
 
 
-def criterion_shuffle(seed: int = 0) -> CriterionResult:
+@criterion(4, "shuffle product (plain/hat/tilde)", 1e-8)
+def criterion_shuffle(seed: int = 0):
     """Shuffle product of envelopes, all normalizations, N in {3, 4}, up to
     four boxes in all."""
     max_total = 4
-    t0 = time.perf_counter()
     worst = 0.0
     checks = 0
     # N = 4 takes seeds seed + 2 to seed + 4, so the two seed ranges share
@@ -139,31 +157,29 @@ def criterion_shuffle(seed: int = 0) -> CriterionResult:
         for run_seed in (first, first + 1, first + 2):
             rng = np.random.default_rng(run_seed + 100 * n)
             for k2 in range(n):
-                wa = tuple(1 if i == 0 else 0 for i in range(n))
-                wb = tuple(1 if i == k2 else 0 for i in range(n))
+                ga = FramingGroup.unit(0, n, "ua")
+                gb = FramingGroup.unit(k2, n, "ub")
                 pp = sample_param_point(run_seed + 7 * k2 + 1000 * n, n,
-                                        framing_counts={"ua": list(wa),
-                                                        "ub": list(wb)})
+                                        framing_counts={"ua": list(ga.w),
+                                                        "ub": list(gb.w)})
                 for s1 in range(max_total + 1):
                     for rows1 in partitions_of(s1):
                         for s2 in range(max_total - s1 + 1):
                             for rows2 in partitions_of(s2):
                                 if s1 == 0 and s2 == 0:
                                     continue
-                                fpa = make_fixed_point([rows1], wa, n, "ua")
-                                fpb = make_fixed_point([rows2], wb, n, "ub")
+                                fpa = make_fixed_point([rows1], ga.w, n, "ua")
+                                fpb = make_fixed_point([rows2], gb.w, n, "ub")
                                 for variant in ("plain", "hat", "tilde"):
                                     r = shuffle_residual(fpa, fpb, pp, variant,
                                                          n_assignments=2, rng=rng)
                                     worst = max(worst, r)
                                     checks += 1
-    return CriterionResult(4, "shuffle product (plain/hat/tilde)",
-                           worst < 1e-8, worst, 1e-8, time.perf_counter() - t0,
-                           f"{checks} checks")
+    return worst, f"{checks} checks"
 
 
-def criterion_fock_dual_forms(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion(5, "ladder coefficient dual forms", 1e-10)
+def criterion_fock_dual_forms(seed: int = 0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
@@ -183,18 +199,17 @@ def criterion_fock_dual_forms(seed: int = 0) -> CriterionResult:
             b2 = lowering_coefficient(lam, cell, pp, form=2).materialize(pp)
             worst = max(worst, abs(b1 - b2) / max(abs(b1), abs(b2)))
         done += 1
-    return CriterionResult(5, "ladder coefficient dual forms", worst < 1e-10,
-                           worst, 1e-10, time.perf_counter() - t0, "200 draws")
+    return worst, "200 draws"
 
 
-def criterion_transition(seed: int = 0) -> CriterionResult:
+@criterion(6, "transition composition / weight blocks", 1e-8)
+def criterion_transition(seed: int = 0):
     """Transition composition and weight blocks on 1- and 2-box spaces."""
-    t0 = time.perf_counter()
     n = 3
     worst = 0.0
     for colors in [(0, 0), (0, 1)]:
-        g1 = FramingGroup(tuple(1 if i == colors[0] else 0 for i in range(n)), "ua")
-        g2 = FramingGroup(tuple(1 if i == colors[1] else 0 for i in range(n)), "ub")
+        g1 = FramingGroup.unit(colors[0], n, "ua")
+        g2 = FramingGroup.unit(colors[1], n, "ub")
         pp = sample_param_point(seed + 17, n,
                                 framing_counts={g.prefix: list(g.w) for g in (g1, g2)})
         for total in (1, 2):
@@ -202,12 +217,11 @@ def criterion_transition(seed: int = 0) -> CriterionResult:
                 ch = ChamberMatrices.build(v, g1, g2, pp, n)
                 worst = max(worst, ch.composition(),
                             weight_block_residual(ch.basis, ch.bare()))
-    return CriterionResult(6, "transition composition / weight blocks",
-                           worst < 1e-8, worst, 1e-8, time.perf_counter() - t0)
+    return worst, ""
 
 
-def criterion_ybe(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion(7, "dynamical Yang-Baxter", 1e-6)
+def criterion_ybe(seed: int = 0):
     n = 3
     groups = tuple(FramingGroup((1, 0, 0), prefix) for prefix in ("ua", "ub", "uc"))
     counts = {g.prefix: list(g.w) for g in groups}
@@ -217,10 +231,8 @@ def criterion_ybe(seed: int = 0) -> CriterionResult:
         worst1 = max(worst1, ybe_residual(groups, pp, n, 1))
     pp = sample_param_point(seed + 57, n, framing_counts=counts)
     worst2 = ybe_residual(groups, pp, n, 2)
-    passed = worst1 < 1e-7 and worst2 < 1e-6
-    return CriterionResult(7, "dynamical Yang-Baxter", passed,
-                           max(worst1, worst2), 1e-6, time.perf_counter() - t0,
-                           f"1-box {worst1:.1e} / 2-box {worst2:.1e}")
+    return (max(worst1, worst2), f"1-box {worst1:.1e} / 2-box {worst2:.1e}",
+            worst1 < 1e-7 and worst2 < 1e-6)
 
 
 def _reasons(counts: Counter[str]) -> str:
@@ -228,9 +240,9 @@ def _reasons(counts: Counter[str]) -> str:
     return ", ".join(f"{k} {reason}" for reason, k in counts.most_common()) or "none"
 
 
-def criterion_vertex(seed: int = 0) -> CriterionResult:
+@criterion(8, "vertex series / oracle / QP", 1e-8)
+def criterion_vertex(seed: int = 0):
     """Degree-zero law, Jackson-term oracle and quasi-periodicity."""
-    t0 = time.perf_counter()
     n = 3
     w = (1, 0, 0)
     pp = sample_param_point(seed + 3, n, framing_counts={"u": list(w)})
@@ -248,10 +260,7 @@ def criterion_vertex(seed: int = 0) -> CriterionResult:
                 qp = env.qp_unit_factors()
                 if any(qp[name].get(kahler_var(color)) != -1
                        for color, names in env.nvars.items() for name in names):
-                    return CriterionResult(8, "vertex series / oracle / QP",
-                                           False, 1.0, 1e-8,
-                                           time.perf_counter() - t0,
-                                           "Kahler part of QP factor wrong")
+                    return 1.0, "Kahler part of QP factor wrong"
                 for mu in basis:
                     try:
                         series = vertex_series(lam, mu, 3, pp)
@@ -280,17 +289,15 @@ def criterion_vertex(seed: int = 0) -> CriterionResult:
                             continue
                         worst_qp = max(worst_qp, abs(sh - pred * base)
                                        / max(abs(sh), abs(pred * base), 1e-300))
-    worst = max(worst_series, worst_qp)
-    return CriterionResult(8, "vertex series / oracle / QP", worst < 1e-8,
-                           worst, 1e-8, time.perf_counter() - t0,
-                           f"{pairs} pairs, {sum(skipped.values())} singular "
-                           f"skipped ({_reasons(skipped)}); "
-                           f"QP skipped: {qp_singular} singular shifted "
-                           f"restrictions, {qp_zero_base} structural zero bases")
+    return (max(worst_series, worst_qp),
+            f"{pairs} pairs, {sum(skipped.values())} singular "
+            f"skipped ({_reasons(skipped)}); "
+            f"QP skipped: {qp_singular} singular shifted "
+            f"restrictions, {qp_zero_base} structural zero bases")
 
 
-def criterion_bethe(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion(9, "Bethe closed form / Newton", 1e-10)
+def criterion_bethe(seed: int = 0):
     n = 3
     w = (1, 0, 0)
     pp = sample_param_point(seed + 5, n, framing_counts={"u": list(w)})
@@ -300,14 +307,12 @@ def criterion_bethe(seed: int = 0) -> CriterionResult:
     x = u * (1 - h * z0) / (1 - z0)
     closed = float(np.max(np.abs(bethe_residuals({0: [x], 1: [], 2: []}, pp, w))))
     sol = bethe_solve((1, 1, 1), w, pp, seed=seed)
-    passed = closed < 1e-12 and sol.converged and sol.residual < 1e-10
-    return CriterionResult(9, "Bethe closed form / Newton", passed,
-                           max(closed, sol.residual), 1e-10, time.perf_counter() - t0,
-                           f"closed {closed:.1e}, newton {sol.residual:.1e}")
+    return (max(closed, sol.residual), f"closed {closed:.1e}, newton {sol.residual:.1e}",
+            closed < 1e-12 and sol.converged and sol.residual < 1e-10)
 
 
-def criterion_rll(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion(10, "fusion/exchange scalar identity", 1e-7)
+def criterion_rll(seed: int = 0):
     n = 3
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -317,12 +322,11 @@ def criterion_rll(seed: int = 0) -> CriterionResult:
         pp = pp0.extended({"u": uval})
         for k in range(n):
             worst = max(worst, rll_scalar_residual(pp, Monomial.var("u"), k))
-    return CriterionResult(10, "fusion/exchange scalar identity", worst < 1e-7,
-                           worst, 1e-7, time.perf_counter() - t0, "20 points x 3 colors")
+    return worst, "20 points x 3 colors"
 
 
-def criterion_conjugate_modulus(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
+@criterion(11, "conjugate modulus transform", 1e-8)
+def criterion_conjugate_modulus(seed: int = 0):
     rng = np.random.default_rng(seed)
     pp = sample_param_point(seed + 13, 3)
     worst = 0.0
@@ -332,23 +336,7 @@ def criterion_conjugate_modulus(seed: int = 0) -> CriterionResult:
         else:
             x = (abs(pp.p) ** 0.5) * cmath.exp(2j * np.pi * rng.random())
         worst = max(worst, theta_modular_residual(x, pp))
-    return CriterionResult(11, "conjugate modulus transform", worst < 1e-8,
-                           worst, 1e-8, time.perf_counter() - t0, "20 points")
-
-
-ALL_CRITERIA = [
-    criterion_weight_identity,
-    criterion_theta_laws,
-    criterion_factorization,
-    criterion_shuffle,
-    criterion_fock_dual_forms,
-    criterion_transition,
-    criterion_ybe,
-    criterion_vertex,
-    criterion_bethe,
-    criterion_rll,
-    criterion_conjugate_modulus,
-]
+    return worst, "20 points"
 
 
 def run_all(seed: int = 0, verbose: bool = True) -> list[CriterionResult]:

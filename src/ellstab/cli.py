@@ -172,15 +172,15 @@ def cmd_shuffle_check(args):
         raise ValueError(f"--boxes {args.boxes} has a negative entry")
     _colors(args, "color2", (args.color2,))
     assignments = _count(args, "assignments")
-    wa = tuple(1 if i == 0 else 0 for i in range(n))
-    wb = tuple(1 if i == args.color2 else 0 for i in range(n))
-    pp = sample_param_point(args.seed, n, framing_counts={"ua": list(wa),
-                                                          "ub": list(wb)})
+    ga = FramingGroup.unit(0, n, "ua")
+    gb = FramingGroup.unit(args.color2, n, "ub")
+    pp = sample_param_point(args.seed, n, framing_counts={"ua": list(ga.w),
+                                                          "ub": list(gb.w)})
     checks = []
     for rows1 in partitions_of(sizes[0]):
-        fpa = make_fixed_point([rows1], wa, n, "ua")
+        fpa = make_fixed_point([rows1], ga.w, n, "ua")
         for rows2 in partitions_of(sizes[1]):
-            fpb = make_fixed_point([rows2], wb, n, "ub")
+            fpb = make_fixed_point([rows2], gb.w, n, "ub")
             for variant in ("plain", "hat", "tilde"):
                 rng = np.random.default_rng(args.seed + 13 * len(rows1)
                                             + 29 * len(rows2))
@@ -229,8 +229,8 @@ def cmd_ybe(args):
     colors = _colors(args, "colors", _list(args, "colors", 3))
     if args.boxes < 0:
         raise ValueError(f"--boxes {args.boxes} is negative")
-    groups = tuple(FramingGroup(tuple(1 if i == c else 0 for i in range(n)),
-                                p) for c, p in zip(colors, ("ua", "ub", "uc")))
+    groups = tuple(FramingGroup.unit(c, n, p)
+                   for c, p in zip(colors, ("ua", "ub", "uc")))
     pp = sample_param_point(args.seed, n,
                             framing_counts={g.prefix: list(g.w) for g in groups})
     r = ybe_residual(groups, pp, n, args.boxes)

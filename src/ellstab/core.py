@@ -10,12 +10,12 @@ materialize to the identical complex number.  A formal sign variable ``sgn``
 (value -1, log = i*pi) makes expressions like (-h^(1/2) u)^eta single valued.
 An integral exponent is stored as an ``int``, and a ``Fraction`` only where
 one is needed (a half power, an eta pairing's 1/n), so integral exponent
-arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2).
-A monomial keeps that half power (``Monomial.inv_sqrt``) in a slot, and its
-float exponent pairs (``Monomial.float_items``) and its ``repr`` (the sort
-key of a compile) once asked for them, so a compiled theta argument
-evaluated at many points pays the exact arithmetic and the float conversions
-once, while a monomial materialized once pays for no table.
+arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2)
+(``Monomial.inv_sqrt``).  A monomial keeps its float exponent pairs
+(``Monomial.float_items``) and its ``repr`` (the sort key of a compile) in
+slots once asked for them, so a compiled theta argument evaluated at many
+points pays the float conversions once, while a monomial materialized once
+pays for no table.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
@@ -72,7 +72,7 @@ class Monomial:
     changes a value, only what the exact arithmetic costs.
     """
 
-    __slots__ = ("_exps", "_hash", "_inv_sqrt", "_floats", "_repr")
+    __slots__ = ("_exps", "_hash", "_floats", "_repr")
 
     def __init__(self, exps: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -87,7 +87,6 @@ class Monomial:
                 del d[name]
         self._exps = d
         self._hash = None
-        self._inv_sqrt = None
         self._floats = None
         self._repr = None
 
@@ -98,7 +97,6 @@ class Monomial:
         m = Monomial.__new__(Monomial)
         m._exps = d
         m._hash = None
-        m._inv_sqrt = None
         m._floats = None
         m._repr = None
         return m
@@ -179,20 +177,14 @@ class Monomial:
                             {k: _exponent(v * e) for k, v in self._exps.items()})
 
     def inv_sqrt(self) -> "Monomial":
-        """self^(-1/2), the grading of the odd theta of this argument.
-
-        Computed on first use and kept in a slot: a monomial is immutable,
-        and a compiled theta argument is evaluated at many points.
-        """
-        if self._inv_sqrt is None:
-            self._inv_sqrt = Monomial._of({k: _half(-v) for k, v in self._exps.items()})
-        return self._inv_sqrt
+        """self^(-1/2), the grading of the odd theta of this argument."""
+        return Monomial._of({k: _half(-v) for k, v in self._exps.items()})
 
     def float_items(self) -> tuple[tuple[str, float], ...]:
         """(name, float exponent) pairs in the order of the exponent dict,
         the order in which ``ParamPoint.log_of`` sums them; computed on
-        first use and kept in a slot, like ``inv_sqrt``.  A monomial that
-        never asks for them is materialized from its exact exponents."""
+        first use and kept in a slot.  A monomial that never asks for them
+        is materialized from its exact exponents."""
         if self._floats is None:
             d = self._exps
             self._floats = tuple(zip(d, map(float, d.values())))
@@ -208,8 +200,8 @@ class Monomial:
 
     def __repr__(self) -> str:
         """name^exponent factors in name order, "1" for the unit; formed on
-        first use and kept in a slot, like ``inv_sqrt``: a compile sorts its
-        theta arguments by it."""
+        first use and kept in a slot: a compile sorts its theta arguments
+        by it."""
         r = self._repr
         if r is not None:
             return r

@@ -700,14 +700,12 @@ def restriction_values(fp_rester: FixedPoint, pp: ParamPoint,
     """
     values: dict[str, complex] = {}
     logs: dict[str, complex] = {}
-    for i, boxes in chern_slots(fp_rester).items():
-        for j, box in enumerate(boxes, start=1):
-            name = chern_var(i, j)
-            mono = phi_weight(fp_rester, box, framed)
-            if p_shifts and name in p_shifts and p_shifts[name]:
-                mono = mono * Monomial.var("p") ** p_shifts[name]
-            values[name] = pp.materialize(mono)
-            logs[name] = pp.log_of(mono)
+    for box, name in box_slot_vars(fp_rester).items():
+        mono = phi_weight(fp_rester, box, framed)
+        if p_shifts and name in p_shifts and p_shifts[name]:
+            mono = mono * Monomial.var("p") ** p_shifts[name]
+        values[name] = pp.materialize(mono)
+        logs[name] = pp.log_of(mono)
     return values, logs
 
 

@@ -21,17 +21,20 @@ from .core import BudgetError, Monomial
 
 @dataclass(frozen=True)
 class ColoredPartition:
-    """A partition whose boxes carry contents x - y + color."""
+    """A partition whose boxes carry contents x - y + color.  Its rows are
+    weakly decreasing and non-negative; trailing zero rows are dropped."""
 
     rows: tuple[int, ...]
     color: int
     n_colors: int
 
     def __post_init__(self):
-        rows = tuple(r for r in self.rows if r > 0)
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise ValueError(f"rows must be weakly decreasing, got {self.rows}")
-        object.__setattr__(self, "rows", rows)
+        rows = tuple(self.rows)
+        if any(a < b for a, b in zip(rows, rows[1:])):
+            raise ValueError(f"rows must be weakly decreasing, got {rows}")
+        if rows and rows[-1] < 0:
+            raise ValueError(f"rows must be non-negative, got {rows}")
+        object.__setattr__(self, "rows", tuple(r for r in rows if r))
 
     @property
     def size(self) -> int:
@@ -184,12 +187,21 @@ class FramingSlot:
         object.__setattr__(self, "u_var", f"{self.prefix}{self.color}_{self.index}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FramingGroup:
-    """One tensor factor: a framing vector with named weight variables."""
+    """One tensor factor: a framing vector with named weight variables; a
+    value (``w`` kept as a tuple), so a group is its own key."""
 
     w: tuple[int, ...]
     prefix: str = "u"
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", tuple(self.w))
+
+    @classmethod
+    def unit(cls, color: int, n_colors: int, prefix: str) -> "FramingGroup":
+        """The group of one framing slot, of the given color."""
+        return cls(tuple(int(i == color) for i in range(n_colors)), prefix)
 
     def slots(self) -> list[FramingSlot]:
         """The framing slots, color-major: the one maker of ``FramingSlot``s."""

@@ -47,16 +47,6 @@ def basis_fixed_points(v, groups: list[FramingGroup], n_colors: int) -> list[Fix
                                    n_colors)
 
 
-def _key(slots) -> tuple:
-    """Index key of a slot sequence: its partitions and framing names."""
-    return (tuple(lam.rows for _, lam in slots),
-            tuple(s.u_var for s, _ in slots))
-
-
-def _index(basis: list[FixedPoint]) -> dict[tuple, int]:
-    return {_key(fp.slots): i for i, fp in enumerate(basis)}
-
-
 @dataclass
 class RestrictionMatrix:
     basis: list[FixedPoint]
@@ -123,9 +113,9 @@ def _swap_permutation(basis: list[FixedPoint], basis_bar: list[FixedPoint],
     """P with P[j, i] = 1 where basis_bar[j] is basis[i] with its first
     n_first slots moved to the end."""
     p = np.zeros((len(basis), len(basis)))
-    index_bar = _index(basis_bar)
+    index_bar = {fp.slots: i for i, fp in enumerate(basis_bar)}
     for i, fp in enumerate(basis):
-        p[index_bar[_key(fp.slots[n_first:] + fp.slots[:n_first])], i] = 1.0
+        p[index_bar[fp.slots[n_first:] + fp.slots[:n_first]], i] = 1.0
     return p
 
 
@@ -154,7 +144,7 @@ class ChamberMatrices:
     @classmethod
     def build(cls, v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
               n_colors: int, star: bool = False, kahler=None) -> "ChamberMatrices":
-        key = (tuple(v), g1.w, g1.prefix, g2.w, g2.prefix)
+        key = (tuple(v), g1, g2)
         bases = pp._chamber_bases.get(key)
         if bases is None:
             basis = basis_fixed_points(v, [g1, g2], n_colors)
@@ -304,14 +294,14 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
     The column of a triple ``trip`` takes the transition of its pair profile
     at the Kahler arguments z_i -> z_i hbar^(e_i), e = ``shift_of(trip)``,
     built once per (pair profile, shift) by ``ChamberMatrices.build``, which
-    takes the bases and restriction points from ``pp``.  Every triple the
-    transition reaches must be in ``basis``.
+    takes the bases and restriction points from ``pp``.  A triple and a pair
+    are indexed by their slots.  Every triple the transition reaches must be
+    in ``basis``.
     """
     i1, i2 = slot_pair
     g1, g2 = groups[i1], groups[i2]
     n1 = sum(g1.w)
-    index = {_key(sum((fp.slots for fp in trip), ())): i
-             for i, trip in enumerate(basis)}
+    index = {sum((fp.slots for fp in trip), ()): i for i, trip in enumerate(basis)}
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     # per (profile, shift) the pair basis, its index and the transition
     blocks: dict[tuple, tuple] = {}
@@ -322,16 +312,17 @@ def r_action_on_triple(basis: list[tuple], groups, slot_pair: tuple[int, int],
         if key not in blocks:
             ch = ChamberMatrices.build(v_pair, g1, g2, pp, a1.n_colors,
                                        kahler=shifted_kahler(key[1]))
-            blocks[key] = ch.basis, _index(ch.basis), ch.bare()
+            blocks[key] = (ch.basis, {fp.slots: i for i, fp in enumerate(ch.basis)},
+                           ch.bare())
         pair_basis, pair_index, bare = blocks[key]
-        col_pair = pair_index[_key(a1.slots + a2.slots)]
+        col_pair = pair_index[a1.slots + a2.slots]
         for row_pair, b in enumerate(pair_basis):
             coeff = bare[row_pair, col_pair]
             if coeff == 0:
                 continue
             parts = [fp.slots for fp in trip]
             parts[i1], parts[i2] = b.slots[:n1], b.slots[n1:]
-            out[index[_key(sum(parts, ()))], col] += coeff
+            out[index[sum(parts, ())], col] += coeff
     return out
 
 

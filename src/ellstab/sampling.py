@@ -19,18 +19,24 @@ from .core import ParamPoint
 from .partitions import FramingGroup, kahler_var
 
 
+#: modulus bands of the nome p, the Kahler parameters and the Chern roots
+P_BAND = (0.05, 0.15)
+KAHLER_BAND = (0.55, 1.8)
+CHERN_BAND = (0.55, 1.8)
+#: a group's first framing modulus, and the band of each next one's ratio
+#: to the one before
+FRAMING_TOP = 1.2
+FRAMING_RATIO = (0.55, 0.8)
+#: the bound on |p / (t1 t2)|, and the least distance of a phase from 0 mod 2 pi
+PSTAR_CAP = 0.8
+PHASE_MARGIN = 0.15
+
+
 @dataclass
 class Annuli:
-    """Sampling bands for the base variables (moduli ranges)."""
+    """The settable sampling band: the moduli of t1 and t2."""
 
-    p: tuple[float, float] = (0.05, 0.15)
     t: tuple[float, float] = (0.45, 0.9)
-    kahler: tuple[float, float] = (0.55, 1.8)
-    chern: tuple[float, float] = (0.55, 1.8)
-    framing_top: float = 1.2
-    framing_ratio: tuple[float, float] = (0.55, 0.8)
-    pstar_cap: float = 0.8
-    phase_margin: float = 0.15
 
 
 def _draw(rng: np.random.Generator, band: tuple[float, float], margin: float) -> complex:
@@ -50,43 +56,43 @@ def sample_param_point(seed: int, n_colors: int,
     w over colors; the slots of ``FramingGroup(w, prefix)`` get strictly
     decreasing moduli in chamber order within each group.  The Kahler
     variables of all N colors are always included, ``extra_vars`` are drawn
-    from the Chern annulus.
+    from the Chern annulus.  ``annuli`` sets the band of t1 and t2; the
+    other bands are the module constants.
     """
-    ann = annuli or Annuli()
+    t_band = (annuli or Annuli()).t
     rng = np.random.default_rng(seed)
     values: dict[str, complex] = {}
 
     for _ in range(200):
-        p = _draw(rng, ann.p, ann.phase_margin)
-        t1 = _draw(rng, ann.t, ann.phase_margin)
-        t2 = _draw(rng, ann.t, ann.phase_margin)
+        p = _draw(rng, P_BAND, PHASE_MARGIN)
+        t1 = _draw(rng, t_band, PHASE_MARGIN)
+        t2 = _draw(rng, t_band, PHASE_MARGIN)
         if abs(t1) >= abs(t2):
             t1, t2 = t2 * 0.98, t1 * 1.02  # enforce |t1/t2| < 1 keeping genericity
         if abs(t1 / t2) >= 0.97:
             continue
-        if abs(p / (t1 * t2)) <= ann.pstar_cap:
+        if abs(p / (t1 * t2)) <= PSTAR_CAP:
             break
     else:
         raise RuntimeError("could not sample p, t1, t2 inside the configured annuli")
     values.update(p=p, t1=t1, t2=t2)
 
     for i in range(n_colors):
-        values[kahler_var(i)] = _draw(rng, ann.kahler, ann.phase_margin)
+        values[kahler_var(i)] = _draw(rng, KAHLER_BAND, PHASE_MARGIN)
 
     for prefix, w in (framing_counts or {}).items():
-        mod = ann.framing_top
-        for slot in FramingGroup(tuple(w), prefix).slots():
-            phase = rng.uniform(ann.phase_margin, 2 * math.pi - ann.phase_margin)
+        mod = FRAMING_TOP
+        for slot in FramingGroup(w, prefix).slots():
+            phase = rng.uniform(PHASE_MARGIN, 2 * math.pi - PHASE_MARGIN)
             values[slot.u_var] = mod * cmath.exp(1j * phase)
-            mod *= rng.uniform(*ann.framing_ratio)
+            mod *= rng.uniform(*FRAMING_RATIO)
 
     for name in extra_vars or []:
-        values[name] = _draw(rng, ann.chern, ann.phase_margin)
+        values[name] = _draw(rng, CHERN_BAND, PHASE_MARGIN)
 
     return ParamPoint(n_colors, values, seed=seed)
 
 
 def random_assignment(rng: np.random.Generator, names: list[str]) -> dict[str, complex]:
     """Random generic complex values for a list of variables (Chern roots)."""
-    ann = Annuli()
-    return {name: _draw(rng, ann.chern, ann.phase_margin) for name in names}
+    return {name: _draw(rng, CHERN_BAND, PHASE_MARGIN) for name in names}

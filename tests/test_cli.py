@@ -255,6 +255,8 @@ def test_usage_error_exit_code():
     (["stab", "--w", "1,0,0", "--fp", "[]"],
      "--fp []: one partition per framing slot"),
     (["fock", "--partition", "[2,"], "--partition [2,: Expecting value"),
+    (["stab", "--w", "1,0,0", "--fp", "[[2,0,1]]"],
+     "--fp [[2,0,1]]: rows must be weakly decreasing"),
 ])
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
     """A vector of the wrong length or with a negative entry, a color outside

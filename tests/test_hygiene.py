@@ -183,25 +183,35 @@ def test_no_process_wide_memos():
     assert found <= PROCESS_MEMOS_ALLOWED
 
 
-def envelope_builds(tree: ast.Module) -> list[str]:
-    """Calls of ``Envelope``, by name or as a module attribute, each named
-    by the innermost function that holds it (``<module>`` outside any), in
-    source order."""
+def sites(tree: ast.Module, match) -> list[tuple[ast.AST, str]]:
+    """(node, where) for every node that ``match`` accepts, where is the
+    dotted path of the classes and functions that hold it (``<module>``
+    outside any), in source order."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                fn = child.func
-                if ((isinstance(fn, ast.Name) and fn.id == "Envelope")
-                        or (isinstance(fn, ast.Attribute) and fn.attr == "Envelope")):
-                    found.append(where)
-            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     else where)
+            if match(child):
+                found.append((child, ".".join(where) or "<module>"))
+            inner = (where + [child.name]
+                     if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                           ast.ClassDef)) else where)
             visit(child, inner)
 
-    visit(tree, "<module>")
+    visit(tree, [])
     return found
+
+
+def builds(tree: ast.Module, name: str) -> list[str]:
+    """Where ``name`` is called, by name or as a module attribute
+    (``sites``)."""
+    def is_build(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        fn = node.func
+        return ((isinstance(fn, ast.Name) and fn.id == name)
+                or (isinstance(fn, ast.Attribute) and fn.attr == name))
+    return [where for _, where in sites(tree, is_build)]
 
 
 def test_envelope_builds_detected():
@@ -210,15 +220,34 @@ def test_envelope_builds_detected():
                      "class C:\n    def g(self):\n"
                      "        def h():\n            return [Envelope(x) for x in y]\n"
                      "        return Envelope.__init__, EnvelopeSpec(z)\n")
-    assert envelope_builds(tree) == ["<module>", "f", "h"]
+    assert builds(tree, "Envelope") == ["<module>", "f", "C.g.h"]
 
 
 def test_envelopes_are_built_only_by_the_accessor():
     """A parameter point owns its compiled envelopes: every module takes
     them from ``envelopes.compiled``, the one caller of ``Envelope``."""
     found = [f"{path.name}:{where}" for path in sorted(SRC.glob("*.py"))
-             for where in envelope_builds(ast.parse(path.read_text()))]
+             for where in builds(ast.parse(path.read_text()), "Envelope")]
     assert found == ["envelopes.py:compiled"]
+
+
+def test_criterion_record_builds_detected():
+    tree = ast.parse("def criterion(number):\n    def register(check):\n"
+                     "        def run(seed):\n"
+                     "            return CriterionResult(number, check(seed))\n"
+                     "        return run\n    return register\n"
+                     "def criterion_x(seed):\n"
+                     "    return acceptance.CriterionResult(1), CriterionResult\n")
+    assert builds(tree, "CriterionResult") == ["criterion.register.run",
+                                               "criterion_x"]
+
+
+def test_criterion_records_are_built_only_by_the_registry():
+    """Every acceptance record is timed and built in one place:
+    ``acceptance.criterion``, the one caller of ``CriterionResult``."""
+    found = [f"{path.name}:{where}" for path in sorted(SRC.glob("*.py"))
+             for where in builds(ast.parse(path.read_text()), "CriterionResult")]
+    assert found == ["acceptance.py:criterion.register.run"]
 
 
 #: each memo of a ``ParamPoint`` and its one accessor
@@ -245,22 +274,10 @@ def point_memos(tree: ast.Module) -> list[str]:
 
 
 def attribute_uses(tree: ast.Module, names) -> list[tuple[str, str]]:
-    """(attribute, where) for every use of an attribute in ``names``, where
-    is the dotted path of the classes and functions that hold it
-    (``<module>`` outside any), in source order."""
-    found = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr in names:
-                found.append((child.attr, ".".join(where) or "<module>"))
-            inner = (where + [child.name]
-                     if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                           ast.ClassDef)) else where)
-            visit(child, inner)
-
-    visit(tree, [])
-    return found
+    """(attribute, where) for every use of an attribute in ``names``
+    (``sites``)."""
+    return [(node.attr, where) for node, where in
+            sites(tree, lambda n: isinstance(n, ast.Attribute) and n.attr in names)]
 
 
 def test_memo_uses_detected():

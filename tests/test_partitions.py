@@ -228,6 +228,43 @@ def test_cut_position_profiles_match_the_recursion():
     assert list(profiles(2, 0)) == []
 
 
+@pytest.mark.parametrize("rows, match", [
+    ((2, -1), "non-negative"),
+    ((-1,), "non-negative"),
+    ((2, 0, 1), "weakly decreasing"),
+    ((0, 1), "weakly decreasing"),
+])
+def test_colored_partition_rejects_rows_it_would_rewrite(rows, match):
+    """A negative row, or a positive row after a zero, raises instead of
+    being dropped, as does such a row of a fixed point."""
+    with pytest.raises(ValueError, match=match):
+        ColoredPartition(rows, 0, 3)
+    with pytest.raises(ValueError, match=match):
+        make_fixed_point([rows], (1, 0, 0), 3)
+
+
+def test_colored_partition_drops_trailing_zero_rows():
+    """``remove_cell`` leaves a zero row at the end, which is dropped."""
+    assert ColoredPartition((2, 1, 0), 0, 3) == ColoredPartition((2, 1), 0, 3)
+    assert ColoredPartition((0, 0), 1, 3).rows == ()
+    assert ColoredPartition((2, 1), 0, 3).remove_cell(2, 1).rows == (2,)
+
+
+def test_framing_groups_are_values():
+    """Groups of one framing and prefix are equal and hash alike, whether
+    ``w`` was given as a list or a tuple; ``unit`` is the one-slot group."""
+    g = FramingGroup([1, 0, 2], "ua")
+    assert g.w == (1, 0, 2)
+    same = FramingGroup((1, 0, 2), "ua")
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != FramingGroup((1, 0, 2), "ub")
+    with pytest.raises(AttributeError):
+        g.w = (0, 0, 0)
+    assert FramingGroup.unit(1, 4, "ub") == FramingGroup((0, 1, 0, 0), "ub")
+    assert FramingGroup.unit(0, 3, "u") == FramingGroup((1, 0, 0))
+    assert [s.u_var for s in FramingGroup.unit(2, 3, "uc").slots()] == ["uc2_1"]
+
+
 def test_chern_slot_variable_assignment():
     fp = make_fixed_point([(2, 1)], (1, 0, 0), 3)
     from ellstab.partitions import box_slot_vars, phi_weight

@@ -591,7 +591,7 @@ def test_ybe_enumerates_each_chamber_basis_and_restricts_each_point_once(monkeyp
     restricted = _count_calls(monkeypatch, "restriction_values",
                               lambda gamma, point, *args: (gamma, point))
     enumerated = _count_calls(monkeypatch, "basis_fixed_points",
-                              lambda v, gs, n: (v, tuple((g.w, g.prefix) for g in gs)))
+                              lambda v, gs, n: (v, tuple(gs)))
     ybe_residual(groups, pp, N, 2)
     monkeypatch.undo()
     assert max(enumerated.values()) == 1
@@ -599,7 +599,7 @@ def test_ybe_enumerates_each_chamber_basis_and_restricts_each_point_once(monkeyp
             for a, b in ((0, 1), (0, 2), (1, 2)) for order in ((a, b), (b, a))
             for t in triple_basis(groups, N, 2)}
     assert {key for key in enumerated if len(key[1]) == 2} == {
-        (v, tuple((groups[i].w, groups[i].prefix) for i in order)) for v, order in want}
+        (v, tuple(groups[i] for i in order)) for v, order in want}
     points = {fp for v, order in want
               for fp in basis_fixed_points(v, [groups[i] for i in order], N)}
     assert restricted == Counter({(fp, pp): 1 for fp in points})
@@ -625,7 +625,7 @@ def test_chamber_bases_built_at_a_point_serve_its_kahler_points(monkeypatch):
     and swap that a build at ``pp`` enumerated."""
     pp = _fresh(PP)
     enumerated = _count_calls(monkeypatch, "basis_fixed_points",
-                              lambda v, gs, n: (v, tuple((g.w, g.prefix) for g in gs)))
+                              lambda v, gs, n: (v, tuple(gs)))
     first = ChamberMatrices.build((1, 1, 0), G1, G2, pp, N)
     assert sum(enumerated.values()) == 2
     again = ChamberMatrices.build((1, 1, 0), G1, G2,
@@ -634,6 +634,21 @@ def test_chamber_bases_built_at_a_point_serve_its_kahler_points(monkeypatch):
     assert sum(enumerated.values()) == 2
     assert again.basis is first.basis and again.basis_bar is first.basis_bar
     assert again.p is first.p
+
+
+def test_chamber_bases_built_for_groups_serve_equal_groups(monkeypatch):
+    """A framing group is its own key: bases built for (g1, g2) serve equal
+    groups made afresh, with ``w`` as a tuple or a list."""
+    pp = _fresh(PP)
+    enumerated = _count_calls(monkeypatch, "basis_fixed_points",
+                              lambda v, gs, n: (v, tuple(gs)))
+    first = ChamberMatrices.build((1, 1, 0), G1, G2, pp, N)
+    again = ChamberMatrices.build((1, 1, 0), FramingGroup(G1.w, G1.prefix),
+                                  FramingGroup(list(G2.w), G2.prefix), pp, N)
+    assert enumerated == Counter({((1, 1, 0), (G1, G2)): 1,
+                                  ((1, 1, 0), (G2, G1)): 1})
+    assert again.basis is first.basis and again.p is first.p
+    assert again.bare().tobytes() == first.bare().tobytes()
 
 
 @pytest.mark.parametrize("v", [(2, 0, 0), (1, 1, 0), (1, 0, 1)])
