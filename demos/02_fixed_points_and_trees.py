@@ -1,11 +1,11 @@
 """Walkthrough: colored partitions, fixed points, the box order and trees."""
 
-from ellstab import (ColoredPartition, chern_slots, fixed_points,
+from ellstab import (ColoredPartition, FramingGroup, chern_slots, fixed_points,
                      index_degrees, lambda_trees, make_fixed_point,
                      spanning_trees, weight_identity_ok)
 
 # The canonical box order of the staircase partition (6,5,4,1) with color 0.
-fp = make_fixed_point([(6, 5, 4, 1)], (1, 0, 0), 3)
+fp = make_fixed_point([(6, 5, 4, 1)], FramingGroup((1, 0, 0)), 3)
 print("content classes of (6,5,4,1), canonical order:")
 for i, boxes in chern_slots(fp).items():
     print(f"  residue {i}:", [(b.x, b.y) for b in boxes])
@@ -29,7 +29,7 @@ print("admissible after the filter:", len(lambda_trees(sq)))
 
 # Index degrees: the Chern-root exponents of the attracting half determinant.
 for rows in [(4,), (1, 1, 1, 1)]:
-    fp = make_fixed_point([rows], (1, 0, 0), 3)
+    fp = make_fixed_point([rows], FramingGroup((1, 0, 0)), 3)
     print(f"\nindex degrees of {rows}:",
           {(b.x, b.y): d for b, d in sorted(index_degrees(fp).items(),
                                             key=lambda kv: (kv[0].x, kv[0].y))})

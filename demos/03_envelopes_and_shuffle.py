@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ellstab import (Envelope, EnvelopeSpec, factorization_residual,
+from ellstab import (Envelope, EnvelopeSpec, FramingGroup, factorization_residual,
                      make_fixed_point, random_assignment, restrict,
                      sample_param_point, shuffle_residual)
 
@@ -12,7 +12,7 @@ rng = np.random.default_rng(0)
 
 # An envelope compiles to theta products plus a sum over admissible trees;
 # evaluation symmetrizes over same-color Chern root values.
-fp = make_fixed_point([(2, 1)], (1, 0, 0), N)
+fp = make_fixed_point([(2, 1)], FramingGroup((1, 0, 0)), N)
 env = Envelope(EnvelopeSpec(fp, variant="hat"))
 values = random_assignment(rng, env.x_names())
 print("hat envelope of (2,1) at a random assignment:", env.eval(pp, values))
@@ -38,8 +38,8 @@ print(np.array_str(np.abs(mat), precision=3, suppress_small=True))
 # factors with hbar-shifted Kahler arguments, at random Chern assignments.
 ppab = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                  "ub": [0, 1, 0]})
-fpa = make_fixed_point([(2,)], (1, 0, 0), N, prefix="ua")
-fpb = make_fixed_point([(1, 1)], (0, 1, 0), N, prefix="ub")
+fpa = make_fixed_point([(2,)], FramingGroup((1, 0, 0), "ua"), N)
+fpb = make_fixed_point([(1, 1)], FramingGroup((0, 1, 0), "ub"), N)
 for variant in ("plain", "hat", "tilde"):
     r = shuffle_residual(fpa, fpb, ppab, variant, n_assignments=3,
                          rng=np.random.default_rng(7))

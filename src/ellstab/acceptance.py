@@ -160,16 +160,16 @@ def criterion_shuffle(seed: int = 0):
                 ga = FramingGroup.unit(0, n, "ua")
                 gb = FramingGroup.unit(k2, n, "ub")
                 pp = sample_param_point(run_seed + 7 * k2 + 1000 * n, n,
-                                        framing_counts={"ua": list(ga.w),
-                                                        "ub": list(gb.w)})
+                                        framing_counts={g.prefix: list(g.w)
+                                                        for g in (ga, gb)})
                 for s1 in range(max_total + 1):
                     for rows1 in partitions_of(s1):
                         for s2 in range(max_total - s1 + 1):
                             for rows2 in partitions_of(s2):
                                 if s1 == 0 and s2 == 0:
                                     continue
-                                fpa = make_fixed_point([rows1], ga.w, n, "ua")
-                                fpb = make_fixed_point([rows2], gb.w, n, "ub")
+                                fpa = make_fixed_point([rows1], ga, n)
+                                fpb = make_fixed_point([rows2], gb, n)
                                 for variant in ("plain", "hat", "tilde"):
                                     r = shuffle_residual(fpa, fpb, pp, variant,
                                                          n_assignments=2, rng=rng)

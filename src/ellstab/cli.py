@@ -27,8 +27,9 @@ import numpy as np
 from .core import BudgetError, Monomial, SingularityError
 from .envelopes import EnvelopeSpec, compiled, restrict, shuffle_residual
 from .fock import (lowering_coefficient, phi_eigenvalue, raising_coefficient)
-from .partitions import (ColoredPartition, addable_removable, fixed_points,
-                         make_fixed_point, partitions_of)
+from .partitions import (ColoredPartition, addable_removable,
+                         check_dimension_vector, fixed_points, make_fixed_point,
+                         partitions_of)
 from .rmatrix import (ChamberMatrices, FramingGroup, inverted_kahler,
                       weight_block_residual, ybe_residual)
 from .sampling import random_assignment, sample_param_point
@@ -49,12 +50,9 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _vec(args, name: str) -> tuple[int, ...]:
     """The dimension vector of option ``--name``: one non-negative entry per
-    color."""
+    color (``check_dimension_vector``)."""
     vec = _ints(getattr(args, name))
-    if len(vec) != args.N:
-        raise ValueError(f"--{name} has {len(vec)} entries, --N is {args.N}")
-    if any(e < 0 for e in vec):
-        raise ValueError(f"--{name} {getattr(args, name)} has a negative entry")
+    check_dimension_vector(f"--{name}", vec, args.N)
     return vec
 
 
@@ -118,7 +116,7 @@ def _fixed_point(args, name: str, w: tuple[int, ...]):
         slots = [slots]
     rows = [_partition(name, text, s) for s in slots]
     with _option(name, text):
-        return make_fixed_point(rows, w, args.N)
+        return make_fixed_point(rows, FramingGroup(w), args.N)
 
 
 def cmd_fixed_points(args):
@@ -174,13 +172,13 @@ def cmd_shuffle_check(args):
     assignments = _count(args, "assignments")
     ga = FramingGroup.unit(0, n, "ua")
     gb = FramingGroup.unit(args.color2, n, "ub")
-    pp = sample_param_point(args.seed, n, framing_counts={"ua": list(ga.w),
-                                                          "ub": list(gb.w)})
+    pp = sample_param_point(args.seed, n, framing_counts={g.prefix: list(g.w)
+                                                          for g in (ga, gb)})
     checks = []
     for rows1 in partitions_of(sizes[0]):
-        fpa = make_fixed_point([rows1], ga.w, n, "ua")
+        fpa = make_fixed_point([rows1], ga, n)
         for rows2 in partitions_of(sizes[1]):
-            fpb = make_fixed_point([rows2], gb.w, n, "ub")
+            fpb = make_fixed_point([rows2], gb, n)
             for variant in ("plain", "hat", "tilde"):
                 rng = np.random.default_rng(args.seed + 13 * len(rows1)
                                             + 29 * len(rows2))

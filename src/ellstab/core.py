@@ -15,7 +15,8 @@ arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2)
 (``Monomial.float_items``) and its ``repr`` (the sort key of a compile) in
 slots once asked for them, so a compiled theta argument evaluated at many
 points pays the float conversions once, while a monomial materialized once
-pays for no table.
+pays for no table.  A compile's builders hand most arguments their ``repr``
+at construction (``Monomial._keyed``), formed without sorting.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
@@ -62,6 +63,11 @@ def _half(e):
     return _exponent(e / 2)
 
 
+#: the allocator behind ``Monomial._of`` and ``Monomial._keyed``, which set
+#: every slot themselves
+_new_object = object.__new__
+
+
 class Monomial:
     """A product of named variables with exact rational exponents.
 
@@ -72,7 +78,7 @@ class Monomial:
     changes a value, only what the exact arithmetic costs.
     """
 
-    __slots__ = ("_exps", "_hash", "_floats", "_repr")
+    __slots__ = ("_exps", "_floats", "_repr")
 
     def __init__(self, exps: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -86,7 +92,6 @@ class Monomial:
             elif name in d:
                 del d[name]
         self._exps = d
-        self._hash = None
         self._floats = None
         self._repr = None
 
@@ -94,11 +99,21 @@ class Monomial:
     def _of(d: dict[str, int | Fraction]) -> "Monomial":
         """The monomial that owns the exponent dict ``d`` (normalized
         exponents, no zero entries)."""
-        m = Monomial.__new__(Monomial)
+        m = _new_object(Monomial)
         m._exps = d
-        m._hash = None
         m._floats = None
         m._repr = None
+        return m
+
+    @staticmethod
+    def _keyed(d: dict[str, int | Fraction], key: str) -> "Monomial":
+        """The monomial of ``_of(d)`` with its ``repr`` given: ``key`` must
+        be the string ``__repr__`` forms from ``d``.  A compile's builders
+        name an argument this way without sorting its variables."""
+        m = _new_object(Monomial)
+        m._exps = d
+        m._floats = None
+        m._repr = key
         return m
 
     @classmethod
@@ -194,9 +209,9 @@ class Monomial:
         return isinstance(other, Monomial) and self._exps == other._exps
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._exps.items()))
-        return self._hash
+        """The hash of the ``repr``, which equal monomials share whatever
+        the order of their exponent dicts."""
+        return hash(self._repr or repr(self))
 
     def __repr__(self) -> str:
         """name^exponent factors in name order, "1" for the unit; formed on

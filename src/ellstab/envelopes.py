@@ -4,14 +4,18 @@ An envelope attached to a fixed point is the per-color symmetrization of a
 product of theta factors (the chamber-ordered S-product in its plain, hatted
 or tilde normalization) times a sum of tree weights, one admissible rooted
 tree per framing slot.  A compile takes the boxes, Chern slots, quiver pairs
-and index degrees of the fixed point once, builds each theta argument as one
-exponent dict, counts the S-product's arguments once for all its terms, and
-sorts the factors of every term in ``repr`` order, each argument's ``repr``
-formed once.  The compiled structure keeps every theta argument as an exact
-monomial, and is lowered once (``LoweredSum``), at the first evaluation that
-finds no structural theta pole: the distinct theta arguments of all terms,
-their table keys, per term a sign and index lists into them, and the exact
-prefactor monomials.  An envelope that is only asked for exact data, such as
+and index degrees of the fixed point once and builds each theta argument as
+one exponent dict; the S-product's ratios and the trees' edge arguments are
+handed their ``repr`` (the sort key) as they are built, without sorting
+their variables.  The S-product's arguments are counted once for all terms,
+in one tally by ``repr`` (numerator less denominator) that the last term
+extends in place, and one sort per term orders the factors left on both
+sides in ``repr`` order.  The compiled structure keeps every theta argument
+as an exact monomial, and is lowered once (``LoweredSum``), at the first
+evaluation that finds no structural theta pole: the distinct theta arguments
+of all terms (told apart by ``repr``, as in the tallies), their table keys,
+per term a sign and index lists into them, and the exact prefactor
+monomials.  An envelope that is only asked for exact data, such as
 its quasi-periodicity factors, is never lowered, nor does it list the
 permutations of its roots.  Evaluation assigns complex values to the
 Chern-root variables of one extended parameter point, overwrites them per
@@ -57,7 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HBAR, BudgetError, Monomial, ParamPoint, SingularityError
+from .core import (HBAR, BudgetError, Monomial, ParamPoint, SingularityError,
+                   _exponent)
 from .partitions import (Box, FixedPoint, LambdaTree, QuiverPairs,
                          box_slot_vars, chern_slots, chern_var, index_degrees,
                          kahler_var, lambda_trees, phi_weight, quiver_pairs,
@@ -233,10 +238,12 @@ class LoweredSum:
         # the first term's distinct denominator arguments, each as its first
         # occurrence, so the pole exit reads the values the term loop would
         first = products[0]
-        occurrence: dict[Monomial, Monomial] = {}
+        # (by ``repr``, which names a monomial up to its exponent order)
+        occurrence: dict[str, Monomial] = {}
         for m in first.num + first.den:
-            occurrence.setdefault(m, m)
-        self._first_den = [occurrence[m] for m in dict.fromkeys(first.den)]
+            occurrence.setdefault(m._repr or repr(m), m)
+        self._first_den = [occurrence[key]
+                           for key in dict.fromkeys(m._repr for m in first.den)]
         self.terms: list | None = None
         self._args: list[Monomial] = []
         self._keys: list[tuple[tuple, bool]] = []
@@ -249,15 +256,27 @@ class LoweredSum:
 
     def _lower(self) -> None:
         """Index every term's arguments, key them and lower the prefactors."""
-        index: dict[Monomial, int] = {}
+        # arguments by ``repr``, which names a monomial up to the order of
+        # its exponent dict
+        index: dict[str, int] = {}
+        args: list[Monomial] = []
+
+        def at(m: Monomial) -> int:
+            key = m._repr or repr(m)
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(args)
+                args.append(m)
+            return k
+
         terms = []
         for prod in self._products:
-            num = [index.setdefault(m, len(index)) for m in prod.num]
-            den = [index.setdefault(m, len(index)) for m in prod.den]
+            num = [at(m) for m in prod.num]
+            den = [at(m) for m in prod.den]
             pref = prod.mono_total()
             pref.float_items()
             terms.append(((-1.0) ** (prod.sign % 2), num, den, pref))
-        self._args = list(index)
+        self._args = args
         roots = self._roots
         self._keys = [(m.float_items(), roots.isdisjoint(m._exps)) for m in self._args]
         self.terms = terms
@@ -340,19 +359,28 @@ def _rho_le_root(box: Box, rank: int) -> bool:
 
 
 def _ratio(a: str, b: str) -> Monomial:
-    """a / b of two distinct variables."""
-    return Monomial._of({a: 1, b: -1})
+    """a / b of two distinct variables, handed its ``repr``."""
+    return Monomial._keyed({a: 1, b: -1},
+                           f"{a}^1*{b}^-1" if a < b else f"{b}^-1*{a}^1")
 
 
 def _t_ratio(t: str, a: str, b: str) -> Monomial:
-    """t a / b, t one of t1, t2: the exponents and their order of the
-    chained ``t * a / b``."""
-    return Monomial._of({t: 1, a: 1, b: -1})
+    """t a / b, t one of t1, t2, for Chern roots a and b (whose names sort
+    after t1 and t2): the exponents and their order of the chained
+    ``t * a / b``, handed its ``repr``."""
+    return Monomial._keyed({t: 1, a: 1, b: -1},
+                           f"{t}^1*{a}^1*{b}^-1" if a < b else f"{t}^1*{b}^-1*{a}^1")
 
 
 def _hbar_ratio(a: str, b: str) -> Monomial:
-    """hbar a / b, in the order of the chained ``HBAR * a / b``."""
-    return Monomial._of({"t1": 1, "t2": 1, a: 1, b: -1})
+    """hbar a / b, in the order of the chained ``HBAR * a / b``, handed its
+    ``repr`` when t1 and t2 sort first (a framing variable may sort
+    before them)."""
+    d = {"t1": 1, "t2": 1, a: 1, b: -1}
+    if "t2" < a and "t2" < b:
+        return Monomial._keyed(d, f"t1^1*t2^1*{a}^1*{b}^-1" if a < b
+                               else f"t1^1*t2^1*{b}^-1*{a}^1")
+    return Monomial._of(d)
 
 
 def _s_product(fp: FixedPoint, variant: str, pairs: QuiverPairs,
@@ -453,7 +481,9 @@ def _edge_arg(x_child: str, w_par: Monomial, x_par: str,
               w_child: Monomial) -> Monomial:
     """x_child w_par / (x_par w_child) for Chern roots x_child != x_par that
     neither weight carries, and weights with integer exponents: one exponent
-    dict, in the variable order of that chained product."""
+    dict, in the variable order of that chained product.  The weights of two
+    cells of one slot differ by powers of t1 and t2 alone, which sort before
+    every Chern root, so such an argument is handed its ``repr``."""
     d = {x_child: 1}
     d.update(w_par._exps)
     d[x_par] = -1
@@ -462,7 +492,12 @@ def _edge_arg(x_child: str, w_par: Monomial, x_par: str,
             d[name] = s
         else:
             del d[name]
-    return Monomial._of(d)
+    t1, t2 = d.get("t1"), d.get("t2")
+    if len(d) != 2 + (t1 is not None) + (t2 is not None):
+        return Monomial._of(d)
+    return Monomial._keyed(d, (f"t1^{t1}*" if t1 else "") + (f"t2^{t2}*" if t2 else "")
+                           + (f"{x_child}^1*{x_par}^-1" if x_child < x_par
+                              else f"{x_par}^-1*{x_child}^1"))
 
 
 def _tree_phi_args(cell: dict, tree: LambdaTree,
@@ -518,54 +553,86 @@ def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial], boxes: list[Box],
             for combo in itertools.product(*per_slot)]
 
 
-def _tally(args: Iterable[Monomial], into: tuple[dict, dict] | None = None
-           ) -> tuple[dict[str, Monomial], dict[str, int]]:
-    """Theta arguments counted by ``repr``, which names an argument up to
-    the order of its exponent dict: (the first occurrence of each, how often
-    each occurs).  ``into``, if given, is a tally of earlier arguments that
-    a copy of is extended."""
-    first, count = ({}, {}) if into is None else (dict(into[0]), dict(into[1]))
-    for m in args:
-        key = repr(m)
-        if key in count:
-            count[key] += 1
-        else:
-            count[key] = 1
-            first[key] = m
-    return first, count
+def _tally(num: Iterable[Monomial], den: Iterable[Monomial],
+           into: tuple[dict, dict, dict] | None = None
+           ) -> tuple[dict[str, Monomial], dict[str, Monomial], dict[str, int]]:
+    """Numerator and denominator theta arguments counted by ``repr``, which
+    names an argument up to the order of its exponent dict: (the first
+    numerator occurrence of each, the first denominator occurrence of each,
+    how often each occurs in the numerator less the denominator).  ``into``,
+    if given, is a tally of earlier arguments that is extended in place."""
+    first_num, first_den, count = ({}, {}, {}) if into is None else into
+    for args, first, step in ((num, first_num, 1), (den, first_den, -1)):
+        for m in args:
+            key = m._repr or repr(m)
+            count[key] = count.get(key, 0) + step
+            first.setdefault(key, m)
+    return first_num, first_den, count
 
 
-def _cancel(tn: tuple[dict, dict], td: tuple[dict, dict], sign: int) -> ThetaProduct:
-    """Cancel matching theta arguments between the numerator and
-    denominator tallies ``tn`` and ``td`` (see ``_tally``).
+def _cancel(tally: tuple[dict, dict, dict], sign: int) -> ThetaProduct:
+    """The theta product of a tally (see ``_tally``) once matching
+    numerator and denominator arguments cancel.
 
     Identical factors cancel exactly (theta(m)/theta(m) = 1), which makes the
     removable zero-over-zero combinations at restriction points evaluable.
     No compiled envelope term has a numerator m against a denominator 1/m.
-    Equal arguments are counted together and kept as their first occurrence;
-    the factors left are sorted by ``repr``.
+    Equal arguments are counted together and kept as their first occurrence
+    on the side they are left on; one sort of the distinct arguments by
+    ``repr`` orders both sides.
     """
-    return ThetaProduct(_left_sorted(tn, td[1]), _left_sorted(td, tn[1]), sign)
-
-
-def _left_sorted(tally: tuple[dict, dict], other: dict[str, int]) -> list[Monomial]:
-    """The arguments of ``tally`` that the counts ``other`` do not cancel,
-    each as often as it is left, in ``repr`` order."""
-    first, count = tally
-    left = []
-    for key in sorted(count):
-        c = count[key] - other.get(key, 0)
+    first_num, first_den, count = tally
+    num: list[Monomial] = []
+    den: list[Monomial] = []
+    for key, c in sorted(count.items()):
         if c == 1:
-            left.append(first[key])
-        elif c > 1:
-            left += [first[key]] * c
-    return left
+            num.append(first_num[key])
+        elif c == -1:
+            den.append(first_den[key])
+        elif c > 0:
+            num += [first_num[key]] * c
+        elif c < 0:
+            den += [first_den[key]] * -c
+    return ThetaProduct(num, den, sign)
+
+
+def _qp_factors(term: ThetaProduct, names: list[str]) -> dict[str, dict]:
+    """Per Chern root x of ``names``, the exponent dict of prod m^(-k) over
+    the numerator arguments m of ``term`` and prod m^(+k) over the
+    denominator arguments, k the exponent of x in m: one pass over the
+    arguments, each root's dict summed in the factor order of
+    ``Monomial.product`` over those (m, +-k) pairs, so it has that
+    product's exponents and variable order."""
+    out: dict[str, dict] = {name: {} for name in names}
+    for args, sign in ((term.num, -1), (term.den, 1)):
+        for m in args:
+            exps = m._exps
+            for name, k in exps.items():
+                d = out.get(name)
+                if d is None:
+                    continue
+                k *= sign
+                for var, e in exps.items():
+                    s = d.get(var, 0) + k * e
+                    if type(s) is not int:
+                        s = _exponent(s)
+                    if s:
+                        d[var] = s
+                    elif var in d:
+                        del d[var]
+    return out
 
 
 class Envelope:
     """A compiled stable envelope, one ``ThetaProduct`` term per admissible
     tree tuple, lowered into a ``LoweredSum`` at its first evaluation;
-    evaluate on Chern-root value assignments."""
+    evaluate on Chern-root value assignments.
+
+    The compile takes the geometry of the fixed point once, tallies the
+    S-product's arguments once (``_tally``) and per tree tuple adds the phi
+    arguments of ``tree_weights`` to that tally, a copy of it for every term
+    but the last, before ``_cancel`` leaves each term its sorted factors.
+    """
 
     def __init__(self, spec: EnvelopeSpec):
         self.spec = spec
@@ -581,15 +648,19 @@ class Envelope:
         pairs = quiver_pairs(fp, boxes)
         sprod = _s_product(fp, spec.variant, pairs, xvar)
         degrees = index_degrees(fp, boxes, pairs)
-        # the S-product's arguments, counted once for every tree term
-        s_num, s_den = _tally(sprod.num), _tally(sprod.den)
+        # the S-product's arguments, counted once for every tree term; the
+        # last term extends that tally in place, the others a copy
+        s_tally = _tally(sprod.num, sprod.den)
+        weights = tree_weights(fp, default_kahler(fp.n_colors), boxes, xvar, degrees)
         self._terms: list[ThetaProduct] = []
-        for tw in tree_weights(fp, default_kahler(fp.n_colors), boxes, xvar, degrees):
+        last = len(weights) - 1
+        for k, tw in enumerate(weights):
             phi_num, phi_den = [], []
             for xm, ym in tw.phi_args:
                 phi_num += (xm * ym, HBAR)
                 phi_den += (xm, ym)
-            self._terms.append(_cancel(_tally(phi_num, s_num), _tally(phi_den, s_den),
+            tally = s_tally if k == last else tuple(map(dict, s_tally))
+            self._terms.append(_cancel(_tally(phi_num, phi_den, tally),
                                        sprod.sign + tw.kappa))
         self._lowered: LoweredSum | None = None
         self._perms: list[list[tuple[int, ...]]] | None = None
@@ -610,26 +681,16 @@ class Envelope:
         variables.
         """
         names = self.x_names()
-        roots = set(names)
-        per_term = []
-        for term in self._terms:
-            parts: dict[str, list[tuple[Monomial, int]]] = {name: [] for name in names}
-            for m, sign in itertools.chain(((m, -1) for m in term.num),
-                                           ((m, 1) for m in term.den)):
-                for name, k in m._exps.items():
-                    if name in parts:
-                        parts[name].append((m, sign * k))
-            per_term.append({name: Monomial.product(parts[name]) for name in names})
+        per_term = [_qp_factors(term, names) for term in self._terms]
         out: dict[str, Monomial] = {}
-        for name in names:
-            factor = per_term[0][name]
-            if any(t[name] != factor for t in per_term[1:]):
+        for name, d in per_term[0].items():
+            if any(t[name] != d for t in per_term[1:]):
                 raise ValueError("quasi-periodicity factor is not uniform "
                                  "across tree terms")
-            if not roots.isdisjoint(factor.exps):
+            if any(x in d for x in names):
                 raise ValueError("quasi-periodicity factor retains Chern roots; "
                                  "only ratio-normalized variants have one")
-            out[name] = factor
+            out[name] = Monomial._of(d)
         return out
 
     def _term(self, pp: ParamPoint, thetas: ThetaTable, perm: int) -> complex:

@@ -150,7 +150,9 @@ class Box(NamedTuple):
         return self.x + self.y - 2
 
     def key(self) -> tuple[int, int, int]:
-        return (self.owner, self.content, -self.hook)
+        """(owner, content, -hook), the canonical order."""
+        x, y = self.x, self.y
+        return (self.owner, x - y + self.owner_color, 2 - x - y)
 
 
 def box_order_cmp(a: Box, b: Box) -> int:
@@ -162,11 +164,14 @@ def rho_less(a: Box, shift: int, b: Box) -> bool:
     """Decide rho_a + shift < rho_b in the epsilon-free lexicographic sense."""
     if a.owner != b.owner:
         return a.owner < b.owner
-    ka = (a.content + shift, -a.hook)
-    kb = (b.content, -b.hook)
-    if ka == kb:
+    # one slot, one color: contents compare as x - y, -hooks as -(x + y)
+    ca, cb = a.x - a.y + shift, b.x - b.y
+    if ca != cb:
+        return ca < cb
+    ha, hb = a.x + a.y, b.x + b.y
+    if ha == hb:
         raise ValueError(f"rho tie between {a} and {b} with shift {shift}")
-    return ka < kb
+    return ha > hb
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +250,10 @@ class FixedPoint:
         return sum(lam.size for _, lam in self.slots)
 
     def boxes(self) -> list[Box]:
-        out = []
-        for rank, (slot, lam) in enumerate(self.slots):
-            for x, y in lam.cells():
-                out.append(Box(x, y, rank, slot.color))
-        return out
+        """The boxes slot by slot, each slot's cells row by row."""
+        return [Box(x, y, rank, slot.color)
+                for rank, (slot, lam) in enumerate(self.slots)
+                for x, r in enumerate(lam.rows, start=1) for y in range(1, r + 1)]
 
     def weight(self) -> tuple[int, ...]:
         """Per-residue weight sum(|R_i| - |A_i|) over the slot partitions."""
@@ -266,11 +270,10 @@ class FixedPoint:
         return [list(lam.rows) for _, lam in self.slots]
 
 
-def make_fixed_point(partition_rows, w: tuple[int, ...], n_colors: int,
-                     prefix: str = FramingGroup.prefix) -> FixedPoint:
+def make_fixed_point(partition_rows, group: FramingGroup, n_colors: int) -> FixedPoint:
     """Build a fixed point from a list of row tuples in chamber order, one
-    per slot of ``FramingGroup(w, prefix)``."""
-    slots = FramingGroup(w, prefix).slots()
+    per slot of ``group``."""
+    slots = group.slots()
     if len(partition_rows) != len(slots):
         raise ValueError("one partition per framing slot is required")
     return FixedPoint(tuple((slot, ColoredPartition(tuple(rows), slot.color, n_colors))
@@ -485,25 +488,23 @@ def index_degrees(fp: FixedPoint, boxes: list[Box] | None = None,
         boxes = fp.boxes()
     if pairs is None:
         pairs = quiver_pairs(fp, boxes)
-    d: dict[Box, int] = {b: 0 for b in boxes}
-
-    def small(hi: int, lo: int, kappa: int) -> bool:
-        """u_hi / u_lo kappa^k is small: the earlier slot's exponent
-        decides, kappa only between equal slots."""
-        return ((hi < lo) - (hi > lo) or kappa) < 0
-
+    d: dict[Box, int] = dict.fromkeys(boxes, 0)
+    # u_hi / u_lo kappa^k is small when hi is the later slot, and between
+    # equal slots when k < 0: the earlier slot's exponent decides
     # framing terms u_{(k,j)} / x_b
     for rank, b in pairs.framing:
-        if small(rank, b.owner, b.x - b.y):
+        if (rank > b.owner if rank != b.owner else b.x < b.y):
             d[b] += 1
     # arrow terms t1^{-1} x_b / x_a
     for a, b in pairs.arrow:
-        if small(b.owner, a.owner, (a.x - a.y) - (b.x - b.y) + 1):
+        if (b.owner > a.owner if b.owner != a.owner
+                else (a.x - a.y) - (b.x - b.y) + 1 < 0):
             d[b] -= 1
             d[a] += 1
     # gauge terms -x_b / x_a
     for a, b in pairs.gauge:
-        if small(b.owner, a.owner, (a.x - a.y) - (b.x - b.y)):
+        if (b.owner > a.owner if b.owner != a.owner
+                else a.x - a.y < b.x - b.y):
             d[b] += 1
             d[a] -= 1
     return d
@@ -514,12 +515,16 @@ def index_degrees(fp: FixedPoint, boxes: list[Box] | None = None,
 # ---------------------------------------------------------------------------
 
 def _cell_edges(lam: ColoredPartition) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The adjacencies of the cells, cell by cell in ``cells`` order: the
+    edge to the right neighbour, then the edge to the one below."""
+    rows = lam.rows
     edges = []
-    for x, y in lam.cells():
-        if lam.contains(x, y + 1):
-            edges.append(((x, y), (x, y + 1)))
-        if lam.contains(x + 1, y):
-            edges.append(((x, y), (x + 1, y)))
+    for x, (r, below) in enumerate(zip(rows, rows[1:] + (0,)), start=1):
+        for y in range(1, r + 1):
+            if y < r:
+                edges.append(((x, y), (x, y + 1)))
+            if y <= below:
+                edges.append(((x, y), (x + 1, y)))
     return edges
 
 

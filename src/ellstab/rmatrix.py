@@ -81,7 +81,8 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     mat = np.zeros((n, n), dtype=complex)
     if not basis:
         return RestrictionMatrix(basis, mat, 1.0)
-    if any(fp.v != basis[0].v or fp.w != basis[0].w for fp in basis):
+    v, w = basis[0].v, basis[0].w
+    if any(fp.v != v or fp.w != w for fp in basis):
         raise ValueError("restriction points must share the (v, w) class")
     ppk = kahler_point(pp, kahler)
     points = [restriction_point(gamma, pp) for gamma in basis]

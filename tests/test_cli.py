@@ -208,11 +208,11 @@ def test_usage_error_exit_code():
     (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--lam", "5"], "--lam 5"),
     (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--lam", "-1"], "--lam -1"),
     (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--mu", "3"], "--mu 3"),
-    (["fixed-points", "--N", "3", "--w", "1,0", "--v", "1,0,0"], "--w has 2"),
-    (["bethe", "--w", "1,0,0", "--v", "1,1"], "--v has 2"),
+    (["fixed-points", "--N", "3", "--w", "1,0", "--v", "1,0,0"], "--w (1, 0) has 2 entries"),
+    (["bethe", "--w", "1,0,0", "--v", "1,1"], "--v (1, 1) has 2 entries"),
     (["rmatrix", "--v", "1,0,0", "--w1", "1,0,0", "--w2", "1,0,0,0"],
-     "--w2 has 4"),
-    (["stab", "--N", "4", "--w", "1,0,0", "--fp", "[[1]]"], "--N is 4"),
+     "--w2 (1, 0, 0, 0) has 4 entries"),
+    (["stab", "--N", "4", "--w", "1,0,0", "--fp", "[[1]]"], "--w (1, 0, 0) has 3 entries for 4 colors"),
     (["shuffle-check", "--boxes", "1"], "--boxes has 1"),
     (["shuffle-check", "--boxes", "1,1,1"], "--boxes has 3"),
     (["shuffle-check", "--boxes", "1,1", "--color2", "3"], "--color2 3"),
@@ -221,13 +221,13 @@ def test_usage_error_exit_code():
     (["ybe", "--colors", "0,0,0,1"], "--colors has 4"),
     (["ybe", "--colors", "0,0,-1"], "--colors -1"),
     (["ybe", "--colors", "0,3,0"], "--colors 3"),
-    (["bethe", "--w", "1,0,0", "--v", "1,-1,0"], "--v 1,-1,0 has a negative"),
-    (["bethe", "--w=-1,0,0", "--v", "0,0,0"], "--w -1,0,0 has a negative"),
+    (["bethe", "--w", "1,0,0", "--v", "1,-1,0"], "--v (1, -1, 0) has a negative"),
+    (["bethe", "--w=-1,0,0", "--v", "0,0,0"], "--w (-1, 0, 0) has a negative"),
     (["bethe", "--w", "0,0,0", "--v", "1,0,0"], "--v 1,0,0 has 0 fixed points"),
     (["vertex", "--w", "1,0,0", "--v", "1,1,1", "--D", "-1"], "--D -1"),
-    (["fixed-points", "--w", "1,0,0", "--v", "0,-2,0"], "--v 0,-2,0"),
+    (["fixed-points", "--w", "1,0,0", "--v", "0,-2,0"], "--v (0, -2, 0) has a negative"),
     (["rmatrix", "--v", "1,0,0", "--w1", "1,0,0", "--w2", "0,-1,0"],
-     "--w2 0,-1,0"),
+     "--w2 (0, -1, 0) has a negative"),
     (["ybe", "--boxes", "-1"], "--boxes -1"),
     (["rmatrix", "--w1", "0,0,0", "--w2", "0,0,0", "--v", "1,0,0"],
      "--v 1,0,0 has 0 fixed points"),

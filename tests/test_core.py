@@ -22,6 +22,10 @@ def test_monomial_algebra():
     assert (m ** Fraction(1, 2)).get("b") == 1
     assert Monomial.one() * m == m
     assert hash(m) == hash(Monomial({"a": 1, "b": 2}))
+    # the hash is that of the repr: another exponent order, or a repr handed
+    # to the monomial as it is built, hashes alike
+    assert hash(m) == hash(Monomial({"b": 2, "a": 1})) \
+        == hash(Monomial._keyed({"b": 2, "a": 1}, "a^1*b^2"))
 
 
 def _integral_fractions(m):

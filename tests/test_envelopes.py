@@ -34,13 +34,13 @@ RNG = np.random.default_rng(5)
 
 
 def test_empty_envelope_is_one():
-    fp = make_fixed_point([()], (1, 0, 0), N)
+    fp = make_fixed_point([()], FramingGroup((1, 0, 0)), N)
     env = Envelope(EnvelopeSpec(fp, "plain"))
     assert env.eval(PP, {}) == 1.0
 
 
 def test_single_box_closed_form():
-    fp = make_fixed_point([(1,)], (1, 0, 0), N)
+    fp = make_fixed_point([(1,)], FramingGroup((1, 0, 0)), N)
     d = list(index_degrees(fp).values())[0]
     env = Envelope(EnvelopeSpec(fp, "plain"))
     vals = random_assignment(RNG, env.x_names())
@@ -53,7 +53,7 @@ def test_single_box_closed_form():
 
 
 def test_row_of_two_tree_weight_hand_expansion():
-    fp = make_fixed_point([(2,)], (1, 0, 0), N)
+    fp = make_fixed_point([(2,)], FramingGroup((1, 0, 0)), N)
     boxes = fp.boxes()
     degrees = index_degrees(fp, boxes)
     d = {(b.x, b.y): v for b, v in degrees.items()}
@@ -79,7 +79,7 @@ def test_row_of_two_tree_weight_hand_expansion():
 
 
 def test_symmetry_under_transposition():
-    fp = make_fixed_point([(4,)], (1, 0, 0), N)  # two color-0 Chern roots
+    fp = make_fixed_point([(4,)], FramingGroup((1, 0, 0)), N)  # two color-0 Chern roots
     env = Envelope(EnvelopeSpec(fp, "hat"))
     vals = random_assignment(RNG, env.x_names())
     v1 = env.eval(PP, vals)
@@ -93,7 +93,7 @@ def test_normalized_variants_have_integer_chern_exponents():
     # half powers survive only on t1/t2; Chern roots and framing weights
     # appear with integer exponents (exact bookkeeping, no floats involved)
     for rows in [(1,), (2, 1), (3, 1)]:
-        fp = make_fixed_point([rows], (1, 0, 0), N)
+        fp = make_fixed_point([rows], FramingGroup((1, 0, 0)), N)
         for variant in ("hat", "tilde"):
             mono = s_factor_product(fp, variant).mono_total()
             for name, e in mono.exps.items():
@@ -106,7 +106,7 @@ def test_factorization_through_kernels():
                          ((1, 1, 0), [[(1,), (2,)], [(), (2, 1)]])]:
         pp = sample_param_point(12, N, framing_counts={"u": list(w)})
         for rows in rows_list:
-            fp = make_fixed_point(rows, w, N)
+            fp = make_fixed_point(rows, FramingGroup(w), N)
             env = Envelope(EnvelopeSpec(fp, "plain"))
             vals = random_assignment(RNG, env.x_names())
             assert factorization_residual(fp, pp, "I", vals) < 1e-10
@@ -135,8 +135,8 @@ def test_concatenated_s_product_factors_through_the_cross_prefactor():
         for ra, rb, color in itertools.product(partitions_upto(4),
                                                partitions_upto(3), range(n)):
             wb = tuple(int(i == color) for i in range(n))
-            fpa = make_fixed_point([ra], wa, n, prefix="ua")
-            fpb = make_fixed_point([rb], wb, n, prefix="ub")
+            fpa = make_fixed_point([ra], FramingGroup(wa, "ua"), n)
+            fpb = make_fixed_point([rb], FramingGroup(wb, "ub"), n)
             big = concat_fixed_points(fpa, fpb)
             xa, xb, xbig = box_slot_vars(fpa), box_slot_vars(fpb), box_slot_vars(big)
             boxes_a, boxes_big = fpa.boxes(), big.boxes()
@@ -178,7 +178,7 @@ def test_restriction_diagonal_nonzero_and_triangular():
 def test_quasi_periodicity_exact_law():
     rng = np.random.default_rng(9)
     for rows in [(1,), (1, 1), (2,), (2, 1), (3,), (1, 1, 1)]:
-        fp = make_fixed_point([rows], (1, 0, 0), N)
+        fp = make_fixed_point([rows], FramingGroup((1, 0, 0)), N)
         env = Envelope(EnvelopeSpec(fp, "hat"))
         qp = env.qp_unit_factors()
         # the Kahler part of every unit factor is exactly z_color^(-1)
@@ -199,7 +199,7 @@ def test_quasi_periodicity_exact_law():
 
 def test_framed_restriction_separates_framings():
     pp = sample_param_point(14, N, framing_counts={"u": [2, 0, 0]})
-    fp = make_fixed_point([(1,), (1,)], (2, 0, 0), N)
+    fp = make_fixed_point([(1,), (1,)], FramingGroup((2, 0, 0)), N)
     env = Envelope(EnvelopeSpec(fp, "plain"))
     val = restrict(env, fp, pp, framed=True)
     assert abs(val) > 1e-8
@@ -210,8 +210,8 @@ def test_framed_restriction_separates_framings():
 def test_shuffle_trivial_second_factor():
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [1, 0, 0]})
-    fpa = make_fixed_point([(2, 2)], (1, 0, 0), N, prefix="ua")
-    fpb = make_fixed_point([()], (1, 0, 0), N, prefix="ub")
+    fpa = make_fixed_point([(2, 2)], FramingGroup((1, 0, 0), "ua"), N)
+    fpb = make_fixed_point([()], FramingGroup((1, 0, 0), "ub"), N)
     r = shuffle_residual(fpa, fpb, pp, "hat", n_assignments=2,
                          rng=np.random.default_rng(3))
     assert r < 1e-10
@@ -220,8 +220,8 @@ def test_shuffle_trivial_second_factor():
 def test_shuffle_one_box_each_all_variants():
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [1, 0, 0]})
-    fpa = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ua")
-    fpb = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ub")
+    fpa = make_fixed_point([(1,)], FramingGroup((1, 0, 0), "ua"), N)
+    fpb = make_fixed_point([(1,)], FramingGroup((1, 0, 0), "ub"), N)
     for variant in ("plain", "hat", "tilde"):
         r = shuffle_residual(fpa, fpb, pp, variant, n_assignments=3,
                              rng=np.random.default_rng(4))
@@ -233,8 +233,8 @@ def test_shuffle_rejects_a_check_of_no_assignment(count):
     """A residual over no assignment would pass having checked nothing."""
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [1, 0, 0]})
-    fpa = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ua")
-    fpb = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ub")
+    fpa = make_fixed_point([(1,)], FramingGroup((1, 0, 0), "ua"), N)
+    fpb = make_fixed_point([(1,)], FramingGroup((1, 0, 0), "ub"), N)
     with pytest.raises(ValueError, match="n_assignments"):
         shuffle_residual(fpa, fpb, pp, n_assignments=count)
 
@@ -242,8 +242,8 @@ def test_shuffle_rejects_a_check_of_no_assignment(count):
 def test_shuffle_at_shifted_nome():
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [0, 1, 0]})
-    fpa = make_fixed_point([(2, 1)], (1, 0, 0), N, prefix="ua")
-    fpb = make_fixed_point([(1,)], (0, 1, 0), N, prefix="ub")
+    fpa = make_fixed_point([(2, 1)], FramingGroup((1, 0, 0), "ua"), N)
+    fpb = make_fixed_point([(1,)], FramingGroup((0, 1, 0), "ub"), N)
     r = shuffle_residual(fpa, fpb, pp, "tilde", star=True, n_assignments=2,
                          rng=np.random.default_rng(5))
     assert r < 1e-8
@@ -267,7 +267,7 @@ def test_a_point_family_shares_one_compiled_envelope(monkeypatch):
     and its Kahler points; a fresh copy of the point compiles again."""
     calls = _count_compiles(monkeypatch)
     pp = ParamPoint(PP.n_colors, PP.values, PP.logs, min_terms=PP.min_terms)
-    spec = EnvelopeSpec(make_fixed_point([(2, 1)], (1, 0, 0), N), "hat")
+    spec = EnvelopeSpec(make_fixed_point([(2, 1)], FramingGroup((1, 0, 0)), N), "hat")
     env = compiled(spec, pp)
     assert compiled(spec, pp) is env
     assert compiled(spec, pp.extended({"y": 2.0})) is env
@@ -284,8 +284,8 @@ def test_shuffle_checks_at_one_point_compile_a_shared_factor_once(monkeypatch):
     calls = _count_compiles(monkeypatch)
     pp = sample_param_point(13, N, framing_counts={"ua": [1, 0, 0],
                                                    "ub": [0, 1, 0]})
-    fpa = make_fixed_point([(1,)], (1, 0, 0), N, prefix="ua")
-    seconds = [make_fixed_point([rows], (0, 1, 0), N, prefix="ub")
+    fpa = make_fixed_point([(1,)], FramingGroup((1, 0, 0), "ua"), N)
+    seconds = [make_fixed_point([rows], FramingGroup((0, 1, 0), "ub"), N)
                for rows in ((1,), (2,))]
     for fpb in seconds:
         shuffle_residual(fpa, fpb, pp, "hat", n_assignments=1)
@@ -296,7 +296,7 @@ def test_shuffle_checks_at_one_point_compile_a_shared_factor_once(monkeypatch):
 def test_symmetrization_budget_guard(monkeypatch):
     """Three slots of at most 5 boxes, 5! 5! 3! = 86400 permutations: the
     envelope fails on its budget before it enumerates a tree."""
-    fp = make_fixed_point([(3, 2), (3, 2), (2, 1)], (3, 0, 0), N)
+    fp = make_fixed_point([(3, 2), (3, 2), (2, 1)], FramingGroup((3, 0, 0)), N)
     assert max(lam.size for _, lam in fp.slots) <= 14
 
     def forbidden(*args):
@@ -309,8 +309,8 @@ def test_symmetrization_budget_guard(monkeypatch):
 
 
 def test_restriction_requires_same_class():
-    fp1 = make_fixed_point([(1,)], (1, 0, 0), N)
-    fp2 = make_fixed_point([(2,)], (1, 0, 0), N)
+    fp1 = make_fixed_point([(1,)], FramingGroup((1, 0, 0)), N)
+    fp2 = make_fixed_point([(2,)], FramingGroup((1, 0, 0)), N)
     env = Envelope(EnvelopeSpec(fp1, "plain"))
     with pytest.raises(ValueError):
         restrict(env, fp2, PP)
@@ -377,7 +377,7 @@ def test_no_term_pairs_a_theta_with_its_inverse(w):
 
 def test_denominator_theta_zero_raises():
     """Equal roots of one color put a gauge denominator theta at its zero."""
-    fp = make_fixed_point([(1,), (1,)], (2, 0, 0), N)
+    fp = make_fixed_point([(1,), (1,)], FramingGroup((2, 0, 0)), N)
     pp = sample_param_point(14, N, framing_counts={"u": [2, 0, 0]})
     env = Envelope(EnvelopeSpec(fp, "plain"))
     x = 0.8 + 0.3j
@@ -388,7 +388,7 @@ def test_denominator_theta_zero_raises():
 
 
 def test_eval_does_no_monomial_arithmetic(monkeypatch):
-    fp = make_fixed_point([(2, 1), (1,)], (1, 1, 0), N)
+    fp = make_fixed_point([(2, 1), (1,)], FramingGroup((1, 1, 0)), N)
     pp = sample_param_point(16, N, framing_counts={"u": [1, 1, 0]})
     env = Envelope(EnvelopeSpec(fp, "hat"))
     values = random_assignment(RNG, env.x_names())
@@ -470,13 +470,13 @@ def test_qp_unit_factors_is_the_chained_product(w):
 
 
 def test_plain_qp_unit_factors_retain_chern_roots():
-    fp = make_fixed_point([(2, 1)], (1, 0, 0), N)
+    fp = make_fixed_point([(2, 1)], FramingGroup((1, 0, 0)), N)
     with pytest.raises(ValueError, match="retains Chern roots"):
         Envelope(EnvelopeSpec(fp, "plain")).qp_unit_factors()
 
 
 def test_envelope_lowers_at_its_first_evaluation():
-    fp = make_fixed_point([(2, 1), (1,)], (1, 1, 0), N)
+    fp = make_fixed_point([(2, 1), (1,)], FramingGroup((1, 1, 0)), N)
     pp = sample_param_point(16, N, framing_counts={"u": [1, 1, 0]})
     lazy = Envelope(EnvelopeSpec(fp, "hat"))
     lazy.qp_unit_factors()
@@ -556,6 +556,30 @@ def compiled_terms_digests(specs) -> tuple[dict[str, str], int]:
     return {"repr": by_repr.hexdigest(), "items": by_items.hexdigest()}, count
 
 
+#: (sha256, monomials) of ``qp_unit_factors_digest`` over the hat and tilde
+#: specs of ``_compile_corpus`` and then ``_pair_compile_corpus``: the
+#: exponent items, in dict order, of every quasi-periodicity factor.
+#: Recorded before the compile path was reworked, so the rework is pinned
+#: to the factors the vertex series and its oracle materialize.
+QP_UNIT_FACTORS_SHA256 = (
+    "ed2e39a6348ec75495ceba0db90e279c33d51fe2666a6ed6cdc4cc72ed9b2d82", 2440)
+
+
+def qp_unit_factors_digest(specs) -> tuple[str, int]:
+    """(sha256 of the exponent items of every ``qp_unit_factors`` monomial
+    of the hat and tilde ``specs``, in slot order and dict order, how many
+    monomials there were)."""
+    h = hashlib.sha256()
+    count = 0
+    for spec in specs:
+        if spec.variant == "plain":
+            continue
+        for name, m in Envelope(spec).qp_unit_factors().items():
+            h.update(f"{name} {list(m._exps.items())}\n".encode())
+            count += 1
+    return h.hexdigest(), count
+
+
 def test_compiled_terms_match_recorded_digest():
     """The compile keeps every term's factors, their order and each factor's
     exponent order."""
@@ -566,6 +590,29 @@ def test_pair_compiled_terms_match_recorded_digest():
     """The same on the compiles of the R-matrix checks, at both nomes."""
     assert compiled_terms_digests(_pair_compile_corpus()) == \
         (PAIR_COMPILED_TERMS_SHA256, 888)
+
+
+def test_qp_unit_factors_match_recorded_digest():
+    """Every quasi-periodicity factor of both corpora keeps its exponents
+    and their dict order."""
+    specs = itertools.chain(_compile_corpus(), _pair_compile_corpus())
+    assert qp_unit_factors_digest(specs) == QP_UNIT_FACTORS_SHA256
+
+
+def test_compile_sort_keys_are_the_generic_repr():
+    """Every theta argument of every compiled term of both corpora has the
+    ``repr`` that ``Monomial.__repr__`` forms from its exponents, so a
+    builder that hands an argument its sort key cannot reorder factors
+    unnoticed.  A framing prefix that sorts before t2 takes the sorted
+    ``repr`` in place of a handed one."""
+    before_t2 = [EnvelopeSpec(fp, variant)
+                 for total in range(1, 4) for v in profiles(total, N)
+                 for fp in basis_fixed_points(v, [FramingGroup((1, 1, 0), "a")], N)
+                 for variant in VARIANTS]
+    for spec in itertools.chain(_compile_corpus(), _pair_compile_corpus(), before_t2):
+        for term in Envelope(spec)._terms:
+            for m in term.num + term.den:
+                assert repr(m) == repr(Monomial._of(dict(m._exps))), (spec, m._exps)
 
 
 def test_compile_takes_the_geometry_once(monkeypatch):
@@ -582,7 +629,7 @@ def test_compile_takes_the_geometry_once(monkeypatch):
     monkeypatch.setattr(FixedPoint, "boxes", counted("boxes", FixedPoint.boxes))
     for name in ("chern_slots", "box_slot_vars", "quiver_pairs", "index_degrees"):
         monkeypatch.setattr(envelopes, name, counted(name, getattr(envelopes, name)))
-    fp = make_fixed_point([(2, 1), (1,)], (2, 0, 0), N)
+    fp = make_fixed_point([(2, 1), (1,)], FramingGroup((2, 0, 0)), N)
     Envelope(EnvelopeSpec(fp, "hat"))
     assert calls == dict.fromkeys(("boxes", "chern_slots", "box_slot_vars",
                                    "quiver_pairs", "index_degrees"), 1)
@@ -776,7 +823,7 @@ def _theta_path_lines():
                 for rows1, rows2 in itertools.product(partitions_of(s1), partitions_of(s2)):
                     if s1 + s2 == 0:
                         continue
-                    fpa, fpb = (make_fixed_point([rows], g.w, N, g.prefix)
+                    fpa, fpb = (make_fixed_point([rows], g, N)
                                 for rows, g in zip((rows1, rows2), groups))
                     for variant, star in itertools.product(VARIANTS, (False, True)):
                         got = outcome(shuffle_residual, fpa, fpb, pp, variant, star,
@@ -816,4 +863,6 @@ if __name__ == "__main__":
                          ("PAIR_COMPILED_TERMS_SHA256", _pair_compile_corpus)):
         digests, count = compiled_terms_digests(corpus())
         print(f"{name} ({count} compiles): {digests}")
+    both = itertools.chain(_compile_corpus(), _pair_compile_corpus())
+    print(f"QP_UNIT_FACTORS_SHA256: {qp_unit_factors_digest(both)}")
     print(f"THETA_PATH_SHA256: {theta_path_digest()}")

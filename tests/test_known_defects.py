@@ -50,7 +50,7 @@ def diagonal_vertex(seed: int, rows, w: tuple[int, ...]) -> float:
     """Criterion 8's residual (``oracle_residual``) of the diagonal pair
     (mu, mu), mu the fixed point of ``rows`` at framing ``w``, up to
     degree 3."""
-    mu = make_fixed_point(rows, w, N)
+    mu = make_fixed_point(rows, FramingGroup(w), N)
     pp = sample_param_point(seed, N, framing_counts={"u": list(w)})
     return oracle_residual(vertex_series(mu, mu, 3, pp), pp)
 

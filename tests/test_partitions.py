@@ -30,7 +30,7 @@ def random_partition(rng, max_size, n_colors):
 
 
 def test_canonical_order_reproduces_staircase_example():
-    fp = make_fixed_point([(6, 5, 4, 1)], (1, 0, 0), 3)
+    fp = make_fixed_point([(6, 5, 4, 1)], FramingGroup((1, 0, 0)), 3)
     slots = chern_slots(fp)
     assert [(b.x, b.y) for b in slots[0]] == [(2, 5), (1, 4), (3, 3), (2, 2),
                                               (1, 1), (4, 1)]
@@ -240,7 +240,7 @@ def test_colored_partition_rejects_rows_it_would_rewrite(rows, match):
     with pytest.raises(ValueError, match=match):
         ColoredPartition(rows, 0, 3)
     with pytest.raises(ValueError, match=match):
-        make_fixed_point([rows], (1, 0, 0), 3)
+        make_fixed_point([rows], FramingGroup((1, 0, 0)), 3)
 
 
 def test_colored_partition_drops_trailing_zero_rows():
@@ -266,7 +266,7 @@ def test_framing_groups_are_values():
 
 
 def test_chern_slot_variable_assignment():
-    fp = make_fixed_point([(2, 1)], (1, 0, 0), 3)
+    fp = make_fixed_point([(2, 1)], FramingGroup((1, 0, 0)), 3)
     from ellstab.partitions import box_slot_vars, phi_weight
     xvar = box_slot_vars(fp)
     by_cell = {(b.x, b.y): name for b, name in xvar.items()}
@@ -392,7 +392,7 @@ def test_fixed_point_budget_guard():
 
 def test_index_degrees_goldens():
     def degs(rows, n=3):
-        fp = make_fixed_point([rows], tuple(1 if i == 0 else 0 for i in range(n)), n)
+        fp = make_fixed_point([rows], FramingGroup.unit(0, n, "u"), n)
         return {(b.x, b.y): d for b, d in index_degrees(fp).items()}
 
     assert degs((1,)) == {(1, 1): 0}
@@ -403,5 +403,5 @@ def test_index_degrees_goldens():
 
 
 def test_index_degrees_empty():
-    fp = make_fixed_point([()], (1, 0, 0), 3)
+    fp = make_fixed_point([()], FramingGroup((1, 0, 0)), 3)
     assert index_degrees(fp) == {}

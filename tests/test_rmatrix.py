@@ -46,7 +46,7 @@ def test_single_group_basis_is_fixed_points_with_its_names():
         for m in range(4):
             for v in profiles(m, N):
                 assert basis_fixed_points(v, [g], N) == [
-                    make_fixed_point(fp.partitions(), g.w, N, prefix)
+                    make_fixed_point(fp.partitions(), g, N)
                     for fp in fixed_points(v, g.w, N)]
     assert basis_fixed_points((1, 0, 0), [FramingGroup((1, 1, 0))], N) == \
         fixed_points((1, 0, 0), (1, 1, 0), N)
@@ -457,7 +457,7 @@ def _compile_time_kahler(fp, star, kahler):
         for xm, ym in tw.phi_args:
             num += [xm * ym, HBAR]
             den += [xm, ym]
-        terms.append(_cancel(_tally(num), _tally(den), sprod.sign + tw.kappa))
+        terms.append(_cancel(_tally(num, den), sprod.sign + tw.kappa))
     env._terms = terms
     return env
 

@@ -125,14 +125,14 @@ def test_qpoch_mono_memo_hit_counts_the_structural_zero():
 
 
 def test_normalization_of_empty_cycle_is_vacuum_scalar():
-    fp = make_fixed_point([()], W, N)
+    fp = make_fixed_point([()], FramingGroup(W), N)
     val = normalization_factor(fp, PP)
     assert abs(val - mu_vacuum_ope(W, PP)) < 1e-12 * abs(val)
 
 
 def test_normalization_single_box_hand_expansion():
     from ellstab.core import qpoch_inf
-    fp = make_fixed_point([(1,)], W, N)
+    fp = make_fixed_point([(1,)], FramingGroup(W), N)
     val = normalization_factor(fp, PP)
     p, h = PP.p, PP.hbar
     u = PP.values["u0_1"]
@@ -146,8 +146,8 @@ def test_normalization_reads_the_framing_prefix_of_the_slots():
     """One group's prefix, whatever it is, names the framing weights of the
     vacuum scalar; slots of two groups have no one prefix."""
     ppa = sample_param_point(41, N, framing_counts={"ua": list(W)})
-    assert normalization_factor(make_fixed_point([(2, 1)], W, N, "ua"), ppa) \
-        == normalization_factor(make_fixed_point([(2, 1)], W, N), PP)
+    assert normalization_factor(make_fixed_point([(2, 1)], FramingGroup(W, "ua"), N), ppa) \
+        == normalization_factor(make_fixed_point([(2, 1)], FramingGroup(W), N), PP)
     groups = [FramingGroup(W, "ua"), FramingGroup(W, "ub")]
     pp = sample_param_point(41, N, framing_counts={g.prefix: list(W)
                                                    for g in groups})
@@ -157,7 +157,7 @@ def test_normalization_reads_the_framing_prefix_of_the_slots():
 
 
 def test_normalization_depends_only_on_cycle():
-    fp = make_fixed_point([(2, 1)], W, N)
+    fp = make_fixed_point([(2, 1)], FramingGroup(W), N)
     v1 = normalization_factor(fp, PP)
     v2 = normalization_factor(fp, PP)
     assert v1 == v2
@@ -170,7 +170,7 @@ def test_normalization_drops_vanishing_factors_without_balancing():
     side to pair it with."""
     pp = sample_param_point(1, N, framing_counts={"u": list(W)})
     for rows in ((1, 1), (2, 1)):
-        mu = make_fixed_point([rows], W, N)
+        mu = make_fixed_point([rows], FramingGroup(W), N)
         table = vertex.vertex_table(mu, pp)
         # (numerator, denominator) zero counts of each factor kind
         dropped = {kind: tuple(sum(vertex.qpoch_low(row[side], None, pp)[1]
@@ -269,7 +269,7 @@ def test_bethe_newton_converges_and_matches_closed_form():
 
 
 def test_negative_degree_cap_is_rejected():
-    fp = make_fixed_point([(1,)], W, N)
+    fp = make_fixed_point([(1,)], FramingGroup(W), N)
     with pytest.raises(ValueError, match="degree cap -1"):
         vertex_series(fp, fp, -1, PP)
 
