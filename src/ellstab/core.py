@@ -63,6 +63,25 @@ def _half(e):
     return _exponent(e / 2)
 
 
+def exponent_product(factors: Iterable[tuple[Mapping[str, int | Fraction], int]]
+                     ) -> dict[str, int | Fraction]:
+    """The exponent dict of prod m^k over (exponent dict of m, integer k)
+    pairs, summed into one dict: the exponents and the variable order of the
+    chained product ``m1 ** k1 * m2 ** k2 * ...`` (``Monomial.product``).  A
+    compile sums exponent dicts that it never makes a monomial of."""
+    d: dict[str, int | Fraction] = {}
+    for exps, k in factors:
+        for name, e in exps.items():
+            s = d.get(name, 0) + k * e
+            if type(s) is not int:
+                s = _exponent(s)
+            if s:
+                d[name] = s
+            elif name in d:
+                del d[name]
+    return d
+
+
 #: the allocator behind ``Monomial._of`` and ``Monomial._keyed``, which set
 #: every slot themselves
 _new_object = object.__new__
@@ -171,20 +190,11 @@ class Monomial:
 
     @staticmethod
     def product(factors: Iterable[tuple["Monomial", int]]) -> "Monomial":
-        """prod m^k over the (m, k) pairs with integer k, summed into one
-        exponent dict: the exponents and the variable order of the chained
-        product ``m1 ** k1 * m2 ** k2 * ...``."""
-        d: dict[str, int | Fraction] = {}
-        for m, k in factors:
-            for name, e in m._exps.items():
-                s = d.get(name, 0) + k * e
-                if type(s) is not int:
-                    s = _exponent(s)
-                if s:
-                    d[name] = s
-                elif name in d:
-                    del d[name]
-        return Monomial._of(d)
+        """prod m^k over the (m, k) pairs with integer k
+        (``exponent_product`` of their exponent dicts): the exponents and
+        the variable order of the chained product ``m1 ** k1 * m2 ** k2 *
+        ...``."""
+        return Monomial._of(exponent_product([(m._exps, k) for m, k in factors]))
 
     def __pow__(self, e) -> "Monomial":
         e = _exponent(e)
@@ -357,18 +367,21 @@ class ParamPoint:
     Further variables (framing weights, Kahler parameters, Chern roots) are
     added as needed, either at construction or through :meth:`extended`.
 
-    A point keeps five memos, each read through one accessor, and a new
-    point starts with all of them empty.  Three are shared between a point
-    and its extensions: the infinite q-Pochhammer values (:meth:`qpoch_inf`),
-    keyed by the values themselves, so an extension that overrides a
-    variable only adds keys; and the compiled envelopes
-    (``envelopes.compiled``, one per ``EnvelopeSpec``) and the chamber
-    bases (``rmatrix.ChamberMatrices.build``), which hold only exact data,
-    the same at every point.  Two are not shared, since they hold values
-    taken through the point's logs, which an extension may override: the
-    vertex tables (``vertex.vertex_table``, one per fixed point, with the
-    Pochhammer products of its bases) and the restriction points
-    (``rmatrix.restriction_point``, the Chern-root values of a fixed point).
+    A point keeps six memos, each read through one accessor, and a new
+    point starts with all of them empty.  Four are shared between a point
+    and its extensions.  Two are keyed by values, so an extension that
+    overrides a variable only adds keys: the infinite q-Pochhammer values
+    (:meth:`qpoch_inf`), and the coefficient tables of the triple-Pochhammer
+    log series (``scalars.series_table``, one per moduli tuple such as
+    (t1^N, t2^N, hbar)).  Two hold only exact data, the same at every
+    point: the compiled envelopes (``envelopes.compiled``, one per
+    ``EnvelopeSpec``) and the chamber bases
+    (``rmatrix.ChamberMatrices.build``).  Two are not shared, since they
+    hold values taken through the point's logs, which an extension may
+    override: the vertex tables (``vertex.vertex_table``, one per fixed
+    point, with the Pochhammer products of its bases) and the restriction
+    points (``rmatrix.restriction_point``, the Chern-root values of a fixed
+    point).
     """
 
     def __init__(self, n_colors: int, values: Mapping[str, complex],
@@ -389,6 +402,7 @@ class ParamPoint:
         self.values: dict[str, complex] = {k: complex(v) for k, v in vals.items()}
         self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
+        self._series_tables: dict = {}
         self._envelopes: dict = {}
         self._chamber_bases: dict = {}
         self._vertex_tables: dict = {}
@@ -444,8 +458,9 @@ class ParamPoint:
             if logs is None or name not in logs:
                 lgs[name] = cmath.log(v)
         pp = ParamPoint(self.n_colors, vals, lgs, self.tol, self.min_terms, self.seed)
-        pp._qpoch_memo, pp._envelopes, pp._chamber_bases = (
-            self._qpoch_memo, self._envelopes, self._chamber_bases)
+        pp._qpoch_memo, pp._series_tables, pp._envelopes, pp._chamber_bases = (
+            self._qpoch_memo, self._series_tables, self._envelopes,
+            self._chamber_bases)
         return pp
 
     def materialize(self, mono: Monomial) -> complex:
@@ -477,9 +492,13 @@ class ParamPoint:
         q = self.nome(star)
         return self.qpoch_inf(z, q) * self.qpoch_inf(q / z, q)
 
-    def theta(self, mono: Monomial, star: bool = False) -> GradedValue:
-        """Odd theta of a monomial argument: coeff -theta_p(z), mono z^(-1/2)."""
-        z = self.materialize(mono)
+    def theta(self, mono: Monomial, star: bool = False,
+              z: complex | None = None) -> GradedValue:
+        """Odd theta of a monomial argument: coeff -theta_p(z), mono z^(-1/2).
+        ``z`` is the monomial's value at the point, ``materialize(mono)``,
+        for a caller that has already taken it."""
+        if z is None:
+            z = self.materialize(mono)
         return GradedValue(None, -self.theta_p_val(z, star), half_of=mono)
 
     def phi(self, x: Monomial, y: Monomial, star: bool = False) -> GradedValue:

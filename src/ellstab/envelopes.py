@@ -24,11 +24,12 @@ the arguments' values before any q-series: a value of exactly 1.0 is a zero
 of its theta, and one in a fixed annulus around the unit circle provably is
 none (``theta_surely_nonzero``).  So an envelope whose first evaluation
 meets a pole in its first term's denominator raises before any other theta
-is taken, and a term with a unit numerator argument takes none of its
-numerator thetas.  Every other theta is taken
-through fixed logarithms (reading only its coefficient, so no half power is
-formed) and the terms are combined by index in floating point; exact
-monomial arithmetic stays at compile time.
+is taken, a later pole takes no theta of a value in the annulus either,
+and a term with a unit numerator argument takes none of its numerator
+thetas.  Each argument is materialized at most once per evaluation, and
+its theta is taken from that value (reading only its coefficient, so no
+half power is formed); the terms are combined by index in floating point,
+and exact monomial arithmetic stays at compile time.
 
 Every theta is read through a ``ThetaTable``, the one path from an argument
 to its value: a theta with a Chern root is taken once per permutation, one
@@ -62,11 +63,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (HBAR, BudgetError, Monomial, ParamPoint, SingularityError,
-                   _exponent)
+                   _exponent, exponent_product)
 from .partitions import (Box, FixedPoint, LambdaTree, QuiverPairs,
                          box_slot_vars, chern_slots, chern_var, index_degrees,
                          kahler_var, lambda_trees, phi_weight, quiver_pairs,
-                         rho_less)
+                         rho_less, weight_exponents)
 from .sampling import random_assignment
 
 VARIANTS = ("plain", "hat", "tilde")
@@ -218,18 +219,22 @@ class LoweredSum:
     (``Envelope.x_names``, none for a lone product).  Reading ``args``
     lowers the sum too.
 
-    The term loop takes each term's denominator thetas first, in order, and
-    raises at the first zero, so every pole raises where and how it would if
-    every theta were taken first.  A term with a numerator argument of value
-    1.0, or with a zero theta already in the table, then takes none of its
-    numerator thetas and skips its prefactor.  Skipping it changes no bit:
-    its product is +-0, and adding +-0 leaves a total unchanged that never
-    holds -0.0 (the total starts at +0.0, and a sum is -0.0 only if both
-    addends are).  Every other term is multiplied out in its own factor
-    order, bit for bit the product of graded values, with no exact monomial
-    arithmetic once lowered.  A value materialized for a decision is
-    materialized again if its theta is taken: every q-series theta goes
-    through ``ParamPoint.theta``, which takes the monomial.
+    Every evaluation materializes each argument at most once, when a
+    decision first needs its value.  The term loop decides each term's
+    denominator arguments first, in order, by the same rule: a table theta
+    of 0 or a value of exactly 1.0 is a pole, a value in the annulus is
+    none and its theta waits until the term is multiplied out, and any
+    other value takes its theta now.  It raises at the first pole, so every
+    pole raises where and how it would if every theta were taken first.  A
+    term with a numerator argument of value 1.0, or with a zero theta
+    already in the table, then takes none of its numerator thetas and skips
+    its prefactor.  Skipping it changes no bit: its product is +-0, and
+    adding +-0 leaves a total unchanged that never holds -0.0 (the total
+    starts at +0.0, and a sum is -0.0 only if both addends are).  Every
+    other term is multiplied out in its own factor order, bit for bit the
+    product of graded values, with no exact monomial arithmetic once
+    lowered.  Every q-series theta goes through ``ParamPoint.theta``, handed
+    the value the decision took.
     """
 
     def __init__(self, products: list[ThetaProduct], chern_roots: Iterable[str]):
@@ -281,14 +286,16 @@ class LoweredSum:
         self._keys = [(m.float_items(), roots.isdisjoint(m._exps)) for m in self._args]
         self.terms = terms
 
-    def _pole_exit(self, pp: ParamPoint, star: bool, free: dict, bound: dict) -> None:
+    def _pole_exit(self, pp: ParamPoint, star: bool, free: dict,
+                   bound: dict) -> dict[str, complex]:
         """Raise at the first zero theta of the first term's denominator,
         decided from each argument's value; a theta is taken, through the
         table dicts ``free`` and ``bound``, only for a value outside the
-        annulus."""
+        annulus.  Returns the values it materialized, by ``repr``."""
         abs_q = abs(pp.nome(star))
+        values = {}
         for m in self._first_den:
-            z = pp.materialize(m)
+            z = values[m._repr] = pp.materialize(m)
             if z != 1.0:
                 if theta_surely_nonzero(z, abs_q):
                     continue
@@ -296,10 +303,11 @@ class LoweredSum:
                 key = m.float_items()
                 c = memo.get(key)
                 if c is None:
-                    c = memo[key] = pp.theta(m, star).coeff
+                    c = memo[key] = pp.theta(m, star, z).coeff
                 if c != 0:
                     continue
             raise SingularityError(f"theta pole in denominator at {m}")
+        return values
 
     def eval(self, pp: ParamPoint, star: bool, thetas: ThetaTable,
              perm: int = 0) -> complex:
@@ -308,10 +316,16 @@ class LoweredSum:
         the roots the point carries: a theta is read from the table, or
         taken and written to it."""
         free, bound = thetas.perm(perm)
+        # per argument its value (the pole exit's at the first evaluation),
+        # None until a decision materializes it
         if self.terms is None:
-            self._pole_exit(pp, star, free, bound)
+            first = self._pole_exit(pp, star, free, bound)
             self._lower()
+            zs = [first.get(m._repr) for m in self._args]
+        else:
+            zs = [None] * len(self._args)
         theta, materialize = pp.theta, pp.materialize
+        abs_q = abs(pp.nome(star))
         args, keys = self._args, self._keys
         # per argument its theta if the table has it, 0.0 for a numerator
         # argument of value 1.0, None until it is taken
@@ -321,14 +335,26 @@ class LoweredSum:
             for k in den:
                 c = th[k]
                 if c is None:
-                    key, is_free = keys[k]
-                    c = th[k] = (free if is_free else bound)[key] = theta(args[k], star).coeff
-                if c == 0:
-                    raise SingularityError(f"theta pole in denominator at {args[k]}")
+                    z = zs[k]
+                    if z is None:
+                        z = zs[k] = materialize(args[k])
+                    if z != 1.0:
+                        if theta_surely_nonzero(z, abs_q):
+                            continue
+                        key, is_free = keys[k]
+                        c = th[k] = (free if is_free else bound)[key] = theta(args[k], star, z).coeff
+                        if c != 0:
+                            continue
+                elif c != 0:
+                    continue
+                raise SingularityError(f"theta pole in denominator at {args[k]}")
             for k in num:
                 c = th[k]
                 if c is None:
-                    if materialize(args[k]) == 1.0:
+                    z = zs[k]
+                    if z is None:
+                        z = zs[k] = materialize(args[k])
+                    if z == 1.0:
                         th[k] = 0.0
                         break
                 elif c == 0:
@@ -339,10 +365,14 @@ class LoweredSum:
                     t = th[k]
                     if t is None:
                         key, is_free = keys[k]
-                        t = th[k] = (free if is_free else bound)[key] = theta(args[k], star).coeff
+                        t = th[k] = (free if is_free else bound)[key] = theta(args[k], star, zs[k]).coeff
                     c = c * t
                 for k in den:
-                    c = c / th[k]
+                    t = th[k]
+                    if t is None:
+                        key, is_free = keys[k]
+                        t = th[k] = (free if is_free else bound)[key] = theta(args[k], star, zs[k]).coeff
+                    c = c / t
                 total += c * materialize(pref)
         return total
 
@@ -477,17 +507,18 @@ class TreeTupleWeight:
     phi_args: list[tuple[Monomial, Monomial]]
 
 
-def _edge_arg(x_child: str, w_par: Monomial, x_par: str,
-              w_child: Monomial) -> Monomial:
+def _edge_arg(x_child: str, w_par: dict[str, int], x_par: str,
+              w_child: dict[str, int]) -> Monomial:
     """x_child w_par / (x_par w_child) for Chern roots x_child != x_par that
-    neither weight carries, and weights with integer exponents: one exponent
-    dict, in the variable order of that chained product.  The weights of two
-    cells of one slot differ by powers of t1 and t2 alone, which sort before
-    every Chern root, so such an argument is handed its ``repr``."""
+    neither weight carries, and weights given by their integer exponent
+    dicts: one exponent dict, in the variable order of that chained product.
+    The weights of two cells of one slot differ by powers of t1 and t2
+    alone, which sort before every Chern root, so such an argument is
+    handed its ``repr``."""
     d = {x_child: 1}
-    d.update(w_par._exps)
+    d.update(w_par)
     d[x_par] = -1
-    for name, e in w_child._exps.items():
+    for name, e in w_child.items():
         if s := d.get(name, 0) - e:
             d[name] = s
         else:
@@ -507,37 +538,47 @@ def _tree_phi_args(cell: dict, tree: LambdaTree,
     the whole tree, then per edge x_child phi_par / (x_par phi_child) against
     the product over the child's subtree."""
     subtree = tree.subtree
-    phi_args = [(root_arg,
-                 Monomial.product([f for c in subtree[1, 1] for f in cell[c][2]]))]
+
+    def subtree_product(top):
+        return Monomial._of(exponent_product([f for c in subtree[top] for f in cell[c][2]]))
+
+    phi_args = [(root_arg, subtree_product((1, 1)))]
     for par, child in tree.edges():
         x_par, w_par, _ = cell[par]
         x_child, w_child, _ = cell[child]
         phi_args.append((_edge_arg(x_child, w_par, x_par, w_child),
-                         Monomial.product([f for c in subtree[child] for f in cell[c][2]])))
+                         subtree_product(child)))
     return phi_args
 
 
-def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial], boxes: list[Box],
+def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial] | None, boxes: list[Box],
                  xvar: dict[Box, str], degrees: dict[Box, int]) -> list[TreeTupleWeight]:
     """All tree-tuple weights of a fixed point, compiled to phi arguments.
 
-    ``kahler`` maps every color to its Kahler argument (``default_kahler``
-    for the plain z_i).  ``boxes`` is ``fp.boxes()``, ``xvar`` is
+    ``kahler`` maps every color to its Kahler argument, or is ``None`` for
+    the plain z_i (``default_kahler``), which a compile takes without making
+    a monomial of them.  ``boxes`` is ``fp.boxes()``, ``xvar`` is
     ``box_slot_vars(fp)`` and ``degrees`` is ``index_degrees(fp)``.  The
     phi arguments of one tree of one slot are built once and shared by every
     tuple that holds the tree.  Each argument is built as one exponent dict,
     with the exponents and the variable order of its chained product.
     """
     n = fp.n_colors
-    # per slot, per cell: the Chern root of its box, its restriction weight,
-    # and its Kahler argument and hbar to its index degree, the factors of a
-    # subtree product (hbar^0 left out: it changes no exponent)
-    kah = [(kahler[i], 1) for i in range(n)]
+    # per color that holds a box, the exponents of its Kahler argument
+    kah = {} if kahler is None else {i: m._exps for i, m in kahler.items()}
+    hbar = HBAR._exps
+    # per slot, per cell: the Chern root of its box, the exponents of its
+    # restriction weight, and those of its Kahler argument and of hbar to
+    # its index degree, the factors of a subtree product (hbar^0 left out:
+    # it changes no exponent)
     cells: list[dict] = [{} for _ in fp.slots]
     for b in boxes:
-        k, d = kah[b.content % n], degrees[b]
-        cells[b.owner][b.x, b.y] = (xvar[b], phi_weight(fp, b),
-                                    (k, (HBAR, d)) if d else (k,))
+        color, d = b.content % n, degrees[b]
+        k = kah.get(color)
+        if k is None:
+            k = kah[color] = {kahler_var(color): 1}
+        cells[b.owner][b.x, b.y] = (xvar[b], weight_exponents(fp, b),
+                                    ((k, 1), (hbar, d)) if d else ((k, 1),))
     per_slot: list[list] = []
     for (slot, lam), cell in zip(fp.slots, cells):
         if not cell:
@@ -651,7 +692,7 @@ class Envelope:
         # the S-product's arguments, counted once for every tree term; the
         # last term extends that tally in place, the others a copy
         s_tally = _tally(sprod.num, sprod.den)
-        weights = tree_weights(fp, default_kahler(fp.n_colors), boxes, xvar, degrees)
+        weights = tree_weights(fp, None, boxes, xvar, degrees)
         self._terms: list[ThetaProduct] = []
         last = len(weights) - 1
         for k, tw in enumerate(weights):
@@ -774,7 +815,8 @@ def restrict(env: Envelope, mu: FixedPoint, pp: ParamPoint,
              p_shifts: dict[str, int] | None = None,
              framed: bool = True) -> complex:
     """Evaluate an envelope at the canonical Chern assignment of mu."""
-    if mu.v != env.fp.v or mu.w != env.fp.w:
+    # the envelope's profile is its count of Chern roots per color
+    if mu.w != env.fp.w or mu.v != tuple(map(len, env.nvars.values())):
         raise ValueError("restriction point must share the (v, w) class")
     values, logs = restriction_values(mu, pp, p_shifts, framed)
     return env.eval(pp, values, logs)

@@ -240,9 +240,16 @@ class FixedPoint:
 
     @property
     def v(self) -> tuple[int, ...]:
-        v = [0] * self.n_colors
+        """Boxes per content residue over all slots, in one pass over the
+        rows: row x of length r of a partition of color c holds the
+        contents x + c - 1 down to x + c - r."""
+        n = self.n_colors
+        v = [0] * n
         for _, lam in self.slots:
-            v = [a + b for a, b in zip(v, lam.profile())]
+            # the contents of row x end below x + c
+            for end, r in enumerate(lam.rows, start=lam.color + 1):
+                for content in range(end - r, end):
+                    v[content % n] += 1
         return tuple(v)
 
     @property
@@ -424,12 +431,18 @@ def phi_weight(fp: FixedPoint, box: Box, framed: bool = True) -> Monomial:
     restriction points; without ``framed`` the weight is the bare
     t1^(1-y) t2^(1-x), the convention of the vertex-function normalization.
     """
+    return Monomial._of(weight_exponents(fp, box, framed))
+
+
+def weight_exponents(fp: FixedPoint, box: Box, framed: bool = True) -> dict[str, int]:
+    """The exponent dict of ``phi_weight``, for a compile that reads the
+    exponents only."""
     d = {fp.slots[box.owner][0].u_var: 1} if framed else {}
     if box.y != 1:
         d["t1"] = 1 - box.y
     if box.x != 1:
         d["t2"] = 1 - box.x
-    return Monomial._of(d)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ Gamma arguments, ``qpoch2_ratio`` a list of double-Pochhammer arguments, and
 both evaluate the whole ratio with one coefficient table in ``_qpoch``.  So
 mu and mu* take two calls (one per nome), chi and rho^+ one, and the vacuum
 OPE factor four, whatever its framing.
+
+The coefficient table depends on the moduli tuple alone, and the parameter
+point owns it: ``series_table`` builds it at the first call for a tuple and
+keeps it on the point, shared with every ``extended`` point.  So the
+fusion identity (``rll_scalar_residual``), whose 8 series calls run at 3
+moduli tuples, builds 3 tables at a new point and none at the u points
+extended from it.  Every kernel therefore takes the point, down to
+``_qpoch``.
 """
 
 from __future__ import annotations
@@ -38,7 +46,36 @@ def eta_pairing(k: int, l: int, n: int) -> Fraction:
     return Fraction(i * (n - j), n)
 
 
-def _qpoch(num, den, qs: tuple[complex, ...]) -> complex:
+def series_table(qs: tuple[complex, ...],
+                 pp: ParamPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient table of ``_qpoch`` at the moduli ``qs``: built once
+    per point and its extensions (``_series_table``), keyed by the moduli
+    values, so every kernel of a point that shares a tuple reads one table.
+    A table is the same array whenever it is built, so reading a kept one
+    changes no bit.  It holds the terms that ``SERIES_CUTOFF`` asked for
+    when it was built: a different cutoff needs a new point."""
+    memo = pp._series_tables
+    table = memo.get(qs)
+    if table is None:
+        table = memo[qs] = _series_table(qs)
+    return table
+
+
+def _series_table(qs: tuple[complex, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(bound, coef) of the log series at the moduli ``qs``:
+    bound[j] = 2 prod_{i>=j} 1/(1 - |q_i|) and
+    coef[j, r-1] = 1/(r prod_{i>=j} (1 - q_i^r)), enough terms for |x| = 1/2
+    at ``SERIES_CUTOFF``."""
+    if any(abs(q) >= 1 for q in qs):
+        raise SingularityError("Pochhammer moduli must lie inside the unit disc")
+    bound = 2.0 / np.cumprod([1.0 - abs(q) for q in qs[::-1]])[::-1]
+    n_max = _n_terms(0.5, bound[0])
+    q_pow = np.vander(np.array(qs, dtype=complex), n_max + 1, increasing=True)[:, 1:]
+    suffix = np.cumprod((1.0 - q_pow)[::-1], axis=0)[::-1]
+    return bound, 1.0 / (np.arange(1, n_max + 1) * suffix)
+
+
+def _qpoch(pp: ParamPoint, num, den, qs: tuple[complex, ...]) -> complex:
     """prod over z in ``num`` of (z; q_1, ..., q_k)_inf divided by the same
     product over ``den``, for k = len(qs) >= 1.
 
@@ -47,19 +84,11 @@ def _qpoch(num, den, qs: tuple[complex, ...]) -> complex:
     is one direct factor (1 - x).  Sum: the sub-octant (x; q_j..q_k) left at
     each |x| <= 1/2 is exp(-sum_r x^r / (r prod_i (1 - q_i^r))), cut at the
     first R where the tail bound 2 |x|^R prod_i 1/(1 - |q_i|) drops below
-    ``SERIES_CUTOFF``.  Both lists share one coefficient table and one peel
-    pass; each lattice level sums its leaves' logs weighted +1 (num) or -1
-    (den).
+    ``SERIES_CUTOFF``.  Both lists share one coefficient table, the point's
+    (``series_table``), and one peel pass; each lattice level sums its
+    leaves' logs weighted +1 (num) or -1 (den).
     """
-    if any(abs(q) >= 1 for q in qs):
-        raise SingularityError("Pochhammer moduli must lie inside the unit disc")
-    # bound[j] = 2 prod_{i>=j} 1/(1 - |q_i|)
-    # coef[j, r-1] = 1/(r prod_{i>=j} (1 - q_i^r)), enough terms for |x| = 1/2
-    bound = 2.0 / np.cumprod([1.0 - abs(q) for q in qs[::-1]])[::-1]
-    n_max = _n_terms(0.5, bound[0])
-    q_pow = np.vander(np.array(qs, dtype=complex), n_max + 1, increasing=True)[:, 1:]
-    suffix = np.cumprod((1.0 - q_pow)[::-1], axis=0)[::-1]
-    coef = 1.0 / (np.arange(1, n_max + 1) * suffix)
+    bound, coef = series_table(qs, pp)
     log = 0.0 + 0.0j
     direct = [(x, 1.0) for x in num] + [(x, -1.0) for x in den]
     for j, q in enumerate(qs):
@@ -86,7 +115,7 @@ def _n_terms(xmax: float, bound: float) -> int:
     return max(1, math.ceil(math.log(SERIES_CUTOFF / bound) / math.log(xmax)))
 
 
-def gamma3v(num, den, a: complex, b: complex, c: complex) -> complex:
+def gamma3v(pp: ParamPoint, num, den, a: complex, b: complex, c: complex) -> complex:
     """prod over z in ``num`` of Gamma(z; a, b, c) divided by the same product
     over ``den``, where Gamma(z; a, b, c) = (z; a,b,c)_inf (abc/z; a,b,c)_inf.
 
@@ -96,11 +125,11 @@ def gamma3v(num, den, a: complex, b: complex, c: complex) -> complex:
     if any(z == 0 for z in (*num, *den)):
         raise SingularityError("triple Gamma rejects z = 0")
     abc = a * b * c
-    return _qpoch([y for z in num for y in (z, abc / z)],
+    return _qpoch(pp, [y for z in num for y in (z, abc / z)],
                   [y for z in den for y in (z, abc / z)], (a, b, c))
 
 
-def qpoch2_ratio(zs, q_num: complex, q_den: complex, q2: complex,
+def qpoch2_ratio(pp: ParamPoint, zs, q_num: complex, q_den: complex, q2: complex,
                  at_one=()) -> complex:
     """prod over z in ``zs`` of (z; q_num, q2)_inf / (z; q_den, q2)_inf, times
     the same ratio regularized at each z in ``at_one``.
@@ -112,7 +141,7 @@ def qpoch2_ratio(zs, q_num: complex, q_den: complex, q2: complex,
     """
     num = [*zs, *(z * q_num for z in at_one)]
     den = [*zs, *(z * q_den for z in at_one)]
-    return _qpoch(num, (), (q_num, q2)) / _qpoch(den, (), (q_den, q2))
+    return _qpoch(pp, num, (), (q_num, q2)) / _qpoch(pp, den, (), (q_den, q2))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +181,8 @@ def mu_vacuum_ope(framing_w: tuple[int, ...], pp: ParamPoint,
         ratio = pp.materialize(ul / uk)
         zs1.append(big1 * t1 ** (k - l) * ratio)
         (ones if sk == sl else zs2).append(t2 ** (l - k) * ratio)
-    return (pref * qpoch2_ratio(zs1, p, hbar, big1)
-            * qpoch2_ratio(zs2, p, hbar, big2, at_one=ones))
+    return (pref * qpoch2_ratio(pp, zs1, p, hbar, big1)
+            * qpoch2_ratio(pp, zs2, p, hbar, big2, at_one=ones))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +201,8 @@ def mu_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
     d = k - l  # <= 0 here
     num = (t2 ** (-d) * zv, big1 * t1 ** d * zv)
     den = (big1 * t2 ** (-d) * zv, big1 * big2 * t1 ** d * zv)
-    return (pref * gamma3v(num, den, big1, big2, pp.hbar)
-            / gamma3v(num, den, big1, big2, pp.p))
+    return (pref * gamma3v(pp, num, den, big1, big2, pp.hbar)
+            / gamma3v(pp, num, den, big1, big2, pp.p))
 
 
 def mu_star_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
@@ -191,7 +220,7 @@ def mu_star_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
     def block(shift, nome):
         num = (shift * big2 * t1 ** (-d) * zv, shift * big1 * big2 * t2 ** d * zv)
         den = (shift * t1 ** (-d) * zv, shift * big2 * t2 ** d * zv)
-        return gamma3v(num, den, big1, big2, nome)
+        return gamma3v(pp, num, den, big1, big2, nome)
 
     return pref * block(h, h) * block(1.0, pp.pstar)
 
@@ -211,7 +240,7 @@ def chi_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
     else:
         num = (t2 ** d, big1 * t1 ** (-d))
         den = (big1 * big2 * t1 ** (-d), big1 * t2 ** d)
-    return pref * gamma3v([sq * x * zv for x in num], [sq * x * zv for x in den],
+    return pref * gamma3v(pp, [sq * x * zv for x in num], [sq * x * zv for x in den],
                           big1, big2, pp.hbar)
 
 
@@ -221,7 +250,7 @@ def rho_plus(pp: ParamPoint, z: Monomial, star: bool = False) -> complex:
     big1, big2 = pp.t1 ** n, pp.t2 ** n
     zv = pp.materialize(z)
     nome = pp.pstar if star else pp.p
-    return gamma3v((1.0 / zv,), (zv,), big1, big2, nome)
+    return gamma3v(pp, (1.0 / zv,), (zv,), big1, big2, nome)
 
 
 def rho_ratio(pp: ParamPoint, z: Monomial) -> complex:

@@ -662,9 +662,10 @@ def test_restrict_decides_a_theta_pole_before_lowering(w, monkeypatch):
     arguments outside the annulus of ``theta_surely_nonzero``, keys no other
     argument and leaves the sum unlowered; some such poles take no theta at
     all.  Any other restriction gives the reference's bits and takes each
-    theta once per distinct argument (by its ordered exponents) and, if it
-    holds a Chern root, permutation of the roots (equal root values do not
-    make two permutations one)."""
+    theta at most once per distinct argument (by its ordered exponents)
+    and, if it holds a Chern root, permutation of the roots (equal root
+    values do not make two permutations one); one whose every term
+    vanishes takes none."""
     pp = sample_param_point(1, N, framing_counts={"u": list(w)})
     calls = Counter()
     taken: list[tuple[Monomial, bool]] = []
@@ -673,11 +674,11 @@ def test_restrict_decides_a_theta_pole_before_lowering(w, monkeypatch):
     roots: set[str] = set()
     perm = [0]
 
-    def counted(self, m, star=False):
+    def counted(self, m, star=False, z=None):
         held = not roots.isdisjoint(m._exps)
         calls[(tuple(m._exps.items()), perm[0] if held else None)] += 1
         taken.append((m, theta_surely_nonzero(self.materialize(m), abs(self.nome(star)))))
-        return theta(self, m, star)
+        return theta(self, m, star, z)
 
     def term_at(self, pp, thetas, k):
         perm[0] = k
@@ -713,7 +714,8 @@ def test_restrict_decides_a_theta_pole_before_lowering(w, monkeypatch):
             unseen += not taken
         elif not isinstance(got, str):
             regular += 1
-            assert max(calls.values()) == 1
+            # a restriction whose every term vanishes takes no theta
+            assert all(c == 1 for c in calls.values()) and (calls or got == 0)
     assert early and regular and unseen
 
 
@@ -730,6 +732,57 @@ def test_restrictions_match_the_reference_evaluation(w, seed, monkeypatch):
             patch.setattr(envelopes, "LoweredSum", ReferenceSum)
             want = _outcome(restrict, Envelope(spec), mu, pp, framed=False)
         assert repr(got) == repr(want), (spec.fp.partitions(), mu.partitions())
+        poles += isinstance(got, str)
+    assert poles
+
+
+@pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0)])
+def test_a_lowered_sum_decides_every_pole_from_values(w, monkeypatch):
+    """Once lowered (by a first restriction at a generic assignment), a
+    hat envelope restricted at every fixed point of its basis gives the
+    bits or the message of the reference evaluation, materializes each
+    theta argument at most once per evaluation, and takes no theta of a
+    denominator argument in the annulus of ``theta_surely_nonzero`` on the
+    way to a pole."""
+    pp = sample_param_point(1, N, framing_counts={"u": list(w)})
+    theta, materialize, lowered_eval = (ParamPoint.theta, ParamPoint.materialize,
+                                        LoweredSum.eval)
+    seen: list = []
+    taken: list = []
+
+    def counted_materialize(self, m):
+        seen.append(id(m))
+        return materialize(self, m)
+
+    def counted_theta(self, m, star=False, z=None):
+        taken.append(theta_surely_nonzero(materialize(self, m), abs(self.nome(star))))
+        return theta(self, m, star, z)
+
+    def checked(self, pp, star, thetas, perm=0):
+        seen.clear()
+        taken.clear()
+        try:
+            return lowered_eval(self, pp, star, thetas, perm)
+        except SingularityError:
+            assert not any(taken)
+            raise
+        finally:
+            ids = {id(m) for m in self.args}
+            assert max(Counter(i for i in seen if i in ids).values(), default=1) == 1
+
+    poles = 0
+    for spec, mu in _restrictions(w):
+        ref = Envelope(spec)
+        ref._lowered = ReferenceSum(ref._terms, ref.x_names())
+        want = _outcome(restrict, ref, mu, pp, framed=False)
+        env = Envelope(spec)
+        env.eval(pp, random_assignment(np.random.default_rng(3), env.x_names()))
+        with monkeypatch.context() as patch:
+            patch.setattr(ParamPoint, "materialize", counted_materialize)
+            patch.setattr(ParamPoint, "theta", counted_theta)
+            patch.setattr(LoweredSum, "eval", checked)
+            got = _outcome(restrict, env, mu, pp, framed=False)
+        assert repr(got) == repr(want)
         poles += isinstance(got, str)
     assert poles
 

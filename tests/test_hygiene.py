@@ -253,6 +253,7 @@ def test_criterion_records_are_built_only_by_the_registry():
 #: each memo of a ``ParamPoint`` and its one accessor
 MEMO_ACCESSORS = {
     "_qpoch_memo": "core.py:ParamPoint.qpoch_inf",
+    "_series_tables": "scalars.py:series_table",
     "_envelopes": "envelopes.py:compiled",
     "_chamber_bases": "rmatrix.py:ChamberMatrices.build",
     "_vertex_tables": "vertex.py:vertex_table",

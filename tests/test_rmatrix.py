@@ -339,11 +339,11 @@ def test_theta_table_takes_each_theta_once(monkeypatch, colors, v):
     calls = Counter()
     theta = ParamPoint.theta
 
-    def counted(self, mono, star=False):
+    def counted(self, mono, star=False, z=None):
         held = [x for x in roots if x in mono._exps]
         calls[(tuple(mono._exps.items()),
                tuple(self.values[x] for x in roots) if held else None)] += 1
-        return theta(self, mono, star)
+        return theta(self, mono, star, z)
 
     monkeypatch.setattr(ParamPoint, "theta", counted)
     restriction_matrix(basis, pp)
@@ -393,9 +393,9 @@ def test_a_vanishing_term_takes_none_of_its_numerator_thetas(monkeypatch):
     taken: list = []
     skipped = 0
 
-    def counted(self, m, star=False):
+    def counted(self, m, star=False, z=None):
         taken.append(m)
-        return theta(self, m, star)
+        return theta(self, m, star, z)
 
     def checked(self, pp, star, thetas, perm=0):
         nonlocal skipped

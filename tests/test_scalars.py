@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ellstab import scalars
-from ellstab.core import SQRT_HBAR, Monomial, SingularityError
+from ellstab.core import SQRT_HBAR, Monomial, ParamPoint, SingularityError
 from ellstab.rmatrix import FramingGroup
 from ellstab.sampling import Annuli, sample_param_point
 from ellstab.scalars import (MINUS, _qpoch, chi_exchange, eta_pairing, gamma3v,
@@ -34,7 +34,7 @@ def test_eta_values_and_symmetry():
 def test_gamma3v_matches_scalar_reference():
     a, b, c = 0.2 + 0.05j, 0.3 - 0.1j, 0.15 + 0.12j
     z = 0.7 + 0.3j
-    assert abs(gamma3v([z], [], a, b, c) - gamma3(z, a, b, c)) \
+    assert abs(gamma3v(PP0, [z], [], a, b, c) - gamma3(z, a, b, c)) \
         < 1e-12 * abs(gamma3(z, a, b, c))
 
 
@@ -42,9 +42,10 @@ def test_gamma3v_stable_under_truncation_tightening(monkeypatch):
     a, b, c = 0.25, 0.3 + 0.1j, 0.2 - 0.05j
     z = 0.9 + 0.2j
     assert scalars.SERIES_CUTOFF == 1e-18
-    v1 = gamma3v([z], [], a, b, c)
+    v1 = gamma3v(PP0, [z], [], a, b, c)
     monkeypatch.setattr(scalars, "SERIES_CUTOFF", 1e-24)
-    v2 = gamma3v([z], [], a, b, c)
+    # a new point builds its table at the tighter cutoff
+    v2 = gamma3v(sample_param_point(61, N), [z], [], a, b, c)
     assert abs(v1 - v2) < 1e-9 * abs(v1)
 
 
@@ -55,8 +56,8 @@ def test_qpoch_kernel_q_difference_near_unit_moduli(zmod):
     t1, t2 = 0.88 * cmath.exp(0.7j), 0.88 * cmath.exp(-1.9j)
     a, b, c = t1 ** N, t2 ** N, t1 * t2
     z = zmod * cmath.exp(0.4j)
-    lhs = _qpoch((a * z,), (), (a, b, c)) * _qpoch((z,), (), (b, c))
-    rhs = _qpoch((z,), (), (a, b, c))
+    lhs = _qpoch(PP0, (a * z,), (), (a, b, c)) * _qpoch(PP0, (z,), (), (b, c))
+    rhs = _qpoch(PP0, (z,), (), (a, b, c))
     assert abs(lhs - rhs) < 1e-13 * abs(rhs)
 
 
@@ -68,32 +69,32 @@ def test_batched_gamma3v_is_the_ratio_of_single_calls(tmod, zmod):
     z = zmod * cmath.exp(0.4j)
     num = [z, 0.7 * z * cmath.exp(1.1j), 1.3 * z * cmath.exp(-2.0j)]
     den = [0.8 * z * cmath.exp(-0.5j), 1.2 * z * cmath.exp(2.6j)]
-    want = (np.prod([gamma3v([x], [], *qs) for x in num])
-            / np.prod([gamma3v([x], [], *qs) for x in den]))
-    assert abs(gamma3v(num, den, *qs) - want) < 1e-14 * abs(want)
-    assert abs(gamma3v(num[:1], num[:1], *qs) - 1) < 1e-14
-    assert gamma3v([], [], *qs) == 1
+    want = (np.prod([gamma3v(PP0, [x], [], *qs) for x in num])
+            / np.prod([gamma3v(PP0, [x], [], *qs) for x in den]))
+    assert abs(gamma3v(PP0, num, den, *qs) - want) < 1e-14 * abs(want)
+    assert abs(gamma3v(PP0, num[:1], num[:1], *qs) - 1) < 1e-14
+    assert gamma3v(PP0, [], [], *qs) == 1
 
 
 def test_qpoch2_ratio_at_one_matches_direct_product():
     p, h, big2 = PP0.p, PP0.hbar, PP0.t2 ** N
     want = (qpoch2_inf(1.0, p, big2, skip_origin=True)
             / qpoch2_inf(1.0, h, big2, skip_origin=True))
-    got = qpoch2_ratio((), p, h, big2, at_one=(1.0 + 0.0j,))
+    got = qpoch2_ratio(PP0, (), p, h, big2, at_one=(1.0 + 0.0j,))
     assert abs(got - want) < 1e-12 * abs(want)
 
 
 def test_kernels_reject_moduli_outside_the_unit_disc():
     with pytest.raises(SingularityError):
-        gamma3v([0.7 + 0.1j], [], 0.2, 1.0, 0.3)
+        gamma3v(PP0, [0.7 + 0.1j], [], 0.2, 1.0, 0.3)
     with pytest.raises(SingularityError):
-        gamma3v([0.7 + 0.1j], [], 0.2, 0.3, 1.2j)
+        gamma3v(PP0, [0.7 + 0.1j], [], 0.2, 0.3, 1.2j)
     with pytest.raises(SingularityError):
-        qpoch2_ratio([0.5 + 0.0j], 0.2, 0.3, 1.0)
+        qpoch2_ratio(PP0, [0.5 + 0.0j], 0.2, 0.3, 1.0)
     with pytest.raises(SingularityError):
-        gamma3v([0.7 + 0.1j, 0.0], [], 0.2, 0.3, 0.1j)
+        gamma3v(PP0, [0.7 + 0.1j, 0.0], [], 0.2, 0.3, 0.1j)
     with pytest.raises(SingularityError):
-        gamma3v([0.7 + 0.1j], [0.0], 0.2, 0.3, 0.1j)
+        gamma3v(PP0, [0.7 + 0.1j], [0.0], 0.2, 0.3, 0.1j)
 
 
 def test_mu_reciprocal_branch_rule():
@@ -146,7 +147,7 @@ def test_vacuum_ope_single_weight_is_finite():
 
 def test_vacuum_ope_regularized_ratio_at_one():
     p, h, t2 = PP0.p, PP0.hbar, PP0.t2
-    v = qpoch2_ratio((), p, h, t2 ** N, at_one=(1.0 + 0.0j,))
+    v = qpoch2_ratio(PP0, (), p, h, t2 ** N, at_one=(1.0 + 0.0j,))
     assert np.isfinite(abs(v)) and abs(v) > 0
 
 
@@ -275,3 +276,58 @@ def test_one_series_evaluation_per_moduli_tuple(monkeypatch):
         calls.clear()
         kernel()
         assert len(calls) == want
+
+
+# ---------------------------------------------------------------------------
+# The point's series tables
+# ---------------------------------------------------------------------------
+
+def test_a_point_builds_each_series_table_once(monkeypatch):
+    """The fusion identity builds one coefficient table per moduli tuple at
+    a new point, 3 in all; a second call and a u point extended from the
+    same point build none."""
+    built = []
+    build = scalars._series_table
+
+    def counted(qs):
+        built.append(qs)
+        return build(qs)
+
+    monkeypatch.setattr(scalars, "_series_table", counted)
+    pp0 = sample_param_point(64, N)
+    pp = pp0.extended({"u": 0.83 + 0.41j})
+    rll_scalar_residual(pp, ZU, 1)
+    assert len(built) == len(set(built)) == 3
+    rll_scalar_residual(pp, ZU, 1)
+    rll_scalar_residual(pp0.extended({"u": 1.1 - 0.3j}), ZU, 0)
+    assert len(built) == 3
+
+
+def _hex(value) -> tuple[str, str]:
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_values_do_not_depend_on_warm_tables(seed):
+    """Every kernel value is the same bits on a point whose tables it builds
+    itself as on one whose tables every other kernel has built already."""
+    base = sample_param_point(seed, N, framing_counts={"u": [1, 1, 0]})
+    rng = np.random.default_rng(seed)
+    uval = (0.55 + 0.8 * rng.random()) * cmath.exp(2j * np.pi * rng.random())
+    kernels = [lambda pp, f=f, k=k, l=l: f(pp, ZU, k, l)
+               for f in (mu_exchange, mu_star_exchange, chi_exchange)
+               for k in range(N) for l in range(N)]
+    kernels += [lambda pp: rho_plus(pp, ZU), lambda pp: rho_plus(pp, ZU, star=True),
+                lambda pp: mu_vacuum_ope((1, 1, 0), pp)]
+    kernels += [lambda pp, k=k: rll_scalar_residual(pp, ZU, k) for k in range(N)]
+
+    def cold():
+        return ParamPoint(N, base.values, base.logs).extended({"u": uval})
+
+    warm = cold()
+    for kernel in kernels:
+        kernel(warm)
+    assert warm._series_tables
+    for kernel in kernels:
+        assert _hex(kernel(cold())) == _hex(kernel(warm))
