@@ -376,7 +376,8 @@ class ParamPoint:
     (t1^N, t2^N, hbar)).  Two hold only exact data, the same at every
     point: the compiled envelopes (``envelopes.compiled``, one per
     ``EnvelopeSpec``) and the chamber bases
-    (``rmatrix.ChamberMatrices.build``).  Two are not shared, since they
+    (``rmatrix.ChamberMatrices.build``: one enumeration per chamber, whose
+    swap gives the opposite basis and P).  Two are not shared, since they
     hold values taken through the point's logs, which an extension may
     override: the vertex tables (``vertex.vertex_table``, one per fixed
     point, with the Pochhammer products of its bases) and the restriction

@@ -30,7 +30,8 @@ from .envelopes import (EnvelopeSpec, ThetaTable, compiled, kahler_args,
                         kahler_point, restriction_values, shifted_kahler,
                         spectator_shift)
 from .partitions import (FixedPoint, FramingGroup, _enumerate_fixed_points,
-                         check_dimension_vector, kahler_var, profiles)
+                         check_dimension_vector, kahler_var, make_fixed_point,
+                         partitions_upto, profiles)
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
 
@@ -51,7 +52,15 @@ def basis_fixed_points(v, groups: list[FramingGroup], n_colors: int) -> list[Fix
 class RestrictionMatrix:
     basis: list[FixedPoint]
     matrix: np.ndarray  # rows: restriction points gamma, cols: envelope labels beta
-    cond: float
+    _cond: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def cond(self) -> float:
+        """The condition number of ``matrix``, taken at the first read (an
+        SVD that no residual needs); 1 for an empty basis."""
+        if self._cond is None:
+            self._cond = float(np.linalg.cond(self.matrix)) if self.basis else 1.0
+        return self._cond
 
 
 def restriction_point(gamma: FixedPoint, pp: ParamPoint) -> tuple[dict, dict]:
@@ -80,7 +89,7 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     n = len(basis)
     mat = np.zeros((n, n), dtype=complex)
     if not basis:
-        return RestrictionMatrix(basis, mat, 1.0)
+        return RestrictionMatrix(basis, mat)
     v, w = basis[0].v, basis[0].w
     if any(fp.v != v or fp.w != w for fp in basis):
         raise ValueError("restriction points must share the (v, w) class")
@@ -92,8 +101,7 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
         env = compiled(EnvelopeSpec(beta, "plain", star), pp)
         for g, (values, logs) in enumerate(points):
             mat[g, b] = env.eval(ppk, values, logs, tables[g])
-    cond = float(np.linalg.cond(mat))
-    return RestrictionMatrix(basis, mat, cond)
+    return RestrictionMatrix(basis, mat)
 
 
 @dataclass
@@ -109,29 +117,19 @@ class TransitionResult:
         return self.scalar * self.bare
 
 
-def _swap_permutation(basis: list[FixedPoint], basis_bar: list[FixedPoint],
-                      n_first: int) -> np.ndarray:
-    """P with P[j, i] = 1 where basis_bar[j] is basis[i] with its first
-    n_first slots moved to the end."""
-    p = np.zeros((len(basis), len(basis)))
-    index_bar = {fp.slots: i for i, fp in enumerate(basis_bar)}
-    for i, fp in enumerate(basis):
-        p[index_bar[fp.slots[n_first:] + fp.slots[:n_first]], i] = 1.0
-    return p
-
-
 @dataclass
 class ChamberMatrices:
     """The restriction matrices M_C and M_Cbar of the chamber orders
     C = (g1, g2) and Cbar = (g2, g1) on one profile, their bases and the
-    swap P = ``_swap_permutation`` from the basis of C to that of Cbar (the
-    swap from Cbar back to C is P.T).  Every transition, composition and
+    swap P from the basis of C to that of Cbar: P[j, i] = 1 where
+    basis_bar[j] is basis[i] with its g1 slots moved to the end (the swap
+    from Cbar back to C is P.T).  Every transition, composition and
     transpose check of one profile, nome and Kahler argument is solved from
     one of these; ``at`` rebuilds the matrices on the same bases.
     ``groups`` are (g1, g2), ``star`` the nome the matrices are at and
     ``pp`` the parameter point they were built at, which holds the bases
-    (enumerated once per point and its extensions, by ``build``), the
-    compiled envelopes and the restriction points."""
+    (made once per point and its extensions, by ``build``), the compiled
+    envelopes and the restriction points."""
 
     groups: tuple[FramingGroup, FramingGroup]
     star: bool
@@ -145,13 +143,19 @@ class ChamberMatrices:
     @classmethod
     def build(cls, v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
               n_colors: int, star: bool = False, kahler=None) -> "ChamberMatrices":
+        """The matrices on profile v.  The basis of C is enumerated; that of
+        Cbar is its swap sorted by the slots' row tuples, the enumeration
+        order of ``basis_fixed_points(v, [g2, g1])``, and P is that sort."""
         key = (tuple(v), g1, g2)
         bases = pp._chamber_bases.get(key)
         if bases is None:
             basis = basis_fixed_points(v, [g1, g2], n_colors)
-            basis_bar = basis_fixed_points(v, [g2, g1], n_colors)
+            n1 = len(g1.slots())
+            swapped = [FixedPoint(fp.slots[n1:] + fp.slots[:n1], n_colors)
+                       for fp in basis]
+            order = sorted(range(len(basis)), key=lambda i: swapped[i].partitions())
             bases = pp._chamber_bases[key] = (
-                basis, basis_bar, _swap_permutation(basis, basis_bar, sum(g1.w)))
+                basis, [swapped[i] for i in order], np.eye(len(basis))[order])
         return cls((g1, g2), star, *bases, None, None, pp).at(star, kahler)
 
     def at(self, star: bool = False, kahler=None) -> "ChamberMatrices":
@@ -279,11 +283,25 @@ def shift_invariance_residual(v, g1, g2, pp, n_colors) -> float:
 
 def triple_basis(groups, n_colors: int, total_boxes: int) -> list[tuple]:
     """Direct sum over all profile splits of a triple of framing groups: the
-    triples of single-group fixed points with ``total_boxes`` boxes in all."""
-    singles = [[fp for m in range(total_boxes + 1)
-                for v in profiles(m, n_colors)
-                for fp in basis_fixed_points(v, [g], n_colors)]
-               for g in groups]
+    triples of single-group fixed points with ``total_boxes`` boxes in all.
+
+    A group's fixed points come from one pass over the sorted
+    ``partitions_upto`` per slot, in the order of ``basis_fixed_points``
+    over the ``profiles`` of 0 to ``total_boxes`` boxes.  Raises
+    ``ValueError`` unless each group's framing has one non-negative entry
+    per color.
+    """
+    parts = sorted(partitions_upto(total_boxes))
+    singles = []
+    for g in groups:
+        check_dimension_vector("framing", g.w, n_colors)
+        by_profile: dict[tuple, list[FixedPoint]] = {}
+        for rows in itertools.product(parts, repeat=len(g.slots())):
+            if sum(map(sum, rows)) <= total_boxes:
+                fp = make_fixed_point(rows, g, n_colors)
+                by_profile.setdefault(fp.v, []).append(fp)
+        singles.append([fp for m in range(total_boxes + 1)
+                        for v in profiles(m, n_colors) for fp in by_profile.get(v, ())])
     return [t for t in itertools.product(*singles)
             if sum(fp.size for fp in t) == total_boxes]
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ellstab import acceptance, rmatrix
@@ -100,6 +101,24 @@ def test_rmatrix_builds_each_restriction_matrix_once(capsys, monkeypatch,
     if star:
         assert doc["residuals"]["transpose_relation"] == (
             transpose_relation_residual(v, g1, g2, pp, 3))
+
+
+@pytest.mark.parametrize("v", [(1, 0, 0), (1, 1, 0), (2, 1, 1)])
+def test_rmatrix_condition_numbers_are_those_of_the_chamber_matrices(capsys, v):
+    """The printed condition numbers are the SVD condition numbers of M_C and
+    M_Cbar, bit for bit."""
+    argv = ["rmatrix", "--N", "3", "--v", ",".join(map(str, v)),
+            "--w1", "1,0,0", "--w2", "1,0,0", "--seed", "2"]
+    code, doc = run(capsys, argv)
+    assert code == 0
+    g1, g2 = FramingGroup((1, 0, 0), "ua"), FramingGroup((1, 0, 0), "ub")
+    pp = sample_param_point(2, 3, framing_counts={"ua": [1, 0, 0],
+                                                  "ub": [1, 0, 0]})
+    ch = ChamberMatrices.build(v, g1, g2, pp, 3)
+    want = [float(np.linalg.cond(rmatrix.restriction_matrix(basis, pp).matrix))
+            for basis in (ch.basis, ch.basis_bar)]
+    assert [c.hex() for c in doc["results"]["condition_numbers"]] == [
+        c.hex() for c in want]
 
 
 @pytest.mark.parametrize("star", [False, True])

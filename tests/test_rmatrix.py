@@ -1,5 +1,6 @@
 """Transition matrices, R-matrix properties, Yang-Baxter."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -14,8 +15,7 @@ from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
 from ellstab.partitions import (box_slot_vars, fixed_points, index_degrees,
                                 make_fixed_point)
 from ellstab import envelopes, rmatrix
-from ellstab.rmatrix import (ChamberMatrices, FramingGroup, _swap_permutation,
-                             bare_transition,
+from ellstab.rmatrix import (ChamberMatrices, FramingGroup, bare_transition,
                              basis_fixed_points, composition_residual,
                              inverted_kahler,
                              leading_pair_factorization_residual, profiles,
@@ -81,24 +81,52 @@ def _pair(w1, w2):
     return g1, g2, pp
 
 
+def _bases_only(monkeypatch):
+    """Make ``ChamberMatrices.build`` skip its restriction matrices, for the
+    tests of its bases and swap."""
+    monkeypatch.setattr(rmatrix, "restriction_matrix",
+                        lambda basis, pp, star=False, kahler=None: None)
+
+
 @pytest.mark.parametrize("w1,w2", PAIRS)
-def test_reversed_swap_is_the_transpose(w1, w2):
-    g1, g2, _ = _pair(w1, w2)
+def test_reversed_swap_is_the_transpose(monkeypatch, w1, w2):
+    _bases_only(monkeypatch)
+    g1, g2, pp = _pair(w1, w2)
     for m in range(4):
         for v in profiles(m, N):
-            basis = basis_fixed_points(v, [g1, g2], N)
-            if not basis:
+            forward = ChamberMatrices.build(v, g1, g2, pp, N)
+            if not forward.basis:
                 continue
-            basis_bar = basis_fixed_points(v, [g2, g1], N)
-            n1 = sum(g1.w)
-            forward = _swap_permutation(basis, basis_bar, n1)
-            assert (forward.sum(axis=0) == 1).all()
-            assert (forward.sum(axis=1) == 1).all()
-            for j, i in zip(*np.nonzero(forward)):
-                slots = basis[i].slots
-                assert basis_bar[j].slots == slots[n1:] + slots[:n1]
-            assert (_swap_permutation(basis_bar, basis, sum(g2.w))
-                    == forward.T).all()
+            backward = ChamberMatrices.build(v, g2, g1, pp, N)
+            assert backward.basis == forward.basis_bar
+            assert backward.basis_bar == forward.basis
+            assert (backward.p == forward.p.T).all()
+
+
+#: the framings of ``PAIRS`` and pairs with a two-slot group in either place
+BASIS_PAIRS = PAIRS + [((1, 0, 0), (1, 1, 0)), ((2, 0, 0), (1, 0, 0)),
+                       ((0, 1, 0), (2, 0, 0)), ((1, 1, 0), (2, 0, 0))]
+
+
+@pytest.mark.parametrize("w1,w2", BASIS_PAIRS)
+def test_opposite_chamber_basis_is_the_enumerated_one(monkeypatch, w1, w2):
+    """The Cbar basis, the swap of the C basis, is ``basis_fixed_points`` of
+    the reversed groups element for element and in order, and P maps each
+    fixed point to its swap."""
+    _bases_only(monkeypatch)
+    g1, g2, pp = _pair(w1, w2)
+    n1 = len(g1.slots())
+    for m in range(5):
+        for v in profiles(m, N):
+            ch = ChamberMatrices.build(v, g1, g2, pp, N)
+            assert ch.basis == basis_fixed_points(v, [g1, g2], N)
+            assert ch.basis_bar == basis_fixed_points(v, [g2, g1], N)
+            swap = np.zeros((len(ch.basis), len(ch.basis)))
+            for (j, b), (i, a) in itertools.product(enumerate(ch.basis_bar),
+                                                    enumerate(ch.basis)):
+                swap[j, i] = b.slots == a.slots[n1:] + a.slots[:n1]
+            assert ch.p.shape == swap.shape and (ch.p == swap).all()
+            assert (ch.p.sum(axis=0) == 1).all() and (ch.p.sum(axis=1) == 1).all()
 
 
 @pytest.mark.parametrize("w1,w2", PAIRS)
@@ -112,7 +140,7 @@ def test_composition_equals_the_two_transitions(w1, w2):
                 continue
             basis, b12, _ = bare_transition(v, g1, g2, pp, N)
             basis_bar, b21, _ = bare_transition(v, g2, g1, pp, N)
-            p = _swap_permutation(basis, basis_bar, sum(g1.w))
+            p = ChamberMatrices.build(v, g1, g2, pp, N).p
             prod = (p.T @ b21 @ p) @ b12
             expected = float(np.max(np.abs(prod - np.eye(len(basis)))))
             assert composition_residual(v, g1, g2, pp, N) == expected
@@ -244,6 +272,59 @@ def test_empty_profile_block(v, w2):
     assert composition_residual(v, G1, g2, PP, N) == 0.0
     assert shift_invariance_residual(v, G1, g2, PP, N) == 0.0
     assert transpose_relation_residual(v, G1, g2, PP, N) == 0.0
+
+
+def _count_conds(monkeypatch) -> list:
+    """The calls of ``np.linalg.cond``."""
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    return calls
+
+
+def test_residuals_take_no_condition_number(monkeypatch):
+    """No composition or Yang-Baxter residual reads a condition number, so
+    none is taken."""
+    calls = _count_conds(monkeypatch)
+    assert composition_residual((1, 1, 0), G1, G2, _fresh(PP), N) < 1e-8
+    assert ybe_residual((G1, G2, G3), _fresh(PP), N, 2) < 1e-6
+    assert calls == []
+
+
+def test_condition_number_is_taken_at_its_first_read(monkeypatch):
+    """``RestrictionMatrix.cond`` is the SVD condition number of the matrix,
+    bit for bit, taken once; an empty basis gives 1 without an SVD."""
+    rm = restriction_matrix(basis_fixed_points((1, 1, 0), [G1, G2], N), PP)
+    want = float(np.linalg.cond(rm.matrix))
+    calls = _count_conds(monkeypatch)
+    assert rm.cond.hex() == want.hex() and len(calls) == 1
+    assert rm.cond.hex() == want.hex() and len(calls) == 1
+    assert restriction_matrix([], PP).cond == 1.0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("framings", [
+    ((1, 0, 0), (1, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 0), (0, 1, 0)),
+    ((1, 1, 0), (2, 0, 0), (0, 0, 1))])
+def test_triple_basis_is_the_profile_by_profile_enumeration(framings):
+    """The triple basis is that of the single-group bases enumerated profile
+    by profile: colors (0,0,0) and (0,0,1), and two-slot groups."""
+    groups = tuple(FramingGroup(w, p) for w, p in zip(framings, ("ua", "ub", "uc")))
+    for total in range(1, 5 if max(map(sum, framings)) == 1 else 4):
+        singles = [[fp for m in range(total + 1) for v in profiles(m, N)
+                    for fp in basis_fixed_points(v, [g], N)] for g in groups]
+        assert triple_basis(groups, N, total) == [
+            t for t in itertools.product(*singles)
+            if sum(fp.size for fp in t) == total]
+
+
+def test_triple_basis_rejects_a_framing_that_is_not_one_count_per_color():
+    with pytest.raises(ValueError, match="framing"):
+        triple_basis((G1, G2, FramingGroup((1, 0), "uc")), N, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +665,10 @@ def _count_calls(monkeypatch, name: str, key) -> Counter:
 
 def test_ybe_enumerates_each_chamber_basis_and_restricts_each_point_once(monkeypatch):
     """The six pair transitions of a 2-box check take their chamber bases and
-    restriction points from the point: each (groups, profile) basis is
-    enumerated once, and each of its fixed points restricted once there."""
+    restriction points from the point: one ``basis_fixed_points`` call per
+    (profile, groups) chamber, whose opposite basis is its swap, and each
+    fixed point of the two bases restricted once there.  The triple basis
+    enumerates none."""
     groups = (G1, G2, G3)
     pp = _fresh(PP)
     restricted = _count_calls(monkeypatch, "restriction_values",
@@ -594,13 +677,12 @@ def test_ybe_enumerates_each_chamber_basis_and_restricts_each_point_once(monkeyp
                               lambda v, gs, n: (v, tuple(gs)))
     ybe_residual(groups, pp, N, 2)
     monkeypatch.undo()
-    assert max(enumerated.values()) == 1
-    want = {(tuple(x + y for x, y in zip(t[a].v, t[b].v)), order)
-            for a, b in ((0, 1), (0, 2), (1, 2)) for order in ((a, b), (b, a))
-            for t in triple_basis(groups, N, 2)}
-    assert {key for key in enumerated if len(key[1]) == 2} == {
-        (v, tuple(groups[i] for i in order)) for v, order in want}
-    points = {fp for v, order in want
+    chambers = {(tuple(x + y for x, y in zip(t[a].v, t[b].v)), (a, b))
+                for a, b in ((0, 1), (0, 2), (1, 2))
+                for t in triple_basis(groups, N, 2)}
+    assert enumerated == Counter({(v, (groups[a], groups[b])): 1
+                                  for v, (a, b) in chambers})
+    points = {fp for v, (a, b) in chambers for order in ((a, b), (b, a))
               for fp in basis_fixed_points(v, [groups[i] for i in order], N)}
     assert restricted == Counter({(fp, pp): 1 for fp in points})
 
@@ -622,16 +704,16 @@ def test_restriction_points_belong_to_the_point():
 
 def test_chamber_bases_built_at_a_point_serve_its_kahler_points(monkeypatch):
     """A ``ChamberMatrices.build`` at ``kahler_point(pp, k)`` reuses the bases
-    and swap that a build at ``pp`` enumerated."""
+    and swap that a build at ``pp`` made from one enumeration."""
     pp = _fresh(PP)
     enumerated = _count_calls(monkeypatch, "basis_fixed_points",
                               lambda v, gs, n: (v, tuple(gs)))
     first = ChamberMatrices.build((1, 1, 0), G1, G2, pp, N)
-    assert sum(enumerated.values()) == 2
+    assert enumerated == Counter({((1, 1, 0), (G1, G2)): 1})
     again = ChamberMatrices.build((1, 1, 0), G1, G2,
                                   kahler_point(pp, shifted_kahler((1, 0, 0))), N,
                                   star=True)
-    assert sum(enumerated.values()) == 2
+    assert enumerated == Counter({((1, 1, 0), (G1, G2)): 1})
     assert again.basis is first.basis and again.basis_bar is first.basis_bar
     assert again.p is first.p
 
@@ -645,8 +727,7 @@ def test_chamber_bases_built_for_groups_serve_equal_groups(monkeypatch):
     first = ChamberMatrices.build((1, 1, 0), G1, G2, pp, N)
     again = ChamberMatrices.build((1, 1, 0), FramingGroup(G1.w, G1.prefix),
                                   FramingGroup(list(G2.w), G2.prefix), pp, N)
-    assert enumerated == Counter({((1, 1, 0), (G1, G2)): 1,
-                                  ((1, 1, 0), (G2, G1)): 1})
+    assert enumerated == Counter({((1, 1, 0), (G1, G2)): 1})
     assert again.basis is first.basis and again.p is first.p
     assert again.bare().tobytes() == first.bare().tobytes()
 
