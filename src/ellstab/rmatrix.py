@@ -210,13 +210,14 @@ def bare_transition(v, g1: FramingGroup, g2: FramingGroup, pp: ParamPoint,
                     n_colors: int):
     """Solve the two-chamber change of stable bases on one profile block.
 
-    Returns (basis, matrix B, condition numbers) with B[beta, alpha] the
+    Returns (basis, matrix B, (M_C, M_Cbar)) with B[beta, alpha] the
     coefficient of basis element beta in the opposite-chamber envelope of
     swapped alpha, i.e. the bare transition in the convention
-    M_C B = (P^T M_Cbar P).
+    M_C B = (P^T M_Cbar P); the two ``RestrictionMatrix`` take their
+    condition numbers only when ``.cond`` is read.
     """
     ch = ChamberMatrices.build(v, g1, g2, pp, n_colors)
-    return ch.basis, ch.bare(), ch.conds
+    return ch.basis, ch.bare(), (ch.m_c, ch.m_cbar)
 
 
 def weight_block_residual(basis: list[FixedPoint], mat: np.ndarray) -> float:

@@ -29,12 +29,20 @@ taken of its bases, keyed by value as (lowered base, length, offset)
 (``VertexTable.qpoch``): a product that recurs across the degree vectors of
 a series, its oracle terms and the normalization is taken once per table.
 The Bethe equations of a profile are compiled the same way, once per
-``bethe_solve``, into a ``BetheSystem`` that its Newton iterations evaluate.
+``bethe_solve``, into a ``BetheSystem``: each row a product of factors
+(1 - A/B) / (1 - C/D) over one list of root values, evaluated in one place
+(``_factors``).  A Newton step takes only the values its decisions read:
+the Jacobian recomputes per column the factors that the moved root enters,
+on the current point's factors and prefix products, and a line-search trial
+stops at its first row over the bar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, chain
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -350,60 +358,181 @@ def oracle_residual(series: VertexSeries, pp: ParamPoint) -> float:
 # Bethe equations
 # ---------------------------------------------------------------------------
 
+def _factors(values: list, quads: list[tuple[int, int, int, int]]) -> list:
+    """The Bethe factors ``quads`` at one root vector, whose value list
+    (``BetheSystem.values``) is ``values``: factor (a, b, c, d) is
+    (1 - values[a]/values[b]) / (1 - values[c]/values[d])."""
+    return [(1 - values[a] / values[b]) / (1 - values[c] / values[d])
+            for a, b, c, d in quads]
+
+
+class BethePoint(NamedTuple):
+    """A ``BetheSystem`` at the roots ``roots``: their value list, the
+    factor values of all rows in row order, per row the products of its
+    first i factors (i = 0 to all of them, from 1.0 + 0.0j in the row's
+    order), and the residuals in row order."""
+
+    roots: np.ndarray
+    values: list
+    factors: list
+    prefix: list[list]
+    residuals: np.ndarray
+
+
 class BetheSystem:
     """The saddle-point equations of one profile at one point, compiled.
 
     Unknowns are the roots x_(k,i), color-major in the order of
-    ``bethe_residuals``.  Per root the system keeps the framing values u and
-    h u of its color, the right-hand side z_k h^(v_k - 1) and the positions
-    of its neighbours on colors k+1 and k-1 and of the other roots of color
-    k.  Calling it on a root vector returns the residuals with the same
-    operations, in the same order, as the formula of ``bethe_residuals``,
-    so they agree bit for bit whatever the scalar type of the roots.
-    Raises ``ValueError`` unless v and w have one non-negative entry per
-    color.
+    ``bethe_residuals``; row a is the equation of root a.  Every factor of
+    every kind is (1 - A/B) / (1 - C/D) over the value list of a root vector
+    (``values``: the roots, then t1, t2 and h times each root, then the
+    framing values u and h u), and ``_factors`` alone evaluates it.  A row
+    keeps its factors as the positions (A, B, C, D) in that list, framing
+    first, then colors k+1, k-1 and k, and its right-hand side
+    z_k h^(v_k - 1); its left side is the product of its factors from
+    1.0 + 0.0j in that order.  These are the operations, in the same order,
+    of the formula of ``bethe_residuals``, so the two agree bit for bit
+    whatever the scalar type of the roots.
+
+    Each evaluation does only the work its caller reads: ``point`` (and
+    calling the system) evaluates every row; ``trial`` stops at the first
+    row whose residual is not below a bar; ``jacobian`` takes the factors
+    of a point as its table and recomputes per column only the factors
+    that read the moved root.  Raises ``ValueError`` unless v and w have
+    one non-negative entry per color.
     """
 
     def __init__(self, v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint):
         n = pp.n_colors
         check_dimension_vector("profile", v, n)
         check_dimension_vector("framing", w, n)
-        self.t1, self.t2, self.h = pp.t1, pp.t2, pp.hbar
-        h = self.h
+        h = pp.hbar
+        self.scales = (pp.t1, pp.t2, h)
+        size = self.size = sum(v)
+        t1x, t2x, hx = size, 2 * size, 3 * size
         start = [sum(v[:k]) for k in range(n)]
         color = [list(range(start[k], start[k] + v[k])) for k in range(n)]
         framing = FramingGroup(w).slots()
-        self.rows = []
+        self.constants: list[complex] = []
+        self.rows: list[tuple[list[tuple[int, int, int, int]], complex]] = []
         for k in range(n):
             if not v[k]:
                 continue
-            us = [(u, h * u) for u in (pp.values[s.u_var] for s in framing
-                                       if s.color == k)]
+            us = []
+            for u in (pp.values[s.u_var] for s in framing if s.color == k):
+                us.append(4 * size + len(self.constants))
+                self.constants += [u, h * u]
             rhs = pp.values[kahler_var(k)] * h ** (v[k] - 1)
             for a in color[k]:
-                self.rows.append((us, color[(k + 1) % n], color[(k - 1) % n],
-                                  [b for b in color[k] if b != a], rhs))
+                self.rows.append((
+                    [(c, a, c + 1, a) for c in us]
+                    + [(b, t1x + a, t2x + b, a) for b in color[(k + 1) % n]]
+                    + [(t2x + a, b, a, t1x + b) for b in color[(k - 1) % n]]
+                    + [(hx + b, a, b, hx + a) for b in color[k] if b != a],
+                    rhs))
+        # Per root j: ``moved[j]``, the quads of the factors that read it, and
+        # ``reads[j]``, the rows that hold one, as (row, position i0 of its
+        # first such factor, rhs, picks): its factors from i0 on, as indices
+        # into the values of moved[j] followed by a point's ``factors``.
+        offsets = list(accumulate((len(quads) for quads, _ in self.rows), initial=0))
+        self.moved: list[list[tuple[int, int, int, int]]] = []
+        self.reads: list[list[tuple[int, int, complex, list[int]]]] = []
+        for j in range(size):
+            mine = {j, t1x + j, t2x + j, hx + j}
+            hit = [[i for i, quad in enumerate(quads) if mine.intersection(quad)]
+                   for quads, _ in self.rows]
+            n_moved = sum(map(len, hit))
+            moved, reads = [], []
+            for a, ((quads, rhs), pos) in enumerate(zip(self.rows, hit)):
+                if not pos:
+                    continue
+                picks = [len(moved) + pos.index(i) if i in pos
+                         else n_moved + offsets[a] + i
+                         for i in range(pos[0], len(quads))]
+                moved += [quads[i] for i in pos]
+                reads.append((a, pos[0], rhs, picks))
+            self.moved.append(moved)
+            self.reads.append(reads)
+
+    def values(self, xs: list) -> list:
+        """The value list of the roots ``xs``."""
+        t1, t2, h = self.scales
+        return (xs + [t1 * x for x in xs] + [t2 * x for x in xs]
+                + [h * x for x in xs] + self.constants)
+
+    def point(self, vec) -> BethePoint:
+        """The system at the roots ``vec``, every row."""
+        values = self.values(list(vec))
+        factors = [_factors(values, quads) for quads, _ in self.rows]
+        prefix = [list(accumulate(fs, mul, initial=1.0 + 0.0j)) for fs in factors]
+        return BethePoint(vec, values, list(chain.from_iterable(factors)), prefix,
+                          np.array([pre[-1] - rhs for pre, (_, rhs)
+                                    in zip(prefix, self.rows)], dtype=complex))
 
     def __call__(self, vec) -> np.ndarray:
-        t1, t2, h = self.t1, self.t2, self.h
-        xs = list(vec)
-        t1x = [t1 * x for x in xs]
-        t2x = [t2 * x for x in xs]
-        hx = [h * x for x in xs]
-        out = []
-        for a, (us, nxt, prv, same, rhs) in enumerate(self.rows):
-            x = xs[a]
-            lhs = 1.0 + 0.0j
-            for u, hu in us:
-                lhs *= (1 - u / x) / (1 - hu / x)
-            for b in nxt:
-                lhs *= (1 - xs[b] / t1x[a]) / (1 - t2x[b] / x)
-            for b in prv:
-                lhs *= (1 - t2x[a] / xs[b]) / (1 - x / t1x[b])
-            for b in same:
-                lhs *= (1 - hx[b] / x) / (1 - xs[b] / hx[a])
-            out.append(lhs - rhs)
-        return np.array(out, dtype=complex)
+        return self.point(vec).residuals
+
+    def trial(self, vec, r: float, first: int) -> tuple[BethePoint | None, int]:
+        """(the point at the roots ``vec``, ``first``) when every residual
+        there has a modulus below r, else (None, the row found that has not).
+
+        Rows are tried from ``first`` on, cyclically, and the first row over
+        the bar ends the trial, so the decision is that of
+        ``np.max(np.abs(fun(vec))) < r``: NaN and inf are not below r, and
+        each modulus is numpy's (CPython's ``abs`` of a numpy complex
+        differs from it in the last bit).
+        """
+        values = self.values(list(vec))
+        size = self.size
+        factors, prefix = [None] * size, [None] * size
+        residuals = [None] * size
+        for a in chain(range(first, size), range(first)):
+            quads, rhs = self.rows[a]
+            factors[a] = fs = _factors(values, quads)
+            prefix[a] = pre = list(accumulate(fs, mul, initial=1.0 + 0.0j))
+            residuals[a] = res = pre[-1] - rhs
+            if not np.abs(res) < r:
+                return None, a
+        return BethePoint(vec, values, list(chain.from_iterable(factors)), prefix,
+                          np.array(residuals, dtype=complex)), first
+
+    def jacobian(self, at: BethePoint) -> np.ndarray:
+        """The central difference of the residuals at the point ``at``, of
+        roots x: column j is (F(x + dx) - F(x - dx)) / (2 dx_j), dx being
+        dx_j = 1e-7 max(1, |x_j|) at entry j and 0 elsewhere, with the bits
+        of that numpy expression.
+
+        Off entry j, x + dx holds x_k + 0j, which is x_k but for the sign of
+        a zero part.  That sign reaches at most the sign of a zero part of a
+        quotient q, or a divisor that numpy's division by zero reads only by
+        its modulus, and every factor takes its quotients as 1 - q, which
+        drops it; so the factors of ``at`` serve both sides.
+        """
+        x = at.roots
+        steps = np.array([1e-7 * max(1.0, abs(xj)) for xj in x], dtype=complex)
+        return (self._columns(at, x + steps)
+                - self._columns(at, x - steps)) / (2 * steps)
+
+    def _columns(self, at: BethePoint, moved: np.ndarray) -> np.ndarray:
+        """The residuals at ``at`` with root j moved to ``moved[j]``, as
+        column j: a row that reads root j is multiplied again from its
+        first factor that does, on ``at``'s product of the factors before
+        it; the other rows keep ``at``'s residuals."""
+        t1, t2, h = self.scales
+        size = self.size
+        residuals = at.residuals.tolist()
+        columns = []
+        for j, xj in enumerate(moved):
+            values = at.values.copy()
+            values[j], values[size + j] = xj, t1 * xj
+            values[2 * size + j], values[3 * size + j] = t2 * xj, h * xj
+            pool = _factors(values, self.moved[j]) + at.factors
+            column = residuals.copy()
+            for a, i0, rhs, picks in self.reads[j]:
+                column[a] = reduce(mul, map(pool.__getitem__, picks),
+                                   at.prefix[a][i0]) - rhs
+            columns.append(column)
+        return np.array(columns, dtype=complex).T
 
 
 def bethe_residuals(xvals: dict[int, list[complex]], pp: ParamPoint,
@@ -448,9 +577,12 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
 
     Starting points sit near the canonical weights of a fixed point of the
     same profile, jittered multiplicatively.  The system is compiled once
-    (``BetheSystem``); the Jacobian is a central difference of it.  The
-    residual of the point a line search accepts is the next iteration's:
-    the accepted point is not evaluated again.
+    (``BetheSystem``).  The Jacobian is a central difference of it, taken
+    from the factors of the current point: a column recomputes only the
+    factors that read its moved root.  A line-search trial stops at its
+    first row over the current residual, starting with the row that ended
+    the last rejected trial.  The point a trial accepts, factors and
+    residuals, is the next iteration's: no point is evaluated twice.
     """
     n = pp.n_colors
     rng = np.random.default_rng(seed)
@@ -470,6 +602,7 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
 
     best = None
     total_it = 0
+    first = 0  # the row that failed the last trial, tried first in the next
     for attempt in range(BETHE_RESTARTS):
         if anchors:
             anchor = anchors[attempt % len(anchors)]
@@ -482,34 +615,26 @@ def bethe_solve(v: tuple[int, ...], w: tuple[int, ...], pp: ParamPoint,
             x0 = np.array(x0, dtype=complex)
         else:
             x0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        x = x0
-        f = fun(x)
+        at = fun.point(x0)
         for it in range(BETHE_ITERATIONS):
             total_it += 1
-            r = float(np.max(np.abs(f)))
+            r = float(np.max(np.abs(at.residuals)))
             if r < BETHE_TOL:
-                return BetheSolution(unpack(x), r, total_it, True)
-            jac = np.zeros((size, size), dtype=complex)
-            hstep = 1e-7
-            for j in range(size):
-                dx = np.zeros(size, dtype=complex)
-                dx[j] = hstep * max(1.0, abs(x[j]))
-                jac[:, j] = (fun(x + dx) - fun(x - dx)) / (2 * dx[j])
+                return BetheSolution(unpack(at.roots), r, total_it, True)
             try:
-                step = np.linalg.solve(jac, f)
+                step = np.linalg.solve(fun.jacobian(at), at.residuals)
             except np.linalg.LinAlgError:
                 break
             alpha = 1.0
             for _ in range(25):
-                xn = x - alpha * step
-                fn = fun(xn)
-                if np.max(np.abs(fn)) < r:
-                    x, f = xn, fn
+                got, first = fun.trial(at.roots - alpha * step, r, first)
+                if got is not None:
+                    at = got
                     break
                 alpha /= 2
             else:
                 break
-        r = float(np.max(np.abs(f)))
+        r = float(np.max(np.abs(at.residuals)))
         if best is None or r < best.residual:
-            best = BetheSolution(unpack(x), r, total_it, r < BETHE_TOL)
+            best = BetheSolution(unpack(at.roots), r, total_it, r < BETHE_TOL)
     return best

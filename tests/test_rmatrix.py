@@ -64,9 +64,9 @@ def test_composition_and_weight_blocks():
             if not basis_fixed_points(v, [G1, G2], N):
                 continue
             assert composition_residual(v, G1, G2, PP, N) < 1e-8
-            basis, bare, conds = bare_transition(v, G1, G2, PP, N)
+            basis, bare, matrices = bare_transition(v, G1, G2, PP, N)
             assert weight_block_residual(basis, bare) < 1e-10
-            assert all(c < 1e8 for c in conds)
+            assert all(m.cond < 1e8 for m in matrices)
 
 
 #: framings of the two groups: colors (0,0) and (0,1), and a two-slot first
@@ -288,9 +288,11 @@ def _count_conds(monkeypatch) -> list:
 
 
 def test_residuals_take_no_condition_number(monkeypatch):
-    """No composition or Yang-Baxter residual reads a condition number, so
-    none is taken."""
+    """No bare transition, composition or Yang-Baxter residual reads a
+    condition number, so none is taken."""
     calls = _count_conds(monkeypatch)
+    basis, bare, _ = bare_transition((1, 1, 0), G1, G2, _fresh(PP), N)
+    assert weight_block_residual(basis, bare) < 1e-10
     assert composition_residual((1, 1, 0), G1, G2, _fresh(PP), N) < 1e-8
     assert ybe_residual((G1, G2, G3), _fresh(PP), N, 2) < 1e-6
     assert calls == []

@@ -667,7 +667,8 @@ def test_bethe_system_is_bitwise_the_residual_formula(v, w):
 
 
 #: (iterations, roots) of bethe_solve at three solver seeds, recorded before
-#: the system was compiled once per solve
+#: the system was compiled once per solve (v = (2,2,2): before the Jacobian
+#: recomputed only the factors a moved root enters)
 BETHE_PINNED = {
     ((1, 1, 1), (1, 1, 0), 7): [
         (24, "{0: [(1.1743971989918636-0.12426943176575453j)], 1: [(-0.5933522971116449+0.02902360661732855j)], 2: [(-0.25862936959189453+1.250485987418822j)]}"),
@@ -678,6 +679,16 @@ BETHE_PINNED = {
         (19, "{0: [(-0.5100125588158523-0.8112656477468166j), (-2.579247403632249-1.5506754260439697j)], 1: [(-0.6427910958903029-0.9930355498825615j)], 2: [(-1.4528728870579195-0.7828311957015505j)]}"),
         (120, "{0: [(-0.47877248277324563-0.818454408601127j), (-1.4943173897979039-2.631881965651325j)], 1: [(-1.165353283412474-0.2874533638685204j)], 2: [(0.34519093158910535-1.6325156350474856j)]}"),
         (155, "{0: [(-0.2581393564565789-2.125790013635525j), (0.28842072183798606+0.5483852847219783j)], 1: [(-0.6993483427054874+0.3411506415687075j)], 2: [(-0.6352056341355299+0.46178614305601634j)]}"),
+    ],
+    ((2, 2, 2), (1, 1, 0), 7): [
+        (56, "{0: [(-0.39220973142891663+1.4075961062324325j), (6.629781898952587+3.163466674181596j)], 1: [(3.7170484736141867-3.6580476945941207j), (3.7170484736141765-3.6580476945941087j)], 2: [(-2.9573618329952134-1.5849761916543919j), (-2.9573618329952134-1.584976191654394j)]}"),
+        (50, "{0: [(29.18247209927265-51.4655781744466j), (-0.3801229620578763+1.1138908407984116j)], 1: [(-0.521726413185378+0.5442059286052562j), (1.0427781314419897+0.5672642052253248j)], 2: [(70.57647732884485+51.95512831913607j), (0.07911734378604052+0.7754355133094952j)]}"),
+        (75, "{0: [(-0.17573044510134023+1.465099535608019j), (-2.3992020036290667-0.04459029901544606j)], 1: [(-1.3376879327538422-1.4523820142408146j), (1.2283716242450167+0.18322206066296037j)], 2: [(-1.2661772801586448+0.7439655208052945j), (1.094911189064145-2.607829458974959j)]}"),
+    ],
+    ((2, 2, 2), (2, 0, 0), 11): [
+        (168, "{0: [(1.7447397324974507+0.2427668666477798j), (-0.6107346349617231-0.7400355101970709j)], 1: [(0.394359797743446-1.9599472065473535j), (-0.051315305122964415-0.3970026220899616j)], 2: [(0.1731468815131313-1.647378029864308j), (-0.16789622142664465-0.3576619821887423j)]}"),
+        (30, "{0: [(-0.5604014157527982-0.785703006882689j), (0.9242519956202706-1.1600917562797144j)], 1: [(-0.11226625246738088-1.1343012116030982j), (0.6602243681369261+0.6978032721473186j)], 2: [(0.07482929461637308-1.137348329724073j), (0.7817262070353015+0.443109766289213j)]}"),
+        (66, "{0: [(0.3816170499690314+0.47087805722631726j), (-3.45904808069274+0.12528707495315483j)], 1: [(0.4256878676360265+0.21766065131686027j), (-2.046849183787534+1.9929770260256774j)], 2: [(0.25608719147218806-1.5713771324288923j), (0.2560871914721866-1.571377132428892j)]}"),
     ],
 }
 
@@ -694,25 +705,129 @@ def test_bethe_solve_matches_pinned_roots(case):
 
 
 def test_bethe_solve_evaluates_no_point_twice(monkeypatch):
-    """One pinned solve calls the system 326 times, each at a new point:
-    the residual of the point a line search accepts is the next
-    iteration's, not taken again (which would add one call per iteration
-    after the first, 349 in all)."""
+    """No path of a pinned solve evaluates a factor twice at one root
+    vector: the accepted trial's factors are the next Jacobian's table and
+    its residuals the next iteration's, and a column recomputes only the
+    factors that read its moved root.  The solve takes fewer factor values
+    than the 326 full evaluations of 8 factors each that it made before."""
     case = ((1, 1, 1), (1, 1, 0), 7)
     v, w, point_seed = case
     pp = sample_param_point(point_seed, N, framing_counts={"u": list(w)})
-    points = []
-    call = BetheSystem.__call__
+    size = sum(v)
+    taken = []
+    factors = vertex._factors
 
-    def counted(self, vec):
-        points.append(np.asarray(vec, dtype=complex).tobytes())
-        return call(self, vec)
+    def counted(values, quads):
+        roots = np.array(values[:size], dtype=complex).tobytes()
+        taken.extend((roots, quad) for quad in quads)
+        return factors(values, quads)
 
-    monkeypatch.setattr(BetheSystem, "__call__", counted)
+    monkeypatch.setattr(vertex, "_factors", counted)
     sol = bethe_solve(v, w, pp, seed=0)
     roots = {k: [complex(x) for x in xs] for k, xs in sol.roots.items()}
     assert (sol.iterations, repr(roots)) == BETHE_PINNED[case][0]
-    assert len(points) == 326 == len(set(points))
+    assert len(taken) == len(set(taken)) < 326 * 8
+
+
+def _reference_jacobian(v, w, pp, x):
+    """The central-difference loop that ``bethe_solve`` ran per iteration,
+    one column per pair of residual vectors of the formula."""
+    n = pp.n_colors
+
+    def fun(vec):
+        xvals, pos = {}, 0
+        for k in range(n):
+            xvals[k] = list(vec[pos:pos + v[k]])
+            pos += v[k]
+        return _reference_bethe_residuals(xvals, pp, w)
+
+    size = len(x)
+    jac = np.zeros((size, size), dtype=complex)
+    hstep = 1e-7
+    for j in range(size):
+        dx = np.zeros(size, dtype=complex)
+        dx[j] = hstep * max(1.0, abs(x[j]))
+        jac[:, j] = (fun(x + dx) - fun(x - dx)) / (2 * dx[j])
+    return jac
+
+
+def _bethe_cases():
+    """(v, w, number of colors): the pinned profiles at both framings, and
+    one four-color profile, whose rows of color k hold no root of color
+    k + 2."""
+    return ([(v, w, N) for v in ((1, 1, 1), (2, 1, 1), (2, 2, 2))
+             for w in ((1, 1, 0), (2, 0, 0))]
+            + [((2, 1, 1, 1), (1, 0, 1, 0), 4)])
+
+
+def _bethe_points(size, rng):
+    """Random root vectors, two with +-0.0 parts and two with a root at
+    +-0.0 +-0.0j (x + 0j is not x at a -0.0 part)."""
+    def draw():
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    for _ in range(4):
+        yield draw()
+    for _ in range(2):
+        vec = draw()
+        signs = rng.choice([-0.0, 0.0], size=(2, size))
+        vec.real[::2] = signs[0, ::2]
+        vec.imag[1::2] = signs[1, 1::2]
+        yield vec
+    for _ in range(2):
+        vec = draw()
+        vec[rng.integers(size)] = complex(*rng.choice([-0.0, 0.0], size=2))
+        yield vec
+
+
+@pytest.mark.parametrize("v, w, n", _bethe_cases())
+def test_bethe_jacobian_is_bitwise_the_central_difference_loop(v, w, n):
+    pp = sample_param_point(29, n, framing_counts={"u": list(w)})
+    system = BetheSystem(v, w, pp)
+    rng = np.random.default_rng(5)
+    for x in _bethe_points(sum(v), rng):
+        with np.errstate(all="ignore"):
+            want = _reference_jacobian(v, w, pp, x)
+            at = system.point(x)
+            assert system.jacobian(at).tobytes() == want.tobytes()
+            # the table of an accepted trial serves the Jacobian as well
+            got, _ = system.trial(x, np.inf, 0)
+            if got is not None:
+                assert system.jacobian(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("v, w, n", _bethe_cases())
+def test_bethe_trial_is_the_max_modulus_test(v, w, n):
+    """A trial accepts exactly when ``np.max(np.abs(residuals)) < r``, with
+    the residual vector in row order, from any first row and at bars on
+    each side of every modulus and at NaN and inf, also where a root sits
+    at h u (a pole of its framing factor, hit up to rounding) or at 0 (NaN
+    residuals)."""
+    pp = sample_param_point(29, n, framing_counts={"u": list(w)})
+    system = BetheSystem(v, w, pp)
+    size = sum(v)
+    rng = np.random.default_rng(6)
+    points = list(_bethe_points(size, rng))
+    hu = pp.hbar * pp.values[FramingGroup(w).slots()[0].u_var]
+    for root in (hu, 0.0):
+        vec = points[0].copy()
+        vec[0] = root
+        points.append(vec)
+    with np.errstate(all="ignore"):
+        for x in points:
+            want = system(x)
+            mods = np.abs(want)
+            bars = [b for m in mods for b in (m, np.nextafter(m, np.inf), 2 * m)]
+            for r in bars + [np.nan, np.inf]:
+                accepted = np.max(np.abs(want)) < r
+                for first in range(size):
+                    got, row = system.trial(x, r, first)
+                    assert (got is not None) == accepted
+                    if accepted:
+                        assert row == first
+                        assert got.residuals.tobytes() == want.tobytes()
+                    else:
+                        assert not np.abs(want[row]) < r
 
 
 if __name__ == "__main__":
