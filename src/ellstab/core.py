@@ -366,6 +366,12 @@ class ParamPoint:
     ``ValueError``); the sign variable ``sgn`` is inserted automatically.
     Further variables (framing weights, Kahler parameters, Chern roots) are
     added as needed, either at construction or through :meth:`extended`.
+    A value given without a log takes its principal log (i*pi for ``sgn``).
+
+    The point owns the number type of an evaluation: the envelope and
+    restriction path takes every value, log and exponential through its
+    values, logs, :meth:`materialize`, :meth:`log_of` and :meth:`qpoch_inf`,
+    so a subclass of another number type runs that path unchanged.
 
     A point keeps six memos, each read through one accessor, and a new
     point starts with all of them empty.  Four are shared between a point
@@ -399,7 +405,7 @@ class ParamPoint:
         lgs = dict(logs) if logs is not None else {}
         for name, v in vals.items():
             if name not in lgs:
-                lgs[name] = 1j * math.pi if name == SIGN_VAR else cmath.log(v)
+                lgs[name] = cmath.log(v)
         self.values: dict[str, complex] = {k: complex(v) for k, v in vals.items()}
         self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
@@ -448,17 +454,14 @@ class ParamPoint:
 
     def extended(self, values: Mapping[str, complex],
                  logs: Mapping[str, complex] | None = None) -> "ParamPoint":
-        """A new point with extra variables, sharing the memos that hold
-        no value taken through the logs."""
-        vals = dict(self.values)
-        vals.update(values)
-        lgs = dict(self.logs)
+        """A new point of the same type with extra variables, sharing the
+        memos that hold no value taken through the logs.  A variable given
+        without a log takes the log of its value, as at construction."""
+        lgs = {name: lg for name, lg in self.logs.items() if name not in values}
         if logs:
             lgs.update(logs)
-        for name, v in values.items():
-            if logs is None or name not in logs:
-                lgs[name] = cmath.log(v)
-        pp = ParamPoint(self.n_colors, vals, lgs, self.tol, self.min_terms, self.seed)
+        pp = type(self)(self.n_colors, {**self.values, **values}, lgs,
+                        self.tol, self.min_terms, self.seed)
         pp._qpoch_memo, pp._series_tables, pp._envelopes, pp._chamber_bases = (
             self._qpoch_memo, self._series_tables, self._envelopes,
             self._chamber_bases)

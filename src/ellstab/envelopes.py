@@ -17,8 +17,8 @@ of all terms (told apart by ``repr``, as in the tallies), their table keys,
 per term a sign and index lists into them, and the exact prefactor
 monomials.  An envelope that is only asked for exact data, such as
 its quasi-periodicity factors, is never lowered, nor does it list the
-permutations of its roots.  Evaluation assigns complex values to the
-Chern-root variables of one extended parameter point, overwrites them per
+permutations of its roots.  Evaluation assigns values to the Chern-root
+variables of one extended parameter point, overwrites them per
 permutation of the roots, and decides the structural zeros and poles from
 the arguments' values before any q-series: a value of exactly 1.0 is a zero
 of its theta, and one in a fixed annulus around the unit circle provably is
@@ -28,8 +28,10 @@ is taken, a later pole takes no theta of a value in the annulus either,
 and a term with a unit numerator argument takes none of its numerator
 thetas.  Each argument is materialized at most once per evaluation, and
 its theta is taken from that value (reading only its coefficient, so no
-half power is formed); the terms are combined by index in floating point,
-and exact monomial arithmetic stays at compile time.
+half power is formed); the terms are combined by index in the point's
+number type (complex floats, unless a subclass of ``ParamPoint`` names
+another: every value, log and exponential is taken through the point), and
+exact monomial arithmetic stays at compile time.
 
 Every theta is read through a ``ThetaTable``, the one path from an argument
 to its value: a theta with a Chern root is taken once per permutation, one
@@ -54,7 +56,6 @@ same at every point, so sharing one changes no bit.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections.abc import Iterable
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (HBAR, BudgetError, Monomial, ParamPoint, SingularityError,
-                   _exponent, exponent_product)
+                   exponent_product)
 from .partitions import (Box, FixedPoint, LambdaTree, QuiverPairs,
                          box_slot_vars, chern_slots, chern_var, index_degrees,
                          kahler_var, lambda_trees, phi_weight, quiver_pairs,
@@ -109,14 +110,15 @@ def kahler_point(pp: ParamPoint, kahler) -> ParamPoint:
 
     ``kahler`` maps each color i to a monomial k_i (a mapping, or the pairs
     of ``kahler_args``); the point is ``pp`` extended with
-    log z_i = ``pp.log_of(k_i)`` and z_i its exponential, the value
-    ``pp.materialize(k_i)``.  ``None`` is the plain argument, ``pp`` itself.
-    This is the one way a Kahler argument is applied.
+    log z_i = ``pp.log_of(k_i)`` and z_i = ``pp.materialize(k_i)``, its
+    exponential.  ``None`` is the plain argument, ``pp`` itself.  This is
+    the one way a Kahler argument is applied.
     """
     if kahler is None:
         return pp
-    logs = {kahler_var(i): pp.log_of(m) for i, m in dict(kahler).items()}
-    return pp.extended({name: cmath.exp(lg) for name, lg in logs.items()}, logs)
+    kahler = dict(kahler)
+    return pp.extended({kahler_var(i): pp.materialize(m) for i, m in kahler.items()},
+                       {kahler_var(i): pp.log_of(m) for i, m in kahler.items()})
 
 
 @dataclass
@@ -641,27 +643,17 @@ def _qp_factors(term: ThetaProduct, names: list[str]) -> dict[str, dict]:
     """Per Chern root x of ``names``, the exponent dict of prod m^(-k) over
     the numerator arguments m of ``term`` and prod m^(+k) over the
     denominator arguments, k the exponent of x in m: one pass over the
-    arguments, each root's dict summed in the factor order of
-    ``Monomial.product`` over those (m, +-k) pairs, so it has that
-    product's exponents and variable order."""
-    out: dict[str, dict] = {name: {} for name in names}
+    arguments collects each root's (m, +-k) pairs, and ``exponent_product``
+    sums them, so each dict has the exponents and variable order of
+    ``Monomial.product`` over those pairs."""
+    factors: dict[str, list] = {name: [] for name in names}
     for args, sign in ((term.num, -1), (term.den, 1)):
         for m in args:
             exps = m._exps
             for name, k in exps.items():
-                d = out.get(name)
-                if d is None:
-                    continue
-                k *= sign
-                for var, e in exps.items():
-                    s = d.get(var, 0) + k * e
-                    if type(s) is not int:
-                        s = _exponent(s)
-                    if s:
-                        d[var] = s
-                    elif var in d:
-                        del d[var]
-    return out
+                if name in factors:
+                    factors[name].append((exps, sign * k))
+    return {name: exponent_product(f) for name, f in factors.items()}
 
 
 class Envelope:
@@ -754,15 +746,16 @@ class Envelope:
         none is given), from which the envelope reads the thetas and the
         extended point that another envelope already made.  The base values
         come from ``values`` and ``logs``, since the previous envelope
-        leaves the point at its last permutation.
+        leaves the point at its last permutation.  ``logs`` may be left out
+        only when the table has no point yet: the point made then takes
+        the logs of the values, before any permutation.
         """
-        if logs is None:
-            logs = {k: cmath.log(v) for k, v in values.items()}
         if thetas is None:
             thetas = ThetaTable()
         ppx = thetas.point
         if ppx is None:
             ppx = thetas.point = pp.extended(values, logs)
+            logs = ppx.logs
         vals, lgs = ppx.values, ppx.logs
         names = self.x_names()
         if self._perms is None:
@@ -770,8 +763,8 @@ class Envelope:
             pos = {name: k for k, name in enumerate(names)}
             self._perms = [list(itertools.permutations([pos[name] for name in self.nvars[i]]))
                            for i in range(self.fp.n_colors)]
-        vals0 = [complex(values[name]) for name in names]
-        logs0 = [complex(logs[name]) for name in names]
+        vals0 = [values[name] for name in names]
+        logs0 = [logs[name] for name in names]
         per_color = [self.nvars[i] for i in range(self.fp.n_colors)]
         total = 0.0 + 0.0j
         for k, combo in enumerate(itertools.product(*self._perms)):
@@ -829,8 +822,7 @@ def restrict(env: Envelope, mu: FixedPoint, pp: ParamPoint,
 def factorization_residual(fp: FixedPoint, pp: ParamPoint, which: str,
                            values: dict[str, complex]) -> float:
     """Pointwise check of S = (-1)^eps K S_normalized at one assignment."""
-    logs = {k: cmath.log(v) for k, v in values.items()}
-    ppx = pp.extended(values, logs)
+    ppx = pp.extended(values)
     plain = s_factor_product(fp, "plain").eval(ppx, False)
     variant = "hat" if which == "I" else "tilde"
     normalized = s_factor_product(fp, variant).eval(ppx, False)
@@ -921,25 +913,20 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
     worst = 0.0
     for _ in range(n_assignments):
         values = random_assignment(rng, env_big.x_names())
-        logs = {k: cmath.log(v) for k, v in values.items()}
-        lhs = env_big.eval(pp, values, logs)
+        lhs = env_big.eval(pp, values)
 
         rhs = 0.0 + 0.0j
         for picks in itertools.product(*picks_per_color):
             # per color, the picked roots and then the others, written into
             # the concatenated point's names in turn
-            cross_vals, cross_logs = {}, {}
+            cross = {}
             for i, picked in enumerate(picks):
                 rest = tuple(k for k in range(v_big[i]) if k not in picked)
                 for j, k in enumerate(picked + rest, start=1):
-                    src, dst = chern_var(i, k + 1), chern_var(i, j)
-                    cross_vals[dst], cross_logs[dst] = values[src], logs[src]
-            va = {name: cross_vals[name] for name in names_a}
-            la = {name: cross_logs[name] for name in names_a}
-            vb = {own: cross_vals[name] for name, own in names_b}
-            lb = {own: cross_logs[name] for name, own in names_b}
-            ppx = pp.extended(cross_vals, cross_logs)
-            pf = pref.eval(ppx, star, ThetaTable())
-            rhs += pf * env_a.eval(pp_a, va, la) * env_b.eval(pp_b, vb, lb)
+                    cross[chern_var(i, j)] = values[chern_var(i, k + 1)]
+            va = {name: cross[name] for name in names_a}
+            vb = {own: cross[name] for name, own in names_b}
+            pf = pref.eval(pp.extended(cross), star, ThetaTable())
+            rhs += pf * env_a.eval(pp_a, va) * env_b.eval(pp_b, vb)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst

@@ -43,9 +43,6 @@ class ColoredPartition:
     def cells(self) -> list[tuple[int, int]]:
         return [(x, y) for x, r in enumerate(self.rows, start=1) for y in range(1, r + 1)]
 
-    def contains(self, x: int, y: int) -> bool:
-        return 1 <= x <= len(self.rows) and 1 <= y <= self.rows[x - 1]
-
     def content(self, x: int, y: int) -> int:
         return x - y + self.color
 

@@ -83,13 +83,12 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     which the columns share: a theta argument that several envelopes carry
     is taken once per point and permutation, and once per matrix if it has
     no Chern root.  Each column's plain envelope comes from
-    ``envelopes.compiled`` at ``pp``.  An empty basis (a profile without
-    fixed points) gives an empty matrix of condition number 1.
+    ``envelopes.compiled`` at ``pp``.  The entries, of the point's number
+    type, decide the array's.  An empty basis (a profile without fixed
+    points) gives an empty complex matrix of condition number 1.
     """
-    n = len(basis)
-    mat = np.zeros((n, n), dtype=complex)
     if not basis:
-        return RestrictionMatrix(basis, mat)
+        return RestrictionMatrix(basis, np.zeros((0, 0), dtype=complex))
     v, w = basis[0].v, basis[0].w
     if any(fp.v != v or fp.w != w for fp in basis):
         raise ValueError("restriction points must share the (v, w) class")
@@ -97,11 +96,13 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     points = [restriction_point(gamma, pp) for gamma in basis]
     free: dict = {}
     tables = [ThetaTable(free) for _ in basis]
-    for b, beta in enumerate(basis):
+    # per restriction point its row, filled column by column
+    rows: list[list] = [[] for _ in basis]
+    for beta in basis:
         env = compiled(EnvelopeSpec(beta, "plain", star), pp)
-        for g, (values, logs) in enumerate(points):
-            mat[g, b] = env.eval(ppk, values, logs, tables[g])
-    return RestrictionMatrix(basis, mat)
+        for row, table, (values, logs) in zip(rows, tables, points):
+            row.append(env.eval(ppk, values, logs, table))
+    return RestrictionMatrix(basis, np.array(rows))
 
 
 @dataclass
