@@ -283,11 +283,6 @@ class GradedValue:
             raise SingularityError("division by a vanished graded value")
         return GradedValue(self.mono / other.mono, self.coeff / other.coeff)
 
-    def __add__(self, other: "GradedValue") -> "GradedValue":
-        if self.mono != other.mono:
-            raise ValueError("graded addition requires equal monomials")
-        return GradedValue(self.mono, self.coeff + other.coeff)
-
     def materialize(self, pp: "ParamPoint") -> complex:
         return self.coeff * pp.materialize(self.mono)
 
@@ -371,7 +366,8 @@ class ParamPoint:
     The point owns the number type of an evaluation: the envelope and
     restriction path takes every value, log and exponential through its
     values, logs, :meth:`materialize`, :meth:`log_of` and :meth:`qpoch_inf`,
-    so a subclass of another number type runs that path unchanged.
+    and the R-matrix path solves by ``solve``, so a subclass of another
+    number type runs both unchanged.
 
     A point keeps six memos, each read through one accessor, and a new
     point starts with all of them empty.  Four are shared between a point
@@ -390,6 +386,8 @@ class ParamPoint:
     points (``rmatrix.restriction_point``, the Chern-root values of a fixed
     point).
     """
+
+    solve = None  # a subclass's a^-1 b, solve(a, b); None: numpy's (rmatrix._solve)
 
     def __init__(self, n_colors: int, values: Mapping[str, complex],
                  logs: Mapping[str, complex] | None = None,

@@ -1,16 +1,17 @@
-"""A 40-digit shadow of the envelope and restriction path, for the tests.
+"""A 40-digit shadow of the envelope and R-matrix path, for the tests.
 
 ``MpPoint`` is a ``ParamPoint`` whose values and logs are mpmath ``mpc``
 numbers of a private context at 40 significant digits (``MP``):
 ``log_of`` sums a monomial's exact ``Fraction`` exponents times the logs,
-``materialize`` takes its exponential, and ``qpoch_inf`` sums Euler's
-series of (z; q)_inf, a formula of its own, to the working precision.  All
-else is the library's own code, which takes its numbers from the point:
+``materialize`` takes its exponential, ``qpoch_inf`` sums Euler's series
+of (z; q)_inf, a formula of its own, to the working precision, and
+``solve`` is mpmath's, since numpy's is double precision.  All else is the
+library's own code, which takes its numbers and solves from the point:
 ``kahler_point``, the compiled envelopes and their ``LoweredSum``,
-``restriction_matrix`` and ``ChamberMatrices``, whose matrices come back
-as numpy object arrays of ``mpc``.  Only the linear solves are mpmath's
-(``solve``), since numpy's are double precision: ``bare``, ``composition``
-and ``transpose_relation`` are those of ``ChamberMatrices`` on them.
+``restriction_matrix``, ``ChamberMatrices`` and the Yang-Baxter check's
+triple actions, whose matrices come back as numpy object arrays of
+``mpc``.  Condition numbers stay float (``np.linalg.cond`` takes no object
+array), and so does all off this path: vertex, Bethe and scalar kernels.
 
 ``shadow(pp)`` is the point ``pp`` at 40 digits: its values, converted
 exactly, their logs taken at 40 digits, and the compiled envelopes and
@@ -27,30 +28,40 @@ import mpmath
 import numpy as np
 
 from ellstab.core import Monomial, ParamPoint, SingularityError
-from ellstab.rmatrix import ChamberMatrices
 
 MP = mpmath.MPContext()
 MP.dps = 40
+EPS = float(MP.eps)  # the working precision, a power of 2, for float bounds
 
 
 class MpPoint(ParamPoint):
     """A parameter point of ``MP.mpc`` values and logs.  Construction runs
     the float point's checks on the values rounded to complex, then keeps
-    the values themselves and takes each missing log at 40 digits."""
+    the values themselves (``MP.convert`` returns an ``mpc`` as it is) and
+    takes each missing log at 40 digits."""
 
     def __init__(self, n_colors, values, logs=None, *rest):
         super().__init__(n_colors, values, logs, *rest)
-        self.values = {name: MP.mpc(v) for name, v in {**self.values, **values}.items()}
-        self.logs = {name: MP.mpc(logs[name]) if logs and name in logs else MP.log(v)
+        self.values = {name: MP.convert(v)
+                       for name, v in {**self.values, **values}.items()}
+        self.logs = {name: MP.convert(logs[name]) if logs and name in logs else MP.log(v)
                      for name, v in self.values.items()}
         p, t1, t2 = (self.values[name] for name in ("p", "t1", "t2"))
         self._nomes = (p, p / (t1 * t2))
+
+    @staticmethod
+    def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a^-1 b at 40 digits, for object arrays of numbers mpmath reads."""
+        x = MP.inverse(MP.matrix(a.tolist())) * MP.matrix(b.tolist())
+        return np.array(x.tolist(), dtype=object)
 
     def log_of(self, mono: Monomial):
         s = MP.mpc(0)
         for name, e in mono._exps.items():
             lg = self.logs[name]
-            s += lg * e if type(e) is int else lg * e.numerator / e.denominator
+            if type(e) is not int:
+                lg, e = lg * e.numerator / e.denominator, 1
+            s += lg if e == 1 else -lg if e == -1 else lg * e  # = lg * e, product spared
         return s
 
     def materialize(self, mono: Monomial):
@@ -86,7 +97,7 @@ class MpPoint(ParamPoint):
                                    bound * aq ** (n - 1) / (1 - aq ** n)))
                 c, bound = coeffs[n]
                 v += c * zn
-                if n >= halving and bound * az ** n < MP.eps:
+                if n >= halving and bound * az ** n < EPS:
                     break
                 zn *= z
             memo[z, q] = v
@@ -98,30 +109,3 @@ def shadow(pp: ParamPoint) -> MpPoint:
     sh = MpPoint(pp.n_colors, pp.values, None, pp.tol, pp.min_terms, pp.seed)
     sh._envelopes, sh._chamber_bases = pp._envelopes, pp._chamber_bases
     return sh
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b at 40 digits, for object arrays of numbers mpmath reads."""
-    x = MP.inverse(MP.matrix(a.tolist())) * MP.matrix(b.tolist())
-    return np.array(x.tolist(), dtype=object)
-
-
-def bare(ch: ChamberMatrices) -> np.ndarray:
-    """``ChamberMatrices.bare``, solved by ``solve``."""
-    return solve(ch.m_c.matrix, ch.p.T @ ch.m_cbar.matrix @ ch.p)
-
-
-def max_abs(a: np.ndarray):
-    return max((abs(x) for x in a.flat), default=MP.mpf(0))
-
-
-def composition(ch: ChamberMatrices):
-    """``ChamberMatrices.composition``, solved by ``solve``."""
-    b21 = solve(ch.m_cbar.matrix, ch.p @ ch.m_c.matrix @ ch.p.T)
-    return max_abs((ch.p.T @ b21 @ ch.p) @ bare(ch) - np.eye(len(ch.basis)))
-
-
-def transpose_relation(ch: ChamberMatrices):
-    """``ChamberMatrices.transpose_relation``, solved by ``solve``."""
-    straight = bare(ch.at(star=True))
-    return max_abs(bare(ch).T - straight) / max(max_abs(straight), 1)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstab.core import (HBAR, GradedValue, Monomial, ParamPoint,
-                          SingularityError, qpoch_fin, qpoch_inf,
-                          theta_modular_residual, theta_p)
+from ellstab.core import (HBAR, Monomial, ParamPoint, SingularityError,
+                          qpoch_fin, qpoch_inf, theta_modular_residual,
+                          theta_p)
 from ellstab.sampling import sample_param_point
 from qseries_oracles import gamma3, qpoch2_inf
 
@@ -173,13 +173,6 @@ def test_phi_symmetric_and_reassociation():
     num = pp.theta(x * y) * pp.theta(HBAR)
     c = (num / pp.theta(x) / pp.theta(y)).materialize(pp)
     assert abs(a - c) < 1e-12 * abs(a)
-
-
-def test_graded_addition_requires_equal_monomials():
-    a = GradedValue(Monomial.var("w"), 1.0)
-    b = GradedValue(Monomial.var("y"), 1.0)
-    with pytest.raises(ValueError):
-        a + b
 
 
 def test_gamma3_symmetry():

@@ -250,6 +250,41 @@ def test_criterion_records_are_built_only_by_the_registry():
     assert found == ["acceptance.py:criterion.register.run"]
 
 
+def numpy_solves(tree: ast.Module) -> list[str]:
+    """Where ``np.linalg.solve`` is named, called or not (``sites``)."""
+    def is_solve(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "solve"
+                and ast.unparse(node.value) == "np.linalg")
+    return [where for _, where in sites(tree, is_solve)]
+
+
+def complex_dtypes(tree: ast.Module) -> list[str]:
+    """Where a call passes ``dtype=complex`` (``sites``)."""
+    def is_complex(node) -> bool:
+        return (isinstance(node, ast.keyword) and node.arg == "dtype"
+                and isinstance(node.value, ast.Name) and node.value.id == "complex")
+    return [where for _, where in sites(tree, is_complex)]
+
+
+def test_solves_and_complex_dtypes_detected():
+    tree = ast.parse("def f(a, b):\n    return np.linalg.solve(a, b)\n"
+                     "class C:\n    def g(self):\n        s = np.linalg.solve\n"
+                     "        return np.zeros(3, dtype=complex), np.ones(2, dtype=float)\n"
+                     "x = np.array([], dtype=complex), linalg.solve, np.linalg.lstsq\n")
+    assert numpy_solves(tree) == ["f", "C.g"]
+    assert complex_dtypes(tree) == ["C.g", "<module>"]
+
+
+def test_rmatrix_solves_once_and_takes_its_dtypes_from_the_entries():
+    """The R-matrix path solves through one function, ``rmatrix._solve``,
+    which defers to the solve of a point of another number type
+    (``ParamPoint.solve``), and its arrays take their type from their
+    entries: only the empty restriction matrix, which has none, names one."""
+    tree = ast.parse((SRC / "rmatrix.py").read_text())
+    assert numpy_solves(tree) == ["_solve"]
+    assert complex_dtypes(tree) == ["restriction_matrix"]
+
+
 #: each memo of a ``ParamPoint`` and its one accessor
 MEMO_ACCESSORS = {
     "_qpoch_memo": "core.py:ParamPoint.qpoch_inf",

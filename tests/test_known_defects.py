@@ -7,13 +7,14 @@ asserts the identity at that limit as an ``xfail(strict=True)`` test: a fix
 makes the case pass, which fails the suite until the row goes with the fix.
 Rows fail far from their limit, or raise, so no last-bit change flips them.
 
-A row the 40-digit shadow reaches (``mp_shadow``: restriction matrices and
-their solves) also records, per case, the shadow's value or exception
-(``at_40``, ``measured_40``), which a test reproduces: a value that the
-float one matches is the formula's, not rounding.  The Yang-Baxter, vertex
-and Bethe rows are outside the shadow's reach: ``ybe_residual`` assembles
-its triple actions in complex numpy arrays, and the vertex series and the
-Bethe solves take their values through float kernels and tables.
+A row the 40-digit shadow reaches (``mp_shadow``: restriction matrices,
+their solves and the Yang-Baxter check's triple actions) also records, per
+case, the value or exception of the same function at the shadow of the same
+point (``value(*case, at=mp_shadow.shadow)``, ``measured_40``), which a
+test reproduces: a value that the float one matches is the formula's, not
+rounding.  The vertex and Bethe rows are outside the shadow's reach: the
+vertex series and the Bethe solves take their values through float kernels
+and tables.
 
 Run the module as a script to print every case's current value or
 exception, and its 40-digit one where the row has it:
@@ -30,7 +31,7 @@ import pytest
 
 import mp_shadow
 from ellstab.partitions import make_fixed_point
-from ellstab.rmatrix import (ChamberMatrices, FramingGroup, inverted_kahler,
+from ellstab.rmatrix import (ChamberMatrices, FramingGroup,
                              transpose_relation_residual, ybe_residual)
 from ellstab.sampling import sample_param_point
 from ellstab.vertex import bethe_solve, oracle_residual, vertex_series
@@ -38,29 +39,36 @@ from ellstab.vertex import bethe_solve, oracle_residual, vertex_series
 N = 3
 UA, UB, UC = (FramingGroup((1, 0, 0), "ua"), FramingGroup((0, 1, 0), "ub"),
               FramingGroup((1, 0, 0), "uc"))
+COLOR0 = (UA, FramingGroup((1, 0, 0), "ub"))
+COLOR0_TRIPLE = COLOR0 + (UC,)
 
 
-def _point(seed: int, groups):
-    return sample_param_point(seed, N,
-                              framing_counts={g.prefix: list(g.w) for g in groups})
+def _point(seed: int, groups, at=None):
+    """The sample point of ``seed`` and ``groups``, or ``at`` of it
+    (``mp_shadow.shadow`` for a row's 40-digit value)."""
+    pp = sample_param_point(seed, N,
+                            framing_counts={g.prefix: list(g.w) for g in groups})
+    return pp if at is None else at(pp)
 
 
-def mixed_ybe(seed: int, boxes: int) -> float:
+def mixed_ybe(seed: int, boxes: int, at=None) -> float:
     """``ybe_residual`` for the framing colors (0, 1, 0)."""
-    return ybe_residual((UA, UB, UC), _point(seed, (UA, UB, UC)), N, boxes)
+    return ybe_residual((UA, UB, UC), _point(seed, (UA, UB, UC), at), N, boxes)
 
 
-def mixed_transpose(seed: int, v: tuple[int, ...]) -> float:
+def color0_ybe(seed: int, boxes: int, at=None) -> float:
+    """``ybe_residual`` for the framing colors (0, 0, 0)."""
+    return ybe_residual(COLOR0_TRIPLE, _point(seed, COLOR0_TRIPLE, at), N, boxes)
+
+
+def mixed_transpose(seed: int, v: tuple[int, ...], at=None) -> float:
     """``transpose_relation_residual`` for the framing colors (0, 1)."""
-    return transpose_relation_residual(v, UA, UB, _point(seed, (UA, UB)), N)
+    return transpose_relation_residual(v, UA, UB, _point(seed, (UA, UB), at), N)
 
 
-def mixed_transpose_40(seed: int, v: tuple[int, ...]) -> float:
-    """``mixed_transpose`` at 40 digits: ``mp_shadow.transpose_relation`` at
-    the shadow of the same point."""
-    pp = mp_shadow.shadow(_point(seed, (UA, UB)))
-    return float(mp_shadow.transpose_relation(
-        ChamberMatrices.build(v, UA, UB, pp, N, star=True, kahler=inverted_kahler(N))))
+def color0_transpose(seed: int, v: tuple[int, ...], at=None) -> float:
+    """``transpose_relation_residual`` for the framing colors (0, 0)."""
+    return transpose_relation_residual(v, *COLOR0, _point(seed, COLOR0, at), N)
 
 
 def diagonal_vertex(seed: int, rows, w: tuple[int, ...]) -> float:
@@ -72,19 +80,9 @@ def diagonal_vertex(seed: int, rows, w: tuple[int, ...]) -> float:
     return oracle_residual(vertex_series(mu, mu, 3, pp), pp)
 
 
-COLOR0 = (UA, FramingGroup((1, 0, 0), "ub"))
-
-
-def color0_composition(seed: int, v: tuple[int, ...]) -> float:
+def color0_composition(seed: int, v: tuple[int, ...], at=None) -> float:
     """``ChamberMatrices.composition`` for the framing colors (0, 0)."""
-    return ChamberMatrices.build(v, *COLOR0, _point(seed, COLOR0), N).composition()
-
-
-def color0_composition_40(seed: int, v: tuple[int, ...]) -> float:
-    """``color0_composition`` at 40 digits: ``mp_shadow.composition`` at the
-    shadow of the same point."""
-    pp = mp_shadow.shadow(_point(seed, COLOR0))
-    return float(mp_shadow.composition(ChamberMatrices.build(v, *COLOR0, pp, N)))
+    return ChamberMatrices.build(v, *COLOR0, _point(seed, COLOR0, at), N).composition()
 
 
 def bethe_miss(seed: int, v: tuple[int, ...], w: tuple[int, ...]) -> float:
@@ -107,8 +105,8 @@ class Defect:
     cases: tuple[tuple, ...]  # argument tuples of ``value``
     measured: tuple[float | str, ...]  # per case, when the row was added:
     # the value, or the exception ``value`` raised
-    at_40: Callable[..., float] | None = None  # ``value`` at 40 digits
-    measured_40: tuple[float | str, ...] = ()  # per case, as ``measured``
+    measured_40: tuple[float | str, ...] = ()  # per case, as ``measured``, of
+    # ``value(*case, at=mp_shadow.shadow)``; empty where the shadow cannot reach
 
 
 DEFECTS = [
@@ -116,7 +114,12 @@ DEFECTS = [
            "mixed_ybe(seed, boxes): groups ua (1,0,0), ub (0,1,0), uc (1,0,0) "
            "at sample_param_point(seed, 3, framing_counts of the groups)",
            1e-6, "ROADMAP item 2b (criterion 7's 2-box limit)",
-           mixed_ybe, ((88, 2),), (0.165,)),
+           mixed_ybe, ((88, 2),), (0.165,), (0.1650,)),
+    Defect("dynamical Yang-Baxter equation, 3 boxes, framing colors (0, 0, 0)",
+           "color0_ybe(seed, boxes): groups ua, ub, uc (1,0,0) at "
+           "sample_param_point(seed, 3, framing_counts of the groups)",
+           1e-6, "ROADMAP item 2b (criterion 7's limit)",
+           color0_ybe, ((31, 3), (88, 3)), (0.7803, 0.02620), (0.7803, 0.02620)),
     Defect("transpose relation of R*, framing colors (0, 1)",
            "mixed_transpose(seed, v): groups ua (1,0,0), ub (0,1,0) at "
            "sample_param_point(seed, 3, framing_counts of the groups)",
@@ -124,7 +127,13 @@ DEFECTS = [
            mixed_transpose,
            tuple((seed, v) for v in ((1, 1, 0), (1, 1, 1)) for seed in (0, 1, 2)),
            (0.86, 2.52, 0.55, 1.15, 1.36, 1.29),
-           mixed_transpose_40, (0.8589, 2.522, 0.5534, 1.148, 1.364, 1.288)),
+           (0.8589, 2.522, 0.5534, 1.148, 1.364, 1.288)),
+    Defect("transpose relation of R*, framing colors (0, 0)",
+           "color0_transpose(seed, v): groups ua, ub (1,0,0) at "
+           "sample_param_point(seed, 3, framing_counts of the groups)",
+           1e-8, "ROADMAP item 6",
+           color0_transpose, tuple((seed, (2, 1, 0)) for seed in range(4)),
+           (1.457, 0.342, 0.0856, 1.091), (1.4567, 0.3424, 0.08562, 1.0912)),
     Defect("vertex series of the diagonal pair [[1],[1]] against its oracle, "
            "v=(2,0,0), w=(2,0,0)",
            "diagonal_vertex(seed, rows, w): criterion 8's residual at "
@@ -142,7 +151,7 @@ DEFECTS = [
            tuple((seed, v) for seed in (0, 4) for v in ((2, 1, 1), (2, 2, 1), (3, 1, 1))),
            tuple(f"{POLE}{x}" for x in ("x0_1^1*x0_2^-1",) * 2 + ("x0_2^1*x0_3^-1",)
                  + ("x0_1^1*x0_2^-1",) * 3),
-           color0_composition_40, (f"{POLE}x0_1^1*x0_2^-1",) * 6),
+           (f"{POLE}x0_1^1*x0_2^-1",) * 6),
     # (2,2,1) at seeds 1 and 5 misses the limit only narrowly (1.7e-8 and
     # 3.7e-7), so it stays measured in ROADMAP item 3, not pinned here.  At
     # 40 digits the structural zeros that float rounds off 1.0 come out
@@ -152,7 +161,6 @@ DEFECTS = [
            "color0_composition(seed, v) as above",
            1e-8, "ROADMAP item 3 (criterion 6's composition limit)",
            color0_composition, ((6, (2, 1, 1)), (6, (3, 1, 1))), (1.4e15, 0.37),
-           color0_composition_40,
            (f"{POLE}x0_1^1*x0_2^-1", f"{POLE}x0_2^1*x0_3^-1")),
     Defect("Bethe roots by damped Newton, v=(2,2,2), w=(2,0,0)",
            "bethe_miss(seed, v, w): bethe_solve(v, w, point, seed=seed) at "
@@ -174,21 +182,21 @@ def test_known_defect(defect, args):
     assert defect.value(*args) < defect.limit
 
 
-def _outcome(f, args) -> float | str:
-    """``f(*args)``, or the exception it raises as "Type: message"."""
+def _outcome(f, args, **kwargs) -> float | str:
+    """``f(*args, **kwargs)``, or the exception it raises as "Type: message"."""
     try:
-        return f(*args)
+        return f(*args, **kwargs)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("defect,args,measured", [
-    pytest.param(d, args, m, id=f"{d.at_40.__name__}{args}")
-    for d in DEFECTS if d.at_40 for args, m in zip(d.cases, d.measured_40)])
+    pytest.param(d, args, m, id=f"{d.value.__name__}_40{args}")
+    for d in DEFECTS for args, m in zip(d.cases, d.measured_40)])
 def test_known_defect_at_40_digits(defect, args, measured):
     """The shadow gives each case the value (to the digits recorded) or the
     exception recorded in its row."""
-    got = _outcome(defect.at_40, args)
+    got = _outcome(defect.value, args, at=mp_shadow.shadow)
     if isinstance(measured, str):
         assert got == measured
     else:
@@ -214,6 +222,7 @@ if __name__ == "__main__":
         for k, (args, m) in enumerate(zip(d.cases, d.measured)):
             print(f"  {d.value.__name__}{args} = {_show(_outcome(d.value, args))} "
                   f"(measured {_show(m)})")
-            if d.at_40:
-                print(f"    at 40 digits: {_show(_outcome(d.at_40, args), 4)} "
+            if d.measured_40:
+                print(f"    at 40 digits: "
+                      f"{_show(_outcome(d.value, args, at=mp_shadow.shadow), 4)} "
                       f"(measured {_show(d.measured_40[k], 4)})")
