@@ -303,7 +303,7 @@ def qpoch_inf(z: complex, q: complex, min_terms: int = 20) -> complex:
     if abs(q) >= 1:
         raise SingularityError(f"q-Pochhammer needs |q| < 1, got |q| = {abs(q)}")
     res = 1.0 + 0.0j
-    zq = complex(z)
+    zq = z
     n = 0
     while n < 6000:
         res *= 1.0 - zq
@@ -319,11 +319,12 @@ def qpoch_fin(z: complex, q: complex, d: int) -> complex:
 
     Negative lengths follow the cocycle (z;q)_{m+n} = (z;q)_m (z q^m;q)_n,
     i.e. (z;q)_{-d} = 1/(z q^{-d}; q)_d.  Raises when a negative-length value
-    requires dividing by a vanished factor.
+    requires dividing by a vanished factor.  z is taken as given, not cast,
+    so a point of another number type keeps its precision.
     """
     if d >= 0:
         res = 1.0 + 0.0j
-        zq = complex(z)
+        zq = z
         for _ in range(d):
             res *= 1.0 - zq
             zq *= q
@@ -363,11 +364,11 @@ class ParamPoint:
     added as needed, either at construction or through :meth:`extended`.
     A value given without a log takes its principal log (i*pi for ``sgn``).
 
-    The point owns the number type of an evaluation: the envelope and
-    restriction path takes every value, log and exponential through its
-    values, logs, :meth:`materialize`, :meth:`log_of` and :meth:`qpoch_inf`,
-    and the R-matrix path solves by ``solve``, so a subclass of another
-    number type runs both unchanged.
+    The point owns the number type of an evaluation: the envelope,
+    restriction and vertex path takes every value, log and exponential
+    through its values, logs, :meth:`materialize`, :meth:`log_of` and
+    :meth:`qpoch_inf`, and the R-matrix path solves by ``solve``, so a
+    subclass of another number type runs them unchanged.
 
     A point keeps six memos, each read through one accessor, and a new
     point starts with all of them empty.  Four are shared between a point
@@ -438,10 +439,6 @@ class ParamPoint:
     @property
     def hbar(self) -> complex:
         return self.t1 * self.t2
-
-    @property
-    def pstar(self) -> complex:
-        return self.p / self.hbar
 
     def nome(self, star: bool = False) -> complex:
         """p, or the shifted nome p* with ``star``; taken from the values

@@ -611,19 +611,17 @@ def _rooted_tree(cells: list[tuple[int, int]],
     return LambdaTree(parent)
 
 
-def _trees(lam: ColoredPartition, admissible: bool) -> list[LambdaTree]:
-    """The spanning trees of ``spanning_trees``, in its order; with
-    ``admissible`` only those whose edges hold no mirrored-L pair
-    (``_mirrored_l_pairs``), a choice of edges that holds one being dropped
-    before it is rooted."""
+def _trees(lam: ColoredPartition, banned: Iterable[tuple]) -> list[LambdaTree]:
+    """The spanning trees of ``lam`` that hold no ``banned`` pair of edges,
+    in ``itertools.combinations`` order: a choice of edges that holds one
+    is dropped before it is rooted."""
     if not lam.rows:
         return []
     if lam.size > 14:
         raise BudgetError(f"tree enumeration limited to 14 boxes, got {lam.size}")
     cells = lam.cells()
     edges = _cell_edges(lam)
-    banned = ([(edges.index(a), edges.index(b)) for a, b in _mirrored_l_pairs(lam)]
-              if admissible else [])
+    banned = [(edges.index(a), edges.index(b)) for a, b in banned]
     trees = []
     for combo in itertools.combinations(range(len(edges)), len(cells) - 1):
         if banned:
@@ -643,7 +641,7 @@ def spanning_trees(lam: ColoredPartition) -> list[LambdaTree]:
     is rooted by ``_rooted_tree``, which keeps it when it reaches every
     cell: cells - 1 edges that connect the cells form a tree.  A hook (no
     2 x 2 square) has cells - 1 edges, so its one choice is its one tree."""
-    return _trees(lam, admissible=False)
+    return _trees(lam, ())
 
 
 def _mirrored_l_pairs(lam: ColoredPartition):
@@ -661,20 +659,8 @@ def _mirrored_l_pairs(lam: ColoredPartition):
             yield ((x, y + 1), corner), ((x + 1, y), corner)
 
 
-def no_lshape_filter(tree: LambdaTree, lam: ColoredPartition) -> bool:
-    """False when the tree holds both edges of a mirrored-L pair
-    (``_mirrored_l_pairs``) inside a full 2 x 2 square."""
-    parent = tree.parent
-
-    def joined(edge) -> bool:
-        a, b = edge
-        return parent.get(a) == b or parent.get(b) == a
-
-    return not any(joined(e) and joined(f) for e, f in _mirrored_l_pairs(lam))
-
-
 def lambda_trees(lam: ColoredPartition) -> list[LambdaTree]:
-    """Admissible rooted trees of a partition: the spanning trees that
-    ``no_lshape_filter`` keeps, in their order.  The rule is decided on
-    each choice of edges, before the choice is rooted."""
-    return _trees(lam, admissible=True)
+    """Admissible rooted trees of a partition: the spanning trees that hold
+    no mirrored-L pair (``_mirrored_l_pairs``), in their order.  The rule is
+    decided on each choice of edges, before the choice is rooted."""
+    return _trees(lam, _mirrored_l_pairs(lam))

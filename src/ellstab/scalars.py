@@ -222,7 +222,7 @@ def mu_star_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
         den = (shift * t1 ** (-d) * zv, shift * big2 * t2 ** d * zv)
         return gamma3v(pp, num, den, big1, big2, nome)
 
-    return pref * block(h, h) * block(1.0, pp.pstar)
+    return pref * block(h, h) * block(1.0, pp.nome(True))
 
 
 def chi_exchange(pp: ParamPoint, z: Monomial, k: int, l: int) -> complex:
@@ -249,8 +249,7 @@ def rho_plus(pp: ParamPoint, z: Monomial, star: bool = False) -> complex:
     n = pp.n_colors
     big1, big2 = pp.t1 ** n, pp.t2 ** n
     zv = pp.materialize(z)
-    nome = pp.pstar if star else pp.p
-    return gamma3v(pp, (1.0 / zv,), (zv,), big1, big2, nome)
+    return gamma3v(pp, (1.0 / zv,), (zv,), big1, big2, pp.nome(star))
 
 
 def rho_ratio(pp: ParamPoint, z: Monomial) -> complex:

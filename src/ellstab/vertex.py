@@ -394,11 +394,11 @@ class BetheSystem:
     of the formula of ``bethe_residuals``, so the two agree bit for bit
     whatever the scalar type of the roots.
 
-    Each evaluation does only the work its caller reads: ``point`` (and
-    calling the system) evaluates every row; ``trial`` stops at the first
-    row whose residual is not below a bar; ``jacobian`` takes the factors
-    of a point as its table and recomputes per column only the factors
-    that read the moved root.  Raises ``ValueError`` unless v and w have
+    Each evaluation does only the work its caller reads: ``trial`` stops at
+    the first row whose residual is not below a bar, and ``point`` (and
+    calling the system) is the trial without a bar, which evaluates every
+    row; ``jacobian`` takes the factors of a point as its table and
+    recomputes per column only the factors that read the moved root.  Raises ``ValueError`` unless v and w have
     one non-negative entry per color.
     """
 
@@ -462,19 +462,16 @@ class BetheSystem:
 
     def point(self, vec) -> BethePoint:
         """The system at the roots ``vec``, every row."""
-        values = self.values(list(vec))
-        factors = [_factors(values, quads) for quads, _ in self.rows]
-        prefix = [list(accumulate(fs, mul, initial=1.0 + 0.0j)) for fs in factors]
-        return BethePoint(vec, values, list(chain.from_iterable(factors)), prefix,
-                          np.array([pre[-1] - rhs for pre, (_, rhs)
-                                    in zip(prefix, self.rows)], dtype=complex))
+        return self.trial(vec, None, 0)[0]
 
     def __call__(self, vec) -> np.ndarray:
         return self.point(vec).residuals
 
-    def trial(self, vec, r: float, first: int) -> tuple[BethePoint | None, int]:
+    def trial(self, vec, r: float | None,
+              first: int) -> tuple[BethePoint | None, int]:
         """(the point at the roots ``vec``, ``first``) when every residual
-        there has a modulus below r, else (None, the row found that has not).
+        there has a modulus below r (or r is None), else (None, the row
+        found that has not).
 
         Rows are tried from ``first`` on, cyclically, and the first row over
         the bar ends the trial, so the decision is that of
@@ -491,7 +488,7 @@ class BetheSystem:
             factors[a] = fs = _factors(values, quads)
             prefix[a] = pre = list(accumulate(fs, mul, initial=1.0 + 0.0j))
             residuals[a] = res = pre[-1] - rhs
-            if not np.abs(res) < r:
+            if r is not None and not np.abs(res) < r:
                 return None, a
         return BethePoint(vec, values, list(chain.from_iterable(factors)), prefix,
                           np.array(residuals, dtype=complex)), first

@@ -10,8 +10,13 @@ library's own code, which takes its numbers and solves from the point:
 ``kahler_point``, the compiled envelopes and their ``LoweredSum``,
 ``restriction_matrix``, ``ChamberMatrices`` and the Yang-Baxter check's
 triple actions, whose matrices come back as numpy object arrays of
-``mpc``.  Condition numbers stay float (``np.linalg.cond`` takes no object
-array), and so does all off this path: vertex, Bethe and scalar kernels.
+``mpc``, and the vertex tables, series and Jackson oracle, whose finite
+Pochhammer products are the library's loop (``core.qpoch_fin``, which
+casts nothing).  These stay float: condition numbers
+(``RestrictionMatrix.cond``; ``np.linalg.cond`` takes no object array),
+the Bethe solve (numpy arrays, ``np.linalg.solve`` and ``np.abs``), the
+scalar kernels, and ``vertex.normalization_factor``, which reads one
+(``mu_vacuum_ope``).
 
 ``shadow(pp)`` is the point ``pp`` at 40 digits: its values, converted
 exactly, their logs taken at 40 digits, and the compiled envelopes and

@@ -8,13 +8,14 @@ makes the case pass, which fails the suite until the row goes with the fix.
 Rows fail far from their limit, or raise, so no last-bit change flips them.
 
 A row the 40-digit shadow reaches (``mp_shadow``: restriction matrices,
-their solves and the Yang-Baxter check's triple actions) also records, per
-case, the value or exception of the same function at the shadow of the same
-point (``value(*case, at=mp_shadow.shadow)``, ``measured_40``), which a
-test reproduces: a value that the float one matches is the formula's, not
-rounding.  The vertex and Bethe rows are outside the shadow's reach: the
-vertex series and the Bethe solves take their values through float kernels
-and tables.
+their solves, the Yang-Baxter check's triple actions and the vertex series
+with its Jackson oracle) also records, per case, the value or exception of
+the same function at the shadow of the same point (``value(*case,
+at=mp_shadow.shadow)``, ``measured_40``), which a test reproduces: a value
+that the float one matches is the formula's, not rounding, and one that
+grows with the precision is a pole that rounding hides.  The Bethe row is
+outside the shadow's reach: the Bethe solve is numpy's, in double
+precision.
 
 Run the module as a script to print every case's current value or
 exception, and its 40-digit one where the row has it:
@@ -30,6 +31,7 @@ from typing import Callable
 import pytest
 
 import mp_shadow
+from ellstab.core import SingularityError
 from ellstab.partitions import make_fixed_point
 from ellstab.rmatrix import (ChamberMatrices, FramingGroup,
                              transpose_relation_residual, ybe_residual)
@@ -71,13 +73,29 @@ def color0_transpose(seed: int, v: tuple[int, ...], at=None) -> float:
     return transpose_relation_residual(v, *COLOR0, _point(seed, COLOR0, at), N)
 
 
-def diagonal_vertex(seed: int, rows, w: tuple[int, ...]) -> float:
+def diagonal_vertex(seed: int, rows, w: tuple[int, ...], at=None) -> float:
     """Criterion 8's residual (``oracle_residual``) of the diagonal pair
     (mu, mu), mu the fixed point of ``rows`` at framing ``w``, up to
     degree 3."""
-    mu = make_fixed_point(rows, FramingGroup(w), N)
-    pp = sample_param_point(seed, N, framing_counts={"u": list(w)})
+    group = FramingGroup(w)
+    mu = make_fixed_point(rows, group, N)
+    pp = _point(seed, (group,), at)
     return oracle_residual(vertex_series(mu, mu, 3, pp), pp)
+
+
+def rounded_vertex_pole(seed: int, lam_rows, mu_rows, w: tuple[int, ...],
+                        at=None) -> float:
+    """The modulus of the envelope value (``envelope_at_mu``) that the
+    series of the pair (lambda, mu) of ``lam_rows`` and ``mu_rows`` at
+    framing ``w`` keeps, up to degree 3; 0 when the series raises a pole,
+    since criterion 8 then skips the pair."""
+    group = FramingGroup(w)
+    lam, mu = (make_fixed_point(rows, group, N) for rows in (lam_rows, mu_rows))
+    pp = _point(seed, (group,), at)
+    try:
+        return float(abs(vertex_series(lam, mu, 3, pp).envelope_at_mu))
+    except SingularityError:
+        return 0.0
 
 
 def color0_composition(seed: int, v: tuple[int, ...], at=None) -> float:
@@ -141,7 +159,33 @@ DEFECTS = [
            1e-8, "ROADMAP item 7",
            diagonal_vertex,
            tuple((seed, ((1,), (1,)), (2, 0, 0)) for seed in (1, 2)),
+           ("SingularityError: vertex coefficient has a structural pole",) * 2,
            ("SingularityError: vertex coefficient has a structural pole",) * 2),
+    # The pair's restriction stab_lambda(mu) holds a net structural theta
+    # pole: in one permutation of the color-0 roots the denominator argument
+    # t1 x0_2 / x1_1 is exactly 1 at mu, with no numerator zero to cancel
+    # it.  Its logs sum to 0 only up to rounding, so the argument is not
+    # exactly 1.0 and the envelope value is about 1/eps at either precision
+    # instead of a pole.  Criterion 8's float residual still passes
+    # (1.2-3.4e-15), since the series and its oracle share that value.  The
+    # pair lambda ((1, 1, 1), (1,)), mu ((), (1, 1, 1, 1)) at w = (2,0,0)
+    # keeps a value of the same kind at seeds 0-2 (1.3e16, 2.3e16 and
+    # 7.5e15; 1.2e41, 2.2e41 and 7.3e40 at 40 digits).  At seed 3, three
+    # 4-box pairs against the single-slot column mu ((), (1, 1, 1, 1))
+    # raise a theta pole in float but not at 40 digits: lambda
+    # ((1, 1, 1), (1,)) at w = (2,0,0) (6.9e39 there), lambda ((2, 1), (1,))
+    # at w = (2,0,0) (0) and lambda ((1, 1, 1), (1,)) at w = (1,1,0) (0).
+    # So the outcome of a 4-box vertex pair depends on rounding (ROADMAP
+    # items 3 and 7)
+    Defect("vertex series of the pair lambda ((3,), (1,)), mu ((), (4,)), "
+           "v=(2,1,1), w=(2,0,0): a structural pole that rounding hides",
+           "rounded_vertex_pole(seed, lam_rows, mu_rows, w): |envelope_at_mu| "
+           "of vertex_series(lam, mu, 3, point), or 0 when it raises, at "
+           "sample_param_point(seed, 3, framing_counts={'u': list(w)})",
+           1e-8, "ROADMAP items 3 and 7 (criterion 8's limit)",
+           rounded_vertex_pole,
+           tuple((seed, ((3,), (1,)), ((), (4,)), (2, 0, 0)) for seed in (1, 2, 3)),
+           (2.66e16, 1.21e15, 1.46e15), (2.630e41, 1.105e40, 1.422e40)),
     Defect("restriction matrices of framing colors (0, 0) at a structural "
            "theta pole",
            "color0_composition(seed, v): groups ua, ub (1,0,0) at "

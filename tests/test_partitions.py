@@ -358,10 +358,16 @@ def _union_find_spanning_trees(lam):
     return trees
 
 
+def _joins(tree, edge) -> bool:
+    a, b = edge
+    return tree.parent.get(a) == b or tree.parent.get(b) == a
+
+
 def test_trees_are_those_of_the_union_find_enumeration():
-    """Every partition of 1-8 boxes: ``spanning_trees`` and ``lambda_trees``
-    give the parent maps, kappas, subtree lists and edges of the union-find
-    enumeration, each in the same order."""
+    """Every partition of 1-8 boxes: ``spanning_trees`` gives the parent
+    maps, kappas, subtree lists and edges of the union-find enumeration, and
+    ``lambda_trees`` those of its trees that join both edges of no
+    mirrored-L pair, each in the same order."""
     compared = 0
     for size in range(1, 9):
         for rows in partitions.partitions_of(size):
@@ -372,7 +378,9 @@ def test_trees_are_those_of_the_union_find_enumeration():
             want = _union_find_spanning_trees(lam)
             got = spanning_trees(lam)
             assert [_tree_data(t) for t in got] == [_tree_data(t) for t in want], rows
-            admissible = [t for t in want if partitions.no_lshape_filter(t, lam)]
+            admissible = [t for t in want if not any(
+                _joins(t, e) and _joins(t, f)
+                for e, f in partitions._mirrored_l_pairs(lam))]
             assert ([_tree_data(t) for t in lambda_trees(lam)]
                     == [_tree_data(t) for t in admissible]), rows
             compared += 1

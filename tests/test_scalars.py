@@ -199,7 +199,7 @@ def test_mu_exchange_matches_its_gamma3_formula(k, l):
 @pytest.mark.parametrize("k, l", [(0, 0), (0, 2), (1, 2)])
 def test_mu_star_exchange_matches_its_gamma3_formula(k, l):
     pp, b1, b2 = PPS_U, PPS_U.t1 ** N, PPS_U.t2 ** N
-    t1, t2, h, ps = pp.t1, pp.t2, pp.hbar, pp.pstar
+    t1, t2, h, ps = pp.t1, pp.t2, pp.hbar, pp.nome(True)
     zv, d = pp.materialize(ZX), k - l
     want = (pp.materialize(ZX ** eta_pairing(k, l, N))
             * _g(h * b2 * t1 ** -d * zv, h) * _g(h * b1 * b2 * t2 ** d * zv, h)
@@ -227,7 +227,7 @@ def test_chi_exchange_matches_its_gamma3_formula(k, l):
 @pytest.mark.parametrize("star", [False, True])
 def test_rho_plus_matches_its_gamma3_formula(star):
     zv = PPS_U.materialize(ZX)
-    nome = PPS_U.pstar if star else PPS_U.p
+    nome = PPS_U.nome(star)
     _close(rho_plus(PPS_U, ZX, star), _g(1 / zv, nome) / _g(zv, nome))
 
 
