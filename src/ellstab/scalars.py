@@ -9,17 +9,18 @@ sides of every identity share one branch choice.
 A kernel hands all the arguments that share one moduli tuple to a single
 series call: ``gamma3v`` takes a numerator and a denominator list of triple
 Gamma arguments, ``qpoch2_ratio`` a list of double-Pochhammer arguments, and
-both evaluate the whole ratio with one coefficient table in ``_qpoch``.  So
-mu and mu* take two calls (one per nome), chi and rho^+ one, and the vacuum
-OPE factor four, whatever its framing.
+both evaluate the whole ratio with one coefficient table in ``_qpoch``, and
+one power table for the leaves of all its axes.  So mu and mu* take two
+calls (one per nome), chi and rho^+ one, and the vacuum OPE factor four,
+whatever its framing.
 
 The coefficient table depends on the moduli tuple alone, and the parameter
 point owns it: ``series_table`` builds it at the first call for a tuple and
-keeps it on the point, shared with every ``extended`` point.  So the
-fusion identity (``rll_scalar_residual``), whose 8 series calls run at 3
-moduli tuples, builds 3 tables at a new point and none at the u points
-extended from it.  Every kernel therefore takes the point, down to
-``_qpoch``.
+keeps it on the point, with the log cutoffs it was built at, shared with
+every ``extended`` point.  So the fusion identity (``rll_scalar_residual``),
+whose 8 series calls run at 3 moduli tuples, builds 3 tables at a new point
+and none at the u points extended from it.  Every kernel therefore takes
+the point, down to ``_qpoch``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SQRT_HBAR, Monomial, ParamPoint, SingularityError, qpoch_inf
+from .core import SQRT_HBAR, Monomial, ParamPoint, SingularityError
 from .partitions import FramingGroup
 
 MINUS = Monomial.var("sgn")
@@ -46,14 +47,13 @@ def eta_pairing(k: int, l: int, n: int) -> Fraction:
     return Fraction(i * (n - j), n)
 
 
-def series_table(qs: tuple[complex, ...],
-                 pp: ParamPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient table of ``_qpoch`` at the moduli ``qs``: built once
-    per point and its extensions (``_series_table``), keyed by the moduli
-    values, so every kernel of a point that shares a tuple reads one table.
-    A table is the same array whenever it is built, so reading a kept one
-    changes no bit.  It holds the terms that ``SERIES_CUTOFF`` asked for
-    when it was built: a different cutoff needs a new point."""
+def series_table(qs: tuple[complex, ...], pp: ParamPoint) -> tuple[list, np.ndarray]:
+    """The table of ``_qpoch`` at the moduli ``qs``: built once per point and
+    its extensions (``_series_table``), keyed by the moduli values, so every
+    kernel of a point that shares a tuple reads one table.  A table is the
+    same array whenever it is built, so reading a kept one changes no bit.
+    It keeps the log cutoffs it was built at, so a point evaluates at its
+    table's ``SERIES_CUTOFF`` even after the constant changes."""
     memo = pp._series_tables
     table = memo.get(qs)
     if table is None:
@@ -61,18 +61,26 @@ def series_table(qs: tuple[complex, ...],
     return table
 
 
-def _series_table(qs: tuple[complex, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(bound, coef) of the log series at the moduli ``qs``:
-    bound[j] = 2 prod_{i>=j} 1/(1 - |q_i|) and
-    coef[j, r-1] = 1/(r prod_{i>=j} (1 - q_i^r)), enough terms for |x| = 1/2
-    at ``SERIES_CUTOFF``."""
+def _series_table(qs: tuple[complex, ...]) -> tuple[list, np.ndarray]:
+    """(log_cut, coef) of the log series at the moduli ``qs``:
+    log_cut[j] = log(SERIES_CUTOFF / bound_j) for the tail bound
+    bound_j = 2 prod_{i>=j} 1/(1 - |q_i|), and
+    coef[j, r-1] = 1/(r prod_{i>=j} (1 - q_i^r)), enough terms for |x| = 1/2."""
     if any(abs(q) >= 1 for q in qs):
         raise SingularityError("Pochhammer moduli must lie inside the unit disc")
     bound = 2.0 / np.cumprod([1.0 - abs(q) for q in qs[::-1]])[::-1]
-    n_max = _n_terms(0.5, bound[0])
-    q_pow = np.vander(np.array(qs, dtype=complex), n_max + 1, increasing=True)[:, 1:]
-    suffix = np.cumprod((1.0 - q_pow)[::-1], axis=0)[::-1]
-    return bound, 1.0 / (np.arange(1, n_max + 1) * suffix)
+    log_cut = [math.log(SERIES_CUTOFF / b) for b in bound]
+    n_max = _n_terms(0.5, log_cut[0])
+    suffix = np.cumprod((1.0 - _powers(qs, n_max))[::-1], axis=0)[::-1]
+    return log_cut, 1.0 / (np.arange(1, n_max + 1) * suffix)
+
+
+def _powers(xs, n: int) -> np.ndarray:
+    """Row i holds x_i^1 .. x_i^n, the same sequential products as the
+    increasing Vandermonde matrix of numpy, bit for bit."""
+    powers = np.empty((len(xs), n), dtype=complex)
+    powers[:] = np.array(xs, dtype=complex)[:, None]
+    return np.multiply.accumulate(powers, axis=1, out=powers)
 
 
 def _qpoch(pp: ParamPoint, num, den, qs: tuple[complex, ...]) -> complex:
@@ -83,16 +91,17 @@ def _qpoch(pp: ParamPoint, num, den, qs: tuple[complex, ...]) -> complex:
     along q_1, then q_2, ... while |x| > 1/2; a point peeled along every axis
     is one direct factor (1 - x).  Sum: the sub-octant (x; q_j..q_k) left at
     each |x| <= 1/2 is exp(-sum_r x^r / (r prod_i (1 - q_i^r))), cut at the
-    first R where the tail bound 2 |x|^R prod_i 1/(1 - |q_i|) drops below
-    ``SERIES_CUTOFF``.  Both lists share one coefficient table, the point's
-    (``series_table``), and one peel pass; each lattice level sums its
-    leaves' logs weighted +1 (num) or -1 (den).
+    first R where the tail bound 2 |x|^R prod_i 1/(1 - |q_i|) drops below the
+    table's cutoff.  Both lists share one table, the point's
+    (``series_table``), and one peel pass.  The leaves of every axis share
+    one power table; each axis sums its leaves' logs weighted +1 (num) or -1
+    (den) by its own two products, so no sum spans two axes.
     """
-    bound, coef = series_table(qs, pp)
-    log = 0.0 + 0.0j
+    log_cut, coef = series_table(qs, pp)
     direct = [(x, 1.0) for x in num] + [(x, -1.0) for x in den]
+    leaves, signs, axes = [], [], []
     for j, q in enumerate(qs):
-        leaves, signs, peeled = [], [], []
+        start, peeled = len(leaves), []
         for x, sign in direct:
             while abs(x) > 0.5:
                 peeled.append((x, sign))
@@ -100,19 +109,27 @@ def _qpoch(pp: ParamPoint, num, den, qs: tuple[complex, ...]) -> complex:
             if x != 0:
                 leaves.append(x)
                 signs.append(sign)
-        if leaves:
-            n = _n_terms(max(map(abs, leaves)), bound[j])
-            powers = np.vander(np.array(leaves, dtype=complex), n + 1, increasing=True)
-            log -= complex(np.array(signs) @ (powers[:, 1:] @ coef[j, :n]))
+        if len(leaves) > start:
+            n = _n_terms(max(map(abs, leaves[start:])), log_cut[j])
+            axes.append((j, start, len(leaves), n))
         direct = peeled
-    return (cmath.exp(log) * math.prod(1.0 - x for x, sign in direct if sign > 0)
-            / math.prod(1.0 - x for x, sign in direct if sign < 0))
+    powers = _powers(leaves, max((axis[3] for axis in axes), default=0))
+    signs = np.array(signs)
+    log = 0.0 + 0.0j
+    for j, s, e, n in axes:
+        log -= complex(signs[s:e] @ (powers[s:e, :n] @ coef[j, :n]))
+    top = bottom = 1  # the int start of math.prod, which keeps signed zeros' bits
+    for x, sign in direct:
+        if sign > 0:
+            top *= 1.0 - x
+        else:
+            bottom *= 1.0 - x
+    return cmath.exp(log) * top / bottom
 
 
-def _n_terms(xmax: float, bound: float) -> int:
-    """Smallest R >= 1 with bound * xmax^R < SERIES_CUTOFF, for
-    0 < xmax <= 1/2."""
-    return max(1, math.ceil(math.log(SERIES_CUTOFF / bound) / math.log(xmax)))
+def _n_terms(xmax: float, log_cut: float) -> int:
+    """Smallest R >= 1 with xmax^R < exp(log_cut), for 0 < xmax <= 1/2."""
+    return max(1, math.ceil(log_cut / math.log(xmax)))
 
 
 def gamma3v(pp: ParamPoint, num, den, a: complex, b: complex, c: complex) -> complex:
@@ -290,7 +307,7 @@ def mu_star_exchange_scalar(g1, g2, pp: ParamPoint) -> complex:
 
 
 def vacuum_c_constants(pp: ParamPoint) -> tuple[complex, complex]:
-    """The two ladder constants (p h^{+-1}; p)_inf / (p; p)_inf."""
+    """The two ladder constants (p h^{+-1}; p)_inf / (p; p)_inf of the point."""
     p, h = pp.p, pp.hbar
-    base = qpoch_inf(p, p)
-    return (qpoch_inf(p * h, p) / base, qpoch_inf(p / h, p) / base)
+    base = pp.qpoch_inf(p, p)
+    return (pp.qpoch_inf(p * h, p) / base, pp.qpoch_inf(p / h, p) / base)

@@ -6,7 +6,16 @@ the library never calls them; the tests check the series kernels of
 ``ellstab.scalars`` against them.  ``qpoch_mono`` is the entry point of the
 vertex layer's ``qpoch_low`` for an exact monomial base, which only the tests
 call with one.
+
+``qpoch_per_axis`` is the earlier body of ``scalars._qpoch``, one power
+table and one pair of products per lattice axis: the bit-for-bit oracle of
+the kernel, which now builds one power table per call.
 """
+
+import cmath
+import math
+
+import numpy as np
 
 from ellstab.core import Monomial, ParamPoint, SingularityError
 from ellstab.vertex import lower, qpoch_low
@@ -94,3 +103,47 @@ def gamma3(z: complex, a: complex, b: complex, c: complex,
     if z == 0:
         raise SingularityError("triple Gamma rejects z = 0")
     return qpoch3_inf(z, a, b, c, cutoff) * qpoch3_inf(a * b * c / z, a, b, c, cutoff)
+
+
+def series_table_per_axis(qs: tuple[complex, ...], cutoff: float = 1e-18):
+    """(bound, coef) of the log series at the moduli ``qs``:
+    bound[j] = 2 prod_{i>=j} 1/(1 - |q_i|) and
+    coef[j, r-1] = 1/(r prod_{i>=j} (1 - q_i^r)), enough terms for |x| = 1/2
+    at ``cutoff``."""
+    if any(abs(q) >= 1 for q in qs):
+        raise SingularityError("Pochhammer moduli must lie inside the unit disc")
+    bound = 2.0 / np.cumprod([1.0 - abs(q) for q in qs[::-1]])[::-1]
+    n_max = _n_terms(0.5, bound[0], cutoff)
+    q_pow = np.vander(np.array(qs, dtype=complex), n_max + 1, increasing=True)[:, 1:]
+    suffix = np.cumprod((1.0 - q_pow)[::-1], axis=0)[::-1]
+    return bound, 1.0 / (np.arange(1, n_max + 1) * suffix)
+
+
+def qpoch_per_axis(num, den, qs: tuple[complex, ...], cutoff: float = 1e-18) -> complex:
+    """prod over z in ``num`` of (z; q_1, ..., q_k)_inf divided by the same
+    product over ``den``, by the lattice peel and log series of
+    ``scalars._qpoch``, with one ``np.vander`` per lattice axis."""
+    bound, coef = series_table_per_axis(qs, cutoff)
+    log = 0.0 + 0.0j
+    direct = [(x, 1.0) for x in num] + [(x, -1.0) for x in den]
+    for j, q in enumerate(qs):
+        leaves, signs, peeled = [], [], []
+        for x, sign in direct:
+            while abs(x) > 0.5:
+                peeled.append((x, sign))
+                x *= q
+            if x != 0:
+                leaves.append(x)
+                signs.append(sign)
+        if leaves:
+            n = _n_terms(max(map(abs, leaves)), bound[j], cutoff)
+            powers = np.vander(np.array(leaves, dtype=complex), n + 1, increasing=True)
+            log -= complex(np.array(signs) @ (powers[:, 1:] @ coef[j, :n]))
+        direct = peeled
+    return (cmath.exp(log) * math.prod(1.0 - x for x, sign in direct if sign > 0)
+            / math.prod(1.0 - x for x, sign in direct if sign < 0))
+
+
+def _n_terms(xmax: float, bound: float, cutoff: float) -> int:
+    """Smallest R >= 1 with bound * xmax^R < cutoff, for 0 < xmax <= 1/2."""
+    return max(1, math.ceil(math.log(cutoff / bound) / math.log(xmax)))

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ellstab.core import HBAR, Monomial, qpoch_inf
+from ellstab import core
+from ellstab.core import HBAR, Monomial, ParamPoint, qpoch_inf
 from ellstab.fock import (box_weight, k_eigenvalue_exponent,
                           lowering_coefficient, phi_eigenvalue,
                           phi_weight_exponent, raising_coefficient,
@@ -122,3 +123,23 @@ def test_ladder_constants_product():
     want = (qpoch_inf(p * h, p) * qpoch_inf(p / h, p)
             / qpoch_inf(p, p) ** 2)
     assert abs(cp * cm - want) < 1e-13 * abs(want)
+
+
+def test_ladder_constants_take_the_points_products(monkeypatch):
+    """The ladder constants take their three products through the point, at
+    its ``min_terms``, and a second call reads them from its memo."""
+    pp = ParamPoint(N, PP.values, PP.logs, min_terms=60)
+    taken = []
+
+    def counted(z, q, min_terms=20):
+        taken.append(min_terms)
+        return qpoch_inf(z, q, min_terms)
+
+    monkeypatch.setattr(core, "qpoch_inf", counted)
+    cp, cm = vacuum_c_constants(pp)
+    assert taken == [60, 60, 60]
+    assert vacuum_c_constants(pp) == (cp, cm)
+    p, h = pp.p, pp.hbar
+    base = pp.qpoch_inf(p, p)
+    assert (cp, cm) == (pp.qpoch_inf(p * h, p) / base, pp.qpoch_inf(p / h, p) / base)
+    assert len(taken) == 3

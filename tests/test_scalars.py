@@ -1,6 +1,7 @@
 """Exchange scalars, triple Gamma ratios and the fusion consistency identity."""
 
 import cmath
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from ellstab.scalars import (MINUS, _qpoch, chi_exchange, eta_pairing, gamma3v,
                              mu_exchange, mu_exchange_scalar, mu_star_exchange,
                              mu_vacuum_ope, qpoch2_ratio, rho_plus, rho_ratio,
                              rll_scalar_residual)
-from qseries_oracles import gamma3, qpoch2_inf
+from qseries_oracles import gamma3, qpoch2_inf, qpoch_per_axis
 
 N = 3
 PP0 = sample_param_point(61, N)
@@ -308,10 +309,10 @@ def _hex(value) -> tuple[str, str]:
     return value.real.hex(), value.imag.hex()
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_kernel_values_do_not_depend_on_warm_tables(seed):
-    """Every kernel value is the same bits on a point whose tables it builds
-    itself as on one whose tables every other kernel has built already."""
+def _kernel_corpus(seed):
+    """A cold point maker and every kernel, at the point and u value of
+    ``seed``: the nine exchange kernels of each kind, rho^+ and rho^{+*},
+    the vacuum OPE factor and the fusion residuals."""
     base = sample_param_point(seed, N, framing_counts={"u": [1, 1, 0]})
     rng = np.random.default_rng(seed)
     uval = (0.55 + 0.8 * rng.random()) * cmath.exp(2j * np.pi * rng.random())
@@ -325,9 +326,81 @@ def test_kernel_values_do_not_depend_on_warm_tables(seed):
     def cold():
         return ParamPoint(N, base.values, base.logs).extended({"u": uval})
 
+    return cold, kernels
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_values_do_not_depend_on_warm_tables(seed):
+    """Every kernel value is the same bits on a point whose tables it builds
+    itself as on one whose tables every other kernel has built already."""
+    cold, kernels = _kernel_corpus(seed)
     warm = cold()
     for kernel in kernels:
         kernel(warm)
     assert warm._series_tables
     for kernel in kernels:
         assert _hex(kernel(cold())) == _hex(kernel(warm))
+
+
+#: sha256 of the ``float.hex`` pairs of every kernel value of
+#: ``_kernel_corpus`` at seeds 0-7, each at a cold point.  Recorded at commit
+#: 0dfc57c, whose ``_qpoch`` built one power table per lattice axis (now
+#: ``qseries_oracles.qpoch_per_axis``); the one-table kernel gives the same
+#: digest.
+KERNEL_VALUES_SHA256 = "4e03ea164acc4934960a351bcae94d96741395f12ba4423c02f1676bb55e6ab7"
+
+
+def kernel_values_digest() -> str:
+    h = hashlib.sha256()
+    for seed in range(8):
+        cold, kernels = _kernel_corpus(seed)
+        for kernel in kernels:
+            h.update(" ".join(_hex(kernel(cold()))).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_kernel_values_match_recorded_digest():
+    assert kernel_values_digest() == KERNEL_VALUES_SHA256
+
+
+def test_a_point_keeps_the_cutoff_of_its_tables(monkeypatch):
+    """A point evaluates at the cutoff its tables were built at, also after
+    ``SERIES_CUTOFF`` is tightened; a new point builds longer tables."""
+    base = sample_param_point(3, N, framing_counts={"u": [1, 1, 0]})
+    pp = base.extended({"u": 0.83 + 0.41j})
+    kernels = [lambda pp: mu_exchange(pp, ZU, 0, 1), lambda pp: rho_plus(pp, ZU),
+               lambda pp: mu_vacuum_ope((1, 1, 0), pp)]
+    first = [_hex(kernel(pp)) for kernel in kernels]
+    monkeypatch.setattr(scalars, "SERIES_CUTOFF", 1e-30)
+    assert [_hex(kernel(pp)) for kernel in kernels] == first
+    qs = (pp.t1 ** N, pp.t2 ** N, pp.hbar)
+    new = ParamPoint(N, base.values, base.logs)
+    assert (scalars.series_table(qs, new)[1].shape[1]
+            > scalars.series_table(qs, pp)[1].shape[1])
+
+
+def _grid_cases(tmod, zmod):
+    """(num, den, qs) cases of ``_qpoch``: 3- and 2-axis moduli at |t| =
+    ``tmod``, arguments around |z| = ``zmod``, an empty denominator and an
+    argument that leaves the leaf 0."""
+    t1, t2 = tmod * cmath.exp(0.7j), tmod * cmath.exp(-1.9j)
+    three, two = (t1 ** N, t2 ** N, t1 * t2), (t1 * t2, t2 ** N)
+    z = zmod * cmath.exp(0.4j)
+    num = [z, 0.7 * z * cmath.exp(1.1j), 1.3 * z * cmath.exp(-2.0j)]
+    den = [0.8 * z * cmath.exp(-0.5j), 1.2 * z * cmath.exp(2.6j)]
+    return [(num, den, three), (num, den, two), (num, (), three), (num[:1], (), two),
+            ([0j, *num], den, three), (num, [0j], two)]
+
+
+@pytest.mark.parametrize("tmod", [0.45, 0.7, 0.88])
+@pytest.mark.parametrize("zmod", [0.3, 1.0, 6.0])
+def test_qpoch_bits_match_the_per_axis_oracle(tmod, zmod):
+    """One power table per call gives every bit of one table per axis."""
+    pp = ParamPoint(N, PP0.values, PP0.logs)
+    for num, den, qs in _grid_cases(tmod, zmod):
+        assert _hex(_qpoch(pp, num, den, qs)) == _hex(qpoch_per_axis(num, den, qs))
+
+
+if __name__ == "__main__":
+    # Re-derive the recorded digest: PYTHONPATH=src python tests/test_scalars.py
+    print(f"KERNEL_VALUES_SHA256: {kernel_values_digest()}")
