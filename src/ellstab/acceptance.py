@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Monomial, SingularityError, theta_modular_residual
+from .core import Monomial, SingularityError, theta_modular_residual, theta_p
 from .envelopes import (EnvelopeSpec, compiled, factorization_residual,
                         restrict, shuffle_residual)
 from .fock import lowering_coefficient, raising_coefficient
@@ -112,8 +112,8 @@ def criterion_theta_laws(seed: int = 0):
         sh = ppz.theta(pm * zm).materialize(ppz)
         law = -ppz.materialize(pm ** Fraction(-1, 2) * zm ** -1) * th
         worst = max(worst, abs(sh - law) / abs(law))
-        worst = max(worst, abs(ppz.theta_p_val(pp.p / zv) - ppz.theta_p_val(zv))
-                    / abs(ppz.theta_p_val(zv)))
+        even = theta_p(zv, pp.p, pp.min_terms)
+        worst = max(worst, abs(theta_p(pp.p / zv, pp.p, pp.min_terms) - even) / abs(even))
     return worst, "100 points"
 
 

@@ -123,7 +123,7 @@ def cmd_fixed_points(args):
     w, v = _vec(args, "w"), _vec(args, "v")
     pts = fixed_points(v, w, args.N)
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
-    return pp, {"count": len(pts), "labels": [p.label() for p in pts]}, {}, 0
+    return pp, {"count": len(pts), "labels": [p.partitions() for p in pts]}, {}, 0
 
 
 def cmd_stab(args):
@@ -147,7 +147,7 @@ def cmd_stab(args):
         sym_resid = max(sym_resid, abs(val - val2) / max(abs(val), 1e-300))
         values_list.append({k: _c(v) for k, v in values.items()})
         results.append(_c(val))
-    return (pp, {"fixed_point": fp.label(), "variant": args.variant,
+    return (pp, {"fixed_point": fp.partitions(), "variant": args.variant,
                  "values": results, "assignments": values_list},
             {"symmetry": sym_resid}, 0 if sym_resid < args.tol else 1)
 
@@ -159,7 +159,7 @@ def cmd_restrict(args):
     pp = sample_param_point(args.seed, args.N, framing_counts={"u": list(w)})
     env = compiled(EnvelopeSpec(fp, args.variant, args.star), pp)
     val = restrict(env, mu, pp, framed=not args.unframed)
-    return (pp, {"fixed_point": fp.label(), "at": mu.label(),
+    return (pp, {"fixed_point": fp.partitions(), "at": mu.partitions(),
                  "value": _c(val)}, {}, 0)
 
 
@@ -211,7 +211,7 @@ def cmd_rmatrix(args):
     if args.star:
         residuals["transpose_relation"] = ch.transpose_relation()
     results = {
-        "basis": [b.label() for b in res.basis],
+        "basis": [b.partitions() for b in res.basis],
         "weights": [list(wt) for wt in res.weights],
         "scalar": _c(res.scalar),
         "matrix": [[_c(z) for z in row]
@@ -280,7 +280,7 @@ def cmd_vertex(args):
     d0 = tuple([0] * sum(v))
     law = abs(series.coefficients[d0] - series.envelope_at_mu)
     results = {
-        "lam": lam.label(), "mu": mu.label(), "degree_cap": args.D,
+        "lam": lam.partitions(), "mu": mu.partitions(), "degree_cap": args.D,
         "envelope_at_mu": _c(series.envelope_at_mu),
         "coefficients": {",".join(map(str, d)): _c(c)
                          for d, c in sorted(series.coefficients.items())},

@@ -16,7 +16,7 @@ arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2)
 slots once asked for them, so a compiled theta argument evaluated at many
 points pays the float conversions once, while a monomial materialized once
 pays for no table.  A compile's builders hand most arguments their ``repr``
-at construction (``Monomial._keyed``), formed without sorting.
+at construction (``Monomial._of``), formed without sorting.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
@@ -82,8 +82,7 @@ def exponent_product(factors: Iterable[tuple[Mapping[str, int | Fraction], int]]
     return d
 
 
-#: the allocator behind ``Monomial._of`` and ``Monomial._keyed``, which set
-#: every slot themselves
+#: the allocator behind ``Monomial._of``, which sets every slot itself
 _new_object = object.__new__
 
 
@@ -115,20 +114,11 @@ class Monomial:
         self._repr = None
 
     @staticmethod
-    def _of(d: dict[str, int | Fraction]) -> "Monomial":
+    def _of(d: dict[str, int | Fraction], key: str | None = None) -> "Monomial":
         """The monomial that owns the exponent dict ``d`` (normalized
-        exponents, no zero entries)."""
-        m = _new_object(Monomial)
-        m._exps = d
-        m._floats = None
-        m._repr = None
-        return m
-
-    @staticmethod
-    def _keyed(d: dict[str, int | Fraction], key: str) -> "Monomial":
-        """The monomial of ``_of(d)`` with its ``repr`` given: ``key`` must
-        be the string ``__repr__`` forms from ``d``.  A compile's builders
-        name an argument this way without sorting its variables."""
+        exponents, no zero entries).  A ``key`` given is its ``repr``, and
+        must be the string ``__repr__`` forms from ``d``: a compile's
+        builders name an argument this way without sorting its variables."""
         m = _new_object(Monomial)
         m._exps = d
         m._floats = None
@@ -485,20 +475,19 @@ class ParamPoint:
             memo[key] = v
         return v
 
-    def theta_p_val(self, z: complex, star: bool = False) -> complex:
+    def theta(self, mono: Monomial, star: bool = False,
+              z: complex | None = None) -> GradedValue:
+        """Odd theta of a monomial argument: coeff -theta_p(z), mono z^(-1/2),
+        the two infinite products taken through :meth:`qpoch_inf`.  ``z`` is
+        the monomial's value at the point, ``materialize(mono)``, for a
+        caller that has already taken it."""
+        if z is None:
+            z = self.materialize(mono)
         if z == 0:
             raise SingularityError("theta argument materialized to 0")
         q = self.nome(star)
-        return self.qpoch_inf(z, q) * self.qpoch_inf(q / z, q)
-
-    def theta(self, mono: Monomial, star: bool = False,
-              z: complex | None = None) -> GradedValue:
-        """Odd theta of a monomial argument: coeff -theta_p(z), mono z^(-1/2).
-        ``z`` is the monomial's value at the point, ``materialize(mono)``,
-        for a caller that has already taken it."""
-        if z is None:
-            z = self.materialize(mono)
-        return GradedValue(None, -self.theta_p_val(z, star), half_of=mono)
+        return GradedValue(None, -(self.qpoch_inf(z, q) * self.qpoch_inf(q / z, q)),
+                           half_of=mono)
 
     def phi(self, x: Monomial, y: Monomial, star: bool = False) -> GradedValue:
         """phi(x, y) = theta(xy) theta(hbar) / (theta(x) theta(y))."""

@@ -392,16 +392,16 @@ def _rho_le_root(box: Box, rank: int) -> bool:
 
 def _ratio(a: str, b: str) -> Monomial:
     """a / b of two distinct variables, handed its ``repr``."""
-    return Monomial._keyed({a: 1, b: -1},
-                           f"{a}^1*{b}^-1" if a < b else f"{b}^-1*{a}^1")
+    return Monomial._of({a: 1, b: -1},
+                        f"{a}^1*{b}^-1" if a < b else f"{b}^-1*{a}^1")
 
 
 def _t_ratio(t: str, a: str, b: str) -> Monomial:
     """t a / b, t one of t1, t2, for Chern roots a and b (whose names sort
     after t1 and t2): the exponents and their order of the chained
     ``t * a / b``, handed its ``repr``."""
-    return Monomial._keyed({t: 1, a: 1, b: -1},
-                           f"{t}^1*{a}^1*{b}^-1" if a < b else f"{t}^1*{b}^-1*{a}^1")
+    return Monomial._of({t: 1, a: 1, b: -1},
+                        f"{t}^1*{a}^1*{b}^-1" if a < b else f"{t}^1*{b}^-1*{a}^1")
 
 
 def _hbar_ratio(a: str, b: str) -> Monomial:
@@ -410,8 +410,8 @@ def _hbar_ratio(a: str, b: str) -> Monomial:
     before them)."""
     d = {"t1": 1, "t2": 1, a: 1, b: -1}
     if "t2" < a and "t2" < b:
-        return Monomial._keyed(d, f"t1^1*t2^1*{a}^1*{b}^-1" if a < b
-                               else f"t1^1*t2^1*{b}^-1*{a}^1")
+        return Monomial._of(d, f"t1^1*t2^1*{a}^1*{b}^-1" if a < b
+                            else f"t1^1*t2^1*{b}^-1*{a}^1")
     return Monomial._of(d)
 
 
@@ -528,9 +528,9 @@ def _edge_arg(x_child: str, w_par: dict[str, int], x_par: str,
     t1, t2 = d.get("t1"), d.get("t2")
     if len(d) != 2 + (t1 is not None) + (t2 is not None):
         return Monomial._of(d)
-    return Monomial._keyed(d, (f"t1^{t1}*" if t1 else "") + (f"t2^{t2}*" if t2 else "")
-                           + (f"{x_child}^1*{x_par}^-1" if x_child < x_par
-                              else f"{x_par}^-1*{x_child}^1"))
+    return Monomial._of(d, (f"t1^{t1}*" if t1 else "") + (f"t2^{t2}*" if t2 else "")
+                        + (f"{x_child}^1*{x_par}^-1" if x_child < x_par
+                           else f"{x_par}^-1*{x_child}^1"))
 
 
 def _tree_phi_args(cell: dict, tree: LambdaTree,

@@ -270,9 +270,6 @@ class FixedPoint:
     def partitions(self) -> tuple[tuple[int, ...], ...]:
         return tuple(lam.rows for _, lam in self.slots)
 
-    def label(self) -> list[list[int]]:
-        return [list(lam.rows) for _, lam in self.slots]
-
 
 def make_fixed_point(partition_rows, group: FramingGroup, n_colors: int) -> FixedPoint:
     """Build a fixed point from a list of row tuples in chamber order, one

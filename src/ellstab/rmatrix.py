@@ -35,15 +35,26 @@ from .partitions import (FixedPoint, FramingGroup, _enumerate_fixed_points,
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
 
+def _check_groups(groups, n_colors: int) -> None:
+    """Raises ``ValueError`` unless each group's framing has one
+    non-negative entry per color and no two slots of the groups share a
+    framing variable (as two groups of one prefix and one color do)."""
+    for g in groups:
+        check_dimension_vector("framing", g.w, n_colors)
+    names = [s.u_var for g in groups for s in g.slots()]
+    if len(set(names)) != len(names):
+        raise ValueError("framing variable names must be distinct")
+
+
 def basis_fixed_points(v, groups: list[FramingGroup], n_colors: int) -> list[FixedPoint]:
     """Fixed points of the concatenated framing, group-major slots.
 
     Within a group the slots are those of ``FramingGroup.slots``; the
     enumeration order is that of ``fixed_points``.  Raises ``ValueError``
-    unless v and each group's framing have one non-negative entry per color.
+    unless v and each group's framing have one non-negative entry per color
+    and the groups' framing variables are distinct.
     """
-    for g in groups:
-        check_dimension_vector("framing", g.w, n_colors)
+    _check_groups(groups, n_colors)
     return _enumerate_fixed_points(v, [s for g in groups for s in g.slots()],
                                    n_colors)
 
@@ -297,12 +308,12 @@ def triple_basis(groups, n_colors: int, total_boxes: int) -> list[tuple]:
     ``partitions_upto`` per slot, in the order of ``basis_fixed_points``
     over the ``profiles`` of 0 to ``total_boxes`` boxes.  Raises
     ``ValueError`` unless each group's framing has one non-negative entry
-    per color.
+    per color and the groups' framing variables are distinct.
     """
+    _check_groups(groups, n_colors)
     parts = sorted(partitions_upto(total_boxes))
     singles = []
     for g in groups:
-        check_dimension_vector("framing", g.w, n_colors)
         by_profile: dict[tuple, list[FixedPoint]] = {}
         for rows in itertools.product(parts, repeat=len(g.slots())):
             if sum(map(sum, rows)) <= total_boxes:

@@ -367,10 +367,10 @@ def _factors(values: list, quads: list[tuple[int, int, int, int]]) -> list:
 
 
 class BethePoint(NamedTuple):
-    """A ``BetheSystem`` at the roots ``roots``: their value list, the
-    factor values of all rows in row order, per row the products of its
-    first i factors (i = 0 to all of them, from 1.0 + 0.0j in the row's
-    order), and the residuals in row order."""
+    """A ``BetheSystem`` at the roots ``roots``: their value list, per row
+    its factor values and the products of its first i factors (i = 0 to
+    all of them, from 1.0 + 0.0j in the row's order), and the residuals in
+    row order."""
 
     roots: np.ndarray
     values: list
@@ -430,27 +430,17 @@ class BetheSystem:
                     + [(t2x + a, b, a, t1x + b) for b in color[(k - 1) % n]]
                     + [(hx + b, a, b, hx + a) for b in color[k] if b != a],
                     rhs))
-        # Per root j: ``moved[j]``, the quads of the factors that read it, and
-        # ``reads[j]``, the rows that hold one, as (row, position i0 of its
-        # first such factor, rhs, picks): its factors from i0 on, as indices
-        # into the values of moved[j] followed by a point's ``factors``.
-        offsets = list(accumulate((len(quads) for quads, _ in self.rows), initial=0))
+        # Per root j: ``reads[j]``, (row, positions of its factors that read
+        # j) for each row that holds one, and ``moved[j]``, their quads in order.
         self.moved: list[list[tuple[int, int, int, int]]] = []
-        self.reads: list[list[tuple[int, int, complex, list[int]]]] = []
+        self.reads: list[list[tuple[int, list[int]]]] = []
         for j in range(size):
             mine = {j, t1x + j, t2x + j, hx + j}
-            hit = [[i for i, quad in enumerate(quads) if mine.intersection(quad)]
-                   for quads, _ in self.rows]
-            n_moved = sum(map(len, hit))
             moved, reads = [], []
-            for a, ((quads, rhs), pos) in enumerate(zip(self.rows, hit)):
-                if not pos:
-                    continue
-                picks = [len(moved) + pos.index(i) if i in pos
-                         else n_moved + offsets[a] + i
-                         for i in range(pos[0], len(quads))]
-                moved += [quads[i] for i in pos]
-                reads.append((a, pos[0], rhs, picks))
+            for a, (quads, _) in enumerate(self.rows):
+                if pos := [i for i, quad in enumerate(quads) if mine.intersection(quad)]:
+                    moved += [quads[i] for i in pos]
+                    reads.append((a, pos))
             self.moved.append(moved)
             self.reads.append(reads)
 
@@ -490,7 +480,7 @@ class BetheSystem:
             residuals[a] = res = pre[-1] - rhs
             if r is not None and not np.abs(res) < r:
                 return None, a
-        return BethePoint(vec, values, list(chain.from_iterable(factors)), prefix,
+        return BethePoint(vec, values, factors, prefix,
                           np.array(residuals, dtype=complex)), first
 
     def jacobian(self, at: BethePoint) -> np.ndarray:
@@ -512,22 +502,26 @@ class BetheSystem:
 
     def _columns(self, at: BethePoint, moved: np.ndarray) -> np.ndarray:
         """The residuals at ``at`` with root j moved to ``moved[j]``, as
-        column j: a row that reads root j is multiplied again from its
-        first factor that does, on ``at``'s product of the factors before
-        it; the other rows keep ``at``'s residuals."""
+        column j: a row that reads root j multiplies its factors from the
+        first that does, those recomputed, onto ``at``'s product of the
+        factors before it; the other rows keep ``at``'s residuals."""
         t1, t2, h = self.scales
         size = self.size
         residuals = at.residuals.tolist()
+        factors, prefix, rows = at.factors, at.prefix, self.rows
         columns = []
         for j, xj in enumerate(moved):
             values = at.values.copy()
             values[j], values[size + j] = xj, t1 * xj
             values[2 * size + j], values[3 * size + j] = t2 * xj, h * xj
-            pool = _factors(values, self.moved[j]) + at.factors
+            fresh = iter(_factors(values, self.moved[j])).__next__
             column = residuals.copy()
-            for a, i0, rhs, picks in self.reads[j]:
-                column[a] = reduce(mul, map(pool.__getitem__, picks),
-                                   at.prefix[a][i0]) - rhs
+            for a, pos in self.reads[j]:
+                i0 = pos[0]
+                fs = factors[a][i0:]
+                for i in pos:
+                    fs[i - i0] = fresh()
+                column[a] = reduce(mul, fs, prefix[a][i0]) - rows[a][1]
             columns.append(column)
         return np.array(columns, dtype=complex).T
 

@@ -25,7 +25,7 @@ def test_monomial_algebra():
     # the hash is that of the repr: another exponent order, or a repr handed
     # to the monomial as it is built, hashes alike
     assert hash(m) == hash(Monomial({"b": 2, "a": 1})) \
-        == hash(Monomial._keyed({"b": 2, "a": 1}, "a^1*b^2"))
+        == hash(Monomial._of({"b": 2, "a": 1}, "a^1*b^2"))
 
 
 def _integral_fractions(m):
@@ -150,6 +150,36 @@ def test_theta_graded_laws():
         shifted = pp.theta(pm * zm).materialize(pp)
         law = -pp.materialize(pm ** Fraction(-1, 2) * zm ** -1) * th
         assert abs(shifted - law) < 1e-10 * abs(law)
+
+
+def _bits(c: complex) -> tuple[str, str]:
+    return (c.real.hex(), c.imag.hex())
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_theta_is_minus_the_even_theta_cold_and_warm(star):
+    """``ParamPoint.theta`` is -theta_p of the argument's value at the
+    point's nome, bit for bit, whether the point's q-Pochhammer memo holds
+    the two infinite products yet or not."""
+    rng = np.random.default_rng(11)
+    zm = Monomial.var("w")
+    for _ in range(20):
+        zv = (0.3 + 1.4 * rng.random()) * cmath.exp(2j * np.pi * rng.random())
+        pp = ParamPoint(PP.n_colors, {**PP.values, "w": zv})
+        z = pp.materialize(zm)
+        want = _bits(-theta_p(z, pp.nome(star), pp.min_terms))
+        assert not pp._qpoch_memo
+        assert _bits(pp.theta(zm, star).coeff) == want
+        assert len(pp._qpoch_memo) == 2
+        assert _bits(pp.theta(zm, star, z).coeff) == want
+
+
+def test_theta_at_a_zero_value_raises():
+    pp = ParamPoint(3, {"p": 0.1, "t1": 0.5, "t2": 0.7})
+    deep = Monomial.var("t1", 2000)  # 0.5^2000 underflows to 0
+    for z in (None, 0.0):
+        with pytest.raises(SingularityError, match="materialized to 0"):
+            pp.theta(deep, z=z)
 
 
 def test_phi_monomial_is_half_hbar():

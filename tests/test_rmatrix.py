@@ -329,6 +329,24 @@ def test_triple_basis_rejects_a_framing_that_is_not_one_count_per_color():
         triple_basis((G1, G2, FramingGroup((1, 0), "uc")), N, 1)
 
 
+def test_groups_that_share_a_framing_variable_are_rejected():
+    """Two groups of one prefix share the variable of a color they both
+    frame; every R-matrix builder rejects them before enumerating a basis
+    (without the check the pair gave a 1x1 matrix on one variable, and the
+    triple a singular solve)."""
+    pp = sample_param_point(1, N, framing_counts={"u": [1, 1, 0]})
+    g, g2 = FramingGroup((1, 0, 0)), FramingGroup((1, 1, 0))
+    for v in ((0, 1, 0), (1, 0, 0), (1, 1, 0)):
+        with pytest.raises(ValueError, match="must be distinct"):
+            ChamberMatrices.build(v, g2, g, pp, N)
+        with pytest.raises(ValueError, match="must be distinct"):
+            transition_r(v, g2, g, pp, N)
+    with pytest.raises(ValueError, match="must be distinct"):
+        ybe_residual((g, g, g), pp, N, 1)
+    with pytest.raises(ValueError, match="must be distinct"):
+        leading_pair_factorization_residual((G1, g, g), pp, N, (1, 0, 0))
+
+
 # ---------------------------------------------------------------------------
 # basis-wide theta tables of restriction_matrix
 # ---------------------------------------------------------------------------

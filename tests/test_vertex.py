@@ -560,7 +560,7 @@ def test_oracle_one_step_identity(seed):
                                          / (1 - pp.materialize(m2)))
                             got = after / before
                             assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), \
-                                (w, mu.label(), d, a)
+                                (w, mu.partitions(), d, a)
                             checked += 1
     assert checked > 500 and skipped > 1000
 
@@ -752,12 +752,13 @@ def _reference_jacobian(v, w, pp, x):
 
 
 def _bethe_cases():
-    """(v, w, number of colors): the pinned profiles at both framings, and
-    one four-color profile, whose rows of color k hold no root of color
-    k + 2."""
+    """(v, w, number of colors): the pinned profiles at both framings, one
+    four-color profile, whose rows of color k hold no root of color k + 2,
+    and the residual test's profile (1, 0, 2), whose rows have a neighbour
+    color that holds no root."""
     return ([(v, w, N) for v in ((1, 1, 1), (2, 1, 1), (2, 2, 2))
              for w in ((1, 1, 0), (2, 0, 0))]
-            + [((2, 1, 1, 1), (1, 0, 1, 0), 4)])
+            + [((2, 1, 1, 1), (1, 0, 1, 0), 4), ((1, 0, 2), (1, 0, 1), N)])
 
 
 def _bethe_points(size, rng):
