@@ -67,8 +67,8 @@ def exponent_product(factors: Iterable[tuple[Mapping[str, int | Fraction], int]]
                      ) -> dict[str, int | Fraction]:
     """The exponent dict of prod m^k over (exponent dict of m, integer k)
     pairs, summed into one dict: the exponents and the variable order of the
-    chained product ``m1 ** k1 * m2 ** k2 * ...`` (``Monomial.product``).  A
-    compile sums exponent dicts that it never makes a monomial of."""
+    chained product ``m1 ** k1 * m2 ** k2 * ...``.  A compile sums exponent
+    dicts that it never makes a monomial of."""
     d: dict[str, int | Fraction] = {}
     for exps, k in factors:
         for name, e in exps.items():
@@ -177,14 +177,6 @@ class Monomial:
             else:
                 del d[name]
         return Monomial._of(d)
-
-    @staticmethod
-    def product(factors: Iterable[tuple["Monomial", int]]) -> "Monomial":
-        """prod m^k over the (m, k) pairs with integer k
-        (``exponent_product`` of their exponent dicts): the exponents and
-        the variable order of the chained product ``m1 ** k1 * m2 ** k2 *
-        ...``."""
-        return Monomial._of(exponent_product([(m._exps, k) for m, k in factors]))
 
     def __pow__(self, e) -> "Monomial":
         e = _exponent(e)
@@ -485,7 +477,7 @@ class ParamPoint:
             z = self.materialize(mono)
         if z == 0:
             raise SingularityError("theta argument materialized to 0")
-        q = self.nome(star)
+        q = self._nomes[star]
         return GradedValue(None, -(self.qpoch_inf(z, q) * self.qpoch_inf(q / z, q)),
                            half_of=mono)
 

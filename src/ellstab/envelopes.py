@@ -13,16 +13,17 @@ extends in place, and one sort per term orders the factors left on both
 sides in ``repr`` order.  The compiled structure keeps every theta argument
 as an exact monomial, and is lowered once (``LoweredSum``), at the first
 evaluation that finds no structural theta pole: the distinct theta arguments
-of all terms (told apart by ``repr``, as in the tallies), their table keys,
-per term a sign and index lists into them, and the exact prefactor
-monomials.  An envelope that is only asked for exact data, such as
-its quasi-periodicity factors, is never lowered, nor does it list the
-permutations of its roots.  Evaluation assigns values to the Chern-root
-variables of one extended parameter point, overwrites them per
-permutation of the roots, and decides the structural zeros and poles from
-the arguments' values before any q-series: a value of exactly 1.0 is a zero
-of its theta, and one in a fixed annulus around the unit circle provably is
-none (``theta_surely_nonzero``).  So an envelope whose first evaluation
+of all terms (told apart by ``repr``, as in the tallies), their integer
+table ids (``theta_id``), per term a sign and index lists into them, and the
+exact prefactor monomials with their float exponents.  An envelope that
+is only asked for exact data, such as its quasi-periodicity factors, is
+never lowered, nor does it list the permutations of its roots.  Evaluation
+assigns values to the Chern-root variables of one extended parameter point,
+overwrites them per permutation of the roots (by the envelope's one plan of
+value moves, listed at its first evaluation), and decides the structural
+zeros and poles from the arguments' values before any q-series: a value of
+exactly 1.0 is a zero of its theta, and one in a fixed annulus around the
+unit circle provably is none (``theta_surely_nonzero``).  So an envelope whose first evaluation
 meets a pole in its first term's denominator raises before any other theta
 is taken, a later pole takes no theta of a value in the annulus either,
 and a term with a unit numerator argument takes none of its numerator
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (HBAR, BudgetError, Monomial, ParamPoint, SingularityError,
-                   exponent_product)
+                   _half, exponent_product)
 from .partitions import (Box, FixedPoint, LambdaTree, QuiverPairs,
                          box_slot_vars, chern_slots, chern_var, index_degrees,
                          kahler_var, lambda_trees, phi_weight, quiver_pairs,
@@ -137,22 +138,52 @@ class ThetaProduct:
     def mono_total(self) -> Monomial:
         """The exact prefactor: prod num^(-1/2) den^(1/2).
 
-        The half power is taken once, of prod num / den: the result has the
-        exponents and the variable order of the chained product of half
-        powers, so it materializes to the same float.
+        The half power is taken once, of the exponents of prod num / den
+        (one ``exponent_product`` pass): the result has the exponents and
+        the variable order of the chained product of half powers, so it
+        materializes to the same float.  It keeps the exact halves as its
+        exponents and is handed its float pairs (``Monomial.float_items``)
+        from the summed exponents: -v/2 of an integer v is
+        ``float(Fraction(-v, 2))``, with no ``Fraction`` formed.
         """
-        return Monomial.product([(m, 1) for m in self.num]
-                                + [(m, -1) for m in self.den]).inv_sqrt()
+        d = exponent_product([(m._exps, 1) for m in self.num]
+                             + [(m._exps, -1) for m in self.den])
+        pref = Monomial._of({name: _half(-v) for name, v in d.items()})
+        pref._floats = tuple((name, -v / 2 if type(v) is int else float(_half(-v)))
+                             for name, v in d.items())
+        return pref
+
+
+#: per theta argument id (``theta_id``), its exponent pairs in dict order
+THETA_ITEMS: list[tuple[tuple[str, float], ...]] = []
+_THETA_IDS: dict[tuple[tuple[str, float], ...], int] = {}
+
+
+def theta_id(m: Monomial) -> int:
+    """The ``ThetaTable`` key of the theta argument ``m``: a small integer
+    per distinct tuple of exponent pairs in dict order
+    (``Monomial.float_items``), the same in every table, whose pairs are
+    ``THETA_ITEMS[theta_id(m)]``.  The ids live as long as the process,
+    since every sum that can share a table must agree on them, but they
+    hold no value: finding an id or assigning a new one is one dict read,
+    so a later ``LoweredSum`` keys its arguments no faster than the first."""
+    items = m.float_items()
+    k = _THETA_IDS.get(items)
+    if k is None:
+        k = _THETA_IDS[items] = len(THETA_ITEMS)
+        THETA_ITEMS.append(items)
+    return k
 
 
 class ThetaTable:
     """The theta values of one assignment of the Chern roots: the one way a
     ``LoweredSum`` takes a theta.
 
-    An argument is keyed by its exponents in dict order
-    (``Monomial.float_items``), not by monomial equality: equal monomials
-    whose exponents run in another order materialize to different last
-    bits.  One with a Chern root is taken once
+    An argument is keyed by its id (``theta_id``), assigned once when a sum
+    is lowered, so a read hashes an int.  The id names the exponents in
+    dict order, not the monomial up to equality: equal monomials whose
+    exponents run in another order materialize to different last bits and
+    get two ids.  One with a Chern root is taken once
     per permutation of the roots (``perm``), one without once for all the
     tables that share ``free``.  ``point`` is the extended parameter point
     of the assignment, made by the first ``Envelope.eval`` with the table.
@@ -165,8 +196,8 @@ class ThetaTable:
     """
 
     def __init__(self, free: dict | None = None):
-        self.free: dict[tuple, complex] = {} if free is None else free
-        self._bound: list[dict[tuple, complex]] = []
+        self.free: dict[int, complex] = {} if free is None else free
+        self._bound: list[dict[int, complex]] = []
         self.point: ParamPoint | None = None
 
     def perm(self, k: int) -> tuple[dict, dict]:
@@ -216,10 +247,10 @@ class LoweredSum:
     ``args`` are the distinct theta arguments of all terms, each as its
     first occurrence (whose exponent order rounds its value); ``terms`` hold
     per term the sign as +-1.0, index lists into ``args`` and the exact
-    prefactor (``ThetaProduct.mono_total``); ``_keys`` give per argument its
-    ``ThetaTable`` key and whether it is free of ``chern_roots``
-    (``Envelope.x_names``, none for a lone product).  Reading ``args``
-    lowers the sum too.
+    prefactor (``ThetaProduct.mono_total``, handed its float pairs);
+    ``_keys`` give per argument its ``ThetaTable`` key (``theta_id``) and
+    whether it is free of ``chern_roots`` (``Envelope.x_names``, none for a
+    lone product).  Reading ``args`` lowers the sum too.
 
     Every evaluation materializes each argument at most once, when a
     decision first needs its value.  The term loop decides each term's
@@ -253,7 +284,7 @@ class LoweredSum:
                            for key in dict.fromkeys(m._repr for m in first.den)]
         self.terms: list | None = None
         self._args: list[Monomial] = []
-        self._keys: list[tuple[tuple, bool]] = []
+        self._keys: list[tuple[int, bool]] = []
 
     @property
     def args(self) -> list[Monomial]:
@@ -276,16 +307,12 @@ class LoweredSum:
                 args.append(m)
             return k
 
-        terms = []
-        for prod in self._products:
-            num = [at(m) for m in prod.num]
-            den = [at(m) for m in prod.den]
-            pref = prod.mono_total()
-            pref.float_items()
-            terms.append(((-1.0) ** (prod.sign % 2), num, den, pref))
+        terms = [((-1.0) ** (prod.sign % 2), [at(m) for m in prod.num],
+                  [at(m) for m in prod.den], prod.mono_total())
+                 for prod in self._products]
         self._args = args
         roots = self._roots
-        self._keys = [(m.float_items(), roots.isdisjoint(m._exps)) for m in self._args]
+        self._keys = [(theta_id(m), roots.isdisjoint(m._exps)) for m in args]
         self.terms = terms
 
     def _pole_exit(self, pp: ParamPoint, star: bool, free: dict,
@@ -302,7 +329,7 @@ class LoweredSum:
                 if theta_surely_nonzero(z, abs_q):
                     continue
                 memo = free if self._roots.isdisjoint(m._exps) else bound
-                key = m.float_items()
+                key = theta_id(m)
                 c = memo.get(key)
                 if c is None:
                     c = memo[key] = pp.theta(m, star, z).coeff
@@ -644,8 +671,8 @@ def _qp_factors(term: ThetaProduct, names: list[str]) -> dict[str, dict]:
     the numerator arguments m of ``term`` and prod m^(+k) over the
     denominator arguments, k the exponent of x in m: one pass over the
     arguments collects each root's (m, +-k) pairs, and ``exponent_product``
-    sums them, so each dict has the exponents and variable order of
-    ``Monomial.product`` over those pairs."""
+    sums them, so each dict has the exponents and variable order of the
+    chained product of those pairs."""
     factors: dict[str, list] = {name: [] for name in names}
     for args, sign in ((term.num, -1), (term.den, 1)):
         for m in args:
@@ -696,10 +723,25 @@ class Envelope:
             self._terms.append(_cancel(_tally(phi_num, phi_den, tally),
                                        sprod.sign + tw.kappa))
         self._lowered: LoweredSum | None = None
-        self._perms: list[list[tuple[int, ...]]] | None = None
+        self._plan: tuple[list[str], list[list[tuple[str, int]]]] | None = None
 
     def x_names(self) -> list[str]:
         return [name for i in range(self.fp.n_colors) for name in self.nvars[i]]
+
+    def _permutation_plan(self) -> tuple[list[str], list[list[tuple[str, int]]]]:
+        """(``x_names``, per permutation of the roots within each color the
+        moves (name, source) that write it): root ``name`` takes the value
+        at position ``source`` of ``x_names``.  Permutation k, in the order
+        of ``itertools.product`` over the colors' ``itertools.permutations``,
+        is the one a ``ThetaTable`` keeps as ``perm(k)``."""
+        names: list[str] = []
+        perms = []
+        for i in range(self.fp.n_colors):
+            start = len(names)
+            names += self.nvars[i]
+            perms.append(itertools.permutations(range(start, len(names))))
+        return names, [list(zip(names, itertools.chain.from_iterable(combo)))
+                       for combo in itertools.product(*perms)]
 
     def qp_unit_factors(self) -> dict[str, Monomial]:
         """Exact multiplier of the envelope under x_a -> p x_a, per slot.
@@ -757,21 +799,16 @@ class Envelope:
             ppx = thetas.point = pp.extended(values, logs)
             logs = ppx.logs
         vals, lgs = ppx.values, ppx.logs
-        names = self.x_names()
-        if self._perms is None:
-            # per color, the permutations of its roots as positions in names
-            pos = {name: k for k, name in enumerate(names)}
-            self._perms = [list(itertools.permutations([pos[name] for name in self.nvars[i]]))
-                           for i in range(self.fp.n_colors)]
+        if self._plan is None:
+            self._plan = self._permutation_plan()
+        names, moves = self._plan
         vals0 = [values[name] for name in names]
         logs0 = [logs[name] for name in names]
-        per_color = [self.nvars[i] for i in range(self.fp.n_colors)]
         total = 0.0 + 0.0j
-        for k, combo in enumerate(itertools.product(*self._perms)):
-            for dests, perm in zip(per_color, combo):
-                for name, src in zip(dests, perm):
-                    vals[name] = vals0[src]
-                    lgs[name] = logs0[src]
+        for k, perm in enumerate(moves):
+            for name, src in perm:
+                vals[name] = vals0[src]
+                lgs[name] = logs0[src]
             total += self._term(ppx, thetas, k)
         return total
 

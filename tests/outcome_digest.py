@@ -10,17 +10,22 @@ compare the output, or let it run the other checkout too,
 
     python tests/outcome_digest.py [--seconds 25] [--seeds 1 2 3]
                                    [--workloads rmatrix-ybe ...]
-                                   [--against PATH]
+                                   [--acceptance 0 1 2] [--against PATH]
 
-With ``--against PATH`` the same digests also run in the checkout at PATH,
-in an interpreter of their own that imports that checkout's ``src/`` and
-``perfbench/``; its lines are printed after this checkout's, prefixed with
-``against:``, and the script exits 1, naming on standard error every
-(workload, seed) whose digest differs or is missing there.
+``--acceptance`` (opt-in) also runs every acceptance criterion
+(``acceptance.ALL_CRITERIA``) at each seed given and prints
+``acceptance seed S: 11 criteria SHA``, the sha256 of the lines
+``number|passed|float.hex(worst)|detail``, the timing left out;
+``--workloads`` with no name runs only those.  With ``--against PATH`` the
+same digests also run in the checkout at PATH, in an interpreter of their
+own that imports that checkout's ``src/`` and ``perfbench/``; its lines are
+printed after this checkout's, prefixed with ``against:``, and the script
+exits 1, naming on standard error every (workload, seed) whose digest
+differs or is missing there.
 
 The defaults (all three workloads, seeds 1-3) take about 30 s per checkout
 on a 2-vCPU host, since the checks run faster than the run lengths
-``sweep_count`` assumes.
+``sweep_count`` assumes; the acceptance criteria take about 2 s per seed.
 """
 
 from __future__ import annotations
@@ -62,9 +67,22 @@ def digest(workload: str, seed: int, seconds: float) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def acceptance_digest(seed: int) -> tuple[int, str]:
+    """(number of criteria, sha256 of their outcome lines) of every
+    acceptance criterion at ``seed``: number, pass, ``float.hex`` of the
+    worst residual and detail, without the time each took."""
+    acceptance = importlib.import_module("ellstab.acceptance")
+    h = hashlib.sha256()
+    results = acceptance.run_all(seed, verbose=False)
+    for res in results:
+        h.update(f"{res.number}|{res.passed}|{float(res.worst).hex()}|{res.detail}\n".encode())
+    return len(results), h.hexdigest()
+
+
 def parse(lines: list[str]) -> dict[tuple[str, int], str]:
-    """The digest lines ``workload seed S: N checks SHA`` keyed by
-    (workload, seed); other lines are left out."""
+    """The digest lines ``workload seed S: N checks SHA`` (and
+    ``acceptance seed S: N criteria SHA``) keyed by (workload, seed); other
+    lines are left out."""
     out = {}
     for line in lines:
         head, sep, rest = line.partition(": ")
@@ -98,8 +116,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--workloads", nargs="+", default=sorted(workloads.WORKLOADS),
+    parser.add_argument("--workloads", nargs="*", default=sorted(workloads.WORKLOADS),
                         choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--acceptance", type=int, nargs="+", default=[], metavar="SEED")
     parser.add_argument("--against", type=Path, default=None, metavar="PATH")
     args = parser.parse_args(argv)
     lines = []
@@ -108,10 +127,16 @@ def main(argv=None) -> int:
             count, sha = digest(workload, seed, args.seconds)
             lines.append(f"{workload} seed {seed}: {count} checks {sha}")
             print(lines[-1], flush=True)
+    for seed in args.acceptance:
+        count, sha = acceptance_digest(seed)
+        lines.append(f"acceptance seed {seed}: {count} criteria {sha}")
+        print(lines[-1], flush=True)
     if args.against is None:
         return 0
     same = ["--seconds", str(args.seconds), "--seeds", *map(str, args.seeds),
             "--workloads", *args.workloads]
+    if args.acceptance:
+        same += ["--acceptance", *map(str, args.acceptance)]
     code, theirs = run_against(args.against.resolve(), same)
     for line in theirs:
         print(f"against: {line}", flush=True)

@@ -6,7 +6,7 @@ then the term loop.
 decided structural zeros and poles from the argument values: it indexes and
 keys every argument of every term and lowers every prefactor when it is
 made; ``eval`` takes the theta of every argument (read from the
-``ThetaTable`` or taken through ``ParamPoint.theta`` and written to it),
+``ThetaTable`` by its ``theta_id`` or taken through ``ParamPoint.theta`` and written to it),
 then multiplies out every term in its own factor order and raises at the
 first zero denominator theta of the first term that has one.  A test that
 sets ``envelopes.LoweredSum`` to it evaluates every envelope, restriction
@@ -16,6 +16,7 @@ and theta product this way.
 from __future__ import annotations
 
 from ellstab.core import SingularityError
+from ellstab.envelopes import theta_id
 
 
 class ReferenceSum:
@@ -28,7 +29,7 @@ class ReferenceSum:
                       for prod in products]
         self.args = list(index)
         roots = frozenset(chern_roots)
-        self.keys = [(m.float_items(), roots.isdisjoint(m._exps)) for m in self.args]
+        self.keys = [(theta_id(m), roots.isdisjoint(m._exps)) for m in self.args]
 
     def eval(self, pp, star, thetas, perm=0):
         free, bound = thetas.perm(perm)

@@ -430,6 +430,17 @@ def test_mono_total_is_the_chained_half_power_product(w):
                         assert ppx.materialize(got) == ppx.materialize(want), case
 
 
+def test_mono_total_float_pairs_are_its_exact_exponents_as_floats():
+    """The float pairs a prefactor is handed are ``float()`` of its exact
+    exponents, bit for bit and in their dict order, on every term of both
+    compile corpora and on each S-product."""
+    for spec in itertools.chain(_compile_corpus(), _pair_compile_corpus()):
+        for prod in [s_factor_product(spec.fp, spec.variant)] + Envelope(spec)._terms:
+            pref = prod.mono_total()
+            want = [(name, float(e).hex()) for name, e in pref._exps.items()]
+            assert [(name, e.hex()) for name, e in pref.float_items()] == want
+
+
 def _chained_qp_unit_factors(env: Envelope) -> dict[str, Monomial]:
     """The quasi-periodicity factors as a chain of Monomial powers and
     products, name by name and term by term, each the first term's: the

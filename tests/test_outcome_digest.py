@@ -1,7 +1,10 @@
 """The outcome-digest script that compares two checkouts."""
 
+import hashlib
 import subprocess
 import sys
+
+import numpy as np
 
 import outcome_digest
 
@@ -26,3 +29,32 @@ def test_against_this_checkout_exits_zero():
     ours, theirs = done.stdout.splitlines()
     assert ours.startswith("scalar-kernels seed 1: ")
     assert theirs == f"against: {ours}"
+
+
+def test_acceptance_digest_reads_the_criteria_without_their_timing(monkeypatch, capsys):
+    """``--acceptance`` digests each registered criterion's number, pass,
+    ``float.hex`` of its worst residual and detail, not its time, and its
+    line parses like a workload's."""
+    from ellstab import acceptance
+    from ellstab.acceptance import CriterionResult
+
+    def fake(worst, seconds):
+        return [lambda seed: CriterionResult(1, "one", True, worst + seed, 1e-8, seconds, "a"),
+                lambda seed: CriterionResult(2, "two", False, 3.0, 1e-8, seconds, "b")]
+
+    monkeypatch.syspath_prepend(str(outcome_digest.ROOT / "perfbench"))
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", fake(1e-12, 0.5))
+    assert outcome_digest.main(["--workloads", "--acceptance", "0", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["acceptance seed 0", "acceptance seed 1"]
+    assert all(line.split()[3:5] == ["2", "criteria"] for line in lines)
+    parsed = outcome_digest.parse(lines)
+    assert parsed.keys() == {("acceptance", 0), ("acceptance", 1)}
+    h = hashlib.sha256(b"1|True|" + (1e-12).hex().encode() + b"|a\n2|False|"
+                       + (3.0).hex().encode() + b"|b\n")
+    assert parsed["acceptance", 0] == f"2 criteria {h.hexdigest()}"
+    assert parsed["acceptance", 0] != parsed["acceptance", 1]
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", fake(1e-12, 9.0))
+    assert outcome_digest.acceptance_digest(0) == (2, h.hexdigest())
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", fake(np.nextafter(1e-12, 1), 0.5))
+    assert outcome_digest.acceptance_digest(0) != (2, h.hexdigest())

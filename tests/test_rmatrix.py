@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from ellstab.core import HBAR, Monomial, ParamPoint, SingularityError
-from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
-                               ThetaTable, _cancel, _tally, default_kahler,
+from ellstab.envelopes import (THETA_ITEMS, Envelope, EnvelopeSpec, LoweredSum,
+                               ThetaTable, _cancel, _tally, compiled, default_kahler,
                                kahler_args, kahler_point, restriction_values,
-                               s_factor_product, shifted_kahler, tree_weights)
+                               s_factor_product, shifted_kahler, theta_id,
+                               tree_weights)
 from ellstab.partitions import (box_slot_vars, fixed_points, index_degrees,
                                 make_fixed_point)
 from ellstab import envelopes, rmatrix
@@ -457,6 +458,52 @@ def test_theta_table_takes_each_theta_once(monkeypatch, colors, v):
     assert sum(calls.values()) < asked
 
 
+@pytest.mark.parametrize("colors,v", [((0, 0), (1, 1, 1)), ((0, 0), (2, 0, 1)),
+                                      ((0, 1), (1, 1, 1)), ((0, 0), (2, 1, 1))])
+def test_a_matrix_takes_one_theta_per_id_and_permutation(monkeypatch, colors, v):
+    """Across the envelopes of one restriction matrix, ``ParamPoint.theta``
+    runs once per ``theta_id`` and permutation of the Chern roots per
+    restriction point, or once per matrix for an argument without a root;
+    an id names one tuple of exponent items in dict order, and the two
+    orders of one monomial get two ids."""
+    g1, g2 = _unit_pair(colors)
+    pp = sample_param_point(3, N, framing_counts={"ua": list(g1.w),
+                                                  "ub": list(g2.w)})
+    basis = basis_fixed_points(v, [g1, g2], N)
+    roots = set(Envelope(EnvelopeSpec(basis[0], "plain")).x_names())
+    calls = Counter()
+    theta, term = ParamPoint.theta, Envelope._term
+    at: list = [None, None]
+
+    def term_at(self, pp, thetas, k):
+        at[:] = thetas, k
+        return term(self, pp, thetas, k)
+
+    def counted(self, mono, star=False, z=None):
+        table, k = at
+        key = theta_id(mono)
+        calls[(id(table), k, key) if not roots.isdisjoint(mono._exps) else key] += 1
+        return theta(self, mono, star, z)
+
+    fresh = _fresh(pp)
+    with monkeypatch.context() as patch:
+        patch.setattr(Envelope, "_term", term_at)
+        patch.setattr(ParamPoint, "theta", counted)
+        got = restriction_matrix(basis, fresh).matrix
+    assert calls and max(calls.values()) == 1
+    assert got.tobytes() == _entrywise(basis, pp, False, None).tobytes()
+    ids: dict = {}
+    for fp in basis:
+        for m in compiled(EnvelopeSpec(fp, "plain"), fresh)._lowered.args:
+            assert THETA_ITEMS[theta_id(m)] == m.float_items()
+            ids.setdefault(m.float_items(), set()).add(theta_id(m))
+    assert all(len(k) == 1 for k in ids.values())
+    assert len(set().union(*ids.values())) == len(ids)
+    a, b = Monomial._of({"t1": 1, "t2": -1}), Monomial._of({"t2": -1, "t1": 1})
+    assert a == b and theta_id(a) != theta_id(b)
+    assert theta_id(Monomial._of({"t1": 1, "t2": -1})) == theta_id(a)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("colors", [(0, 0), (0, 1)])
 @pytest.mark.parametrize("star", [False, True])
@@ -533,9 +580,9 @@ def test_theta_table_splits_by_its_own_chern_roots():
     want = env.eval(pp, values, logs)
     assert env.eval(pp, values, logs, table) == want
     roots = set(values)
-    assert table.free and all(roots.isdisjoint(dict(key)) for key in table.free)
+    assert table.free and all(roots.isdisjoint(dict(THETA_ITEMS[key])) for key in table.free)
     bound = [key for k in range(len(table._bound)) for key in table.perm(k)[1]]
-    assert bound and all(not roots.isdisjoint(dict(key)) for key in bound)
+    assert bound and all(not roots.isdisjoint(dict(THETA_ITEMS[key])) for key in bound)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,15 @@ import pytest
 from ellstab import vertex
 from ellstab.core import (HBAR, P, SQRT_HBAR, Monomial, ParamPoint,
                           SingularityError)
-from ellstab.envelopes import Envelope, EnvelopeSpec, restrict
+from ellstab.envelopes import Envelope, EnvelopeSpec, compiled, restrict
 from ellstab.partitions import FramingGroup, fixed_points, make_fixed_point
 from ellstab.rmatrix import basis_fixed_points, profiles
 from ellstab.sampling import sample_param_point
 from ellstab.scalars import mu_vacuum_ope
-from ellstab.vertex import (BetheSolution, BetheSystem, _degree_vectors,
-                            _factor_bases, bethe_residuals, bethe_solve,
-                            jackson_term_ratio, normalization_factor,
-                            qpoch_fin_mono, vertex_series)
+from ellstab.vertex import (TRIAL_MARGIN, BetheSolution, BetheSystem,
+                            _degree_vectors, _factor_bases, bethe_residuals,
+                            bethe_solve, jackson_term_ratio,
+                            normalization_factor, qpoch_fin_mono, vertex_series)
 from qseries_oracles import qpoch_mono
 
 N = 3
@@ -406,6 +406,137 @@ def test_table_path_is_bitwise_the_monomial_path(w):
     assert pairs > 10
 
 
+def _per_factor_series(lam, mu, degree_cap, pp):
+    """``vertex_series`` reading its products from the table factor by
+    factor: two ``VertexTable.qpoch`` reads per series factor and degree
+    vector, and each quasi-period multiplier materialized where it is
+    used."""
+    n = mu.n_colors
+    env = compiled(EnvelopeSpec(lam, "hat"), pp)
+    stab0 = restrict(env, mu, pp, framed=False)
+    table = vertex.vertex_table(mu, pp)
+    v, w = mu.v, mu.w
+    p, h = pp.p, pp.hbar
+    qp = env.qp_unit_factors()
+    pref = []
+    for box, _, name in table.boxes:
+        k = box.content % n
+        base = h ** w[k] * p ** (2 - 2 * v[k] + v[(k + 1) % n] - 2 * w[k])
+        pref.append(base / pp.materialize(qp[name]))
+    coeffs = {}
+    for d in _degree_vectors(len(table.boxes), degree_cap):
+        term, zeros = 1.0 + 0.0j, 0
+        for da, pr in zip(d, pref):
+            term *= pr ** (-da)
+        for num, den, i, j, _ in table.series:
+            s = d[i] if j is None else d[i] - d[j]
+            vn, zn = table.qpoch(num, s, pp)
+            vd, zd = table.qpoch(den, s, pp)
+            term *= vn / vd
+            zeros += zn - zd
+        coeffs[d] = vertex._net(term * stab0, zeros,
+                                "vertex coefficient has a structural pole")
+    return stab0, coeffs, qp
+
+
+def _per_factor_term_ratio(mu, degrees, pp, qp):
+    """``jackson_term_ratio`` reading its four infinite products per factor
+    from ``VertexTable.qpoch``."""
+    table = vertex.vertex_table(mu, pp)
+    p = pp.p
+    value, zeros = 1.0 + 0.0j, 0
+
+    def step(a, b, s):
+        v1, z1 = table.qpoch(a, None, pp, s)
+        v2, z2 = table.qpoch(a, None, pp)
+        v3, z3 = table.qpoch(b, None, pp, s)
+        v4, z4 = table.qpoch(b, None, pp)
+        return value * v1 / v2 / v3 * v4, z1 - z2 - z3 + z4
+
+    for (_, _, name), da in zip(table.boxes, degrees):
+        value *= pp.materialize(qp[name]) ** da
+    for ia, a, b in table.framing:
+        value *= p ** degrees[ia]
+        value, z = step(a, b, -degrees[ia])
+        zeros += z
+    for ia, ib, a, b in table.arrow:
+        value *= p ** (-degrees[ia])
+        value, z = step(a, b, degrees[ib] - degrees[ia])
+        zeros += z
+    for ia, ib, a, b in table.gauge:
+        value *= p ** (degrees[ia] + degrees[ib])
+        value, z = step(a, b, degrees[ia] - degrees[ib])
+        zeros += z
+    return vertex._net(value, zeros, "net structural pole in a Pochhammer ratio")
+
+
+def _hex(outcome):
+    """A complex value by the ``float.hex`` of its parts, any other outcome
+    by its ``repr``."""
+    if isinstance(outcome, complex):
+        return outcome.real.hex(), outcome.imag.hex()
+    return repr(outcome)
+
+
+def _row_and_factor_paths(w, seed, path, monkeypatch):
+    """Per (lambda, mu) pair of the 1-3-box profiles at framing ``w`` and
+    the point of ``seed``: the series' restriction and coefficients and the
+    oracle at every degree vector of cap 3, by ``_hex``, through the
+    library (``path`` "rows") or the per-factor reference; and per fixed
+    point the ``qpoch_fin_mono`` calls of its table."""
+    pp = sample_param_point(seed, N, framing_counts={"u": list(w)})
+    taken = Counter()
+
+    def counted(base, s, pp):
+        taken[tables[id(pp)]] += 1
+        return qpoch_fin_mono(base, s, pp)
+
+    tables: dict = {}
+    lines = []
+    with monkeypatch.context() as patch:
+        patch.setattr(vertex, "qpoch_fin_mono", counted)
+        for total in (1, 2, 3):
+            for v in profiles(total, N):
+                basis = fixed_points(v, w, N)
+                for mu in basis:
+                    for lam in basis:
+                        # one fresh point per pair: a table and its count per mu
+                        fresh = ParamPoint(N, pp.values, pp.logs, pp.tol, pp.min_terms, seed)
+                        tables[id(fresh)] = (v, mu)
+                        try:
+                            if path == "rows":
+                                got = vertex_series(lam, mu, 3, fresh)
+                                stab0, coeffs, qp = (got.envelope_at_mu, got.coefficients,
+                                                     got.qp_factors)
+                            else:
+                                stab0, coeffs, qp = _per_factor_series(lam, mu, 3, fresh)
+                        except SingularityError as exc:
+                            lines.append(repr(exc))
+                            continue
+                        lines.append((_hex(stab0), [(d, _hex(c)) for d, c in coeffs.items()]))
+                        oracle = jackson_term_ratio if path == "rows" else _per_factor_term_ratio
+                        for d in coeffs:
+                            try:
+                                lines.append(_hex(oracle(mu, d, fresh, qp)))
+                            except SingularityError as exc:
+                                lines.append(repr(exc))
+    return lines, taken
+
+
+@pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rows_are_bitwise_the_per_factor_table_reads(w, seed, monkeypatch):
+    """The series and the oracle, reading their products by shift from the
+    table's rows, agree by ``float.hex`` with the reads of
+    ``VertexTable.qpoch`` factor by factor, and every table takes as many
+    finite products through ``qpoch_fin_mono`` as it does for them."""
+    got, got_taken = _row_and_factor_paths(w, seed, "rows", monkeypatch)
+    want, want_taken = _row_and_factor_paths(w, seed, "factors", monkeypatch)
+    assert got == want
+    assert got_taken == want_taken and sum(got_taken.values()) > 0
+    assert any(not isinstance(line, str) for line in got)
+
+
 #: sha256 of ``_vertex_path_lines``, recorded before a ``VertexTable`` kept
 #: its Pochhammer products and before a restriction was checked for a theta
 #: pole ahead of the lowering, so both are pinned to the old bits
@@ -491,7 +622,7 @@ def test_a_table_takes_each_finite_product_once(monkeypatch):
                 table = vertex.vertex_table(mu, pp)
                 want = {(base, d[i] if j is None else d[i] - d[j])
                         for d in _degree_vectors(mu.size, 3)
-                        for num, den, i, j in table.series for base in (num, den)}
+                        for num, den, i, j, _ in table.series for base in (num, den)}
                 assert set(taken.values()) <= {1}
                 if reached:
                     assert set(taken) == want
@@ -801,7 +932,8 @@ def test_bethe_jacobian_is_bitwise_the_central_difference_loop(v, w, n):
 def test_bethe_trial_is_the_max_modulus_test(v, w, n):
     """A trial accepts exactly when ``np.max(np.abs(residuals)) < r``, with
     the residual vector in row order, from any first row and at bars on
-    each side of every modulus and at NaN and inf, also where a root sits
+    each side of every modulus (half ``TRIAL_MARGIN`` off it too, where the
+    scalar ``abs`` cannot decide) and at NaN and inf, also where a root sits
     at h u (a pole of its framing factor, hit up to rounding) or at 0 (NaN
     residuals)."""
     pp = sample_param_point(29, n, framing_counts={"u": list(w)})
@@ -818,7 +950,9 @@ def test_bethe_trial_is_the_max_modulus_test(v, w, n):
         for x in points:
             want = system(x)
             mods = np.abs(want)
-            bars = [b for m in mods for b in (m, np.nextafter(m, np.inf), 2 * m)]
+            bars = [b for m in mods for b in (m, np.nextafter(m, np.inf), 2 * m,
+                                              m * (1 - TRIAL_MARGIN / 2),
+                                              m * (1 + TRIAL_MARGIN / 2))]
             for r in bars + [np.nan, np.inf]:
                 accepted = np.max(np.abs(want)) < r
                 for first in range(size):
