@@ -153,9 +153,6 @@ class Monomial:
     def items(self):
         return sorted(self._exps.items())
 
-    def is_one(self) -> bool:
-        return not self._exps
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         d = dict(self._exps)
         for name, e in other._exps.items():
@@ -381,14 +378,14 @@ class ParamPoint:
         self.tol = tol
         self.min_terms = min_terms
         self.seed = seed
-        vals = dict(values)
+        vals = {k: complex(v) for k, v in values.items()}
         vals.setdefault(SIGN_VAR, -1.0 + 0.0j)
-        lgs = dict(logs) if logs is not None else {}
+        lgs = {k: complex(v) for k, v in logs.items()} if logs is not None else {}
         for name, v in vals.items():
             if name not in lgs:
                 lgs[name] = cmath.log(v)
-        self.values: dict[str, complex] = {k: complex(v) for k, v in vals.items()}
-        self.logs: dict[str, complex] = {k: complex(v) for k, v in lgs.items()}
+        self.values: dict[str, complex] = vals
+        self.logs: dict[str, complex] = lgs
         self._qpoch_memo: dict[tuple[complex, complex], complex] = {}
         self._series_tables: dict = {}
         self._envelopes: dict = {}

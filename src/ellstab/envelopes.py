@@ -7,7 +7,10 @@ tree per framing slot.  A compile takes the boxes, Chern slots, quiver pairs
 and index degrees of the fixed point once and builds each theta argument as
 one exponent dict; the S-product's ratios and the trees' edge arguments are
 handed their ``repr`` (the sort key) as they are built, without sorting
-their variables.  The S-product's arguments are counted once for all terms,
+their variables.  A tree is read as a walk (``LambdaTree.walk``); the one
+tree of a hook, the partition of most slots, is walked along its first row
+and column (``hook_walk``) without enumerating or rooting a choice of
+edges.  The S-product's arguments are counted once for all terms,
 in one tally by ``repr`` (numerator less denominator) that the last term
 extends in place, and one sort per term orders the factors left on both
 sides in ``repr`` order.  The compiled structure keeps every theta argument
@@ -65,9 +68,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (HBAR, BudgetError, Monomial, ParamPoint, SingularityError,
-                   _half, exponent_product)
-from .partitions import (Box, FixedPoint, LambdaTree, QuiverPairs,
-                         box_slot_vars, chern_slots, chern_var, index_degrees,
+                   _exponent, _half, exponent_product)
+from .partitions import (Box, FixedPoint, QuiverPairs, box_slot_vars,
+                         chern_slots, chern_var, hook_walk, index_degrees,
                          kahler_var, lambda_trees, phi_weight, quiver_pairs,
                          rho_less, weight_exponents)
 from .sampling import random_assignment
@@ -273,15 +276,18 @@ class LoweredSum:
     def __init__(self, products: list[ThetaProduct], chern_roots: Iterable[str]):
         self._products = products
         self._roots = frozenset(chern_roots)
-        # the first term's distinct denominator arguments, each as its first
-        # occurrence, so the pole exit reads the values the term loop would
+        # the first term's distinct denominator arguments (by ``repr``, which
+        # names a monomial up to its exponent order), each as its first
+        # occurrence in the numerator and then the denominator, so the pole
+        # exit reads the values the term loop would
         first = products[0]
-        # (by ``repr``, which names a monomial up to its exponent order)
         occurrence: dict[str, Monomial] = {}
-        for m in first.num + first.den:
+        for m in first.den:
             occurrence.setdefault(m._repr or repr(m), m)
-        self._first_den = [occurrence[key]
-                           for key in dict.fromkeys(m._repr for m in first.den)]
+        for m in reversed(first.num):
+            if (key := m._repr or repr(m)) in occurrence:
+                occurrence[key] = m
+        self._first_den = list(occurrence.values())
         self.terms: list | None = None
         self._args: list[Monomial] = []
         self._keys: list[tuple[int, bool]] = []
@@ -560,23 +566,24 @@ def _edge_arg(x_child: str, w_par: dict[str, int], x_par: str,
                            else f"{x_par}^-1*{x_child}^1"))
 
 
-def _tree_phi_args(cell: dict, tree: LambdaTree,
+def _tree_phi_args(cell: dict, walk: tuple,
                    root_arg: Monomial) -> list[tuple[Monomial, Monomial]]:
     """The phi arguments of one tree of a slot whose cells are ``cell``
-    (see ``tree_weights``): x_root/u against the Kahler-and-hbar product over
-    the whole tree, then per edge x_child phi_par / (x_par phi_child) against
-    the product over the child's subtree."""
-    subtree = tree.subtree
+    (see ``tree_weights``), read along its ``LambdaTree.walk``: x_root/u
+    against the Kahler-and-hbar product over the whole tree, then per edge
+    x_child phi_par / (x_par phi_child) against the product over the
+    child's subtree."""
+    cells, edges = walk
 
-    def subtree_product(top):
-        return Monomial._of(exponent_product([f for c in subtree[top] for f in cell[c][2]]))
+    def subtree_product(subtree):
+        return Monomial._of(exponent_product([f for c in subtree for f in cell[c][2]]))
 
-    phi_args = [(root_arg, subtree_product((1, 1)))]
-    for par, child in tree.edges():
+    phi_args = [(root_arg, subtree_product(cells))]
+    for par, child, subtree in edges:
         x_par, w_par, _ = cell[par]
         x_child, w_child, _ = cell[child]
         phi_args.append((_edge_arg(x_child, w_par, x_par, w_child),
-                         subtree_product(child)))
+                         subtree_product(subtree)))
     return phi_args
 
 
@@ -587,7 +594,9 @@ def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial] | None, boxes: list
     ``kahler`` maps every color to its Kahler argument, or is ``None`` for
     the plain z_i (``default_kahler``), which a compile takes without making
     a monomial of them.  ``boxes`` is ``fp.boxes()``, ``xvar`` is
-    ``box_slot_vars(fp)`` and ``degrees`` is ``index_degrees(fp)``.  The
+    ``box_slot_vars(fp)`` and ``degrees`` is ``index_degrees(fp)``.  A
+    slot's trees are read as walks: a hook's one tree from ``hook_walk``,
+    any other partition's trees from ``lambda_trees``.  The
     phi arguments of one tree of one slot are built once and shared by every
     tuple that holds the tree.  Each argument is built as one exponent dict,
     with the exponents and the variable order of its chained product.
@@ -597,26 +606,34 @@ def tree_weights(fp: FixedPoint, kahler: dict[int, Monomial] | None, boxes: list
     kah = {} if kahler is None else {i: m._exps for i, m in kahler.items()}
     hbar = HBAR._exps
     # per slot, per cell: the Chern root of its box, the exponents of its
-    # restriction weight, and those of its Kahler argument and of hbar to
-    # its index degree, the factors of a subtree product (hbar^0 left out:
-    # it changes no exponent)
+    # restriction weight without the framing coordinate (the two cells of
+    # an edge share it, so it would only enter an edge argument to leave
+    # it), and those of its Kahler argument and of hbar to its index
+    # degree, the factors of a subtree product (hbar^0 left out: it changes
+    # no exponent)
     cells: list[dict] = [{} for _ in fp.slots]
     for b in boxes:
         color, d = b.content % n, degrees[b]
         k = kah.get(color)
         if k is None:
             k = kah[color] = {kahler_var(color): 1}
-        cells[b.owner][b.x, b.y] = (xvar[b], weight_exponents(fp, b),
+        cells[b.owner][b.x, b.y] = (xvar[b], weight_exponents(fp, b, False),
                                     ((k, 1), (hbar, d)) if d else ((k, 1),))
     per_slot: list[list] = []
     for (slot, lam), cell in zip(fp.slots, cells):
         if not cell:
             continue
-        choices = lambda_trees(lam)
-        if not choices:
-            raise ValueError(f"no admissible tree for partition {lam.rows}")
+        walk = hook_walk(lam)
+        if walk is None:
+            choices = lambda_trees(lam)
+            if not choices:
+                raise ValueError(f"no admissible tree for partition {lam.rows}")
+            walks = [(t.kappa, t.walk()) for t in choices]
+        else:
+            walks = [(0, walk)]
         root_arg = _ratio(cell[1, 1][0], slot.u_var)
-        per_slot.append([(t.kappa, _tree_phi_args(cell, t, root_arg)) for t in choices])
+        per_slot.append([(kappa, _tree_phi_args(cell, walk, root_arg))
+                         for kappa, walk in walks])
 
     return [TreeTupleWeight(sum(kappa for kappa, _ in combo),
                             [arg for _, args in combo for arg in args])
@@ -654,7 +671,8 @@ def _cancel(tally: tuple[dict, dict, dict], sign: int) -> ThetaProduct:
     first_num, first_den, count = tally
     num: list[Monomial] = []
     den: list[Monomial] = []
-    for key, c in sorted(count.items()):
+    for key in sorted(count):
+        c = count[key]
         if c == 1:
             num.append(first_num[key])
         elif c == -1:
@@ -669,18 +687,27 @@ def _cancel(tally: tuple[dict, dict, dict], sign: int) -> ThetaProduct:
 def _qp_factors(term: ThetaProduct, names: list[str]) -> dict[str, dict]:
     """Per Chern root x of ``names``, the exponent dict of prod m^(-k) over
     the numerator arguments m of ``term`` and prod m^(+k) over the
-    denominator arguments, k the exponent of x in m: one pass over the
-    arguments collects each root's (m, +-k) pairs, and ``exponent_product``
-    sums them, so each dict has the exponents and variable order of the
-    chained product of those pairs."""
-    factors: dict[str, list] = {name: [] for name in names}
+    denominator arguments, k the exponent of x in m.  One pass over the
+    arguments adds each m^(+-k) into the dict of every root it holds, by
+    the sums of ``exponent_product`` (as ``Monomial.__mul__`` does, without
+    a list of pairs per root), so each dict has the exponents and variable
+    order of the chained product of those pairs."""
+    factors: dict[str, dict] = {name: {} for name in names}
+    held = factors.get
     for args, sign in ((term.num, -1), (term.den, 1)):
         for m in args:
             exps = m._exps
             for name, k in exps.items():
-                if name in factors:
-                    factors[name].append((exps, sign * k))
-    return {name: exponent_product(f) for name, f in factors.items()}
+                if (d := held(name)) is None:
+                    continue
+                k *= sign
+                for var, e in exps.items():
+                    # a sum of 0 is that of a variable the dict holds
+                    if s := d.get(var, 0) + k * e:
+                        d[var] = s if type(s) is int else _exponent(s)
+                    else:
+                        del d[var]
+    return factors
 
 
 class Envelope:
@@ -756,13 +783,14 @@ class Envelope:
         variables.
         """
         names = self.x_names()
-        per_term = [_qp_factors(term, names) for term in self._terms]
+        first, *rest = [_qp_factors(term, names) for term in self._terms]
         out: dict[str, Monomial] = {}
-        for name, d in per_term[0].items():
-            if any(t[name] != d for t in per_term[1:]):
-                raise ValueError("quasi-periodicity factor is not uniform "
-                                 "across tree terms")
-            if any(x in d for x in names):
+        for name, d in first.items():
+            for other in rest:
+                if other[name] != d:
+                    raise ValueError("quasi-periodicity factor is not uniform "
+                                     "across tree terms")
+            if not d.keys().isdisjoint(names):
                 raise ValueError("quasi-periodicity factor retains Chern roots; "
                                  "only ratio-normalized variants have one")
             out[name] = Monomial._of(d)

@@ -521,6 +521,10 @@ def index_degrees(fp: FixedPoint, boxes: list[Box] | None = None,
 # Trees in Young diagrams
 # ---------------------------------------------------------------------------
 
+#: most boxes of a partition whose trees are enumerated
+TREE_BUDGET = 14
+
+
 def _cell_edges(lam: ColoredPartition) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """The adjacencies of the cells, cell by cell in ``cells`` order: the
     edge to the right neighbour, then the edge to the one below."""
@@ -580,6 +584,14 @@ class LambdaTree:
         """(parent, child) pairs, deterministic order."""
         return sorted([(par, child) for child, par in self.parent.items()])
 
+    def walk(self) -> tuple[list[tuple[int, int]], list[tuple]]:
+        """The tree as a compile reads it: (its cells in preorder, per edge
+        in ``edges`` order (parent, child, the child's subtree in
+        preorder))."""
+        subtree = self.subtree
+        return subtree[1, 1], [(par, child, subtree[child])
+                               for par, child in self.edges()]
+
 
 def _rooted_tree(cells: list[tuple[int, int]],
                  edges: Iterable[tuple[tuple[int, int], tuple[int, int]]]
@@ -614,8 +626,9 @@ def _trees(lam: ColoredPartition, banned: Iterable[tuple]) -> list[LambdaTree]:
     is dropped before it is rooted."""
     if not lam.rows:
         return []
-    if lam.size > 14:
-        raise BudgetError(f"tree enumeration limited to 14 boxes, got {lam.size}")
+    if lam.size > TREE_BUDGET:
+        raise BudgetError(f"tree enumeration limited to {TREE_BUDGET} boxes, "
+                          f"got {lam.size}")
     cells = lam.cells()
     edges = _cell_edges(lam)
     banned = [(edges.index(a), edges.index(b)) for a, b in banned]
@@ -654,6 +667,34 @@ def _mirrored_l_pairs(lam: ColoredPartition):
         for y in range(1, rows[x]):
             corner = (x + 1, y + 1)
             yield ((x, y + 1), corner), ((x + 1, y), corner)
+
+
+def hook_walk(lam: ColoredPartition) -> tuple | None:
+    """``LambdaTree.walk`` of the one tree of a hook (a partition without a
+    2 x 2 square, whose one tree is admissible and has kappa 0), read off
+    its first row (the arm) and first column (the leg) without rooting it:
+    the cells are the root, the arm and the leg; the edges run from the
+    root to the arm, to the leg, then along the arm and along the leg; and
+    the subtree of a cell is the rest of its arm or leg.  None for any other
+    partition, and for a hook of more than ``TREE_BUDGET`` boxes, for which
+    ``lambda_trees`` raises."""
+    rows = lam.rows
+    # a hook holds rows[0] + len(rows) - 1 boxes
+    if (not rows or (len(rows) > 1 and rows[1] > 1)
+            or rows[0] + len(rows) - 1 > TREE_BUDGET):
+        return None
+    arm = [(1, y) for y in range(1, rows[0] + 1)]
+    leg = [(x, 1) for x in range(2, len(rows) + 1)]
+    edges = []
+    if len(arm) > 1:
+        edges.append(((1, 1), arm[1], arm[1:]))
+    if leg:
+        edges.append(((1, 1), leg[0], leg))
+    for k in range(2, len(arm)):
+        edges.append((arm[k - 1], arm[k], arm[k:]))
+    for k in range(1, len(leg)):
+        edges.append((leg[k - 1], leg[k], leg[k:]))
+    return arm + leg, edges
 
 
 def lambda_trees(lam: ColoredPartition) -> list[LambdaTree]:

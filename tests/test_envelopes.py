@@ -486,6 +486,25 @@ def test_plain_qp_unit_factors_retain_chern_roots():
         Envelope(EnvelopeSpec(fp, "plain")).qp_unit_factors()
 
 
+def test_qp_unit_factors_reject_terms_that_disagree():
+    """The square (2, 2) has two admissible trees, so its envelope has two
+    terms.  A copy of the second whose first denominator argument with a
+    Chern root carries an extra Kahler factor z0 gives that root another
+    quasi-periodicity factor in that term alone."""
+    fp = make_fixed_point([(2, 2)], FramingGroup((1, 0, 0)), N)
+    env = Envelope(EnvelopeSpec(fp, "hat"))
+    assert len(env._terms) == 2
+    env.qp_unit_factors()
+    second = env._terms[1]
+    m = next(m for m in second.den if not set(env.x_names()).isdisjoint(m._exps))
+    skewed = m * Monomial.var("z0")
+    env._terms[1] = ThetaProduct(list(second.num),
+                                 [skewed if a is m else a for a in second.den],
+                                 second.sign)
+    with pytest.raises(ValueError, match="not uniform across tree terms"):
+        env.qp_unit_factors()
+
+
 def test_envelope_lowers_at_its_first_evaluation():
     fp = make_fixed_point([(2, 1), (1,)], FramingGroup((1, 1, 0)), N)
     pp = sample_param_point(16, N, framing_counts={"u": [1, 1, 0]})

@@ -11,8 +11,8 @@ from ellstab.partitions import (Box, ColoredPartition, FixedPoint,
                                 FramingGroup, _cell_edges,
                                 _enumerate_fixed_points,
                                 addable_removable, box_order_cmp, chern_slots,
-                                fixed_points, index_degrees, k_eigen_sum_ok,
-                                lambda_trees, make_fixed_point,
+                                fixed_points, hook_walk, index_degrees,
+                                k_eigen_sum_ok, lambda_trees, make_fixed_point,
                                 partitions_upto, profiles, rho_less,
                                 spanning_trees, weight_identity_ok)
 
@@ -327,11 +327,54 @@ def _tree_data(tree):
             tree.edges())
 
 
+def _rooted_tree_data(cells, edges):
+    """``_tree_data`` of the tree of ``cells`` with the given edges, rooted
+    here on its own: a breadth-first search from (1, 1) over the edges in
+    order gives the parent map; kappa counts the edges that step up or
+    left; the subtree lists follow the postorder that takes the children of
+    a cell last to first, the reverse of the preorder that takes them first
+    to last."""
+    adj = {c: [] for c in cells}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = {(1, 1): (1, 1)}
+    frontier = [(1, 1)]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for nb in adj[c]:
+                if nb not in parent:
+                    parent[nb] = c
+                    nxt.append(nb)
+        frontier = nxt
+    assert len(parent) == len(cells)
+    del parent[1, 1]
+    children = {(1, 1): []}
+    for child in parent:
+        children[child] = []
+    for child, par in parent.items():
+        children[par].append(child)
+    kappa = sum(1 for child, par in parent.items()
+                if child[0] < par[0] or child[1] < par[1])
+    preorder, stack = [], [(1, 1)]
+    while stack:
+        cell = stack.pop()
+        preorder.append(cell)
+        stack.extend(reversed(children[cell]))
+    subtree = {}
+    for cell in reversed(preorder):
+        subtree[cell] = [cell] + [c for ch in children[cell] for c in subtree[ch]]
+    return (list(parent.items()), kappa, list(subtree.items()),
+            sorted((par, child) for child, par in parent.items()))
+
+
 def _union_find_spanning_trees(lam):
     """The enumeration as it was before one search both rooted a choice of
     edges and decided whether it spans: a union-find rejects every choice
     of cells - 1 edges, in ``itertools.combinations`` order, that closes a
-    cycle, and each choice left is rooted by ``_rooted_tree``."""
+    cycle, and each choice left is rooted by ``_rooted_tree_data``.  The
+    ``_tree_data`` of each tree, in that order."""
     cells = lam.cells()
     edges = _cell_edges(lam)
     trees = []
@@ -354,20 +397,28 @@ def _union_find_spanning_trees(lam):
                 break
             parent_of[ra] = rb
         if ok:
-            trees.append(partitions._rooted_tree(cells, [edges[ei] for ei in combo]))
+            trees.append(_rooted_tree_data(cells, [edges[ei] for ei in combo]))
     return trees
 
 
-def _joins(tree, edge) -> bool:
+def _joins(data, edge) -> bool:
+    parent = dict(data[0])
     a, b = edge
-    return tree.parent.get(a) == b or tree.parent.get(b) == a
+    return parent.get(a) == b or parent.get(b) == a
+
+
+def _walk(data):
+    """``LambdaTree.walk`` of a tree given by its ``_tree_data``."""
+    subtree = dict(data[2])
+    return subtree[1, 1], [(par, child, subtree[child]) for par, child in data[3]]
 
 
 def test_trees_are_those_of_the_union_find_enumeration():
     """Every partition of 1-8 boxes: ``spanning_trees`` gives the parent
     maps, kappas, subtree lists and edges of the union-find enumeration, and
     ``lambda_trees`` those of its trees that join both edges of no
-    mirrored-L pair, each in the same order."""
+    mirrored-L pair, each in the same order.  A hook's ``hook_walk`` is the
+    walk of its one tree, and any other partition has none."""
     compared = 0
     for size in range(1, 9):
         for rows in partitions.partitions_of(size):
@@ -377,14 +428,34 @@ def test_trees_are_those_of_the_union_find_enumeration():
             assert (len(_cell_edges(lam)) == lam.size - 1) == (not square), rows
             want = _union_find_spanning_trees(lam)
             got = spanning_trees(lam)
-            assert [_tree_data(t) for t in got] == [_tree_data(t) for t in want], rows
+            assert [_tree_data(t) for t in got] == want, rows
             admissible = [t for t in want if not any(
                 _joins(t, e) and _joins(t, f)
                 for e, f in partitions._mirrored_l_pairs(lam))]
-            assert ([_tree_data(t) for t in lambda_trees(lam)]
-                    == [_tree_data(t) for t in admissible]), rows
+            assert [_tree_data(t) for t in lambda_trees(lam)] == admissible, rows
+            assert [t.walk() for t in lambda_trees(lam)] == [_walk(t) for t in admissible], rows
+            if square:
+                assert hook_walk(lam) is None, rows
+            else:
+                assert len(admissible) == 1 and admissible[0][1] == 0, rows
+                assert hook_walk(lam) == _walk(admissible[0]), rows
             compared += 1
     assert compared == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22
+
+
+def test_hook_walk_up_to_the_tree_budget():
+    """Every hook of 9-14 boxes walks its one admissible tree; one of 15
+    boxes has no walk, and ``lambda_trees`` raises for it."""
+    for size in range(9, 16):
+        for arm in range(1, size + 1):
+            lam = ColoredPartition((arm,) + (1,) * (size - arm), 0, 3)
+            if size > 14:
+                assert hook_walk(lam) is None
+                with pytest.raises(BudgetError):
+                    lambda_trees(lam)
+                continue
+            (tree,) = lambda_trees(lam)
+            assert tree.kappa == 0 and hook_walk(lam) == tree.walk(), (size, arm)
 
 
 def test_tree_budget_guard():
