@@ -10,16 +10,19 @@ from ellstab import (ColoredPartition, Monomial, bethe_residuals, bethe_solve,
 N = 3
 pp = sample_param_point(51, N, extra_vars=["u", "zarg"])
 
-# Cartan eigenvalues and ladder coefficients of the lowest-weight module.
+# Cartan eigenvalues and ladder coefficients of the lowest-weight module: each
+# is a product of theta ratios, exact data whose grading holds its hbar power.
 lam = ColoredPartition((2, 1), 0, N)
 z = Monomial.var("zarg")
 print("Cartan eigenvalues on (2,1):")
 for j in range(N):
-    gv = phi_eigenvalue(lam, j, z, pp)
-    print(f"  residue {j}: value {gv.materialize(pp):.6f}, "
-          f"exact hbar exponent {gv.mono.get('t1')}")
-print("raise by (2,2):", raising_coefficient(lam, (2, 2), pp).materialize(pp))
-print("lower by (2,1):", lowering_coefficient(lam, (2, 1), pp).materialize(pp))
+    eigen = phi_eigenvalue(lam, j, z)
+    print(f"  residue {j}: value {eigen.eval(pp, False):.6f}, "
+          f"exact grading {eigen.mono_total()}")
+for name, coeff in (("raise by (3,1)", raising_coefficient(lam, (3, 1))),
+                    ("lower by (1,2)", lowering_coefficient(lam, (1, 2)))):
+    print(f"{name}: {len(coeff.num)} theta ratios, value {coeff.eval(pp, False)}, "
+          f"grading {coeff.mono_total()}")
 
 # The vertex series: degree-zero law and the independent per-term oracle.
 ppv = sample_param_point(41, N, framing_counts={"u": [1, 0, 0]})

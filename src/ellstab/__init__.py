@@ -8,10 +8,10 @@ K-theoretic vertex-function series, Bethe saddle-point equations, and the
 closed-form exchange scalars.
 """
 
-from .core import (HBAR, GradedValue, Monomial, ParamPoint, SingularityError,
-                   BudgetError, qpoch_fin, qpoch_inf,
-                   theta_modular_residual, theta_p, vartheta1)
-from .envelopes import (Envelope, EnvelopeSpec, default_kahler,
+from .core import (HBAR, Monomial, ParamPoint, SingularityError, BudgetError,
+                   qpoch_fin, qpoch_inf, theta_modular_residual, theta_p,
+                   vartheta1)
+from .envelopes import (Envelope, EnvelopeSpec, ThetaProduct, default_kahler,
                         factorization_residual, kahler_args, kahler_point,
                         restrict, restriction_values, shuffle_residual)
 from .fock import (box_weight, k_eigenvalue_exponent, lowering_coefficient,

@@ -246,7 +246,7 @@ def cmd_fock(args):
         lam = ColoredPartition(rows, args.k, n)
     pp = sample_param_point(args.seed, n, extra_vars=["u", "zarg"])
     z = Monomial.var("zarg")
-    eigen = {j: _c(phi_eigenvalue(lam, j, z, pp).materialize(pp))
+    eigen = {j: _c(phi_eigenvalue(lam, j, z).eval(pp, False))
              for j in range(n)}
     ladders = {"raise": {}, "lower": {}}
     worst = 0.0
@@ -255,8 +255,8 @@ def cmd_fock(args):
         for kind, coefficient, cells in (("raise", raising_coefficient, add),
                                          ("lower", lowering_coefficient, rem)):
             for cell in cells:
-                c1 = coefficient(lam, cell, pp, form=1).materialize(pp)
-                c2 = coefficient(lam, cell, pp, form=2).materialize(pp)
+                c1 = coefficient(lam, cell, form=1).eval(pp, False)
+                c2 = coefficient(lam, cell, form=2).eval(pp, False)
                 worst = max(worst, abs(c1 - c2) / max(abs(c1), 1e-300))
                 ladders[kind][str(list(cell))] = _c(c1)
     return (pp, {"partition": list(rows), "color": args.k,

@@ -2,21 +2,24 @@
 
 Everything downstream is a product of Jacobi theta factors carrying half-power
 prefactors, so naive complex evaluation is one branch-cut away from a sign
-error.  The substrate here avoids that by carrying every quantity as a pair
-(monomial, coefficient): the monomial stores exact rational exponents of named
-base variables, and exponentials are taken only through a *fixed* logarithm
-chosen once per variable.  Two algebraically equal products of half powers then
-materialize to the identical complex number.  A formal sign variable ``sgn``
-(value -1, log = i*pi) makes expressions like (-h^(1/2) u)^eta single valued.
-An integral exponent is stored as an ``int``, and a ``Fraction`` only where
-one is needed (a half power, an eta pairing's 1/n), so integral exponent
-arithmetic stays cheap.  The odd theta of a monomial m is graded by m^(-1/2)
-(``Monomial.inv_sqrt``).  A monomial keeps its float exponent pairs
-(``Monomial.float_items``) and its ``repr`` (the sort key of a compile) in
-slots once asked for them, so a compiled theta argument evaluated at many
-points pays the float conversions once, while a monomial materialized once
-pays for no table.  A compile's builders hand most arguments their ``repr``
-at construction (``Monomial._of``), formed without sorting.
+error.  The substrate here keeps the exact part of such a product apart from
+its values: a monomial stores exact rational exponents of named base
+variables, and exponentials are taken only through a *fixed* logarithm
+chosen once per variable.  Two algebraically equal products of half powers
+then materialize to the identical complex number.  A formal sign variable
+``sgn`` (value -1, log = i*pi) makes expressions like (-h^(1/2) u)^eta single
+valued.  An integral exponent is stored as an ``int``, and a ``Fraction``
+only where one is needed (a half power, an eta pairing's 1/n), so integral
+exponent arithmetic stays cheap.  The odd theta of an argument is its plain
+value -theta_p(z) (``ParamPoint.theta``); its grading z^(-1/2) belongs to the
+theta product that holds the argument (``envelopes.ThetaProduct``), which
+takes the half power once, exactly, for all its factors.  A monomial keeps
+its float exponent pairs (``Monomial.float_items``) and its ``repr`` (the
+sort key of a compile) in slots once asked for them, so a compiled theta
+argument evaluated at many points pays the float conversions once, while a
+monomial materialized once pays for no table.  A compile's builders hand
+most arguments their ``repr`` at construction (``Monomial._of``), formed
+without sorting.
 
 The value-level q-series primitives live here as well: truncated infinite and
 finite q-Pochhammer symbols and odd theta functions for a nome p or the
@@ -180,10 +183,6 @@ class Monomial:
         return Monomial._of({} if e == 0 else
                             {k: _exponent(v * e) for k, v in self._exps.items()})
 
-    def inv_sqrt(self) -> "Monomial":
-        """self^(-1/2), the grading of the odd theta of this argument."""
-        return Monomial._of({k: _half(-v) for k, v in self._exps.items()})
-
     def float_items(self) -> tuple[tuple[str, float], ...]:
         """(name, float exponent) pairs in the order of the exponent dict,
         the order in which ``ParamPoint.log_of`` sums them; computed on
@@ -217,56 +216,6 @@ class Monomial:
 HBAR = Monomial({"t1": 1, "t2": 1})
 SQRT_HBAR = HBAR ** Fraction(1, 2)
 P = Monomial.var("p")
-
-
-class GradedValue:
-    """A monomial prefactor times a plain complex coefficient.
-
-    Products multiply coefficients and add monomial exponents exactly;
-    addition is allowed only for equal monomials (otherwise materialize
-    first).  A value made with ``half_of`` instead of ``mono`` (the value
-    of a theta, ``ParamPoint.theta``) has the prefactor half_of^(-1/2),
-    taken when ``mono`` is first read: a caller that reads only the
-    coefficient never takes the half power.
-    """
-
-    __slots__ = ("coeff", "_mono", "_half_of")
-
-    def __init__(self, mono: Monomial | None, coeff: complex,
-                 half_of: Monomial | None = None):
-        self._mono = mono
-        self._half_of = half_of
-        self.coeff = coeff
-
-    @property
-    def mono(self) -> Monomial:
-        if self._mono is None:
-            self._mono = self._half_of.inv_sqrt()
-        return self._mono
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GradedValue) and self.mono == other.mono
-                and self.coeff == other.coeff)
-
-    def __hash__(self) -> int:
-        return hash((self.mono, self.coeff))
-
-    def __repr__(self) -> str:
-        return f"GradedValue(mono={self.mono!r}, coeff={self.coeff!r})"
-
-    def __mul__(self, other: "GradedValue") -> "GradedValue":
-        return GradedValue(self.mono * other.mono, self.coeff * other.coeff)
-
-    def __truediv__(self, other: "GradedValue") -> "GradedValue":
-        if other.coeff == 0:
-            raise SingularityError("division by a vanished graded value")
-        return GradedValue(self.mono / other.mono, self.coeff / other.coeff)
-
-    def materialize(self, pp: "ParamPoint") -> complex:
-        return self.coeff * pp.materialize(self.mono)
-
-
-GV_ONE = GradedValue(Monomial.one(), 1.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +413,26 @@ class ParamPoint:
             memo[key] = v
         return v
 
-    def theta(self, mono: Monomial, star: bool = False,
-              z: complex | None = None) -> GradedValue:
-        """Odd theta of a monomial argument: coeff -theta_p(z), mono z^(-1/2),
-        the two infinite products taken through :meth:`qpoch_inf`.  ``z`` is
-        the monomial's value at the point, ``materialize(mono)``, for a
-        caller that has already taken it."""
-        if z is None:
-            z = self.materialize(mono)
+    def theta(self, z: complex, star: bool = False) -> complex:
+        """The odd theta of an argument of value ``z`` (the argument's
+        ``materialize``), -theta_p(z) at the nome p or p*, without its
+        grading z^(-1/2): the two infinite products are taken through
+        :meth:`qpoch_inf`."""
         if z == 0:
             raise SingularityError("theta argument materialized to 0")
         q = self._nomes[star]
-        return GradedValue(None, -(self.qpoch_inf(z, q) * self.qpoch_inf(q / z, q)),
-                           half_of=mono)
+        return -(self.qpoch_inf(z, q) * self.qpoch_inf(q / z, q))
 
-    def phi(self, x: Monomial, y: Monomial, star: bool = False) -> GradedValue:
-        """phi(x, y) = theta(xy) theta(hbar) / (theta(x) theta(y))."""
-        num = self.theta(x * y, star) * self.theta(HBAR, star)
-        den = self.theta(x, star) * self.theta(y, star)
-        if den.coeff == 0:
+    def phi(self, x: Monomial, y: Monomial, star: bool = False) -> complex:
+        """phi(x, y) = theta(xy) theta(hbar) / (theta(x) theta(y)): the ratio
+        of the theta values times hbar^(-1/2), all that is left of the four
+        gradings."""
+        m = self.materialize
+        num = self.theta(m(x * y), star) * self.theta(m(HBAR), star)
+        den = self.theta(m(x), star) * self.theta(m(y), star)
+        if den == 0:
             raise SingularityError("phi hit a theta zero in the denominator")
-        return num / den
+        return num / den * m(SQRT_HBAR ** -1)
 
 
 def theta_modular_residual(x_value: complex, pp: ParamPoint) -> float:

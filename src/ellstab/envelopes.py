@@ -31,11 +31,12 @@ meets a pole in its first term's denominator raises before any other theta
 is taken, a later pole takes no theta of a value in the annulus either,
 and a term with a unit numerator argument takes none of its numerator
 thetas.  Each argument is materialized at most once per evaluation, and
-its theta is taken from that value (reading only its coefficient, so no
-half power is formed); the terms are combined by index in the point's
-number type (complex floats, unless a subclass of ``ParamPoint`` names
-another: every value, log and exponential is taken through the point), and
-exact monomial arithmetic stays at compile time.
+its theta is taken from that value (``ParamPoint.theta``, which forms no
+half power: each term's grading is its one exact prefactor); the terms are
+combined by index in the point's number type (complex floats, unless a
+subclass of ``ParamPoint`` names another: every value, log and exponential
+is taken through the point), and exact monomial arithmetic stays at
+compile time.
 
 Every theta is read through a ``ThetaTable``, the one path from an argument
 to its value: a theta with a Chern root is taken once per permutation, one
@@ -127,7 +128,11 @@ def kahler_point(pp: ParamPoint, kahler) -> ParamPoint:
 
 @dataclass
 class ThetaProduct:
-    """Product of odd theta factors with an overall sign, all graded."""
+    """A product of odd theta factors with an overall sign, each factor
+    theta(m) graded by m^(-1/2): the package's one graded theta product, for
+    the envelope terms and the Fock coefficients alike.  It holds exact data
+    only: ``mono_total`` is its exact grading and ``eval`` its value at a
+    point, taken by ``LoweredSum.eval``."""
 
     num: list[Monomial] = field(default_factory=list)
     den: list[Monomial] = field(default_factory=list)
@@ -267,9 +272,9 @@ class LoweredSum:
     its prefactor.  Skipping it changes no bit: its product is +-0, and
     adding +-0 leaves a total unchanged that never holds -0.0 (the total
     starts at +0.0, and a sum is -0.0 only if both addends are).  Every
-    other term is multiplied out in its own factor order, bit for bit the
-    product of graded values, with no exact monomial arithmetic once
-    lowered.  Every q-series theta goes through ``ParamPoint.theta``, handed
+    other term is multiplied out in its own factor order, its theta values
+    times its prefactor's value, with no exact monomial arithmetic once
+    lowered.  Every q-series theta goes through ``ParamPoint.theta``, from
     the value the decision took.
     """
 
@@ -338,7 +343,7 @@ class LoweredSum:
                 key = theta_id(m)
                 c = memo.get(key)
                 if c is None:
-                    c = memo[key] = pp.theta(m, star, z).coeff
+                    c = memo[key] = pp.theta(z, star)
                 if c != 0:
                     continue
             raise SingularityError(f"theta pole in denominator at {m}")
@@ -377,7 +382,7 @@ class LoweredSum:
                         if theta_surely_nonzero(z, abs_q):
                             continue
                         key, is_free = keys[k]
-                        c = th[k] = (free if is_free else bound)[key] = theta(args[k], star, z).coeff
+                        c = th[k] = (free if is_free else bound)[key] = theta(z, star)
                         if c != 0:
                             continue
                 elif c != 0:
@@ -400,13 +405,13 @@ class LoweredSum:
                     t = th[k]
                     if t is None:
                         key, is_free = keys[k]
-                        t = th[k] = (free if is_free else bound)[key] = theta(args[k], star, zs[k]).coeff
+                        t = th[k] = (free if is_free else bound)[key] = theta(zs[k], star)
                     c = c * t
                 for k in den:
                     t = th[k]
                     if t is None:
                         key, is_free = keys[k]
-                        t = th[k] = (free if is_free else bound)[key] = theta(args[k], star, zs[k]).coeff
+                        t = th[k] = (free if is_free else bound)[key] = theta(zs[k], star)
                     c = c / t
                 total += c * materialize(pref)
         return total

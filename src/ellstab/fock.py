@@ -3,9 +3,10 @@
 Diagonal eigenvalues of the Cartan currents, raising/lowering matrix
 coefficients in both of their product forms, the underlying single-line
 representation and the integer eigenvalue identities.  The box weight of
-(x, y) is u_X = t1^(-y) t2^(-x) u; coefficients are products of odd theta
-ratios carried as graded values, so their leading hbar powers are exact
-rational exponents.
+(x, y) is u_X = t1^(-y) t2^(-x) u.  An eigenvalue or coefficient is exact
+data, the ``ThetaProduct`` of its odd theta ratios, built from monomials
+alone: its grading (``mono_total``) holds its leading hbar power with exact
+rational exponents, and ``eval(pp, False)`` is its value at a point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GV_ONE, HBAR, GradedValue, Monomial, ParamPoint
+from .core import HBAR, Monomial, ParamPoint
+from .envelopes import ThetaProduct
 from .partitions import ColoredPartition, addable_removable
 from .scalars import vacuum_c_constants
 
@@ -29,8 +31,7 @@ def _content_key(lam: ColoredPartition, cell) -> tuple[int, int]:
     return (lam.content(x, y), -(x + y - 2))
 
 
-def phi_eigenvalue(lam: ColoredPartition, residue: int, z: Monomial,
-                   pp: ParamPoint) -> GradedValue:
+def phi_eigenvalue(lam: ColoredPartition, residue: int, z: Monomial) -> ThetaProduct:
     """Eigenvalue of the residue-j Cartan current on the basis vector of lam.
 
     Product over removable boxes of theta(u_R/z)/theta(h u_R/z) and addable
@@ -38,14 +39,16 @@ def phi_eigenvalue(lam: ColoredPartition, residue: int, z: Monomial,
     tags the series reading and does not change the closed ratio.
     """
     add, rem = addable_removable(lam, residue)
-    gv = GV_ONE
+    prod = ThetaProduct()
     for cell in rem:
         ur = box_weight(cell)
-        gv = gv * (pp.theta(ur / z) / pp.theta(HBAR * ur / z))
+        prod.num.append(ur / z)
+        prod.den.append(HBAR * ur / z)
     for cell in add:
         ua = box_weight(cell)
-        gv = gv * (pp.theta(HBAR ** 2 * ua / z) / pp.theta(HBAR * ua / z))
-    return gv
+        prod.num.append(HBAR ** 2 * ua / z)
+        prod.den.append(HBAR * ua / z)
+    return prod
 
 
 def phi_weight_exponent(lam: ColoredPartition, residue: int) -> Fraction:
@@ -54,8 +57,7 @@ def phi_weight_exponent(lam: ColoredPartition, residue: int) -> Fraction:
     return Fraction(len(rem) - len(add), 2)
 
 
-def raising_coefficient(lam: ColoredPartition, cell, pp: ParamPoint,
-                        form: int = 1) -> GradedValue:
+def raising_coefficient(lam: ColoredPartition, cell, form: int = 1) -> ThetaProduct:
     """Matrix coefficient of adding the box ``cell`` (which must be addable).
 
     ``form=1`` uses the addable set of lam, ``form=2`` the addable set of
@@ -68,23 +70,24 @@ def raising_coefficient(lam: ColoredPartition, cell, pp: ParamPoint,
         raise ValueError(f"{cell} is not an addable box of residue {residue}")
     ux = box_weight(cell)
     key_x = _content_key(lam, cell)
-    gv = GV_ONE
+    prod = ThetaProduct()
     for r in rem:
         if _content_key(lam, r) < key_x:
             ur = box_weight(r)
-            gv = gv * (pp.theta(HBAR * ux / ur) / pp.theta(ux / ur))
+            prod.num.append(HBAR * ux / ur)
+            prod.den.append(ux / ur)
     add_set = add if form == 1 else addable_removable(lam.add_cell(*cell), residue)[0]
     for a in add_set:
         if a == cell:
             continue
         if _content_key(lam, a) < key_x:
             ua = box_weight(a)
-            gv = gv * (pp.theta(ux / (HBAR * ua)) / pp.theta(ux / ua))
-    return gv
+            prod.num.append(ux / (HBAR * ua))
+            prod.den.append(ux / ua)
+    return prod
 
 
-def lowering_coefficient(lam: ColoredPartition, cell, pp: ParamPoint,
-                         form: int = 1) -> GradedValue:
+def lowering_coefficient(lam: ColoredPartition, cell, form: int = 1) -> ThetaProduct:
     """Matrix coefficient of removing the box ``cell`` (which must be removable)."""
     n = lam.n_colors
     residue = lam.content(*cell) % n
@@ -93,19 +96,21 @@ def lowering_coefficient(lam: ColoredPartition, cell, pp: ParamPoint,
         raise ValueError(f"{cell} is not a removable box of residue {residue}")
     ux = box_weight(cell)
     key_x = _content_key(lam, cell)
-    gv = GV_ONE
+    prod = ThetaProduct()
     rem_set = rem if form == 1 else addable_removable(lam.remove_cell(*cell), residue)[1]
     for r in rem_set:
         if r == cell:
             continue
         if _content_key(lam, r) > key_x:
             ur = box_weight(r)
-            gv = gv * (pp.theta(ur / (HBAR * ux)) / pp.theta(ur / ux))
+            prod.num.append(ur / (HBAR * ux))
+            prod.den.append(ur / ux)
     for a in add:
         if _content_key(lam, a) > key_x:
             ua = box_weight(a)
-            gv = gv * (pp.theta(HBAR * ua / ux) / pp.theta(ua / ux))
-    return gv
+            prod.num.append(HBAR * ua / ux)
+            prod.den.append(ua / ux)
+    return prod
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,7 @@ class VectorAction:
     """Action of a generator on one basis line [u]_m of the vector module."""
 
     kind: str                 # 'phi', 'raise' or 'lower'
-    coefficient: object       # GradedValue or complex constant
+    coefficient: object       # ThetaProduct or complex constant
     support: Monomial | None  # delta-support point for raise/lower
     new_index: int | None
 
@@ -123,7 +128,7 @@ def vector_action(which: str, residue: int, m: int, k: int,
     """Single-line module action: ``which`` in {'phi', 'x+', 'x-'}.
 
     The Cartan case needs the spectral monomial z and returns the closed
-    eigenvalue ratio; the ladder cases return the delta-support point and the
+    eigenvalue ratio as a ``ThetaProduct``; the ladder cases return the delta-support point and the
     ladder constant.
     """
     n = pp.n_colors
@@ -135,13 +140,12 @@ def vector_action(which: str, residue: int, m: int, k: int,
         if z is None:
             raise ValueError("phi action needs the spectral argument z")
         if (residue + m - k) % n == 0:
-            gv = pp.theta(point / (HBAR * z)) / pp.theta(point / z)
-            return VectorAction("phi", gv, None, m)
-        if (residue + m + 1 - k) % n == 0:
-            t2 = Monomial.var("t2")
-            gv = pp.theta(point * t2 / z) / pp.theta(point / (t1 * z))
-            return VectorAction("phi", gv, None, m)
-        return VectorAction("phi", GV_ONE, None, m)
+            ratio = ThetaProduct([point / (HBAR * z)], [point / z])
+        elif (residue + m + 1 - k) % n == 0:
+            ratio = ThetaProduct([point * Monomial.var("t2") / z], [point / (t1 * z)])
+        else:
+            ratio = ThetaProduct()
+        return VectorAction("phi", ratio, None, m)
     if which == "x+":
         if (residue + m + 1 - k) % n == 0:
             return VectorAction("raise", c_plus, point / t1, m + 1)

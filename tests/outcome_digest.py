@@ -13,15 +13,15 @@ compare the output, or let it run the other checkout too,
                                    [--acceptance 0 1 2] [--against PATH]
 
 ``--acceptance`` (opt-in) also runs every acceptance criterion
-(``acceptance.ALL_CRITERIA``) at each seed given and prints
-``acceptance seed S: 11 criteria SHA``, the sha256 of the lines
+(``acceptance.ALL_CRITERIA``) at each seed given and prints one line per
+criterion, ``criterion N seed S: SHA``, the sha256 of its line
 ``number|passed|float.hex(worst)|detail``, the timing left out;
 ``--workloads`` with no name runs only those.  With ``--against PATH`` the
 same digests also run in the checkout at PATH, in an interpreter of their
 own that imports that checkout's ``src/`` and ``perfbench/``; its lines are
 printed after this checkout's, prefixed with ``against:``, and the script
-exits 1, naming on standard error every (workload, seed) whose digest
-differs or is missing there.
+exits 1, naming on standard error every workload or criterion, with its
+seed, whose digest differs or is missing there.
 
 The defaults (all three workloads, seeds 1-3) take about 30 s per checkout
 on a 2-vCPU host, since the checks run faster than the run lengths
@@ -67,22 +67,21 @@ def digest(workload: str, seed: int, seconds: float) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
-def acceptance_digest(seed: int) -> tuple[int, str]:
-    """(number of criteria, sha256 of their outcome lines) of every
-    acceptance criterion at ``seed``: number, pass, ``float.hex`` of the
-    worst residual and detail, without the time each took."""
+def acceptance_digests(seed: int) -> list[tuple[int, str]]:
+    """(number, sha256 of its outcome line) of every acceptance criterion at
+    ``seed``: the line holds the number, the pass, ``float.hex`` of the
+    worst residual and the detail, without the time the criterion took."""
     acceptance = importlib.import_module("ellstab.acceptance")
-    h = hashlib.sha256()
-    results = acceptance.run_all(seed, verbose=False)
-    for res in results:
-        h.update(f"{res.number}|{res.passed}|{float(res.worst).hex()}|{res.detail}\n".encode())
-    return len(results), h.hexdigest()
+    return [(res.number, hashlib.sha256(
+                f"{res.number}|{res.passed}|{float(res.worst).hex()}|{res.detail}\n"
+                .encode()).hexdigest())
+            for res in acceptance.run_all(seed, verbose=False)]
 
 
 def parse(lines: list[str]) -> dict[tuple[str, int], str]:
     """The digest lines ``workload seed S: N checks SHA`` (and
-    ``acceptance seed S: N criteria SHA``) keyed by (workload, seed); other
-    lines are left out."""
+    ``criterion N seed S: SHA``) keyed by (workload, seed), a criterion's
+    workload being ``criterion N``; other lines are left out."""
     out = {}
     for line in lines:
         head, sep, rest = line.partition(": ")
@@ -128,9 +127,9 @@ def main(argv=None) -> int:
             lines.append(f"{workload} seed {seed}: {count} checks {sha}")
             print(lines[-1], flush=True)
     for seed in args.acceptance:
-        count, sha = acceptance_digest(seed)
-        lines.append(f"acceptance seed {seed}: {count} criteria {sha}")
-        print(lines[-1], flush=True)
+        for number, sha in acceptance_digests(seed):
+            lines.append(f"criterion {number} seed {seed}: {sha}")
+            print(lines[-1], flush=True)
     if args.against is None:
         return 0
     same = ["--seconds", str(args.seconds), "--seeds", *map(str, args.seeds),

@@ -6,16 +6,20 @@ then the term loop.
 decided structural zeros and poles from the argument values: it indexes and
 keys every argument of every term and lowers every prefactor when it is
 made; ``eval`` takes the theta of every argument (read from the
-``ThetaTable`` by its ``theta_id`` or taken through ``ParamPoint.theta`` and written to it),
+``ThetaTable`` by its ``theta_id`` or taken through ``ParamPoint.theta``
+from its value and written to it),
 then multiplies out every term in its own factor order and raises at the
 first zero denominator theta of the first term that has one.  A test that
 sets ``envelopes.LoweredSum`` to it evaluates every envelope, restriction
 and theta product this way.
+
+``trace_thetas`` tells a test which argument each theta is taken for, which
+``ParamPoint.theta``, handed only the argument's value, does not see.
 """
 
 from __future__ import annotations
 
-from ellstab.core import SingularityError
+from ellstab.core import ParamPoint, SingularityError
 from ellstab.envelopes import theta_id
 
 
@@ -38,7 +42,7 @@ class ReferenceSum:
             memo = free if is_free else bound
             c = memo.get(key)
             if c is None:
-                c = memo[key] = pp.theta(m, star).coeff
+                c = memo[key] = pp.theta(pp.materialize(m), star)
             th.append(c)
         total = 0.0 + 0.0j
         for sign, num, den, pref in self.terms:
@@ -51,3 +55,26 @@ class ReferenceSum:
                 c = c / th[k]
             total += c * pp.materialize(pref)
         return total
+
+
+def trace_thetas(patch, on_theta):
+    """Patch (through ``patch``, a pytest ``MonkeyPatch``) ``ParamPoint``'s
+    ``materialize`` and ``theta`` so that each theta taken first calls
+    ``on_theta(pp, m, star, z)``, ``m`` the monomial whose value ``z`` is.
+    An evaluation takes each theta from the very object ``materialize``
+    returned for its argument, so the argument is found by that object's
+    identity; every value is kept, so no identity is reused."""
+    materialize, theta = ParamPoint.materialize, ParamPoint.theta
+    made = {}
+
+    def materialized(self, m):
+        z = materialize(self, m)
+        made[id(z)] = (z, m)
+        return z
+
+    def taken(self, z, star=False):
+        on_theta(self, made[id(z)][1], star, z)
+        return theta(self, z, star)
+
+    patch.setattr(ParamPoint, "materialize", materialized)
+    patch.setattr(ParamPoint, "theta", taken)

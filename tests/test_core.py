@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstab.core import (HBAR, Monomial, ParamPoint, SingularityError,
-                          exponent_product, qpoch_fin, qpoch_inf,
-                          theta_modular_residual, theta_p)
+from ellstab.core import (HBAR, SQRT_HBAR, Monomial, ParamPoint,
+                          SingularityError, exponent_product, qpoch_fin,
+                          qpoch_inf, theta_modular_residual, theta_p)
+from ellstab.envelopes import ThetaProduct
 from ellstab.sampling import sample_param_point
 from qseries_oracles import gamma3, qpoch2_inf
 
@@ -48,8 +49,8 @@ def test_integral_exponents_are_stored_as_ints():
                 Monomial.var("a", three_halves) / Monomial.var("a", half)],
         "pow": [a ** 2, Monomial.var("a", three_halves) ** Fraction(2, 3),
                 Monomial.var("a", 4) ** half],
-        "inv_sqrt": [Monomial({"a": 4, "b": -2}).inv_sqrt(),
-                     Monomial.var("a", Fraction(4, 3)).inv_sqrt()],
+        "grading": [ThetaProduct([Monomial({"a": 4, "b": -2})]).mono_total(),
+                    ThetaProduct([Monomial.var("a", Fraction(4, 3))]).mono_total()],
         "product": [Monomial._of(exponent_product(
             [(Monomial.var("a", half)._exps, 2),
              (Monomial.var("a", three_halves)._exps, 1)]))],
@@ -59,8 +60,8 @@ def test_integral_exponents_are_stored_as_ints():
             assert not _integral_fractions(m), (op, m)
     assert results["mul"][0]._exps == {"a": 2, "b": 2, "c": -3}
     assert results["pow"][1]._exps == {"a": 1}
-    assert results["inv_sqrt"][0]._exps == {"a": -2, "b": 1}
-    assert results["inv_sqrt"][1]._exps == {"a": Fraction(-2, 3)}
+    assert results["grading"][0]._exps == {"a": -2, "b": 1}
+    assert results["grading"][1]._exps == {"a": Fraction(-2, 3)}
     assert results["product"][0]._exps == {"a": Fraction(5, 2)}
 
 
@@ -146,9 +147,9 @@ def test_theta_graded_laws():
     for _ in range(100):
         zv = (0.3 + 1.4 * rng.random()) * cmath.exp(2j * np.pi * rng.random())
         pp = PP.extended({"w": zv})
-        th = pp.theta(zm).materialize(pp)
-        assert abs(pp.theta(zm ** -1).materialize(pp) + th) < 1e-10 * abs(th)
-        shifted = pp.theta(pm * zm).materialize(pp)
+        th = ThetaProduct([zm]).eval(pp, False)
+        assert abs(ThetaProduct([zm ** -1]).eval(pp, False) + th) < 1e-10 * abs(th)
+        shifted = ThetaProduct([pm * zm]).eval(pp, False)
         law = -pp.materialize(pm ** Fraction(-1, 2) * zm ** -1) * th
         assert abs(shifted - law) < 1e-10 * abs(law)
 
@@ -159,9 +160,9 @@ def _bits(c: complex) -> tuple[str, str]:
 
 @pytest.mark.parametrize("star", [False, True])
 def test_theta_is_minus_the_even_theta_cold_and_warm(star):
-    """``ParamPoint.theta`` is -theta_p of the argument's value at the
-    point's nome, bit for bit, whether the point's q-Pochhammer memo holds
-    the two infinite products yet or not."""
+    """``ParamPoint.theta`` is -theta_p of a value at the point's nome, bit
+    for bit, whether the point's q-Pochhammer memo holds the two infinite
+    products yet or not."""
     rng = np.random.default_rng(11)
     zm = Monomial.var("w")
     for _ in range(20):
@@ -170,23 +171,29 @@ def test_theta_is_minus_the_even_theta_cold_and_warm(star):
         z = pp.materialize(zm)
         want = _bits(-theta_p(z, pp.nome(star), pp.min_terms))
         assert not pp._qpoch_memo
-        assert _bits(pp.theta(zm, star).coeff) == want
+        assert _bits(pp.theta(z, star)) == want
         assert len(pp._qpoch_memo) == 2
-        assert _bits(pp.theta(zm, star, z).coeff) == want
+        assert _bits(pp.theta(z, star)) == want
 
 
 def test_theta_at_a_zero_value_raises():
     pp = ParamPoint(3, {"p": 0.1, "t1": 0.5, "t2": 0.7})
     deep = Monomial.var("t1", 2000)  # 0.5^2000 underflows to 0
-    for z in (None, 0.0):
+    for z in (pp.materialize(deep), 0.0):
         with pytest.raises(SingularityError, match="materialized to 0"):
-            pp.theta(deep, z=z)
+            pp.theta(z)
 
 
 def test_phi_monomial_is_half_hbar():
+    """The four gradings of phi(x, y) leave hbar^(-1/2), which
+    ``ParamPoint.phi`` multiplies into the ratio of the theta values."""
     pp = PP.extended({"w": 0.3 + 0.4j, "y": 1.1 - 0.2j})
-    phi = pp.phi(Monomial.var("w"), Monomial.var("y"))
-    assert phi.mono.exps == {"t1": Fraction(-1, 2), "t2": Fraction(-1, 2)}
+    x, y = Monomial.var("w"), Monomial.var("y")
+    assert ThetaProduct([x * y, HBAR], [x, y]).mono_total().exps == {
+        "t1": Fraction(-1, 2), "t2": Fraction(-1, 2)}
+    th = [pp.theta(pp.materialize(m)) for m in (x * y, HBAR, x, y)]
+    want = th[0] * th[1] / (th[2] * th[3]) * pp.materialize(SQRT_HBAR ** -1)
+    assert _bits(pp.phi(x, y)) == _bits(want)
 
 
 def test_phi_pole_at_one():
@@ -198,11 +205,10 @@ def test_phi_pole_at_one():
 def test_phi_symmetric_and_reassociation():
     pp = PP.extended({"w": 0.3 + 0.4j, "y": 1.1 - 0.2j})
     x, y = Monomial.var("w"), Monomial.var("y")
-    a = pp.phi(x, y).materialize(pp)
-    b = pp.phi(y, x).materialize(pp)
+    a = pp.phi(x, y)
+    b = pp.phi(y, x)
     assert abs(a - b) < 1e-12 * abs(a)
-    num = pp.theta(x * y) * pp.theta(HBAR)
-    c = (num / pp.theta(x) / pp.theta(y)).materialize(pp)
+    c = ThetaProduct([x * y, HBAR], [x, y]).eval(pp, False)
     assert abs(a - c) < 1e-12 * abs(a)
 
 

@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstab.core import (HBAR, BudgetError, GradedValue, Monomial,
-                         ParamPoint, SingularityError, theta_p)
+from ellstab.core import (HBAR, BudgetError, Monomial, ParamPoint,
+                         SingularityError, theta_p)
 from ellstab import envelopes
 from ellstab.envelopes import (ANNULUS_MODULUS, SYM_BUDGET, Envelope, EnvelopeSpec,
                                LoweredSum, VARIANTS, ThetaProduct, _cross_prefactor,
@@ -26,7 +26,7 @@ from ellstab.partitions import (FixedPoint, FramingGroup, box_slot_vars,
 from ellstab.rmatrix import (RestrictionMatrix, basis_fixed_points,
                              inverted_kahler, profiles, restriction_matrix)
 from ellstab.sampling import random_assignment, sample_param_point
-from reference_sum import ReferenceSum
+from reference_sum import ReferenceSum, trace_thetas
 
 N = 3
 PP = sample_param_point(11, N, framing_counts={"u": [1, 0, 0]})
@@ -47,8 +47,8 @@ def test_single_box_closed_form():
     got = env.eval(PP, vals)
     ppx = PP.extended(vals)
     x, u, z0 = Monomial.var("x0_1"), Monomial.var("u0_1"), Monomial.var("z0")
-    want = (ppx.theta(x / u * z0 * HBAR ** d) * ppx.theta(HBAR)
-            / ppx.theta(z0 * HBAR ** d)).materialize(ppx)
+    want = _graded_product(ThetaProduct([x / u * z0 * HBAR ** d, HBAR],
+                                        [z0 * HBAR ** d]), ppx, False)
     assert abs(got - want) < 1e-12 * abs(want)
 
 
@@ -66,15 +66,14 @@ def test_row_of_two_tree_weight_hand_expansion():
     ppx = PP.extended(vals)
     got = 1.0 + 0.0j
     for xm, ym in tw.phi_args:
-        got *= ppx.phi(xm, ym).materialize(ppx)
+        got *= ppx.phi(xm, ym)
     x1, x2, u = (Monomial.var("x0_1"), Monomial.var(f"x{N-1}_1"),
                  Monomial.var("u0_1"))
     z0, zl = Monomial.var("z0"), Monomial.var(f"z{N-1}")
     t1 = Monomial.var("t1")
     root_arg = z0 * zl * HBAR ** (d[(1, 1)] + d[(1, 2)])
     edge_arg = zl * HBAR ** d[(1, 2)]
-    want = (ppx.phi(x1 / u, root_arg)
-            * ppx.phi(t1 * x2 / x1, edge_arg)).materialize(ppx)
+    want = ppx.phi(x1 / u, root_arg) * ppx.phi(t1 * x2 / x1, edge_arg)
     assert abs(got - want) < 1e-12 * abs(want)
 
 
@@ -318,13 +317,16 @@ def test_restriction_requires_same_class():
 
 def _graded_product(prod, pp, star):
     """A theta product multiplied out factor by factor as graded values, the
-    formula the lowered evaluation replaces."""
-    gv = GradedValue(Monomial.one(), (-1.0) ** (prod.sign % 2))
+    formula the lowered evaluation replaces: each theta value carries its
+    grading m^(-1/2) as an exact monomial, multiplied up alongside."""
+    coeff, mono = (-1.0) ** (prod.sign % 2), Monomial.one()
     for m in prod.num:
-        gv = gv * pp.theta(m, star)
+        coeff *= pp.theta(pp.materialize(m), star)
+        mono *= m ** Fraction(-1, 2)
     for m in prod.den:
-        gv = gv / pp.theta(m, star)
-    return gv.materialize(pp)
+        coeff /= pp.theta(pp.materialize(m), star)
+        mono *= m ** Fraction(1, 2)
+    return coeff * pp.materialize(mono)
 
 
 def _reference_eval(env, pp, values):
@@ -700,15 +702,14 @@ def test_restrict_decides_a_theta_pole_before_lowering(w, monkeypatch):
     calls = Counter()
     taken: list[tuple[Monomial, bool]] = []
     keyed: list[Monomial] = []
-    theta, term, float_items = ParamPoint.theta, Envelope._term, Monomial.float_items
+    term, float_items = Envelope._term, Monomial.float_items
     roots: set[str] = set()
     perm = [0]
 
-    def counted(self, m, star=False, z=None):
+    def counted(pp, m, star, z):
         held = not roots.isdisjoint(m._exps)
         calls[(tuple(m._exps.items()), perm[0] if held else None)] += 1
-        taken.append((m, theta_surely_nonzero(self.materialize(m), abs(self.nome(star)))))
-        return theta(self, m, star, z)
+        taken.append((m, theta_surely_nonzero(z, abs(pp.nome(star)))))
 
     def term_at(self, pp, thetas, k):
         perm[0] = k
@@ -729,7 +730,7 @@ def test_restrict_decides_a_theta_pole_before_lowering(w, monkeypatch):
         taken.clear()
         keyed.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(ParamPoint, "theta", counted)
+            trace_thetas(patch, counted)
             patch.setattr(Envelope, "_term", term_at)
             patch.setattr(Monomial, "float_items", keys)
             got = _outcome(restrict, env, mu, pp, framed=False)
@@ -784,9 +785,9 @@ def test_a_lowered_sum_decides_every_pole_from_values(w, monkeypatch):
         seen.append(id(m))
         return materialize(self, m)
 
-    def counted_theta(self, m, star=False, z=None):
-        taken.append(theta_surely_nonzero(materialize(self, m), abs(self.nome(star))))
-        return theta(self, m, star, z)
+    def counted_theta(self, z, star=False):
+        taken.append(theta_surely_nonzero(z, abs(self.nome(star))))
+        return theta(self, z, star)
 
     def checked(self, pp, star, thetas, perm=0):
         seen.clear()

@@ -3,14 +3,15 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ellstab import core
-from ellstab.core import HBAR, Monomial, ParamPoint, qpoch_inf
+from ellstab.core import HBAR, SQRT_HBAR, Monomial, ParamPoint, qpoch_inf
 from ellstab.fock import (box_weight, k_eigenvalue_exponent,
                           lowering_coefficient, phi_eigenvalue,
                           phi_weight_exponent, raising_coefficient,
                           vector_action)
-from ellstab.partitions import ColoredPartition
+from ellstab.partitions import ColoredPartition, addable_removable, partitions_of
 from ellstab.sampling import sample_param_point
 from ellstab.scalars import vacuum_c_constants
 
@@ -34,11 +35,13 @@ def random_partition(rng, max_size, n_colors):
 
 def test_lowest_weight_eigenvalue():
     lam = ColoredPartition((), 0, N)
-    got = phi_eigenvalue(lam, 0, Z, PP).materialize(PP)
-    want = (PP.theta(HBAR * U / Z) / PP.theta(U / Z)).materialize(PP)
+    got = phi_eigenvalue(lam, 0, Z).eval(PP, False)
+    # theta(h u/z) / theta(u/z), whose gradings leave hbar^(-1/2)
+    want = (PP.theta(PP.materialize(HBAR * U / Z)) / PP.theta(PP.materialize(U / Z))
+            / PP.materialize(SQRT_HBAR))
     assert abs(got - want) < 1e-12 * abs(want)
     for j in (1, 2):
-        assert phi_eigenvalue(lam, j, Z, PP).materialize(PP) == 1.0
+        assert phi_eigenvalue(lam, j, Z).eval(PP, False) == 1.0
 
 
 def test_eigenvalue_leading_exponent_is_half_weight():
@@ -46,13 +49,32 @@ def test_eigenvalue_leading_exponent_is_half_weight():
     for _ in range(200):
         n = int(rng.choice([3, 4, 5]))
         lam = random_partition(rng, 10, n)
-        pp = sample_param_point(int(rng.integers(1, 1 << 30)), n,
-                                extra_vars=["u", "zarg"])
         j = int(rng.integers(0, n))
-        gv = phi_eigenvalue(lam, j, Monomial.var("zarg"), pp)
+        grading = phi_eigenvalue(lam, j, Z).mono_total()
         want = phi_weight_exponent(lam, j)
-        assert gv.mono.get("t1") == want and gv.mono.get("t2") == want
-        assert set(gv.mono.exps) <= {"t1", "t2"}
+        assert grading.get("t1") == want and grading.get("t2") == want
+        assert set(grading.exps) <= {"t1", "t2"}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exact_gradings_of_eigenvalues_and_dual_forms(n):
+    """Every partition up to six boxes, every color and residue: the
+    eigenvalue's grading is hbar^(phi_weight_exponent), and the two product
+    forms of each ladder coefficient have one grading."""
+    for size in range(7):
+        for rows in partitions_of(size):
+            for k in range(n):
+                lam = ColoredPartition(rows, k, n)
+                for j in range(n):
+                    assert (phi_eigenvalue(lam, j, Z).mono_total()
+                            == HBAR ** phi_weight_exponent(lam, j)), (rows, k, j)
+                    add, rem = addable_removable(lam, j)
+                    for coefficient, cells in ((raising_coefficient, add),
+                                               (lowering_coefficient, rem)):
+                        for cell in cells:
+                            one, two = (coefficient(lam, cell, form=f).mono_total()
+                                        for f in (1, 2))
+                            assert one == two, (rows, k, cell, coefficient.__name__)
 
 
 def test_central_eigenvalue_sum():
@@ -65,15 +87,15 @@ def test_central_eigenvalue_sum():
 
 def test_empty_partition_raising_coefficient_is_one():
     lam = ColoredPartition((), 0, N)
-    assert raising_coefficient(lam, (1, 1), PP).materialize(PP) == 1.0
+    assert raising_coefficient(lam, (1, 1)).eval(PP, False) == 1.0
 
 
 def test_single_factor_hand_case():
     lam = ColoredPartition((1,), 0, N)
     # the only residue-1 boundary box below (2,1) is nothing: coefficient 1
-    assert raising_coefficient(lam, (2, 1), PP).materialize(PP) == 1.0
+    assert raising_coefficient(lam, (2, 1)).eval(PP, False) == 1.0
     # removing the single box: nothing above it either
-    assert lowering_coefficient(lam, (1, 1), PP).materialize(PP) == 1.0
+    assert lowering_coefficient(lam, (1, 1)).eval(PP, False) == 1.0
 
 
 def test_dual_forms_agree():
@@ -85,14 +107,14 @@ def test_dual_forms_agree():
         pp = sample_param_point(1000 + trial, n, extra_vars=["u"])
         adds = lam.addable()
         cell = adds[int(rng.integers(0, len(adds)))]
-        a1 = raising_coefficient(lam, cell, pp, form=1).materialize(pp)
-        a2 = raising_coefficient(lam, cell, pp, form=2).materialize(pp)
+        a1 = raising_coefficient(lam, cell, form=1).eval(pp, False)
+        a2 = raising_coefficient(lam, cell, form=2).eval(pp, False)
         worst = max(worst, abs(a1 - a2) / max(abs(a1), abs(a2)))
         rems = lam.removable()
         if rems:
             cell = rems[int(rng.integers(0, len(rems)))]
-            b1 = lowering_coefficient(lam, cell, pp, form=1).materialize(pp)
-            b2 = lowering_coefficient(lam, cell, pp, form=2).materialize(pp)
+            b1 = lowering_coefficient(lam, cell, form=1).eval(pp, False)
+            b2 = lowering_coefficient(lam, cell, form=2).eval(pp, False)
             worst = max(worst, abs(b1 - b2) / max(abs(b1), abs(b2)))
     assert worst < 1e-10
 
@@ -104,7 +126,7 @@ def test_box_weight():
 def test_vector_action_cases():
     # away from the active residues the Cartan action is trivial
     va = vector_action("phi", 1, 0, 0, PP, z=Z)
-    assert va.coefficient.materialize(PP) == 1.0
+    assert va.coefficient.eval(PP, False) == 1.0
     # raising support sits one ladder step down
     va = vector_action("x+", 2, 0, 0, PP)
     assert va.support.exps == {"u": 1, "t1": -1}

@@ -434,3 +434,29 @@ def test_variable_names_are_not_written_out():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+def theta_reads(tree: ast.Module) -> list[str]:
+    """Where an attribute named ``theta`` is read, called or bound
+    (``sites``): ``pp.theta(z)`` and ``theta = pp.theta`` alike."""
+    return [where for _, where in
+            sites(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "theta")]
+
+
+def test_theta_reads_detected():
+    tree = ast.parse("def f(pp, z):\n    return pp.theta(z)\n"
+                     "class C:\n    def g(self, pp):\n        theta = pp.theta\n"
+                     "        return theta(1), self.theta_p, theta_p(2)\n"
+                     "x = ThetaProduct([m]).eval(pp, False)\n")
+    assert theta_reads(tree) == ["f", "C.g"]
+
+
+def test_thetas_are_taken_only_by_the_lowered_sum():
+    """A theta value carries no grading: every product of thetas in the
+    package is a ``ThetaProduct``, whose grading is exact, evaluated by
+    ``LoweredSum``.  Only that evaluator, and ``ParamPoint.phi`` (kept for
+    the tests and the tracer), take a theta through ``ParamPoint.theta``."""
+    found = {f"{path.name}:{where}" for path in sorted(SRC.glob("*.py"))
+             for where in theta_reads(ast.parse(path.read_text()))}
+    assert found == {"core.py:ParamPoint.phi", "envelopes.py:LoweredSum._pole_exit",
+                     "envelopes.py:LoweredSum.eval"}

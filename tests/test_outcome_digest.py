@@ -32,9 +32,10 @@ def test_against_this_checkout_exits_zero():
 
 
 def test_acceptance_digest_reads_the_criteria_without_their_timing(monkeypatch, capsys):
-    """``--acceptance`` digests each registered criterion's number, pass,
-    ``float.hex`` of its worst residual and detail, not its time, and its
-    line parses like a workload's."""
+    """``--acceptance`` prints one digest line per criterion and seed, of
+    the criterion's number, pass, ``float.hex`` of its worst residual and
+    detail, not its time; its lines parse like a workload's, keyed by the
+    criterion, so a digest that moves names its criterion."""
     from ellstab import acceptance
     from ellstab.acceptance import CriterionResult
 
@@ -46,15 +47,17 @@ def test_acceptance_digest_reads_the_criteria_without_their_timing(monkeypatch, 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", fake(1e-12, 0.5))
     assert outcome_digest.main(["--workloads", "--acceptance", "0", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(": ")[0] for line in lines] == ["acceptance seed 0", "acceptance seed 1"]
-    assert all(line.split()[3:5] == ["2", "criteria"] for line in lines)
+    assert [line.split(": ")[0] for line in lines] == [
+        "criterion 1 seed 0", "criterion 2 seed 0", "criterion 1 seed 1", "criterion 2 seed 1"]
     parsed = outcome_digest.parse(lines)
-    assert parsed.keys() == {("acceptance", 0), ("acceptance", 1)}
-    h = hashlib.sha256(b"1|True|" + (1e-12).hex().encode() + b"|a\n2|False|"
-                       + (3.0).hex().encode() + b"|b\n")
-    assert parsed["acceptance", 0] == f"2 criteria {h.hexdigest()}"
-    assert parsed["acceptance", 0] != parsed["acceptance", 1]
+    one = hashlib.sha256(b"1|True|" + (1e-12).hex().encode() + b"|a\n").hexdigest()
+    two = hashlib.sha256(b"2|False|" + (3.0).hex().encode() + b"|b\n").hexdigest()
+    assert parsed["criterion 1", 0] == one and parsed["criterion 2", 0] == two
+    assert parsed["criterion 2", 1] == two
+    assert outcome_digest.differing(parsed, {**parsed, ("criterion 1", 1): one}) == [
+        ("criterion 1", 1)]
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", fake(1e-12, 9.0))
-    assert outcome_digest.acceptance_digest(0) == (2, h.hexdigest())
+    assert outcome_digest.acceptance_digests(0) == [(1, one), (2, two)]
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", fake(np.nextafter(1e-12, 1), 0.5))
-    assert outcome_digest.acceptance_digest(0) != (2, h.hexdigest())
+    moved = outcome_digest.acceptance_digests(0)
+    assert moved[0][0] == 1 and moved[0][1] != one and moved[1] == (2, two)

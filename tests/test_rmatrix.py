@@ -25,7 +25,7 @@ from ellstab.rmatrix import (ChamberMatrices, FramingGroup, bare_transition,
                              transpose_relation_residual, triple_basis,
                              weight_block_residual, ybe_residual)
 from ellstab.sampling import sample_param_point
-from reference_sum import ReferenceSum
+from reference_sum import ReferenceSum, trace_thetas
 
 N = 3
 G1 = FramingGroup((1, 0, 0), "ua")
@@ -422,7 +422,7 @@ def test_theta_table_keeps_variable_orders_apart():
                  if m == m2 and list(m._exps) != list(m2._exps)]
     assert len(reordered) == 1
     m, m2 = reordered[0]
-    assert pp.theta(m).coeff != pp.theta(m2).coeff
+    assert pp.theta(pp.materialize(m)) != pp.theta(pp.materialize(m2))
     got = restriction_matrix(basis, _fresh(pp)).matrix
     assert got.tobytes() == _entrywise(basis, pp, False, None).tobytes()
 
@@ -439,15 +439,13 @@ def test_theta_table_takes_each_theta_once(monkeypatch, colors, v):
     basis = basis_fixed_points(v, [g1, g2], N)
     roots = Envelope(EnvelopeSpec(basis[0], "plain")).x_names()
     calls = Counter()
-    theta = ParamPoint.theta
 
-    def counted(self, mono, star=False, z=None):
+    def counted(pp, mono, star, z):
         held = [x for x in roots if x in mono._exps]
         calls[(tuple(mono._exps.items()),
-               tuple(self.values[x] for x in roots) if held else None)] += 1
-        return theta(self, mono, star, z)
+               tuple(pp.values[x] for x in roots) if held else None)] += 1
 
-    monkeypatch.setattr(ParamPoint, "theta", counted)
+    trace_thetas(monkeypatch, counted)
     restriction_matrix(basis, pp)
     assert calls and max(calls.values()) == 1
     asked = 0
@@ -472,23 +470,22 @@ def test_a_matrix_takes_one_theta_per_id_and_permutation(monkeypatch, colors, v)
     basis = basis_fixed_points(v, [g1, g2], N)
     roots = set(Envelope(EnvelopeSpec(basis[0], "plain")).x_names())
     calls = Counter()
-    theta, term = ParamPoint.theta, Envelope._term
+    term = Envelope._term
     at: list = [None, None]
 
     def term_at(self, pp, thetas, k):
         at[:] = thetas, k
         return term(self, pp, thetas, k)
 
-    def counted(self, mono, star=False, z=None):
+    def counted(pp, mono, star, z):
         table, k = at
         key = theta_id(mono)
         calls[(id(table), k, key) if not roots.isdisjoint(mono._exps) else key] += 1
-        return theta(self, mono, star, z)
 
     fresh = _fresh(pp)
     with monkeypatch.context() as patch:
         patch.setattr(Envelope, "_term", term_at)
-        patch.setattr(ParamPoint, "theta", counted)
+        trace_thetas(patch, counted)
         got = restriction_matrix(basis, fresh).matrix
     assert calls and max(calls.values()) == 1
     assert got.tobytes() == _entrywise(basis, pp, False, None).tobytes()
@@ -537,13 +534,9 @@ def test_a_vanishing_term_takes_none_of_its_numerator_thetas(monkeypatch):
                                                   "ub": list(g2.w)})
     basis = basis_fixed_points((1, 1, 1), [g1, g2], N)
     want = _entrywise(basis, pp, False, None)
-    theta, lowered_eval = ParamPoint.theta, LoweredSum.eval
+    lowered_eval = LoweredSum.eval
     taken: list = []
     skipped = 0
-
-    def counted(self, m, star=False, z=None):
-        taken.append(m)
-        return theta(self, m, star, z)
 
     def checked(self, pp, star, thetas, perm=0):
         nonlocal skipped
@@ -560,7 +553,7 @@ def test_a_vanishing_term_takes_none_of_its_numerator_thetas(monkeypatch):
         skipped += len(only)
         return value
 
-    monkeypatch.setattr(ParamPoint, "theta", counted)
+    trace_thetas(monkeypatch, lambda pp, m, star, z: taken.append(m))
     monkeypatch.setattr(LoweredSum, "eval", checked)
     got = restriction_matrix(basis, _fresh(pp)).matrix
     assert skipped
