@@ -1,10 +1,8 @@
 """Walkthrough: transition R-matrices, their properties, Yang-Baxter."""
 
-import numpy as np
-
 from ellstab import (FramingGroup, composition_residual,
                      leading_pair_factorization_residual, sample_param_point,
-                     shift_invariance_residual, transition_r, transition_r_star,
+                     shift_invariance_residual, transition_r,
                      transpose_relation_residual, weight_block_residual,
                      ybe_residual)
 

@@ -3,8 +3,9 @@
 import numpy as np
 
 from ellstab import (ColoredPartition, Monomial, bethe_residuals, bethe_solve,
-                     fixed_points, jackson_term_ratio, lowering_coefficient,
-                     phi_eigenvalue, raising_coefficient, rll_scalar_residual,
+                     exchange_pairs, exchange_residual, fixed_points,
+                     jackson_term_ratio, lowering_coefficient, phi_eigenvalue,
+                     raising_coefficient, rll_scalar_residual,
                      sample_param_point, vertex_series)
 
 N = 3
@@ -23,6 +24,11 @@ for name, coeff in (("raise by (3,1)", raising_coefficient(lam, (3, 1))),
                     ("lower by (1,2)", lowering_coefficient(lam, (1, 2)))):
     print(f"{name}: {len(coeff.num)} theta ratios, value {coeff.eval(pp, False)}, "
           f"grading {coeff.mono_total()}")
+# x+/x- exchange: c+(mu, A) c-(mu + A, B) = c-(mu, B) c+(mu - B, A)
+mu = ColoredPartition((3, 2, 1), 0, N)
+pairs = exchange_pairs(mu)
+worst = max(exchange_residual(mu, a, b, pp) for a, b in pairs)
+print(f"x+/x- exchange on (3,2,1), {len(pairs)} box pairs: worst residual {worst:.1e}")
 
 # The vertex series: degree-zero law and the independent per-term oracle.
 ppv = sample_param_point(41, N, framing_counts={"u": [1, 0, 0]})

@@ -14,9 +14,9 @@ from .core import (HBAR, Monomial, ParamPoint, SingularityError, BudgetError,
 from .envelopes import (Envelope, EnvelopeSpec, ThetaProduct, default_kahler,
                         factorization_residual, kahler_args, kahler_point,
                         restrict, restriction_values, shuffle_residual)
-from .fock import (box_weight, k_eigenvalue_exponent, lowering_coefficient,
-                   phi_eigenvalue, phi_weight_exponent, raising_coefficient,
-                   vector_action)
+from .fock import (box_weight, exchange_pairs, exchange_residual,
+                   exchange_sides, lowering_coefficient, phi_eigenvalue,
+                   raising_coefficient, vector_action)
 from .partitions import (Box, ColoredPartition, FixedPoint, FramingGroup,
                          LambdaTree, addable_removable, box_order_cmp, chern_slots,
                          fixed_points, index_degrees, k_eigen_sum_ok,

@@ -20,7 +20,7 @@ import numpy as np
 from .core import Monomial, SingularityError, theta_modular_residual, theta_p
 from .envelopes import (EnvelopeSpec, ThetaProduct, compiled,
                         factorization_residual, restrict, shuffle_residual)
-from .fock import lowering_coefficient, raising_coefficient
+from .fock import exchange_pairs, exchange_residual
 from .partitions import (ColoredPartition, FramingGroup, box_slot_vars,
                          fixed_points, k_eigen_sum_ok, kahler_var,
                          make_fixed_point, partitions_of, profiles,
@@ -178,28 +178,24 @@ def criterion_shuffle(seed: int = 0):
     return worst, f"{checks} checks"
 
 
-@criterion(5, "ladder coefficient dual forms", 1e-10)
-def criterion_fock_dual_forms(seed: int = 0):
+@criterion(5, "ladder x+/x- exchange", 1e-10)
+def criterion_fock_exchange(seed: int = 0):
+    """c+(lam, A) c-(lam + A, B) = c-(lam, B) c+(lam - B, A) at 200 drawn pairs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    done = 0
+    done = drawn = 0
     while done < 200:
         n = int(rng.choice([3, 4, 5]))
         lam = _random_partition(rng, 9, n)
+        drawn += 1
+        pairs = exchange_pairs(lam)
+        if not pairs:
+            continue
         pp = sample_param_point(int(rng.integers(1, 1 << 30)), n, extra_vars=["u"])
-        adds = lam.addable()
-        rems = lam.removable()
-        cell = adds[int(rng.integers(0, len(adds)))]
-        a1 = raising_coefficient(lam, cell, form=1).eval(pp, False)
-        a2 = raising_coefficient(lam, cell, form=2).eval(pp, False)
-        worst = max(worst, abs(a1 - a2) / max(abs(a1), abs(a2)))
-        if rems:
-            cell = rems[int(rng.integers(0, len(rems)))]
-            b1 = lowering_coefficient(lam, cell, form=1).eval(pp, False)
-            b2 = lowering_coefficient(lam, cell, form=2).eval(pp, False)
-            worst = max(worst, abs(b1 - b2) / max(abs(b1), abs(b2)))
+        a, b = pairs[int(rng.integers(0, len(pairs)))]
+        worst = max(worst, exchange_residual(lam, a, b, pp))
         done += 1
-    return worst, "200 draws"
+    return worst, f"200 pairs from {drawn} partitions"
 
 
 @criterion(6, "transition composition / weight blocks", 1e-8)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import BudgetError, Monomial, SingularityError
 from .envelopes import EnvelopeSpec, compiled, restrict, shuffle_residual
-from .fock import (lowering_coefficient, phi_eigenvalue, raising_coefficient)
+from .fock import (exchange_pairs, exchange_residual, lowering_coefficient,
+                   phi_eigenvalue, raising_coefficient)
 from .partitions import (ColoredPartition, addable_removable,
                          check_dimension_vector, fixed_points, make_fixed_point,
                          partitions_of)
@@ -249,19 +250,18 @@ def cmd_fock(args):
     eigen = {j: _c(phi_eigenvalue(lam, j, z).eval(pp, False))
              for j in range(n)}
     ladders = {"raise": {}, "lower": {}}
-    worst = 0.0
     for j in range(n):
         add, rem = addable_removable(lam, j)
         for kind, coefficient, cells in (("raise", raising_coefficient, add),
                                          ("lower", lowering_coefficient, rem)):
             for cell in cells:
-                c1 = coefficient(lam, cell, form=1).eval(pp, False)
-                c2 = coefficient(lam, cell, form=2).eval(pp, False)
-                worst = max(worst, abs(c1 - c2) / max(abs(c1), 1e-300))
-                ladders[kind][str(list(cell))] = _c(c1)
+                ladders[kind][str(list(cell))] = _c(coefficient(lam, cell).eval(pp, False))
+    pairs = exchange_pairs(lam)
+    worst = max((exchange_residual(lam, a, b, pp) for a, b in pairs), default=0.0)
     return (pp, {"partition": list(rows), "color": args.k,
-                 "cartan_eigenvalues": eigen, "ladders": ladders},
-            {"dual_forms": worst}, 0 if worst < args.tol else 1)
+                 "cartan_eigenvalues": eigen, "ladders": ladders,
+                 "exchange_pairs": len(pairs)},
+            {"exchange": worst}, 0 if worst < args.tol else 1)
 
 
 def cmd_vertex(args):

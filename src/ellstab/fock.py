@@ -1,18 +1,17 @@
 """Level-(0,-1) Fock representation data.
 
-Diagonal eigenvalues of the Cartan currents, raising/lowering matrix
-coefficients in both of their product forms, the underlying single-line
-representation and the integer eigenvalue identities.  The box weight of
-(x, y) is u_X = t1^(-y) t2^(-x) u.  An eigenvalue or coefficient is exact
-data, the ``ThetaProduct`` of its odd theta ratios, built from monomials
-alone: its grading (``mono_total``) holds its leading hbar power with exact
-rational exponents, and ``eval(pp, False)`` is its value at a point.
+Diagonal eigenvalues of the Cartan currents, the raising/lowering matrix
+coefficients, their x+/x- exchange across two boxes, and the underlying
+single-line representation.  The box weight of (x, y) is
+u_X = t1^(-y) t2^(-x) u.  An eigenvalue or coefficient is exact data, the
+``ThetaProduct`` of its odd theta ratios, built from monomials alone: its
+grading (``mono_total``) holds its leading hbar power with exact rational
+exponents, and ``eval(pp, False)`` is its value at a point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import HBAR, Monomial, ParamPoint
 from .envelopes import ThetaProduct
@@ -51,20 +50,9 @@ def phi_eigenvalue(lam: ColoredPartition, residue: int, z: Monomial) -> ThetaPro
     return prod
 
 
-def phi_weight_exponent(lam: ColoredPartition, residue: int) -> Fraction:
-    """Exact hbar exponent of the eigenvalue: (|R_j| - |A_j|) / 2."""
-    add, rem = addable_removable(lam, residue)
-    return Fraction(len(rem) - len(add), 2)
-
-
-def raising_coefficient(lam: ColoredPartition, cell, form: int = 1) -> ThetaProduct:
-    """Matrix coefficient of adding the box ``cell`` (which must be addable).
-
-    ``form=1`` uses the addable set of lam, ``form=2`` the addable set of
-    lam + cell; the two product forms agree.
-    """
-    n = lam.n_colors
-    residue = lam.content(*cell) % n
+def raising_coefficient(lam: ColoredPartition, cell) -> ThetaProduct:
+    """Matrix coefficient of adding the box ``cell`` (which must be addable)."""
+    residue = lam.content(*cell) % lam.n_colors
     add, rem = addable_removable(lam, residue)
     if cell not in add:
         raise ValueError(f"{cell} is not an addable box of residue {residue}")
@@ -76,10 +64,7 @@ def raising_coefficient(lam: ColoredPartition, cell, form: int = 1) -> ThetaProd
             ur = box_weight(r)
             prod.num.append(HBAR * ux / ur)
             prod.den.append(ux / ur)
-    add_set = add if form == 1 else addable_removable(lam.add_cell(*cell), residue)[0]
-    for a in add_set:
-        if a == cell:
-            continue
+    for a in add:
         if _content_key(lam, a) < key_x:
             ua = box_weight(a)
             prod.num.append(ux / (HBAR * ua))
@@ -87,20 +72,16 @@ def raising_coefficient(lam: ColoredPartition, cell, form: int = 1) -> ThetaProd
     return prod
 
 
-def lowering_coefficient(lam: ColoredPartition, cell, form: int = 1) -> ThetaProduct:
+def lowering_coefficient(lam: ColoredPartition, cell) -> ThetaProduct:
     """Matrix coefficient of removing the box ``cell`` (which must be removable)."""
-    n = lam.n_colors
-    residue = lam.content(*cell) % n
+    residue = lam.content(*cell) % lam.n_colors
     add, rem = addable_removable(lam, residue)
     if cell not in rem:
         raise ValueError(f"{cell} is not a removable box of residue {residue}")
     ux = box_weight(cell)
     key_x = _content_key(lam, cell)
     prod = ThetaProduct()
-    rem_set = rem if form == 1 else addable_removable(lam.remove_cell(*cell), residue)[1]
-    for r in rem_set:
-        if r == cell:
-            continue
+    for r in rem:
         if _content_key(lam, r) > key_x:
             ur = box_weight(r)
             prod.num.append(ur / (HBAR * ux))
@@ -111,6 +92,29 @@ def lowering_coefficient(lam: ColoredPartition, cell, form: int = 1) -> ThetaPro
             prod.num.append(HBAR * ua / ux)
             prod.den.append(ua / ux)
     return prod
+
+
+def exchange_pairs(lam: ColoredPartition) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The pairs (A, B), of any residues, of an addable A and a removable B
+    with A neither directly right of nor below B: exactly those for which B
+    stays removable in lam + A and A stays addable in lam - B."""
+    return [(a, b) for a in lam.addable() for b in lam.removable()
+            if a not in ((b[0], b[1] + 1), (b[0] + 1, b[1]))]
+
+
+def exchange_sides(lam: ColoredPartition, a, b) -> tuple[ThetaProduct, ThetaProduct]:
+    """Both sides of the x+/x- exchange across an ``exchange_pairs`` pair,
+    c+(lam, A) c-(lam + A, B) and c-(lam, B) c+(lam - B, A), each one product
+    of both factors; ``ValueError`` for any other pair."""
+    sides = ((raising_coefficient(lam, a), lowering_coefficient(lam.add_cell(*a), b)),
+             (lowering_coefficient(lam, b), raising_coefficient(lam.remove_cell(*b), a)))
+    return tuple(ThetaProduct(p.num + q.num, p.den + q.den) for p, q in sides)
+
+
+def exchange_residual(lam: ColoredPartition, a, b, pp: ParamPoint) -> float:
+    """Relative difference of the two ``exchange_sides`` at the point."""
+    left, right = (side.eval(pp, False) for side in exchange_sides(lam, a, b))
+    return abs(left - right) / max(abs(left), abs(right))
 
 
 @dataclass(frozen=True)
@@ -156,8 +160,3 @@ def vector_action(which: str, residue: int, m: int, k: int,
         return VectorAction("lower", 0.0 + 0.0j, None, None)
     raise ValueError(f"unknown generator {which!r}")
 
-
-def k_eigenvalue_exponent(lam: ColoredPartition) -> Fraction:
-    """Exponent in the central eigenvalue hbar^(sum_j (|R_j|-|A_j|)/2)."""
-    return sum((phi_weight_exponent(lam, j) for j in range(lam.n_colors)),
-               Fraction(0))

@@ -74,14 +74,17 @@ class ColoredPartition:
         return out
 
     def add_cell(self, x: int, y: int) -> "ColoredPartition":
-        rows = list(self.rows)
-        if x == len(rows) + 1:
-            rows.append(1)
-        else:
-            rows[x - 1] += 1
+        """lam plus the cell (x, y); ``ValueError`` unless it is addable."""
+        if (x, y) not in self.addable():
+            raise ValueError(f"({x}, {y}) is not an addable cell of {self.rows}")
+        rows = list(self.rows) + [0]
+        rows[x - 1] += 1
         return ColoredPartition(tuple(rows), self.color, self.n_colors)
 
     def remove_cell(self, x: int, y: int) -> "ColoredPartition":
+        """lam minus the cell (x, y); ``ValueError`` unless it is removable."""
+        if (x, y) not in self.removable():
+            raise ValueError(f"({x}, {y}) is not a removable cell of {self.rows}")
         rows = list(self.rows)
         rows[x - 1] -= 1
         return ColoredPartition(tuple(rows), self.color, self.n_colors)
@@ -332,23 +335,21 @@ def check_dimension_vector(name: str, vec, n_colors: int) -> None:
         raise ValueError(f"{name} {tuple(vec)} has a negative entry")
 
 
-def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int,
-                 budget: int = 200000) -> list[FixedPoint]:
+def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int) -> list[FixedPoint]:
     """All fixed points with box-content profile v and framing vector w.
 
     Slots are those of ``FramingGroup(w)``, color-major.  Deterministic
     order: slot by slot in the chamber order, partitions in lexicographic
     order of their row tuples.  Raises ``BudgetError`` when there are more
-    than ``budget`` of them, and ``ValueError`` unless v and w have one
-    non-negative entry per color.
+    than ``FIXED_POINT_BUDGET`` of them, and ``ValueError`` unless v and w
+    have one non-negative entry per color.
     """
     check_dimension_vector("framing", w, n_colors)
-    return _enumerate_fixed_points(v, FramingGroup(w).slots(), n_colors, budget)
+    return _enumerate_fixed_points(v, FramingGroup(w).slots(), n_colors)
 
 
 def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
-                           n_colors: int,
-                           budget: int = 200000) -> list[FixedPoint]:
+                           n_colors: int) -> list[FixedPoint]:
     """All fixed points with box-content profile v over the given slots.
 
     The slots keep their order; the enumeration is that of ``fixed_points``.
@@ -370,8 +371,8 @@ def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
     def rec(idx, remaining, left, acc):
         if idx == len(slots):
             if not any(remaining):
-                if len(results) == budget:
-                    raise BudgetError(f"more than {budget} fixed points")
+                if len(results) == FIXED_POINT_BUDGET:
+                    raise BudgetError(f"more than {FIXED_POINT_BUDGET} fixed points")
                 results.append(FixedPoint(tuple(zip(slots, acc)), n_colors))
             return
         for size, lam, profile in per_slot[idx]:
@@ -523,6 +524,8 @@ def index_degrees(fp: FixedPoint, boxes: list[Box] | None = None,
 
 #: most boxes of a partition whose trees are enumerated
 TREE_BUDGET = 14
+#: most fixed points one enumeration returns
+FIXED_POINT_BUDGET = 200000
 
 
 def _cell_edges(lam: ColoredPartition) -> list[tuple[tuple[int, int], tuple[int, int]]]:

@@ -148,7 +148,8 @@ def test_fock_command(capsys):
     code, doc = run(capsys, ["fock", "--N", "3", "--k", "0",
                              "--partition", "[2,1]"])
     assert code == 0
-    assert doc["residuals"]["dual_forms"] < 1e-10
+    assert doc["residuals"]["exchange"] < 1e-10
+    assert doc["results"]["exchange_pairs"] == 2
 
 
 def test_bethe_command(capsys):

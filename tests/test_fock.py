@@ -7,11 +7,10 @@ import pytest
 
 from ellstab import core
 from ellstab.core import HBAR, SQRT_HBAR, Monomial, ParamPoint, qpoch_inf
-from ellstab.fock import (box_weight, k_eigenvalue_exponent,
-                          lowering_coefficient, phi_eigenvalue,
-                          phi_weight_exponent, raising_coefficient,
-                          vector_action)
-from ellstab.partitions import ColoredPartition, addable_removable, partitions_of
+from ellstab.fock import (box_weight, exchange_pairs, exchange_residual,
+                          exchange_sides, lowering_coefficient, phi_eigenvalue,
+                          raising_coefficient, vector_action)
+from ellstab.partitions import ColoredPartition, partitions_of, weight_component
 from ellstab.sampling import sample_param_point
 from ellstab.scalars import vacuum_c_constants
 
@@ -51,38 +50,34 @@ def test_eigenvalue_leading_exponent_is_half_weight():
         lam = random_partition(rng, 10, n)
         j = int(rng.integers(0, n))
         grading = phi_eigenvalue(lam, j, Z).mono_total()
-        want = phi_weight_exponent(lam, j)
+        want = Fraction(weight_component(lam, j), 2)
         assert grading.get("t1") == want and grading.get("t2") == want
         assert set(grading.exps) <= {"t1", "t2"}
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_exact_gradings_of_eigenvalues_and_dual_forms(n):
+def test_exact_gradings_of_eigenvalues(n):
     """Every partition up to six boxes, every color and residue: the
-    eigenvalue's grading is hbar^(phi_weight_exponent), and the two product
-    forms of each ladder coefficient have one grading."""
+    eigenvalue's grading is hbar^(weight_component / 2)."""
     for size in range(7):
         for rows in partitions_of(size):
             for k in range(n):
                 lam = ColoredPartition(rows, k, n)
                 for j in range(n):
                     assert (phi_eigenvalue(lam, j, Z).mono_total()
-                            == HBAR ** phi_weight_exponent(lam, j)), (rows, k, j)
-                    add, rem = addable_removable(lam, j)
-                    for coefficient, cells in ((raising_coefficient, add),
-                                               (lowering_coefficient, rem)):
-                        for cell in cells:
-                            one, two = (coefficient(lam, cell, form=f).mono_total()
-                                        for f in (1, 2))
-                            assert one == two, (rows, k, cell, coefficient.__name__)
+                            == HBAR ** Fraction(weight_component(lam, j), 2)), (rows, k, j)
 
 
 def test_central_eigenvalue_sum():
+    """The gradings of the eigenvalues multiply to hbar^(-1/2)."""
     rng = np.random.default_rng(8)
     for _ in range(300):
         n = int(rng.choice([3, 4, 5]))
         lam = random_partition(rng, 12, n)
-        assert k_eigenvalue_exponent(lam) == Fraction(-1, 2)
+        total = Monomial()
+        for j in range(n):
+            total = total * phi_eigenvalue(lam, j, Z).mono_total()
+        assert total == HBAR ** Fraction(-1, 2), lam
 
 
 def test_empty_partition_raising_coefficient_is_one():
@@ -98,25 +93,35 @@ def test_single_factor_hand_case():
     assert lowering_coefficient(lam, (1, 1)).eval(PP, False) == 1.0
 
 
-def test_dual_forms_agree():
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for trial in range(200):
-        n = int(rng.choice([3, 4, 5]))
-        lam = random_partition(rng, 9, n)
-        pp = sample_param_point(1000 + trial, n, extra_vars=["u"])
-        adds = lam.addable()
-        cell = adds[int(rng.integers(0, len(adds)))]
-        a1 = raising_coefficient(lam, cell, form=1).eval(pp, False)
-        a2 = raising_coefficient(lam, cell, form=2).eval(pp, False)
-        worst = max(worst, abs(a1 - a2) / max(abs(a1), abs(a2)))
-        rems = lam.removable()
-        if rems:
-            cell = rems[int(rng.integers(0, len(rems)))]
-            b1 = lowering_coefficient(lam, cell, form=1).eval(pp, False)
-            b2 = lowering_coefficient(lam, cell, form=2).eval(pp, False)
-            worst = max(worst, abs(b1 - b2) / max(abs(b1), abs(b2)))
-    assert worst < 1e-10
+@pytest.mark.parametrize("n", [3, 4])
+def test_exchange_across_two_boxes(n):
+    """Every partition up to six boxes and every color: the pairs of
+    ``exchange_pairs`` are exactly the addable A and removable B with B
+    removable in lam + A and A addable in lam - B; on each, the two sides of
+    c+(lam, A) c-(lam + A, B) = c-(lam, B) c+(lam - B, A) have one exact
+    grading and agree in value at two points; any other pair raises."""
+    points = [sample_param_point(seed, n, extra_vars=["u"]) for seed in (1, 2)]
+    checked = 0
+    for size in range(7):
+        for rows in partitions_of(size):
+            for k in range(n):
+                lam = ColoredPartition(rows, k, n)
+                pairs = exchange_pairs(lam)
+                for a in lam.addable():
+                    for b in lam.removable():
+                        stays = (b in lam.add_cell(*a).removable()
+                                 and a in lam.remove_cell(*b).addable())
+                        assert ((a, b) in pairs) == stays, (rows, k, a, b)
+                        if not stays:
+                            with pytest.raises(ValueError):
+                                exchange_sides(lam, a, b)
+                for a, b in pairs:
+                    left, right = exchange_sides(lam, a, b)
+                    assert left.mono_total() == right.mono_total(), (rows, k, a, b)
+                    for pp in points:
+                        assert exchange_residual(lam, a, b, pp) < 1e-13, (rows, k, a, b)
+                    checked += 1
+    assert checked == 68 * n
 
 
 def test_box_weight():

@@ -1,4 +1,4 @@
-"""Static checks of the package source."""
+"""Static checks of the package source, and of the imports of the tests and demos."""
 
 import ast
 import re
@@ -8,6 +8,7 @@ from pathlib import Path
 import ellstab
 
 SRC = Path(ellstab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -31,14 +32,16 @@ def test_unused_imports_detected():
 
 
 def test_no_unused_module_level_imports():
-    """``__init__.py`` is exempt: its imports are the package's exports."""
+    """Over the package, the tests and the demos; ``__init__.py`` is exempt:
+    its imports are the package's exports."""
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        names = unused_imports(ast.parse(path.read_text()))
-        if names:
-            found[path.name] = names
+    for folder in (SRC, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            names = unused_imports(ast.parse(path.read_text()))
+            if names:
+                found[f"{folder.name}/{path.name}"] = names
     assert found == {}
 
 

@@ -250,6 +250,20 @@ def test_colored_partition_drops_trailing_zero_rows():
     assert ColoredPartition((2, 1), 0, 3).remove_cell(2, 1).rows == (2,)
 
 
+def test_cells_are_added_and_removed_only_where_the_shape_allows():
+    """``add_cell`` takes an addable cell and ``remove_cell`` a removable
+    one; any other cell, whatever its column, raises."""
+    lam = ColoredPartition((2, 1), 0, 3)
+    assert [lam.add_cell(*c).rows for c in lam.addable()] == [(3, 1), (2, 2), (2, 1, 1)]
+    assert [lam.remove_cell(*c).rows for c in lam.removable()] == [(1, 1), (2,)]
+    for bad in ((1, 5), (3, 1), (2, 2), (1, 2)):
+        with pytest.raises(ValueError, match="not an addable cell"):
+            ColoredPartition((2,), 0, 3).add_cell(*bad)
+    for bad in ((1, 1), (2, 2), (3, 1)):
+        with pytest.raises(ValueError, match="not a removable cell"):
+            lam.remove_cell(*bad)
+
+
 def test_framing_groups_are_values():
     """Groups of one framing and prefix are equal and hash alike, whether
     ``w`` was given as a list or a tuple; ``unit`` is the one-slot group."""
@@ -463,10 +477,12 @@ def test_tree_budget_guard():
         spanning_trees(ColoredPartition((5, 5, 5), 0, 3))
 
 
-def test_fixed_point_budget_guard():
-    assert len(fixed_points((1, 1, 1), (1, 0, 0), 3, budget=3)) == 3
+def test_fixed_point_budget_guard(monkeypatch):
+    monkeypatch.setattr(partitions, "FIXED_POINT_BUDGET", 3)
+    assert len(fixed_points((1, 1, 1), (1, 0, 0), 3)) == 3
+    monkeypatch.setattr(partitions, "FIXED_POINT_BUDGET", 2)
     with pytest.raises(BudgetError):
-        fixed_points((1, 1, 1), (1, 0, 0), 3, budget=2)
+        fixed_points((1, 1, 1), (1, 0, 0), 3)
 
 
 def test_index_degrees_goldens():

@@ -14,7 +14,7 @@ from ellstab.partitions import FramingGroup, fixed_points, make_fixed_point
 from ellstab.rmatrix import basis_fixed_points, profiles
 from ellstab.sampling import sample_param_point
 from ellstab.scalars import mu_vacuum_ope
-from ellstab.vertex import (TRIAL_MARGIN, BetheSolution, BetheSystem,
+from ellstab.vertex import (TRIAL_MARGIN, BetheSystem,
                             _degree_vectors, _factor_bases, bethe_residuals,
                             bethe_solve, jackson_term_ratio,
                             normalization_factor, qpoch_fin_mono, vertex_series)
