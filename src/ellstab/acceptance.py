@@ -21,12 +21,11 @@ from .core import Monomial, SingularityError, theta_modular_residual, theta_p
 from .envelopes import (EnvelopeSpec, ThetaProduct, compiled,
                         factorization_residual, restrict, shuffle_residual)
 from .fock import exchange_pairs, exchange_residual
-from .partitions import (ColoredPartition, FramingGroup, box_slot_vars,
-                         fixed_points, k_eigen_sum_ok, kahler_var,
-                         make_fixed_point, partitions_of, profiles,
-                         weight_identity_ok)
+from .partitions import (FramingGroup, box_slot_vars, fixed_points,
+                         k_eigen_sum_ok, kahler_var, make_fixed_point,
+                         partitions_of, profiles, weight_identity_ok)
 from .rmatrix import ChamberMatrices, weight_block_residual, ybe_residual
-from .sampling import random_assignment, sample_param_point
+from .sampling import random_assignment, random_partition, sample_param_point
 from .scalars import rll_scalar_residual
 from .vertex import bethe_residuals, bethe_solve, oracle_residual, vertex_series
 
@@ -70,19 +69,6 @@ def criterion(number: int, name: str, limit: float):
     return register
 
 
-def _random_partition(rng, max_size, n_colors):
-    size = int(rng.integers(0, max_size + 1))
-    rows = []
-    rem, mx = size, size
-    while rem > 0:
-        part = int(rng.integers(1, min(rem, mx) + 1))
-        rows.append(part)
-        mx = part
-        rem -= part
-    k = int(rng.integers(0, n_colors))
-    return ColoredPartition(tuple(sorted(rows, reverse=True)), k, n_colors)
-
-
 @criterion(1, "weight identity / eigenvalue sum", 0.5)
 def criterion_weight_identity(seed: int = 0):
     """Exact integer weight identity and central eigenvalue sum."""
@@ -90,7 +76,7 @@ def criterion_weight_identity(seed: int = 0):
     failures = 0
     for _ in range(1000):
         n = int(rng.choice([3, 4, 5]))
-        lam = _random_partition(rng, 12, n)
+        lam = random_partition(rng, 12, n)
         ok, _ = weight_identity_ok(lam)
         failures += (not ok) + (not k_eigen_sum_ok(lam))
     return float(failures), "1000 partitions"
@@ -186,7 +172,7 @@ def criterion_fock_exchange(seed: int = 0):
     done = drawn = 0
     while done < 200:
         n = int(rng.choice([3, 4, 5]))
-        lam = _random_partition(rng, 9, n)
+        lam = random_partition(rng, 9, n)
         drawn += 1
         pairs = exchange_pairs(lam)
         if not pairs:

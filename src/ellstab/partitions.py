@@ -47,10 +47,13 @@ class ColoredPartition:
         return x - y + self.color
 
     def profile(self) -> tuple[int, ...]:
-        """Number of boxes per content residue class."""
-        v = [0] * self.n_colors
-        for x, y in self.cells():
-            v[self.content(x, y) % self.n_colors] += 1
+        """Number of boxes per content residue class: row x of length r
+        holds the contents x + c - 1 down to x + c - r (c the color)."""
+        n = self.n_colors
+        v = [0] * n
+        for end, r in enumerate(self.rows, start=self.color + 1):
+            for content in range(end - r, end):
+                v[content % n] += 1
         return tuple(v)
 
     def addable(self) -> list[tuple[int, int]]:
@@ -240,16 +243,12 @@ class FixedPoint:
 
     @property
     def v(self) -> tuple[int, ...]:
-        """Boxes per content residue over all slots, in one pass over the
-        rows: row x of length r of a partition of color c holds the
-        contents x + c - 1 down to x + c - r."""
-        n = self.n_colors
-        v = [0] * n
+        """Boxes per content residue over all slots: the sum of the slot
+        partitions' ``profile``s."""
+        v = [0] * self.n_colors
         for _, lam in self.slots:
-            # the contents of row x end below x + c
-            for end, r in enumerate(lam.rows, start=lam.color + 1):
-                for content in range(end - r, end):
-                    v[content % n] += 1
+            for i, count in enumerate(lam.profile()):
+                v[i] += count
         return tuple(v)
 
     @property
@@ -345,21 +344,25 @@ def fixed_points(v: tuple[int, ...], w: tuple[int, ...], n_colors: int) -> list[
     have one non-negative entry per color.
     """
     check_dimension_vector("framing", w, n_colors)
-    return _enumerate_fixed_points(v, FramingGroup(w).slots(), n_colors)
+    return _enumerate_fixed_points([v], FramingGroup(w).slots(), n_colors)
 
 
-def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
-                           n_colors: int) -> list[FixedPoint]:
-    """All fixed points with box-content profile v over the given slots.
+def _enumerate_fixed_points(vs: list[tuple[int, ...]], slots: list[FramingSlot],
+                            n_colors: int) -> list[FixedPoint]:
+    """All fixed points over the given slots of each box-content profile in
+    ``vs``, profile by profile in the order given.
 
-    The slots keep their order; the enumeration is that of ``fixed_points``.
-    The candidates of a slot color, (size, partition, profile) for every
-    partition of at most |v| boxes in sorted row order, are built once per
-    call; a recursion node keeps those that fit in the boxes left.  Raises
-    ``ValueError`` unless v has one non-negative entry per color.
+    The slots keep their order; within a profile the enumeration is that of
+    ``fixed_points``.  The candidates of a slot color, (size, partition,
+    profile) for every partition of at most max |v| boxes in sorted row
+    order, are built once per call; a recursion node keeps those that fit
+    in the boxes left.  Raises ``BudgetError`` past ``FIXED_POINT_BUDGET``
+    fixed points in all, and ``ValueError`` unless each v has one
+    non-negative entry per color.
     """
-    check_dimension_vector("profile", v, n_colors)
-    rows_sorted = sorted(partitions_upto(sum(v)))
+    for v in vs:
+        check_dimension_vector("profile", v, n_colors)
+    rows_sorted = sorted(partitions_upto(max(map(sum, vs), default=0)))
     candidates: dict[int, list] = {}
     for slot in slots:
         if slot.color not in candidates:
@@ -383,7 +386,8 @@ def _enumerate_fixed_points(v: tuple[int, ...], slots: list[FramingSlot],
                 continue
             rec(idx + 1, nxt, left - size, acc + [lam])
 
-    rec(0, list(v), sum(v), [])
+    for v in vs:
+        rec(0, list(v), sum(v), [])
     return results
 
 

@@ -30,8 +30,7 @@ from .envelopes import (EnvelopeSpec, ThetaTable, compiled, kahler_args,
                         kahler_point, restriction_values, shifted_kahler,
                         spectator_shift)
 from .partitions import (FixedPoint, FramingGroup, _enumerate_fixed_points,
-                         check_dimension_vector, kahler_var, make_fixed_point,
-                         partitions_upto, profiles)
+                         check_dimension_vector, kahler_var, profiles)
 from .scalars import mu_exchange_scalar, mu_star_exchange_scalar
 
 
@@ -55,7 +54,7 @@ def basis_fixed_points(v, groups: list[FramingGroup], n_colors: int) -> list[Fix
     and the groups' framing variables are distinct.
     """
     _check_groups(groups, n_colors)
-    return _enumerate_fixed_points(v, [s for g in groups for s in g.slots()],
+    return _enumerate_fixed_points([v], [s for g in groups for s in g.slots()],
                                    n_colors)
 
 
@@ -304,23 +303,17 @@ def triple_basis(groups, n_colors: int, total_boxes: int) -> list[tuple]:
     """Direct sum over all profile splits of a triple of framing groups: the
     triples of single-group fixed points with ``total_boxes`` boxes in all.
 
-    A group's fixed points come from one pass over the sorted
-    ``partitions_upto`` per slot, in the order of ``basis_fixed_points``
-    over the ``profiles`` of 0 to ``total_boxes`` boxes.  Raises
-    ``ValueError`` unless each group's framing has one non-negative entry
-    per color and the groups' framing variables are distinct.
+    A group's fixed points are those of one ``_enumerate_fixed_points`` call
+    over the ``profiles`` of 0 to ``total_boxes`` boxes, in that order.
+    Raises ``ValueError`` for a negative ``total_boxes``, and unless each
+    group's framing has one non-negative entry per color and the groups'
+    framing variables are distinct.
     """
+    if total_boxes < 0:
+        raise ValueError(f"total_boxes {total_boxes} is negative")
     _check_groups(groups, n_colors)
-    parts = sorted(partitions_upto(total_boxes))
-    singles = []
-    for g in groups:
-        by_profile: dict[tuple, list[FixedPoint]] = {}
-        for rows in itertools.product(parts, repeat=len(g.slots())):
-            if sum(map(sum, rows)) <= total_boxes:
-                fp = make_fixed_point(rows, g, n_colors)
-                by_profile.setdefault(fp.v, []).append(fp)
-        singles.append([fp for m in range(total_boxes + 1)
-                        for v in profiles(m, n_colors) for fp in by_profile.get(v, ())])
+    vs = [v for m in range(total_boxes + 1) for v in profiles(m, n_colors)]
+    singles = [_enumerate_fixed_points(vs, g.slots(), n_colors) for g in groups]
     return [t for t in itertools.product(*singles)
             if sum(fp.size for fp in t) == total_boxes]
 
@@ -373,10 +366,8 @@ def ybe_residual(groups: tuple[FramingGroup, FramingGroup, FramingGroup],
 
     The six pair transitions take their chamber bases and restriction
     points from ``pp``, so each is enumerated or restricted once.  Raises
-    ``ValueError`` for a negative ``total_boxes``.
+    ``ValueError`` for a negative ``total_boxes`` (``triple_basis``).
     """
-    if total_boxes < 0:
-        raise ValueError(f"total_boxes {total_boxes} is negative")
     basis = triple_basis(groups, n_colors, total_boxes)
     unshifted = (0,) * n_colors
 
@@ -410,8 +401,11 @@ def leading_pair_factorization_residual(groups, pp, n_colors, vtot) -> float:
     formula).
 
     This is the exact dynamical-shift statement behind the Yang-Baxter
-    relation; it holds for arbitrary framing colors.
+    relation; it holds for arbitrary framing colors.  Raises ``ValueError``
+    unless ``vtot`` has one non-negative entry per color.
     """
+    check_dimension_vector("profile", vtot, n_colors)
+    vtot = tuple(vtot)
     trip_basis = [t for t in triple_basis(groups, n_colors, sum(vtot))
                   if tuple(a + b + c for a, b, c in
                            zip(t[0].v, t[1].v, t[2].v)) == vtot]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParamPoint
-from .partitions import FramingGroup, kahler_var
+from .partitions import ColoredPartition, FramingGroup, kahler_var
 
 
 #: modulus bands of the nome p, the Kahler parameters and the Chern roots
@@ -96,3 +96,17 @@ def sample_param_point(seed: int, n_colors: int,
 def random_assignment(rng: np.random.Generator, names: list[str]) -> dict[str, complex]:
     """Random generic complex values for a list of variables (Chern roots)."""
     return {name: _draw(rng, CHERN_BAND, PHASE_MARGIN) for name in names}
+
+
+def random_partition(rng: np.random.Generator, max_size: int,
+                     n_colors: int) -> ColoredPartition:
+    """A colored partition of a size uniform in 0..max_size, each part
+    uniform up to the one before and the boxes left, of a uniform color."""
+    size = int(rng.integers(0, max_size + 1))
+    rows, rem, mx = [], size, size
+    while rem > 0:
+        part = int(rng.integers(1, min(rem, mx) + 1))
+        rows.append(part)
+        mx = part
+        rem -= part
+    return ColoredPartition(tuple(rows), int(rng.integers(0, n_colors)), n_colors)

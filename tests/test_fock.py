@@ -11,25 +11,13 @@ from ellstab.fock import (box_weight, exchange_pairs, exchange_residual,
                           exchange_sides, lowering_coefficient, phi_eigenvalue,
                           raising_coefficient, vector_action)
 from ellstab.partitions import ColoredPartition, partitions_of, weight_component
-from ellstab.sampling import sample_param_point
+from ellstab.sampling import random_partition, sample_param_point
 from ellstab.scalars import vacuum_c_constants
 
 N = 3
 PP = sample_param_point(51, N, extra_vars=["u", "zarg"])
 Z = Monomial.var("zarg")
 U = Monomial.var("u")
-
-
-def random_partition(rng, max_size, n_colors):
-    size = int(rng.integers(0, max_size + 1))
-    rows, rem, mx = [], size, size
-    while rem > 0:
-        part = int(rng.integers(1, min(rem, mx) + 1))
-        rows.append(part)
-        mx = part
-        rem -= part
-    return ColoredPartition(tuple(sorted(rows, reverse=True)),
-                            int(rng.integers(0, n_colors)), n_colors)
 
 
 def test_lowest_weight_eigenvalue():

@@ -15,18 +15,7 @@ from ellstab.partitions import (Box, ColoredPartition, FixedPoint,
                                 k_eigen_sum_ok, lambda_trees, make_fixed_point,
                                 partitions_upto, profiles, rho_less,
                                 spanning_trees, weight_identity_ok)
-
-
-def random_partition(rng, max_size, n_colors):
-    size = int(rng.integers(0, max_size + 1))
-    rows, rem, mx = [], size, size
-    while rem > 0:
-        part = int(rng.integers(1, min(rem, mx) + 1))
-        rows.append(part)
-        mx = part
-        rem -= part
-    return ColoredPartition(tuple(sorted(rows, reverse=True)),
-                            int(rng.integers(0, n_colors)), n_colors)
+from ellstab.sampling import random_partition
 
 
 def test_canonical_order_reproduces_staircase_example():
@@ -177,7 +166,7 @@ def test_one_pass_enumerator_matches_the_recursion():
             for v in itertools.product(range(total + 1), repeat=n):
                 if sum(v) != total:
                     continue
-                got = _enumerate_fixed_points(v, slots, n)
+                got = _enumerate_fixed_points([v], slots, n)
                 assert repr(got) == repr(_recursive_fixed_points(v, slots, n)), v
                 compared += 1
                 nonempty += bool(got)
@@ -185,7 +174,7 @@ def test_one_pass_enumerator_matches_the_recursion():
     # a profile with a negative entry is rejected, with or without slots
     for slots in ([], framings[0]):
         with pytest.raises(ValueError, match=r"profile \(1, -1, 0\) has a negative"):
-            _enumerate_fixed_points((1, -1, 0), slots, n)
+            _enumerate_fixed_points([(1, -1, 0)], slots, n)
 
 
 @pytest.mark.parametrize("v, w, match", [
@@ -201,10 +190,33 @@ def test_fixed_points_reject_a_vector_that_is_not_one_count_per_color(v, w, matc
         fixed_points(v, w, 3)
 
 
+def test_enumerator_over_a_list_of_profiles_is_the_concatenation():
+    """One call over every profile of 0-4 boxes gives the fixed points of
+    the single-profile calls, profile by profile in the order given: four
+    one-group framings and a two-group basis."""
+    n = 3
+    framings = [_slots((w, "u")) for w in ((1, 0, 0), (1, 1, 0), (2, 0, 0),
+                                            (1, 1, 1))]
+    framings.append(_slots(((1, 0, 0), "ua"), ((0, 1, 0), "ub")))
+    vs = [v for m in range(5) for v in profiles(m, n)]
+    for slots in framings:
+        want = [fp for v in vs for fp in _enumerate_fixed_points([v], slots, n)]
+        assert _enumerate_fixed_points(vs, slots, n) == want
+        # the order given, not a sorted one
+        assert (_enumerate_fixed_points(vs[::-1], slots, n)
+                == [fp for v in vs[::-1] for fp in _enumerate_fixed_points([v], slots, n)])
+    assert _enumerate_fixed_points([], framings[0], n) == []
+
+
+def test_enumerator_checks_every_profile_before_it_enumerates():
+    with pytest.raises(ValueError, match=r"profile \(1, 1\) has 2 entries"):
+        _enumerate_fixed_points([(1, 0, 0), (1, 1)], _slots(((1, 0, 0), "u")), 3)
+
+
 @pytest.mark.parametrize("v", [(1, 1), (1, 0, 0, 0)])
 def test_enumerator_rejects_a_profile_of_the_wrong_length(v):
     with pytest.raises(ValueError, match=f"profile .* has {len(v)} entries"):
-        _enumerate_fixed_points(v, FramingGroup((1, 0, 0)).slots(), 3)
+        _enumerate_fixed_points([v], FramingGroup((1, 0, 0)).slots(), 3)
 
 
 def _recursive_profiles(m, n):
@@ -483,6 +495,31 @@ def test_fixed_point_budget_guard(monkeypatch):
     monkeypatch.setattr(partitions, "FIXED_POINT_BUDGET", 2)
     with pytest.raises(BudgetError):
         fixed_points((1, 1, 1), (1, 0, 0), 3)
+
+
+def test_fixed_point_budget_counts_across_profiles(monkeypatch):
+    """(1, 1, 1) has 3 fixed points at w = (1, 0, 0) and (1, 0, 0) has 1:
+    a budget of 3 holds each alone but not the two in one call."""
+    slots = _slots(((1, 0, 0), "u"))
+    monkeypatch.setattr(partitions, "FIXED_POINT_BUDGET", 4)
+    assert len(_enumerate_fixed_points([(1, 1, 1), (1, 0, 0)], slots, 3)) == 4
+    monkeypatch.setattr(partitions, "FIXED_POINT_BUDGET", 3)
+    assert len(_enumerate_fixed_points([(1, 1, 1)], slots, 3)) == 3
+    with pytest.raises(BudgetError):
+        _enumerate_fixed_points([(1, 1, 1), (1, 0, 0)], slots, 3)
+
+
+def test_profile_is_the_count_of_cells_per_residue():
+    """The row formula of ``profile`` counts the contents of ``cells()``:
+    every partition of at most 8 boxes, N = 3, 4, 5, every color."""
+    for n in (3, 4, 5):
+        for rows in partitions_upto(8):
+            for color in range(n):
+                lam = ColoredPartition(rows, color, n)
+                want = [0] * n
+                for x, y in lam.cells():
+                    want[lam.content(x, y) % n] += 1
+                assert lam.profile() == tuple(want), (rows, color, n)
 
 
 def test_index_degrees_goldens():

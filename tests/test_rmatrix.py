@@ -330,6 +330,27 @@ def test_triple_basis_rejects_a_framing_that_is_not_one_count_per_color():
         triple_basis((G1, G2, FramingGroup((1, 0), "uc")), N, 1)
 
 
+def test_triple_basis_rejects_a_negative_total():
+    with pytest.raises(ValueError, match="total_boxes -1 is negative"):
+        triple_basis((G1, G2, G3), N, -1)
+
+
+@pytest.mark.parametrize("vtot, match", [
+    ((1, 0), r"profile \(1, 0\) has 2 entries for 3 colors"),
+    ((2, -1, 0), r"profile \(2, -1, 0\) has a negative entry")])
+def test_leading_pair_factorization_rejects_a_profile_that_is_not_one_count_per_color(
+        vtot, match):
+    """A total profile of the wrong length, or with a negative entry, has
+    no triple and once gave a residual of 0.0 that checked nothing."""
+    with pytest.raises(ValueError, match=match):
+        leading_pair_factorization_residual((G1, G2, G3), PP31, N, vtot)
+
+
+def test_leading_pair_factorization_reads_a_profile_given_as_a_list():
+    assert (leading_pair_factorization_residual((G1, G2, G3), PP31, N, [2, 1, 0])
+            == leading_pair_factorization_residual((G1, G2, G3), PP31, N, (2, 1, 0)))
+
+
 def test_groups_that_share_a_framing_variable_are_rejected():
     """Two groups of one prefix share the variable of a color they both
     frame; every R-matrix builder rejects them before enumerating a basis
