@@ -270,10 +270,15 @@ def theta_p(z: complex, p: complex, min_terms: int = 20) -> complex:
     return qpoch_inf(z, p, min_terms) * qpoch_inf(p / z, p, min_terms)
 
 
-def vartheta1(v: complex, tau: complex, nmax: int = 30) -> complex:
-    """Jacobi theta_1 by its defining sum, truncated at |n| <= nmax."""
+#: the truncation |n| <= VARTHETA1_NMAX of ``vartheta1``'s sum
+VARTHETA1_NMAX = 30
+
+
+def vartheta1(v: complex, tau: complex) -> complex:
+    """Jacobi theta_1 by its defining sum, truncated at |n| <=
+    ``VARTHETA1_NMAX``."""
     s = 0.0 + 0.0j
-    for n in range(-nmax, nmax + 1):
+    for n in range(-VARTHETA1_NMAX, VARTHETA1_NMAX + 1):
         s += (-1) ** n * cmath.exp(1j * math.pi * tau * (n - 0.5) ** 2
                                    + 2j * math.pi * v * (n - 0.5))
     return 1j * s
@@ -423,13 +428,13 @@ class ParamPoint:
         q = self._nomes[star]
         return -(self.qpoch_inf(z, q) * self.qpoch_inf(q / z, q))
 
-    def phi(self, x: Monomial, y: Monomial, star: bool = False) -> complex:
+    def phi(self, x: Monomial, y: Monomial) -> complex:
         """phi(x, y) = theta(xy) theta(hbar) / (theta(x) theta(y)): the ratio
         of the theta values times hbar^(-1/2), all that is left of the four
         gradings."""
         m = self.materialize
-        num = self.theta(m(x * y), star) * self.theta(m(HBAR), star)
-        den = self.theta(m(x), star) * self.theta(m(y), star)
+        num = self.theta(m(x * y)) * self.theta(m(HBAR))
+        den = self.theta(m(x)) * self.theta(m(y))
         if den == 0:
             raise SingularityError("phi hit a theta zero in the denominator")
         return num / den * m(SQRT_HBAR ** -1)

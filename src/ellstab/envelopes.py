@@ -162,24 +162,22 @@ class ThetaProduct:
         return pref
 
 
-#: per theta argument id (``theta_id``), its exponent pairs in dict order
-THETA_ITEMS: list[tuple[tuple[str, float], ...]] = []
+#: the id (``theta_id``) of each theta argument's exponent pairs in dict order
 _THETA_IDS: dict[tuple[tuple[str, float], ...], int] = {}
 
 
 def theta_id(m: Monomial) -> int:
     """The ``ThetaTable`` key of the theta argument ``m``: a small integer
     per distinct tuple of exponent pairs in dict order
-    (``Monomial.float_items``), the same in every table, whose pairs are
-    ``THETA_ITEMS[theta_id(m)]``.  The ids live as long as the process,
+    (``Monomial.float_items``), the same in every table, numbered in the
+    order of their first call.  The ids live as long as the process,
     since every sum that can share a table must agree on them, but they
     hold no value: finding an id or assigning a new one is one dict read,
     so a later ``LoweredSum`` keys its arguments no faster than the first."""
     items = m.float_items()
     k = _THETA_IDS.get(items)
     if k is None:
-        k = _THETA_IDS[items] = len(THETA_ITEMS)
-        THETA_ITEMS.append(items)
+        k = _THETA_IDS[items] = len(_THETA_IDS)
     return k
 
 
@@ -731,9 +729,9 @@ class Envelope:
         fp = spec.fp
         self.fp = fp
         boxes = fp.boxes()
-        self.slots = chern_slots(fp, boxes)
-        xvar = box_slot_vars(fp, self.slots)
-        self.nvars = {i: [xvar[b] for b in bs] for i, bs in self.slots.items()}
+        slots = chern_slots(fp, boxes)
+        xvar = box_slot_vars(fp, slots)
+        self.nvars = {i: [xvar[b] for b in bs] for i, bs in slots.items()}
         size = math.prod(map(math.factorial, map(len, self.nvars.values())))
         if size > SYM_BUDGET:
             raise BudgetError(f"symmetrization over {size} permutations exceeds budget")
@@ -877,10 +875,12 @@ def restriction_values(fp_rester: FixedPoint, pp: ParamPoint,
 def restrict(env: Envelope, mu: FixedPoint, pp: ParamPoint,
              p_shifts: dict[str, int] | None = None,
              framed: bool = True) -> complex:
-    """Evaluate an envelope at the canonical Chern assignment of mu."""
+    """Evaluate an envelope at the canonical Chern assignment of mu.  Raises
+    ``ValueError`` unless mu has the envelope's framing slots (by
+    ``FixedPoint.u_vars``) and profile."""
     # the envelope's profile is its count of Chern roots per color
-    if mu.w != env.fp.w or mu.v != tuple(map(len, env.nvars.values())):
-        raise ValueError("restriction point must share the (v, w) class")
+    if mu.u_vars != env.fp.u_vars or mu.v != tuple(map(len, env.nvars.values())):
+        raise ValueError("restriction point must share the framing slots and the profile")
     values, logs = restriction_values(mu, pp, p_shifts, framed)
     return env.eval(pp, values, logs)
 
@@ -909,7 +909,7 @@ def factorization_residual(fp: FixedPoint, pp: ParamPoint, which: str,
 def concat_fixed_points(fpa: FixedPoint, fpb: FixedPoint) -> FixedPoint:
     if fpa.n_colors != fpb.n_colors:
         raise ValueError("color counts differ")
-    names = [s.u_var for s, _ in fpa.slots] + [s.u_var for s, _ in fpb.slots]
+    names = fpa.u_vars + fpb.u_vars
     if len(set(names)) != len(names):
         raise ValueError("framing variable names must be distinct")
     return FixedPoint(fpa.slots + fpb.slots, fpa.n_colors)
@@ -924,7 +924,7 @@ def spectator_shift(w, v) -> tuple[int, ...]:
     return tuple(w[i] - v[i] + v[(i + 1) % n] for i in range(n))
 
 
-def shuffle_kahler_shifts(n: int, va, wa, vb, wb):
+def shuffle_kahler_shifts(n: int, va, vb, wb):
     """Kahler arguments of the two factors inside the shuffle formula.
 
     First factor: z_i * hbar^(w''_i - v''_i + v''_{i+1})
@@ -968,7 +968,7 @@ def shuffle_residual(fpa: FixedPoint, fpb: FixedPoint, pp: ParamPoint,
     big = concat_fixed_points(fpa, fpb)
     env_big, env_a, env_b = (compiled(EnvelopeSpec(fp, variant, star), pp)
                              for fp in (big, fpa, fpb))
-    za, zb = shuffle_kahler_shifts(n, fpa.v, fpa.w, fpb.v, fpb.w)
+    za, zb = shuffle_kahler_shifts(n, fpa.v, fpb.v, fpb.w)
     pp_a, pp_b = kahler_point(pp, za), kahler_point(pp, zb)
     pref = LoweredSum([_cross_prefactor(fpa, fpb, variant)], ())
 

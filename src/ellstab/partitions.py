@@ -242,6 +242,12 @@ class FixedPoint:
         return tuple(w)
 
     @property
+    def u_vars(self) -> tuple[str, ...]:
+        """The framing weight names of the slots in chamber order: each
+        names its slot's prefix, color and index."""
+        return tuple(slot.u_var for slot, _ in self.slots)
+
+    @property
     def v(self) -> tuple[int, ...]:
         """Boxes per content residue over all slots: the sum of the slot
         partitions' ``profile``s."""

@@ -95,13 +95,15 @@ def restriction_matrix(basis: list[FixedPoint], pp: ParamPoint,
     no Chern root.  Each column's plain envelope comes from
     ``envelopes.compiled`` at ``pp``.  The entries, of the point's number
     type, decide the array's.  An empty basis (a profile without fixed
-    points) gives an empty complex matrix of condition number 1.
+    points) gives an empty complex matrix of condition number 1; a basis
+    whose elements differ in framing slots (``FixedPoint.u_vars``) or
+    profile raises ``ValueError``.
     """
     if not basis:
         return RestrictionMatrix(basis, np.zeros((0, 0), dtype=complex))
-    v, w = basis[0].v, basis[0].w
-    if any(fp.v != v or fp.w != w for fp in basis):
-        raise ValueError("restriction points must share the (v, w) class")
+    u, v = basis[0].u_vars, basis[0].v
+    if any(fp.u_vars != u or fp.v != v for fp in basis):
+        raise ValueError("restriction points must share the framing slots and the profile")
     ppk = kahler_point(pp, kahler)
     points = [restriction_point(gamma, pp) for gamma in basis]
     free: dict = {}

@@ -149,13 +149,16 @@ def _factor_bases(mu: FixedPoint):
 class VertexTable:
     """The integrand factors of one fixed point, lowered at one point.
 
-    ``boxes`` is the canonical box list of ``_factor_bases``.  Each of
-    ``framing`` (a, A, B), ``arrow`` (a, b, A, B) and ``gauge`` (a, b, A, B)
-    holds per factor the box indices and the two bases of its infinite
-    ratio (A; p)_inf / (B; p)_inf, the form in which the oracle and
-    ``normalization_factor`` take it.  ``series`` holds per factor the
-    (numerator, denominator, i, j, row) of the series' finite ratio, of
-    length d[i], or d[i] - d[j] when j is set.
+    ``boxes`` is the canonical box list of ``_factor_bases``.  ``factors``
+    holds one row (a, b, ka, kb, sa, sb, A, B, row) per integrand factor, in
+    the order of ``_factor_bases`` (framing, arrow, gauge): at the shifted
+    points x = phi p^d the factor is p^(ka d_a + kb d_b) (A p^s; p)_inf /
+    (B p^s; p)_inf with s = sa d_a + sb d_b, of the boxes a and b (b = a
+    for framing), the form in which the oracle and ``normalization_factor``
+    take it.  (ka, kb) is (1, 0) for framing, (-1, 0) for arrow and (1, 1)
+    for gauge factors, (sa, sb) (-1, 0), (-1, 1) and (1, -1).  ``series``
+    holds per factor the (numerator, denominator, i, j, row) of the series'
+    finite ratio, of length d[i], or d[i] - d[j] when j is set.
 
     ``qpoch`` takes the Pochhammer products of these bases, each once per
     table: the series, the oracle and ``normalization_factor`` read them
@@ -163,18 +166,14 @@ class VertexTable:
     (a dict by shift) per factor whose entry a reader's first miss fills
     through ``qpoch``, so a product is still taken once per table.  A
     series factor's row[s] is the (vn / vd, zn - zd) of its finite ratio at
-    length s (``ratio``).  ``oracle_rows``, made at the first oracle, holds one list
-    per kind (framing, arrow, gauge) and per factor (a, b, A, B, the
-    values of (A; p)_inf and (B; p)_inf, row): a and b its box indices
-    (b None for framing) and row[s] ((A p^s; p)_inf, (B p^s; p)_inf, the
-    net zero count of the four products) (``shifted``).  A row refers to
-    neither the table nor the point, so a table is freed with its point.
-    ``qp_value`` keeps the values of the envelope's quasi-period
-    multipliers.
+    length s (``ratio``); a factor's row[s] is ((A p^s; p)_inf, (A; p)_inf,
+    (B p^s; p)_inf, (B; p)_inf, the net zero count of the four products)
+    (``shifted``).  A row refers to neither the table nor the point, so a
+    table is freed with its point.  ``qp_value`` keeps the values of the
+    envelope's quasi-period multipliers.
     """
 
-    __slots__ = ("boxes", "framing", "arrow", "gauge", "series", "_oracle_rows",
-                 "_products", "_qp_values")
+    __slots__ = ("boxes", "factors", "series", "_products", "_qp_values")
 
     def __init__(self, mu: FixedPoint, pp: ParamPoint):
         self._products: dict[tuple[LoweredBase, int | None, int],
@@ -182,17 +181,18 @@ class VertexTable:
         boxes, framing, arrow, gauge = _factor_bases(mu)
         pinv_h = P / HBAR
         self.boxes = boxes
-        self.framing = [(ia, lower(P / base, pp), lower(HBAR / base, pp))
-                        for ia, base in framing]
-        self.arrow = [(ia, ib, lower(pinv_h * base, pp), lower(base, pp))
+        arrow_rows = [(ia, ib, -1, 0, -1, 1, lower(pinv_h * base, pp), lower(base, pp), {})
                       for ia, ib, base in arrow]
-        self.gauge = [(ia, ib, lower(HBAR * base, pp), lower(P * base, pp))
+        gauge_rows = [(ia, ib, 1, 1, 1, -1, lower(HBAR * base, pp), lower(P * base, pp), {})
                       for ia, ib, base in gauge]
+        self.factors = ([(ia, ia, 1, 0, -1, 0, lower(P / base, pp), lower(HBAR / base, pp), {})
+                         for ia, base in framing] + arrow_rows + gauge_rows)
+        # an arrow or gauge ratio of the series is (B; p)_s / (A; p)_s, s
+        # the factor's shift
         self.series = ([(lower(base, pp), lower(pinv_h * base, pp), ia, None, {})
                         for ia, base in framing]
-                       + [(b, a, ib, ia, {}) for ia, ib, a, b in self.arrow]
-                       + [(b, a, ia, ib, {}) for ia, ib, a, b in self.gauge])
-        self._oracle_rows = None
+                       + [(b, a, ib, ia, {}) for ia, ib, *_, a, b, _ in arrow_rows]
+                       + [(b, a, ia, ib, {}) for ia, ib, *_, a, b, _ in gauge_rows])
         self._qp_values: dict[tuple, complex] = {}
 
     def ratio(self, row: dict, num: LoweredBase, den: LoweredBase, s: int,
@@ -204,28 +204,17 @@ class VertexTable:
         got = row[s] = (vn / vd, zn - zd)
         return got
 
-    def oracle_rows(self, pp: ParamPoint) -> tuple[list, list, list]:
-        """The oracle's rows of ``framing``, ``arrow`` and ``gauge`` (see
-        the class), made at the first call."""
-        if self._oracle_rows is None:
-            def factor(ia, ib, a, b):
-                return (ia, ib, a, b,
-                        (self.qpoch(a, None, pp)[0], self.qpoch(b, None, pp)[0]), {})
-
-            self._oracle_rows = ([factor(ia, None, a, b) for ia, a, b in self.framing],
-                                 [factor(*f) for f in self.arrow],
-                                 [factor(*f) for f in self.gauge])
-        return self._oracle_rows
-
     def shifted(self, row: dict, a: LoweredBase, b: LoweredBase, s: int,
-                pp: ParamPoint) -> tuple[complex, complex, int]:
-        """Entry s of an oracle factor's row, written at its first read:
-        (A p^s; p)_inf and (B p^s; p)_inf, and the net zero count of the
-        ratio (A p^s; p)_inf / (A; p)_inf / (B p^s; p)_inf * (B; p)_inf."""
+                pp: ParamPoint) -> tuple[complex, complex, complex, complex, int]:
+        """Entry s of a factor's row, written at its first read: (A p^s;
+        p)_inf, (A; p)_inf, (B p^s; p)_inf and (B; p)_inf, and the net zero
+        count of the ratio (A p^s; p)_inf / (A; p)_inf / (B p^s; p)_inf *
+        (B; p)_inf."""
         v1, z1 = self.qpoch(a, None, pp, s)
+        v2, z2 = self.qpoch(a, None, pp)
         v3, z3 = self.qpoch(b, None, pp, s)
-        got = row[s] = (v1, v3, z1 - self.qpoch(a, None, pp)[1] - z3
-                        + self.qpoch(b, None, pp)[1])
+        v4, z4 = self.qpoch(b, None, pp)
+        got = row[s] = (v1, v2, v3, v4, z1 - z2 - z3 + z4)
         return got
 
     def qp_value(self, m: Monomial, pp: ParamPoint) -> complex:
@@ -279,19 +268,14 @@ def normalization_factor(mu: FixedPoint, pp: ParamPoint) -> complex:
     table = vertex_table(mu, pp)
     boxes = table.boxes
     sqh = pp.materialize(SQRT_HBAR)
-
-    def ratio(num: LoweredBase, den: LoweredBase) -> complex:
-        return table.qpoch(num, None, pp)[0] / table.qpoch(den, None, pp)[0]
-
-    for ia, a, b in table.framing:
-        out *= pp.materialize(boxes[ia][1])
-        out *= ratio(a, b)
-    for ia, ib, a, b in table.arrow:
-        out /= pp.materialize(boxes[ia][1])
-        out *= ratio(a, b)
-    for ia, ib, a, b in table.gauge:
-        out *= pp.materialize(boxes[ia][1] * boxes[ib][1]) / sqh
-        out *= ratio(a, b)
+    for ia, ib, ka, kb, _, _, a, b, _ in table.factors:
+        if kb:  # gauge: x_a x_b / sqrt(hbar)
+            out *= pp.materialize(boxes[ia][1] * boxes[ib][1]) / sqh
+        elif ka > 0:  # framing: x_a
+            out *= pp.materialize(boxes[ia][1])
+        else:  # arrow: 1 / x_a
+            out /= pp.materialize(boxes[ia][1])
+        out *= table.qpoch(a, None, pp)[0] / table.qpoch(b, None, pp)[0]
     return out
 
 
@@ -361,36 +345,24 @@ def jackson_term_ratio(mu: FixedPoint, degrees: tuple[int, ...],
     multiplies the exact quasi-periodicity multipliers of the envelope
     factor.  A factor (A; p)_inf / (B; p)_inf shifted by s multiplies the
     value by (A p^s; p)_inf / (A; p)_inf / (B p^s; p)_inf * (B; p)_inf, in
-    that order, read from the table's rows (``VertexTable.oracle_rows``).
+    that order, read from the factors' rows (``VertexTable.factors``).
     """
     table = vertex_table(mu, pp)
     if len(degrees) != len(table.boxes):
         raise ValueError(f"{len(degrees)} degrees for a fixed point of box "
                          f"count {len(table.boxes)}")
     p = pp.p
-    framing, arrow, gauge = table.oracle_rows(pp)
     fill = table.shifted
 
     value, zeros = 1.0 + 0.0j, 0
     for (box, _, name), da in zip(table.boxes, degrees):
         value *= table.qp_value(qp_factors[name], pp) ** da
-    for ia, _, a, b, (va, vb), row in framing:
-        da = degrees[ia]
-        value *= p ** da  # the x_a prefactor of the framing factor
-        v1, v3, z = row.get(-da) or fill(row, a, b, -da, pp)
-        value = value * v1 / va / v3 * vb
-        zeros += z
-    for ia, ib, a, b, (va, vb), row in arrow:
-        value *= p ** (-degrees[ia])  # the x_a^{-1} prefactor
-        s = degrees[ib] - degrees[ia]
-        v1, v3, z = row.get(s) or fill(row, a, b, s, pp)
-        value = value * v1 / va / v3 * vb
-        zeros += z
-    for ia, ib, a, b, (va, vb), row in gauge:
-        value *= p ** (degrees[ia] + degrees[ib])  # the x_a x_b prefactor
-        s = degrees[ia] - degrees[ib]
-        v1, v3, z = row.get(s) or fill(row, a, b, s, pp)
-        value = value * v1 / va / v3 * vb
+    for ia, ib, ka, kb, sa, sb, a, b, row in table.factors:
+        da, db = degrees[ia], degrees[ib]
+        value *= p ** (ka * da + kb * db)  # the x_a^ka x_b^kb prefactor
+        s = sa * da + sb * db
+        v1, v2, v3, v4, z = row.get(s) or fill(row, a, b, s, pp)
+        value = value * v1 / v2 / v3 * v4
         zeros += z
     return _net(value, zeros, "net structural pole in a Pochhammer ratio")
 

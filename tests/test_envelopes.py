@@ -26,6 +26,7 @@ from ellstab.partitions import (FixedPoint, FramingGroup, box_slot_vars,
 from ellstab.rmatrix import (RestrictionMatrix, basis_fixed_points,
                              inverted_kahler, profiles, restriction_matrix)
 from ellstab.sampling import random_assignment, sample_param_point
+from ellstab.vertex import vertex_series
 from reference_sum import ReferenceSum, trace_thetas
 
 N = 3
@@ -313,6 +314,24 @@ def test_restriction_requires_same_class():
     env = Envelope(EnvelopeSpec(fp1, "plain"))
     with pytest.raises(ValueError):
         restrict(env, fp2, PP)
+
+
+def test_restriction_requires_the_same_framing_slots():
+    """A fixed point of the same (v, w) on the framing slots of another
+    prefix is no restriction point: ``restrict``, ``restriction_matrix``
+    and ``vertex_series`` raise for it, and accept the point itself."""
+    fpa = make_fixed_point([(2,)], FramingGroup((1, 0, 0)), N)
+    fpb = make_fixed_point([(2,)], FramingGroup((1, 0, 0), "ua"), N)
+    assert (fpa.v, fpa.w) == (fpb.v, fpb.w)
+    pp = sample_param_point(1, N, framing_counts={"u": [1, 0, 0], "ua": [1, 0, 0]})
+    env = compiled(EnvelopeSpec(fpa, "plain"), pp)
+    assert np.isfinite(restrict(env, fpa, pp))
+    with pytest.raises(ValueError, match="framing slots"):
+        restrict(env, fpb, pp)
+    with pytest.raises(ValueError, match="framing slots"):
+        restriction_matrix([fpa, fpb], pp)
+    with pytest.raises(ValueError, match="framing slots"):
+        vertex_series(fpa, fpb, 2, pp)
 
 
 def _graded_product(prod, pp, star):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ellstab.core import HBAR, Monomial, ParamPoint, SingularityError
-from ellstab.envelopes import (THETA_ITEMS, Envelope, EnvelopeSpec, LoweredSum,
+from ellstab.envelopes import (Envelope, EnvelopeSpec, LoweredSum,
                                ThetaTable, _cancel, _tally, compiled, default_kahler,
                                kahler_args, kahler_point, restriction_values,
                                s_factor_product, shifted_kahler, theta_id,
@@ -511,9 +511,10 @@ def test_a_matrix_takes_one_theta_per_id_and_permutation(monkeypatch, colors, v)
     assert calls and max(calls.values()) == 1
     assert got.tobytes() == _entrywise(basis, pp, False, None).tobytes()
     ids: dict = {}
+    items = {k: its for its, k in envelopes._THETA_IDS.items()}
     for fp in basis:
         for m in compiled(EnvelopeSpec(fp, "plain"), fresh)._lowered.args:
-            assert THETA_ITEMS[theta_id(m)] == m.float_items()
+            assert items[theta_id(m)] == m.float_items()
             ids.setdefault(m.float_items(), set()).add(theta_id(m))
     assert all(len(k) == 1 for k in ids.values())
     assert len(set().union(*ids.values())) == len(ids)
@@ -594,9 +595,10 @@ def test_theta_table_splits_by_its_own_chern_roots():
     want = env.eval(pp, values, logs)
     assert env.eval(pp, values, logs, table) == want
     roots = set(values)
-    assert table.free and all(roots.isdisjoint(dict(THETA_ITEMS[key])) for key in table.free)
+    items = {k: its for its, k in envelopes._THETA_IDS.items()}
+    assert table.free and all(roots.isdisjoint(dict(items[key])) for key in table.free)
     bound = [key for k in range(len(table._bound)) for key in table.perm(k)[1]]
-    assert bound and all(not roots.isdisjoint(dict(THETA_ITEMS[key])) for key in bound)
+    assert bound and all(not roots.isdisjoint(dict(items[key])) for key in bound)
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,14 @@ def test_normalization_drops_vanishing_factors_without_balancing():
     for rows in ((1, 1), (2, 1)):
         mu = make_fixed_point([rows], FramingGroup(W), N)
         table = vertex.vertex_table(mu, pp)
-        # (numerator, denominator) zero counts of each factor kind
+        # (numerator, denominator) zero counts of each factor kind, the
+        # kind by the prefactor exponents (ka, kb) of its rows
+        kinds = {(1, 0): "framing", (-1, 0): "arrow", (1, 1): "gauge"}
         dropped = {kind: tuple(sum(vertex.qpoch_low(row[side], None, pp)[1]
-                                   for row in getattr(table, kind))
-                               for side in (-2, -1))
-                   for kind in ("framing", "arrow", "gauge")}
+                                   for row in table.factors
+                                   if kinds[row[2], row[3]] == kind)
+                               for side in (-3, -2))
+                   for kind in kinds.values()}
         assert dropped == {"framing": (0, 0), "arrow": (0, 1),
                            "gauge": (0, 0)}, rows
         value = normalization_factor(mu, pp)
@@ -379,11 +382,12 @@ def _outcome(fn, *args):
         return "SingularityError"
 
 
-@pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0)])
+@pytest.mark.parametrize("w", [(1, 1, 0), (2, 0, 0), (1, 0, 0)])
 def test_table_path_is_bitwise_the_monomial_path(w):
     """Series, oracle and normalization read the lowered bases of one table
     per fixed point and give the bits of the path that lowers each monomial
-    where it is used."""
+    where it is used.  At w = (1,0,0), the framing of criterion 8, most
+    off-diagonal pairs have a structural pole: 8 pairs have a series."""
     pp = sample_param_point(23, N, framing_counts={"u": list(w)})
     pairs = 0
     for total in (1, 2, 3):
@@ -403,7 +407,7 @@ def test_table_path_is_bitwise_the_monomial_path(w):
                     for d in got.coefficients:
                         assert (_outcome(jackson_term_ratio, mu, d, pp, qp)
                                 == _outcome(_reference_term_ratio, mu, d, pp, qp))
-    assert pairs > 10
+    assert pairs > (5 if w == (1, 0, 0) else 10)
 
 
 def _per_factor_series(lam, mu, degree_cap, pp):
@@ -455,17 +459,9 @@ def _per_factor_term_ratio(mu, degrees, pp, qp):
 
     for (_, _, name), da in zip(table.boxes, degrees):
         value *= pp.materialize(qp[name]) ** da
-    for ia, a, b in table.framing:
-        value *= p ** degrees[ia]
-        value, z = step(a, b, -degrees[ia])
-        zeros += z
-    for ia, ib, a, b in table.arrow:
-        value *= p ** (-degrees[ia])
-        value, z = step(a, b, degrees[ib] - degrees[ia])
-        zeros += z
-    for ia, ib, a, b in table.gauge:
-        value *= p ** (degrees[ia] + degrees[ib])
-        value, z = step(a, b, degrees[ia] - degrees[ib])
+    for ia, ib, ka, kb, sa, sb, a, b, _ in table.factors:
+        value *= p ** (ka * degrees[ia] + kb * degrees[ib])
+        value, z = step(a, b, sa * degrees[ia] + sb * degrees[ib])
         zeros += z
     return vertex._net(value, zeros, "net structural pole in a Pochhammer ratio")
 
